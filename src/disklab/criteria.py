@@ -581,7 +581,7 @@ def shift_witness(
     if tu == 0.0:
         raise CriterionError("x must be nonzero")
     if bv == 0.0:
-        return ShiftWitness(scalar=0.0, z=x, residual_in=0.0, residual_out=norm(y))
+        raise CriterionError("B^N y vanishes, so the scalar would be 0")
     lam = math.sqrt(bv / tu)
     z = x + bn_y * (1.0 / lam)
     residual_in = norm(z - x)

@@ -334,6 +334,85 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
     return TrsResult(z=z, residual=residual, kkt_residual=kkt, mu=mu, boundary=boundary)
 
 
+def _secular_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """_secular_solve on every row of (q, s) at once: the same bracketed Newton
+    on 1/||d(mu)|| - 1/eps, with its own bracket and stopping test per row."""
+    hi = np.sqrt(np.sum(s, axis=1)) / eps
+    lo = np.zeros_like(hi)
+    mu = 0.5 * hi
+    val = np.empty_like(mu)
+    rows = np.arange(len(mu))  # rows still iterating; m, lo, hi, q, s below are theirs
+    m = mu.copy()
+    for it in range(201):
+        x = q + m[:, None]
+        w = s / x**2
+        v = np.sqrt(np.sum(w, axis=1))
+        val[rows] = v
+        going = np.abs(v - eps) > 1e-14 * eps
+        if not going.all():
+            rows, m, v, lo, hi, q, s, x, w = (a[going] for a in (rows, m, v, lo, hi, q, s, x, w))
+        if rows.size == 0 or it == 200:
+            break
+        deriv = np.sum(w / x, axis=1) / v**3
+        over = v > eps
+        lo = np.where(over, m, lo)
+        hi = np.where(over, hi, m)
+        nxt = m - (1.0 / v - 1.0 / eps) / deriv
+        outside = ~((lo < nxt) & (nxt < hi))
+        nxt[outside] = 0.5 * (lo + hi)[outside]
+        moved = nxt != m
+        rows, m, lo, hi, q, s = (a[moved] for a in (rows, nxt, lo, hi, q, s))
+        mu[rows] = m
+    return mu, val
+
+
+def _grid_lsq(
+    A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """constrained_lsq for alphas[k] * A, every k at once; A is orthogonal-column at alpha 1.
+
+    Returns the minimizers, residuals and KKT residuals by row.  Row k repeats
+    constrained_lsq(power_map(op, n, window, alphas[k]), u, eps, target) step
+    for step, up to rounding: sums, norms and the Newton derivative are formed
+    in another order.
+    """
+    live = A.coeffs != 0
+    dst = A.tgt[live]
+    c = alphas[:, None] * A.coeffs  # the coeffs power_map builds at each alpha
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(c.shape, dtype=np.complex128)
+        out[:, dst] = c[:, live] * x[..., live]
+        return out
+
+    r = target.coeffs - apply(u.coeffs)
+    q = np.abs(c) ** 2
+    g = np.zeros_like(c)
+    g[:, live] = np.conj(c[:, live]) * r[:, dst]
+    s = np.abs(g) ** 2
+    # _trs_core row by row: no gradient, interior Newton point, or boundary
+    mu = np.zeros(len(alphas))
+    gap = np.zeros(len(alphas))
+    d = np.zeros_like(g)
+    has_grad = np.any(s > 0, axis=1)
+    free_mass = np.any((q == 0) & (s > 0), axis=1)
+    d0 = np.divide(g, q, out=np.zeros_like(g), where=q > 0)
+    interior = has_grad & ~free_mass & (np.linalg.norm(d0, axis=1) <= eps)
+    d[interior] = d0[interior]
+    boundary = has_grad & ~interior
+    if boundary.any():
+        mu_b, val_b = _secular_rows(q[boundary], s[boundary], eps)
+        mu[boundary] = mu_b
+        d[boundary] = g[boundary] / (q[boundary] + mu_b[:, None])
+        gap[boundary] = np.abs(val_b - eps) / eps
+    stat = np.linalg.norm((q + mu[:, None]) * d - g, axis=1)
+    feas = np.maximum(0.0, np.linalg.norm(d, axis=1) - eps) / eps
+    kkt = np.maximum(np.maximum(stat / np.maximum(1.0, np.linalg.norm(g, axis=1)), feas), gap)
+    z = u.coeffs + d
+    residual = np.linalg.norm(apply(z) - target.coeffs, axis=1)
+    return z, residual, kkt
+
+
 def _component_bounds(op, n, src: Ball, tgt: Ball, mode, alpha) -> tuple[float, str] | None:
     """Best valid lower bound on inf ||alpha T^n z - v|| over the closed source ball.
 
@@ -418,6 +497,12 @@ def _criterion_scalar(op, n, src: Ball, tgt: Ball, settings) -> tuple[complex, C
 
 _GRID_MODULI = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 _GRID_PHASES = 8
+# disk-grid scalars in the order they are tried: modulus-major, phase-minor
+_GRID_ALPHAS = tuple(
+    mod * complex(math.cos(2.0 * math.pi * j / _GRID_PHASES), math.sin(2.0 * math.pi * j / _GRID_PHASES))
+    for mod in _GRID_MODULI
+    for j in range(_GRID_PHASES)
+)
 
 
 def _solve_component(
@@ -498,10 +583,19 @@ def _solve_component(
     # the z-subproblem at fixed alpha is convex and solved exactly, so the
     # joint landscape is nonconvex only through alpha; a coarse disk grid
     # plus one polish escapes alternation stalls
-    for mod in _GRID_MODULI:
-        for j in range(_GRID_PHASES):
-            angle = 2.0 * math.pi * j / _GRID_PHASES
-            if pinned(mod * complex(math.cos(angle), math.sin(angle))):
+    if isinstance(op, Dense):
+        for alpha in _GRID_ALPHAS:
+            if pinned(alpha):
+                return best
+    else:
+        # orthogonal columns: one batched solve, replayed through track() in
+        # grid order, so the first hit, the best point and max_kkt are those
+        # of pinning each grid alpha in turn
+        zs, residuals, kkts = _grid_lsq(power_map(op, n, window), np.array(_GRID_ALPHAS), u, eps_eff, v)
+        for alpha, z, residual, kkt in zip(_GRID_ALPHAS, zs, residuals.tolist(), kkts.tolist()):
+            # track() keeps z only from a row that improves on the best or hits
+            kept = ComplexVector(window, z) if residual < max(best.residual, hit_level) else None
+            if track(alpha, kept, residual, kkt):
                 return best
     if best.z is not None:
         alternate(best.z)

@@ -414,3 +414,7 @@ def test_shift_witness_validation():
     small = IndexWindow(BILATERAL, 2)
     with pytest.raises(Exception):
         shift_witness(2.0, 3.0, ComplexVector.basis(small, 2), ComplexVector.basis(small, 0), 1)
+    # B^3 e1 falls off the unilateral lattice: the scalar would be 0
+    uni = IndexWindow(UNILATERAL, 20)
+    with pytest.raises(CriterionError):
+        shift_witness(2.0, 3.0, ComplexVector.basis(uni, 0), ComplexVector.basis(uni, 1), 3)

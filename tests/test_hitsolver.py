@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from disklab import hitsolver
 from disklab.hitsolver import (
     DISK,
     FIXED,
@@ -22,8 +23,10 @@ from disklab.hitsolver import (
 from disklab.operators import (
     BackwardShift,
     Dense,
+    Diagonal,
     DirectSum,
     ForwardShift,
+    OperatorSpec,
     Scalar,
     WeightProfile,
     as_dense,
@@ -117,6 +120,84 @@ def test_ortho_and_dense_routes_agree():
     assert a.residual == pytest.approx(b.residual, rel=1e-9, abs=1e-9)
     assert a.kkt_residual <= 1e-9 and b.kkt_residual <= 1e-8
     assert norm(a.z - b.z) <= 1e-7 * (1 + norm(a.z))
+
+
+def test_grid_lsq_matches_per_alpha_constrained_lsq():
+    """The batched disk-grid kernel against constrained_lsq at each grid alpha.
+
+    Both run the same float64 steps, but sums and norms may be taken in
+    another order, so agreement is required to 1e-12: relative for points,
+    absolute for the (already scale-free) KKT residuals, and for residuals
+    relative to the target norm as well, since an interior solution leaves a
+    residual of pure rounding error.
+    """
+    alphas = np.array(hitsolver._GRID_ALPHAS)
+    w = IndexWindow(BILATERAL, 4)
+    d = w.dim
+    rng = np.random.default_rng(7)
+    u = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    v = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    shifts = (ForwardShift(WeightProfile(2.0, 3.0, {0: 0.5})), BackwardShift(WeightProfile(0.5, 3.0)))
+    cases = [(op, n, eps, v) for op in shifts for n in (0, 3, d, d + 2) for eps in (0.05, 50.0)]
+    diag = Diagonal({j: (0.0 if j == 1 else 1.5 - 0.25j * j) for j in range(-4, 5)})
+    cases += [(op, 2, eps, v) for op in (diag, Scalar(0.8 + 0.6j)) for eps in (0.05, 50.0)]
+    # zero gradient at alpha = 1: the target is the image of the centre
+    cases.append((Scalar(1.3), 2, 0.3, ComplexVector(w, power_map(Scalar(1.3), 2, w).apply_vec(u.coeffs))))
+    boundary = set()
+    for op, n, eps, target in cases:
+        zs, residuals, kkts = hitsolver._grid_lsq(power_map(op, n, w), alphas, u, eps, target)
+        for k, alpha in enumerate(hitsolver._GRID_ALPHAS):
+            ref = constrained_lsq(power_map(op, n, w, alpha), u, eps, target)
+            boundary.add(ref.boundary)
+            assert abs(residuals[k] - ref.residual) <= 1e-12 * max(ref.residual, norm(target))
+            assert np.linalg.norm(zs[k] - ref.z.coeffs) <= 1e-12 * norm(ref.z)
+            assert abs(kkts[k] - ref.kkt_residual) <= 1e-12
+    assert boundary == {True, False}
+
+
+@pytest.mark.parametrize(
+    "op, n, src, tgt, status",
+    [
+        # hits first at grid alpha 0.5j, after the criterion pin, alpha = 1,
+        # alternation and the first 26 grid points have missed
+        (
+            Scalar(1.5j),
+            1,
+            Ball(ComplexVector.from_coeffs(IndexWindow(BILATERAL, 3), {0: -0.6j, 1: 0.4 + 0.5j}), 0.4),
+            Ball(ComplexVector.from_coeffs(IndexWindow(BILATERAL, 3), {-1: 0.3 + 0.4j, 1: -0.4 - 0.3j}), 0.4),
+            HIT,
+        ),
+        # no grid point hits; the polish from the best grid point misses too
+        (
+            Scalar(2.0),
+            5,
+            Ball(ComplexVector.basis(IndexWindow(UNILATERAL, 4), 0), 0.45),
+            Ball(ComplexVector.basis(IndexWindow(UNILATERAL, 4), 1), 0.45),
+            MISS_UNCERTAIN,
+        ),
+    ],
+)
+def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, status):
+    p = HitProblem(components=(op,), n=n, sources=ProductBall((src,)), targets=ProductBall((tgt,)))
+    batches = []
+    kernel = hitsolver._grid_lsq
+    monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or kernel(*a))
+    got = solve_hit(p)
+    assert len(batches) == 1 and got.status == status
+    # reference: every operator takes the per-point loop kept for dense maps,
+    # which pins the grid alphas one at a time and stops at the first hit
+    monkeypatch.setattr(hitsolver, "Dense", OperatorSpec)
+    want = solve_hit(p)
+    assert len(batches) == 1 and want.status == status
+    if status == HIT:
+        assert got.witness.alphas == want.witness.alphas
+        assert got.witness.alphas[0] in hitsolver._GRID_ALPHAS
+        got_res, want_res = got.witness.residuals, want.witness.residuals
+    else:
+        assert got.best_alphas == want.best_alphas
+        got_res, want_res = got.best_residuals, want.best_residuals
+    assert got_res == pytest.approx(want_res, rel=1e-12)
+    assert got.max_kkt_residual == pytest.approx(want.max_kkt_residual, abs=1e-12)
 
 
 def test_trs_boundary_case_is_tight():
