@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -615,7 +614,7 @@ _DETECT_KINDS = {
 }
 
 
-def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str, workers: int) -> RunOutcome:
+def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
     comps = _resolve_components(params, registry, path)
     kind_name = _as_str(_get(params, "kind", path), _sub(path, "kind"))
     if kind_name not in _DETECT_KINDS:
@@ -634,7 +633,6 @@ def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str, wo
         horizon=horizon,
         seed=seed,
         tail_fraction=tail_fraction,
-        max_workers=workers,
     )
     return RunOutcome(
         verdict.verdict,
@@ -762,7 +760,7 @@ def _merge_defaults(params: dict, defaults: dict) -> dict:
     return out
 
 
-def _scenario_shift_compound_not_mixing(params: dict, workers: int) -> RunOutcome:
+def _scenario_shift_compound_not_mixing(params: dict) -> RunOutcome:
     p = _merge_defaults(params, {"m": 64, "horizon": 40, "trials": 5, "seed": 0, "radius": 0.45})
     window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
     horizon = _as_int(p["horizon"], "parameters.horizon")
@@ -776,12 +774,12 @@ def _scenario_shift_compound_not_mixing(params: dict, workers: int) -> RunOutcom
     compound = detect(
         COMPOUND, [shift], sampler,
         trials=_as_int(p["trials"], "parameters.trials"), horizon=horizon,
-        seed=_as_int(p["seed"], "parameters.seed"), max_workers=workers,
+        seed=_as_int(p["seed"], "parameters.seed"),
     )
     mixing = detect(
         MIXING, [shift], sampler,
         trials=_as_int(p["trials"], "parameters.trials"), horizon=horizon,
-        seed=_as_int(p["seed"], "parameters.seed"), max_workers=workers,
+        seed=_as_int(p["seed"], "parameters.seed"),
     )
     certified = sorted(e.n for e in fixed_rep.entries if e.status == MISS_CERTIFIED and e.n >= 1)
     results = {
@@ -806,7 +804,7 @@ def _scenario_shift_compound_not_mixing(params: dict, workers: int) -> RunOutcom
     return RunOutcome("fail", EXIT_FAIL, results, tables)
 
 
-def _scenario_diagonal_spectral_split(params: dict, workers: int) -> RunOutcome:
+def _scenario_diagonal_spectral_split(params: dict) -> RunOutcome:
     p = _merge_defaults(
         params,
         {"m": 4, "small_entry": 0.5, "large_entry": 2.0, "p": 1.0, "c": 1.5,
@@ -844,7 +842,7 @@ def _scenario_diagonal_spectral_split(params: dict, workers: int) -> RunOutcome:
     return RunOutcome("pass", EXIT_PASS, results, {"witness": table})
 
 
-def _scenario_cross_junction_equivalence(params: dict, workers: int) -> RunOutcome:
+def _scenario_cross_junction_equivalence(params: dict) -> RunOutcome:
     p = _merge_defaults(params, {"m": 32, "horizon": 15, "trials": 5, "seed": 0, "radius": 0.45})
     window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
     horizon = _as_int(p["horizon"], "parameters.horizon")
@@ -880,7 +878,7 @@ def _scenario_cross_junction_equivalence(params: dict, workers: int) -> RunOutco
     return RunOutcome(verdict, _VERDICT_EXIT[verdict], results, {"trials": table})
 
 
-def _scenario_scalar_derivation_roundtrip(params: dict, workers: int) -> RunOutcome:
+def _scenario_scalar_derivation_roundtrip(params: dict) -> RunOutcome:
     p = _merge_defaults(params, {"m": 64, "stop": 40, "eps": 0.1, "seed": 0, "sample_count": 10, "tol": 1e-6})
     window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
     shift = ForwardShift(WeightProfile(2.0, 3.0))
@@ -908,7 +906,7 @@ def _scenario_scalar_derivation_roundtrip(params: dict, workers: int) -> RunOutc
     return RunOutcome(verdict, _VERDICT_EXIT[verdict], results, {"criterion": _criterion_table(rt.scalar_free)})
 
 
-def _scenario_compound_plus_transitive(params: dict, workers: int) -> RunOutcome:
+def _scenario_compound_plus_transitive(params: dict) -> RunOutcome:
     p = _merge_defaults(params, {"m": 64, "horizon": 40, "trials": 20, "seed": 0, "radius": 0.45})
     window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
     horizon = _as_int(p["horizon"], "parameters.horizon")
@@ -924,13 +922,7 @@ def _scenario_compound_plus_transitive(params: dict, workers: int) -> RunOutcome
         hits2 = junction_scan([t2], balls[2], balls[3], horizon).hit_set
         return {"trial": t, "common": sorted(hits1 & hits2)}
 
-    if workers > 1 and trials > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(run_trial, range(trials)))
-    else:
-        per_trial = [run_trial(t) for t in range(trials)]
+    per_trial = [run_trial(t) for t in range(trials)]
     empty = [d["trial"] for d in per_trial if not d["common"]]
     results = {"all_nonempty": not empty, "empty_trials": empty, "per_trial": per_trial}
     table: Table = (
@@ -942,7 +934,7 @@ def _scenario_compound_plus_transitive(params: dict, workers: int) -> RunOutcome
     return RunOutcome(INCONCLUSIVE, EXIT_INCONCLUSIVE, results, {"trials": table})
 
 
-def _scenario_direct_sum_diskcyclic_criterion(params: dict, workers: int) -> RunOutcome:
+def _scenario_direct_sum_diskcyclic_criterion(params: dict) -> RunOutcome:
     p = _merge_defaults(params, {"m": 64, "stop": 40, "trials": 10, "horizon": 40, "seed": 0, "tol": 1e-6, "sample_count": 10})
     window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
     nk = tuple(range(1, _as_int(p["stop"], "parameters.stop") + 1))
@@ -974,7 +966,7 @@ def _scenario_direct_sum_diskcyclic_criterion(params: dict, workers: int) -> Run
         K_BITRANSITIVE, [s1, s2], ball_sampler,
         trials=_as_int(p["trials"], "parameters.trials"),
         horizon=_as_int(p["horizon"], "parameters.horizon"),
-        seed=seed, max_workers=workers,
+        seed=seed,
     )
     results = {
         "component_criteria": [passed1, passed2],
@@ -990,7 +982,7 @@ def _scenario_direct_sum_diskcyclic_criterion(params: dict, workers: int) -> Run
     return RunOutcome("fail", EXIT_FAIL, results, tables)
 
 
-SCENARIOS: dict[str, Callable[[dict, int], RunOutcome]] = {
+SCENARIOS: dict[str, Callable[[dict], RunOutcome]] = {
     "shift-compound-not-mixing": _scenario_shift_compound_not_mixing,
     "diagonal-spectral-split": _scenario_diagonal_spectral_split,
     "cross-junction-equivalence": _scenario_cross_junction_equivalence,
@@ -1002,23 +994,12 @@ SCENARIOS: dict[str, Callable[[dict, int], RunOutcome]] = {
 _EXPERIMENTS = ("orbit", "hit", "junction", "cross", "detect", "criterion", "scenario")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run(cfg: dict) -> tuple[RunOutcome, dict]:
     """Run the configured experiment; returns the outcome and the full report."""
     experiment = _as_str(_get(cfg, "experiment", ""), "experiment")
     if experiment not in _EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
     params = _as_dict(cfg.get("parameters", {}), "parameters")
-    workers = _worker_count()
 
     if experiment == "scenario":
         scenario_id = _as_str(_get(params, "id", "parameters"), "parameters.id")
@@ -1028,7 +1009,7 @@ def run(cfg: dict) -> tuple[RunOutcome, dict]:
         if "window" in cfg and "m" not in params:
             params = dict(params)
             params["m"] = _as_int(_get(_as_dict(cfg["window"], "window"), "m", "window"), "window.m")
-        outcome = SCENARIOS[scenario_id](params, workers)
+        outcome = SCENARIOS[scenario_id](params)
     else:
         window = build_window(_get(cfg, "window", ""), "window")
         registry = build_operators(cfg.get("operators", {}), window)
@@ -1041,7 +1022,7 @@ def run(cfg: dict) -> tuple[RunOutcome, dict]:
         elif experiment == "cross":
             outcome = _run_cross(params, registry, window, "parameters")
         elif experiment == "detect":
-            outcome = _run_detect(params, registry, window, "parameters", workers)
+            outcome = _run_detect(params, registry, window, "parameters")
         else:
             outcome = _run_criterion(params, registry, window, "parameters")
 

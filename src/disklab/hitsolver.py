@@ -17,16 +17,16 @@ import numpy as np
 from .operators import (
     BackwardShift,
     Dense,
-    Diagonal,
     DirectSum,
     ForwardShift,
     OperatorError,
     OperatorSpec,
-    Scalar,
+    PowerMap,
     WindowGuardError,
     ensure_power_fits,
     growth,
     power_apply,
+    power_map,
     right_inverse,
 )
 from .vectorspace import (
@@ -160,79 +160,6 @@ def best_alpha(w: ComplexVector, v: ComplexVector, alpha_floor: float = 1e-12) -
         return complex(alpha_floor)
     m = abs(a0)
     return a0 / m if m > 1.0 else a0
-
-
-@dataclass(frozen=True)
-class PowerMap:
-    """alpha T^n on a window, in a form the least-squares kernel can consume.
-
-    Shift, diagonal, and scalar powers have orthogonal columns: column j is
-    coeffs[j] times a basis vector at tgt[j] (coeff 0 means the column died at
-    the window edge).  Dense powers carry the explicit matrix.
-    """
-
-    kind: str  # "ortho" | "dense"
-    window: IndexWindow
-    alpha: complex
-    coeffs: np.ndarray | None = None
-    tgt: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-
-    def apply_vec(self, arr: np.ndarray) -> np.ndarray:
-        if self.kind == "dense":
-            return self.matrix @ arr
-        out = np.zeros_like(arr)
-        live = self.coeffs != 0
-        out[self.tgt[live]] = self.coeffs[live] * arr[live]
-        return out
-
-    def apply_batch(self, block: np.ndarray) -> np.ndarray:
-        if self.kind == "dense":
-            return block @ self.matrix.T
-        out = np.zeros_like(block)
-        live = self.coeffs != 0
-        out[:, self.tgt[live]] = block[:, live] * self.coeffs[live]
-        return out
-
-
-def power_map(op: OperatorSpec, n: int, window: IndexWindow, alpha: complex = 1.0) -> PowerMap:
-    d = window.dim
-    alpha = complex(alpha)
-    if isinstance(op, ForwardShift):
-        coeffs = np.zeros(d, dtype=np.complex128)
-        tgt = np.minimum(np.arange(d) + n, d - 1)
-        if n == 0:
-            coeffs[:] = alpha
-        elif n < d:
-            w = op.weights.weights_on(window.lo, window.hi - 1)
-            prods = np.ones(d - n)
-            for t in range(n):
-                prods *= w[t : t + d - n]
-            coeffs[: d - n] = alpha * prods
-        return PowerMap("ortho", window, alpha, coeffs=coeffs, tgt=tgt)
-    if isinstance(op, BackwardShift):
-        coeffs = np.zeros(d, dtype=np.complex128)
-        tgt = np.maximum(np.arange(d) - n, 0)
-        if n == 0:
-            coeffs[:] = alpha
-        elif n < d:
-            w = op.weights.weights_on(window.lo, window.hi - 1)
-            prods = np.ones(d - n)
-            for t in range(n):
-                prods *= w[t : t + d - n]
-            coeffs[n:] = alpha * prods
-        return PowerMap("ortho", window, alpha, coeffs=coeffs, tgt=tgt)
-    if isinstance(op, Diagonal):
-        diag = op.entries_on(window)
-        return PowerMap("ortho", window, alpha, coeffs=alpha * diag**n, tgt=np.arange(d))
-    if isinstance(op, Scalar):
-        c = np.full(d, alpha * op.value**n, dtype=np.complex128)
-        return PowerMap("ortho", window, alpha, coeffs=c, tgt=np.arange(d))
-    if isinstance(op, Dense):
-        if op.matrix.shape[0] != d:
-            raise OperatorError("dense matrix size does not match the window")
-        return PowerMap("dense", window, alpha, matrix=alpha * np.linalg.matrix_power(op.matrix, n))
-    raise OperatorError(f"no power map for {type(op).__name__}")
 
 
 @dataclass(frozen=True)
@@ -372,13 +299,13 @@ def _grid_lsq(
     """constrained_lsq for alphas[k] * A, every k at once; A is orthogonal-column at alpha 1.
 
     Returns the minimizers, residuals and KKT residuals by row.  Row k repeats
-    constrained_lsq(power_map(op, n, window, alphas[k]), u, eps, target) step
+    constrained_lsq(A.scaled(alphas[k]), u, eps, target) step
     for step, up to rounding: sums, norms and the Newton derivative are formed
     in another order.
     """
     live = A.coeffs != 0
     dst = A.tgt[live]
-    c = alphas[:, None] * A.coeffs  # the coeffs power_map builds at each alpha
+    c = alphas[:, None] * A.coeffs  # the coeffs A.scaled(alpha) holds at each alpha
 
     def apply(x: np.ndarray) -> np.ndarray:
         out = np.zeros(c.shape, dtype=np.complex128)
@@ -471,8 +398,12 @@ class _ComponentSolve:
     max_kkt: float
 
 
-def _criterion_scalar(op, n, src: Ball, tgt: Ball, settings) -> tuple[complex, ComplexVector] | None:
-    """Scalar lambda_n = sqrt(||S^n v|| / ||T^n u||) and the seed u + (1/lambda) S^n v."""
+def _criterion_scalar(
+    op, n, base: PowerMap, src: Ball, tgt: Ball, settings
+) -> tuple[complex, ComplexVector] | None:
+    """Scalar lambda_n = sqrt(||S^n v|| / ||T^n u||) and the seed u + (1/lambda) S^n v.
+
+    base is power_map(op, n) on the balls' window."""
     try:
         s = right_inverse(op)
     except OperatorError:
@@ -483,7 +414,7 @@ def _criterion_scalar(op, n, src: Ball, tgt: Ball, settings) -> tuple[complex, C
         ensure_power_fits(s, n, v)
     except WindowGuardError:
         return None
-    tn_u = power_apply(op, n, u)
+    tn_u = ComplexVector(u.window, base.apply_vec(u.coeffs))
     sn_v = power_apply(s, n, v)
     tu, sv = norm(tn_u), norm(sn_v)
     lam = math.sqrt(sv / tu) if tu > 0 and sv > 0 else 1.0
@@ -520,6 +451,8 @@ def _solve_component(
     eps_eff = src.radius * (1.0 - settings.strict_margin)
     delta = tgt.radius
     hit_level = delta - settings.residual_slack
+    # T^n is built once; every scalar tried below uses base.scaled(alpha)
+    base = power_map(op, n, window)
 
     best = _ComponentSolve(hit=False, alpha=1.0 + 0j, z=None, residual=math.inf, max_kkt=0.0)
 
@@ -538,18 +471,18 @@ def _solve_component(
         return False
 
     def pinned(alpha: complex) -> bool:
-        sol = constrained_lsq(power_map(op, n, window, alpha), u, eps_eff, v)
+        sol = constrained_lsq(base.scaled(alpha), u, eps_eff, v)
         return track(alpha, sol.z, sol.residual, sol.kkt_residual)
 
     def alternate(z0: ComplexVector) -> bool:
         z = z0
         prev = math.inf
         for _ in range(settings.max_iters):
-            w = power_apply(op, n, z)
+            w = ComplexVector(window, base.apply_vec(z.coeffs))
             alpha = fixed_alpha if mode == FIXED else best_alpha(w, v, settings.alpha_floor)
             if norm(z - u) < src.radius and track(alpha, z, norm(w * alpha - v)):
                 return True
-            sol = constrained_lsq(power_map(op, n, window, alpha), u, eps_eff, v)
+            sol = constrained_lsq(base.scaled(alpha), u, eps_eff, v)
             if track(alpha, sol.z, sol.residual, sol.kkt_residual):
                 return True
             if abs(prev - sol.residual) <= settings.stall_eps * max(1.0, abs(prev)):
@@ -566,7 +499,7 @@ def _solve_component(
             alternate(seed)
         return best
 
-    crit = _criterion_scalar(op, n, src, tgt, settings)
+    crit = _criterion_scalar(op, n, base, src, tgt, settings)
     # criterion-pinned scalar first: where it hits, the recorded alpha is the
     # construction's lambda_n, not a refit
     if crit is not None and pinned(crit[0]):
@@ -591,7 +524,7 @@ def _solve_component(
         # orthogonal columns: one batched solve, replayed through track() in
         # grid order, so the first hit, the best point and max_kkt are those
         # of pinning each grid alpha in turn
-        zs, residuals, kkts = _grid_lsq(power_map(op, n, window), np.array(_GRID_ALPHAS), u, eps_eff, v)
+        zs, residuals, kkts = _grid_lsq(base, np.array(_GRID_ALPHAS), u, eps_eff, v)
         for alpha, z, residual, kkt in zip(_GRID_ALPHAS, zs, residuals.tolist(), kkts.tolist()):
             # track() keeps z only from a row that improves on the best or hits
             kept = ComplexVector(window, z) if residual < max(best.residual, hit_level) else None
@@ -673,7 +606,7 @@ def random_search(p: HitProblem, samples: int, seed, batch: int = 20000) -> Sear
         src, tgt = p.sources.balls[i], p.targets.balls[i]
         window = src.center.window
         d = window.dim
-        pmap = power_map(op, p.n, window, 1.0)
+        pmap = power_map(op, p.n, window)
         center = src.center.coeffs
         vt = tgt.center.coeffs
         left = samples

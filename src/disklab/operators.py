@@ -7,7 +7,7 @@ scans that must not lose mass call ensure_power_fits first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -32,10 +32,12 @@ __all__ = [
     "DirectSum",
     "EigenPair",
     "GrowthBounds",
+    "PowerMap",
     "OperatorError",
     "WindowGuardError",
     "apply",
     "power_apply",
+    "power_map",
     "right_inverse",
     "growth",
     "as_dense",
@@ -177,46 +179,84 @@ class GrowthBounds:
     minmod_lower: float
 
 
-def _shift_products(profile: WeightProfile, starts: np.ndarray, n: int) -> np.ndarray:
-    """Products w(j) w(j+1) ... w(j+n-1) for each start j (vectorized over j)."""
-    if n == 0:
-        return np.ones(starts.size, dtype=float)
-    out = np.ones(starts.size, dtype=float)
+def _run_products(w: np.ndarray, n: int, count: int) -> np.ndarray:
+    """Products w[j] w[j+1] ... w[j+n-1] for j in 0..count-1, multiplied left to right."""
+    prods = np.ones(count)
     for t in range(n):
-        out *= np.array([profile.weight(int(j) + t) for j in starts], dtype=float)
-    return out
+        prods *= w[t : t + count]
+    return prods
 
 
-def _forward_power(profile: WeightProfile, n: int, x: ComplexVector) -> ComplexVector:
-    window = x.window
-    d = window.dim
-    out = np.zeros(d, dtype=np.complex128)
+def _shift_products(profile: WeightProfile, lo: int, hi: int, n: int) -> np.ndarray:
+    """Products w(j) w(j+1) ... w(j+n-1) for each start j in lo..hi."""
     if n == 0:
-        return ComplexVector(window, x.coeffs.copy())
-    if n < d:
-        # product over the source run [j, j+n) for each surviving source
-        w = profile.weights_on(window.lo, window.hi - 1)
-        prods = np.ones(d - n, dtype=float)
-        for t in range(n):
-            prods *= w[t : t + d - n]
-        out[n:] = x.coeffs[: d - n] * prods
-    return ComplexVector(window, out)
+        return np.ones(hi - lo + 1)
+    return _run_products(profile.weights_on(lo, hi + n - 1), n, hi - lo + 1)
 
 
-def _backward_power(profile: WeightProfile, n: int, x: ComplexVector) -> ComplexVector:
-    window = x.window
+@dataclass(frozen=True)
+class PowerMap:
+    """alpha T^n on a window, in a form the least-squares kernel can consume.
+
+    Shift, diagonal, and scalar powers have orthogonal columns: column j is
+    coeffs[j] times a basis vector at tgt[j] (coeff 0 means the column died at
+    the window edge).  Dense powers carry the explicit matrix.
+    """
+
+    kind: str  # "ortho" | "dense"
+    window: IndexWindow
+    coeffs: np.ndarray | None = None
+    tgt: np.ndarray | None = None
+    matrix: np.ndarray | None = None
+
+    def scaled(self, alpha: complex) -> "PowerMap":
+        """alpha times this map; power_map(op, n, window, alpha) builds exactly this."""
+        if self.kind == "dense":
+            return replace(self, matrix=alpha * self.matrix)
+        return replace(self, coeffs=alpha * self.coeffs)
+
+    def apply_vec(self, arr: np.ndarray) -> np.ndarray:
+        if self.kind == "dense":
+            return self.matrix @ arr
+        out = np.zeros_like(arr)
+        live = self.coeffs != 0
+        out[self.tgt[live]] = self.coeffs[live] * arr[live]
+        return out
+
+    def apply_batch(self, block: np.ndarray) -> np.ndarray:
+        if self.kind == "dense":
+            return block @ self.matrix.T
+        out = np.zeros_like(block)
+        live = self.coeffs != 0
+        out[:, self.tgt[live]] = block[:, live] * self.coeffs[live]
+        return out
+
+
+def power_map(op: OperatorSpec, n: int, window: IndexWindow, alpha: complex = 1.0) -> PowerMap:
+    """alpha T^n on the window; shift mass that leaves the window is dropped."""
     d = window.dim
-    out = np.zeros(d, dtype=np.complex128)
-    if n == 0:
-        return ComplexVector(window, x.coeffs.copy())
-    if n < d:
-        # source j lands on j-n with weight product over [j-n, j-1]
-        w = profile.weights_on(window.lo, window.hi - 1)
-        prods = np.ones(d - n, dtype=float)
-        for t in range(n):
-            prods *= w[t : t + d - n]
-        out[: d - n] = x.coeffs[n:] * prods
-    return ComplexVector(window, out)
+    if isinstance(op, (ForwardShift, BackwardShift)):
+        # source j moves to j+n (forward) or j-n (backward), carrying the product
+        # over the run [j, j+n) or [j-n, j); either way the runs start at lo..hi-n
+        forward = isinstance(op, ForwardShift)
+        coeffs = np.zeros(d, dtype=np.complex128)
+        if n < d:
+            survivors = slice(0, d - n) if forward else slice(n, d)
+            coeffs[survivors] = _shift_products(op.weights, window.lo, window.hi - n, n)
+        tgt = np.clip(np.arange(d) + (n if forward else -n), 0, d - 1)
+        pm = PowerMap("ortho", window, coeffs=coeffs, tgt=tgt)
+    elif isinstance(op, Diagonal):
+        pm = PowerMap("ortho", window, coeffs=op.entries_on(window) ** n, tgt=np.arange(d))
+    elif isinstance(op, Scalar):
+        coeffs = np.full(d, op.value**n, dtype=np.complex128)
+        pm = PowerMap("ortho", window, coeffs=coeffs, tgt=np.arange(d))
+    elif isinstance(op, Dense):
+        if op.matrix.shape[0] != d:
+            raise OperatorError("dense matrix size does not match the window")
+        pm = PowerMap("dense", window, matrix=np.linalg.matrix_power(op.matrix, n))
+    else:
+        raise OperatorError(f"unsupported operator variant {type(op).__name__}")
+    return pm if alpha == 1 else pm.scaled(alpha)
 
 
 def power_apply(op: OperatorSpec, n: int, x):
@@ -230,21 +270,7 @@ def power_apply(op: OperatorSpec, n: int, x):
         return ProductVector(tuple(power_apply(c, n, p) for c, p in zip(op.components, x.parts)))
     if not isinstance(x, ComplexVector):
         raise TypeError("expected a ComplexVector")
-    if isinstance(op, ForwardShift):
-        return _forward_power(op.weights, n, x)
-    if isinstance(op, BackwardShift):
-        return _backward_power(op.weights, n, x)
-    if isinstance(op, Diagonal):
-        diag = op.entries_on(x.window)
-        return ComplexVector(x.window, x.coeffs * diag**n)
-    if isinstance(op, Scalar):
-        return ComplexVector(x.window, x.coeffs * op.value**n)
-    if isinstance(op, Dense):
-        if op.matrix.shape[0] != x.window.dim:
-            raise OperatorError("dense matrix size does not match the window")
-        m = np.linalg.matrix_power(op.matrix, n)
-        return ComplexVector(x.window, m @ x.coeffs)
-    raise OperatorError(f"unsupported operator variant {type(op).__name__}")
+    return ComplexVector(x.window, power_map(op, n, x.window).apply_vec(x.coeffs))
 
 
 def apply(op: OperatorSpec, x):
@@ -284,8 +310,7 @@ def _profile_window_products(profile: WeightProfile, n: int, lattice: str) -> np
     if lattice == UNILATERAL:
         lo_j = max(lo_j, 0)
         hi_j = max(hi_j, 0)
-    starts = np.arange(lo_j, hi_j + 1)
-    cands = list(_shift_products(profile, starts, n))
+    cands = list(_shift_products(profile, lo_j, hi_j, n))
     cands.append(profile.pos**n)  # far right
     if lattice == BILATERAL:
         cands.append(profile.neg**n)  # far left
@@ -314,8 +339,7 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
             # e_0 .. e_{n-1} are annihilated
             keys = [k for k in op.weights.table if k >= 0]
             hi_t = max(keys, default=0)
-            starts = np.arange(0, hi_t + n + 2)
-            prods = _shift_products(op.weights, starts, n)
+            prods = _shift_products(op.weights, 0, hi_t + n + 1, n)
             prods = np.append(prods, op.weights.pos**n)
             return GrowthBounds(float(prods.max()), 0.0)
         return GrowthBounds(float(prods.max()), float(prods.min()))
@@ -345,17 +369,8 @@ def as_dense(op: OperatorSpec, window: IndexWindow) -> np.ndarray:
         for i, b in enumerate(blocks):
             out[i * d : (i + 1) * d, i * d : (i + 1) * d] = b
         return out
-    if isinstance(op, Dense):
-        if op.matrix.shape[0] != window.dim:
-            raise OperatorError("dense matrix size does not match the window")
-        return op.matrix.copy()
-    d = window.dim
-    out = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        e = np.zeros(d, dtype=np.complex128)
-        e[j] = 1.0
-        out[:, j] = apply(op, ComplexVector(window, e)).coeffs
-    return out
+    # rows of the identity are the basis vectors, so their images are the columns
+    return power_map(op, 1, window).apply_batch(np.eye(window.dim, dtype=np.complex128)).T
 
 
 def _support_for_guard(x) -> tuple[int, int] | None:

@@ -9,7 +9,6 @@ certificate that extends beyond it, or inconclusive.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,7 +61,6 @@ __all__ = [
     "detect",
     "make_ball_sampler",
     "disk_orbit_norms",
-    "disk_orbit_points",
     "guard_scan_window",
 ]
 
@@ -304,7 +302,6 @@ def detect(
     seed: int = 0,
     tail_fraction: float = 0.5,
     settings: SolverSettings = DEFAULT_SETTINGS,
-    max_workers: int = 1,
 ) -> Verdict:
     """Sample ball tuples and scan for the behavior the kind demands.
 
@@ -314,9 +311,6 @@ def detect(
     (compound, mixing) confirm when every trial hits at all powers from some
     tail_start <= tail_fraction * horizon on; they refute when a trial
     certifies a full suffix of misses that extends beyond the horizon.
-
-    Trials are independent; max_workers > 1 runs them on a thread pool.
-    The verdict does not depend on the worker count.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -339,11 +333,7 @@ def detect(
             hit_count=len(rep.hit_set),
         )
 
-    if max_workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(run_trial, range(trials)))
-    else:
-        records = [run_trial(t) for t in range(trials)]
+    records = [run_trial(t) for t in range(trials)]
     refuting = None
     if kind in (DISK_TRANSITIVE, K_BITRANSITIVE):
         for r in records:
@@ -404,20 +394,3 @@ def disk_orbit_norms(op: OperatorSpec, x: ComplexVector, horizon: int) -> np.nda
         cur = power_apply(op, 1, cur)
         out[n] = norm(cur)
     return out
-
-
-def disk_orbit_points(
-    op: OperatorSpec, x: ComplexVector, n: int, radial: int = 4, angular: int = 8
-) -> np.ndarray:
-    """Grid sample of the disk-scaled power image {alpha T^n x : |alpha| <= 1}.
-
-    Returns an array of coefficient rows: the zero scaling plus radial x
-    angular points with moduli l/radial and equally spaced phases.
-    """
-    w = power_apply(op, n, x).coeffs
-    rows = [np.zeros_like(w)]
-    for l in range(1, radial + 1):
-        for m in range(angular):
-            alpha = (l / radial) * np.exp(2j * np.pi * m / angular)
-            rows.append(alpha * w)
-    return np.array(rows)

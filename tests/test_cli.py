@@ -266,29 +266,6 @@ def test_detect_run_refutes_mixing_for_contraction():
     assert outcome.results["detect"]["verdict"] == "refuted_with_certificate"
 
 
-def test_detect_runs_identically_across_worker_counts(monkeypatch):
-    cfg = {
-        "window": {"kind": "bilateral", "m": 32},
-        "operators": {"shift": {"type": "forward_shift", "pos": 2.0, "neg": 3.0}},
-        "experiment": "detect",
-        "parameters": {
-            "components": ["shift"],
-            "kind": "disk_transitive",
-            "trials": 4,
-            "horizon": 15,
-            "seed": 5,
-            "sampler": {"band": 1},
-        },
-    }
-    monkeypatch.delenv("LAB_THREADS", raising=False)
-    _, rep_serial = run(json.loads(json.dumps(cfg)))
-    monkeypatch.setenv("LAB_THREADS", "4")
-    _, rep_pooled = run(json.loads(json.dumps(cfg)))
-    rep_serial.pop("created")
-    rep_pooled.pop("created")
-    assert rep_serial == rep_pooled
-
-
 def test_criterion_run_scalar_free_passes():
     cfg = {
         "window": {"kind": "bilateral", "m": 48},

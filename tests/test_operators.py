@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disklab import operators
 from disklab.operators import (
     BackwardShift,
     Dense,
@@ -18,6 +19,7 @@ from disklab.operators import (
     ensure_power_fits,
     growth,
     power_apply,
+    power_map,
     right_inverse,
 )
 from disklab.vectorspace import (
@@ -262,3 +264,109 @@ def test_diagonal_power_semigroup(n):
     lhs = power_apply(d, n + 2, x)
     rhs = power_apply(d, 2, power_apply(d, n, x))
     assert norm(lhs - rhs) <= 1e-9 * (1 + norm(lhs))
+
+
+# Reference implementations: the per-index loops that power_map's shared
+# run-product helper replaced.  They multiply the same operands in the same
+# order, so shift powers and growth bounds must agree bit for bit.
+
+
+def _reference_shift_products(profile, lo, hi, n):
+    """w(j) w(j+1) ... w(j+n-1) for each start j in lo..hi, one weight() call per index."""
+    out = np.ones(hi - lo + 1, dtype=float)
+    for t in range(n):
+        out *= np.array([profile.weight(j + t) for j in range(lo, hi + 1)], dtype=float)
+    return out
+
+
+def _reference_forward_power(profile, n, x):
+    window = x.window
+    d = window.dim
+    out = np.zeros(d, dtype=np.complex128)
+    if n == 0:
+        return ComplexVector(window, x.coeffs.copy())
+    if n < d:
+        # product over the source run [j, j+n) for each surviving source
+        w = profile.weights_on(window.lo, window.hi - 1)
+        prods = np.ones(d - n, dtype=float)
+        for t in range(n):
+            prods *= w[t : t + d - n]
+        out[n:] = x.coeffs[: d - n] * prods
+    return ComplexVector(window, out)
+
+
+def _reference_backward_power(profile, n, x):
+    window = x.window
+    d = window.dim
+    out = np.zeros(d, dtype=np.complex128)
+    if n == 0:
+        return ComplexVector(window, x.coeffs.copy())
+    if n < d:
+        # source j lands on j-n with weight product over [j-n, j-1]
+        w = profile.weights_on(window.lo, window.hi - 1)
+        prods = np.ones(d - n, dtype=float)
+        for t in range(n):
+            prods *= w[t : t + d - n]
+        out[: d - n] = x.coeffs[n:] * prods
+    return ComplexVector(window, out)
+
+
+def _random_profile(rng):
+    keys = rng.integers(-15, 16, size=rng.integers(1, 7))
+    table = {int(k): float(rng.uniform(0.2, 5.0)) for k in keys}
+    return WeightProfile(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0)), table)
+
+
+def _random_complex(rng, size=None):
+    """Moduli in [0.5, 2], so powers up to 51 neither overflow nor underflow."""
+    return rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+@pytest.mark.parametrize("lattice", [BILATERAL, UNILATERAL])
+def test_powers_match_the_per_index_reference_loops(monkeypatch, lattice):
+    rng = np.random.default_rng(11 if lattice == BILATERAL else 12)
+    eps = np.finfo(float).eps
+    for m in range(1, 13):
+        w = IndexWindow(lattice, m)
+        d = w.dim
+        for n in range(2 * d + 2):
+            profile = _random_profile(rng)
+            x = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+            fwd, bwd = ForwardShift(profile), BackwardShift(profile)
+            assert np.array_equal(power_apply(fwd, n, x).coeffs, _reference_forward_power(profile, n, x).coeffs)
+            assert np.array_equal(power_apply(bwd, n, x).coeffs, _reference_backward_power(profile, n, x).coeffs)
+            bounds = [growth(op, n, lattice) for op in (fwd, bwd)]
+            with monkeypatch.context() as patched:
+                patched.setattr(operators, "_shift_products", _reference_shift_products)
+                assert bounds == [growth(op, n, lattice) for op in (fwd, bwd)]
+            # numpy multiplies array by scalar through another loop than array
+            # by array, so these may differ in the last bit
+            diag = Diagonal(dict(zip(w.indices().tolist(), _random_complex(rng, d))))
+            scalar = Scalar(complex(_random_complex(rng)))
+            for op, factor in ((diag, diag.entries_on(w) ** n), (scalar, scalar.value**n)):
+                want = x.coeffs * factor
+                assert np.all(np.abs(power_apply(op, n, x).coeffs - want) <= 4 * eps * np.abs(want))
+
+
+_SCALED_CASES = [
+    *[
+        (op, n)
+        for op in (ForwardShift(WeightProfile(2.0, 3.0, {0: 0.5})), BackwardShift(WeightProfile(0.5, 3.0)))
+        for n in (0, 3, 9, 11)  # the window below has dimension 9
+    ],
+    (Diagonal({j: (0.0 if j == 1 else 1.5 - 0.25j * j) for j in range(-4, 5)}), 2),
+    (Scalar(0.8 + 0.6j), 3),
+    (Dense(np.exp(1j * np.arange(81.0)).reshape(9, 9)), 2),
+]
+
+
+@pytest.mark.parametrize("op, n", _SCALED_CASES)
+def test_power_map_at_alpha_is_the_scaled_base_map(op, n):
+    w = IndexWindow(BILATERAL, 4)
+    base = power_map(op, n, w)
+    for alpha in (1.0, 0.5j, -0.125, 0.37 * complex(np.exp(0.9j))):
+        got, want = power_map(op, n, w, alpha), base.scaled(alpha)
+        assert got.kind == want.kind
+        for name in ("coeffs", "tgt", "matrix"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or np.array_equal(a, b)

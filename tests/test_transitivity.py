@@ -21,7 +21,6 @@ from disklab.transitivity import (
     cross_scan,
     detect,
     disk_orbit_norms,
-    disk_orbit_points,
     junction_scan,
     make_ball_sampler,
 )
@@ -178,13 +177,3 @@ def test_disk_orbit_norms_frozen():
     x = ComplexVector.basis(w, 0)
     norms = disk_orbit_norms(SHIFT_23, x, 6)
     assert list(norms) == [1, 2, 4, 8, 16, 32, 64]
-
-
-def test_disk_orbit_points_grid():
-    w = IndexWindow(BILATERAL, 6)
-    x = ComplexVector.basis(w, 0)
-    pts = disk_orbit_points(SHIFT_23, x, 2, radial=3, angular=4)
-    assert pts.shape == (13, w.dim)
-    assert np.linalg.norm(pts[0]) == 0.0
-    rim = np.abs(np.linalg.norm(pts[1:], axis=1))
-    assert rim.max() == pytest.approx(4.0)  # |alpha| = 1 on ||T^2 e_0|| = 4
