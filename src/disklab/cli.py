@@ -10,10 +10,11 @@ configuration or runtime error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -31,6 +32,7 @@ from .criteria import (
     check_scalar_free_criterion,
     check_scaled_criterion,
     make_vector_sampler,
+    powers_of_right_inverse,
     roundtrip_scalar_derivation,
     spectral_witness,
 )
@@ -67,6 +69,7 @@ from .vectorspace import (
     ComplexVector,
     IndexWindow,
     ProductBall,
+    trial_draws,
 )
 
 __all__ = [
@@ -104,66 +107,108 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# typed readers; every one names the offending field on failure
+# typed readers; every one is called as read(value, path) and names the
+# offending field on failure
+
+Reader = Callable[[Any, str], Any]
 
 
-def _as_dict(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-    return value
+def _reader(
+    expected: str, accepts: Callable[[Any], bool], convert: Callable | None = None, show=repr
+) -> Reader:
+    def read(value: Any, path: str) -> Any:
+        if not accepts(value):
+            raise ConfigError(path, f"expected {expected}, got {show(value)}")
+        out = value if convert is None else convert(value)
+        # json.loads accepts NaN and Infinity; no field of a run means either
+        if isinstance(out, (float, complex)) and not cmath.isfinite(out):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        return out
+
+    return read
 
 
-def _as_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(path, f"expected a list, got {type(value).__name__}")
-    return value
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true or false, got {value!r}")
-    return value
-
-
-def _as_complex(value: Any, path: str) -> complex:
+def _is_complex(value: Any) -> bool:
     # numbers are real scalars; [re, im] pairs carry a phase
-    if isinstance(value, bool):
-        raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        re, im = value
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-            return complex(re, im)
-    raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
+    return _is_number(value) or (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)))
 
 
-def _get(cfg: Mapping, key: str, path: str) -> Any:
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return cfg[key]
+def _type_name(value: Any) -> str:
+    return type(value).__name__
+
+
+_as_dict = _reader("an object", lambda v: isinstance(v, dict), show=_type_name)
+_as_list = _reader("a list", lambda v: isinstance(v, list), show=_type_name)
+_as_str = _reader("a string", lambda v: isinstance(v, str), show=_type_name)
+_as_int = _reader("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_as_bool = _reader("true or false", lambda v: isinstance(v, bool))
+_as_float = _reader("a number", _is_number, float)
+_as_complex = _reader(
+    "a number or [re, im] pair", _is_complex, lambda v: complex(*v) if isinstance(v, list) else complex(v)
+)
+
+
+def _items(read: Reader) -> Reader:
+    """Reader of a list whose entries `read` takes, at paths path[i]."""
+    return lambda value, path: [read(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+
+
+def _int_keyed(read: Reader) -> Reader:
+    """Reader of an object keyed by integer indices, values taken by `read`."""
+
+    def read_table(value: Any, path: str) -> dict:
+        out = {}
+        for key, raw in _as_dict(value, path).items():
+            try:
+                idx = int(key)
+            except ValueError:
+                raise ConfigError(_sub(path, key), "keys must be integer indices") from None
+            out[idx] = read(raw, _sub(path, key))
+        return out
+
+    return read_table
+
+
+def _choice(options: Mapping, what: str) -> Reader:
+    """Reader of a string naming one of the keys of `options`; returns its value."""
+
+    def read(value: Any, path: str) -> Any:
+        name = _as_str(value, path)
+        if name not in options:
+            raise ConfigError(path, f"unknown {what} {name!r}")
+        return options[name]
+
+    return read
+
+
+_REQUIRED = object()  # the default of a field that must be given
 
 
 def _sub(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def _field(spec: Mapping, path: str, key: str, read: Reader, default: Any = _REQUIRED) -> Any:
+    """spec[key] taken by `read` at path.key; a missing key takes the default.
+
+    A field whose default is None is optional: missing or null, it reads as None.
+    """
+    value = spec.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(_sub(path, key), "missing required field")
+    if value is None and default is None:
+        return None
+    return read(value, _sub(path, key))
+
+
+def _fields(spec: Any, path: str, **table: tuple[Reader, Any]) -> dict:
+    """Read the object at path, one key=(reader, default) entry per field."""
+    spec = _as_dict(spec, path)
+    return {key: _field(spec, path, key, read, default) for key, (read, default) in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -208,101 +253,81 @@ _WINDOW_KINDS = {"bilateral": BILATERAL, "unilateral": UNILATERAL}
 
 
 def build_window(spec: Any, path: str = "window") -> IndexWindow:
-    spec = _as_dict(spec, path)
-    kind_name = _as_str(spec.get("kind", "bilateral"), _sub(path, "kind"))
-    if kind_name not in _WINDOW_KINDS:
-        raise ConfigError(_sub(path, "kind"), f"unknown window kind {kind_name!r}")
-    m = _as_int(_get(spec, "m", path), _sub(path, "m"))
+    kind, m = _fields(
+        spec, path, kind=(_choice(_WINDOW_KINDS, "window kind"), "bilateral"), m=(_as_int, _REQUIRED)
+    ).values()
     if m < 1:
         raise ConfigError(_sub(path, "m"), "window size must be at least 1")
-    return IndexWindow(_WINDOW_KINDS[kind_name], m)
-
-
-def _int_keyed(table: Any, path: str, value_of: Callable[[Any, str], Any]) -> dict:
-    table = _as_dict(table, path)
-    out = {}
-    for key, raw in table.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise ConfigError(_sub(path, key), "keys must be integer indices") from None
-        out[idx] = value_of(raw, _sub(path, key))
-    return out
+    return IndexWindow(kind, m)
 
 
 def _build_weights(spec: dict, path: str) -> WeightProfile:
-    pos = _as_float(_get(spec, "pos", path), _sub(path, "pos"))
-    neg = _as_float(spec.get("neg", pos), _sub(path, "neg"))
-    table = _int_keyed(spec.get("table", {}), _sub(path, "table"), _as_float)
+    pos = _field(spec, path, "pos", _as_float)
+    neg, table = _fields(spec, path, neg=(_as_float, pos), table=(_int_keyed(_as_float), {})).values()
     for where, w in [("pos", pos), ("neg", neg)] + [(k, v) for k, v in table.items()]:
         if w <= 0:
             raise ConfigError(_sub(path, str(where)), "weights must be positive")
     return WeightProfile(pos, neg, table)
 
 
+def _build_diagonal(spec: dict, path: str, window: IndexWindow) -> Diagonal:
+    entries, default = _fields(
+        spec, path, entries=(_int_keyed(_as_complex), _REQUIRED), default=(_as_complex, None)
+    ).values()
+    return Diagonal(entries, default)
+
+
+def _build_dense(spec: dict, path: str, window: IndexWindow) -> Dense:
+    mat = np.array(_field(spec, path, "matrix", _items(_items(_as_complex))), dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ConfigError(_sub(path, "matrix"), "matrix must be square")
+    if mat.shape[0] != window.dim:
+        raise ConfigError(
+            _sub(path, "matrix"),
+            f"matrix is {mat.shape[0]}x{mat.shape[1]} but the window holds {window.dim} coordinates",
+        )
+    return Dense(mat)
+
+
+# builders of the plain operator types, called as build(spec, path, window)
+_OPERATOR_BUILDERS = {
+    "forward_shift": lambda spec, path, window: ForwardShift(_build_weights(spec, path)),
+    "backward_shift": lambda spec, path, window: BackwardShift(_build_weights(spec, path)),
+    "diagonal": _build_diagonal,
+    "scalar": lambda spec, path, window: Scalar(_field(spec, path, "value", _as_complex)),
+    "dense": _build_dense,
+}
+
+
 def build_operators(spec: Any, window: IndexWindow, path: str = "operators") -> dict:
-    spec = _as_dict(spec, path)
     registry: dict = {}
     deferred = []
-    for name, op_spec in spec.items():
+    for name, op_spec in _as_dict(spec, path).items():
         op_path = _sub(path, name)
         op_spec = _as_dict(op_spec, op_path)
-        kind = _as_str(_get(op_spec, "type", op_path), _sub(op_path, "type"))
-        if kind == "forward_shift":
-            registry[name] = ForwardShift(_build_weights(op_spec, op_path))
-        elif kind == "backward_shift":
-            registry[name] = BackwardShift(_build_weights(op_spec, op_path))
-        elif kind == "diagonal":
-            entries = _int_keyed(_get(op_spec, "entries", op_path), _sub(op_path, "entries"), _as_complex)
-            default = op_spec.get("default")
-            if default is not None:
-                default = _as_complex(default, _sub(op_path, "default"))
-            registry[name] = Diagonal(entries, default)
-        elif kind == "scalar":
-            registry[name] = Scalar(_as_complex(_get(op_spec, "value", op_path), _sub(op_path, "value")))
-        elif kind == "dense":
-            rows = _as_list(_get(op_spec, "matrix", op_path), _sub(op_path, "matrix"))
-            mat = np.array(
-                [
-                    [_as_complex(v, f"{op_path}.matrix[{i}][{j}]") for j, v in enumerate(_as_list(row, f"{op_path}.matrix[{i}]"))]
-                    for i, row in enumerate(rows)
-                ],
-                dtype=np.complex128,
-            )
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ConfigError(_sub(op_path, "matrix"), "matrix must be square")
-            if mat.shape[0] != window.dim:
-                raise ConfigError(
-                    _sub(op_path, "matrix"),
-                    f"matrix is {mat.shape[0]}x{mat.shape[1]} but the window holds {window.dim} coordinates",
-                )
-            registry[name] = Dense(mat)
-        elif kind == "direct_sum":
-            parts = [_as_str(p, f"{op_path}.parts[{i}]") for i, p in enumerate(_as_list(_get(op_spec, "parts", op_path), _sub(op_path, "parts")))]
-            deferred.append((name, parts, op_path))
+        kind = _field(op_spec, op_path, "type", _as_str)
+        if kind == "direct_sum":
+            deferred.append((op_spec, name, op_path))
+        elif kind in _OPERATOR_BUILDERS:
+            registry[name] = _OPERATOR_BUILDERS[kind](op_spec, op_path, window)
         else:
             raise ConfigError(_sub(op_path, "type"), f"unknown operator type {kind!r}")
     # direct sums resolve after the plain operators they reference
-    for name, parts, op_path in deferred:
-        comps = []
-        for i, part in enumerate(parts):
-            if part not in registry:
-                raise ConfigError(f"{op_path}.parts[{i}]", f"unknown operator {part!r}")
-            comps.append(registry[part])
-        registry[name] = DirectSum(tuple(comps))
+    for op_spec, name, op_path in deferred:
+        parts = _field(op_spec, op_path, "parts", _items(_choice(registry, "operator")))
+        registry[name] = DirectSum(tuple(parts))
     return registry
 
 
 def build_vector(spec: Any, window: IndexWindow, path: str) -> ComplexVector:
     spec = _as_dict(spec, path)
     if "basis" in spec:
-        j = _as_int(spec["basis"], _sub(path, "basis"))
+        j, scale = _fields(spec, path, basis=(_as_int, _REQUIRED), scale=(_as_complex, 1.0)).values()
         if not window.contains(j):
             raise ConfigError(_sub(path, "basis"), f"index {j} falls outside the window")
-        scale = _as_complex(spec.get("scale", 1.0), _sub(path, "scale"))
         return ComplexVector.basis(window, j, scale)
     if "coeffs" in spec:
-        table = _int_keyed(spec["coeffs"], _sub(path, "coeffs"), _as_complex)
+        table = _field(spec, path, "coeffs", _int_keyed(_as_complex))
         for idx in table:
             if not window.contains(idx):
                 raise ConfigError(_sub(path, "coeffs"), f"index {idx} falls outside the window")
@@ -311,9 +336,9 @@ def build_vector(spec: Any, window: IndexWindow, path: str) -> ComplexVector:
 
 
 def build_ball(spec: Any, window: IndexWindow, path: str) -> Ball:
-    spec = _as_dict(spec, path)
-    center = build_vector(_get(spec, "center", path), window, _sub(path, "center"))
-    radius = _as_float(_get(spec, "radius", path), _sub(path, "radius"))
+    center, radius = _fields(
+        spec, path, center=(lambda v, p: build_vector(v, window, p), _REQUIRED), radius=(_as_float, _REQUIRED)
+    ).values()
     if radius <= 0:
         raise ConfigError(_sub(path, "radius"), "radius must be positive")
     return Ball(center, radius)
@@ -327,18 +352,11 @@ def build_product_ball(spec: Any, window: IndexWindow, path: str, arity: int) ->
 
 
 def _resolve_components(params: dict, registry: dict, path: str) -> tuple:
-    names = _get(params, "components", path)
-    if isinstance(names, str):
-        names = [names]
-    names = [_as_str(n, f"{path}.components[{i}]") for i, n in enumerate(_as_list(names, _sub(path, "components")))]
-    comps = []
-    for i, name in enumerate(names):
-        if name not in registry:
-            raise ConfigError(f"{path}.components[{i}]", f"unknown operator {name!r}")
-        comps.append(registry[name])
+    names = _field(params, path, "components", lambda v, p: [v] if isinstance(v, str) else v)
+    comps = tuple(_items(_choice(registry, "operator"))(names, _sub(path, "components")))
     if not comps:
         raise ConfigError(_sub(path, "components"), "needs at least one operator")
-    return tuple(comps)
+    return comps
 
 
 def _component_arity(comps: Sequence) -> int:
@@ -348,39 +366,40 @@ def _component_arity(comps: Sequence) -> int:
 
 
 def _mode_and_alphas(params: dict, arity: int, path: str) -> tuple[str, tuple | None]:
-    mode = _as_str(params.get("mode", DISK), _sub(path, "mode"))
+    mode = _field(params, path, "mode", _as_str, DISK)
     if mode not in (DISK, FIXED):
         raise ConfigError(_sub(path, "mode"), f"mode must be 'disk' or 'fixed', got {mode!r}")
-    alphas = None
-    if mode == FIXED:
-        raw = params.get("alphas", [1.0] * arity)
-        items = _as_list(raw, _sub(path, "alphas"))
-        alphas = tuple(_as_complex(v, f"{path}.alphas[{i}]") for i, v in enumerate(items))
-    return mode, alphas
+    if mode == DISK:
+        return mode, None
+    return mode, tuple(_field(params, path, "alphas", _items(_as_complex), [1.0] * arity))
 
 
-_SAMPLER_KEYS = {"radius", "support", "bound", "band", "modulus_lo"}
+def _scan_inputs(
+    params: dict, registry: dict, window: IndexWindow, path: str, balls=("sources", "targets")
+) -> tuple:
+    """Components, their arity, the two ball tuples named by `balls`, mode and alphas."""
+    comps = _resolve_components(params, registry, path)
+    arity = _component_arity(comps)
+    first, second = (
+        _field(params, path, key, lambda v, p: build_product_ball(v, window, p, arity)) for key in balls
+    )
+    return (comps, arity, first, second) + _mode_and_alphas(params, arity, path)
+
+
+_SAMPLER_FIELDS = {
+    "radius": _as_float, "support": _as_int, "bound": _as_float, "band": _as_int, "modulus_lo": _as_float
+}
 
 
 def _sampler_kwargs(params: dict, path: str, with_radius: bool) -> dict:
-    spec = _as_dict(params.get("sampler", {}), _sub(path, "sampler"))
+    sampler_path = _sub(path, "sampler")
+    spec = _field(params, path, "sampler", _as_dict, {})
     for key in spec:
-        if key not in _SAMPLER_KEYS:
-            raise ConfigError(f"{path}.sampler.{key}", f"unknown sampler field {key!r}")
-    out: dict = {}
-    if "support" in spec:
-        out["support"] = _as_int(spec["support"], f"{path}.sampler.support")
-    if "bound" in spec:
-        out["bound"] = _as_float(spec["bound"], f"{path}.sampler.bound")
-    if "band" in spec:
-        out["band"] = _as_int(spec["band"], f"{path}.sampler.band")
-    if "modulus_lo" in spec:
-        out["modulus_lo"] = _as_float(spec["modulus_lo"], f"{path}.sampler.modulus_lo")
-    if with_radius and "radius" in spec:
-        out["radius"] = _as_float(spec["radius"], f"{path}.sampler.radius")
+        if key not in _SAMPLER_FIELDS:
+            raise ConfigError(_sub(sampler_path, key), f"unknown sampler field {key!r}")
     if not with_radius and "radius" in spec:
-        raise ConfigError(f"{path}.sampler.radius", "radius applies only to ball samplers")
-    return out
+        raise ConfigError(_sub(sampler_path, "radius"), "radius applies only to ball samplers")
+    return {key: _SAMPLER_FIELDS[key](value, _sub(sampler_path, key)) for key, value in spec.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +414,10 @@ class RunOutcome:
     exit_code: int
     results: dict
     tables: dict[str, Table] = field(default_factory=dict)
+
+
+def _outcome(verdict: str, results: dict, tables: dict[str, Table] | None = None) -> RunOutcome:
+    return RunOutcome(verdict, _VERDICT_EXIT[verdict], results, tables or {})
 
 
 def _jsonable(obj: Any) -> Any:
@@ -421,6 +444,11 @@ def _vector_payload(v: ComplexVector) -> dict:
     return {"window": {"kind": kind, "m": v.window.m}, "coeffs": coeffs}
 
 
+def _blank(value: Any) -> Any:
+    """Table cell of an optional value: empty when it is absent."""
+    return "" if value is None else value
+
+
 def _scan_table(rep, arity: int) -> Table:
     header = ("n", "status") + tuple(f"abs_alpha_{i + 1}" for i in range(arity)) + ("residual",)
     rows = []
@@ -430,26 +458,6 @@ def _scan_table(rep, arity: int) -> Table:
         resid = max(e.residuals) if e.residuals else ""
         rows.append((e.n, e.status, *cells, resid))
     return header, rows
-
-
-def _scan_payload(rep, arity: int) -> dict:
-    return {
-        "horizon": rep.horizon,
-        "hit_set": sorted(rep.hit_set),
-        "tail_start": rep.tail_start,
-        "entries": [
-            {
-                "n": e.n,
-                "status": e.status,
-                "alphas": e.alphas,
-                "residuals": e.residuals,
-                "lower_bound": e.lower_bound,
-                "bound_kind": e.bound_kind,
-                "certified_component": e.certified_component,
-            }
-            for e in rep.entries
-        ],
-    }
 
 
 def _criterion_table(report) -> Table:
@@ -472,36 +480,10 @@ def _criterion_payload(report) -> dict:
     }
 
 
-def _verdict_payload(v) -> dict:
-    return {
-        "kind": v.kind,
-        "verdict": v.verdict,
-        "horizon": v.horizon,
-        "refuting_trial": v.refuting_trial,
-        "trials": [
-            {
-                "index": t.index,
-                "first_hit": t.first_hit,
-                "tail_start": t.tail_start,
-                "hit_count": t.hit_count,
-                "certified_all": t.certified_all,
-                "certified_tail_from": t.certified_tail_from,
-            }
-            for t in v.trials
-        ],
-    }
-
-
 def _trials_table(v) -> Table:
     header = ("trial", "first_hit", "tail_start", "hit_count", "certified_tail_from")
     rows = [
-        (
-            t.index,
-            t.first_hit if t.first_hit is not None else "",
-            t.tail_start if t.tail_start is not None else "",
-            t.hit_count,
-            t.certified_tail_from if t.certified_tail_from is not None else "",
-        )
+        (t.index, _blank(t.first_hit), _blank(t.tail_start), t.hit_count, _blank(t.certified_tail_from))
         for t in v.trials
     ]
     return header, rows
@@ -515,21 +497,18 @@ def _run_orbit(params: dict, registry: dict, window: IndexWindow, path: str) -> 
     comps = _resolve_components(params, registry, path)
     if len(comps) != 1:
         raise ConfigError(_sub(path, "components"), "orbit takes exactly one operator")
-    x = build_vector(_get(params, "vector", path), window, _sub(path, "vector"))
-    horizon = _as_int(params.get("horizon", 40), _sub(path, "horizon"))
+    x, horizon = _fields(
+        params, path, vector=(lambda v, p: build_vector(v, window, p), _REQUIRED), horizon=(_as_int, 40)
+    ).values()
     norms = disk_orbit_norms(comps[0], x, horizon)
     table: Table = (("n", "norm"), [(n, float(v)) for n, v in enumerate(norms)])
     results = {"norms": [float(v) for v in norms], "horizon": horizon}
-    return RunOutcome("pass", EXIT_PASS, results, {"orbit": table})
+    return _outcome("pass", results, {"orbit": table})
 
 
 def _run_hit(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps = _resolve_components(params, registry, path)
-    arity = _component_arity(comps)
-    n = _as_int(_get(params, "n", path), _sub(path, "n"))
-    sources = build_product_ball(_get(params, "sources", path), window, _sub(path, "sources"), arity)
-    targets = build_product_ball(_get(params, "targets", path), window, _sub(path, "targets"), arity)
-    mode, alphas = _mode_and_alphas(params, arity, path)
+    comps, arity, sources, targets, mode, alphas = _scan_inputs(params, registry, window, path)
+    n = _field(params, path, "n", _as_int)
     result = solve_hit(HitProblem(comps, n, sources, targets, mode, alphas))
     results: dict = {"status": result.status, "n": n, "max_kkt_residual": result.max_kkt_residual}
     if result.witness is not None:
@@ -544,190 +523,126 @@ def _run_hit(params: dict, registry: dict, window: IndexWindow, path: str) -> Ru
         results["certified_component"] = result.certified_component
     if result.best_residuals is not None:
         results["best_residuals"] = result.best_residuals
-    exit_code = {HIT: EXIT_PASS, MISS_CERTIFIED: EXIT_FAIL}.get(result.status, EXIT_INCONCLUSIVE)
-    verdict = {HIT: "pass", MISS_CERTIFIED: "fail"}.get(result.status, INCONCLUSIVE)
-    return RunOutcome(verdict, exit_code, results)
+    return _outcome({HIT: "pass", MISS_CERTIFIED: "fail"}.get(result.status, INCONCLUSIVE), results)
 
 
-def _scan_exit(rep) -> tuple[str, int]:
+def _scan_verdict(rep) -> str:
     if rep.hit_set:
-        return "pass", EXIT_PASS
+        return "pass"
     if all(e.status == MISS_CERTIFIED for e in rep.entries if e.n >= 1):
-        return "fail", EXIT_FAIL
-    return INCONCLUSIVE, EXIT_INCONCLUSIVE
+        return "fail"
+    return INCONCLUSIVE
+
+
+def _scan_options(params: dict, path: str) -> dict:
+    return _fields(params, path, horizon=(_as_int, 40), guard=(_as_bool, True))
 
 
 def _run_junction(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps = _resolve_components(params, registry, path)
-    arity = _component_arity(comps)
-    horizon = _as_int(params.get("horizon", 40), _sub(path, "horizon"))
-    sources = build_product_ball(_get(params, "sources", path), window, _sub(path, "sources"), arity)
-    targets = build_product_ball(_get(params, "targets", path), window, _sub(path, "targets"), arity)
-    mode, alphas = _mode_and_alphas(params, arity, path)
-    guard = _as_bool(params.get("guard", True), _sub(path, "guard"))
-    rep = junction_scan(comps, sources, targets, horizon, mode, alphas, guard=guard)
-    verdict, exit_code = _scan_exit(rep)
-    return RunOutcome(verdict, exit_code, {"scan": _scan_payload(rep, arity)}, {"scan": _scan_table(rep, arity)})
+    comps, arity, sources, targets, mode, alphas = _scan_inputs(params, registry, window, path)
+    options = _scan_options(params, path)
+    rep = junction_scan(comps, sources, targets, mode=mode, fixed_alphas=alphas, **options)
+    return _outcome(_scan_verdict(rep), {"scan": asdict(rep)}, {"scan": _scan_table(rep, arity)})
 
 
 def _run_cross(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps = _resolve_components(params, registry, path)
-    arity = _component_arity(comps)
-    horizon = _as_int(params.get("horizon", 40), _sub(path, "horizon"))
-    a = build_product_ball(_get(params, "a", path), window, _sub(path, "a"), arity)
-    b = build_product_ball(_get(params, "b", path), window, _sub(path, "b"), arity)
-    mode, alphas = _mode_and_alphas(params, arity, path)
-    guard = _as_bool(params.get("guard", True), _sub(path, "guard"))
-    rep = cross_scan(comps, a, b, horizon, mode, alphas, guard=guard)
-    results = {
-        "forward": sorted(rep.forward),
-        "backward": sorted(rep.backward),
-        "junction": sorted(rep.junction),
-        "forward_scan": _scan_payload(rep.forward_report, arity),
-        "backward_scan": _scan_payload(rep.backward_report, arity),
-    }
-    tables = {
-        "forward_scan": _scan_table(rep.forward_report, arity),
-        "backward_scan": _scan_table(rep.backward_report, arity),
+    comps, arity, a, b, mode, alphas = _scan_inputs(params, registry, window, path, ("a", "b"))
+    options = _scan_options(params, path)
+    rep = cross_scan(comps, a, b, mode=mode, fixed_alphas=alphas, **options)
+    scans = {"forward_scan": rep.forward_report, "backward_scan": rep.backward_report}
+    results = {name: sorted(getattr(rep, name)) for name in ("forward", "backward", "junction")}
+    results.update((name, asdict(scan)) for name, scan in scans.items())
+    tables = {name: _scan_table(scan, arity) for name, scan in scans.items()}
+    certified = {
+        e.n for scan in scans.values() for e in scan.entries if e.n >= 1 and e.status == MISS_CERTIFIED
     }
     if rep.junction:
-        verdict, exit_code = "pass", EXIT_PASS
+        verdict = "pass"
+    elif certified == set(range(1, options["horizon"] + 1)):
+        verdict = "fail"
     else:
-        certified = {
-            e.n
-            for scan in (rep.forward_report, rep.backward_report)
-            for e in scan.entries
-            if e.n >= 1 and e.status == MISS_CERTIFIED
-        }
-        if certified == set(range(1, horizon + 1)):
-            verdict, exit_code = "fail", EXIT_FAIL
-        else:
-            verdict, exit_code = INCONCLUSIVE, EXIT_INCONCLUSIVE
-    return RunOutcome(verdict, exit_code, results, tables)
+        verdict = INCONCLUSIVE
+    return _outcome(verdict, results, tables)
 
 
-_DETECT_KINDS = {
-    "disk_transitive": DISK_TRANSITIVE,
-    "k_bitransitive": K_BITRANSITIVE,
-    "compound": COMPOUND,
-    "mixing": MIXING,
-}
+_DETECT_KINDS = {kind: kind for kind in (DISK_TRANSITIVE, K_BITRANSITIVE, COMPOUND, MIXING)}
 
 
 def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
     comps = _resolve_components(params, registry, path)
-    kind_name = _as_str(_get(params, "kind", path), _sub(path, "kind"))
-    if kind_name not in _DETECT_KINDS:
-        raise ConfigError(_sub(path, "kind"), f"unknown kind {kind_name!r}")
-    arity = _component_arity(comps)
-    trials = _as_int(params.get("trials", 20), _sub(path, "trials"))
-    horizon = _as_int(params.get("horizon", 40), _sub(path, "horizon"))
-    seed = _as_int(params.get("seed", 0), _sub(path, "seed"))
-    tail_fraction = _as_float(params.get("tail_fraction", 0.5), _sub(path, "tail_fraction"))
-    sampler = make_ball_sampler(window, arity, **_sampler_kwargs(params, path, with_radius=True))
-    verdict = detect(
-        _DETECT_KINDS[kind_name],
-        comps,
-        sampler,
-        trials=trials,
-        horizon=horizon,
-        seed=seed,
-        tail_fraction=tail_fraction,
+    kind = _field(params, path, "kind", _choice(_DETECT_KINDS, "kind"))
+    options = _fields(
+        params, path, trials=(_as_int, 20), horizon=(_as_int, 40), seed=(_as_int, 0),
+        tail_fraction=(_as_float, 0.5),
     )
-    return RunOutcome(
-        verdict.verdict,
-        _VERDICT_EXIT[verdict.verdict],
-        {"detect": _verdict_payload(verdict)},
-        {"trials": _trials_table(verdict)},
-    )
+    kwargs = _sampler_kwargs(params, path, with_radius=True)
+    sampler = make_ball_sampler(window, _component_arity(comps), **kwargs)
+    verdict = detect(kind, comps, sampler, **options)
+    return _outcome(verdict.verdict, {"detect": asdict(verdict)}, {"trials": _trials_table(verdict)})
 
 
 def _criterion_nk(params: dict, path: str) -> tuple[int, ...]:
     raw = params.get("nk", {"start": 1, "stop": 40})
     if isinstance(raw, dict):
-        start = _as_int(raw.get("start", 1), f"{path}.nk.start")
-        stop = _as_int(_get(raw, "stop", _sub(path, "nk")), f"{path}.nk.stop")
+        start, stop = _fields(raw, _sub(path, "nk"), start=(_as_int, 1), stop=(_as_int, _REQUIRED)).values()
         return tuple(range(start, stop + 1))
-    items = _as_list(raw, _sub(path, "nk"))
-    return tuple(_as_int(v, f"{path}.nk[{i}]") for i, v in enumerate(items))
+    return tuple(_items(_as_int)(raw, _sub(path, "nk")))
 
 
 def _criterion_lambdas(params: dict, arity: int, steps: int, path: str) -> tuple | None:
-    raw = params.get("lambdas")
-    if raw is None:
+    rows = _field(params, path, "lambdas", _items(_items(_as_complex)), None)
+    if rows is None:
         return None
-    rows = _as_list(raw, _sub(path, "lambdas"))
     if len(rows) != arity:
         raise ConfigError(_sub(path, "lambdas"), f"expected one row per component ({arity}), got {len(rows)}")
-    out = []
     for i, row in enumerate(rows):
-        items = _as_list(row, f"{path}.lambdas[{i}]")
-        if len(items) != steps:
-            raise ConfigError(f"{path}.lambdas[{i}]", f"expected {steps} scalars, got {len(items)}")
-        out.append(tuple(_as_complex(v, f"{path}.lambdas[{i}][{j}]") for j, v in enumerate(items)))
-    return tuple(out)
+        if len(row) != steps:
+            raise ConfigError(f"{path}.lambdas[{i}]", f"expected {steps} scalars, got {len(row)}")
+    return tuple(tuple(row) for row in rows)
+
+
+_CRITERION_VARIANTS = ("scaled", "scalar_free", "roundtrip", "compound_scaled", "compound_scalar_free")
+
+
+def _criterion_outcome(report) -> RunOutcome:
+    results = {"criterion": _criterion_payload(report)}
+    return _outcome("pass" if report.passed else "fail", results, {"criterion": _criterion_table(report)})
 
 
 def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
     comps = _resolve_components(params, registry, path)
-    variant = _as_str(params.get("variant", "scalar_free"), _sub(path, "variant"))
-    tol = _as_float(params.get("tol", 1e-6), _sub(path, "tol"))
-    sample_count = _as_int(params.get("sample_count", 25), _sub(path, "sample_count"))
-    seed = _as_int(params.get("seed", 0), _sub(path, "seed"))
+    variant = _field(params, path, "variant", _as_str, "scalar_free")
+    if variant not in _CRITERION_VARIANTS:
+        raise ConfigError(_sub(path, "variant"), f"unknown variant {variant!r}")
+    compound = variant.startswith("compound_")
+    if compound and len(comps) != 1:
+        raise ConfigError(_sub(path, "components"), "compound variants take exactly one operator")
+    arity = 1 if compound else _component_arity(comps)
+    # the counts and pair samplers every variant's data takes
+    shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_int, 25), seed=(_as_int, 0))
     kwargs = _sampler_kwargs(params, path, with_radius=False)
+    shared.update((key, make_vector_sampler(window, arity, **kwargs)) for key in ("xsampler", "ysampler"))
 
-    if variant in ("compound_scaled", "compound_scalar_free"):
-        if len(comps) != 1:
-            raise ConfigError(_sub(path, "components"), "compound variants take exactly one operator")
-        horizon = _as_int(params.get("horizon", 40), _sub(path, "horizon"))
-        lambdas = None
-        if "lambdas" in params:
-            rows = _criterion_lambdas(params, 1, horizon, path)
-            lambdas = rows[0] if rows else None
-        from .criteria import powers_of_right_inverse
-
+    if compound:
+        horizon = _field(params, path, "horizon", _as_int, 40)
+        lambdas = _criterion_lambdas(params, 1, horizon, path)
         data = CompoundData(
-            op=comps[0],
-            smap=powers_of_right_inverse(comps[0]),
-            horizon=horizon,
-            xsampler=make_vector_sampler(window, 1, **kwargs),
-            ysampler=make_vector_sampler(window, 1, **kwargs),
-            lambdas=lambdas,
-            tol=tol,
-            sample_count=sample_count,
-            seed=seed,
+            op=comps[0], smap=powers_of_right_inverse(comps[0]), horizon=horizon,
+            lambdas=lambdas[0] if lambdas else None, **shared,
         )
         check = check_compound_scaled if variant == "compound_scaled" else check_compound_scalar_free
-        report = check(data)
-        verdict = "pass" if report.passed else "fail"
-        return RunOutcome(
-            verdict,
-            _VERDICT_EXIT[verdict],
-            {"criterion": _criterion_payload(report)},
-            {"criterion": _criterion_table(report)},
-        )
+        return _criterion_outcome(check(data))
 
-    if variant not in ("scaled", "scalar_free", "roundtrip"):
-        raise ConfigError(_sub(path, "variant"), f"unknown variant {variant!r}")
     if variant == "scaled" and "lambdas" not in params:
         raise ConfigError(_sub(path, "lambdas"), "the scaled variant needs explicit scalars")
     nk = _criterion_nk(params, path)
-    arity = _component_arity(comps)
     data = CriterionData(
-        components=comps,
-        smaps=tuple(right_inverse(c) for c in comps),
-        nk=nk,
-        xsampler=make_vector_sampler(window, arity, **kwargs),
-        ysampler=make_vector_sampler(window, arity, **kwargs),
-        lambdas=_criterion_lambdas(params, arity, len(nk), path),
-        tol=tol,
-        sample_count=sample_count,
-        seed=seed,
+        components=comps, smaps=tuple(right_inverse(c) for c in comps), nk=nk,
+        lambdas=_criterion_lambdas(params, arity, len(nk), path), **shared,
     )
     if variant == "roundtrip":
-        eps = _as_float(params.get("eps", 0.1), _sub(path, "eps"))
+        eps = _field(params, path, "eps", _as_float, 0.1)
         rt = roundtrip_scalar_derivation(data, eps)
-        verdict = "pass" if rt.passed else "fail"
         results = {
             "roundtrip": {
                 "passed": rt.passed,
@@ -738,98 +653,101 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
                 "tail_indices": [p.tail_index for p in rt.derived.per_pair],
             }
         }
-        return RunOutcome(verdict, _VERDICT_EXIT[verdict], results, {"criterion": _criterion_table(rt.scalar_free)})
+        table = _criterion_table(rt.scalar_free)
+        return _outcome("pass" if rt.passed else "fail", results, {"criterion": table})
     check = check_scaled_criterion if variant == "scaled" else check_scalar_free_criterion
-    report = check(data)
-    verdict = "pass" if report.passed else "fail"
-    return RunOutcome(
-        verdict,
-        _VERDICT_EXIT[verdict],
-        {"criterion": _criterion_payload(report)},
-        {"criterion": _criterion_table(report)},
-    )
+    return _criterion_outcome(check(data))
+
+
+_RUNNERS = {
+    "orbit": _run_orbit,
+    "hit": _run_hit,
+    "junction": _run_junction,
+    "cross": _run_cross,
+    "detect": _run_detect,
+    "criterion": _run_criterion,
+}
 
 
 # ---------------------------------------------------------------------------
-# scenarios: named end-to-end studies with fixed defaults
+# scenarios: named end-to-end studies with fixed defaults, composed from the
+# experiment runners above on two fixed shifts
 
 
-def _merge_defaults(params: dict, defaults: dict) -> dict:
-    out = dict(defaults)
-    out.update(params)
-    return out
+_SCENARIO_FIELDS = {
+    **dict.fromkeys(("m", "horizon", "trials", "seed", "stop", "sample_count"), _as_int),
+    **dict.fromkeys(("radius", "eps", "tol", "p", "delta"), _as_float),
+    **dict.fromkeys(("small_entry", "large_entry", "c"), _as_complex),
+}
+
+
+class _Scenario:
+    """A scenario's parameters, read up front with the scenario's defaults,
+    and what it runs on: the weighted shifts t1 = (2, 3) and t2 = (2, 4) on
+    the bilateral window of size m."""
+
+    def __init__(self, params: dict, **defaults: Any):
+        table = {key: (_SCENARIO_FIELDS[key], default) for key, default in defaults.items()}
+        self.params = _fields(params, "parameters", **table)
+        self.window = IndexWindow(BILATERAL, self.params["m"])
+        self.registry = {"t1": ForwardShift(WeightProfile(2.0, 3.0)), "t2": ForwardShift(WeightProfile(2.0, 4.0))}
+
+    def __getitem__(self, key: str) -> Any:
+        return self.params[key]
+
+    def run(self, runner: Callable[..., RunOutcome], **params: Any) -> RunOutcome:
+        return runner(params, self.registry, self.window, "parameters")
+
+    def criterion(self, components: list[str], variant: str = "scalar_free", **extra: Any) -> RunOutcome:
+        counts = {key: self[key] for key in ("tol", "sample_count", "seed")}
+        return self.run(
+            _run_criterion, components=components, variant=variant, nk={"stop": self["stop"]}, sampler={"band": 1},
+            **counts, **extra,
+        )
+
+
+def _single(mapping: dict) -> Any:
+    """The value of a runner's one-entry results or tables."""
+    (value,) = mapping.values()
+    return value
 
 
 def _scenario_shift_compound_not_mixing(params: dict) -> RunOutcome:
-    p = _merge_defaults(params, {"m": 64, "horizon": 40, "trials": 5, "seed": 0, "radius": 0.45})
-    window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
-    horizon = _as_int(p["horizon"], "parameters.horizon")
-    shift = ForwardShift(WeightProfile(2.0, 3.0))
-    ball = Ball(ComplexVector.basis(window, 0), 0.5)
-    src = ProductBall((ball,))
-    tgt = ProductBall((ball,))
-    disk_rep = junction_scan([shift], src, tgt, horizon, DISK)
-    fixed_rep = junction_scan([shift], src, tgt, horizon, FIXED, (1.0,))
-    sampler = make_ball_sampler(window, 1, radius=_as_float(p["radius"], "parameters.radius"), band=1)
-    compound = detect(
-        COMPOUND, [shift], sampler,
-        trials=_as_int(p["trials"], "parameters.trials"), horizon=horizon,
-        seed=_as_int(p["seed"], "parameters.seed"),
-    )
-    mixing = detect(
-        MIXING, [shift], sampler,
-        trials=_as_int(p["trials"], "parameters.trials"), horizon=horizon,
-        seed=_as_int(p["seed"], "parameters.seed"),
-    )
-    certified = sorted(e.n for e in fixed_rep.entries if e.status == MISS_CERTIFIED and e.n >= 1)
-    results = {
-        "compound": compound.verdict,
-        "mixing": mixing.verdict,
-        "disk_scan": _scan_payload(disk_rep, 1),
-        "fixed_scan": _scan_payload(fixed_rep, 1),
-        "fixed_certified_powers": certified,
-        "compound_trials": _verdict_payload(compound),
-        "mixing_trials": _verdict_payload(mixing),
-    }
-    tables = {
-        "disk_scan": _scan_table(disk_rep, 1),
-        "fixed_scan": _scan_table(fixed_rep, 1),
-        "compound_trials": _trials_table(compound),
-        "mixing_trials": _trials_table(mixing),
-    }
-    if compound.verdict == CONFIRMED and mixing.verdict == REFUTED:
-        return RunOutcome("pass", EXIT_PASS, results, tables)
-    if INCONCLUSIVE in (compound.verdict, mixing.verdict):
-        return RunOutcome(INCONCLUSIVE, EXIT_INCONCLUSIVE, results, tables)
-    return RunOutcome("fail", EXIT_FAIL, results, tables)
+    s = _Scenario(params, m=64, horizon=40, trials=5, seed=0, radius=0.45)
+    ball = [{"center": {"basis": 0}, "radius": 0.5}]
+    scan = {"components": ["t1"], "horizon": s["horizon"], "sources": ball, "targets": ball}
+    disk = s.run(_run_junction, **scan)
+    fixed = s.run(_run_junction, **scan, mode=FIXED, alphas=[1.0])
+    trials = {"components": ["t1"], "trials": s["trials"], "horizon": s["horizon"], "seed": s["seed"]}
+    sampler = {"radius": s["radius"], "band": 1}
+    compound = s.run(_run_detect, kind=COMPOUND, sampler=sampler, **trials)
+    mixing = s.run(_run_detect, kind=MIXING, sampler=sampler, **trials)
+    runs = {"disk_scan": disk, "fixed_scan": fixed, "compound_trials": compound, "mixing_trials": mixing}
+    results = {name: _single(run.results) for name, run in runs.items()}
+    tables = {name: _single(run.tables) for name, run in runs.items()}
+    entries = results["fixed_scan"]["entries"]
+    certified = [e["n"] for e in entries if e["status"] == MISS_CERTIFIED and e["n"] >= 1]
+    results.update(compound=compound.verdict, mixing=mixing.verdict, fixed_certified_powers=certified)
+    verdicts = (compound.verdict, mixing.verdict)
+    if verdicts == (CONFIRMED, REFUTED):
+        return _outcome("pass", results, tables)
+    return _outcome(INCONCLUSIVE if INCONCLUSIVE in verdicts else "fail", results, tables)
 
 
 def _scenario_diagonal_spectral_split(params: dict) -> RunOutcome:
-    p = _merge_defaults(
-        params,
-        {"m": 4, "small_entry": 0.5, "large_entry": 2.0, "p": 1.0, "c": 1.5,
-         "eps": 0.1, "delta": 0.1, "horizon": 60},
-    )
-    window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
-    small_val = _as_complex(p["small_entry"], "parameters.small_entry")
-    large_val = _as_complex(p["large_entry"], "parameters.large_entry")
-    op = Diagonal({0: small_val, 1: large_val}, default=0.0)
+    s = _Scenario(params, m=4, small_entry=0.5, large_entry=2.0, p=1.0, c=1.5, eps=0.1, delta=0.1, horizon=60)
+    small, large = s["small_entry"], s["large_entry"]
     split = SpectralSplit(
-        op=op,
-        p=_as_float(p["p"], "parameters.p"),
-        small=(EigenPair(small_val, ComplexVector.basis(window, 0)),),
-        large=(EigenPair(large_val, ComplexVector.basis(window, 1)),),
-        c=_as_complex(p["c"], "parameters.c"),
+        op=Diagonal({0: small, 1: large}, default=0.0),
+        p=s["p"],
+        small=(EigenPair(small, ComplexVector.basis(s.window, 0)),),
+        large=(EigenPair(large, ComplexVector.basis(s.window, 1)),),
+        c=s["c"],
     )
     try:
-        rep = spectral_witness(
-            split, [1.0], [1.0],
-            eps=_as_float(p["eps"], "parameters.eps"),
-            delta=_as_float(p["delta"], "parameters.delta"),
-            horizon=_as_int(p["horizon"], "parameters.horizon"),
-        )
+        rep = spectral_witness(split, [1.0], [1.0], eps=s["eps"], delta=s["delta"], horizon=s["horizon"])
     except CriterionError as e:
-        return RunOutcome("fail", EXIT_FAIL, {"r": None, "reason": str(e)})
+        return _outcome("fail", {"r": None, "reason": str(e)})
     table: Table = (
         ("n", "correction_norm", "image_residual"),
         [(n, rep.correction_norms[i], rep.image_residuals[i]) for i, n in enumerate(rep.steps)],
@@ -839,147 +757,73 @@ def _scenario_diagonal_spectral_split(params: dict) -> RunOutcome:
         "correction_norms": list(rep.correction_norms),
         "image_residuals": list(rep.image_residuals),
     }
-    return RunOutcome("pass", EXIT_PASS, results, {"witness": table})
+    return _outcome("pass", results, {"witness": table})
 
 
 def _scenario_cross_junction_equivalence(params: dict) -> RunOutcome:
-    p = _merge_defaults(params, {"m": 32, "horizon": 15, "trials": 5, "seed": 0, "radius": 0.45})
-    window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
-    horizon = _as_int(p["horizon"], "parameters.horizon")
-    trials = _as_int(p["trials"], "parameters.trials")
-    comps = (ForwardShift(WeightProfile(2.0, 3.0)), ForwardShift(WeightProfile(2.0, 4.0)))
-    sampler = make_ball_sampler(window, 2, radius=_as_float(p["radius"], "parameters.radius"), band=1)
-    children = np.random.SeedSequence(_as_int(p["seed"], "parameters.seed")).spawn(2 * trials)
-    mismatches = []
+    s = _Scenario(params, m=32, horizon=15, trials=5, seed=0, radius=0.45)
+    comps = (s.registry["t1"], s.registry["t2"])
+    sampler = make_ball_sampler(s.window, 2, radius=s["radius"], band=1)
     per_trial = []
-    for t in range(trials):
-        sources = sampler(np.random.default_rng(children[2 * t]))
-        targets = sampler(np.random.default_rng(children[2 * t + 1]))
-        joint = junction_scan(comps, sources, targets, horizon)
+    for t, (sources, targets) in enumerate(trial_draws(s["seed"], s["trials"], (sampler, sampler))):
+        joint = junction_scan(comps, sources, targets, s["horizon"])
         parts = [
-            junction_scan(
-                [comps[i]],
-                ProductBall((sources.balls[i],)),
-                ProductBall((targets.balls[i],)),
-                horizon,
-            )
-            for i in range(2)
+            junction_scan([op], ProductBall((source,)), ProductBall((target,)), s["horizon"])
+            for op, source, target in zip(comps, sources.balls, targets.balls)
         ]
         meet = parts[0].hit_set & parts[1].hit_set
         per_trial.append({"trial": t, "joint": sorted(joint.hit_set), "intersection": sorted(meet)})
-        if joint.hit_set != meet:
-            mismatches.append(t)
+    mismatches = [d["trial"] for d in per_trial if d["joint"] != d["intersection"]]
     results = {"equivalent": not mismatches, "mismatching_trials": mismatches, "per_trial": per_trial}
     table: Table = (
         ("trial", "joint_hits", "component_intersection"),
         [(d["trial"], " ".join(map(str, d["joint"])), " ".join(map(str, d["intersection"]))) for d in per_trial],
     )
-    verdict = "pass" if not mismatches else "fail"
-    return RunOutcome(verdict, _VERDICT_EXIT[verdict], results, {"trials": table})
+    return _outcome("pass" if not mismatches else "fail", results, {"trials": table})
 
 
 def _scenario_scalar_derivation_roundtrip(params: dict) -> RunOutcome:
-    p = _merge_defaults(params, {"m": 64, "stop": 40, "eps": 0.1, "seed": 0, "sample_count": 10, "tol": 1e-6})
-    window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
-    shift = ForwardShift(WeightProfile(2.0, 3.0))
-    nk = tuple(range(1, _as_int(p["stop"], "parameters.stop") + 1))
-    sampler = make_vector_sampler(window, 1, band=1)
-    data = CriterionData(
-        components=(shift,),
-        smaps=(right_inverse(shift),),
-        nk=nk,
-        xsampler=sampler,
-        ysampler=sampler,
-        tol=_as_float(p["tol"], "parameters.tol"),
-        sample_count=_as_int(p["sample_count"], "parameters.sample_count"),
-        seed=_as_int(p["seed"], "parameters.seed"),
-    )
-    rt = roundtrip_scalar_derivation(data, _as_float(p["eps"], "parameters.eps"))
-    results = {
-        "passed": rt.passed,
-        "tol": rt.tol,
-        "scalar_free_passed": rt.scalar_free.passed,
-        "scaled_passes": list(rt.scaled_passes),
-        "tail_indices": [q.tail_index for q in rt.derived.per_pair],
-    }
-    verdict = "pass" if rt.passed else "fail"
-    return RunOutcome(verdict, _VERDICT_EXIT[verdict], results, {"criterion": _criterion_table(rt.scalar_free)})
+    s = _Scenario(params, m=64, stop=40, eps=0.1, seed=0, sample_count=10, tol=1e-6)
+    outcome = s.criterion(["t1"], "roundtrip", eps=s["eps"])
+    rt = outcome.results["roundtrip"]
+    results = {key: rt[key] for key in ("passed", "tol", "scaled_passes", "tail_indices")}
+    return replace(outcome, results=dict(results, scalar_free_passed=rt["scalar_free"]["passed"]))
 
 
 def _scenario_compound_plus_transitive(params: dict) -> RunOutcome:
-    p = _merge_defaults(params, {"m": 64, "horizon": 40, "trials": 20, "seed": 0, "radius": 0.45})
-    window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
-    horizon = _as_int(p["horizon"], "parameters.horizon")
-    trials = _as_int(p["trials"], "parameters.trials")
-    t1 = ForwardShift(WeightProfile(2.0, 3.0))
-    t2 = ForwardShift(WeightProfile(2.0, 4.0))
-    sampler = make_ball_sampler(window, 1, radius=_as_float(p["radius"], "parameters.radius"), band=1)
-    children = np.random.SeedSequence(_as_int(p["seed"], "parameters.seed")).spawn(4 * trials)
-
-    def run_trial(t: int) -> dict:
-        balls = [sampler(np.random.default_rng(children[4 * t + i])) for i in range(4)]
-        hits1 = junction_scan([t1], balls[0], balls[1], horizon).hit_set
-        hits2 = junction_scan([t2], balls[2], balls[3], horizon).hit_set
-        return {"trial": t, "common": sorted(hits1 & hits2)}
-
-    per_trial = [run_trial(t) for t in range(trials)]
+    s = _Scenario(params, m=64, horizon=40, trials=20, seed=0, radius=0.45)
+    sampler = make_ball_sampler(s.window, 1, radius=s["radius"], band=1)
+    per_trial = []
+    for t, balls in enumerate(trial_draws(s["seed"], s["trials"], (sampler,) * 4)):
+        hits1 = junction_scan([s.registry["t1"]], balls[0], balls[1], s["horizon"]).hit_set
+        hits2 = junction_scan([s.registry["t2"]], balls[2], balls[3], s["horizon"]).hit_set
+        per_trial.append({"trial": t, "common": sorted(hits1 & hits2)})
     empty = [d["trial"] for d in per_trial if not d["common"]]
     results = {"all_nonempty": not empty, "empty_trials": empty, "per_trial": per_trial}
     table: Table = (
         ("trial", "common_powers"),
         [(d["trial"], " ".join(map(str, d["common"]))) for d in per_trial],
     )
-    if not empty:
-        return RunOutcome(CONFIRMED, EXIT_PASS, results, {"trials": table})
-    return RunOutcome(INCONCLUSIVE, EXIT_INCONCLUSIVE, results, {"trials": table})
+    return _outcome(CONFIRMED if not empty else INCONCLUSIVE, results, {"trials": table})
 
 
 def _scenario_direct_sum_diskcyclic_criterion(params: dict) -> RunOutcome:
-    p = _merge_defaults(params, {"m": 64, "stop": 40, "trials": 10, "horizon": 40, "seed": 0, "tol": 1e-6, "sample_count": 10})
-    window = IndexWindow(BILATERAL, _as_int(p["m"], "parameters.m"))
-    nk = tuple(range(1, _as_int(p["stop"], "parameters.stop") + 1))
-    tol = _as_float(p["tol"], "parameters.tol")
-    sample_count = _as_int(p["sample_count"], "parameters.sample_count")
-    seed = _as_int(p["seed"], "parameters.seed")
-    s1 = ForwardShift(WeightProfile(2.0, 3.0))
-    s2 = ForwardShift(WeightProfile(2.0, 4.0))
-
-    def single(op) -> bool:
-        sampler = make_vector_sampler(window, 1, band=1)
-        data = CriterionData(
-            components=(op,), smaps=(right_inverse(op),), nk=nk,
-            xsampler=sampler, ysampler=sampler,
-            tol=tol, sample_count=sample_count, seed=seed,
-        )
-        return check_scalar_free_criterion(data).passed
-
-    passed1, passed2 = single(s1), single(s2)
-    pair_sampler = make_vector_sampler(window, 2, band=1)
-    sum_data = CriterionData(
-        components=(s1, s2), smaps=(right_inverse(s1), right_inverse(s2)), nk=nk,
-        xsampler=pair_sampler, ysampler=pair_sampler,
-        tol=tol, sample_count=sample_count, seed=seed,
-    )
-    sum_report = check_scalar_free_criterion(sum_data)
-    ball_sampler = make_ball_sampler(window, 2, band=1)
-    verdict = detect(
-        K_BITRANSITIVE, [s1, s2], ball_sampler,
-        trials=_as_int(p["trials"], "parameters.trials"),
-        horizon=_as_int(p["horizon"], "parameters.horizon"),
-        seed=seed,
+    s = _Scenario(params, m=64, stop=40, trials=10, horizon=40, seed=0, tol=1e-6, sample_count=10)
+    component_criteria = [s.criterion([name]).results["criterion"]["passed"] for name in ("t1", "t2")]
+    direct_sum = s.criterion(["t1", "t2"])
+    paired = s.run(
+        _run_detect, components=["t1", "t2"], kind=K_BITRANSITIVE, trials=s["trials"], horizon=s["horizon"],
+        seed=s["seed"], sampler={"band": 1},
     )
     results = {
-        "component_criteria": [passed1, passed2],
-        "direct_sum_criterion": _criterion_payload(sum_report),
-        "detect": _verdict_payload(verdict),
+        "component_criteria": component_criteria,
+        "direct_sum_criterion": direct_sum.results["criterion"],
+        "detect": paired.results["detect"],
     }
-    tables = {"criterion": _criterion_table(sum_report), "trials": _trials_table(verdict)}
-    ok = passed1 and passed2 and sum_report.passed and verdict.verdict == CONFIRMED
-    if ok:
-        return RunOutcome("pass", EXIT_PASS, results, tables)
-    if verdict.verdict == INCONCLUSIVE:
-        return RunOutcome(INCONCLUSIVE, EXIT_INCONCLUSIVE, results, tables)
-    return RunOutcome("fail", EXIT_FAIL, results, tables)
+    tables = {"criterion": direct_sum.tables["criterion"], "trials": paired.tables["trials"]}
+    if all(component_criteria) and direct_sum.verdict == "pass" and paired.verdict == CONFIRMED:
+        return _outcome("pass", results, tables)
+    return _outcome(INCONCLUSIVE if paired.verdict == INCONCLUSIVE else "fail", results, tables)
 
 
 SCENARIOS: dict[str, Callable[[dict], RunOutcome]] = {
@@ -991,40 +835,29 @@ SCENARIOS: dict[str, Callable[[dict], RunOutcome]] = {
     "direct-sum-diskcyclic-criterion": _scenario_direct_sum_diskcyclic_criterion,
 }
 
-_EXPERIMENTS = ("orbit", "hit", "junction", "cross", "detect", "criterion", "scenario")
+
+def _run_scenario(cfg: dict, params: dict) -> RunOutcome:
+    scenario_id = _field(params, "parameters", "id", _as_str)
+    if scenario_id not in SCENARIOS:
+        known = ", ".join(sorted(SCENARIOS))
+        raise ConfigError("parameters.id", f"unknown scenario {scenario_id!r} (known: {known})")
+    if "window" in cfg and "m" not in params:
+        params = dict(params, m=_field(_as_dict(cfg["window"], "window"), "window", "m", _as_int))
+    return SCENARIOS[scenario_id](params)
 
 
 def run(cfg: dict) -> tuple[RunOutcome, dict]:
     """Run the configured experiment; returns the outcome and the full report."""
-    experiment = _as_str(_get(cfg, "experiment", ""), "experiment")
-    if experiment not in _EXPERIMENTS:
+    experiment = _field(cfg, "", "experiment", _as_str)
+    if experiment not in _RUNNERS and experiment != "scenario":
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
-    params = _as_dict(cfg.get("parameters", {}), "parameters")
-
+    params = _field(cfg, "", "parameters", _as_dict, {})
     if experiment == "scenario":
-        scenario_id = _as_str(_get(params, "id", "parameters"), "parameters.id")
-        if scenario_id not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ConfigError("parameters.id", f"unknown scenario {scenario_id!r} (known: {known})")
-        if "window" in cfg and "m" not in params:
-            params = dict(params)
-            params["m"] = _as_int(_get(_as_dict(cfg["window"], "window"), "m", "window"), "window.m")
-        outcome = SCENARIOS[scenario_id](params)
+        outcome = _run_scenario(cfg, params)
     else:
-        window = build_window(_get(cfg, "window", ""), "window")
+        window = _field(cfg, "", "window", build_window)
         registry = build_operators(cfg.get("operators", {}), window)
-        if experiment == "orbit":
-            outcome = _run_orbit(params, registry, window, "parameters")
-        elif experiment == "hit":
-            outcome = _run_hit(params, registry, window, "parameters")
-        elif experiment == "junction":
-            outcome = _run_junction(params, registry, window, "parameters")
-        elif experiment == "cross":
-            outcome = _run_cross(params, registry, window, "parameters")
-        elif experiment == "detect":
-            outcome = _run_detect(params, registry, window, "parameters")
-        else:
-            outcome = _run_criterion(params, registry, window, "parameters")
+        outcome = _RUNNERS[experiment](params, registry, window, "parameters")
 
     report = {
         "tool": {"name": "disklab", "version": __version__},
@@ -1082,6 +915,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.override)
+        # checked before the run, so a bad output section costs no computation
+        paths = dict.fromkeys(("json_path", "csv_path", "plot_dir"), (_as_str, None))
+        output = _fields(cfg.get("output", {}), "output", **paths)
         outcome, report = run(cfg)
     except ConfigError as e:
         print(str(e), file=sys.stderr)
@@ -1094,21 +930,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
 
     # all writes happen here, after the run has fully settled
-    output = cfg.get("output", {})
-    if output:
-        output = _as_dict(output, "output")
-    json_path = output.get("json_path")
-    if json_path:
-        path = Path(json_path)
+    if output["json_path"]:
+        path = Path(output["json_path"])
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    csv_path = output.get("csv_path")
-    if csv_path and outcome.tables:
+    if output["csv_path"] and outcome.tables:
         first = next(iter(outcome.tables.values()))
-        _write_csv(Path(csv_path), first)
-    plot_dir = output.get("plot_dir")
-    if plot_dir:
-        emit_plotdata(outcome, plot_dir)
+        _write_csv(Path(output["csv_path"]), first)
+    if output["plot_dir"]:
+        emit_plotdata(outcome, output["plot_dir"])
     print(f"{report['experiment']}: {outcome.verdict} (exit {outcome.exit_code})")
     return outcome.exit_code
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .operators import (
     BackwardShift,
     ForwardShift,
@@ -34,6 +32,7 @@ from .vectorspace import (
     as_rng,
     norm,
     sample_finite_support,
+    trial_draws,
 )
 
 __all__ = [
@@ -165,13 +164,7 @@ def _passes(values: Sequence[float], tol: float) -> bool:
 
 
 def _sample_pairs(data) -> list[tuple[ProductVector, ProductVector]]:
-    children = np.random.SeedSequence(data.seed).spawn(2 * data.sample_count)
-    pairs = []
-    for s in range(data.sample_count):
-        x = data.xsampler(np.random.default_rng(children[2 * s]))
-        y = data.ysampler(np.random.default_rng(children[2 * s + 1]))
-        pairs.append((x, y))
-    return pairs
+    return trial_draws(data.seed, data.sample_count, (data.xsampler, data.ysampler))
 
 
 def _guard_pair(components, smaps, max_n, x: ProductVector, y: ProductVector):

@@ -41,6 +41,7 @@ from .vectorspace import (
     as_rng,
     norm,
     sample_finite_support,
+    trial_draws,
 )
 
 __all__ = [
@@ -316,12 +317,8 @@ def detect(
         raise ValueError(f"unknown kind {kind!r}")
     comps = _flatten(components)
     mode, fixed_alphas = _kind_mode(kind, len(comps))
-    # deterministic per-trial seeds, two per trial
-    children = np.random.SeedSequence(seed).spawn(2 * trials)
 
-    def run_trial(t: int) -> TrialRecord:
-        sources = ball_sampler(np.random.default_rng(children[2 * t]))
-        targets = ball_sampler(np.random.default_rng(children[2 * t + 1]))
+    def run_trial(t: int, sources: ProductBall, targets: ProductBall) -> TrialRecord:
         rep = junction_scan(comps, sources, targets, horizon, mode, fixed_alphas, settings)
         cert_tail = _certified_suffix(rep, comps, sources)
         return TrialRecord(
@@ -333,7 +330,8 @@ def detect(
             hit_count=len(rep.hit_set),
         )
 
-    records = [run_trial(t) for t in range(trials)]
+    draws = trial_draws(seed, trials, (ball_sampler, ball_sampler))
+    records = [run_trial(t, sources, targets) for t, (sources, targets) in enumerate(draws)]
     refuting = None
     if kind in (DISK_TRANSITIVE, K_BITRANSITIVE):
         for r in records:

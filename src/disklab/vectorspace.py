@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -15,11 +15,11 @@ __all__ = [
     "ProductVector",
     "Ball",
     "ProductBall",
-    "inner",
     "norm",
     "sample_finite_support",
     "sample_ball",
     "as_rng",
+    "trial_draws",
 ]
 
 BILATERAL = "bilateral"
@@ -31,6 +31,23 @@ def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def trial_draws(
+    seed, trials: int, samplers: Sequence[Callable[[np.random.Generator], object]]
+) -> list[tuple]:
+    """One tuple of draws per trial, each draw from its own child seed.
+
+    Draw i of trial t comes from child t*k + i of the seed's SeedSequence,
+    where k = len(samplers); each draw gets a fresh generator, so no draw
+    depends on how much randomness another one consumed.
+    """
+    k = len(samplers)
+    children = np.random.SeedSequence(seed).spawn(k * trials)
+    return [
+        tuple(sample(np.random.default_rng(children[t * k + i])) for i, sample in enumerate(samplers))
+        for t in range(trials)
+    ]
 
 
 @dataclass(frozen=True)
@@ -185,17 +202,6 @@ class ProductVector:
 
     def __iter__(self) -> Iterator[ComplexVector]:
         return iter(self.parts)
-
-
-def inner(x, y):
-    """Hermitian inner product, conjugate-linear in the second argument."""
-    if isinstance(x, ProductVector) or isinstance(y, ProductVector):
-        if not (isinstance(x, ProductVector) and isinstance(y, ProductVector)):
-            raise TypeError("cannot mix plain and product vectors")
-        x._check(y)
-        return sum(inner(a, b) for a, b in zip(x.parts, y.parts))
-    x._check_window(y)
-    return complex(np.vdot(y.coeffs, x.coeffs))  # vdot conjugates its first argument
 
 
 def norm(x) -> float:

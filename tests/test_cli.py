@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from disklab import cli
 from disklab.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
@@ -147,6 +148,114 @@ def test_build_operators_diagnostics_name_the_field():
     with pytest.raises(ConfigError) as err:
         build_operators({"s": {"type": "direct_sum", "parts": ["ghost"]}}, window)
     assert "ghost" in err.value.message
+
+
+def _experiment(experiment, **parameters):
+    cfg = shift_config()
+    cfg["experiment"] = experiment
+    cfg["parameters"] = {"components": ["shift"], **parameters}
+    return cfg
+
+
+def _with(cfg, path, value):
+    """Copy of cfg with the dotted path set to value (list indices as digits)."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    if isinstance(node, list):
+        node[int(last)] = value
+    else:
+        node[last] = value
+    return cfg
+
+
+_DENSE_3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+_CROSS_SCENARIO = {"experiment": "scenario", "parameters": {"id": "cross-junction-equivalence"}}
+
+FIELD_PATH_CASES = [
+    ("window.m", _with(shift_config(), "window.m", "16"), "window.m"),
+    (
+        "table key",
+        _with(shift_config(), "operators.shift.table", {"3": "heavy"}),
+        "operators.shift.table.3",
+    ),
+    (
+        "matrix entry",
+        _with(
+            _with(shift_config(), "window.m", 1),
+            "operators.d",
+            {"type": "dense", "matrix": [_DENSE_3[0], [0.0, "one", 0.0], _DENSE_3[2]]},
+        ),
+        "operators.d.matrix[1][1]",
+    ),
+    (
+        "direct-sum part",
+        _with(shift_config(), "operators.pair", {"type": "direct_sum", "parts": ["shift", "ghost"]}),
+        "operators.pair.parts[1]",
+    ),
+    ("component", _with(shift_config(), "parameters.components", ["shift", 7]), "parameters.components[1]"),
+    (
+        "ball center basis",
+        _with(shift_config(), "parameters.sources.0.center.basis", 99),
+        "parameters.sources[0].center.basis",
+    ),
+    (
+        "fixed alpha",
+        _with(_with(shift_config(), "parameters.mode", "fixed"), "parameters.alphas", [1.0, "one"]),
+        "parameters.alphas[1]",
+    ),
+    ("mode", _with(shift_config(), "parameters.mode", "sideways"), "parameters.mode"),
+    ("guard", _with(shift_config(), "parameters.guard", "yes"), "parameters.guard"),
+    (
+        "unknown sampler field",
+        _experiment("detect", kind="compound", sampler={"width": 2}),
+        "parameters.sampler.width",
+    ),
+    (
+        "criterion sampler radius",
+        _experiment("criterion", sampler={"radius": 0.5}),
+        "parameters.sampler.radius",
+    ),
+    ("nk stop", _experiment("criterion", nk={"start": 1, "stop": "forty"}), "parameters.nk.stop"),
+    (
+        "lambda entry",
+        _experiment("criterion", variant="scaled", nk=[1, 2, 3], lambdas=[[1.0, "half", 1.0]]),
+        "parameters.lambdas[0][1]",
+    ),
+    ("detect kind", _experiment("detect", kind="chaotic"), "parameters.kind"),
+    ("criterion variant", _experiment("criterion", variant="sideways"), "parameters.variant"),
+    ("scenario m", _with(_CROSS_SCENARIO, "parameters.m", 0.5), "parameters.m"),
+    ("scenario trials", _with(_CROSS_SCENARIO, "parameters.trials", "five"), "parameters.trials"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, field_path", [c[1:] for c in FIELD_PATH_CASES], ids=[c[0] for c in FIELD_PATH_CASES]
+)
+def test_config_errors_name_the_field(cfg, field_path):
+    with pytest.raises(ConfigError) as err:
+        run(cfg)
+    assert err.value.field_path == field_path
+
+
+@pytest.mark.parametrize(
+    "edit, field_path",
+    [
+        (lambda cfg: cfg["parameters"]["targets"][0].update(radius=math.inf), "parameters.targets[0].radius"),
+        (lambda cfg: cfg["operators"].update(s={"type": "forward_shift", "pos": math.nan}), "operators.s.pos"),
+        (lambda cfg: cfg["operators"].update(c={"type": "scalar", "value": [1.0, -math.inf]}), "operators.c.value"),
+    ],
+    ids=["infinite radius", "nan weight", "infinite imaginary part"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, edit, field_path):
+    cfg = shift_config()
+    edit(cfg)
+    path = write_config(tmp_path, cfg)
+    assert "Infinity" in path.read_text() or "NaN" in path.read_text()
+    assert main([str(path)]) == EXIT_ERROR
+    assert f"config error at {field_path}: expected a finite number" in capsys.readouterr().err
 
 
 # -- experiments through run() ----------------------------------------------
@@ -421,6 +530,35 @@ def test_scenario_direct_sum_criterion_confirms():
     assert outcome.results["detect"]["verdict"] == "confirmed_up_to_horizon"
 
 
+def test_scenarios_are_compositions_of_experiments():
+    shifts = {
+        "t1": {"type": "forward_shift", "pos": 2.0, "neg": 3.0},
+        "t2": {"type": "forward_shift", "pos": 2.0, "neg": 4.0},
+    }
+
+    def experiment(name, **parameters):
+        cfg = {"window": {"kind": "bilateral", "m": 32}, "operators": shifts, "experiment": name}
+        return run(cfg | {"parameters": parameters})[1]["results"]
+
+    def scenario(**parameters):
+        return run({"experiment": "scenario", "parameters": {"m": 32, **parameters}})[1]["results"]
+
+    paired = scenario(id="direct-sum-diskcyclic-criterion", trials=2, horizon=20, stop=20, sample_count=3, seed=5)
+    detect = experiment(
+        "detect", components=["t1", "t2"], kind="k_bitransitive", trials=2, horizon=20, seed=5, sampler={"band": 1}
+    )
+    assert paired["detect"] == detect["detect"]
+    criterion = experiment(
+        "criterion", components=["t1", "t2"], nk={"start": 1, "stop": 20}, sample_count=3, seed=5, sampler={"band": 1}
+    )
+    assert paired["direct_sum_criterion"] == criterion["criterion"]
+
+    compound = scenario(id="shift-compound-not-mixing", trials=1, horizon=12)
+    ball = [{"center": {"basis": 0}, "radius": 0.5}]
+    junction = experiment("junction", components=["t1"], horizon=12, sources=ball, targets=ball)
+    assert compound["disk_scan"] == junction["scan"]
+
+
 # -- main() and file outputs ---------------------------------------------------
 
 
@@ -452,6 +590,21 @@ def test_main_reports_config_errors_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "operators.shift.type" in err
     assert "sideways" in err
+
+
+@pytest.mark.parametrize(
+    "output, field_path",
+    [("report.json", "output"), ([], "output"), ({"json_path": 5}, "output.json_path")],
+    ids=["string", "list", "non-string path"],
+)
+def test_main_checks_output_before_the_run(tmp_path, capsys, monkeypatch, output, field_path):
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda cfg: ran.append(cfg))
+    cfg = shift_config()
+    cfg["output"] = output
+    assert main([str(write_config(tmp_path, cfg))]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"config error at {field_path}:")
+    assert ran == []
 
 
 def test_main_missing_file_is_an_error(tmp_path, capsys):

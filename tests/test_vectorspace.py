@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disklab.criteria import make_vector_sampler
+from disklab.transitivity import make_ball_sampler
 from disklab.vectorspace import (
     BILATERAL,
     UNILATERAL,
@@ -11,10 +13,10 @@ from disklab.vectorspace import (
     IndexWindow,
     ProductBall,
     ProductVector,
-    inner,
     norm,
     sample_ball,
     sample_finite_support,
+    trial_draws,
 )
 
 
@@ -58,14 +60,6 @@ def test_vector_arithmetic():
     assert norm(x) == 5.0
     y = x - ComplexVector.basis(w, 0) * 3
     assert y[0] == 0 and y[1] == 4j
-
-
-def test_inner_conjugates_second_argument():
-    w = IndexWindow(BILATERAL, 2)
-    x = ComplexVector.basis(w, 0) * 2 + ComplexVector.basis(w, 1) * 1j
-    e1 = ComplexVector.basis(w, 1)
-    assert inner(x, e1) == 1j
-    assert inner(e1, x) == -1j
 
 
 def test_window_mismatch_rejected():
@@ -134,6 +128,43 @@ def test_sample_ball_strictly_inside_and_deterministic():
         assert norm(z - ball.center) < 0.3
 
 
+def _reference_draws(seed, trials, samplers):
+    """The per-trial spawn loop that detect, the criteria and the scenarios
+    each wrote inline before trial_draws; kept as its reference."""
+    k = len(samplers)
+    children = np.random.SeedSequence(seed).spawn(k * trials)
+    draws = []
+    for t in range(trials):
+        draws.append(tuple(samplers[i](np.random.default_rng(children[k * t + i])) for i in range(k)))
+    return draws
+
+
+def _draw_bytes(draw) -> bytes:
+    if isinstance(draw, ProductBall):
+        return b"".join(b.center.coeffs.tobytes() + np.float64(b.radius).tobytes() for b in draw.balls)
+    return b"".join(p.coeffs.tobytes() for p in draw.parts)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_trial_draws_match_the_inline_spawn_loop(count):
+    w = IndexWindow(BILATERAL, 12)
+    pool = [
+        make_ball_sampler(w, 1, band=1),
+        make_vector_sampler(w, 2, band=3),
+        make_ball_sampler(w, 2, radius=0.3, support=3),
+        make_vector_sampler(w, 1, support=1, modulus_lo=0.5),
+    ]
+    samplers = pool[:count]
+    for seed in (0, 3, 17, 2**40 + 5):
+        for trials in (0, 1, 3):
+            got = trial_draws(seed, trials, samplers)
+            want = _reference_draws(seed, trials, samplers)
+            assert len(got) == len(want) == trials
+            for got_trial, want_trial in zip(got, want):
+                assert len(got_trial) == count
+                assert [_draw_bytes(d) for d in got_trial] == [_draw_bytes(d) for d in want_trial]
+
+
 coeff = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -153,7 +184,7 @@ def test_triangle_inequality(x, y):
 @given(vectors(), vectors())
 @settings(max_examples=60)
 def test_cauchy_schwarz(x, y):
-    assert abs(inner(x, y)) <= norm(x) * norm(y) * (1 + 1e-9) + 1e-12
+    assert abs(np.vdot(y.coeffs, x.coeffs)) <= norm(x) * norm(y) * (1 + 1e-9) + 1e-12
 
 
 @given(vectors(), st.complex_numbers(max_magnitude=100, allow_nan=False, allow_infinity=False))
