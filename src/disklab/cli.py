@@ -119,7 +119,11 @@ def _reader(
     def read(value: Any, path: str) -> Any:
         if not accepts(value):
             raise ConfigError(path, f"expected {expected}, got {show(value)}")
-        out = value if convert is None else convert(value)
+        try:
+            out = value if convert is None else convert(value)
+        except OverflowError:
+            # json.loads reads integers of any size; float() takes up to about 1.8e308
+            raise ConfigError(path, "expected a finite number, got an integer too large for a float") from None
         # json.loads accepts NaN and Infinity; no field of a run means either
         if isinstance(out, (float, complex)) and not cmath.isfinite(out):
             raise ConfigError(path, f"expected a finite number, got {value!r}")
@@ -150,6 +154,14 @@ _as_float = _reader("a number", _is_number, float)
 _as_complex = _reader(
     "a number or [re, im] pair", _is_complex, lambda v: complex(*v) if isinstance(v, list) else complex(v)
 )
+
+
+def _as_size(value: Any, path: str) -> int:
+    """A window size m: an integer of at least 1."""
+    m = _as_int(value, path)
+    if m < 1:
+        raise ConfigError(path, "window size must be at least 1")
+    return m
 
 
 def _items(read: Reader) -> Reader:
@@ -254,10 +266,8 @@ _WINDOW_KINDS = {"bilateral": BILATERAL, "unilateral": UNILATERAL}
 
 def build_window(spec: Any, path: str = "window") -> IndexWindow:
     kind, m = _fields(
-        spec, path, kind=(_choice(_WINDOW_KINDS, "window kind"), "bilateral"), m=(_as_int, _REQUIRED)
+        spec, path, kind=(_choice(_WINDOW_KINDS, "window kind"), "bilateral"), m=(_as_size, _REQUIRED)
     ).values()
-    if m < 1:
-        raise ConfigError(_sub(path, "m"), "window size must be at least 1")
     return IndexWindow(kind, m)
 
 
@@ -675,7 +685,8 @@ _RUNNERS = {
 
 
 _SCENARIO_FIELDS = {
-    **dict.fromkeys(("m", "horizon", "trials", "seed", "stop", "sample_count"), _as_int),
+    "m": _as_size,
+    **dict.fromkeys(("horizon", "trials", "seed", "stop", "sample_count"), _as_int),
     **dict.fromkeys(("radius", "eps", "tol", "p", "delta"), _as_float),
     **dict.fromkeys(("small_entry", "large_entry", "c"), _as_complex),
 }
@@ -842,7 +853,7 @@ def _run_scenario(cfg: dict, params: dict) -> RunOutcome:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError("parameters.id", f"unknown scenario {scenario_id!r} (known: {known})")
     if "window" in cfg and "m" not in params:
-        params = dict(params, m=_field(_as_dict(cfg["window"], "window"), "window", "m", _as_int))
+        params = dict(params, m=_field(_as_dict(cfg["window"], "window"), "window", "m", _as_size))
     return SCENARIOS[scenario_id](params)
 
 
@@ -886,12 +897,12 @@ def _write_csv(path: Path, table: Table) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def emit_plotdata(outcome: RunOutcome, directory: str | Path, stem: str = "lab") -> list[Path]:
+def emit_plotdata(outcome: RunOutcome, directory: str | Path) -> list[Path]:
     """Write one CSV per table; byte-identical across runs with the same seed."""
     out_dir = Path(directory)
     paths = []
     for name, table in outcome.tables.items():
-        path = out_dir / f"{stem}_{name}.csv"
+        path = out_dir / f"lab_{name}.csv"
         _write_csv(path, table)
         paths.append(path)
     return paths

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .hitsolver import ALPHA_FLOOR
 from .operators import (
     BackwardShift,
     ForwardShift,
@@ -59,7 +60,6 @@ __all__ = [
     "make_vector_sampler",
 ]
 
-ALPHA_FLOOR = 1e-12
 TREND_SLACK = 1e-9
 
 
@@ -89,6 +89,13 @@ def make_vector_sampler(
         )
 
     return sample
+
+
+def _check_scalars(lams: Sequence[complex]) -> None:
+    if any(v == 0 for v in lams):
+        raise CriterionError("scalar sequences must be nonzero")
+    if any(abs(v) > 1 + 1e-12 for v in lams):
+        raise CriterionError("scalar sequences must stay in the closed unit disk")
 
 
 @dataclass(frozen=True)
@@ -122,10 +129,7 @@ class CriterionData:
             if len(lams) != len(comps) or any(len(row) != len(nk) for row in lams):
                 raise CriterionError("scalar sequences must be per component, one per power")
             for row in lams:
-                if any(v == 0 for v in row):
-                    raise CriterionError("scalar sequences must be nonzero")
-                if any(abs(v) > 1 + 1e-12 for v in row):
-                    raise CriterionError("scalar sequences must stay in the closed unit disk")
+                _check_scalars(row)
             object.__setattr__(self, "lambdas", lams)
         if self.sample_count < 1:
             raise CriterionError("sample_count must be at least 1")
@@ -203,30 +207,33 @@ def _eval_subsequence_pair(
     return tuple(c1), tuple(c2), tuple(c3)
 
 
-def _subsequence_report(data: CriterionData, scaled: bool, labels) -> CriterionReport:
+def _criterion_report(data, steps: tuple[int, ...], labels, evaluate) -> CriterionReport:
+    """Three conditions, each the envelope over the sampled pairs of the
+    values evaluate(x, y) returns for it, one per step."""
     pairs = _sample_pairs(data)
-    max_n = data.nk[-1]
-    per_pair = []
-    for x, y in pairs:
-        _guard_pair(data.components, data.smaps, max_n, x, y)
-        per_pair.append(
-            _eval_subsequence_pair(data.components, data.smaps, data.nk, data.lambdas, x, y, scaled)
-        )
+    per_pair = tuple(evaluate(x, y) for x, y in pairs)
     envelopes = tuple(
-        tuple(max(pp[c][j] for pp in per_pair) for j in range(len(data.nk)))
-        for c in range(3)
+        tuple(max(pp[c][j] for pp in per_pair) for j in range(len(steps))) for c in range(3)
     )
     conditions = tuple(
         ConditionCurve(label=labels[c], values=envelopes[c], passed=_passes(envelopes[c], data.tol))
         for c in range(3)
     )
     return CriterionReport(
-        steps=data.nk,
+        steps=steps,
         conditions=conditions,
         passed=all(c.passed for c in conditions),
         pairs=tuple(pairs),
-        per_pair=tuple(per_pair),
+        per_pair=per_pair,
     )
+
+
+def _subsequence_report(data: CriterionData, scaled: bool, labels) -> CriterionReport:
+    def evaluate(x: ProductVector, y: ProductVector):
+        _guard_pair(data.components, data.smaps, data.nk[-1], x, y)
+        return _eval_subsequence_pair(data.components, data.smaps, data.nk, data.lambdas, x, y, scaled)
+
+    return _criterion_report(data, data.nk, labels, evaluate)
 
 
 SCALED_LABELS = ("forward_decay", "backward_decay", "identity_defect")
@@ -373,10 +380,7 @@ class CompoundData:
             lams = tuple(complex(v) for v in self.lambdas)
             if len(lams) != self.horizon:
                 raise CriterionError("one scalar per power n = 1..horizon is required")
-            if any(v == 0 for v in lams):
-                raise CriterionError("scalar sequences must be nonzero")
-            if any(abs(v) > 1 + 1e-12 for v in lams):
-                raise CriterionError("scalar sequences must stay in the closed unit disk")
+            _check_scalars(lams)
             object.__setattr__(self, "lambdas", lams)
         if self.sample_count < 1:
             raise CriterionError("sample_count must be at least 1")
@@ -407,27 +411,12 @@ def _eval_compound_pair(data: CompoundData, x: ComplexVector, y: ComplexVector, 
 
 
 def _compound_report(data: CompoundData, scaled: bool, labels) -> CriterionReport:
-    pairs = _sample_pairs(data)
-    per_pair = []
-    for x, y in pairs:
+    def evaluate(x: ProductVector, y: ProductVector):
         if x.arity != 1 or y.arity != 1:
             raise CriterionError("compound criteria take single-component samplers")
-        per_pair.append(_eval_compound_pair(data, x.parts[0], y.parts[0], scaled))
-    steps = tuple(range(1, data.horizon + 1))
-    envelopes = tuple(
-        tuple(max(pp[c][j] for pp in per_pair) for j in range(len(steps))) for c in range(3)
-    )
-    conditions = tuple(
-        ConditionCurve(label=labels[c], values=envelopes[c], passed=_passes(envelopes[c], data.tol))
-        for c in range(3)
-    )
-    return CriterionReport(
-        steps=steps,
-        conditions=conditions,
-        passed=all(c.passed for c in conditions),
-        pairs=tuple(pairs),
-        per_pair=tuple(per_pair),
-    )
+        return _eval_compound_pair(data, x.parts[0], y.parts[0], scaled)
+
+    return _criterion_report(data, tuple(range(1, data.horizon + 1)), labels, evaluate)
 
 
 def check_compound_scaled(data: CompoundData) -> CriterionReport:

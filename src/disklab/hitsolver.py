@@ -16,7 +16,6 @@ import numpy as np
 
 from .operators import (
     BackwardShift,
-    Dense,
     DirectSum,
     ForwardShift,
     OperatorError,
@@ -45,7 +44,6 @@ __all__ = [
     "HIT",
     "MISS_CERTIFIED",
     "MISS_UNCERTAIN",
-    "SolverSettings",
     "HitProblem",
     "Witness",
     "HitResult",
@@ -69,20 +67,17 @@ HIT = "hit"
 MISS_CERTIFIED = "miss_certified"
 MISS_UNCERTAIN = "miss_uncertain"
 
+# tolerances shared by the solve and certification paths
+RESIDUAL_SLACK = 1e-9  # hits need residual < delta - slack
+ALPHA_FLOOR = 1e-12  # smallest scalar modulus ever returned
+STRICT_MARGIN = 1e-9  # source balls shrink by this factor for strictness
+CERT_MARGIN = 1e-12  # certificates need lower_bound >= delta + this
+MAX_ITERS = 40  # alternation steps from one starting point
+STALL_EPS = 1e-12  # alternation stops once a step moves the residual by this, relative
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances shared by the solve and certification paths."""
-
-    residual_slack: float = 1e-9  # hits need residual < delta - slack
-    alpha_floor: float = 1e-12  # smallest scalar modulus ever returned
-    strict_margin: float = 1e-9  # source balls shrink by this factor for strictness
-    cert_margin: float = 1e-12  # certificates need lower_bound >= delta + this
-    max_iters: int = 40
-    stall_eps: float = 1e-12
-
-
-DEFAULT_SETTINGS = SolverSettings()
+# random_search draws its samples in blocks of this many, which bounds the
+# oracle's memory at a few block-by-window-dimension complex arrays
+SEARCH_BATCH = 20000
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,6 @@ class HitProblem:
     targets: ProductBall
     mode: str = DISK
     fixed_alphas: tuple[complex, ...] | None = None
-    settings: SolverSettings = DEFAULT_SETTINGS
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -146,18 +140,18 @@ class HitResult:
     max_kkt_residual: float = 0.0
 
 
-def best_alpha(w: ComplexVector, v: ComplexVector, alpha_floor: float = 1e-12) -> complex:
+def best_alpha(w: ComplexVector, v: ComplexVector) -> complex:
     """Disk-projected minimizer of ||alpha w - v|| over the closed unit disk.
 
     The unconstrained optimum inner(v, w)/inner(w, w) is projected radially;
-    w = 0 returns 1, and an exactly zero optimum returns alpha_floor.
+    w = 0 returns 1, and an exactly zero optimum returns ALPHA_FLOOR.
     """
     ww = float(np.vdot(w.coeffs, w.coeffs).real)
     if ww == 0.0:
         return 1.0 + 0.0j
     a0 = complex(np.vdot(w.coeffs, v.coeffs)) / ww  # conjugates w: <v, w>/<w, w>
     if a0 == 0:
-        return complex(alpha_floor)
+        return complex(ALPHA_FLOOR)
     m = abs(a0)
     return a0 / m if m > 1.0 else a0
 
@@ -223,6 +217,12 @@ def _trs_core(q: np.ndarray, g: np.ndarray, eps: float) -> tuple[np.ndarray, flo
     return d, mu, True, abs(val - eps) / eps
 
 
+def _gram_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (clipped at 0) and eigenvectors of m^H m."""
+    evals, evecs = np.linalg.eigh(m.conj().T @ m)
+    return np.clip(evals, 0.0, None), evecs
+
+
 def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVector) -> TrsResult:
     """Exact minimizer of ||A z - target|| over the closed ball ||z - u|| <= eps.
 
@@ -242,9 +242,7 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
         stat = float(np.linalg.norm((q + mu) * d - g))
     else:
         m = A.matrix
-        h = m.conj().T @ m
-        evals, evecs = np.linalg.eigh(h)
-        evals = np.clip(evals, 0.0, None)
+        evals, evecs = _gram_eigh(m)
         g_full = m.conj().T @ r
         g = evecs.conj().T @ g_full
         d_eig, mu, boundary, gap = _trs_core(evals, g, eps)
@@ -296,26 +294,40 @@ def _secular_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray,
 def _grid_lsq(
     A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """constrained_lsq for alphas[k] * A, every k at once; A is orthogonal-column at alpha 1.
+    """constrained_lsq for alphas[k] * A, every k at once; A is T^n at alpha 1.
 
     Returns the minimizers, residuals and KKT residuals by row.  Row k repeats
     constrained_lsq(A.scaled(alphas[k]), u, eps, target) step
     for step, up to rounding: sums, norms and the Newton derivative are formed
-    in another order.
+    in another order, and a dense map is diagonalized once, since
+    (alpha A)^H (alpha A) = |alpha|^2 A^H A keeps the eigenvectors of A^H A.
     """
-    live = A.coeffs != 0
-    dst = A.tgt[live]
-    c = alphas[:, None] * A.coeffs  # the coeffs A.scaled(alpha) holds at each alpha
+    if A.kind == "dense":
+        m = A.matrix
+        evals, evecs = _gram_eigh(m)
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(c.shape, dtype=np.complex128)
-        out[:, dst] = c[:, live] * x[..., live]
-        return out
+        def apply(x: np.ndarray) -> np.ndarray:
+            return alphas[:, None] * (x @ m.T)
 
-    r = target.coeffs - apply(u.coeffs)
-    q = np.abs(c) ** 2
-    g = np.zeros_like(c)
-    g[:, live] = np.conj(c[:, live]) * r[:, dst]
+        r = target.coeffs - apply(u.coeffs)
+        q = np.abs(alphas[:, None]) ** 2 * evals
+        g_full = np.conj(alphas)[:, None] * (r @ m.conj())  # (alpha A)^H r by row
+        g = g_full @ evecs.conj()  # in the eigenbasis
+    else:
+        live = A.coeffs != 0
+        dst = A.tgt[live]
+        c = alphas[:, None] * A.coeffs  # the coeffs A.scaled(alpha) holds at each alpha
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            out = np.zeros(c.shape, dtype=np.complex128)
+            out[:, dst] = c[:, live] * x[..., live]
+            return out
+
+        r = target.coeffs - apply(u.coeffs)
+        q = np.abs(c) ** 2
+        g = np.zeros_like(c)
+        g[:, live] = np.conj(c[:, live]) * r[:, dst]
+        g_full = g
     s = np.abs(g) ** 2
     # _trs_core row by row: no gradient, interior Newton point, or boundary
     mu = np.zeros(len(alphas))
@@ -333,8 +345,10 @@ def _grid_lsq(
         d[boundary] = g[boundary] / (q[boundary] + mu_b[:, None])
         gap[boundary] = np.abs(val_b - eps) / eps
     stat = np.linalg.norm((q + mu[:, None]) * d - g, axis=1)
+    if A.kind == "dense":
+        d = d @ evecs.T  # back from the eigenbasis
     feas = np.maximum(0.0, np.linalg.norm(d, axis=1) - eps) / eps
-    kkt = np.maximum(np.maximum(stat / np.maximum(1.0, np.linalg.norm(g, axis=1)), feas), gap)
+    kkt = np.maximum(np.maximum(stat / np.maximum(1.0, np.linalg.norm(g_full, axis=1)), feas), gap)
     z = u.coeffs + d
     residual = np.linalg.norm(apply(z) - target.coeffs, axis=1)
     return z, residual, kkt
@@ -362,8 +376,6 @@ def _component_bounds(op, n, src: Ball, tgt: Ball, mode, alpha) -> tuple[float, 
         # any |alpha| <= 1 obeys the image-norm bound; the minimum-modulus
         # bound dies as alpha -> 0 and cannot certify disk-scaled problems
         cands.append((nv - gb.opnorm_upper * (nu + src.radius), "opnorm"))
-    if not cands:
-        return None
     return max(cands, key=lambda t: t[0])
 
 
@@ -383,7 +395,7 @@ def certify_miss(p: HitProblem) -> CertifiedMiss | None:
             continue
         lb, kind = got
         margin = lb - tgt.radius
-        if margin >= p.settings.cert_margin and margin > best_margin:
+        if margin >= CERT_MARGIN and margin > best_margin:
             best = CertifiedMiss(lower_bound=lb, component=i, bound_kind=kind)
             best_margin = margin
     return best
@@ -398,9 +410,7 @@ class _ComponentSolve:
     max_kkt: float
 
 
-def _criterion_scalar(
-    op, n, base: PowerMap, src: Ball, tgt: Ball, settings
-) -> tuple[complex, ComplexVector] | None:
+def _criterion_scalar(op, n, base: PowerMap, src: Ball, tgt: Ball) -> tuple[complex, ComplexVector] | None:
     """Scalar lambda_n = sqrt(||S^n v|| / ||T^n u||) and the seed u + (1/lambda) S^n v.
 
     base is power_map(op, n) on the balls' window."""
@@ -421,7 +431,7 @@ def _criterion_scalar(
     lam = min(lam, 1.0)
     if lam == 0.0:
         # underflowed ratio; any nonzero scalar is legal, zero is not
-        lam = settings.alpha_floor
+        lam = ALPHA_FLOOR
     seed = u + sn_v * (1.0 / lam)
     return complex(lam), seed
 
@@ -443,14 +453,13 @@ def _solve_component(
     tgt: Ball,
     mode: str,
     fixed_alpha: complex | None,
-    settings: SolverSettings,
     extra_seeds: Sequence[ComplexVector] = (),
 ) -> _ComponentSolve:
     window = src.center.window
     u, v = src.center, tgt.center
-    eps_eff = src.radius * (1.0 - settings.strict_margin)
+    eps_eff = src.radius * (1.0 - STRICT_MARGIN)
     delta = tgt.radius
-    hit_level = delta - settings.residual_slack
+    hit_level = delta - RESIDUAL_SLACK
     # T^n is built once; every scalar tried below uses base.scaled(alpha)
     base = power_map(op, n, window)
 
@@ -477,15 +486,15 @@ def _solve_component(
     def alternate(z0: ComplexVector) -> bool:
         z = z0
         prev = math.inf
-        for _ in range(settings.max_iters):
+        for _ in range(MAX_ITERS):
             w = ComplexVector(window, base.apply_vec(z.coeffs))
-            alpha = fixed_alpha if mode == FIXED else best_alpha(w, v, settings.alpha_floor)
+            alpha = fixed_alpha if mode == FIXED else best_alpha(w, v)
             if norm(z - u) < src.radius and track(alpha, z, norm(w * alpha - v)):
                 return True
             sol = constrained_lsq(base.scaled(alpha), u, eps_eff, v)
             if track(alpha, sol.z, sol.residual, sol.kkt_residual):
                 return True
-            if abs(prev - sol.residual) <= settings.stall_eps * max(1.0, abs(prev)):
+            if abs(prev - sol.residual) <= STALL_EPS * max(1.0, abs(prev)):
                 break
             prev = sol.residual
             z = sol.z
@@ -499,7 +508,7 @@ def _solve_component(
             alternate(seed)
         return best
 
-    crit = _criterion_scalar(op, n, base, src, tgt, settings)
+    crit = _criterion_scalar(op, n, base, src, tgt)
     # criterion-pinned scalar first: where it hits, the recorded alpha is the
     # construction's lambda_n, not a refit
     if crit is not None and pinned(crit[0]):
@@ -515,21 +524,15 @@ def _solve_component(
             return best
     # the z-subproblem at fixed alpha is convex and solved exactly, so the
     # joint landscape is nonconvex only through alpha; a coarse disk grid
-    # plus one polish escapes alternation stalls
-    if isinstance(op, Dense):
-        for alpha in _GRID_ALPHAS:
-            if pinned(alpha):
-                return best
-    else:
-        # orthogonal columns: one batched solve, replayed through track() in
-        # grid order, so the first hit, the best point and max_kkt are those
-        # of pinning each grid alpha in turn
-        zs, residuals, kkts = _grid_lsq(base, np.array(_GRID_ALPHAS), u, eps_eff, v)
-        for alpha, z, residual, kkt in zip(_GRID_ALPHAS, zs, residuals.tolist(), kkts.tolist()):
-            # track() keeps z only from a row that improves on the best or hits
-            kept = ComplexVector(window, z) if residual < max(best.residual, hit_level) else None
-            if track(alpha, kept, residual, kkt):
-                return best
+    # plus one polish escapes alternation stalls.  The grid is one batched
+    # solve, replayed through track() in grid order, so the first hit, the
+    # best point and max_kkt are those of pinning each grid alpha in turn
+    zs, residuals, kkts = _grid_lsq(base, np.array(_GRID_ALPHAS), u, eps_eff, v)
+    for alpha, z, residual, kkt in zip(_GRID_ALPHAS, zs, residuals.tolist(), kkts.tolist()):
+        # track() keeps z only from a row that improves on the best or hits
+        kept = ComplexVector(window, z) if residual < max(best.residual, hit_level) else None
+        if track(alpha, kept, residual, kkt):
+            return best
     if best.z is not None:
         alternate(best.z)
     return best
@@ -561,7 +564,6 @@ def solve_hit(p: HitProblem, seeds: Sequence[ProductVector] | None = None) -> Hi
             p.targets.balls[i],
             p.mode,
             p.fixed_alphas[i] if p.mode == FIXED else None,
-            p.settings,
             seed_lists[i],
         )
         for i, op in enumerate(p.components)
@@ -590,7 +592,7 @@ class SearchReport:
     hits: tuple[bool, ...]  # found residual < target radius, per component
 
 
-def random_search(p: HitProblem, samples: int, seed, batch: int = 20000) -> SearchReport:
+def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     """Brute-force feasible sampling oracle for the hit problem.
 
     Draws (alpha, z) with z strictly inside each source ball and alpha uniform
@@ -611,7 +613,7 @@ def random_search(p: HitProblem, samples: int, seed, batch: int = 20000) -> Sear
         vt = tgt.center.coeffs
         left = samples
         while left > 0:
-            b = min(batch, left)
+            b = min(SEARCH_BATCH, left)
             left -= b
             dirs = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
             norms = np.linalg.norm(dirs, axis=1)
@@ -636,7 +638,7 @@ def random_search(p: HitProblem, samples: int, seed, batch: int = 20000) -> Sear
     )
 
 
-def reverify_witness(p: HitProblem, w: Witness, pad: int | None = None) -> float:
+def reverify_witness(p: HitProblem, w: Witness) -> float:
     """Recompute witness residuals on an enlarged window; return the largest
     absolute deviation from the recorded values.  Also re-checks membership."""
     devs = []
@@ -648,8 +650,7 @@ def reverify_witness(p: HitProblem, w: Witness, pad: int | None = None) -> float
         if isinstance(op, (ForwardShift, BackwardShift)):
             # shifts move mass: recompute where the window edge cannot interfere
             old = z.window
-            grow = pad if pad is not None else p.n
-            big = IndexWindow(old.kind, old.m + grow)
+            big = IndexWindow(old.kind, old.m + p.n)
             zi, vi = _embed(z, big), _embed(tgt.center, big)
         else:
             zi, vi = z, tgt.center

@@ -196,7 +196,7 @@ def _shift_products(profile: WeightProfile, lo: int, hi: int, n: int) -> np.ndar
 
 @dataclass(frozen=True)
 class PowerMap:
-    """alpha T^n on a window, in a form the least-squares kernel can consume.
+    """T^n on a window, in a form the least-squares kernel can consume.
 
     Shift, diagonal, and scalar powers have orthogonal columns: column j is
     coeffs[j] times a basis vector at tgt[j] (coeff 0 means the column died at
@@ -210,7 +210,7 @@ class PowerMap:
     matrix: np.ndarray | None = None
 
     def scaled(self, alpha: complex) -> "PowerMap":
-        """alpha times this map; power_map(op, n, window, alpha) builds exactly this."""
+        """alpha times this map."""
         if self.kind == "dense":
             return replace(self, matrix=alpha * self.matrix)
         return replace(self, coeffs=alpha * self.coeffs)
@@ -232,8 +232,8 @@ class PowerMap:
         return out
 
 
-def power_map(op: OperatorSpec, n: int, window: IndexWindow, alpha: complex = 1.0) -> PowerMap:
-    """alpha T^n on the window; shift mass that leaves the window is dropped."""
+def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:
+    """T^n on the window; shift mass that leaves the window is dropped."""
     d = window.dim
     if isinstance(op, (ForwardShift, BackwardShift)):
         # source j moves to j+n (forward) or j-n (backward), carrying the product
@@ -244,19 +244,17 @@ def power_map(op: OperatorSpec, n: int, window: IndexWindow, alpha: complex = 1.
             survivors = slice(0, d - n) if forward else slice(n, d)
             coeffs[survivors] = _shift_products(op.weights, window.lo, window.hi - n, n)
         tgt = np.clip(np.arange(d) + (n if forward else -n), 0, d - 1)
-        pm = PowerMap("ortho", window, coeffs=coeffs, tgt=tgt)
-    elif isinstance(op, Diagonal):
-        pm = PowerMap("ortho", window, coeffs=op.entries_on(window) ** n, tgt=np.arange(d))
-    elif isinstance(op, Scalar):
+        return PowerMap("ortho", window, coeffs=coeffs, tgt=tgt)
+    if isinstance(op, Diagonal):
+        return PowerMap("ortho", window, coeffs=op.entries_on(window) ** n, tgt=np.arange(d))
+    if isinstance(op, Scalar):
         coeffs = np.full(d, op.value**n, dtype=np.complex128)
-        pm = PowerMap("ortho", window, coeffs=coeffs, tgt=np.arange(d))
-    elif isinstance(op, Dense):
+        return PowerMap("ortho", window, coeffs=coeffs, tgt=np.arange(d))
+    if isinstance(op, Dense):
         if op.matrix.shape[0] != d:
             raise OperatorError("dense matrix size does not match the window")
-        pm = PowerMap("dense", window, matrix=np.linalg.matrix_power(op.matrix, n))
-    else:
-        raise OperatorError(f"unsupported operator variant {type(op).__name__}")
-    return pm if alpha == 1 else pm.scaled(alpha)
+        return PowerMap("dense", window, matrix=np.linalg.matrix_power(op.matrix, n))
+    raise OperatorError(f"unsupported operator variant {type(op).__name__}")
 
 
 def power_apply(op: OperatorSpec, n: int, x):
@@ -383,7 +381,7 @@ def _support_for_guard(x) -> tuple[int, int] | None:
     return x.support_bounds()
 
 
-def ensure_power_fits(op: OperatorSpec, n: int, x, window: IndexWindow | None = None):
+def ensure_power_fits(op: OperatorSpec, n: int, x):
     """Raise WindowGuardError if T^n x would shed mass at an artificial edge.
 
     Only shift variants move support.  The top of any window is an artificial
@@ -395,14 +393,14 @@ def ensure_power_fits(op: OperatorSpec, n: int, x, window: IndexWindow | None = 
     if isinstance(op, DirectSum):
         if isinstance(x, ProductVector):
             for c, p in zip(op.components, x.parts):
-                ensure_power_fits(c, n, p, window)
+                ensure_power_fits(c, n, p)
         return
     if not isinstance(op, (ForwardShift, BackwardShift)):
         return
     bounds = _support_for_guard(x)
     if bounds is None:
         return
-    win = window if window is not None else x.window
+    win = x.window
     lo_s, hi_s = bounds
     if isinstance(op, ForwardShift) and hi_s + n > win.hi:
         raise WindowGuardError(

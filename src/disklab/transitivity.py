@@ -15,13 +15,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hitsolver import (
-    DEFAULT_SETTINGS,
     DISK,
     FIXED,
     HIT,
     MISS_CERTIFIED,
     HitProblem,
-    SolverSettings,
     solve_hit,
 )
 from .operators import (
@@ -131,7 +129,6 @@ def junction_scan(
     horizon: int,
     mode: str = DISK,
     fixed_alphas: tuple[complex, ...] | None = None,
-    settings: SolverSettings = DEFAULT_SETTINGS,
     guard: bool = True,
 ) -> JunctionReport:
     """Solve the hit problem at every power n in [0, horizon].
@@ -154,7 +151,6 @@ def junction_scan(
                 targets=targets,
                 mode=mode,
                 fixed_alphas=fixed_alphas,
-                settings=settings,
             )
         )
         if res.status == HIT:
@@ -208,13 +204,12 @@ def cross_scan(
     horizon: int,
     mode: str = DISK,
     fixed_alphas: tuple[complex, ...] | None = None,
-    settings: SolverSettings = DEFAULT_SETTINGS,
     guard: bool = True,
 ) -> CrossReport:
     """Hit powers in both directions between two ball tuples, plus the
     two-sided junction set."""
-    fwd = junction_scan(components, a, b, horizon, mode, fixed_alphas, settings, guard)
-    bwd = junction_scan(components, b, a, horizon, mode, fixed_alphas, settings, guard)
+    fwd = junction_scan(components, a, b, horizon, mode, fixed_alphas, guard)
+    bwd = junction_scan(components, b, a, horizon, mode, fixed_alphas, guard)
     return CrossReport(
         horizon=horizon,
         forward=fwd.hit_set,
@@ -302,7 +297,6 @@ def detect(
     horizon: int = 40,
     seed: int = 0,
     tail_fraction: float = 0.5,
-    settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> Verdict:
     """Sample ball tuples and scan for the behavior the kind demands.
 
@@ -319,7 +313,7 @@ def detect(
     mode, fixed_alphas = _kind_mode(kind, len(comps))
 
     def run_trial(t: int, sources: ProductBall, targets: ProductBall) -> TrialRecord:
-        rep = junction_scan(comps, sources, targets, horizon, mode, fixed_alphas, settings)
+        rep = junction_scan(comps, sources, targets, horizon, mode, fixed_alphas)
         cert_tail = _certified_suffix(rep, comps, sources)
         return TrialRecord(
             index=t,

@@ -227,6 +227,9 @@ FIELD_PATH_CASES = [
     ("detect kind", _experiment("detect", kind="chaotic"), "parameters.kind"),
     ("criterion variant", _experiment("criterion", variant="sideways"), "parameters.variant"),
     ("scenario m", _with(_CROSS_SCENARIO, "parameters.m", 0.5), "parameters.m"),
+    ("scenario m zero", _with(_CROSS_SCENARIO, "parameters.m", 0), "parameters.m"),
+    ("scenario m negative", _with(_CROSS_SCENARIO, "parameters.m", -2), "parameters.m"),
+    ("scenario window.m", _with(_CROSS_SCENARIO, "window", {"m": 0}), "window.m"),
     ("scenario trials", _with(_CROSS_SCENARIO, "parameters.trials", "five"), "parameters.trials"),
 ]
 
@@ -240,20 +243,41 @@ def test_config_errors_name_the_field(cfg, field_path):
     assert err.value.field_path == field_path
 
 
+_HUGE = 10**400  # an integer literal json.loads reads and float() cannot hold
+
+
 @pytest.mark.parametrize(
-    "edit, field_path",
+    "edit, field_path, literal",
     [
-        (lambda cfg: cfg["parameters"]["targets"][0].update(radius=math.inf), "parameters.targets[0].radius"),
-        (lambda cfg: cfg["operators"].update(s={"type": "forward_shift", "pos": math.nan}), "operators.s.pos"),
-        (lambda cfg: cfg["operators"].update(c={"type": "scalar", "value": [1.0, -math.inf]}), "operators.c.value"),
+        (
+            lambda cfg: cfg["parameters"]["targets"][0].update(radius=math.inf),
+            "parameters.targets[0].radius",
+            "Infinity",
+        ),
+        (lambda cfg: cfg["operators"].update(s={"type": "forward_shift", "pos": math.nan}), "operators.s.pos", "NaN"),
+        (
+            lambda cfg: cfg["operators"].update(c={"type": "scalar", "value": [1.0, -math.inf]}),
+            "operators.c.value",
+            "-Infinity",
+        ),
+        (
+            lambda cfg: cfg["operators"].update(s={"type": "forward_shift", "pos": _HUGE}),
+            "operators.s.pos",
+            "1" + "0" * 400,
+        ),
+        (
+            lambda cfg: cfg["operators"].update(c={"type": "scalar", "value": [1.0, -_HUGE]}),
+            "operators.c.value",
+            "-1" + "0" * 400,
+        ),
     ],
-    ids=["infinite radius", "nan weight", "infinite imaginary part"],
+    ids=["infinite radius", "nan weight", "infinite imaginary part", "oversized weight", "oversized imaginary part"],
 )
-def test_non_finite_numbers_are_config_errors(tmp_path, capsys, edit, field_path):
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, edit, field_path, literal):
     cfg = shift_config()
     edit(cfg)
     path = write_config(tmp_path, cfg)
-    assert "Infinity" in path.read_text() or "NaN" in path.read_text()
+    assert literal in path.read_text()
     assert main([str(path)]) == EXIT_ERROR
     assert f"config error at {field_path}: expected a finite number" in capsys.readouterr().err
 

@@ -11,7 +11,6 @@ from disklab.hitsolver import (
     MISS_CERTIFIED,
     MISS_UNCERTAIN,
     HitProblem,
-    SolverSettings,
     best_alpha,
     certify_miss,
     constrained_lsq,
@@ -26,7 +25,6 @@ from disklab.operators import (
     Diagonal,
     DirectSum,
     ForwardShift,
-    OperatorSpec,
     Scalar,
     WeightProfile,
     as_dense,
@@ -89,7 +87,7 @@ def test_constrained_lsq_beats_sampling_oracle():
     rng = np.random.default_rng(1)
     for trial in range(5):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        pmap = power_map(Dense(m), 2, w, alpha=0.7 * np.exp(0.3j))
+        pmap = power_map(Dense(m), 2, w).scaled(0.7 * np.exp(0.3j))
         u = ComplexVector(w, rng.standard_normal(4) + 1j * rng.standard_normal(4))
         v = ComplexVector(w, rng.standard_normal(4) + 1j * rng.standard_normal(4))
         eps = 0.8
@@ -110,8 +108,8 @@ def test_ortho_and_dense_routes_agree():
     w = IndexWindow(BILATERAL, 6)
     t = ForwardShift(WeightProfile(2.0, 3.0, {0: 0.5}))
     alpha = 0.37 * np.exp(0.9j)
-    native = power_map(t, 3, w, alpha)
-    via_dense = power_map(Dense(as_dense(t, w)), 3, w, alpha)
+    native = power_map(t, 3, w).scaled(alpha)
+    via_dense = power_map(Dense(as_dense(t, w)), 3, w).scaled(alpha)
     rng = np.random.default_rng(2)
     u = ComplexVector(w, rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim))
     v = ComplexVector(w, rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim))
@@ -143,11 +141,15 @@ def test_grid_lsq_matches_per_alpha_constrained_lsq():
     cases += [(op, 2, eps, v) for op in (diag, Scalar(0.8 + 0.6j)) for eps in (0.05, 50.0)]
     # zero gradient at alpha = 1: the target is the image of the centre
     cases.append((Scalar(1.3), 2, 0.3, ComplexVector(w, power_map(Scalar(1.3), 2, w).apply_vec(u.coeffs))))
+    # dense: unitary times singular values in [1, 2], so A^H A is well conditioned
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    dense = Dense(q * np.linspace(1.0, 2.0, d))
+    cases += [(dense, n, eps, v) for n in (1, 2) for eps in (0.05, 50.0)]
     boundary = set()
     for op, n, eps, target in cases:
         zs, residuals, kkts = hitsolver._grid_lsq(power_map(op, n, w), alphas, u, eps, target)
         for k, alpha in enumerate(hitsolver._GRID_ALPHAS):
-            ref = constrained_lsq(power_map(op, n, w, alpha), u, eps, target)
+            ref = constrained_lsq(power_map(op, n, w).scaled(alpha), u, eps, target)
             boundary.add(ref.boundary)
             assert abs(residuals[k] - ref.residual) <= 1e-12 * max(ref.residual, norm(target))
             assert np.linalg.norm(zs[k] - ref.z.coeffs) <= 1e-12 * norm(ref.z)
@@ -155,26 +157,34 @@ def test_grid_lsq_matches_per_alpha_constrained_lsq():
     assert boundary == {True, False}
 
 
+_GRID_REPLAY_CASES = [
+    # hits first at grid alpha 0.5j, after (as a scalar) the criterion pin,
+    # alpha = 1, alternation and the first 26 grid points have missed
+    (
+        1.5j,
+        1,
+        Ball(ComplexVector.from_coeffs(IndexWindow(BILATERAL, 3), {0: -0.6j, 1: 0.4 + 0.5j}), 0.4),
+        Ball(ComplexVector.from_coeffs(IndexWindow(BILATERAL, 3), {-1: 0.3 + 0.4j, 1: -0.4 - 0.3j}), 0.4),
+        HIT,
+    ),
+    # no grid point hits; the polish from the best grid point misses too
+    (
+        2.0,
+        5,
+        Ball(ComplexVector.basis(IndexWindow(UNILATERAL, 4), 0), 0.45),
+        Ball(ComplexVector.basis(IndexWindow(UNILATERAL, 4), 1), 0.45),
+        MISS_UNCERTAIN,
+    ),
+]
+
+
+# each case as a scalar and as the same scalar held as a dense matrix
 @pytest.mark.parametrize(
     "op, n, src, tgt, status",
     [
-        # hits first at grid alpha 0.5j, after the criterion pin, alpha = 1,
-        # alternation and the first 26 grid points have missed
-        (
-            Scalar(1.5j),
-            1,
-            Ball(ComplexVector.from_coeffs(IndexWindow(BILATERAL, 3), {0: -0.6j, 1: 0.4 + 0.5j}), 0.4),
-            Ball(ComplexVector.from_coeffs(IndexWindow(BILATERAL, 3), {-1: 0.3 + 0.4j, 1: -0.4 - 0.3j}), 0.4),
-            HIT,
-        ),
-        # no grid point hits; the polish from the best grid point misses too
-        (
-            Scalar(2.0),
-            5,
-            Ball(ComplexVector.basis(IndexWindow(UNILATERAL, 4), 0), 0.45),
-            Ball(ComplexVector.basis(IndexWindow(UNILATERAL, 4), 1), 0.45),
-            MISS_UNCERTAIN,
-        ),
+        (make(value, src.center.window.dim), n, src, tgt, status)
+        for make in (lambda c, d: Scalar(c), lambda c, d: Dense(c * np.eye(d)))
+        for value, n, src, tgt, status in _GRID_REPLAY_CASES
     ],
 )
 def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, status):
@@ -184,11 +194,16 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
     monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or kernel(*a))
     got = solve_hit(p)
     assert len(batches) == 1 and got.status == status
-    # reference: every operator takes the per-point loop kept for dense maps,
-    # which pins the grid alphas one at a time and stops at the first hit
-    monkeypatch.setattr(hitsolver, "Dense", OperatorSpec)
+
+    # reference: the grid alphas pinned one at a time through constrained_lsq
+    def per_alpha(base, alphas, u, eps, target):
+        sols = [constrained_lsq(base.scaled(alpha), u, eps, target) for alpha in alphas]
+        zs = np.array([sol.z.coeffs for sol in sols])
+        return zs, np.array([sol.residual for sol in sols]), np.array([sol.kkt_residual for sol in sols])
+
+    monkeypatch.setattr(hitsolver, "_grid_lsq", per_alpha)
     want = solve_hit(p)
-    assert len(batches) == 1 and want.status == status
+    assert want.status == status
     if status == HIT:
         assert got.witness.alphas == want.witness.alphas
         assert got.witness.alphas[0] in hitsolver._GRID_ALPHAS

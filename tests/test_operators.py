@@ -19,7 +19,6 @@ from disklab.operators import (
     ensure_power_fits,
     growth,
     power_apply,
-    power_map,
     right_inverse,
 )
 from disklab.vectorspace import (
@@ -347,26 +346,3 @@ def test_powers_match_the_per_index_reference_loops(monkeypatch, lattice):
                 want = x.coeffs * factor
                 assert np.all(np.abs(power_apply(op, n, x).coeffs - want) <= 4 * eps * np.abs(want))
 
-
-_SCALED_CASES = [
-    *[
-        (op, n)
-        for op in (ForwardShift(WeightProfile(2.0, 3.0, {0: 0.5})), BackwardShift(WeightProfile(0.5, 3.0)))
-        for n in (0, 3, 9, 11)  # the window below has dimension 9
-    ],
-    (Diagonal({j: (0.0 if j == 1 else 1.5 - 0.25j * j) for j in range(-4, 5)}), 2),
-    (Scalar(0.8 + 0.6j), 3),
-    (Dense(np.exp(1j * np.arange(81.0)).reshape(9, 9)), 2),
-]
-
-
-@pytest.mark.parametrize("op, n", _SCALED_CASES)
-def test_power_map_at_alpha_is_the_scaled_base_map(op, n):
-    w = IndexWindow(BILATERAL, 4)
-    base = power_map(op, n, w)
-    for alpha in (1.0, 0.5j, -0.125, 0.37 * complex(np.exp(0.9j))):
-        got, want = power_map(op, n, w, alpha), base.scaled(alpha)
-        assert got.kind == want.kind
-        for name in ("coeffs", "tgt", "matrix"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a is None and b is None) or np.array_equal(a, b)
