@@ -36,7 +36,7 @@ from .criteria import (
     roundtrip_scalar_derivation,
     spectral_witness,
 )
-from .hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, HitProblem, solve_hit
+from .hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, Certificate, HitProblem, solve_hit
 from .operators import (
     BackwardShift,
     Dense,
@@ -46,6 +46,7 @@ from .operators import (
     ForwardShift,
     Scalar,
     WeightProfile,
+    components_of,
     right_inverse,
 )
 from .transitivity import (
@@ -369,12 +370,6 @@ def _resolve_components(params: dict, registry: dict, path: str) -> tuple:
     return comps
 
 
-def _component_arity(comps: Sequence) -> int:
-    if len(comps) == 1 and isinstance(comps[0], DirectSum):
-        return len(comps[0].components)
-    return len(comps)
-
-
 def _mode_and_alphas(params: dict, arity: int, path: str) -> tuple[str, tuple | None]:
     mode = _field(params, path, "mode", _as_str, DISK)
     if mode not in (DISK, FIXED):
@@ -389,7 +384,7 @@ def _scan_inputs(
 ) -> tuple:
     """Components, their arity, the two ball tuples named by `balls`, mode and alphas."""
     comps = _resolve_components(params, registry, path)
-    arity = _component_arity(comps)
+    arity = len(components_of(comps))
     first, second = (
         _field(params, path, key, lambda v, p: build_product_ball(v, window, p, arity)) for key in balls
     )
@@ -470,6 +465,21 @@ def _scan_table(rep, arity: int) -> Table:
     return header, rows
 
 
+def _certificate_keys(cert: Certificate | None) -> dict:
+    """A certificate under the report's keys; extends_past_horizon stays out."""
+    values = (None, None, None) if cert is None else (cert.lower_bound, cert.kind, cert.component)
+    return dict(zip(("lower_bound", "bound_kind", "certified_component"), values))
+
+
+def _scan_payload(rep) -> dict:
+    """A junction report as a dict, each entry's certificate flattened into its keys."""
+    entries = [
+        {"n": e.n, "status": e.status, "alphas": e.alphas, "residuals": e.residuals, **_certificate_keys(e.certificate)}
+        for e in rep.entries
+    ]
+    return {"horizon": rep.horizon, "entries": entries, "hit_set": rep.hit_set, "tail_start": rep.tail_start}
+
+
 def _criterion_table(report) -> Table:
     header = ("n_k",) + tuple(f"cond{i + 1}" for i in range(len(report.conditions)))
     rows = [
@@ -527,10 +537,8 @@ def _run_hit(params: dict, registry: dict, window: IndexWindow, path: str) -> Ru
             "residuals": result.witness.residuals,
             "points": [_vector_payload(p) for p in result.witness.point.parts],
         }
-    if result.lower_bound is not None:
-        results["lower_bound"] = result.lower_bound
-        results["bound_kind"] = result.bound_kind
-        results["certified_component"] = result.certified_component
+    if result.certificate is not None:
+        results.update(_certificate_keys(result.certificate))
     if result.best_residuals is not None:
         results["best_residuals"] = result.best_residuals
     return _outcome({HIT: "pass", MISS_CERTIFIED: "fail"}.get(result.status, INCONCLUSIVE), results)
@@ -552,7 +560,7 @@ def _run_junction(params: dict, registry: dict, window: IndexWindow, path: str) 
     comps, arity, sources, targets, mode, alphas = _scan_inputs(params, registry, window, path)
     options = _scan_options(params, path)
     rep = junction_scan(comps, sources, targets, mode=mode, fixed_alphas=alphas, **options)
-    return _outcome(_scan_verdict(rep), {"scan": asdict(rep)}, {"scan": _scan_table(rep, arity)})
+    return _outcome(_scan_verdict(rep), {"scan": _scan_payload(rep)}, {"scan": _scan_table(rep, arity)})
 
 
 def _run_cross(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
@@ -561,7 +569,7 @@ def _run_cross(params: dict, registry: dict, window: IndexWindow, path: str) -> 
     rep = cross_scan(comps, a, b, mode=mode, fixed_alphas=alphas, **options)
     scans = {"forward_scan": rep.forward_report, "backward_scan": rep.backward_report}
     results = {name: sorted(getattr(rep, name)) for name in ("forward", "backward", "junction")}
-    results.update((name, asdict(scan)) for name, scan in scans.items())
+    results.update((name, _scan_payload(scan)) for name, scan in scans.items())
     tables = {name: _scan_table(scan, arity) for name, scan in scans.items()}
     certified = {
         e.n for scan in scans.values() for e in scan.entries if e.n >= 1 and e.status == MISS_CERTIFIED
@@ -586,7 +594,7 @@ def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str) ->
         tail_fraction=(_as_float, 0.5),
     )
     kwargs = _sampler_kwargs(params, path, with_radius=True)
-    sampler = make_ball_sampler(window, _component_arity(comps), **kwargs)
+    sampler = make_ball_sampler(window, len(components_of(comps)), **kwargs)
     verdict = detect(kind, comps, sampler, **options)
     return _outcome(verdict.verdict, {"detect": asdict(verdict)}, {"trials": _trials_table(verdict)})
 
@@ -627,7 +635,7 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
     compound = variant.startswith("compound_")
     if compound and len(comps) != 1:
         raise ConfigError(_sub(path, "components"), "compound variants take exactly one operator")
-    arity = 1 if compound else _component_arity(comps)
+    arity = 1 if compound else len(components_of(comps))
     # the counts and pair samplers every variant's data takes
     shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_int, 25), seed=(_as_int, 0))
     kwargs = _sampler_kwargs(params, path, with_radius=False)

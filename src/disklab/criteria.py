@@ -16,9 +16,7 @@ from typing import Callable, Sequence
 
 from .hitsolver import ALPHA_FLOOR
 from .operators import (
-    BackwardShift,
     ForwardShift,
-    OperatorError,
     OperatorSpec,
     WeightProfile,
     apply,

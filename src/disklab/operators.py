@@ -8,7 +8,7 @@ scans that must not lose mass call ensure_power_fits first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .vectorspace import (
     ComplexVector,
     IndexWindow,
     ProductVector,
-    norm,
 )
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
     "right_inverse",
     "growth",
     "as_dense",
+    "components_of",
     "ensure_power_fits",
 ]
 
@@ -159,6 +159,15 @@ class DirectSum(OperatorSpec):
         if not self.components:
             raise OperatorError("direct sum needs at least one component")
         object.__setattr__(self, "components", tuple(self.components))
+
+
+def components_of(ops: Sequence[OperatorSpec]) -> tuple[OperatorSpec, ...]:
+    """The components a problem or scan works on: a lone DirectSum stands
+    for its components, any other sequence for itself."""
+    ops = tuple(ops)
+    if len(ops) == 1 and isinstance(ops[0], DirectSum):
+        return ops[0].components
+    return ops
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,15 @@ from .hitsolver import (
     FIXED,
     HIT,
     MISS_CERTIFIED,
+    Certificate,
     HitProblem,
     solve_hit,
 )
 from .operators import (
     OperatorError,
     OperatorSpec,
-    DirectSum,
+    components_of,
     ensure_power_fits,
-    growth,
     power_apply,
     right_inverse,
 )
@@ -75,13 +75,6 @@ INCONCLUSIVE = "inconclusive"
 _KINDS = (DISK_TRANSITIVE, K_BITRANSITIVE, COMPOUND, MIXING)
 
 
-def _flatten(components: Sequence[OperatorSpec]) -> tuple[OperatorSpec, ...]:
-    comps = tuple(components)
-    if len(comps) == 1 and isinstance(comps[0], DirectSum):
-        return comps[0].components
-    return comps
-
-
 def guard_scan_window(
     components: Sequence[OperatorSpec],
     horizon: int,
@@ -90,7 +83,7 @@ def guard_scan_window(
 ) -> None:
     """Raise WindowGuardError if scanning to the horizon would shed mass of
     the ball centers (operator powers forward, right-inverse powers backward)."""
-    comps = _flatten(components)
+    comps = components_of(components)
     for i, op in enumerate(comps):
         ensure_power_fits(op, horizon, sources.balls[i].center)
         try:
@@ -106,9 +99,7 @@ class JunctionEntry:
     status: str
     alphas: tuple[complex, ...] | None = None
     residuals: tuple[float, ...] | None = None
-    lower_bound: float | None = None
-    bound_kind: str | None = None
-    certified_component: int | None = None
+    certificate: Certificate | None = None
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,7 @@ def junction_scan(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    comps = _flatten(components)
+    comps = components_of(components)
     if guard:
         guard_scan_window(comps, horizon, sources, targets)
     entries = []
@@ -153,26 +144,16 @@ def junction_scan(
                 fixed_alphas=fixed_alphas,
             )
         )
-        if res.status == HIT:
-            entries.append(
-                JunctionEntry(
-                    n=n,
-                    status=HIT,
-                    alphas=res.witness.alphas,
-                    residuals=res.witness.residuals,
-                )
+        witness = res.witness
+        entries.append(
+            JunctionEntry(
+                n=n,
+                status=res.status,
+                alphas=witness.alphas if witness else None,
+                residuals=witness.residuals if witness else res.best_residuals,
+                certificate=res.certificate,
             )
-        else:
-            entries.append(
-                JunctionEntry(
-                    n=n,
-                    status=res.status,
-                    residuals=res.best_residuals,
-                    lower_bound=res.lower_bound,
-                    bound_kind=res.bound_kind,
-                    certified_component=res.certified_component,
-                )
-            )
+        )
     hit_set = frozenset(e.n for e in entries if e.status == HIT and e.n >= 1)
     tail_start = None
     for start in range(1, horizon + 1):
@@ -218,18 +199,6 @@ def cross_scan(
         forward_report=fwd,
         backward_report=bwd,
     )
-
-
-def _cert_extends(op: OperatorSpec, bound_kind: str, lattice: str) -> bool:
-    """One-step growth condition under which a certificate at the horizon
-    stays valid for every larger power."""
-    try:
-        gb = growth(op, 1, lattice)
-    except (OperatorError, ValueError):
-        return False
-    if bound_kind == "minmod":
-        return gb.minmod_lower >= 1.0
-    return gb.opnorm_upper <= 1.0
 
 
 @dataclass(frozen=True)
@@ -309,12 +278,12 @@ def detect(
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    comps = _flatten(components)
+    comps = components_of(components)
     mode, fixed_alphas = _kind_mode(kind, len(comps))
 
     def run_trial(t: int, sources: ProductBall, targets: ProductBall) -> TrialRecord:
         rep = junction_scan(comps, sources, targets, horizon, mode, fixed_alphas)
-        cert_tail = _certified_suffix(rep, comps, sources)
+        cert_tail = _certified_suffix(rep)
         return TrialRecord(
             index=t,
             first_hit=min(rep.hit_set) if rep.hit_set else None,
@@ -359,17 +328,11 @@ def detect(
     )
 
 
-def _certified_suffix(
-    rep: JunctionReport, comps: tuple[OperatorSpec, ...], sources: ProductBall
-) -> int | None:
+def _certified_suffix(rep: JunctionReport) -> int | None:
     """Least n0 >= 1 with every n in [n0, horizon] certified missed and the
     horizon certificate valid for all larger powers; None if no such suffix."""
     last = rep.entries[rep.horizon]
-    if last.status != MISS_CERTIFIED:
-        return None
-    ci = last.certified_component
-    lattice = sources.balls[ci].center.window.kind
-    if not _cert_extends(comps[ci], last.bound_kind, lattice):
+    if last.certificate is None or not last.certificate.extends_past_horizon:
         return None
     n0 = rep.horizon
     while n0 > 1 and rep.entries[n0 - 1].status == MISS_CERTIFIED:

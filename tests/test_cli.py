@@ -345,6 +345,20 @@ def test_junction_run_matches_library_scan(tmp_path):
     assert math.isclose(by_n[4][2], 6.0 ** -2, rel_tol=1e-8)
 
 
+def test_scan_entries_flatten_certificates_into_fixed_keys():
+    outcome, _ = run(shift_config(mode="fixed", alphas=[1.0]))
+    entries = outcome.results["scan"]["entries"]
+    keys = ["n", "status", "alphas", "residuals", "lower_bound", "bound_kind", "certified_component"]
+    assert [list(e) for e in entries] == [keys] * 9
+    # the identity hits at n = 0; from n = 2 on the unit scaling is certified missed
+    assert entries[0]["status"] == "hit" and entries[0]["lower_bound"] is None
+    certified = entries[8]
+    assert certified["status"] == "miss_certified"
+    assert (certified["bound_kind"], certified["certified_component"]) == ("minmod", 0)
+    # min-modulus 2^8 times inner radius 0.5, minus target center norm 1
+    assert certified["lower_bound"] == pytest.approx(2.0**8 * 0.5 - 1.0)
+
+
 def test_cross_run_reports_intersection():
     cfg = shift_config()
     cfg["experiment"] = "cross"

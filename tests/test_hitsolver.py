@@ -36,7 +36,6 @@ from disklab.vectorspace import (
     ComplexVector,
     IndexWindow,
     ProductBall,
-    ProductVector,
     norm,
     sample_ball,
 )
@@ -251,10 +250,13 @@ def test_fixed_unit_scaling_certified_miss():
     p = unit_ball_problem(n=2, mode=FIXED, alphas=(1.0,))
     res = solve_hit(p)
     assert res.status == MISS_CERTIFIED
-    assert res.bound_kind == "minmod"
+    cert = res.certificate
+    assert cert.kind == "minmod"
     # min-modulus 2^2 times inner radius 0.5, minus target center norm 1
-    assert res.lower_bound == pytest.approx(1.0)
-    assert res.certified_component == 0
+    assert cert.lower_bound == pytest.approx(1.0)
+    assert cert.component == 0
+    # one step multiplies by at least 2, so every larger power misses too
+    assert cert.extends_past_horizon
 
 
 def test_fixed_miss_not_certified_at_n1():
@@ -275,9 +277,74 @@ def test_disk_mode_contraction_certified_by_opnorm():
     )
     res = solve_hit(p)
     assert res.status == MISS_CERTIFIED
-    assert res.bound_kind == "opnorm"
+    cert = res.certificate
+    assert cert.kind == "opnorm"
     # 1 - 0.25^2... opnorm 0.25 applied to norms <= 1.25 leaves at most 0.3125
-    assert res.lower_bound == pytest.approx(1.0 - 0.25 * 1.25)
+    assert cert.lower_bound == pytest.approx(1.0 - 0.25 * 1.25)
+    assert cert.component == 0
+    assert cert.extends_past_horizon
+
+
+def test_opnorm_certificate_of_an_expanding_scalar_stops_at_the_horizon():
+    w = IndexWindow(UNILATERAL, 2)
+    e0 = ComplexVector.basis(w, 0)
+    p = HitProblem(
+        components=(Scalar(1.5),),
+        n=2,
+        sources=ProductBall((Ball(e0, 0.25),)),
+        targets=ProductBall((Ball(e0 * 10.0, 0.25),)),
+    )
+    cert = solve_hit(p).certificate
+    # 10 - 1.5^2 * 1.25: certified at n = 2, but 1.5^6 * 1.25 > 10 - 0.25
+    assert cert.kind == "opnorm"
+    assert cert.lower_bound == pytest.approx(10.0 - 2.25 * 1.25)
+    assert not cert.extends_past_horizon
+    assert certify_miss(HitProblem(p.components, 6, p.sources, p.targets)) is None
+
+
+def _random_certifiable_component(rng, lattice):
+    """An operator, its source and target balls on a small window of the lattice,
+    and a fixed scalar; weights and moduli all below 1, all above, mixed, or near 1."""
+    lo, hi = ((0.3, 1.0), (1.0, 3.0), (0.3, 3.0), (0.85, 1.15))[rng.integers(4)]
+    w = IndexWindow(lattice, 4)
+    kind = rng.integers(4)
+    if kind < 2:
+        table = {int(k): float(rng.uniform(lo, hi)) for k in rng.integers(-4, 5, size=rng.integers(4))}
+        profile = WeightProfile(float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)), table)
+        op = (ForwardShift, BackwardShift)[kind](profile)
+    else:
+        moduli = rng.uniform(lo, hi, size=3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        op = Diagonal({0: moduli[0], 1: moduli[1]}, default=moduli[2]) if kind == 2 else Scalar(moduli[0])
+
+    def ball():
+        center = rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim)
+        center *= np.exp(rng.uniform(np.log(0.05), np.log(10.0))) / np.linalg.norm(center)
+        return Ball(ComplexVector(w, center), float(rng.uniform(0.05, 1.0)))
+
+    alpha = rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())
+    return op, ball(), ball(), complex(alpha)
+
+
+def test_extending_certificates_hold_at_the_next_thirty_powers():
+    rng = np.random.default_rng(2026)
+    extending = 0
+    for _ in range(600):
+        lattice = (BILATERAL, UNILATERAL)[rng.integers(2)]
+        parts = [_random_certifiable_component(rng, lattice) for _ in range(rng.integers(1, 3))]
+        ops, srcs, tgts, alphas = zip(*parts)
+        mode = (DISK, FIXED)[rng.integers(2)]
+        fixed = alphas if mode == FIXED else None
+        n = int(rng.integers(0, 9))
+        cert = certify_miss(HitProblem(ops, n, ProductBall(srcs), ProductBall(tgts), mode, fixed))
+        if cert is None or not cert.extends_past_horizon:
+            continue
+        extending += 1
+        c = cert.component
+        alone = (alphas[c],) if mode == FIXED else None
+        for m in range(n, n + 31):
+            sub = HitProblem((ops[c],), m, ProductBall((srcs[c],)), ProductBall((tgts[c],)), mode, alone)
+            assert certify_miss(sub) is not None, (ops[c], n, m)
+    assert extending >= 100
 
 
 def test_disk_mode_certificate_never_uses_minmod():

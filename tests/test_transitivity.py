@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disklab.hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN
+from disklab.hitsolver import FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN
 from disklab.operators import (
     BackwardShift,
     DirectSum,
@@ -31,7 +31,6 @@ from disklab.vectorspace import (
     ComplexVector,
     IndexWindow,
     ProductBall,
-    norm,
 )
 
 SHIFT_23 = ForwardShift(WeightProfile(2.0, 3.0))
@@ -70,6 +69,8 @@ def test_junction_scan_fixed_unit_certifies_cofinite_misses():
         assert rep.entry(n).status == MISS_CERTIFIED
     assert rep.entry(1).status == MISS_UNCERTAIN
     assert rep.tail_start is None
+    for e in rep.entries:
+        assert (e.certificate is not None) == (e.status == MISS_CERTIFIED)
 
 
 def test_junction_scan_guard_fires_on_small_windows():
