@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .criteria import (
-    CompoundData,
     CriterionData,
     CriterionError,
     SpectralSplit,
@@ -157,12 +156,21 @@ _as_complex = _reader(
 )
 
 
-def _as_size(value: Any, path: str) -> int:
-    """A window size m: an integer of at least 1."""
-    m = _as_int(value, path)
-    if m < 1:
-        raise ConfigError(path, "window size must be at least 1")
-    return m
+def _at_least_one(what: str) -> Reader:
+    """Reader of an integer of at least 1, such as a window size or a count."""
+
+    def read(value: Any, path: str) -> int:
+        n = _as_int(value, path)
+        if n < 1:
+            raise ConfigError(path, f"{what} must be at least 1")
+        return n
+
+    return read
+
+
+_as_size = _at_least_one("window size")
+_as_trials = _at_least_one("trials")
+_as_horizon = _at_least_one("horizon")
 
 
 def _items(read: Reader) -> Reader:
@@ -590,7 +598,7 @@ def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str) ->
     comps = _resolve_components(params, registry, path)
     kind = _field(params, path, "kind", _choice(_DETECT_KINDS, "kind"))
     options = _fields(
-        params, path, trials=(_as_int, 20), horizon=(_as_int, 40), seed=(_as_int, 0),
+        params, path, trials=(_as_trials, 20), horizon=(_as_horizon, 40), seed=(_as_int, 0),
         tail_fraction=(_as_float, 0.5),
     )
     kwargs = _sampler_kwargs(params, path, with_radius=True)
@@ -644,20 +652,15 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
     if compound:
         horizon = _field(params, path, "horizon", _as_int, 40)
         lambdas = _criterion_lambdas(params, 1, horizon, path)
-        data = CompoundData(
-            op=comps[0], smap=powers_of_right_inverse(comps[0]), horizon=horizon,
-            lambdas=lambdas[0] if lambdas else None, **shared,
-        )
-        check = check_compound_scaled if variant == "compound_scaled" else check_compound_scalar_free
-        return _criterion_outcome(check(data))
-
-    if variant == "scaled" and "lambdas" not in params:
-        raise ConfigError(_sub(path, "lambdas"), "the scaled variant needs explicit scalars")
-    nk = _criterion_nk(params, path)
-    data = CriterionData(
-        components=comps, smaps=tuple(right_inverse(c) for c in comps), nk=nk,
-        lambdas=_criterion_lambdas(params, arity, len(nk), path), **shared,
-    )
+        nk, smaps = tuple(range(1, horizon + 1)), (powers_of_right_inverse(comps[0]),)
+    else:
+        if variant == "scaled" and "lambdas" not in params:
+            raise ConfigError(_sub(path, "lambdas"), "the scaled variant needs explicit scalars")
+        nk = _criterion_nk(params, path)
+        comps = components_of(comps)
+        smaps = tuple(right_inverse(c) for c in comps)
+        lambdas = _criterion_lambdas(params, arity, len(nk), path)
+    data = CriterionData(components=comps, smaps=smaps, nk=nk, lambdas=lambdas, **shared)
     if variant == "roundtrip":
         eps = _field(params, path, "eps", _as_float, 0.1)
         rt = roundtrip_scalar_derivation(data, eps)
@@ -673,7 +676,10 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
         }
         table = _criterion_table(rt.scalar_free)
         return _outcome("pass" if rt.passed else "fail", results, {"criterion": table})
-    check = check_scaled_criterion if variant == "scaled" else check_scalar_free_criterion
+    if compound:
+        check = check_compound_scaled if variant == "compound_scaled" else check_compound_scalar_free
+    else:
+        check = check_scaled_criterion if variant == "scaled" else check_scalar_free_criterion
     return _criterion_outcome(check(data))
 
 
@@ -694,7 +700,8 @@ _RUNNERS = {
 
 _SCENARIO_FIELDS = {
     "m": _as_size,
-    **dict.fromkeys(("horizon", "trials", "seed", "stop", "sample_count"), _as_int),
+    "trials": _as_trials,
+    **dict.fromkeys(("horizon", "seed", "stop", "sample_count"), _as_int),
     **dict.fromkeys(("radius", "eps", "tol", "p", "delta"), _as_float),
     **dict.fromkeys(("small_entry", "large_entry", "c"), _as_complex),
 }

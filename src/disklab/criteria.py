@@ -1,18 +1,19 @@
 """Sufficient-condition checkers and witness builders for disk-scaled dynamics.
 
-Three families live here: subsequence criteria over component tuples (with
-and without scalar sequences, plus the derivation that turns the scalar-free
-form into the scaled one), whole-sequence criteria for compound behavior with
-arbitrary backward map sequences, and two constructive witnesses: the
-eigenvector-split witness for diagonal-like operators and the two-sided
-weighted shift witness.
+Every criterion runs on one engine: each sampled pair is evaluated once into
+its orbit norms ||T^n x||, ||S_n y|| and ||T^n S_n y - y|| per component and
+power, and the scaled, scalar-free and derived-scalar forms are arithmetic on
+those norms.  The compound criteria are the same conditions on one component
+at every power n = 1..N rather than along a subsequence.  Two constructive
+witnesses close the module: the eigenvector-split witness for diagonal-like
+operators and the two-sided weighted shift witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .hitsolver import ALPHA_FLOOR
 from .operators import (
@@ -46,7 +47,6 @@ __all__ = [
     "derive_scalars",
     "RoundTripReport",
     "roundtrip_scalar_derivation",
-    "CompoundData",
     "check_compound_scaled",
     "check_compound_scalar_free",
     "powers_of_right_inverse",
@@ -96,13 +96,22 @@ def _check_scalars(lams: Sequence[complex]) -> None:
         raise CriterionError("scalar sequences must stay in the closed unit disk")
 
 
+BackwardMap = Callable[[int, ComplexVector], ComplexVector]
+
+
 @dataclass(frozen=True)
 class CriterionData:
-    """Inputs for the subsequence criteria: operator tuple, backward maps,
-    powers to probe, optional scalar sequences, and samplers for the pairs."""
+    """Inputs for every criterion: operator tuple, backward maps, powers to
+    probe, optional scalar sequences, and samplers for the pairs.
+
+    A backward map is an operator S, meaning S_n = S^n and window-guarded
+    like the components, or a callable (n, v) -> S_n v for an arbitrary
+    sequence of maps, which is not guarded.  The compound criteria take one
+    component probed at every power nk = (1, ..., N).
+    """
 
     components: tuple[OperatorSpec, ...]
-    smaps: tuple[OperatorSpec, ...]
+    smaps: tuple[OperatorSpec | BackwardMap, ...]
     nk: tuple[int, ...]
     xsampler: Callable[[object], ProductVector]
     ysampler: Callable[[object], ProductVector]
@@ -165,73 +174,98 @@ def _passes(values: Sequence[float], tol: float) -> bool:
     return len(values) > 0 and values[-1] < tol and _trend_ok(values)
 
 
-def _sample_pairs(data) -> list[tuple[ProductVector, ProductVector]]:
-    return trial_draws(data.seed, data.sample_count, (data.xsampler, data.ysampler))
+class _OrbitNorms(NamedTuple):
+    """One sampled pair's norms, each [component][step]."""
+
+    forward: list[list[float]]  # ||T^n x_i||
+    backward: list[list[float]]  # ||S_n y_i||
+    defect: list[list[float]]  # ||T^n S_n y_i - y_i||
 
 
-def _guard_pair(components, smaps, max_n, x: ProductVector, y: ProductVector):
-    for i, (t, s) in enumerate(zip(components, smaps)):
-        ensure_power_fits(t, max_n, x.parts[i])
-        ensure_power_fits(s, max_n, y.parts[i])
+def _orbit_norms(data: CriterionData, x: ProductVector, y: ProductVector) -> _OrbitNorms:
+    """The three norms of one sampled pair at every probed power, with each
+    power applied once."""
+    k = len(data.components)
+    if x.arity != k or y.arity != k:
+        raise CriterionError(
+            f"samplers must draw one part per component ({k}), got {x.arity} and {y.arity}"
+        )
+    parts = tuple(zip(data.components, data.smaps, x.parts, y.parts))
+    for t, s, xi, yi in parts:
+        ensure_power_fits(t, data.nk[-1], xi)
+        if isinstance(s, OperatorSpec):
+            ensure_power_fits(s, data.nk[-1], yi)
+    norms = _OrbitNorms([], [], [])
+    for t, s, xi, yi in parts:
+        rows = _OrbitNorms([], [], [])
+        for n in data.nk:
+            sn_y = power_apply(s, n, yi) if isinstance(s, OperatorSpec) else s(n, yi)
+            rows.forward.append(norm(power_apply(t, n, xi)))
+            rows.backward.append(norm(sn_y))
+            rows.defect.append(norm(power_apply(t, n, sn_y) - yi))
+        for table, row in zip(norms, rows):
+            table.append(row)
+    return norms
 
 
-def _eval_subsequence_pair(
-    components, smaps, nk, lambdas, x: ProductVector, y: ProductVector, scaled: bool
-) -> tuple[tuple[float, ...], ...]:
-    """Three condition values per power for one sampled pair.
+def _curves(norms: _OrbitNorms, lambdas=None) -> tuple[tuple[float, ...], ...]:
+    """One pair's three condition curves, components summed in order.
 
-    scaled: |lam| ||T^n x|| and ||S^n y|| / |lam|, summed over components.
-    scalar-free: ||T^n x|| * ||S^n y|| per component, and plain ||S^n y||.
+    With scalars lambdas[component][step]: |lam| ||T^n x|| and
+    ||S_n y|| / |lam|.  Scalar-free: ||T^n x|| ||S_n y|| and plain ||S_n y||.
     The round-trip defect is common to both forms.
     """
+    forward, backward, defect = norms
     c1, c2, c3 = [], [], []
-    for idx, n in enumerate(nk):
+    for j in range(len(forward[0])):
         v1 = v2 = v3 = 0.0
-        for i, (t, s) in enumerate(zip(components, smaps)):
-            tn_x = norm(power_apply(t, n, x.parts[i]))
-            sn_y = power_apply(s, n, y.parts[i])
-            sn = norm(sn_y)
-            if scaled:
-                lam = abs(lambdas[i][idx])
-                v1 += lam * tn_x
-                v2 += sn / lam
-            else:
+        for i in range(len(forward)):
+            tn_x, sn = forward[i][j], backward[i][j]
+            if lambdas is None:
                 v1 += tn_x * sn
                 v2 += sn
-            v3 += norm(power_apply(t, n, sn_y) - y.parts[i])
+            else:
+                lam = abs(lambdas[i][j])
+                v1 += lam * tn_x
+                v2 += sn / lam
+            v3 += defect[i][j]
         c1.append(v1)
         c2.append(v2)
         c3.append(v3)
     return tuple(c1), tuple(c2), tuple(c3)
 
 
-def _criterion_report(data, steps: tuple[int, ...], labels, evaluate) -> CriterionReport:
-    """Three conditions, each the envelope over the sampled pairs of the
-    values evaluate(x, y) returns for it, one per step."""
+def _sample_pairs(data: CriterionData) -> list[tuple[ProductVector, ProductVector]]:
+    return trial_draws(data.seed, data.sample_count, (data.xsampler, data.ysampler))
+
+
+def _evaluate(data: CriterionData) -> tuple[list, list[_OrbitNorms]]:
     pairs = _sample_pairs(data)
-    per_pair = tuple(evaluate(x, y) for x, y in pairs)
+    return pairs, [_orbit_norms(data, x, y) for x, y in pairs]
+
+
+def _report(data: CriterionData, pairs, per_pair, labels) -> CriterionReport:
+    """Three conditions, each the envelope over the sampled pairs of their
+    curves, one value per power."""
     envelopes = tuple(
-        tuple(max(pp[c][j] for pp in per_pair) for j in range(len(steps))) for c in range(3)
+        tuple(max(pp[c][j] for pp in per_pair) for j in range(len(data.nk))) for c in range(3)
     )
     conditions = tuple(
         ConditionCurve(label=labels[c], values=envelopes[c], passed=_passes(envelopes[c], data.tol))
         for c in range(3)
     )
     return CriterionReport(
-        steps=steps,
+        steps=data.nk,
         conditions=conditions,
         passed=all(c.passed for c in conditions),
         pairs=tuple(pairs),
-        per_pair=per_pair,
+        per_pair=tuple(per_pair),
     )
 
 
-def _subsequence_report(data: CriterionData, scaled: bool, labels) -> CriterionReport:
-    def evaluate(x: ProductVector, y: ProductVector):
-        _guard_pair(data.components, data.smaps, data.nk[-1], x, y)
-        return _eval_subsequence_pair(data.components, data.smaps, data.nk, data.lambdas, x, y, scaled)
-
-    return _criterion_report(data, data.nk, labels, evaluate)
+def _check(data: CriterionData, lambdas, labels) -> CriterionReport:
+    pairs, norms = _evaluate(data)
+    return _report(data, pairs, [_curves(nm, lambdas) for nm in norms], labels)
 
 
 SCALED_LABELS = ("forward_decay", "backward_decay", "identity_defect")
@@ -244,14 +278,14 @@ def check_scaled_criterion(data: CriterionData) -> CriterionReport:
     vanish, and forward-after-backward returns y."""
     if data.lambdas is None:
         raise CriterionError("the scaled criterion needs scalar sequences")
-    return _subsequence_report(data, scaled=True, labels=SCALED_LABELS)
+    return _check(data, data.lambdas, SCALED_LABELS)
 
 
 def check_scalar_free_criterion(data: CriterionData) -> CriterionReport:
     """Scalar-free variant: the product of forward and backward image norms
     vanishes, backward images of y vanish, and forward-after-backward
     returns y.  Any scalar sequences on the data are ignored."""
-    return _subsequence_report(data, scaled=False, labels=SCALAR_FREE_LABELS)
+    return _check(data, None, SCALAR_FREE_LABELS)
 
 
 @dataclass(frozen=True)
@@ -269,6 +303,29 @@ class DerivedScalars:
     per_pair: tuple[PairScalars, ...]
 
 
+def _check_eps(eps: float) -> None:
+    if not (eps > 0):
+        raise CriterionError("eps must be positive")
+
+
+def _pair_scalars(norms: _OrbitNorms, eps: float) -> PairScalars:
+    backward = norms.backward
+    raw = tuple(tuple(sv / eps for sv in row) for row in backward)
+    steps = len(raw[0])
+    # one past the last step at which some component still needs clamping
+    tail_index = max((j + 1 for j in range(steps) if not all(row[j] <= 1.0 for row in raw)), default=0)
+    if tail_index == steps:
+        raise CriterionError("eps too large: backward mass stays above it through the horizon")
+    return PairScalars(
+        lambdas=tuple(
+            tuple(ALPHA_FLOOR if sv == 0.0 else min(sv / eps, 1.0) for sv in row) for row in backward
+        ),
+        raw=raw,
+        tail_index=tail_index,
+        degenerate=any(sv == 0.0 for row in backward for sv in row),
+    )
+
+
 def derive_scalars(data: CriterionData, eps: float) -> DerivedScalars:
     """Scalars lambda = ||S^n y|| / eps for each sampled pair.
 
@@ -277,44 +334,9 @@ def derive_scalars(data: CriterionData, eps: float) -> DerivedScalars:
     1.  A vanishing backward image degenerates to a floor scalar and is
     flagged.  Raises when even the final power has backward mass above eps.
     """
-    if not (eps > 0):
-        raise CriterionError("eps must be positive")
-    pairs = _sample_pairs(data)
-    max_n = data.nk[-1]
-    out = []
-    for x, y in pairs:
-        _guard_pair(data.components, data.smaps, max_n, x, y)
-        raw_rows, lam_rows = [], []
-        degenerate = False
-        for i, s in enumerate(data.smaps):
-            raw_row, lam_row = [], []
-            for n in data.nk:
-                sv = norm(power_apply(s, n, y.parts[i]))
-                r = sv / eps
-                raw_row.append(r)
-                if sv == 0.0:
-                    degenerate = True
-                    lam_row.append(ALPHA_FLOOR)
-                else:
-                    lam_row.append(min(r, 1.0))
-            raw_rows.append(tuple(raw_row))
-            lam_rows.append(tuple(lam_row))
-        tail_index = None
-        for idx in range(len(data.nk)):
-            if all(row[j] <= 1.0 for row in raw_rows for j in range(idx, len(data.nk))):
-                tail_index = idx
-                break
-        if tail_index is None:
-            raise CriterionError("eps too large: backward mass stays above it through the horizon")
-        out.append(
-            PairScalars(
-                lambdas=tuple(lam_rows),
-                raw=tuple(raw_rows),
-                tail_index=tail_index,
-                degenerate=degenerate,
-            )
-        )
-    return DerivedScalars(eps=eps, steps=data.nk, per_pair=tuple(out))
+    _check_eps(eps)
+    per_pair = tuple(_pair_scalars(_orbit_norms(data, x, y), eps) for x, y in _sample_pairs(data))
+    return DerivedScalars(eps=eps, steps=data.nk, per_pair=per_pair)
 
 
 @dataclass(frozen=True)
@@ -329,104 +351,52 @@ class RoundTripReport:
 
 def roundtrip_scalar_derivation(data: CriterionData, eps: float) -> RoundTripReport:
     """Scalar-free pass, derived scalars, then the scaled conditions re-checked
-    pair by pair with those scalars.
+    pair by pair with those scalars, all from one evaluation of the pairs.
 
     The inversely scaled backward mass sits exactly at eps on the tail, so the
     scaled re-check runs at tolerance 1.01 * eps (or data.tol if larger).
     """
-    free = check_scalar_free_criterion(data)
-    derived = derive_scalars(data, eps)
+    pairs, norms = _evaluate(data)
+    free = _report(data, pairs, [_curves(nm) for nm in norms], SCALAR_FREE_LABELS)
+    _check_eps(eps)
+    derived = DerivedScalars(eps, data.nk, tuple(_pair_scalars(nm, eps) for nm in norms))
     tol = max(data.tol, 1.01 * eps)
-    all_values = []
-    passes = []
-    for (x, y), scal in zip(free.pairs, derived.per_pair):
-        values = _eval_subsequence_pair(
-            data.components, data.smaps, data.nk, scal.lambdas, x, y, scaled=True
-        )
-        all_values.append(values)
-        passes.append(all(_passes(v, tol) for v in values))
+    scaled_values = tuple(_curves(nm, scal.lambdas) for nm, scal in zip(norms, derived.per_pair))
+    passes = tuple(all(_passes(v, tol) for v in values) for values in scaled_values)
     return RoundTripReport(
         scalar_free=free,
         derived=derived,
-        scaled_values=tuple(all_values),
-        scaled_passes=tuple(passes),
+        scaled_values=scaled_values,
+        scaled_passes=passes,
         tol=tol,
         passed=free.passed and all(passes),
     )
 
 
-@dataclass(frozen=True)
-class CompoundData:
-    """Whole-sequence criterion inputs: one operator, a backward map for every
-    power (an arbitrary sequence of maps, not necessarily powers of one), and
-    optional scalars indexed by n = 1..horizon."""
-
-    op: OperatorSpec
-    smap: Callable[[int, ComplexVector], ComplexVector]
-    horizon: int
-    xsampler: Callable[[object], ProductVector]
-    ysampler: Callable[[object], ProductVector]
-    lambdas: tuple[complex, ...] | None = None
-    tol: float = 1e-6
-    sample_count: int = 25
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.horizon < 2:
-            raise CriterionError("horizon must be at least 2")
-        if self.lambdas is not None:
-            lams = tuple(complex(v) for v in self.lambdas)
-            if len(lams) != self.horizon:
-                raise CriterionError("one scalar per power n = 1..horizon is required")
-            _check_scalars(lams)
-            object.__setattr__(self, "lambdas", lams)
-        if self.sample_count < 1:
-            raise CriterionError("sample_count must be at least 1")
-
-
-def powers_of_right_inverse(op: OperatorSpec) -> Callable[[int, ComplexVector], ComplexVector]:
-    """The standard backward map sequence S_n = S^n."""
+def powers_of_right_inverse(op: OperatorSpec) -> BackwardMap:
+    """The standard backward map sequence S_n = S^n, as an unguarded callable."""
     s = right_inverse(op)
     return lambda n, v: power_apply(s, n, v)
 
 
-def _eval_compound_pair(data: CompoundData, x: ComplexVector, y: ComplexVector, scaled: bool):
-    ensure_power_fits(data.op, data.horizon, x)
-    c1, c2, c3 = [], [], []
-    for n in range(1, data.horizon + 1):
-        tn_x = norm(power_apply(data.op, n, x))
-        sn_y = data.smap(n, y)
-        sn = norm(sn_y)
-        if scaled:
-            lam = abs(data.lambdas[n - 1])
-            c1.append(lam * tn_x)
-            c2.append(sn / lam)
-        else:
-            c1.append(tn_x * sn)
-            c2.append(sn)
-        c3.append(norm(power_apply(data.op, n, sn_y) - y))
-    return tuple(c1), tuple(c2), tuple(c3)
+def _check_whole_sequence(data: CriterionData) -> None:
+    # nk is strictly increasing and positive, so it is 1..N exactly when it ends at N
+    if len(data.components) != 1 or len(data.nk) < 2 or data.nk[-1] != len(data.nk):
+        raise CriterionError("compound criteria take one component and every power 1..N, N >= 2")
 
 
-def _compound_report(data: CompoundData, scaled: bool, labels) -> CriterionReport:
-    def evaluate(x: ProductVector, y: ProductVector):
-        if x.arity != 1 or y.arity != 1:
-            raise CriterionError("compound criteria take single-component samplers")
-        return _eval_compound_pair(data, x.parts[0], y.parts[0], scaled)
-
-    return _criterion_report(data, tuple(range(1, data.horizon + 1)), labels, evaluate)
-
-
-def check_compound_scaled(data: CompoundData) -> CriterionReport:
+def check_compound_scaled(data: CriterionData) -> CriterionReport:
     """Whole-sequence scaled conditions: every power counts, no subsequence."""
+    _check_whole_sequence(data)
     if data.lambdas is None:
         raise CriterionError("the scaled compound criterion needs scalars")
-    return _compound_report(data, scaled=True, labels=SCALED_LABELS)
+    return _check(data, data.lambdas, SCALED_LABELS)
 
 
-def check_compound_scalar_free(data: CompoundData) -> CriterionReport:
+def check_compound_scalar_free(data: CriterionData) -> CriterionReport:
     """Whole-sequence scalar-free conditions."""
-    return _compound_report(data, scaled=False, labels=SCALAR_FREE_LABELS)
+    _check_whole_sequence(data)
+    return _check(data, None, SCALAR_FREE_LABELS)
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,6 @@ class TrsResult:
     z: ComplexVector
     residual: float
     kkt_residual: float
-    mu: float
     boundary: bool
 
 
@@ -264,7 +263,7 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
     kkt = max(stat / g_scale, feas, comp)
     z = ComplexVector(window, u.coeffs + d)
     residual = float(np.linalg.norm(A.apply_vec(z.coeffs) - target.coeffs))
-    return TrsResult(z=z, residual=residual, kkt_residual=kkt, mu=mu, boundary=boundary)
+    return TrsResult(z=z, residual=residual, kkt_residual=kkt, boundary=boundary)
 
 
 def _secular_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

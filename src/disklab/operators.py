@@ -39,7 +39,6 @@ __all__ = [
     "power_map",
     "right_inverse",
     "growth",
-    "as_dense",
     "components_of",
     "ensure_power_fits",
 ]
@@ -341,7 +340,6 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
         prods = _profile_window_products(op.weights, n, lattice)
         return GrowthBounds(float(prods.max()), float(prods.min()))
     if isinstance(op, BackwardShift):
-        prods = _profile_window_products(op.weights, n, lattice)
         if lattice == UNILATERAL:
             # e_0 .. e_{n-1} are annihilated
             keys = [k for k in op.weights.table if k >= 0]
@@ -349,6 +347,7 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
             prods = _shift_products(op.weights, 0, hi_t + n + 1, n)
             prods = np.append(prods, op.weights.pos**n)
             return GrowthBounds(float(prods.max()), 0.0)
+        prods = _profile_window_products(op.weights, n, lattice)
         return GrowthBounds(float(prods.max()), float(prods.min()))
     if isinstance(op, Diagonal):
         moduli = [abs(v) for v in op.entries.values()]
@@ -362,22 +361,6 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
         v = abs(op.value) ** n
         return GrowthBounds(v, v)
     raise OperatorError(f"growth bounds unavailable for {type(op).__name__}")
-
-
-def as_dense(op: OperatorSpec, window: IndexWindow) -> np.ndarray:
-    """Matrix of the truncated operator, acting on coefficient arrays.
-
-    Direct sums produce a block-diagonal matrix on concatenated parts.
-    """
-    if isinstance(op, DirectSum):
-        blocks = [as_dense(c, window) for c in op.components]
-        d = window.dim
-        out = np.zeros((d * len(blocks), d * len(blocks)), dtype=np.complex128)
-        for i, b in enumerate(blocks):
-            out[i * d : (i + 1) * d, i * d : (i + 1) * d] = b
-        return out
-    # rows of the identity are the basis vectors, so their images are the columns
-    return power_map(op, 1, window).apply_batch(np.eye(window.dim, dtype=np.complex128)).T
 
 
 def _support_for_guard(x) -> tuple[int, int] | None:

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .criteria import make_vector_sampler
 from .hitsolver import (
     DISK,
     FIXED,
@@ -36,9 +37,7 @@ from .vectorspace import (
     ComplexVector,
     IndexWindow,
     ProductBall,
-    as_rng,
     norm,
-    sample_finite_support,
     trial_draws,
 )
 
@@ -233,21 +232,16 @@ def make_ball_sampler(
     band: int | None = None,
     modulus_lo: float | None = 0.5,
 ) -> Callable[[object], ProductBall]:
-    """Sampler of ball tuples with finitely supported centers.
+    """Sampler of ball tuples of one radius around the finitely supported
+    vectors make_vector_sampler draws.
 
     The default keeps center coefficients with modulus in [0.5, 1.0] so that
     certificates have room on both sides of the radius.
     """
-    if arity < 1:
-        raise ValueError("arity must be at least 1")
+    centers = make_vector_sampler(window, arity, support, bound, band, modulus_lo)
 
     def sample(seed) -> ProductBall:
-        rng = as_rng(seed)
-        balls = tuple(
-            Ball(sample_finite_support(window, support, bound, rng, band, modulus_lo), radius)
-            for _ in range(arity)
-        )
-        return ProductBall(balls)
+        return ProductBall(tuple(Ball(c, radius) for c in centers(seed).parts))
 
     return sample
 
@@ -278,6 +272,9 @@ def detect(
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    # all() over no trials is true: an empty sample must not confirm
+    if trials < 1 or horizon < 1:
+        raise ValueError("trials and horizon must be at least 1")
     comps = components_of(components)
     mode, fixed_alphas = _kind_mode(kind, len(comps))
 

@@ -231,6 +231,15 @@ FIELD_PATH_CASES = [
     ("scenario m negative", _with(_CROSS_SCENARIO, "parameters.m", -2), "parameters.m"),
     ("scenario window.m", _with(_CROSS_SCENARIO, "window", {"m": 0}), "window.m"),
     ("scenario trials", _with(_CROSS_SCENARIO, "parameters.trials", "five"), "parameters.trials"),
+    ("scenario trials zero", _with(_CROSS_SCENARIO, "parameters.trials", 0), "parameters.trials"),
+    (
+        "compound-plus-transitive trials zero",
+        {"experiment": "scenario", "parameters": {"id": "compound-plus-transitive", "trials": 0}},
+        "parameters.trials",
+    ),
+    ("detect trials zero", _experiment("detect", kind="disk_transitive", trials=0), "parameters.trials"),
+    ("detect trials negative", _experiment("detect", kind="disk_transitive", trials=-1), "parameters.trials"),
+    ("detect horizon zero", _experiment("detect", kind="compound", horizon=0), "parameters.horizon"),
 ]
 
 
@@ -432,6 +441,23 @@ def test_criterion_run_scalar_free_passes():
     assert header == ("n_k", "cond1", "cond2", "cond3")
     assert len(rows) == 40
     assert report["curves"]["criterion"]["rows"][0][0] == 1
+
+
+def test_criterion_on_a_lone_direct_sum_runs_on_its_components():
+    def criterion(components):
+        return {
+            "window": {"kind": "bilateral", "m": 32},
+            "operators": {
+                "a": {"type": "forward_shift", "pos": 2.0, "neg": 3.0},
+                "b": {"type": "forward_shift", "pos": 2.0, "neg": 4.0},
+                "pair": {"type": "direct_sum", "parts": ["a", "b"]},
+            },
+            "experiment": "criterion",
+            "parameters": {"components": components, "nk": {"stop": 10}, "sample_count": 3, "sampler": {"band": 1}},
+        }
+
+    lone, _ = run(criterion(["pair"]))
+    assert lone.results == run(criterion(["a", "b"]))[0].results
 
 
 def test_criterion_scaled_without_scalars_is_a_config_error():

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from disklab.criteria import (
-    CompoundData,
     CriterionData,
+    _passes,
     CriterionError,
     SpectralSplit,
     check_compound_scalar_free,
@@ -199,14 +201,25 @@ def test_roundtrip_derivation_passes():
     assert rt.tol == pytest.approx(0.101)
 
 
-def test_compound_scaled_on_shift():
-    # (2/3)^(n/2) crosses 1e-6 only past n = 68, so the horizon must exceed it
-    data = CompoundData(
-        op=SHIFT,
-        smap=powers_of_right_inverse(SHIFT),
-        horizon=80,
+def whole_sequence_data(op, smap, horizon, lambdas=None, **counts):
+    """Compound criterion data: one operator probed at every power 1..horizon."""
+    return CriterionData(
+        components=(op,),
+        smaps=(smap,),
+        nk=tuple(range(1, horizon + 1)),
         xsampler=make_vector_sampler(W, band=1),
         ysampler=make_vector_sampler(W, band=1),
+        lambdas=None if lambdas is None else (tuple(lambdas),),
+        **counts,
+    )
+
+
+def test_compound_scaled_on_shift():
+    # (2/3)^(n/2) crosses 1e-6 only past n = 68, so the horizon must exceed it
+    data = whole_sequence_data(
+        SHIFT,
+        powers_of_right_inverse(SHIFT),
+        80,
         lambdas=tuple(6.0 ** (-n / 2) for n in range(1, 81)),
         sample_count=6,
     )
@@ -220,12 +233,10 @@ def test_compound_scaled_rejects_balanced_scalar_pair():
     # mass and the inversely scaled backward mass sit at the pair norms
     # forever, only the round trip is exact; the data is correctly rejected
     horizon = 30
-    data = CompoundData(
-        op=Scalar(2.0),
-        smap=lambda n, v: v * (2.0**-n),
-        horizon=horizon,
-        xsampler=make_vector_sampler(W, band=1),
-        ysampler=make_vector_sampler(W, band=1),
+    data = whole_sequence_data(
+        Scalar(2.0),
+        lambda n, v: v * (2.0**-n),
+        horizon,
         lambdas=tuple(2.0**-n for n in range(1, horizon + 1)),
         sample_count=4,
     )
@@ -240,52 +251,53 @@ def test_compound_scaled_rejects_balanced_scalar_pair():
 
 def test_compound_scaled_rejects_zero_scalars():
     with pytest.raises(CriterionError):
-        CompoundData(
-            op=SHIFT,
-            smap=powers_of_right_inverse(SHIFT),
-            horizon=4,
-            xsampler=make_vector_sampler(W),
-            ysampler=make_vector_sampler(W),
-            lambdas=(0.5, 0.0, 0.5, 0.5),
-        )
+        whole_sequence_data(SHIFT, powers_of_right_inverse(SHIFT), 4, lambdas=(0.5, 0.0, 0.5, 0.5))
 
 
 def test_compound_scalar_free_on_shift():
-    data = CompoundData(
-        op=SHIFT,
-        smap=powers_of_right_inverse(SHIFT),
-        horizon=40,
-        xsampler=make_vector_sampler(W, band=1),
-        ysampler=make_vector_sampler(W, band=1),
-        sample_count=6,
-    )
+    data = whole_sequence_data(SHIFT, powers_of_right_inverse(SHIFT), 40, sample_count=6)
     rep = check_compound_scalar_free(data)
     assert rep.passed
 
 
 def test_compound_roundtrip_scalar_free_to_scaled():
     horizon = 40
-    base = dict(
-        op=SHIFT,
-        smap=powers_of_right_inverse(SHIFT),
-        horizon=horizon,
-        xsampler=make_vector_sampler(W, band=1),
-        ysampler=make_vector_sampler(W, band=1),
-        sample_count=4,
-        seed=77,
-    )
-    free = check_compound_scalar_free(CompoundData(**base))
+    base = dict(op=SHIFT, smap=powers_of_right_inverse(SHIFT), horizon=horizon, sample_count=4, seed=77)
+    free = check_compound_scalar_free(whole_sequence_data(**base))
     assert free.passed
     eps = 0.1
     for (x, y), values in zip(free.pairs, free.per_pair):
         backward = values[1]  # ||S_n y|| along n
         lambdas = tuple(min(1.0, v / eps) if v > 0 else 1e-12 for v in backward)
         rep = check_compound_scaled(
-            CompoundData(**{**base, "lambdas": lambdas, "tol": 1.01 * eps, "sample_count": 1})
+            whole_sequence_data(**{**base, "lambdas": lambdas, "tol": 1.01 * eps, "sample_count": 1})
         )
         # same construction as the subsequence derivation: scaled re-check
         # passes at the relaxed tolerance
         assert rep.conditions[0].values[-1] < 1.01 * eps
+
+
+def test_compound_criteria_take_one_component_at_every_power():
+    ok = whole_sequence_data(SHIFT, right_inverse(SHIFT), 3, lambdas=(0.5, 0.5, 0.5), sample_count=1)
+    check_compound_scaled(ok)
+    check_compound_scalar_free(ok)
+    two = CriterionData(
+        components=(SHIFT, SHIFT),
+        smaps=(right_inverse(SHIFT),) * 2,
+        nk=(1, 2, 3),
+        xsampler=make_vector_sampler(W, 2, band=1),
+        ysampler=make_vector_sampler(W, 2, band=1),
+        sample_count=1,
+    )
+    for data in (
+        two,
+        replace(ok, nk=(1, 3, 4), lambdas=None),  # a subsequence, not every power
+        replace(ok, nk=(2, 3, 4), lambdas=None),
+        replace(ok, nk=(1,), lambdas=None),  # a single power
+    ):
+        for check in (check_compound_scalar_free, check_compound_scaled):
+            with pytest.raises(CriterionError, match="compound criteria"):
+                check(data)
 
 
 def test_spectral_witness_canonical_r9():
@@ -417,3 +429,188 @@ def test_shift_witness_validation():
     uni = IndexWindow(UNILATERAL, 20)
     with pytest.raises(CriterionError):
         shift_witness(2.0, 3.0, ComplexVector.basis(uni, 0), ComplexVector.basis(uni, 1), 3)
+
+
+# -- the engine against the per-criterion loops it replaced ------------------
+
+
+def reference_subsequence_pair(components, smaps, nk, lambdas, x, y, scaled):
+    """The subsequence criteria's former per-pair loop, kept as a reference."""
+    c1, c2, c3 = [], [], []
+    for idx, n in enumerate(nk):
+        v1 = v2 = v3 = 0.0
+        for i, (t, s) in enumerate(zip(components, smaps)):
+            tn_x = norm(power_apply(t, n, x.parts[i]))
+            sn_y = power_apply(s, n, y.parts[i])
+            sn = norm(sn_y)
+            if scaled:
+                lam = abs(lambdas[i][idx])
+                v1 += lam * tn_x
+                v2 += sn / lam
+            else:
+                v1 += tn_x * sn
+                v2 += sn
+            v3 += norm(power_apply(t, n, sn_y) - y.parts[i])
+        c1.append(v1)
+        c2.append(v2)
+        c3.append(v3)
+    return tuple(c1), tuple(c2), tuple(c3)
+
+
+def reference_compound_pair(op, smap, horizon, lambdas, x, y, scaled):
+    """The compound criteria's former per-pair loop, kept as a reference."""
+    c1, c2, c3 = [], [], []
+    for n in range(1, horizon + 1):
+        tn_x = norm(power_apply(op, n, x))
+        sn_y = smap(n, y)
+        sn = norm(sn_y)
+        if scaled:
+            lam = abs(lambdas[n - 1])
+            c1.append(lam * tn_x)
+            c2.append(sn / lam)
+        else:
+            c1.append(tn_x * sn)
+            c2.append(sn)
+        c3.append(norm(power_apply(op, n, sn_y) - y))
+    return tuple(c1), tuple(c2), tuple(c3)
+
+
+def random_component(rng):
+    """A tabled forward shift, a diagonal with a default, or a scalar."""
+    kind = rng.integers(3)
+    if kind == 0:
+        table = {int(k): float(rng.uniform(0.3, 3.0)) for k in rng.integers(-4, 5, size=3)}
+        return ForwardShift(WeightProfile(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0)), table))
+    if kind == 1:
+        entries = {int(k): complex(*rng.uniform(-1.5, 1.5, size=2)) for k in rng.integers(-3, 4, size=3)}
+        return Diagonal(entries, default=complex(*rng.uniform(0.5, 1.5, size=2)))
+    return Scalar(complex(*rng.uniform(0.4, 1.4, size=2)))
+
+
+def random_lambdas(rng, arity, steps):
+    moduli = rng.uniform(0.05, 1.0, size=(arity, steps))
+    phases = rng.uniform(0, 2 * np.pi, size=(arity, steps))
+    return tuple(tuple(complex(v) for v in row) for row in moduli * np.exp(1j * phases))
+
+
+def random_data(rng, whole_sequence):
+    arity = int(rng.integers(1, 4))
+    comps = tuple(random_component(rng) for _ in range(arity))
+    if whole_sequence:
+        nk = tuple(range(1, int(rng.integers(2, 12)) + 1))
+    else:
+        picks = rng.choice(np.arange(1, 25), size=int(rng.integers(1, 8)), replace=False)
+        nk = tuple(sorted(int(n) for n in picks))
+    return CriterionData(
+        components=comps,
+        smaps=tuple(right_inverse(c) for c in comps),
+        nk=nk,
+        xsampler=make_vector_sampler(IndexWindow(BILATERAL, 40), arity, support=3, band=6),
+        ysampler=make_vector_sampler(IndexWindow(BILATERAL, 40), arity, support=3, band=6),
+        lambdas=random_lambdas(rng, arity, len(nk)) if rng.integers(2) else None,
+        sample_count=int(rng.integers(1, 4)),
+        seed=int(rng.integers(1000)),
+    )
+
+
+@pytest.mark.parametrize("whole_sequence", [False, True], ids=["subsequence", "whole-sequence"])
+def test_engine_curves_equal_the_reference_loops_bitwise(whole_sequence):
+    rng = np.random.default_rng(11 if whole_sequence else 7)
+    for _ in range(60):
+        data = random_data(rng, whole_sequence)
+        checks = [(check_scalar_free_criterion, False)]
+        if data.lambdas is not None:
+            checks.append((check_scaled_criterion, True))
+        for check, scaled in checks:
+            rep = check(data)
+            for (x, y), curves in zip(rep.pairs, rep.per_pair):
+                ref = reference_subsequence_pair(data.components, data.smaps, data.nk, data.lambdas, x, y, scaled)
+                assert curves == ref
+    # the compound criteria on one component, with operator and callable maps
+    for _ in range(40):
+        op = random_component(rng)
+        horizon = int(rng.integers(2, 15))
+        lambdas = random_lambdas(rng, 1, horizon)[0]
+        smap = powers_of_right_inverse(op) if rng.integers(2) else right_inverse(op)
+        data = whole_sequence_data(op, smap, horizon, lambdas=lambdas, sample_count=3, seed=int(rng.integers(1000)))
+        call = smap if callable(smap) else (lambda n, v, s=smap: power_apply(s, n, v))
+        for check, scaled in ((check_compound_scalar_free, False), (check_compound_scaled, True)):
+            rep = check(data)
+            for (x, y), curves in zip(rep.pairs, rep.per_pair):
+                assert curves == reference_compound_pair(op, call, horizon, lambdas, x.parts[0], y.parts[0], scaled)
+
+
+def outcome(fn, *args):
+    """fn's result, or ("raised", message) for the CriterionError it raises."""
+    try:
+        return fn(*args)
+    except CriterionError as e:
+        return ("raised", str(e))
+
+
+def old_roundtrip(data, eps):
+    """The former composition: scalar-free check, derived scalars, then the
+    scaled conditions re-evaluated pair by pair."""
+    free = check_scalar_free_criterion(data)
+    derived = derive_scalars(data, eps)
+    tol = max(data.tol, 1.01 * eps)
+    values = tuple(
+        reference_subsequence_pair(data.components, data.smaps, data.nk, scal.lambdas, x, y, scaled=True)
+        for (x, y), scal in zip(free.pairs, derived.per_pair)
+    )
+    passes = tuple(all(_passes(v, tol) for v in vals) for vals in values)
+    return free, derived, values, passes, tol, free.passed and all(passes)
+
+
+def test_roundtrip_equals_the_former_composition():
+    rng = np.random.default_rng(5)
+    compared = raised = 0
+    for case in range(40):
+        data = shift_data(tuple(range(1, 41)), sample_count=3, seed=case) if case < 4 else random_data(rng, case % 2)
+        eps = float(rng.choice([0.1, 0.5, 2.0, 20.0]))
+        new = outcome(roundtrip_scalar_derivation, data, eps)
+        old = outcome(old_roundtrip, data, eps)
+        if old[0] == "raised":
+            assert new == old
+            raised += 1
+            continue
+        free, derived, values, passes, tol, passed = old
+        assert new.scalar_free == free
+        assert new.derived == derived
+        assert new.scaled_values == values
+        assert new.scaled_passes == passes
+        assert new.tol == tol
+        assert new.passed == passed
+        compared += 1
+    assert compared >= 10 and raised >= 3
+
+
+@pytest.mark.parametrize("arities", [(1, 2), (2, 1), (1, 1)], ids=["short x", "short y", "both short"])
+def test_samplers_too_short_for_the_components_are_a_criterion_error(arities):
+    data = CriterionData(
+        components=(SHIFT, SHIFT),
+        smaps=(right_inverse(SHIFT),) * 2,
+        nk=(1, 2, 3),
+        xsampler=make_vector_sampler(W, arities[0], band=1),
+        ysampler=make_vector_sampler(W, arities[1], band=1),
+        lambdas=((0.5,) * 3,) * 2,
+        sample_count=2,
+    )
+    for fn in (check_scaled_criterion, check_scalar_free_criterion):
+        with pytest.raises(CriterionError, match="one part per component"):
+            fn(data)
+    for fn in (derive_scalars, roundtrip_scalar_derivation):
+        with pytest.raises(CriterionError, match="one part per component"):
+            fn(data, 0.1)
+
+
+def test_extra_sampler_parts_are_an_error_not_ignored():
+    # two-part pairs on one component: the second parts used to go unread
+    one = whole_sequence_data(SHIFT, right_inverse(SHIFT), 5, lambdas=(0.5,) * 5, sample_count=2)
+    data = replace(one, xsampler=make_vector_sampler(W, 2, band=1), ysampler=make_vector_sampler(W, 2, band=1))
+    for fn in (check_scaled_criterion, check_scalar_free_criterion, check_compound_scaled, check_compound_scalar_free):
+        with pytest.raises(CriterionError, match="one part per component"):
+            fn(data)
+    for fn in (derive_scalars, roundtrip_scalar_derivation):
+        with pytest.raises(CriterionError, match="one part per component"):
+            fn(data, 0.1)

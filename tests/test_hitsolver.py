@@ -27,7 +27,7 @@ from disklab.operators import (
     ForwardShift,
     Scalar,
     WeightProfile,
-    as_dense,
+    apply,
 )
 from disklab.vectorspace import (
     BILATERAL,
@@ -41,6 +41,22 @@ from disklab.vectorspace import (
 )
 
 EXAMPLE_SHIFT = ForwardShift(WeightProfile(2.0, 3.0))
+
+
+def as_dense(op, window):
+    """Matrix of the truncated operator on coefficient arrays: the reference
+    that takes any operator down the solver's dense path."""
+    # rows of the identity are the basis vectors, so their images are the columns
+    return power_map(op, 1, window).apply_batch(np.eye(window.dim, dtype=np.complex128)).T
+
+
+def test_dense_reference_matches_apply():
+    t = ForwardShift(WeightProfile(2.0, 3.0, {0: 0.5}))
+    w = IndexWindow(BILATERAL, 3)
+    m = as_dense(t, w)
+    rng = np.random.default_rng(3)
+    x = ComplexVector(w, rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim))
+    assert np.allclose(m @ x.coeffs, apply(t, x).coeffs)
 
 
 def unit_ball_problem(window_m=16, n=10, radius=0.5, mode=DISK, alphas=None):

@@ -15,7 +15,6 @@ from disklab.operators import (
     WeightProfile,
     WindowGuardError,
     apply,
-    as_dense,
     ensure_power_fits,
     growth,
     power_apply,
@@ -194,23 +193,6 @@ def test_direct_sum_power_componentwise():
     out = power_apply(ds, 3, p)
     assert out.parts[0] == ComplexVector.basis(w, 0) * 8.0
     assert out.parts[1] == ComplexVector.basis(w, 1) * 0.125
-
-
-def test_as_dense_matches_apply():
-    t = ForwardShift(WeightProfile(2.0, 3.0, {0: 0.5}))
-    w = IndexWindow(BILATERAL, 3)
-    m = as_dense(t, w)
-    rng = np.random.default_rng(3)
-    x = ComplexVector(w, rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim))
-    assert np.allclose(m @ x.coeffs, apply(t, x).coeffs)
-
-
-def test_as_dense_direct_sum_blocks():
-    ds = DirectSum((Scalar(2.0), Scalar(3.0)))
-    w = IndexWindow(UNILATERAL, 1)
-    m = as_dense(ds, w)
-    assert m.shape == (4, 4)
-    assert np.allclose(m, np.diag([2, 2, 3, 3]))
 
 
 def test_window_guard():

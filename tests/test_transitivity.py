@@ -31,6 +31,8 @@ from disklab.vectorspace import (
     ComplexVector,
     IndexWindow,
     ProductBall,
+    as_rng,
+    sample_finite_support,
 )
 
 SHIFT_23 = ForwardShift(WeightProfile(2.0, 3.0))
@@ -156,6 +158,23 @@ def test_detect_rejects_unknown_kind():
     sampler = make_ball_sampler(w, arity=1)
     with pytest.raises(ValueError):
         detect("chaotic", (SHIFT_23,), sampler, trials=1, horizon=4)
+
+
+@pytest.mark.parametrize("trials, horizon", [(0, 10), (-1, 10), (2, 0)])
+def test_detect_needs_a_trial_and_a_power(trials, horizon):
+    # all() over no trials is true, so an empty sample confirmed this contraction
+    sampler = make_ball_sampler(IndexWindow(BILATERAL, 8), arity=1, band=2)
+    with pytest.raises(ValueError, match="at least 1"):
+        detect(DISK_TRANSITIVE, (Scalar(0.5),), sampler, trials=trials, horizon=horizon)
+
+
+def test_make_ball_sampler_draws_as_the_per_ball_loop_did():
+    w = IndexWindow(BILATERAL, 16)
+    sampler = make_ball_sampler(w, arity=3, radius=0.3, support=2, band=4)
+    for seed in range(5):
+        rng = as_rng(seed)
+        centers = [sample_finite_support(w, 2, 1.0, rng, 4, 0.5) for _ in range(3)]
+        assert sampler(seed) == ProductBall(tuple(Ball(c, 0.3) for c in centers))
 
 
 def test_make_ball_sampler_moduli_and_determinism():
