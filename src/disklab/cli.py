@@ -171,6 +171,8 @@ def _at_least_one(what: str) -> Reader:
 _as_size = _at_least_one("window size")
 _as_trials = _at_least_one("trials")
 _as_horizon = _at_least_one("horizon")
+_as_stop = _at_least_one("stop")
+_as_sample_count = _at_least_one("sample_count")
 
 
 def _items(read: Reader) -> Reader:
@@ -561,7 +563,7 @@ def _scan_verdict(rep) -> str:
 
 
 def _scan_options(params: dict, path: str) -> dict:
-    return _fields(params, path, horizon=(_as_int, 40), guard=(_as_bool, True))
+    return _fields(params, path, horizon=(_as_horizon, 40), guard=(_as_bool, True))
 
 
 def _run_junction(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
@@ -645,12 +647,12 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
         raise ConfigError(_sub(path, "components"), "compound variants take exactly one operator")
     arity = 1 if compound else len(components_of(comps))
     # the counts and pair samplers every variant's data takes
-    shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_int, 25), seed=(_as_int, 0))
+    shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_sample_count, 25), seed=(_as_int, 0))
     kwargs = _sampler_kwargs(params, path, with_radius=False)
     shared.update((key, make_vector_sampler(window, arity, **kwargs)) for key in ("xsampler", "ysampler"))
 
     if compound:
-        horizon = _field(params, path, "horizon", _as_int, 40)
+        horizon = _field(params, path, "horizon", _as_horizon, 40)
         lambdas = _criterion_lambdas(params, 1, horizon, path)
         nk, smaps = tuple(range(1, horizon + 1)), (powers_of_right_inverse(comps[0]),)
     else:
@@ -701,7 +703,10 @@ _RUNNERS = {
 _SCENARIO_FIELDS = {
     "m": _as_size,
     "trials": _as_trials,
-    **dict.fromkeys(("horizon", "seed", "stop", "sample_count"), _as_int),
+    "horizon": _as_horizon,
+    "stop": _as_stop,
+    "sample_count": _as_sample_count,
+    "seed": _as_int,
     **dict.fromkeys(("radius", "eps", "tol", "p", "delta"), _as_float),
     **dict.fromkeys(("small_entry", "large_entry", "c"), _as_complex),
 }
@@ -713,6 +718,10 @@ class _Scenario:
     the bilateral window of size m."""
 
     def __init__(self, params: dict, **defaults: Any):
+        unknown = [key for key in params if key not in defaults and key != "id"]
+        if unknown:
+            takes = ", ".join(sorted(defaults))
+            raise ConfigError(_sub("parameters", unknown[0]), f"not a parameter of this scenario; it takes {takes}")
         table = {key: (_SCENARIO_FIELDS[key], default) for key, default in defaults.items()}
         self.params = _fields(params, "parameters", **table)
         self.window = IndexWindow(BILATERAL, self.params["m"])

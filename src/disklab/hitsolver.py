@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,8 +76,11 @@ MAX_ITERS = 40  # alternation steps from one starting point
 STALL_EPS = 1e-12  # alternation stops once a step moves the residual by this, relative
 
 # random_search draws its samples in blocks of this many, which bounds the
-# oracle's memory at a few block-by-window-dimension complex arrays
+# oracle's memory at the block's two real normal arrays (block by window
+# dimension); it scores a block this many rows at a time, so that the passes
+# over a chunk of rows run in cache
 SEARCH_BATCH = 20000
+SCORE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -605,13 +608,58 @@ class SearchReport:
     hits: tuple[bool, ...]  # found residual < target radius, per component
 
 
+def _squared_residuals(pmap: PowerMap, v: np.ndarray) -> Callable[..., np.ndarray]:
+    """Kernel for random_search: given the real and imaginary parts x, y of
+    points z (one per row) and a column of one alpha per row, return the
+    squared residuals |alpha T^n z - v|^2.  x and y are overwritten.
+
+    An orthogonal-column map works on x and y in real arithmetic: column j
+    meets only row tgt[j], so the residual is a sum over columns of
+    |k_j z_j - v[tgt[j]]|^2 with k = alpha coeffs, plus |v|^2 over the rows no
+    live column reaches.  A dense map forms the complex block.
+    """
+    if pmap.kind == "dense":
+        matrix_t = pmap.matrix.T
+
+        def dense(x: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+            diff = alphas * ((x + 1j * y) @ matrix_t) - v
+            return np.add.reduce((diff.conj() * diff).real, axis=1)
+
+        return dense
+    live = pmap.coeffs != 0
+    vcol = np.where(live, v[pmap.tgt], 0)
+    vr, vi = np.ascontiguousarray(vcol.real), np.ascontiguousarray(vcol.imag)
+    rest = np.ones(v.size, dtype=bool)
+    rest[pmap.tgt[live]] = False
+    rest_sq = float(np.sum((v[rest].conj() * v[rest]).real))
+
+    def ortho(x: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+        k = alphas * pmap.coeffs
+        # contiguous parts broadcast over the rows at full speed
+        kr, ki = np.ascontiguousarray(k.real), np.ascontiguousarray(k.imag)
+        # re(k z - v) into a, im(k z - v) into y
+        a = x * kr
+        tmp = y * ki
+        a -= tmp
+        a -= vr
+        y *= kr
+        np.multiply(x, ki, out=tmp)
+        y += tmp
+        y -= vi
+        return np.einsum("ij,ij->i", a, a) + np.einsum("ij,ij->i", y, y) + rest_sq
+
+    return ortho
+
+
 def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     """Brute-force feasible sampling oracle for the hit problem.
 
     Draws (alpha, z) with z strictly inside each source ball and alpha uniform
     on the disk (or pinned in fixed mode); reports the best residual seen per
     component.  Sound but not sharp: it never proves a miss, only fails to
-    find a hit.
+    find a hit.  The draws are the same for every kind of map: per block the
+    real and then the imaginary normals, the radius uniforms, and in disk mode
+    the magnitude and phase uniforms.
     """
     rng = as_rng(seed)
     k = len(p.components)
@@ -621,28 +669,36 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
         src, tgt = p.sources.balls[i], p.targets.balls[i]
         window = src.center.window
         d = window.dim
-        pmap = power_map(op, p.n, window)
-        center = src.center.coeffs
-        vt = tgt.center.coeffs
+        residuals = _squared_residuals(power_map(op, p.n, window), tgt.center.coeffs)
+        cr, ci = np.ascontiguousarray(src.center.coeffs.real), np.ascontiguousarray(src.center.coeffs.imag)
         left = samples
         while left > 0:
             b = min(SEARCH_BATCH, left)
             left -= b
-            dirs = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
-            norms = np.linalg.norm(dirs, axis=1)
-            norms[norms == 0] = 1.0
+            x = rng.standard_normal((b, d))
+            y = rng.standard_normal((b, d))
             radii = src.radius * rng.uniform(size=b) ** (1.0 / (2 * d)) * (1.0 - 1e-12)
-            z_block = center + dirs * (radii / norms)[:, None]
-            w_block = pmap.apply_batch(z_block)
             if p.mode == FIXED:
                 alphas = np.full(b, p.fixed_alphas[i], dtype=np.complex128)
             else:
                 mags = np.sqrt(rng.uniform(size=b))
                 alphas = mags * np.exp(2j * np.pi * rng.uniform(size=b))
-            res = np.linalg.norm(alphas[:, None] * w_block - vt, axis=1)
-            j = int(np.argmin(res))
-            if res[j] < best_res[i]:
-                best_res[i] = float(res[j])
+            sq = np.empty(b)
+            for lo in range(0, b, SCORE_ROWS):
+                rows = slice(lo, lo + SCORE_ROWS)
+                xr, yr = x[rows], y[rows]
+                norms = np.sqrt(np.einsum("ij,ij->i", xr, xr) + np.einsum("ij,ij->i", yr, yr))
+                norms[norms == 0] = 1.0
+                scale = (radii[rows] / norms)[:, None]
+                xr *= scale
+                xr += cr
+                yr *= scale
+                yr += ci
+                sq[rows] = residuals(xr, yr, alphas[rows, None])
+            j = int(np.argmin(sq))
+            res = math.sqrt(sq[j])
+            if res < best_res[i]:
+                best_res[i] = res
                 best_alpha_found[i] = complex(alphas[j])
     return SearchReport(
         best_residuals=tuple(best_res),

@@ -231,14 +231,6 @@ class PowerMap:
         out[self.tgt[live]] = self.coeffs[live] * arr[live]
         return out
 
-    def apply_batch(self, block: np.ndarray) -> np.ndarray:
-        if self.kind == "dense":
-            return block @ self.matrix.T
-        out = np.zeros_like(block)
-        live = self.coeffs != 0
-        out[:, self.tgt[live]] = block[:, live] * self.coeffs[live]
-        return out
-
 
 def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:
     """T^n on the window; shift mass that leaves the window is dropped."""

@@ -240,6 +240,25 @@ FIELD_PATH_CASES = [
     ("detect trials zero", _experiment("detect", kind="disk_transitive", trials=0), "parameters.trials"),
     ("detect trials negative", _experiment("detect", kind="disk_transitive", trials=-1), "parameters.trials"),
     ("detect horizon zero", _experiment("detect", kind="compound", horizon=0), "parameters.horizon"),
+    ("scenario unknown key", _with(_CROSS_SCENARIO, "parameters.stop", 0), "parameters.stop"),
+    ("scenario horizon zero", _with(_CROSS_SCENARIO, "parameters.horizon", 0), "parameters.horizon"),
+    (
+        "scenario stop zero",
+        {"experiment": "scenario", "parameters": {"id": "scalar-derivation-roundtrip", "stop": 0}},
+        "parameters.stop",
+    ),
+    (
+        "scenario sample_count zero",
+        {"experiment": "scenario", "parameters": {"id": "scalar-derivation-roundtrip", "sample_count": 0}},
+        "parameters.sample_count",
+    ),
+    ("junction horizon zero", _with(shift_config(), "parameters.horizon", 0), "parameters.horizon"),
+    ("criterion sample_count zero", _experiment("criterion", sample_count=0), "parameters.sample_count"),
+    (
+        "compound criterion horizon zero",
+        _experiment("criterion", variant="compound_scalar_free", horizon=0),
+        "parameters.horizon",
+    ),
 ]
 
 
@@ -250,6 +269,14 @@ def test_config_errors_name_the_field(cfg, field_path):
     with pytest.raises(ConfigError) as err:
         run(cfg)
     assert err.value.field_path == field_path
+
+
+def test_unknown_scenario_key_lists_the_keys_it_takes():
+    cfg = {"experiment": "scenario", "parameters": {"id": "scalar-derivation-roundtrip", "horizon": 0}}
+    with pytest.raises(ConfigError) as err:
+        run(cfg)
+    assert err.value.field_path == "parameters.horizon"
+    assert err.value.message.endswith("it takes eps, m, sample_count, seed, stop, tol")
 
 
 _HUGE = 10**400  # an integer literal json.loads reads and float() cannot hold

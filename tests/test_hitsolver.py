@@ -43,11 +43,22 @@ from disklab.vectorspace import (
 EXAMPLE_SHIFT = ForwardShift(WeightProfile(2.0, 3.0))
 
 
+def apply_batch(pmap, block):
+    """pmap applied to each row of a complex block; orthogonal-column maps
+    scatter column j to row tgt[j]."""
+    if pmap.kind == "dense":
+        return block @ pmap.matrix.T
+    out = np.zeros_like(block)
+    live = pmap.coeffs != 0
+    out[:, pmap.tgt[live]] = block[:, live] * pmap.coeffs[live]
+    return out
+
+
 def as_dense(op, window):
     """Matrix of the truncated operator on coefficient arrays: the reference
     that takes any operator down the solver's dense path."""
     # rows of the identity are the basis vectors, so their images are the columns
-    return power_map(op, 1, window).apply_batch(np.eye(window.dim, dtype=np.complex128)).T
+    return apply_batch(power_map(op, 1, window), np.eye(window.dim, dtype=np.complex128)).T
 
 
 def test_dense_reference_matches_apply():
@@ -114,7 +125,7 @@ def test_constrained_lsq_beats_sampling_oracle():
             block /= np.linalg.norm(block, axis=1)[:, None]
             radii = eps * rng.uniform(size=500) ** (1 / 8)
             z = u.coeffs + block * radii[:, None]
-            res = np.linalg.norm(pmap.apply_batch(z) - v.coeffs, axis=1)
+            res = np.linalg.norm(apply_batch(pmap, z) - v.coeffs, axis=1)
             best = min(best, float(res.min()))
         assert sol.residual <= best + 1e-9
 
@@ -449,6 +460,107 @@ def test_random_search_respects_fixed_alpha():
     rep = random_search(p, samples=3000, seed=5)
     assert rep.best_alphas == (1.0,)
     assert rep.hits == (False,)
+
+
+def reference_search(p, samples, seed):
+    """random_search as a loop on complex blocks through apply_batch, for every
+    map kind: the reference the real-valued kernel must reproduce."""
+    rng = np.random.default_rng(seed)
+    k = len(p.components)
+    best_res = [math.inf] * k
+    best_alpha_found = [1.0 + 0j] * k
+    for i, op in enumerate(p.components):
+        src, tgt = p.sources.balls[i], p.targets.balls[i]
+        d = src.center.window.dim
+        pmap = power_map(op, p.n, src.center.window)
+        left = samples
+        while left > 0:
+            b = min(hitsolver.SEARCH_BATCH, left)
+            left -= b
+            dirs = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+            norms = np.linalg.norm(dirs, axis=1)
+            norms[norms == 0] = 1.0
+            radii = src.radius * rng.uniform(size=b) ** (1.0 / (2 * d)) * (1.0 - 1e-12)
+            z_block = src.center.coeffs + dirs * (radii / norms)[:, None]
+            w_block = apply_batch(pmap, z_block)
+            if p.mode == FIXED:
+                alphas = np.full(b, p.fixed_alphas[i], dtype=np.complex128)
+            else:
+                mags = np.sqrt(rng.uniform(size=b))
+                alphas = mags * np.exp(2j * np.pi * rng.uniform(size=b))
+            res = np.linalg.norm(alphas[:, None] * w_block - tgt.center.coeffs, axis=1)
+            j = int(np.argmin(res))
+            if res[j] < best_res[i]:
+                best_res[i] = float(res[j])
+                best_alpha_found[i] = complex(alphas[j])
+    return best_res, best_alpha_found, [best_res[i] < p.targets.balls[i].radius for i in range(k)]
+
+
+def _random_operator(kind, window, rng):
+    if kind in ("forward", "backward"):
+        table = {int(j): float(rng.uniform(0.3, 3.0)) for j in rng.integers(window.lo, window.hi + 1, size=3)}
+        profile = WeightProfile(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)), table)
+        return (ForwardShift if kind == "forward" else BackwardShift)(profile)
+    if kind == "diagonal":
+        entries = rng.uniform(0.5, 1.5, window.dim) * np.exp(2j * np.pi * rng.uniform(size=window.dim))
+        entries[rng.integers(window.dim)] = 0.0  # a dead column, and a row no column reaches
+        return Diagonal(dict(zip(window.indices(), entries)))
+    if kind == "scalar":
+        return Scalar(complex(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())))
+    return Dense(rng.standard_normal((window.dim, window.dim)) + 1j * rng.standard_normal((window.dim, window.dim)))
+
+
+def _random_ball(window, rng, radius_range, spread=1.0):
+    coeffs = spread * (rng.standard_normal(window.dim) + 1j * rng.standard_normal(window.dim))
+    return Ball(ComplexVector(window, coeffs), float(rng.uniform(*radius_range)))
+
+
+# (kinds, n) on the window of dimension 7; n >= 7 leaves every shift column dead
+SEARCH_GUARD_CASES = [
+    (("forward",), 3),
+    (("backward",), 2),
+    (("forward",), 7),
+    (("backward",), 9),
+    (("diagonal",), 3),
+    (("scalar",), 5),
+    (("backward", "diagonal"), 2),
+    (("forward", "scalar", "backward"), 4),
+    (("diagonal", "forward", "backward"), 8),
+    (("dense", "forward"), 2),
+]
+
+
+@pytest.mark.parametrize("mode", [FIXED, DISK])
+@pytest.mark.parametrize(
+    "case", range(len(SEARCH_GUARD_CASES)), ids=["-".join(k) + f"-n{n}" for k, n in SEARCH_GUARD_CASES]
+)
+def test_random_search_matches_reference_loop(case, mode):
+    kinds, n = SEARCH_GUARD_CASES[case]
+    rng = np.random.default_rng([case, mode == FIXED])
+    w = IndexWindow(BILATERAL, 3)
+    p = HitProblem(
+        components=tuple(_random_operator(kind, w, rng) for kind in kinds),
+        n=n,
+        sources=ProductBall(tuple(_random_ball(w, rng, (0.2, 1.0)) for _ in kinds)),
+        targets=ProductBall(tuple(_random_ball(w, rng, (0.5, 2.5), spread=0.5) for _ in kinds)),
+        mode=mode,
+        fixed_alphas=tuple(rng.uniform(0.2, 1.0) * np.exp(2j * np.pi * rng.uniform()) for _ in kinds)
+        if mode == FIXED
+        else None,
+    )
+    # two blocks, the second one short
+    samples = hitsolver.SEARCH_BATCH + 5000
+    seed = 1000 + case
+    ref_res, ref_alphas, ref_hits = reference_search(p, samples, seed)
+    got = random_search(p, samples, seed)
+    assert got.best_alphas == tuple(ref_alphas)
+    assert got.hits == tuple(ref_hits)
+    for a, b in zip(got.best_residuals, ref_res):
+        assert abs(a - b) <= 4 * np.spacing(max(a, b))
+    if n >= w.dim and "forward" in kinds:
+        # every shift column is dead: each residual is the target centre's norm
+        i = kinds.index("forward")
+        assert got.best_residuals[i] == pytest.approx(norm(p.targets.balls[i].center), rel=1e-15)
 
 
 def test_problem_validation():
