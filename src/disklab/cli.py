@@ -156,23 +156,24 @@ _as_complex = _reader(
 )
 
 
-def _at_least_one(what: str) -> Reader:
-    """Reader of an integer of at least 1, such as a window size or a count."""
+def _at_least(low: int, what: str) -> Reader:
+    """Reader of an integer of at least low, such as a window size, a count or a seed."""
 
     def read(value: Any, path: str) -> int:
         n = _as_int(value, path)
-        if n < 1:
-            raise ConfigError(path, f"{what} must be at least 1")
+        if n < low:
+            raise ConfigError(path, f"{what} must be at least {low}")
         return n
 
     return read
 
 
-_as_size = _at_least_one("window size")
-_as_trials = _at_least_one("trials")
-_as_horizon = _at_least_one("horizon")
-_as_stop = _at_least_one("stop")
-_as_sample_count = _at_least_one("sample_count")
+_as_size = _at_least(1, "window size")
+_as_trials = _at_least(1, "trials")
+_as_horizon = _at_least(1, "horizon")
+_as_stop = _at_least(1, "stop")
+_as_sample_count = _at_least(1, "sample_count")
+_as_seed = _at_least(0, "seed")
 
 
 def _items(read: Reader) -> Reader:
@@ -600,7 +601,7 @@ def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str) ->
     comps = _resolve_components(params, registry, path)
     kind = _field(params, path, "kind", _choice(_DETECT_KINDS, "kind"))
     options = _fields(
-        params, path, trials=(_as_trials, 20), horizon=(_as_horizon, 40), seed=(_as_int, 0),
+        params, path, trials=(_as_trials, 20), horizon=(_as_horizon, 40), seed=(_as_seed, 0),
         tail_fraction=(_as_float, 0.5),
     )
     kwargs = _sampler_kwargs(params, path, with_radius=True)
@@ -647,7 +648,7 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
         raise ConfigError(_sub(path, "components"), "compound variants take exactly one operator")
     arity = 1 if compound else len(components_of(comps))
     # the counts and pair samplers every variant's data takes
-    shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_sample_count, 25), seed=(_as_int, 0))
+    shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_sample_count, 25), seed=(_as_seed, 0))
     kwargs = _sampler_kwargs(params, path, with_radius=False)
     shared.update((key, make_vector_sampler(window, arity, **kwargs)) for key in ("xsampler", "ysampler"))
 
@@ -706,7 +707,7 @@ _SCENARIO_FIELDS = {
     "horizon": _as_horizon,
     "stop": _as_stop,
     "sample_count": _as_sample_count,
-    "seed": _as_int,
+    "seed": _as_seed,
     **dict.fromkeys(("radius", "eps", "tol", "p", "delta"), _as_float),
     **dict.fromkeys(("small_entry", "large_entry", "c"), _as_complex),
 }
@@ -900,7 +901,7 @@ def run(cfg: dict) -> tuple[RunOutcome, dict]:
         "experiment": experiment,
         "verdict": outcome.verdict,
         "exit_code": outcome.exit_code,
-        "seed": params.get("seed", 0),
+        "seed": _field(params, "parameters", "seed", _as_seed, 0),
         "config": _jsonable(cfg),
         "results": _jsonable(outcome.results),
         "curves": {

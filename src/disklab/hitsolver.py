@@ -176,7 +176,13 @@ class TrsResult:
 
 
 def _secular_solve(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[float, float]:
-    """Solve sum s_i/(q_i+mu)^2 = eps^2 for mu > 0; returns (mu, norm at mu)."""
+    """Solve sum s_i/(q_i+mu)^2 = eps^2 for mu >= 0; returns (mu, norm at mu).
+
+    Every term needs q_i > 0 or s_i > 0.  Below sqrt(s_i)/eps - q_i one term
+    alone keeps the norm above eps, so the largest of these bounds (or 0)
+    lies left of the root; 1/norm is concave and increasing in mu, so Newton
+    from there climbs to the root inside the bracket [0, ||g||/eps].
+    """
 
     def nrm(mu: float) -> float:
         return math.sqrt(float(np.sum(s / (q + mu) ** 2)))
@@ -184,7 +190,7 @@ def _secular_solve(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[float, flo
     g_norm = math.sqrt(float(np.sum(s)))
     mu_hi = g_norm / eps
     mu_lo = 0.0
-    mu = 0.5 * mu_hi
+    mu = max(0.0, float(np.max(np.sqrt(s) / eps - q)))
     val = nrm(mu)
     for _ in range(200):
         if abs(val - eps) <= 1e-14 * eps:
@@ -222,6 +228,10 @@ def _trs_core(q: np.ndarray, g: np.ndarray, eps: float) -> tuple[np.ndarray, flo
         d0[live] = g[live] / q[live]
         if float(np.linalg.norm(d0)) <= eps:
             return d0, 0.0, False, 0.0
+    # a term with s = 0 adds nothing to the norm and gets d = 0 at any mu;
+    # q = 1 there keeps q = s = 0 (a column that died at the window edge)
+    # from giving 0/0 at mu = 0
+    q = np.where(s > 0, q, 1.0)
     mu, val = _secular_solve(q, s, eps)
     d = g / (q + mu)
     return d, mu, True, abs(val - eps) / eps
@@ -270,8 +280,14 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
 
 
 def _secular_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """_secular_solve on every row of (q, s) at once: the same bracketed Newton
-    on 1/||d(mu)|| - 1/eps, with its own bracket and stopping test per row."""
+    """_secular_solve on every row of (q, s) at once: bracketed Newton on
+    1/||d(mu)|| - 1/eps with its own bracket and stopping test per row, but
+    started at the bracket's midpoint, not at the single-term lower bound.
+
+    The loop runs until its slowest row stops, and on the disk-grid rows the
+    lower-bound start took more passes than the midpoint.  The midpoint also
+    keeps mu > 0, so terms with q = s = 0 need no masking here.
+    """
     hi = np.sqrt(np.sum(s, axis=1)) / eps
     lo = np.zeros_like(hi)
     mu = 0.5 * hi

@@ -74,7 +74,12 @@ class WeightProfile:
 
     def weights_on(self, lo: int, hi: int) -> np.ndarray:
         """Weights at indices lo..hi inclusive."""
-        return np.array([self.weight(m) for m in range(lo, hi + 1)], dtype=float)
+        out = np.full(max(0, hi - lo + 1), float(self.pos))
+        out[: max(0, -lo)] = self.neg  # indices below 0
+        for m, w in self.table.items():
+            if lo <= m <= hi:
+                out[m - lo] = w
+        return out
 
     def reciprocal(self) -> "WeightProfile":
         return WeightProfile(

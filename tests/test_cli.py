@@ -254,6 +254,10 @@ FIELD_PATH_CASES = [
     ),
     ("junction horizon zero", _with(shift_config(), "parameters.horizon", 0), "parameters.horizon"),
     ("criterion sample_count zero", _experiment("criterion", sample_count=0), "parameters.sample_count"),
+    ("scenario seed negative", _with(_CROSS_SCENARIO, "parameters.seed", -1), "parameters.seed"),
+    ("detect seed negative", _experiment("detect", kind="compound", seed=-3), "parameters.seed"),
+    ("criterion seed negative", _experiment("criterion", seed=-1), "parameters.seed"),
+    ("reported seed negative", _with(shift_config(), "parameters.seed", -1), "parameters.seed"),
     (
         "compound criterion horizon zero",
         _experiment("criterion", variant="compound_scalar_free", horizon=0),

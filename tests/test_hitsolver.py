@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -250,6 +251,86 @@ def test_trs_boundary_case_is_tight():
     assert sol.boundary
     assert norm(sol.z - u) == pytest.approx(1.0, rel=1e-12)
     assert sol.residual == pytest.approx(99.0, rel=1e-12)
+
+
+def bisect_secular(q, s, eps):
+    """Root of sum s/(q+mu)^2 = eps^2 by plain bisection on [0, ||g||/eps],
+    halved until the midpoint is an endpoint; terms with s = 0 are left out."""
+    terms = [(float(qi), float(si)) for qi, si in zip(q, s) if si > 0]
+    lo, hi = 0.0, math.sqrt(math.fsum(si for _, si in terms)) / eps
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if math.fsum(si / (qi + mid) ** 2 for qi, si in terms) > eps * eps:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def check_secular_root(mu, q, s, eps):
+    """mu against bisection and against the batched rows."""
+    assert mu == pytest.approx(bisect_secular(q, s, eps), rel=1e-12)
+    mu_rows, val_rows = hitsolver._secular_rows(q[None, :], s[None, :], eps)
+    assert mu == pytest.approx(mu_rows[0], rel=1e-12)
+    assert abs(val_rows[0] - eps) <= 1e-14 * eps
+
+
+def test_secular_newton_climbs_from_below(monkeypatch):
+    """A cli-scenarios solve (compound-plus-transitive) where the old midpoint
+    start fell right of the root: 34 steps, 31 of them bisections.  From the
+    largest single-term lower bound Newton needs two."""
+    q = np.array([1.8086045703329551e08, 4.5215114258323878e07, 1.0039772182129675e-08, 1.0039772182129675e-08])
+    s = np.array([6.8656334601717412e07, 2.4015192093115658e07, 7.3069170996626985e-17, 6.5938370770724885e-17])
+    eps = 0.44999999955000003
+    norms = []  # one square root for ||g||, then one per norm evaluation
+    monkeypatch.setattr(hitsolver, "math", types.SimpleNamespace(sqrt=lambda x: norms.append(x) or math.sqrt(x)))
+    with np.errstate(all="raise"):
+        mu, val = hitsolver._secular_solve(q, s, eps)
+    monkeypatch.undo()
+    assert len(norms) <= 4
+    assert abs(val - eps) <= 1e-14 * eps
+    with np.errstate(all="raise"):
+        check_secular_root(mu, q, s, eps)
+
+
+def secular_case(rng):
+    """Random (q, g, eps) for a boundary trust-region solve: q spans 1e-10 to
+    1e10, with free mass (q = 0, s > 0) and massless terms (q = s = 0) mixed
+    in; eps is the norm at a root drawn from 1e-10 to 1e10.  Draws where the
+    norm barely moves with mu are drawn again: there a norm within 1e-14 of
+    eps pins mu only to about 1e-14 over mu |d log||d|| / d mu|."""
+    while True:
+        n = int(rng.integers(1, 9))
+        q = 10.0 ** rng.uniform(-10, 10, n)
+        g = 10.0 ** rng.uniform(-5, 5, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        kind = rng.integers(0, 4, n)  # 0, 1: ordinary; 2: free mass; 3: massless
+        q[kind >= 2] = 0.0
+        g[kind == 3] = 0.0
+        s = np.abs(g) ** 2
+        if not np.any(s > 0):
+            continue
+        mu = 10.0 ** rng.uniform(-10, 10)
+        w = s[s > 0] / (q[s > 0] + mu) ** 2
+        if mu * np.sum(w / (q[s > 0] + mu)) / np.sum(w) >= 0.1:
+            return q, g, math.sqrt(float(np.sum(w)))
+
+
+def test_trs_core_secular_root_matches_references():
+    rng = np.random.default_rng(11)
+    # every single term has norm at most eps at mu = 0, so the solve starts
+    # there, next to a massless term
+    at_zero = (np.array([1.0, 4.0, 0.0]), np.array([1.0, 3.0 + 2.0j, 0.0]), 1.2)
+    kinds = set()
+    for q, g, eps in [at_zero] + [secular_case(rng) for _ in range(300)]:
+        s = np.abs(g) ** 2
+        kinds.update(("free" if si > 0 else "massless") for qi, si in zip(q, s) if qi == 0)
+        with np.errstate(all="raise"):
+            d, mu, boundary, gap = hitsolver._trs_core(q, g, eps)
+            assert boundary and gap <= 1e-14
+            assert np.all(np.isfinite(d)) and np.all(d[s == 0] == 0)
+            assert float(np.linalg.norm(d)) == pytest.approx(eps, rel=1e-13)
+            check_secular_root(mu, q, s, eps)
+    assert kinds == {"free", "massless"}
 
 
 def test_criterion_scalar_is_recorded_on_hits():

@@ -57,6 +57,28 @@ def test_weight_profile_lookup():
     assert list(w.weights_on(-2, 1)) == [7.0, 3.0, 0.5, 2.0]
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        WeightProfile(2.0, 3.0),
+        WeightProfile(0.1, 7, {-40: 1e-300, -3: 5.0, 0: 0.5, 2: 1e300, 9: 4}),
+        WeightProfile(1.0 / 3.0, 1.5, {k: 1.0 + k / 7.0 for k in range(-5, 6)}),
+    ],
+    ids=["empty table", "sparse table", "dense table"],
+)
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(-12, -4), (-3, -3), (0, 0), (1, 12), (-6, 6), (-50, 50), (3, 2)],
+    ids=["below 0", "at -3", "at 0", "above 0", "across 0", "past every key", "empty span"],
+)
+def test_weights_on_equals_weight_lookups(profile, lo, hi):
+    got = profile.weights_on(lo, hi)
+    want = [profile.weight(m) for m in range(lo, hi + 1)]
+    assert got.dtype == np.float64
+    assert got.shape == (len(want),)
+    assert got.tolist() == want
+
+
 def test_weight_profile_rejects_nonpositive():
     with pytest.raises(OperatorError):
         WeightProfile(2.0, 0.0)
