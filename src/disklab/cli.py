@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -149,7 +149,6 @@ _as_dict = _reader("an object", lambda v: isinstance(v, dict), show=_type_name)
 _as_list = _reader("a list", lambda v: isinstance(v, list), show=_type_name)
 _as_str = _reader("a string", lambda v: isinstance(v, str), show=_type_name)
 _as_int = _reader("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_as_bool = _reader("true or false", lambda v: isinstance(v, bool))
 _as_float = _reader("a number", _is_number, float)
 _as_complex = _reader(
     "a number or [re, im] pair", _is_complex, lambda v: complex(*v) if isinstance(v, list) else complex(v)
@@ -563,21 +562,17 @@ def _scan_verdict(rep) -> str:
     return INCONCLUSIVE
 
 
-def _scan_options(params: dict, path: str) -> dict:
-    return _fields(params, path, horizon=(_as_horizon, 40), guard=(_as_bool, True))
-
-
 def _run_junction(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
     comps, arity, sources, targets, mode, alphas = _scan_inputs(params, registry, window, path)
-    options = _scan_options(params, path)
-    rep = junction_scan(comps, sources, targets, mode=mode, fixed_alphas=alphas, **options)
+    horizon = _field(params, path, "horizon", _as_horizon, 40)
+    rep = junction_scan(comps, sources, targets, horizon, mode, alphas)
     return _outcome(_scan_verdict(rep), {"scan": _scan_payload(rep)}, {"scan": _scan_table(rep, arity)})
 
 
 def _run_cross(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
     comps, arity, a, b, mode, alphas = _scan_inputs(params, registry, window, path, ("a", "b"))
-    options = _scan_options(params, path)
-    rep = cross_scan(comps, a, b, mode=mode, fixed_alphas=alphas, **options)
+    horizon = _field(params, path, "horizon", _as_horizon, 40)
+    rep = cross_scan(comps, a, b, horizon, mode, alphas)
     scans = {"forward_scan": rep.forward_report, "backward_scan": rep.backward_report}
     results = {name: sorted(getattr(rep, name)) for name in ("forward", "backward", "junction")}
     results.update((name, _scan_payload(scan)) for name, scan in scans.items())
@@ -587,7 +582,7 @@ def _run_cross(params: dict, registry: dict, window: IndexWindow, path: str) -> 
     }
     if rep.junction:
         verdict = "pass"
-    elif certified == set(range(1, options["horizon"] + 1)):
+    elif certified == set(range(1, horizon + 1)):
         verdict = "fail"
     else:
         verdict = INCONCLUSIVE
@@ -600,10 +595,7 @@ _DETECT_KINDS = {kind: kind for kind in (DISK_TRANSITIVE, K_BITRANSITIVE, COMPOU
 def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
     comps = _resolve_components(params, registry, path)
     kind = _field(params, path, "kind", _choice(_DETECT_KINDS, "kind"))
-    options = _fields(
-        params, path, trials=(_as_trials, 20), horizon=(_as_horizon, 40), seed=(_as_seed, 0),
-        tail_fraction=(_as_float, 0.5),
-    )
+    options = _fields(params, path, trials=(_as_trials, 20), horizon=(_as_horizon, 40), seed=(_as_seed, 0))
     kwargs = _sampler_kwargs(params, path, with_radius=True)
     sampler = make_ball_sampler(window, len(components_of(comps)), **kwargs)
     verdict = detect(kind, comps, sampler, **options)
@@ -686,14 +678,28 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
     return _criterion_outcome(check(data))
 
 
+# each runner with the parameters it reads (for criterion, over all its
+# variants) and `seed`, which run() reads for every report
 _RUNNERS = {
-    "orbit": _run_orbit,
-    "hit": _run_hit,
-    "junction": _run_junction,
-    "cross": _run_cross,
-    "detect": _run_detect,
-    "criterion": _run_criterion,
+    "orbit": (_run_orbit, ("components", "vector", "horizon", "seed")),
+    "hit": (_run_hit, ("components", "sources", "targets", "mode", "alphas", "n", "seed")),
+    "junction": (_run_junction, ("components", "sources", "targets", "mode", "alphas", "horizon", "seed")),
+    "cross": (_run_cross, ("components", "a", "b", "mode", "alphas", "horizon", "seed")),
+    "detect": (_run_detect, ("components", "kind", "trials", "horizon", "seed", "sampler")),
+    "criterion": (
+        _run_criterion,
+        ("components", "variant", "tol", "sample_count", "seed", "sampler", "nk", "lambdas", "horizon", "eps"),
+    ),
 }
+
+
+def _check_keys(keys: Iterable[str], takes: Sequence[str], what: str) -> None:
+    """Reject the first parameter key the experiment or scenario does not read,
+    before the run, so a misspelt or stale key cannot pass unnoticed."""
+    for key in keys:
+        if key not in takes:
+            listed = ", ".join(sorted(takes))
+            raise ConfigError(_sub("parameters", key), f"not a parameter of this {what}; it takes {listed}")
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +725,7 @@ class _Scenario:
     the bilateral window of size m."""
 
     def __init__(self, params: dict, **defaults: Any):
-        unknown = [key for key in params if key not in defaults and key != "id"]
-        if unknown:
-            takes = ", ".join(sorted(defaults))
-            raise ConfigError(_sub("parameters", unknown[0]), f"not a parameter of this scenario; it takes {takes}")
+        _check_keys((key for key in params if key != "id"), list(defaults), "scenario")
         table = {key: (_SCENARIO_FIELDS[key], default) for key, default in defaults.items()}
         self.params = _fields(params, "parameters", **table)
         self.window = IndexWindow(BILATERAL, self.params["m"])
@@ -891,9 +894,11 @@ def run(cfg: dict) -> tuple[RunOutcome, dict]:
     if experiment == "scenario":
         outcome = _run_scenario(cfg, params)
     else:
+        runner, takes = _RUNNERS[experiment]
+        _check_keys(params, takes, "experiment")
         window = _field(cfg, "", "window", build_window)
         registry = build_operators(cfg.get("operators", {}), window)
-        outcome = _RUNNERS[experiment](params, registry, window, "parameters")
+        outcome = runner(params, registry, window, "parameters")
 
     report = {
         "tool": {"name": "disklab", "version": __version__},

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -172,7 +172,6 @@ class TrsResult:
     z: ComplexVector
     residual: float
     kkt_residual: float
-    boundary: bool
 
 
 def _secular_solve(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[float, float]:
@@ -212,29 +211,29 @@ def _secular_solve(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[float, flo
     return mu, val
 
 
-def _trs_core(q: np.ndarray, g: np.ndarray, eps: float) -> tuple[np.ndarray, float, bool, float]:
+def _trs_core(q: np.ndarray, g: np.ndarray, eps: float) -> tuple[np.ndarray, float, float]:
     """min ||A d - r||, ||d|| <= eps, expressed through q = eig(A^H A), g = A^H r.
 
-    Returns (d, mu, boundary, norm_gap) with norm_gap = | ||d|| - eps | / eps
-    when the solution sits on the boundary, else 0.
+    Returns (d, mu, norm_gap) with norm_gap = | ||d|| - eps | / eps when the
+    solution sits on the boundary, else 0.
     """
     s = np.abs(g) ** 2
     if not np.any(s > 0):
-        return np.zeros_like(g), 0.0, False, 0.0
+        return np.zeros_like(g), 0.0, 0.0
     live = q > 0
     free_mass = bool(np.any(~live & (s > 0)))
     if not free_mass:
         d0 = np.zeros_like(g)
         d0[live] = g[live] / q[live]
         if float(np.linalg.norm(d0)) <= eps:
-            return d0, 0.0, False, 0.0
+            return d0, 0.0, 0.0
     # a term with s = 0 adds nothing to the norm and gets d = 0 at any mu;
     # q = 1 there keeps q = s = 0 (a column that died at the window edge)
     # from giving 0/0 at mu = 0
     q = np.where(s > 0, q, 1.0)
     mu, val = _secular_solve(q, s, eps)
     d = g / (q + mu)
-    return d, mu, True, abs(val - eps) / eps
+    return d, mu, abs(val - eps) / eps
 
 
 def _gram_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,25 +257,24 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
         g = np.zeros(window.dim, dtype=np.complex128)
         live = A.coeffs != 0
         g[live] = np.conj(A.coeffs[live]) * r[A.tgt[live]]
-        d, mu, boundary, gap = _trs_core(q, g, eps)
+        d, mu, gap = _trs_core(q, g, eps)
         stat = float(np.linalg.norm((q + mu) * d - g))
     else:
         m = A.matrix
         evals, evecs = _gram_eigh(m)
         g_full = m.conj().T @ r
         g = evecs.conj().T @ g_full
-        d_eig, mu, boundary, gap = _trs_core(evals, g, eps)
+        d_eig, mu, gap = _trs_core(evals, g, eps)
         d = evecs @ d_eig
         stat = float(np.linalg.norm((evals + mu) * d_eig - g))
         g = g_full
     g_scale = max(1.0, float(np.linalg.norm(g)))
     dn = float(np.linalg.norm(d))
     feas = max(0.0, dn - eps) / eps
-    comp = gap if boundary else 0.0
-    kkt = max(stat / g_scale, feas, comp)
+    kkt = max(stat / g_scale, feas, gap)
     z = ComplexVector(window, u.coeffs + d)
     residual = float(np.linalg.norm(A.apply_vec(z.coeffs) - target.coeffs))
-    return TrsResult(z=z, residual=residual, kkt_residual=kkt, boundary=boundary)
+    return TrsResult(z=z, residual=residual, kkt_residual=kkt)
 
 
 def _secular_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -490,7 +488,6 @@ def _solve_component(
     tgt: Ball,
     mode: str,
     fixed_alpha: complex | None,
-    extra_seeds: Sequence[ComplexVector] = (),
 ) -> _ComponentSolve:
     window = src.center.window
     u, v = src.center, tgt.center
@@ -520,12 +517,16 @@ def _solve_component(
         sol = constrained_lsq(base.scaled(alpha), u, eps_eff, v)
         return track(alpha, sol.z, sol.residual, sol.kkt_residual)
 
+    if mode == FIXED:
+        pinned(fixed_alpha)
+        return best
+
     def alternate(z0: ComplexVector) -> bool:
         z = z0
         prev = math.inf
         for _ in range(MAX_ITERS):
             w = ComplexVector(window, base.apply_vec(z.coeffs))
-            alpha = fixed_alpha if mode == FIXED else best_alpha(w, v)
+            alpha = best_alpha(w, v)
             if norm(z - u) < src.radius and track(alpha, z, norm(w * alpha - v)):
                 return True
             sol = constrained_lsq(base.scaled(alpha), u, eps_eff, v)
@@ -537,33 +538,21 @@ def _solve_component(
             z = sol.z
         return False
 
-    if mode == FIXED:
-        pinned(fixed_alpha)
-        for seed in extra_seeds:
-            if best.hit:
-                break
-            alternate(seed)
-        return best
-
     crit = _criterion_scalar(op, n, base, src, tgt)
     # criterion-pinned scalar first: where it hits, the recorded alpha is the
     # construction's lambda_n, not a refit
     if crit is not None and pinned(crit[0]):
         return best
-    if pinned(1.0 + 0j):
-        return best
     if alternate(u):
         return best
     if crit is not None and alternate(crit[1]):
         return best
-    for seed in extra_seeds:
-        if alternate(seed):
-            return best
     # the z-subproblem at fixed alpha is convex and solved exactly, so the
     # joint landscape is nonconvex only through alpha; a coarse disk grid
-    # plus one polish escapes alternation stalls.  The grid is one batched
-    # solve, replayed through track() in grid order, so the first hit, the
-    # best point and max_kkt are those of pinning each grid alpha in turn
+    # (alpha = 1 is its modulus-1, phase-0 row) plus one polish escapes
+    # alternation stalls.  The grid is one batched solve, replayed through
+    # track() in grid order, so the first hit, the best point and max_kkt
+    # are those of pinning each grid alpha in turn
     zs, residuals, kkts = _grid_lsq(base, np.array(_GRID_ALPHAS), u, eps_eff, v)
     for alpha, z, residual, kkt in zip(_GRID_ALPHAS, zs, residuals.tolist(), kkts.tolist()):
         # track() keeps z only from a row that improves on the best or hits
@@ -575,19 +564,11 @@ def _solve_component(
     return best
 
 
-def solve_hit(p: HitProblem, seeds: Sequence[ProductVector] | None = None) -> HitResult:
+def solve_hit(p: HitProblem) -> HitResult:
     """Solve the joint hit problem; the product structure separates by component."""
     cert = certify_miss(p)
     if cert is not None:
         return HitResult(status=MISS_CERTIFIED, certificate=cert)
-    k = len(p.components)
-    seed_lists: list[list[ComplexVector]] = [[] for _ in range(k)]
-    if seeds:
-        for pv in seeds:
-            if pv.arity != k:
-                raise ValueError("seed arity does not match the problem")
-            for i, part in enumerate(pv.parts):
-                seed_lists[i].append(part)
     solves = [
         _solve_component(
             op,
@@ -596,7 +577,6 @@ def solve_hit(p: HitProblem, seeds: Sequence[ProductVector] | None = None) -> Hi
             p.targets.balls[i],
             p.mode,
             p.fixed_alphas[i] if p.mode == FIXED else None,
-            seed_lists[i],
         )
         for i, op in enumerate(p.components)
     ]

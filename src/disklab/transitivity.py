@@ -73,6 +73,10 @@ INCONCLUSIVE = "inconclusive"
 
 _KINDS = (DISK_TRANSITIVE, K_BITRANSITIVE, COMPOUND, MIXING)
 
+# cofinite kinds confirm only when every trial's hit tail starts within this
+# share of the horizon
+TAIL_FRACTION = 0.5
+
 
 def guard_scan_window(
     components: Sequence[OperatorSpec],
@@ -119,18 +123,17 @@ def junction_scan(
     horizon: int,
     mode: str = DISK,
     fixed_alphas: tuple[complex, ...] | None = None,
-    guard: bool = True,
 ) -> JunctionReport:
     """Solve the hit problem at every power n in [0, horizon].
 
     Power 0 is recorded for completeness but never counts toward hit_set or
-    tail_start: the identity carries no dynamical information.
+    tail_start: the identity carries no dynamical information.  The window
+    guard runs first, so no power sheds ball-center mass past the window edge.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     comps = components_of(components)
-    if guard:
-        guard_scan_window(comps, horizon, sources, targets)
+    guard_scan_window(comps, horizon, sources, targets)
     entries = []
     for n in range(horizon + 1):
         res = solve_hit(
@@ -184,12 +187,11 @@ def cross_scan(
     horizon: int,
     mode: str = DISK,
     fixed_alphas: tuple[complex, ...] | None = None,
-    guard: bool = True,
 ) -> CrossReport:
     """Hit powers in both directions between two ball tuples, plus the
     two-sided junction set."""
-    fwd = junction_scan(components, a, b, horizon, mode, fixed_alphas, guard)
-    bwd = junction_scan(components, b, a, horizon, mode, fixed_alphas, guard)
+    fwd = junction_scan(components, a, b, horizon, mode, fixed_alphas)
+    bwd = junction_scan(components, b, a, horizon, mode, fixed_alphas)
     return CrossReport(
         horizon=horizon,
         forward=fwd.hit_set,
@@ -217,10 +219,6 @@ class Verdict:
     horizon: int
     trials: tuple[TrialRecord, ...]
     refuting_trial: int | None = None
-
-    @property
-    def confirmed(self) -> bool:
-        return self.verdict == CONFIRMED
 
 
 def make_ball_sampler(
@@ -259,7 +257,6 @@ def detect(
     trials: int = 20,
     horizon: int = 40,
     seed: int = 0,
-    tail_fraction: float = 0.5,
 ) -> Verdict:
     """Sample ball tuples and scan for the behavior the kind demands.
 
@@ -267,7 +264,7 @@ def detect(
     trial hits at some power n >= 1; they refute only when a trial certifies
     misses at every power including past the horizon.  Cofinite kinds
     (compound, mixing) confirm when every trial hits at all powers from some
-    tail_start <= tail_fraction * horizon on; they refute when a trial
+    tail_start <= TAIL_FRACTION * horizon on; they refute when a trial
     certifies a full suffix of misses that extends beyond the horizon.
     """
     if kind not in _KINDS:
@@ -292,30 +289,20 @@ def detect(
 
     draws = trial_draws(seed, trials, (ball_sampler, ball_sampler))
     records = [run_trial(t, sources, targets) for t, (sources, targets) in enumerate(draws)]
-    refuting = None
     if kind in (DISK_TRANSITIVE, K_BITRANSITIVE):
-        for r in records:
-            if r.certified_all:
-                refuting = r.index
-                break
-        if refuting is not None:
-            verdict = REFUTED
-        elif all(r.first_hit is not None for r in records):
-            verdict = CONFIRMED
-        else:
-            verdict = INCONCLUSIVE
+        refutes = lambda r: r.certified_all
+        confirms = lambda r: r.first_hit is not None
     else:
-        tail_cut = max(1, math.ceil(horizon * tail_fraction))
-        for r in records:
-            if r.certified_tail_from is not None:
-                refuting = r.index
-                break
-        if refuting is not None:
-            verdict = REFUTED
-        elif all(r.tail_start is not None and r.tail_start <= tail_cut for r in records):
-            verdict = CONFIRMED
-        else:
-            verdict = INCONCLUSIVE
+        tail_cut = max(1, math.ceil(horizon * TAIL_FRACTION))
+        refutes = lambda r: r.certified_tail_from is not None
+        confirms = lambda r: r.tail_start is not None and r.tail_start <= tail_cut
+    refuting = next((r.index for r in records if refutes(r)), None)
+    if refuting is not None:
+        verdict = REFUTED
+    elif all(confirms(r) for r in records):
+        verdict = CONFIRMED
+    else:
+        verdict = INCONCLUSIVE
     return Verdict(
         kind=kind,
         verdict=verdict,

@@ -207,7 +207,10 @@ FIELD_PATH_CASES = [
         "parameters.alphas[1]",
     ),
     ("mode", _with(shift_config(), "parameters.mode", "sideways"), "parameters.mode"),
-    ("guard", _with(shift_config(), "parameters.guard", "yes"), "parameters.guard"),
+    # keys no runner reads: a misspelling, and options the scans and detect no longer take
+    ("horizn", _with(shift_config(), "parameters.horizn", 3), "parameters.horizn"),
+    ("guard", _with(shift_config(), "parameters.guard", True), "parameters.guard"),
+    ("tail_fraction", _experiment("detect", kind="compound", tail_fraction=0.5), "parameters.tail_fraction"),
     (
         "unknown sampler field",
         _experiment("detect", kind="compound", sampler={"width": 2}),
@@ -281,6 +284,63 @@ def test_unknown_scenario_key_lists_the_keys_it_takes():
         run(cfg)
     assert err.value.field_path == "parameters.horizon"
     assert err.value.message.endswith("it takes eps, m, sample_count, seed, stop, tol")
+
+
+def test_unknown_experiment_key_lists_the_keys_it_takes():
+    with pytest.raises(ConfigError) as err:
+        run(shift_config(horizn=3))
+    assert err.value.field_path == "parameters.horizn"
+    assert err.value.message.endswith("it takes alphas, components, horizon, mode, seed, sources, targets")
+
+
+class _RecordingParams(dict):
+    """Parameters that remember every key looked up in them."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+_BALL = [{"center": {"basis": 0}, "radius": 0.5}]
+_FIXED = {"mode": "fixed", "alphas": [1.0]}
+# per experiment, parameters that between them take every branch reading a key
+_READING_RUNS = {
+    "orbit": [{"vector": {"basis": 0}, "horizon": 3}],
+    "hit": [{"n": 2, "sources": _BALL, "targets": _BALL, **_FIXED}],
+    "junction": [{"horizon": 3, "sources": _BALL, "targets": _BALL, **_FIXED}],
+    "cross": [{"horizon": 3, "a": _BALL, "b": _BALL, **_FIXED}],
+    "detect": [{"kind": "compound", "trials": 1, "horizon": 3, "sampler": {"band": 1}}],
+    "criterion": [
+        {"variant": "scaled", "nk": [1, 2], "lambdas": [[0.5, 0.25]], "sample_count": 2, "sampler": {"band": 1}},
+        {"variant": "roundtrip", "nk": {"stop": 3}, "eps": 0.1, "sample_count": 2, "sampler": {"band": 1}},
+        {"variant": "compound_scalar_free", "horizon": 3, "sample_count": 2, "sampler": {"band": 1}},
+    ],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_READING_RUNS))
+def test_each_experiment_takes_the_keys_it_reads(experiment):
+    """The keys an experiment accepts are the keys its runs look up, and seed."""
+    assert set(_READING_RUNS) == set(cli._RUNNERS)
+    read = set()
+    for params in _READING_RUNS[experiment]:
+        cfg = _experiment(experiment)
+        params = _RecordingParams(cfg["parameters"] | params)
+        run(cfg | {"parameters": params})
+        read |= params.read
+    assert read == set(cli._RUNNERS[experiment][1])
 
 
 _HUGE = 10**400  # an integer literal json.loads reads and float() cannot hold

@@ -172,21 +172,21 @@ def test_grid_lsq_matches_per_alpha_constrained_lsq():
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     dense = Dense(q * np.linspace(1.0, 2.0, d))
     cases += [(dense, n, eps, v) for n in (1, 2) for eps in (0.05, 50.0)]
-    boundary = set()
+    kinds = set()
     for op, n, eps, target in cases:
         zs, residuals, kkts = hitsolver._grid_lsq(power_map(op, n, w), alphas, u, eps, target)
         for k, alpha in enumerate(hitsolver._GRID_ALPHAS):
             ref = constrained_lsq(power_map(op, n, w).scaled(alpha), u, eps, target)
-            boundary.add(ref.boundary)
+            kinds.add("boundary" if abs(norm(ref.z - u) - eps) <= 1e-12 * eps else "interior")
             assert abs(residuals[k] - ref.residual) <= 1e-12 * max(ref.residual, norm(target))
             assert np.linalg.norm(zs[k] - ref.z.coeffs) <= 1e-12 * norm(ref.z)
             assert abs(kkts[k] - ref.kkt_residual) <= 1e-12
-    assert boundary == {True, False}
+    assert kinds == {"boundary", "interior"}
 
 
 _GRID_REPLAY_CASES = [
     # hits first at grid alpha 0.5j, after (as a scalar) the criterion pin,
-    # alpha = 1, alternation and the first 26 grid points have missed
+    # alternation and the first 26 grid points have missed
     (
         1.5j,
         1,
@@ -248,7 +248,6 @@ def test_trs_boundary_case_is_tight():
     u = ComplexVector.zero(w)
     v = ComplexVector.basis(w, 0) * 100.0
     sol = constrained_lsq(power_map(Scalar(1.0), 1, w), u, 1.0, v)
-    assert sol.boundary
     assert norm(sol.z - u) == pytest.approx(1.0, rel=1e-12)
     assert sol.residual == pytest.approx(99.0, rel=1e-12)
 
@@ -325,8 +324,8 @@ def test_trs_core_secular_root_matches_references():
         s = np.abs(g) ** 2
         kinds.update(("free" if si > 0 else "massless") for qi, si in zip(q, s) if qi == 0)
         with np.errstate(all="raise"):
-            d, mu, boundary, gap = hitsolver._trs_core(q, g, eps)
-            assert boundary and gap <= 1e-14
+            d, mu, gap = hitsolver._trs_core(q, g, eps)
+            assert gap <= 1e-14
             assert np.all(np.isfinite(d)) and np.all(d[s == 0] == 0)
             assert float(np.linalg.norm(d)) == pytest.approx(eps, rel=1e-13)
             check_secular_root(mu, q, s, eps)

@@ -1,15 +1,18 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no library module keeps a
+private name it never uses.
 
-No linter ships with the project, so this is an `ast` scan: every name an
+No linter ships with the project, so these are `ast` scans: every name an
 import statement binds must appear as a name somewhere else in the module,
-or be listed in the module's `__all__`.
+or be listed in the module's `__all__`; every module-level `_name` function,
+class or assignment in `src/disklab` must be read somewhere in its module.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = sorted((ROOT / "src" / "disklab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "disklab").glob("*.py"))
+SCANNED = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -51,5 +54,44 @@ def test_no_unused_imports():
         str(path.relative_to(ROOT)): names
         for path in SCANNED
         if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def orphaned_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [name for name in _private_definitions(tree) if name not in read]
+
+
+def test_orphan_scan_flags_only_unread_private_names():
+    source = (
+        "__all__ = ['f']\n"
+        "_LIMIT = 3\n"
+        "_UNUSED: int = 4\n"
+        "class _Box: pass\n"
+        "def _helper(x): return _Box, x\n"
+        "def _dead(): return _LIMIT\n"
+        "def f(): return _helper(1)\n"
+    )
+    assert orphaned_private_names(source) == ["_UNUSED", "_dead"]
+
+
+def test_no_orphaned_private_names():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in LIBRARY
+        if (names := orphaned_private_names(path.read_text()))
     }
     assert found == {}

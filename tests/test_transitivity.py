@@ -79,8 +79,8 @@ def test_junction_scan_guard_fires_on_small_windows():
     balls = unit_balls(window_m=4)
     with pytest.raises(WindowGuardError):
         junction_scan((SHIFT_23,), balls, balls, horizon=10)
-    rep = junction_scan((SHIFT_23,), balls, balls, horizon=10, guard=False)
-    assert rep.horizon == 10
+    with pytest.raises(WindowGuardError):
+        cross_scan((SHIFT_23,), balls, balls, horizon=10)
 
 
 def test_cross_scan_junction_is_the_intersection():
