@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -678,28 +678,66 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
     return _criterion_outcome(check(data))
 
 
-# each runner with the parameters it reads (for criterion, over all its
-# variants) and `seed`, which run() reads for every report
+class _Choice(NamedTuple):
+    """The parameter that picks a runner's mode or variant, and the keys that
+    only some of its choices read; every choice is the default or reads one."""
+
+    key: str
+    default: str
+    readers: Mapping[str, tuple[str, ...]]  # key -> the choices that read it
+
+
+_MODE_KEYS = _Choice("mode", DISK, {"alphas": (FIXED,)})
+_VARIANT_KEYS = _Choice(
+    "variant",
+    "scalar_free",
+    {
+        "nk": ("scaled", "scalar_free", "roundtrip"),
+        "lambdas": ("scaled", "compound_scaled"),
+        "eps": ("roundtrip",),
+        "horizon": ("compound_scaled", "compound_scalar_free"),
+    },
+)
+
+# each runner with the parameters it reads over all its modes or variants,
+# `seed` among them (run() reads it for every report), and the choice that
+# narrows them
 _RUNNERS = {
-    "orbit": (_run_orbit, ("components", "vector", "horizon", "seed")),
-    "hit": (_run_hit, ("components", "sources", "targets", "mode", "alphas", "n", "seed")),
-    "junction": (_run_junction, ("components", "sources", "targets", "mode", "alphas", "horizon", "seed")),
-    "cross": (_run_cross, ("components", "a", "b", "mode", "alphas", "horizon", "seed")),
-    "detect": (_run_detect, ("components", "kind", "trials", "horizon", "seed", "sampler")),
+    "orbit": (_run_orbit, ("components", "vector", "horizon", "seed"), None),
+    "hit": (_run_hit, ("components", "sources", "targets", "mode", "alphas", "n", "seed"), _MODE_KEYS),
+    "junction": (
+        _run_junction,
+        ("components", "sources", "targets", "mode", "alphas", "horizon", "seed"),
+        _MODE_KEYS,
+    ),
+    "cross": (_run_cross, ("components", "a", "b", "mode", "alphas", "horizon", "seed"), _MODE_KEYS),
+    "detect": (_run_detect, ("components", "kind", "trials", "horizon", "seed", "sampler"), None),
     "criterion": (
         _run_criterion,
         ("components", "variant", "tol", "sample_count", "seed", "sampler", "nk", "lambdas", "horizon", "eps"),
+        _VARIANT_KEYS,
     ),
 }
 
 
-def _check_keys(keys: Iterable[str], takes: Sequence[str], what: str) -> None:
-    """Reject the first parameter key the experiment or scenario does not read,
-    before the run, so a misspelt or stale key cannot pass unnoticed."""
-    for key in keys:
+def _check_keys(params: Mapping[str, Any], takes: Sequence[str], what: str, choice: _Choice | None = None) -> None:
+    """Reject, before the run, the first parameter key the experiment or
+    scenario does not read, or that its chosen mode or variant does not read,
+    so a misspelt or stale key cannot pass unnoticed.  An unknown mode or
+    variant is left for the runner to report."""
+    for key in params:
         if key not in takes:
             listed = ", ".join(sorted(takes))
             raise ConfigError(_sub("parameters", key), f"not a parameter of this {what}; it takes {listed}")
+        if choice is None or key not in choice.readers:
+            continue
+        picked = params.get(choice.key, choice.default)
+        known = picked == choice.default or any(picked in names for names in choice.readers.values())
+        if known and picked not in choice.readers[key]:
+            readers = ", ".join(choice.readers[key])
+            raise ConfigError(
+                _sub("parameters", key), f"not read when {choice.key} is {picked!r}; only {choice.key} {readers} reads it"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +763,7 @@ class _Scenario:
     the bilateral window of size m."""
 
     def __init__(self, params: dict, **defaults: Any):
-        _check_keys((key for key in params if key != "id"), list(defaults), "scenario")
+        _check_keys({key: v for key, v in params.items() if key != "id"}, list(defaults), "scenario")
         table = {key: (_SCENARIO_FIELDS[key], default) for key, default in defaults.items()}
         self.params = _fields(params, "parameters", **table)
         self.window = IndexWindow(BILATERAL, self.params["m"])
@@ -894,8 +932,8 @@ def run(cfg: dict) -> tuple[RunOutcome, dict]:
     if experiment == "scenario":
         outcome = _run_scenario(cfg, params)
     else:
-        runner, takes = _RUNNERS[experiment]
-        _check_keys(params, takes, "experiment")
+        runner, takes, choice = _RUNNERS[experiment]
+        _check_keys(params, takes, "experiment", choice)
         window = _field(cfg, "", "window", build_window)
         registry = build_operators(cfg.get("operators", {}), window)
         outcome = runner(params, registry, window, "parameters")

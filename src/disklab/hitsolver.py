@@ -2,13 +2,17 @@
 
 The joint problem over (alpha, z) is solved per component by alternating an
 exact disk-projected scalar fit with an exact trust-region least-squares step
-in z.  Misses are certified, when possible, by growth bounds of the
+in z.  A component where alpha T^n is a multiple of the identity (a scalar,
+or any operator at n = 0) is decided in closed form instead.  Misses are
+certified, when possible, by that closed form or by growth bounds of the
 un-truncated operator.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +24,7 @@ from .operators import (
     OperatorError,
     OperatorSpec,
     PowerMap,
+    Scalar,
     WindowGuardError,
     components_of,
     ensure_power_fits,
@@ -123,9 +128,9 @@ class Witness:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Growth-bound proof that one component misses at a power; certify_miss builds it."""
+    """Proof that one component misses at a power; certify_miss builds it."""
 
-    kind: str  # "opnorm" or "minmod"
+    kind: str  # "opnorm" or "minmod" (growth bounds), or "scalar_exact"
     component: int
     lower_bound: float  # on inf ||alpha T^n z - v|| over the closed source ball
     extends_past_horizon: bool  # the miss holds at every larger power too
@@ -378,14 +383,15 @@ def _grid_lsq(
     return z, residual, kkt
 
 
-def _component_bounds(op, n, src: Ball, tgt: Ball, mode, alpha) -> tuple[float, str] | None:
-    """Best valid lower bound on inf ||alpha T^n z - v|| over the closed source ball.
+def _growth_certificate(op, n, src: Ball, tgt: Ball, mode, alpha, component: int) -> tuple[float, Certificate] | None:
+    """Growth-bound certificate of one component, with its margin over the radius.
 
     The lattice for the growth bound is the kind of the window the balls live
     on: un-truncated dynamics on that lattice is what the bound models.
     """
+    lattice = src.center.window.kind
     try:
-        gb = growth(op, n, src.center.window.kind)
+        gb = growth(op, n, lattice)
     except (OperatorError, ValueError):
         return None
     nu = norm(src.center)
@@ -400,40 +406,37 @@ def _component_bounds(op, n, src: Ball, tgt: Ball, mode, alpha) -> tuple[float, 
         # any |alpha| <= 1 obeys the image-norm bound; the minimum-modulus
         # bound dies as alpha -> 0 and cannot certify disk-scaled problems
         cands.append((nv - gb.opnorm_upper * (nu + src.radius), "opnorm"))
-    return max(cands, key=lambda t: t[0])
+    lb, kind = max(cands, key=lambda t: t[0])
+    margin = lb - tgt.radius
+    if not margin >= CERT_MARGIN:
+        return None
+    # the bound holds at every larger power when one step of the un-truncated
+    # operator, on the lattice the bound used, cannot weaken it
+    step = growth(op, 1, lattice)
+    extends = step.minmod_lower >= 1.0 if kind == "minmod" else step.opnorm_upper <= 1.0
+    return margin, Certificate(kind=kind, component=component, lower_bound=lb, extends_past_horizon=extends)
 
 
 def certify_miss(p: HitProblem) -> Certificate | None:
-    """Growth-bound certificate that no feasible (alpha, z) hits at p.n.
+    """Certificate that no feasible (alpha, z) hits at p.n; the one with the
+    widest margin over components, or None.
 
-    Returns the strongest certificate over components, or None.  Valid for
-    shift/diagonal/scalar components; a dense component only at n = 0, where T^0 = I.
+    A component where alpha T^n is a multiple of the identity (a scalar, or
+    any operator at n = 0) is bounded exactly; shift and diagonal components
+    by growth bounds; a dense component at n >= 1 is not certified.
     """
-    best: tuple[int, float, str] | None = None
-    best_margin = 0.0
+    best: tuple[float, Certificate] | None = None
     for i, op in enumerate(p.components):
         src, tgt = p.sources.balls[i], p.targets.balls[i]
         alpha = p.fixed_alphas[i] if p.mode == FIXED else None
-        got = _component_bounds(op, p.n, src, tgt, p.mode, alpha)
-        if got is None:
-            continue
-        lb, kind = got
-        margin = lb - tgt.radius
-        if margin >= CERT_MARGIN and margin > best_margin:
-            best = (i, lb, kind)
-            best_margin = margin
-    if best is None:
-        return None
-    i, lb, kind = best
-    # the bound holds at every larger power when one step of the un-truncated
-    # operator, on the lattice the bound used, cannot weaken it
-    try:
-        step = growth(p.components[i], 1, p.sources.balls[i].center.window.kind)
-    except (OperatorError, ValueError):
-        extends = False
-    else:
-        extends = step.minmod_lower >= 1.0 if kind == "minmod" else step.opnorm_upper <= 1.0
-    return Certificate(kind=kind, component=i, lower_bound=lb, extends_past_horizon=extends)
+        scalar = _scalar_power(op, p.n, src, tgt)
+        if scalar is not None:
+            got = scalar.certificate(i, p.mode, alpha)
+        else:
+            got = _growth_certificate(op, p.n, src, tgt, p.mode, alpha, i)
+        if got is not None and (best is None or got[0] > best[0]):
+            best = got
+    return None if best is None else best[1]
 
 
 @dataclass
@@ -443,6 +446,218 @@ class _ComponentSolve:
     z: ComplexVector | None
     residual: float
     max_kkt: float
+
+
+# |beta| past which the scalar route forms no point and scales no bound
+# further up: a positive excess taken there is still a lower bound, and its
+# products with the problem's norms stay finite
+_BETA_CAP = 2.0**800
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _exp(x: float) -> float:
+    """exp that reads inf past the float range instead of raising."""
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _log(x: float) -> float:
+    """log that reads -inf at 0 instead of raising."""
+    return math.log(x) if x > 0 else -math.inf
+
+
+@dataclass(frozen=True)
+class _ScalarPower:
+    """One component where alpha T^n = beta I with beta = alpha c^n: a
+    Scalar(c), or any operator at n = 0 (c = 1).
+
+    As z ranges over the closed ball B(u, eps), beta z covers B(beta u,
+    |beta| eps), so the infimum of ||beta z - v|| is max(0, e(beta)) with the
+    excess e(beta) = ||beta u - v|| - |beta| eps.  With b0 = <v, u>/||u||^2 and
+    p = ||v - b0 u||, e(beta) = hypot(nu |beta - b0|, p) - |beta| eps.  In
+    beta's phase the excess is least at b0's, where it is
+    g(t) = hypot(nu (t - |b0|), p) - t eps for t = |beta|; g is convex, with
+    its stationary point at t* = |b0| + eps p / (nu sqrt(nu^2 - eps^2)) when
+    eps < nu.  Coordinates off the window only add |beta z_j|^2, so every
+    bound holds on the un-truncated lattice.  |c|^n and alpha are taken in log
+    form, so no power overflows.
+    """
+
+    log_r: float  # log |c^n|; -inf for c = 0
+    arg_r: float  # arg c^n
+    log_c: float | None  # log |c| when every power is scalar; None when only T^0 is
+    window: IndexWindow
+    u: np.ndarray
+    v: np.ndarray
+    nu: float
+    nv: float
+    b0: complex
+    p: float
+    eps: float
+    delta: float
+    # rounding bound relative to ||v|| + |beta| (||u|| + eps): the dot
+    # products of dimension d, and |c|^n, arg c^n and alpha formed from n log|c|
+    # and n arg c
+    rel: float
+
+    def slack(self, t: float) -> float:
+        """Bound on the rounding error of an excess at |beta| = t."""
+        return self.rel * (self.nv + t * (self.nu + self.eps))
+
+    def excess(self, t: float, angle: float, cap: float = _BETA_CAP) -> float:
+        """e(beta) at beta = t exp(i angle).  Past t = 1 it is formed as t times
+        e(beta)/t, so that a large t cannot overflow the terms; past the cap a
+        positive excess is taken at the cap, where it is smaller."""
+        phase = cmath.rect(1.0, angle)
+        if t <= 1.0:
+            return math.hypot(self.nu * abs(t * phase - self.b0), self.p) - t * self.eps
+        h = math.hypot(self.nu * abs(phase - self.b0 / t), self.p / t) - self.eps
+        return min(t, cap) * h if h > 0 else (t * h if h < 0 else 0.0)
+
+    def _tangent(self, t: float) -> float:
+        """g(t) - t max(0, g'(t)): by convexity, a lower bound on g over [0, t].
+        At a kink the slope -eps, which lies in the subdifferential, is used."""
+        if t > _BETA_CAP:
+            return -math.inf
+        b = abs(self.b0)
+        a, q = (self.nu * (t - b), self.p) if t <= 1.0 else (self.nu * (1.0 - b / t), self.p / t)
+        r = math.hypot(a, q)
+        slope = (self.nu * a / r if r > 0 else 0.0) - self.eps
+        return self.excess(t, cmath.phase(self.b0)) - t * max(0.0, slope)
+
+    def _interior(self) -> tuple[float, float] | None:
+        """(t*, g(t*)); None when eps is not below ||u|| by more than rounding."""
+        gap = self.nu - self.eps
+        if gap <= 16.0 * self.rel * self.nu:
+            return None
+        root = math.sqrt(gap * (self.nu + self.eps))
+        b = abs(self.b0)
+        return b + self.eps * self.p / (self.nu * root), self.p * root / self.nu - b * self.eps
+
+    def lowest(self, lo: float, hi: float) -> tuple[float, float]:
+        """Lower bound on g over [lo, hi], where lo = 0 or hi = inf, and the
+        |beta| its rounding error scales with.
+
+        The stationary point's value is used where t* lies clearly inside; g at
+        the end (or its tangent bound) where t* lies clearly outside; the
+        larger of the two valid bounds in between.
+        """
+        star = self._interior()
+        if hi == math.inf:
+            if star is None:
+                return -math.inf, math.inf
+            if star[0] >= 2.0 * lo:
+                return star[1], star[0]
+            if star[0] > 0.5 * lo:
+                return star[1], 2.0 * lo
+            return self.excess(lo, cmath.phase(self.b0)), min(lo, _BETA_CAP)
+        if star is not None and star[0] <= 0.5 * hi:
+            return star[1], star[0]
+        if star is not None and star[0] < 2.0 * hi:
+            return max(star[1], self._tangent(hi)), 2.0 * hi
+        return self._tangent(hi), hi
+
+    def _modulus_and_angle(self, mode: str, alpha: complex | None) -> tuple[float, float]:
+        """log |beta| and arg beta of the pinned scalar; in disk mode log |c^n|."""
+        if mode == FIXED:
+            return _log(abs(alpha)) + self.log_r, cmath.phase(alpha) + self.arg_r
+        return self.log_r, cmath.phase(self.b0)
+
+    def certificate(self, component: int, mode: str, alpha: complex | None) -> tuple[float, Certificate] | None:
+        """The exact certificate, with its margin over the radius once the
+        rounding slack is taken off, or None."""
+        log_t, angle = self._modulus_and_angle(mode, alpha)
+        t = _exp(log_t)
+        lb, ts = (self.excess(t, angle), min(t, _BETA_CAP)) if mode == FIXED else self.lowest(0.0, t)
+        margin = lb - self.slack(ts) - self.delta
+        if not margin >= CERT_MARGIN:
+            return None
+        return margin, Certificate("scalar_exact", component, lb, self._extends(t, mode))
+
+    def _extends(self, t: float, mode: str) -> bool:
+        """Whether g still clears the radius, with twice the slack, over every
+        |beta| a larger power reaches: [0, inf) or [0, |c|^n] in disk mode;
+        [|alpha||c|^n, inf) for |c| > 1 and [0, |alpha||c|^n] for |c| <= 1 in
+        fixed mode, where the phase turns with n.  t is |c|^n, or
+        |alpha||c|^n in fixed mode.  Other operators than scalars stop at
+        n = 0."""
+        if self.log_c is None:
+            return False
+        if self.log_c > 0:
+            lb, ts = self.lowest(t if mode == FIXED else 0.0, math.inf)
+        else:
+            lb, ts = self.lowest(0.0, t)
+        return lb - 2.0 * self.slack(ts) - self.delta >= CERT_MARGIN
+
+    def solve(self, mode: str, alpha: complex | None) -> _ComponentSolve:
+        """The closed-form best point: in disk mode at t* clipped to
+        [ALPHA_FLOOR |c|^n, |c|^n]; in fixed mode at the pinned scalar.
+
+        Past _BETA_CAP no point is formed, and the residual is the infimum at
+        that scalar, max(0, e(beta)), clipped to the float range: a miss, with
+        no witness, whichever way that infimum falls.
+        """
+        log_t, angle = self._modulus_and_angle(mode, alpha)
+        if mode == DISK:
+            star = self._interior()
+            if star is not None and star[0] < _exp(self.log_r):
+                log_t = _log(star[0])
+            log_t = max(log_t, self.log_r + math.log(ALPHA_FLOOR))
+            # c = 0 leaves beta = 0 at every alpha
+            alpha = cmath.rect(_exp(log_t - self.log_r), angle - self.arg_r) if self.log_r > -math.inf else 1.0 + 0j
+        t = _exp(log_t)
+        if t > _BETA_CAP:
+            residual = min(max(0.0, self.excess(t, angle, cap=math.inf)), sys.float_info.max)
+            return _ComponentSolve(hit=False, alpha=alpha, z=None, residual=residual, max_kkt=0.0)
+        beta = cmath.rect(t, angle)
+        # z is v/beta projected onto the source ball shrunk by the strictness
+        # margin and by the rounding slack, so that it stays inside once rounded;
+        # y is (v/beta - u) times `scale`, formed without dividing by a small beta
+        eps_w = max(0.0, self.eps * (1.0 - STRICT_MARGIN) - self.rel * (self.nu + self.eps))
+        if t <= 1.0:
+            y, scale = (self.v - beta * self.u) * cmath.rect(1.0, -angle), t
+        else:
+            y, scale = self.v / beta - self.u, 1.0
+        ny = float(np.linalg.norm(y))
+        if ny < eps_w * scale:
+            z = self.u + y / scale
+        else:
+            z = self.u + y * (eps_w / ny) if ny > 0 else self.u
+        residual = float(np.linalg.norm(beta * z - self.v))
+        # the witness's own norm bounds what rounding beta moves its image by
+        slack = self.rel * (self.nv + t * float(np.linalg.norm(z)))
+        hit = residual + slack < self.delta - RESIDUAL_SLACK
+        return _ComponentSolve(hit=hit, alpha=alpha, z=ComplexVector(self.window, z), residual=residual, max_kkt=0.0)
+
+
+def _scalar_power(op: OperatorSpec, n: int, src: Ball, tgt: Ball) -> _ScalarPower | None:
+    """The exact route's view of a component, when alpha T^n is a multiple of
+    the identity; None otherwise."""
+    if isinstance(op, Scalar):
+        log_c = _log(abs(op.value))
+        log_r, arg_r = (n * log_c, n * cmath.phase(op.value)) if n else (0.0, 0.0)
+    elif n == 0:
+        log_c, log_r, arg_r = None, 0.0, 0.0
+    else:
+        return None
+    u, v = src.center.coeffs, tgt.center.coeffs
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    b0 = complex(np.vdot(u, v)) / nu**2 if nu > 0 else 0j
+    log_err = abs(log_r) if math.isfinite(log_r) else 0.0
+    return _ScalarPower(
+        log_r=log_r,
+        arg_r=arg_r,
+        log_c=log_c,
+        window=src.center.window,
+        u=u,
+        v=v,
+        nu=nu,
+        nv=nv,
+        b0=b0,
+        p=float(np.linalg.norm(v - b0 * u)),
+        eps=src.radius,
+        delta=tgt.radius,
+        rel=(4 * u.size + 4 * log_err + 16 * n + 32) * _UNIT_ROUNDOFF,
+    )
 
 
 def _criterion_scalar(op, n, base: PowerMap, src: Ball, tgt: Ball) -> tuple[complex, ComplexVector] | None:
@@ -489,6 +704,9 @@ def _solve_component(
     mode: str,
     fixed_alpha: complex | None,
 ) -> _ComponentSolve:
+    scalar = _scalar_power(op, n, src, tgt)
+    if scalar is not None:
+        return scalar.solve(mode, fixed_alpha)
     window = src.center.window
     u, v = src.center, tgt.center
     eps_eff = src.radius * (1.0 - STRICT_MARGIN)

@@ -211,6 +211,19 @@ FIELD_PATH_CASES = [
     ("horizn", _with(shift_config(), "parameters.horizn", 3), "parameters.horizn"),
     ("guard", _with(shift_config(), "parameters.guard", True), "parameters.guard"),
     ("tail_fraction", _experiment("detect", kind="compound", tail_fraction=0.5), "parameters.tail_fraction"),
+    # keys another mode or variant reads, which this one would ignore
+    ("disk-mode alphas", _with(shift_config(), "parameters.alphas", [0.5]), "parameters.alphas"),
+    (
+        "scalar_free eps and horizon",
+        _experiment("criterion", variant="scalar_free", eps=5.0, horizon=3),
+        "parameters.eps",
+    ),
+    ("default-variant horizon", _experiment("criterion", horizon=3), "parameters.horizon"),
+    (
+        "compound nk",
+        _experiment("criterion", variant="compound_scalar_free", nk={"stop": 3}),
+        "parameters.nk",
+    ),
     (
         "unknown sampler field",
         _experiment("detect", kind="compound", sampler={"width": 2}),
@@ -291,6 +304,19 @@ def test_unknown_experiment_key_lists_the_keys_it_takes():
         run(shift_config(horizn=3))
     assert err.value.field_path == "parameters.horizn"
     assert err.value.message.endswith("it takes alphas, components, horizon, mode, seed, sources, targets")
+
+
+def test_key_of_another_mode_or_variant_names_who_reads_it():
+    with pytest.raises(ConfigError) as err:
+        run(shift_config(alphas=[0.5]))
+    assert err.value.message == "not read when mode is 'disk'; only mode fixed reads it"
+    with pytest.raises(ConfigError) as err:
+        run(_experiment("criterion", variant="roundtrip", lambdas=[[0.5]]))
+    assert err.value.message.endswith("only variant scaled, compound_scaled reads it")
+    # an unknown mode is reported as such, not through the keys it would read
+    with pytest.raises(ConfigError) as err:
+        run(shift_config(mode="sideways", alphas=[0.5]))
+    assert err.value.field_path == "parameters.mode"
 
 
 class _RecordingParams(dict):
@@ -423,12 +449,30 @@ def test_hit_run_exit_codes_cover_all_statuses():
     assert outcome.results["status"] == "miss_certified"
     assert outcome.results["lower_bound"] > 0
 
-    # reachable norm but wrong direction, and too close for the norm bounds
+    # reachable norm but wrong direction, too close for the norm bounds: the
+    # exact scalar bound min_t hypot(t, 1.1) - 0.25 t = 1.1 sqrt(1 - 0.25^2) decides it
+    wrong_way = json.loads(json.dumps(base))
+    wrong_way["operators"]["double"] = {"type": "scalar", "value": 1.0}
+    wrong_way["parameters"]["targets"] = [{"center": {"basis": 1, "scale": 1.1}, "radius": 0.1}]
+    outcome, _ = run(wrong_way)
+    assert outcome.exit_code == EXIT_FAIL
+    assert outcome.results["bound_kind"] == "scalar_exact"
+    assert outcome.results["lower_bound"] == pytest.approx(1.1 * math.sqrt(1.0 - 0.25**2))
+
+    # 2 I held as a dense matrix goes through the search, which neither hits
+    # nor certifies e0 -> e1 at n = 5
     hard = json.loads(json.dumps(base))
-    hard["operators"]["double"] = {"type": "scalar", "value": 1.0}
-    hard["parameters"]["targets"] = [{"center": {"basis": 1, "scale": 1.1}, "radius": 0.1}]
+    hard["window"] = {"kind": "unilateral", "m": 4}
+    hard["operators"]["double"] = {
+        "type": "dense",
+        "matrix": [[2.0 if i == j else 0.0 for j in range(5)] for i in range(5)],
+    }
+    hard["parameters"]["n"] = 5
+    hard["parameters"]["sources"] = [{"center": {"basis": 0}, "radius": 0.45}]
+    hard["parameters"]["targets"] = [{"center": {"basis": 1}, "radius": 0.45}]
     outcome, _ = run(hard)
     assert outcome.exit_code == EXIT_INCONCLUSIVE
+    assert outcome.results["status"] == "miss_uncertain"
 
 
 def test_junction_run_matches_library_scan(tmp_path):

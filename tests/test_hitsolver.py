@@ -1,5 +1,8 @@
 import math
 import types
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,7 +188,7 @@ def test_grid_lsq_matches_per_alpha_constrained_lsq():
 
 
 _GRID_REPLAY_CASES = [
-    # hits first at grid alpha 0.5j, after (as a scalar) the criterion pin,
+    # hits first at grid alpha 0.5j, after (as c I) the criterion pin,
     # alternation and the first 26 grid points have missed
     (
         1.5j,
@@ -205,7 +208,13 @@ _GRID_REPLAY_CASES = [
 ]
 
 
-# each case as a scalar and as the same scalar held as a dense matrix
+# what the exact route decides for each case's Scalar, by power: a hit, and a
+# miss certified at min g = sqrt(1 - 0.45^2) (e0 to e1, eps = 0.45, t* < |c|^5)
+_CLOSED_FORM = {1: (HIT, None), 5: (MISS_CERTIFIED, math.sqrt(1.0 - 0.45**2))}
+
+
+# each case as a scalar and as the same scalar held as a dense matrix; only
+# the dense twin reaches the grid, a scalar is decided in closed form
 @pytest.mark.parametrize(
     "op, n, src, tgt, status",
     [
@@ -220,6 +229,15 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
     kernel = hitsolver._grid_lsq
     monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or kernel(*a))
     got = solve_hit(p)
+    if isinstance(op, Scalar):
+        want, bound = _CLOSED_FORM[n]
+        assert batches == [] and got.status == want
+        if bound is None:
+            assert reverify_witness(p, got.witness) <= 1e-10
+        else:
+            assert got.certificate.kind == "scalar_exact"
+            assert got.certificate.lower_bound == pytest.approx(bound, rel=1e-12)
+        return
     assert len(batches) == 1 and got.status == status
 
     # reference: the grid alphas pinned one at a time through constrained_lsq
@@ -385,11 +403,17 @@ def test_disk_mode_contraction_certified_by_opnorm():
     res = solve_hit(p)
     assert res.status == MISS_CERTIFIED
     cert = res.certificate
-    assert cert.kind == "opnorm"
-    # 1 - 0.25^2... opnorm 0.25 applied to norms <= 1.25 leaves at most 0.3125
+    # a scalar is bounded exactly: g(t) = |1 - t| - 0.25 t is least at
+    # t = |c|^2 = 0.25, which is the opnorm bound 0.25 applied to norms <= 1.25
+    assert cert.kind == "scalar_exact"
     assert cert.lower_bound == pytest.approx(1.0 - 0.25 * 1.25)
     assert cert.component == 0
     assert cert.extends_past_horizon
+    # the same contraction as a diagonal is certified by the opnorm bound
+    diag = certify_miss(HitProblem((Diagonal({}, default=0.5),), 2, p.sources, p.targets))
+    assert diag.kind == "opnorm"
+    assert diag.lower_bound == pytest.approx(1.0 - 0.25 * 1.25)
+    assert diag.extends_past_horizon
 
 
 def test_opnorm_certificate_of_an_expanding_scalar_stops_at_the_horizon():
@@ -403,7 +427,8 @@ def test_opnorm_certificate_of_an_expanding_scalar_stops_at_the_horizon():
     )
     cert = solve_hit(p).certificate
     # 10 - 1.5^2 * 1.25: certified at n = 2, but 1.5^6 * 1.25 > 10 - 0.25
-    assert cert.kind == "opnorm"
+    # (exactly: g(t) = |10 - t| - 0.25 t is least at t = |c|^n while |c|^n <= 10)
+    assert cert.kind == "scalar_exact"
     assert cert.lower_bound == pytest.approx(10.0 - 2.25 * 1.25)
     assert not cert.extends_past_horizon
     assert certify_miss(HitProblem(p.components, 6, p.sources, p.targets)) is None
@@ -452,6 +477,160 @@ def test_extending_certificates_hold_at_the_next_thirty_powers():
             sub = HitProblem((ops[c],), m, ProductBall((srcs[c],)), ProductBall((tgts[c],)), mode, alone)
             assert certify_miss(sub) is not None, (ops[c], n, m)
     assert extending >= 100
+
+
+def _exact_sq_distance(x, y):
+    """||x - y||^2 of two complex coefficient arrays, exactly: every float is a rational."""
+    return sum((Fraction(a.real) - Fraction(b.real)) ** 2 + (Fraction(a.imag) - Fraction(b.imag)) ** 2 for a, b in zip(x, y))
+
+
+def _exact_witness_holds(p, witness):
+    """Whether a one-component witness of a problem whose T^n is c^n I (a Scalar,
+    or any operator at n = 0) lies strictly inside both balls, checked in exact
+    rational arithmetic: ||z - u||^2 < eps^2 and ||alpha c^n z - v||^2 < delta^2."""
+    (op,), (src,), (tgt,) = p.components, p.sources.balls, p.targets.balls
+    c = op.value if isinstance(op, Scalar) else 1.0
+    re, im = Fraction(1), Fraction(0)
+    for factor in [witness.alphas[0]] + [c] * (p.n if isinstance(op, Scalar) else 0):
+        fr, fi = Fraction(factor.real), Fraction(factor.imag)
+        re, im = re * fr - im * fi, re * fi + im * fr
+    z = witness.point.parts[0].coeffs
+    image = sum(
+        (Fraction(zj.real) * re - Fraction(zj.imag) * im - Fraction(vj.real)) ** 2
+        + (Fraction(zj.real) * im + Fraction(zj.imag) * re - Fraction(vj.imag)) ** 2
+        for zj, vj in zip(z, tgt.center.coeffs)
+    )
+    inside = _exact_sq_distance(z, src.center.coeffs) < Fraction(src.radius) ** 2
+    return inside and image < Fraction(tgt.radius) ** 2
+
+
+def _identity_problem(rng, offset):
+    """The fixed-mode unit scaling of Scalar(1) at n = 1 on a 2-point window,
+    with ||u|| = 10^U(6, 9), v = s u for s ~ U(1.5, 3), source radius 0.5 and
+    the target radius the least float at least `offset` above the exact
+    infimum ||u - v|| - 0.5 (taken to 60 digits)."""
+    w = IndexWindow(UNILATERAL, 1)
+    direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    u = direction * (10.0 ** rng.uniform(6, 9) / np.linalg.norm(direction))
+    v = u * rng.uniform(1.5, 3.0)
+    sq = _exact_sq_distance(u, v)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        target = (Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt() - Decimal("0.5") + Decimal(offset)
+        delta = float(target)
+        while Decimal(delta) < target:
+            delta = math.nextafter(delta, math.inf)
+    src, tgt = Ball(ComplexVector(w, u), 0.5), Ball(ComplexVector(w, v), delta)
+    return HitProblem((Scalar(1.0),), 1, ProductBall((src,)), ProductBall((tgt,)), FIXED, (1.0,))
+
+
+def test_scalar_route_is_sound_in_floating_point():
+    """Terms of size up to 3e9 carry rounding errors far above 3e-9, so with
+    the target radius 3e-9 above the exact infimum a hit exists, but neither
+    a certificate nor a float-checked witness may be trusted: the route must
+    end uncertain rather than certify or return a witness that fails the
+    exact check.  With the radius 1e-5 ||v|| away on either side, far past the
+    rounding slack, it decides."""
+    rng = np.random.default_rng(0)
+    statuses = []
+    for _ in range(500):
+        p = _identity_problem(rng, "3e-9")
+        res = solve_hit(p)
+        statuses.append(res.status)
+        assert res.status != MISS_CERTIFIED
+        if res.status == HIT:
+            assert _exact_witness_holds(p, res.witness)
+    assert statuses.count(MISS_UNCERTAIN) == 500
+    for _ in range(50):
+        near = _identity_problem(rng, "0")
+        scale = norm(near.targets.balls[0].center)
+        for offset, want in ((1e-5, HIT), (-1e-5, MISS_CERTIFIED)):
+            tgt = Ball(near.targets.balls[0].center, near.targets.balls[0].radius + offset * scale)
+            p = HitProblem(near.components, 1, near.sources, ProductBall((tgt,)), FIXED, (1.0,))
+            res = solve_hit(p)
+            assert res.status == want
+            if want == HIT:
+                assert _exact_witness_holds(p, res.witness)
+
+
+def test_large_scalar_powers_end_in_a_status():
+    """No power of a scalar overflows, raises or warns: |c|^n and alpha are
+    formed in log form."""
+    w = IndexWindow(BILATERAL, 4)
+    e0, e1 = ComplexVector.basis(w, 0), ComplexVector.basis(w, 1)
+
+    def problem(op, n, u, v, mode=DISK):
+        alphas = (1.0,) if mode == FIXED else None
+        return HitProblem((op,), n, ProductBall((Ball(u, 0.45),)), ProductBall((Ball(v, 0.45),)), mode, alphas)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # min g = sqrt(1 - 0.45^2) at t* < 2^n, and 2^n only grows
+        for n in (5, 1000, 1100, 2000, 5000):
+            res = solve_hit(problem(Scalar(2.0), n, e0, e1))
+            assert res.status == MISS_CERTIFIED
+            assert res.certificate.kind == "scalar_exact"
+            assert res.certificate.lower_bound == pytest.approx(math.sqrt(1.0 - 0.45**2), rel=1e-12)
+            assert res.certificate.extends_past_horizon
+        # e0 to e0 hits only at |alpha| = 2^-n, below ALPHA_FLOOR: uncertain, no witness
+        res = solve_hit(problem(Scalar(2.0), 1000, e0, e0))
+        assert res.status == MISS_UNCERTAIN and res.witness is None
+        assert abs(res.best_alphas[0]) >= hitsolver.ALPHA_FLOOR
+        # a contracting scalar, 6^(-n/2), whose power underflows
+        contraction = Scalar(6.0**-0.5)
+        for n in (1000, 5000):
+            for mode in (DISK, FIXED):
+                res = solve_hit(problem(contraction, n, e0, e1, mode))
+                assert res.status == MISS_CERTIFIED and res.certificate.extends_past_horizon
+                assert res.certificate.lower_bound == pytest.approx(1.0)
+                res = solve_hit(problem(contraction, n, e0, e0 * 0.3, mode))
+                # the image is about 0, within 0.3 < 0.45 of the target centre, at alpha = 1
+                assert res.status == HIT and res.witness.alphas == (1.0,)
+                assert res.witness.residuals[0] == pytest.approx(0.3)
+
+
+def _random_scalar_route_problem(rng):
+    """A one-component problem the exact route decides: a Scalar with |c| in
+    [0.3, 3] at n in 0..8, or at n = 0 a shift, diagonal or dense operator; a
+    window of dimension at most 5; disk or fixed mode."""
+    kind = (BILATERAL, UNILATERAL)[rng.integers(2)]
+    w = IndexWindow(kind, int(rng.integers(0, 3 if kind == BILATERAL else 5)))
+    n = int(rng.integers(0, 9))
+    if n == 0 and rng.integers(2):
+        op = _random_operator(("forward", "backward", "diagonal", "dense")[rng.integers(4)], w, rng)
+    else:
+        op = Scalar(complex(rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())))
+
+    def ball():
+        center = rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim)
+        center *= np.exp(rng.uniform(np.log(0.05), np.log(3.0))) / np.linalg.norm(center)
+        return Ball(ComplexVector(w, center), float(rng.uniform(0.05, 1.0)))
+
+    mode = (DISK, FIXED)[rng.integers(2)]
+    alphas = (complex(rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())),) if mode == FIXED else None
+    return HitProblem((op,), n, ProductBall((ball(),)), ProductBall((ball(),)), mode, alphas)
+
+
+def test_scalar_route_against_the_oracle():
+    """Every scalar or n = 0 problem is decided; each certificate survives the
+    sampling oracle, and each witness re-verifies and passes the exact check."""
+    rng = np.random.default_rng(404)
+    counts = {HIT: 0, MISS_CERTIFIED: 0}
+    for k in range(200):
+        p = _random_scalar_route_problem(rng)
+        res = solve_hit(p)
+        counts[res.status] += 1
+        assert res.max_kkt_residual == 0.0
+        if res.status == MISS_CERTIFIED:
+            assert res.certificate.kind == "scalar_exact"
+            search = random_search(p, samples=20000, seed=k)
+            assert search.best_residuals[0] >= res.certificate.lower_bound
+        else:
+            assert abs(res.witness.alphas[0]) <= 1.0
+            assert res.witness.residuals[0] < p.targets.balls[0].radius
+            assert reverify_witness(p, res.witness) <= 1e-10
+            assert _exact_witness_holds(p, res.witness)
+    assert min(counts.values()) >= 40
 
 
 def test_disk_mode_certificate_never_uses_minmod():

@@ -14,7 +14,6 @@ from disklab.transitivity import (
     COMPOUND,
     CONFIRMED,
     DISK_TRANSITIVE,
-    INCONCLUSIVE,
     K_BITRANSITIVE,
     MIXING,
     REFUTED,
@@ -124,11 +123,14 @@ def test_detect_disk_transitive_refuted_for_strict_contraction():
     assert v.verdict == REFUTED
 
 
-def test_detect_inconclusive_for_identity_scalar():
+def test_detect_refutes_identity_scalar():
+    # alpha I with |alpha| <= 1 is never disk-transitive, and the exact scalar
+    # bound is the same at every power, so each trial is certified throughout
     w = IndexWindow(BILATERAL, 8)
     sampler = make_ball_sampler(w, arity=1, radius=0.45, band=2)
     v = detect(DISK_TRANSITIVE, (Scalar(1.0),), sampler, trials=3, horizon=8, seed=2)
-    assert v.verdict == INCONCLUSIVE
+    assert v.verdict == REFUTED
+    assert all(r.certified_all for r in v.trials)
 
 
 def test_detect_bitransitive_pair_of_shifts():
