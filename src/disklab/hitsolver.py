@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,12 +81,13 @@ CERT_MARGIN = 1e-12  # certificates need lower_bound >= delta + this
 MAX_ITERS = 40  # alternation steps from one starting point
 STALL_EPS = 1e-12  # alternation stops once a step moves the residual by this, relative
 
-# random_search draws its samples in blocks of this many, which bounds the
-# oracle's memory at the block's two real normal arrays (block by window
-# dimension); it scores a block this many rows at a time, so that the passes
-# over a chunk of rows run in cache
+# random_search draws its samples in blocks of this many; a helper thread
+# draws the next block while this one is scored, which bounds the oracle's
+# memory at two blocks: four real normal arrays of block by window dimension.
+# It scores a block in chunks of about this many cells (rows times
+# dimension), so that the passes over a chunk run in cache
 SEARCH_BATCH = 20000
-SCORE_ROWS = 256
+SCORE_CELLS = 256 * 97
 
 
 @dataclass(frozen=True)
@@ -865,41 +867,87 @@ def _squared_residuals(pmap: PowerMap, v: np.ndarray) -> Callable[..., np.ndarra
     return ortho
 
 
+class _Ahead:
+    """fn(*args) run on a helper thread; result() waits for it and returns its
+    value or re-raises its exception in the caller."""
+
+    def __init__(self, fn: Callable, *args):
+        self._value = self._error = None
+        self._thread = threading.Thread(target=self._run, args=(fn, *args))
+        self._thread.start()
+
+    def _run(self, fn: Callable, *args) -> None:
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:  # handed to the caller by result()
+            self._error = exc
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     """Brute-force feasible sampling oracle for the hit problem.
 
     Draws (alpha, z) with z strictly inside each source ball and alpha uniform
     on the disk (or pinned in fixed mode); reports the best residual seen per
     component.  Sound but not sharp: it never proves a miss, only fails to
-    find a hit.  The draws are the same for every kind of map: per block the
-    real and then the imaginary normals, the radius uniforms, and in disk mode
-    the magnitude and phase uniforms.
+    find a hit.  The draws are the same for every kind of map: component by
+    component, per block the real and then the imaginary normals, the radius
+    uniforms, and in disk mode the magnitude and phase uniforms.  One helper
+    thread makes the next block's draws while this block is scored; each draw
+    starts after the one before has finished, so the generator is used by one
+    thread at a time, in that order.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = as_rng(seed)
     k = len(p.components)
+    dims = [ball.center.window.dim for ball in p.sources.balls]
+    # every component's map first, so a map that cannot be built fails
+    # before anything is drawn
+    scorers = []
+    for op, src, tgt in zip(p.components, p.sources.balls, p.targets.balls):
+        residuals = _squared_residuals(power_map(op, p.n, src.center.window), tgt.center.coeffs)
+        centre = (np.ascontiguousarray(src.center.coeffs.real), np.ascontiguousarray(src.center.coeffs.imag))
+        scorers.append((residuals, centre))
+    blocks = [(i, min(SEARCH_BATCH, samples - lo)) for i in range(k) for lo in range(0, samples, SEARCH_BATCH)]
+    # two pairs of flat buffers, filled in turn, each block viewing its first b*d cells
+    cells = min(SEARCH_BATCH, samples) * max(dims)
+    buffers = [(np.empty(cells), np.empty(cells)) for _ in range(2)]
+
+    def draw(step: int):
+        i, b = blocks[step]
+        d = dims[i]
+        x, y = (buf[: b * d].reshape(b, d) for buf in buffers[step % 2])
+        rng.standard_normal(out=x)
+        rng.standard_normal(out=y)
+        radii = p.sources.balls[i].radius * rng.uniform(size=b) ** (1.0 / (2 * d)) * (1.0 - 1e-12)
+        if p.mode == FIXED:
+            alphas = np.full(b, p.fixed_alphas[i], dtype=np.complex128)
+        else:
+            mags = np.sqrt(rng.uniform(size=b))
+            alphas = mags * np.exp(2j * np.pi * rng.uniform(size=b))
+        return x, y, radii, alphas
+
     best_res = [math.inf] * k
     best_alpha_found = [1.0 + 0j] * k
-    for i, op in enumerate(p.components):
-        src, tgt = p.sources.balls[i], p.targets.balls[i]
-        window = src.center.window
-        d = window.dim
-        residuals = _squared_residuals(power_map(op, p.n, window), tgt.center.coeffs)
-        cr, ci = np.ascontiguousarray(src.center.coeffs.real), np.ascontiguousarray(src.center.coeffs.imag)
-        left = samples
-        while left > 0:
-            b = min(SEARCH_BATCH, left)
-            left -= b
-            x = rng.standard_normal((b, d))
-            y = rng.standard_normal((b, d))
-            radii = src.radius * rng.uniform(size=b) ** (1.0 / (2 * d)) * (1.0 - 1e-12)
-            if p.mode == FIXED:
-                alphas = np.full(b, p.fixed_alphas[i], dtype=np.complex128)
-            else:
-                mags = np.sqrt(rng.uniform(size=b))
-                alphas = mags * np.exp(2j * np.pi * rng.uniform(size=b))
+    pending = _Ahead(draw, 0)
+    try:
+        for step, (i, b) in enumerate(blocks):
+            x, y, radii, alphas = pending.result()
+            pending = _Ahead(draw, step + 1) if step + 1 < len(blocks) else None
+            residuals, (cr, ci) = scorers[i]
+            chunk = max(1, SCORE_CELLS // dims[i])
             sq = np.empty(b)
-            for lo in range(0, b, SCORE_ROWS):
-                rows = slice(lo, lo + SCORE_ROWS)
+            for lo in range(0, b, chunk):
+                rows = slice(lo, lo + chunk)
                 xr, yr = x[rows], y[rows]
                 norms = np.sqrt(np.einsum("ij,ij->i", xr, xr) + np.einsum("ij,ij->i", yr, yr))
                 norms[norms == 0] = 1.0
@@ -914,6 +962,10 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
             if res < best_res[i]:
                 best_res[i] = res
                 best_alpha_found[i] = complex(alphas[j])
+    finally:
+        # no helper outlives the call, whatever the scoring raised
+        if pending is not None:
+            pending.join()
     return SearchReport(
         best_residuals=tuple(best_res),
         best_alphas=tuple(best_alpha_found),

@@ -192,6 +192,19 @@ class GrowthBounds:
     minmod_lower: float
 
 
+# the largest n log|c| for which |c|^n is a finite float, less a margin for
+# the rounding of the logarithm
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max)) - 1e-9
+
+
+def _check_power_range(moduli, n: int) -> None:
+    """Raise OperatorError, before the power is taken, if |c|^n overflows a
+    float for some modulus |c| in moduli."""
+    top = float(np.max(moduli, initial=0.0))
+    if top > 1.0 and n * np.log(top) > _LOG_FLOAT_MAX:
+        raise OperatorError(f"|c|^{n} overflows a float for |c| = {top:.17g}")
+
+
 def _run_products(w: np.ndarray, n: int, count: int) -> np.ndarray:
     """Products w[j] w[j+1] ... w[j+n-1] for j in 0..count-1, multiplied left to right."""
     prods = np.ones(count)
@@ -251,8 +264,11 @@ def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:
         tgt = np.clip(np.arange(d) + (n if forward else -n), 0, d - 1)
         return PowerMap("ortho", window, coeffs=coeffs, tgt=tgt)
     if isinstance(op, Diagonal):
-        return PowerMap("ortho", window, coeffs=op.entries_on(window) ** n, tgt=np.arange(d))
+        entries = op.entries_on(window)
+        _check_power_range(np.abs(entries), n)
+        return PowerMap("ortho", window, coeffs=entries**n, tgt=np.arange(d))
     if isinstance(op, Scalar):
+        _check_power_range(abs(op.value), n)
         coeffs = np.full(d, op.value**n, dtype=np.complex128)
         return PowerMap("ortho", window, coeffs=coeffs, tgt=np.arange(d))
     if isinstance(op, Dense):
@@ -352,9 +368,11 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
             moduli.append(abs(op.default))
         if not moduli:
             raise OperatorError("diagonal growth needs at least one entry")
+        _check_power_range(moduli, n)
         arr = np.array(moduli, dtype=float) ** n
         return GrowthBounds(float(arr.max()), float(arr.min()))
     if isinstance(op, Scalar):
+        _check_power_range(abs(op.value), n)
         v = abs(op.value) ** n
         return GrowthBounds(v, v)
     raise OperatorError(f"growth bounds unavailable for {type(op).__name__}")

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import types
 import warnings
 from decimal import Decimal, localcontext
@@ -15,6 +17,7 @@ from disklab.hitsolver import (
     MISS_CERTIFIED,
     MISS_UNCERTAIN,
     HitProblem,
+    Witness,
     best_alpha,
     certify_miss,
     constrained_lsq,
@@ -29,6 +32,7 @@ from disklab.operators import (
     Diagonal,
     DirectSum,
     ForwardShift,
+    OperatorError,
     Scalar,
     WeightProfile,
     apply,
@@ -40,6 +44,7 @@ from disklab.vectorspace import (
     ComplexVector,
     IndexWindow,
     ProductBall,
+    ProductVector,
     norm,
     sample_ball,
 )
@@ -820,6 +825,132 @@ def test_random_search_matches_reference_loop(case, mode):
         # every shift column is dead: each residual is the target centre's norm
         i = kinds.index("forward")
         assert got.best_residuals[i] == pytest.approx(norm(p.targets.balls[i].center), rel=1e-15)
+
+
+def _mixed_dimension_problem(mode):
+    """A dense map on a window of dimension 4 and a backward shift on one of
+    dimension 13, so the two components view the shared buffers differently."""
+    rng = np.random.default_rng([77, mode == FIXED])
+    small, large = IndexWindow(UNILATERAL, 3), IndexWindow(BILATERAL, 6)
+    kinds, windows = ("dense", "backward"), (small, large)
+    return HitProblem(
+        components=tuple(_random_operator(kind, w, rng) for kind, w in zip(kinds, windows)),
+        n=2,
+        sources=ProductBall(tuple(_random_ball(w, rng, (0.2, 1.0)) for w in windows)),
+        targets=ProductBall(tuple(_random_ball(w, rng, (0.5, 2.5), spread=0.5) for w in windows)),
+        mode=mode,
+        fixed_alphas=(0.6j, -0.8) if mode == FIXED else None,
+    )
+
+
+def _assert_matches_reference(got, ref):
+    ref_res, ref_alphas, ref_hits = ref
+    assert got.best_alphas == tuple(ref_alphas)
+    assert got.hits == tuple(ref_hits)
+    for a, b in zip(got.best_residuals, ref_res):
+        assert abs(a - b) <= 4 * np.spacing(max(a, b))
+
+
+@pytest.mark.parametrize("mode", [FIXED, DISK])
+@pytest.mark.parametrize("samples", [hitsolver.SEARCH_BATCH // 3, 2 * hitsolver.SEARCH_BATCH + 5000])
+def test_drawing_ahead_keeps_the_stream(samples, mode):
+    """One short block, or three blocks per component so each buffer pair is
+    filled more than once and the second component's first block is drawn
+    while the first component's last block is scored: the reports match the
+    serial reference loop, and a caller's generator ends in the same state.
+    The second search runs with a short thread switch interval, so the two
+    threads interleave as often as they can."""
+    p = _mixed_dimension_problem(mode)
+    _assert_matches_reference(random_search(p, samples, 2024), reference_search(p, samples, 2024))
+    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = random_search(p, samples, ours)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_matches_reference(got, reference_search(p, samples, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_random_search_needs_a_sample():
+    p = unit_ball_problem()
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            random_search(p, samples, seed=1)
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_failures_reach_the_caller_and_no_thread_outlives_the_search(monkeypatch):
+    """A kernel that raises in the middle of the second block, and a draw that
+    raises on the helper thread, both surface in the caller, and every helper
+    thread has been joined by then."""
+    p = _mixed_dimension_problem(DISK)
+    samples = 2 * hitsolver.SEARCH_BATCH
+    threads = threading.active_count()
+    kernel = hitsolver._squared_residuals
+    calls = []
+
+    def failing_kernel(pmap, v):
+        inner = kernel(pmap, v)
+
+        def score(x, y, alphas):
+            calls.append(len(x))
+            if len(calls) == 6:
+                raise _Boom("kernel")
+            return inner(x, y, alphas)
+
+        return score
+
+    monkeypatch.setattr(hitsolver, "_squared_residuals", failing_kernel)
+    with pytest.raises(_Boom, match="kernel"):
+        random_search(p, samples, seed=3)
+    assert len(calls) == 6 and sum(calls[:-1]) > hitsolver.SEARCH_BATCH  # into the second block
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+
+    class FailingDraws:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def standard_normal(self, out):
+            self.calls += 1
+            if self.calls == 3:  # the second block's real normals
+                raise _Boom("draw")
+            return self.rng.standard_normal(out=out)
+
+        def uniform(self, size):
+            return self.rng.uniform(size=size)
+
+    monkeypatch.setattr(hitsolver, "as_rng", lambda seed: FailingDraws(np.random.default_rng(seed)))
+    with pytest.raises(_Boom, match="draw"):
+        random_search(p, samples, seed=3)
+    assert threading.active_count() == threads
+
+
+def test_overflowing_scalar_powers_are_named_errors_in_the_oracle():
+    """Scalar(2.0) at n = 1100 is decided by the exact route, but the oracle
+    and the witness check, which form 2^1100, refuse it with an OperatorError;
+    at n = 1000 the power is finite and the oracle runs."""
+    w = IndexWindow(BILATERAL, 4)
+    e0, e1 = ComplexVector.basis(w, 0), ComplexVector.basis(w, 1)
+
+    def problem(n):
+        return HitProblem((Scalar(2.0),), n, ProductBall((Ball(e0, 0.45),)), ProductBall((Ball(e1, 0.45),)))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = problem(1100)
+        assert solve_hit(p).status == MISS_CERTIFIED
+        with pytest.raises(OperatorError, match="overflows"):
+            random_search(p, 100, seed=1)
+        witness = Witness(1100, (1.0,), ProductVector((e0,)), (1.0,))
+        with pytest.raises(OperatorError, match="overflows"):
+            reverify_witness(p, witness)
+        assert random_search(problem(1000), 100, seed=1).hits == (False,)
 
 
 def test_problem_validation():

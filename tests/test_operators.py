@@ -187,6 +187,28 @@ def test_growth_diagonal_and_scalar():
         growth(Dense(np.eye(3)), 2)
 
 
+def test_overflowing_scalar_and_diagonal_powers_are_operator_errors():
+    """|c|^n past the float range is refused before the power is taken;
+    2^1000 (about 1.07e301) is still a finite power."""
+    w = IndexWindow(BILATERAL, 2)
+    twos = Diagonal({}, default=2.0)
+    for op in (Scalar(2.0), Scalar(2.0j), twos):
+        pmap = operators.power_map(op, 1000, w)
+        assert np.all(np.isfinite(pmap.coeffs)) and abs(pmap.coeffs[0]) == pytest.approx(2.0**1000)
+        gb = growth(op, 1000)
+        assert gb.opnorm_upper == gb.minmod_lower == pytest.approx(2.0**1000)
+        for n in (1024, 1100):
+            with pytest.raises(OperatorError, match="overflows"):
+                operators.power_map(op, n, w)
+            with pytest.raises(OperatorError, match="overflows"):
+                growth(op, n)
+    # one large entry is enough; a small one may underflow to 0
+    gb = growth(Diagonal({0: 0.5}, default=1.5), 1100)
+    assert gb.minmod_lower == 0.0 and np.isfinite(gb.opnorm_upper)
+    with pytest.raises(OperatorError):
+        growth(Diagonal({0: 0.5, 1: 2.0}), 1100)
+
+
 def test_diagonal_missing_entry():
     d = Diagonal({0: 0.5})
     w = IndexWindow(UNILATERAL, 1)
