@@ -31,7 +31,6 @@ from .criteria import (
     check_scalar_free_criterion,
     check_scaled_criterion,
     make_vector_sampler,
-    powers_of_right_inverse,
     roundtrip_scalar_derivation,
     spectral_witness,
 )
@@ -647,7 +646,7 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
     if compound:
         horizon = _field(params, path, "horizon", _as_horizon, 40)
         lambdas = _criterion_lambdas(params, 1, horizon, path)
-        nk, smaps = tuple(range(1, horizon + 1)), (powers_of_right_inverse(comps[0]),)
+        nk, smaps = tuple(range(1, horizon + 1)), (right_inverse(comps[0]),)
     else:
         if variant == "scaled" and "lambdas" not in params:
             raise ConfigError(_sub(path, "lambdas"), "the scaled variant needs explicit scalars")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -867,29 +866,22 @@ def _squared_residuals(pmap: PowerMap, v: np.ndarray) -> Callable[..., np.ndarra
     return ortho
 
 
-class _Ahead:
-    """fn(*args) run on a helper thread; result() waits for it and returns its
-    value or re-raises its exception in the caller."""
-
-    def __init__(self, fn: Callable, *args):
-        self._value = self._error = None
-        self._thread = threading.Thread(target=self._run, args=(fn, *args))
-        self._thread.start()
-
-    def _run(self, fn: Callable, *args) -> None:
-        try:
-            self._value = fn(*args)
-        except BaseException as exc:  # handed to the caller by result()
-            self._error = exc
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
+def _scale_exponent(pmap: PowerMap, reach: float, v: np.ndarray) -> int:
+    """The e >= 0 that brings B = |T^n| reach + |v| to at most 2^500, where
+    |T^n| is the largest coefficient of an orthogonal-column map or the
+    Frobenius norm of a dense one.  Every residual |alpha T^n z - v| with
+    |z| <= reach and |alpha| <= 1 is at most B, so once the map and v are
+    scaled by 2^-e its square stays inside the float range, and a power of
+    two scales exactly.  B is bounded through binary exponents, as it can
+    pass the float range itself."""
+    entries = np.abs(pmap.matrix if pmap.kind == "dense" else pmap.coeffs)
+    big = float(np.max(entries, initial=0.0))
+    if pmap.kind == "dense" and big > 0:
+        reach *= float(np.linalg.norm(entries / big))  # |M|_F = big |M / big|_F
+    size = float(np.linalg.norm(v))
+    top = max(math.frexp(big)[1], math.frexp(size)[1])
+    bound = math.ldexp(big, -top) * reach + math.ldexp(size, -top)
+    return max(0, math.ceil(math.log2(bound)) + top - 500) if bound > 0 else 0
 
 
 def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
@@ -914,9 +906,12 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     # before anything is drawn
     scorers = []
     for op, src, tgt in zip(p.components, p.sources.balls, p.targets.balls):
-        residuals = _squared_residuals(power_map(op, p.n, src.center.window), tgt.center.coeffs)
+        pmap, v = power_map(op, p.n, src.center.window), tgt.center.coeffs
+        # residuals are scored in units of 2^e, so that their squares cannot overflow
+        e = _scale_exponent(pmap, norm(src.center) + src.radius, v)
+        residuals = _squared_residuals(pmap.scaled(2.0**-e), v * 2.0**-e)
         centre = (np.ascontiguousarray(src.center.coeffs.real), np.ascontiguousarray(src.center.coeffs.imag))
-        scorers.append((residuals, centre))
+        scorers.append((residuals, centre, 2.0**e))
     blocks = [(i, min(SEARCH_BATCH, samples - lo)) for i in range(k) for lo in range(0, samples, SEARCH_BATCH)]
     # two pairs of flat buffers, filled in turn, each block viewing its first b*d cells
     cells = min(SEARCH_BATCH, samples) * max(dims)
@@ -938,12 +933,20 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
 
     best_res = [math.inf] * k
     best_alpha_found = [1.0 + 0j] * k
-    pending = _Ahead(draw, 0)
-    try:
+    # imported here, not at module level: concurrent.futures (and logging
+    # through it) takes about 10 ms to load (python -X importtime), and only
+    # the oracle uses it, so `import disklab` does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    # one helper thread draws the next block; result() re-raises its error
+    # here, and leaving the block joins it, whatever the scoring raised
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0)
         for step, (i, b) in enumerate(blocks):
             x, y, radii, alphas = pending.result()
-            pending = _Ahead(draw, step + 1) if step + 1 < len(blocks) else None
-            residuals, (cr, ci) = scorers[i]
+            if step + 1 < len(blocks):
+                pending = helper.submit(draw, step + 1)
+            residuals, (cr, ci), unit = scorers[i]
             chunk = max(1, SCORE_CELLS // dims[i])
             sq = np.empty(b)
             for lo in range(0, b, chunk):
@@ -958,14 +961,10 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
                 yr += ci
                 sq[rows] = residuals(xr, yr, alphas[rows, None])
             j = int(np.argmin(sq))
-            res = math.sqrt(sq[j])
+            res = math.sqrt(sq[j]) * unit
             if res < best_res[i]:
                 best_res[i] = res
                 best_alpha_found[i] = complex(alphas[j])
-    finally:
-        # no helper outlives the call, whatever the scoring raised
-        if pending is not None:
-            pending.join()
     return SearchReport(
         best_residuals=tuple(best_res),
         best_alphas=tuple(best_alpha_found),

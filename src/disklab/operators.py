@@ -215,8 +215,6 @@ def _run_products(w: np.ndarray, n: int, count: int) -> np.ndarray:
 
 def _shift_products(profile: WeightProfile, lo: int, hi: int, n: int) -> np.ndarray:
     """Products w(j) w(j+1) ... w(j+n-1) for each start j in lo..hi."""
-    if n == 0:
-        return np.ones(hi - lo + 1)
     return _run_products(profile.weights_on(lo, hi + n - 1), n, hi - lo + 1)
 
 
@@ -349,18 +347,11 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
         raise ValueError(f"unknown lattice {lattice!r}")
     if n == 0:
         return GrowthBounds(1.0, 1.0)
-    if isinstance(op, ForwardShift):
+    if isinstance(op, (ForwardShift, BackwardShift)):
         prods = _profile_window_products(op.weights, n, lattice)
-        return GrowthBounds(float(prods.max()), float(prods.min()))
-    if isinstance(op, BackwardShift):
-        if lattice == UNILATERAL:
+        if isinstance(op, BackwardShift) and lattice == UNILATERAL:
             # e_0 .. e_{n-1} are annihilated
-            keys = [k for k in op.weights.table if k >= 0]
-            hi_t = max(keys, default=0)
-            prods = _shift_products(op.weights, 0, hi_t + n + 1, n)
-            prods = np.append(prods, op.weights.pos**n)
             return GrowthBounds(float(prods.max()), 0.0)
-        prods = _profile_window_products(op.weights, n, lattice)
         return GrowthBounds(float(prods.max()), float(prods.min()))
     if isinstance(op, Diagonal):
         moduli = [abs(v) for v in op.entries.values()]

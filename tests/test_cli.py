@@ -23,7 +23,7 @@ from disklab.cli import (
     main,
     run,
 )
-from disklab.operators import BackwardShift, Dense, Diagonal, DirectSum, ForwardShift, Scalar
+from disklab.operators import BackwardShift, Dense, Diagonal, DirectSum, ForwardShift, Scalar, WindowGuardError
 from disklab.vectorspace import BILATERAL, UNILATERAL, IndexWindow
 
 
@@ -576,6 +576,25 @@ def test_criterion_run_scalar_free_passes():
     assert header == ("n_k", "cond1", "cond2", "cond3")
     assert len(rows) == 40
     assert report["curves"]["criterion"]["rows"][0][0] == 1
+
+
+def test_compound_criterion_guards_the_window_as_every_variant_does():
+    """The compound variants build their backward map as the others do, so
+    mass that a backward power would push past the bottom of a bilateral
+    window is a WindowGuardError, not a silently shortened curve."""
+
+    def criterion(**parameters):
+        return {
+            "window": {"kind": "bilateral", "m": 6},
+            "operators": {"shift": {"type": "forward_shift", "pos": 2.0, "neg": 3.0}},
+            "experiment": "criterion",
+            "parameters": {"components": ["shift"], "sample_count": 1, "seed": 5, "sampler": {"band": 1}, **parameters},
+        }
+
+    with pytest.raises(WindowGuardError):
+        run(criterion(variant="compound_scalar_free", horizon=6))
+    with pytest.raises(WindowGuardError):
+        run(criterion(variant="scalar_free", nk={"stop": 6}))
 
 
 def test_criterion_on_a_lone_direct_sum_runs_on_its_components():

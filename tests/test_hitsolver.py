@@ -934,12 +934,16 @@ def test_failures_reach_the_caller_and_no_thread_outlives_the_search(monkeypatch
 def test_overflowing_scalar_powers_are_named_errors_in_the_oracle():
     """Scalar(2.0) at n = 1100 is decided by the exact route, but the oracle
     and the witness check, which form 2^1100, refuse it with an OperatorError;
-    at n = 1000 the power is finite and the oracle runs."""
+    at n = 600 and 1000 the power is finite and the oracle runs, and its best
+    residual, whose square passes the float range, stays finite and no
+    smaller than the exact route's lower bound, for the scalar and for the
+    same power as a dense map."""
     w = IndexWindow(BILATERAL, 4)
     e0, e1 = ComplexVector.basis(w, 0), ComplexVector.basis(w, 1)
 
-    def problem(n):
-        return HitProblem((Scalar(2.0),), n, ProductBall((Ball(e0, 0.45),)), ProductBall((Ball(e1, 0.45),)))
+    def problem(n, mode=DISK, op=Scalar(2.0)):
+        alphas = (1.0,) if mode == FIXED else None
+        return HitProblem((op,), n, ProductBall((Ball(e0, 0.45),)), ProductBall((Ball(e1, 0.45),)), mode, alphas)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -951,6 +955,15 @@ def test_overflowing_scalar_powers_are_named_errors_in_the_oracle():
         with pytest.raises(OperatorError, match="overflows"):
             reverify_witness(p, witness)
         assert random_search(problem(1000), 100, seed=1).hits == (False,)
+        for n in (600, 1000):
+            for mode in (DISK, FIXED):
+                p = problem(n, mode)
+                (res,) = random_search(p, 100, seed=1).best_residuals
+                lb = solve_hit(p).lower_bound
+                assert math.isfinite(res) and res >= lb * (1 - 1e-12) - 1e-12
+                # the same draws, scored through a dense map of 2 I
+                dense = problem(n, mode, Dense(2.0 * np.eye(w.dim)))
+                assert random_search(dense, 100, seed=1).best_residuals == pytest.approx((res,), rel=1e-12)
 
 
 def test_problem_validation():

@@ -1,5 +1,5 @@
 """No module imports a name it never uses, and no library module keeps a
-private name it never uses.
+private name it never uses; importing the package stays light.
 
 No linter ships with the project, so these are `ast` scans: every name an
 import statement binds must appear as a name somewhere else in the module,
@@ -8,6 +8,8 @@ class or assignment in `src/disklab` must be read somewhere in its module.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,3 +97,14 @@ def test_no_orphaned_private_names():
         if (names := orphaned_private_names(path.read_text()))
     }
     assert found == {}
+
+
+def test_importing_the_package_leaves_concurrent_futures_unloaded():
+    """Only the sampling oracle uses a thread pool, and it imports one when it
+    runs, so `import disklab` does not pay to load concurrent.futures."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import disklab; "
+        "print('disklab.hitsolver' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert loaded.split() == ["True", "False"]
