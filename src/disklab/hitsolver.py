@@ -1,7 +1,8 @@
 """Single-power hit solving: can alpha T^n map a source ball into a target ball.
 
-The joint problem over (alpha, z) is solved per component by alternating an
-exact disk-projected scalar fit with an exact trust-region least-squares step
+The joint problem over (alpha, z) is solved per component by single
+alternation steps from a few starts, then a disk grid: each step is an exact
+disk-projected scalar fit followed by an exact trust-region least-squares step
 in z.  A component where alpha T^n is a multiple of the identity (a scalar,
 or any operator at n = 0) is decided in closed form instead.  Misses are
 certified, when possible, by that closed form or by growth bounds of the
@@ -77,8 +78,6 @@ RESIDUAL_SLACK = 1e-9  # hits need residual < delta - slack
 ALPHA_FLOOR = 1e-12  # smallest scalar modulus ever returned
 STRICT_MARGIN = 1e-9  # source balls shrink by this factor for strictness
 CERT_MARGIN = 1e-12  # certificates need lower_bound >= delta + this
-MAX_ITERS = 40  # alternation steps from one starting point
-STALL_EPS = 1e-12  # alternation stops once a step moves the residual by this, relative
 
 # random_search draws its samples in blocks of this many; a helper thread
 # draws the next block while this one is scored, which bounds the oracle's
@@ -720,17 +719,14 @@ def _solve_component(
 
     def track(alpha: complex, z: ComplexVector, residual: float, kkt: float = 0.0) -> bool:
         best.max_kkt = max(best.max_kkt, kkt)
+        # a hit ends the solve, so until one best.residual >= hit_level, and
+        # every hit is also an improvement
         if residual < best.residual:
             best.residual = residual
             best.alpha = alpha
             best.z = z
-        if residual < hit_level:
-            best.hit = True
-            best.alpha = alpha
-            best.z = z
-            best.residual = residual
-            return True
-        return False
+        best.hit = residual < hit_level
+        return best.hit
 
     def pinned(alpha: complex) -> bool:
         sol = constrained_lsq(base.scaled(alpha), u, eps_eff, v)
@@ -740,22 +736,14 @@ def _solve_component(
         pinned(fixed_alpha)
         return best
 
-    def alternate(z0: ComplexVector) -> bool:
-        z = z0
-        prev = math.inf
-        for _ in range(MAX_ITERS):
-            w = ComplexVector(window, base.apply_vec(z.coeffs))
-            alpha = best_alpha(w, v)
-            if norm(z - u) < src.radius and track(alpha, z, norm(w * alpha - v)):
-                return True
-            sol = constrained_lsq(base.scaled(alpha), u, eps_eff, v)
-            if track(alpha, sol.z, sol.residual, sol.kkt_residual):
-                return True
-            if abs(prev - sol.residual) <= STALL_EPS * max(1.0, abs(prev)):
-                break
-            prev = sol.residual
-            z = sol.z
-        return False
+    def alternate(z: ComplexVector) -> bool:
+        """One alternation step from z: refit alpha at z, keep z itself when
+        it lies inside the source ball, then pin that alpha."""
+        w = ComplexVector(window, base.apply_vec(z.coeffs))
+        alpha = best_alpha(w, v)
+        if norm(z - u) < src.radius and track(alpha, z, norm(w * alpha - v)):
+            return True
+        return pinned(alpha)
 
     crit = _criterion_scalar(op, n, base, src, tgt)
     # criterion-pinned scalar first: where it hits, the recorded alpha is the
@@ -768,10 +756,11 @@ def _solve_component(
         return best
     # the z-subproblem at fixed alpha is convex and solved exactly, so the
     # joint landscape is nonconvex only through alpha; a coarse disk grid
-    # (alpha = 1 is its modulus-1, phase-0 row) plus one polish escapes
-    # alternation stalls.  The grid is one batched solve, replayed through
-    # track() in grid order, so the first hit, the best point and max_kkt
-    # are those of pinning each grid alpha in turn
+    # (alpha = 1 is its modulus-1, phase-0 row) plus one polishing step
+    # covers the scalars the steps above did not reach.  The grid is one
+    # batched solve, replayed through track() in grid order, so the first
+    # hit, the best point and max_kkt are those of pinning each grid alpha
+    # in turn
     zs, residuals, kkts = _grid_lsq(base, np.array(_GRID_ALPHAS), u, eps_eff, v)
     for alpha, z, residual, kkt in zip(_GRID_ALPHAS, zs, residuals.tolist(), kkts.tolist()):
         # track() keeps z only from a row that improves on the best or hits

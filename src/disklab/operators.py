@@ -213,9 +213,29 @@ def _run_products(w: np.ndarray, n: int, count: int) -> np.ndarray:
     return prods
 
 
+def _check_run_range(w: np.ndarray, n: int, count: int) -> None:
+    """Raise OperatorError if a product that _run_products(w, n, count) forms,
+    a partial one included, overflows a float; its logs are summed in the
+    same order."""
+    logs = np.log(w)
+    acc = np.zeros(count)
+    for t in range(n):
+        acc += logs[t : t + count]
+        if acc.max() > _LOG_FLOAT_MAX:
+            raise OperatorError(f"a shift run product of length {t + 1} overflows a float at power {n}")
+
+
 def _shift_products(profile: WeightProfile, lo: int, hi: int, n: int) -> np.ndarray:
-    """Products w(j) w(j+1) ... w(j+n-1) for each start j in lo..hi."""
-    return _run_products(profile.weights_on(lo, hi + n - 1), n, hi - lo + 1)
+    """Products w(j) w(j+1) ... w(j+n-1) for each start j in lo..hi; an
+    OperatorError, before any is formed, if one overflows a float."""
+    w = profile.weights_on(lo, hi + n - 1)
+    count = hi - lo + 1
+    # the logs are summed only where the largest weight's n-th power could
+    # overflow: the largest weight alone would refuse finite runs
+    top = max(profile.pos, profile.neg, *profile.table.values())
+    if top > 1.0 and n * np.log(top) > _LOG_FLOAT_MAX:
+        _check_run_range(w, n, count)
+    return _run_products(w, n, count)
 
 
 @dataclass(frozen=True)
@@ -327,6 +347,7 @@ def _profile_window_products(profile: WeightProfile, n: int, lattice: str) -> np
     if lattice == UNILATERAL:
         lo_j = max(lo_j, 0)
         hi_j = max(hi_j, 0)
+    _check_power_range([profile.pos, profile.neg] if lattice == BILATERAL else [profile.pos], n)
     cands = list(_shift_products(profile, lo_j, hi_j, n))
     cands.append(profile.pos**n)  # far right
     if lattice == BILATERAL:
@@ -369,16 +390,6 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     raise OperatorError(f"growth bounds unavailable for {type(op).__name__}")
 
 
-def _support_for_guard(x) -> tuple[int, int] | None:
-    if isinstance(x, ProductVector):
-        bounds = [p.support_bounds() for p in x.parts]
-        bounds = [b for b in bounds if b is not None]
-        if not bounds:
-            return None
-        return min(b[0] for b in bounds), max(b[1] for b in bounds)
-    return x.support_bounds()
-
-
 def ensure_power_fits(op: OperatorSpec, n: int, x):
     """Raise WindowGuardError if T^n x would shed mass at an artificial edge.
 
@@ -386,16 +397,21 @@ def ensure_power_fits(op: OperatorSpec, n: int, x):
     cutoff, as is the bottom of a bilateral one; the bottom of a unilateral
     window is a true lattice boundary, where a backward shift genuinely
     annihilates, so no guard fires there.  For a DirectSum the check runs
-    componentwise against the matching part of a product vector.
+    componentwise against the matching part of a product vector.  x must be
+    what power_apply takes: a product vector of matching arity for a
+    DirectSum, a ComplexVector for any other operator.
     """
     if isinstance(op, DirectSum):
-        if isinstance(x, ProductVector):
-            for c, p in zip(op.components, x.parts):
-                ensure_power_fits(c, n, p)
+        if not isinstance(x, ProductVector) or x.arity != len(op.components):
+            raise ValueError("direct sum expects a matching product vector")
+        for c, p in zip(op.components, x.parts):
+            ensure_power_fits(c, n, p)
         return
+    if not isinstance(x, ComplexVector):
+        raise TypeError("expected a ComplexVector")
     if not isinstance(op, (ForwardShift, BackwardShift)):
         return
-    bounds = _support_for_guard(x)
+    bounds = x.support_bounds()
     if bounds is None:
         return
     win = x.window

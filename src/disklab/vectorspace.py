@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -178,30 +178,10 @@ class ProductVector:
     def arity(self) -> int:
         return len(self.parts)
 
-    def __add__(self, other: "ProductVector") -> "ProductVector":
-        self._check(other)
-        return ProductVector(tuple(a + b for a, b in zip(self.parts, other.parts)))
-
-    def __sub__(self, other: "ProductVector") -> "ProductVector":
-        self._check(other)
-        return ProductVector(tuple(a - b for a, b in zip(self.parts, other.parts)))
-
-    def __mul__(self, scalar: complex) -> "ProductVector":
-        return ProductVector(tuple(p * scalar for p in self.parts))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProductVector):
             return NotImplemented
         return self.parts == other.parts
-
-    def _check(self, other: "ProductVector"):
-        if self.arity != other.arity:
-            raise ValueError("product vectors have different arity")
-
-    def __iter__(self) -> Iterator[ComplexVector]:
-        return iter(self.parts)
 
 
 def norm(x) -> float:
@@ -243,10 +223,6 @@ class ProductBall:
         if x.arity != self.arity:
             raise ValueError("arity mismatch")
         return all(b.contains(p) for b, p in zip(self.balls, x.parts))
-
-    @property
-    def center(self) -> ProductVector:
-        return ProductVector(tuple(b.center for b in self.balls))
 
 
 def sample_finite_support(

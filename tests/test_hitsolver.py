@@ -37,6 +37,7 @@ from disklab.operators import (
     WeightProfile,
     apply,
 )
+from disklab.transitivity import make_ball_sampler
 from disklab.vectorspace import (
     BILATERAL,
     UNILATERAL,
@@ -263,6 +264,28 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
         got_res, want_res = got.best_residuals, want.best_residuals
     assert got_res == pytest.approx(want_res, rel=1e-12)
     assert got.max_kkt_residual == pytest.approx(want.max_kkt_residual, abs=1e-12)
+
+
+def test_disk_solve_takes_one_step_from_each_start(monkeypatch):
+    """A disk-route miss makes four single-scalar solves and one grid batch:
+    the criterion pin, one refit step from u, one from the criterion seed,
+    and one polishing step after the grid.  A hit at the criterion pin ends
+    the solve after one solve, with the construction's scalar."""
+    calls, batches = [], []
+    lsq, grid = hitsolver.constrained_lsq, hitsolver._grid_lsq
+    monkeypatch.setattr(hitsolver, "constrained_lsq", lambda *a: calls.append(a) or lsq(*a))
+    monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or grid(*a))
+    sample = make_ball_sampler(IndexWindow(BILATERAL, 32), 1, band=1)
+    sources, targets = sample(np.random.default_rng(0)), sample(np.random.default_rng(1000))
+    assert solve_hit(HitProblem((EXAMPLE_SHIFT,), 1, sources, targets)).status == MISS_UNCERTAIN
+    assert (len(calls), len(batches)) == (4, 1)
+
+    calls.clear()
+    batches.clear()
+    ball = ProductBall((Ball(ComplexVector.basis(IndexWindow(BILATERAL, 64), 0), 0.5),))
+    got = solve_hit(HitProblem((EXAMPLE_SHIFT,), 5, ball, ball))
+    assert got.status == HIT and (len(calls), len(batches)) == (1, 0)
+    assert got.witness.alphas[0] == pytest.approx(6.0**-2.5, rel=1e-12)
 
 
 def test_trs_boundary_case_is_tight():

@@ -4,7 +4,8 @@ private name it never uses; importing the package stays light.
 No linter ships with the project, so these are `ast` scans: every name an
 import statement binds must appear as a name somewhere else in the module,
 or be listed in the module's `__all__`; every module-level `_name` function,
-class or assignment in `src/disklab` must be read somewhere in its module.
+class or assignment in `src/disklab` must be read somewhere in its module, and
+every module-level public UPPERCASE constant somewhere in the library.
 """
 
 import ast
@@ -60,20 +61,29 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def _assigned_names(node: ast.stmt) -> list[str]:
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def _private_definitions(tree: ast.Module) -> list[str]:
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        names += _assigned_names(node)
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
 
 
 def orphaned_private_names(source: str) -> list[str]:
     tree = ast.parse(source)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    read = _read_names(tree)
     return [name for name in _private_definitions(tree) if name not in read]
 
 
@@ -97,6 +107,45 @@ def test_no_orphaned_private_names():
         if (names := orphaned_private_names(path.read_text()))
     }
     assert found == {}
+
+
+def _public_constants(tree: ast.Module) -> list[str]:
+    names = [name for node in tree.body for name in _assigned_names(node)]
+    return [name for name in names if name.isupper() and not name.startswith("_")]
+
+
+def unread_public_constants(sources: list[str]) -> list[str]:
+    """Module-level UPPERCASE constants that no module in sources reads, by
+    name (in its own module, or after importing it) or as a module attribute;
+    an import alone, such as a package's re-export, is not a read."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for tree in trees:
+        read |= _read_names(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [name for tree in trees for name in _public_constants(tree) if name not in read]
+
+
+def test_constant_scan_flags_only_unread_public_constants():
+    defining = (
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "STALE: float = 1e-12\n"
+        "_PRIVATE = 5\n"
+        "SHARED = ATTR = 6\n"
+        "lower = 7\n"
+        "def f(): return LIMIT\n"
+    )
+    importing = (
+        "from . import a\n"
+        "from .a import SHARED, UNUSED\n"
+        "__all__ = ['UNUSED']\n"
+        "print(SHARED, a.ATTR)\n"
+    )
+    assert unread_public_constants([defining, importing]) == ["UNUSED", "STALE"]
+
+
+def test_no_unread_public_constants():
+    assert unread_public_constants([path.read_text() for path in LIBRARY]) == []
 
 
 def test_importing_the_package_leaves_concurrent_futures_unloaded():

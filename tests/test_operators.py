@@ -20,11 +20,14 @@ from disklab.operators import (
     power_apply,
     right_inverse,
 )
+from disklab.hitsolver import HitProblem, solve_hit
 from disklab.vectorspace import (
     BILATERAL,
     UNILATERAL,
+    Ball,
     ComplexVector,
     IndexWindow,
+    ProductBall,
     ProductVector,
     norm,
 )
@@ -209,6 +212,28 @@ def test_overflowing_scalar_and_diagonal_powers_are_operator_errors():
         growth(Diagonal({0: 0.5, 1: 2.0}), 1100)
 
 
+def test_overflowing_shift_powers_are_operator_errors():
+    """A shift power whose run product passes the float range is refused
+    before any product is formed: 3^646 (about 1.7e308) is still finite,
+    3^647 is not.  A run through one large table weight is judged by its own
+    sum of logs, not by the largest weight's power."""
+    op = ForwardShift(WeightProfile(2.0, 3.0))
+    assert growth(op, 646).opnorm_upper == pytest.approx(3.0**646, rel=1e-12)
+    for n in (647, 650):
+        with pytest.raises(OperatorError, match="overflows"):
+            growth(op, n)
+    w = IndexWindow(BILATERAL, 800)
+    x = basis(-325, w)
+    assert np.all(np.isfinite(power_apply(op, 600, x).coeffs))
+    with pytest.raises(OperatorError, match="overflows"):
+        power_apply(op, 650, x)
+    balls = ProductBall((Ball(x, 0.5),)), ProductBall((Ball(basis(325, w), 0.5),))
+    with pytest.raises(OperatorError, match="overflows"):
+        solve_hit(HitProblem((op,), 650, *balls))
+    peaked = ForwardShift(WeightProfile(1.1, 1.1, {0: 1000.0}))
+    assert growth(peaked, 104).opnorm_upper == pytest.approx(1000.0 * 1.1**103, rel=1e-12)
+
+
 def test_diagonal_missing_entry():
     d = Diagonal({0: 0.5})
     w = IndexWindow(UNILATERAL, 1)
@@ -258,6 +283,23 @@ def test_window_guard():
     ensure_power_fits(Scalar(5.0), 99, ComplexVector.basis(w, 2))
     # zero vectors have nothing to lose
     ensure_power_fits(t, 99, ComplexVector.zero(w))
+
+
+def test_window_guard_takes_what_power_apply_takes():
+    """A direct sum needs a product vector of its arity, and any other
+    operator a lone vector, in the guard as in power_apply."""
+    t = ForwardShift(WeightProfile(2.0, 3.0))
+    x = basis(0)
+    for op, bad, error in (
+        (DirectSum((t, t)), x, ValueError),
+        (DirectSum((t, t)), ProductVector((x,)), ValueError),
+        (t, ProductVector((x, x)), TypeError),
+        (Scalar(2.0), ProductVector((x, x)), TypeError),
+    ):
+        with pytest.raises(error):
+            power_apply(op, 1, bad)
+        with pytest.raises(error, match="expect"):
+            ensure_power_fits(op, 1, bad)
 
 
 def test_power_rejects_negative():
