@@ -523,7 +523,7 @@ def _trials_table(v) -> Table:
 
 
 def _run_orbit(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps = _resolve_components(params, registry, path)
+    comps = components_of(_resolve_components(params, registry, path))
     if len(comps) != 1:
         raise ConfigError(_sub(path, "components"), "orbit takes exactly one operator")
     x, horizon = _fields(
@@ -630,14 +630,14 @@ def _criterion_outcome(report) -> RunOutcome:
 
 
 def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps = _resolve_components(params, registry, path)
+    comps = components_of(_resolve_components(params, registry, path))
     variant = _field(params, path, "variant", _as_str, "scalar_free")
     if variant not in _CRITERION_VARIANTS:
         raise ConfigError(_sub(path, "variant"), f"unknown variant {variant!r}")
     compound = variant.startswith("compound_")
     if compound and len(comps) != 1:
         raise ConfigError(_sub(path, "components"), "compound variants take exactly one operator")
-    arity = 1 if compound else len(components_of(comps))
+    arity = len(comps)
     # the counts and pair samplers every variant's data takes
     shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_sample_count, 25), seed=(_as_seed, 0))
     kwargs = _sampler_kwargs(params, path, with_radius=False)
@@ -651,7 +651,6 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
         if variant == "scaled" and "lambdas" not in params:
             raise ConfigError(_sub(path, "lambdas"), "the scaled variant needs explicit scalars")
         nk = _criterion_nk(params, path)
-        comps = components_of(comps)
         smaps = tuple(right_inverse(c) for c in comps)
         lambdas = _criterion_lambdas(params, arity, len(nk), path)
     data = CriterionData(components=comps, smaps=smaps, nk=nk, lambdas=lambdas, **shared)
@@ -997,6 +996,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         paths = dict.fromkeys(("json_path", "csv_path", "plot_dir"), (_as_str, None))
         output = _fields(cfg.get("output", {}), "output", **paths)
         outcome, report = run(cfg)
+        # strict JSON: a non-finite value is an error before any file is written
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return EXIT_ERROR
@@ -1011,7 +1012,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if output["json_path"]:
         path = Path(output["json_path"])
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        path.write_text(text)
     if output["csv_path"] and outcome.tables:
         first = next(iter(outcome.tables.values()))
         _write_csv(Path(output["csv_path"]), first)

@@ -22,6 +22,7 @@ from .operators import (
     WeightProfile,
     apply,
     ensure_power_fits,
+    overflow_checked,
     power_apply,
     right_inverse,
 )
@@ -182,6 +183,7 @@ class _OrbitNorms(NamedTuple):
     defect: list[list[float]]  # ||T^n S_n y_i - y_i||
 
 
+@overflow_checked(lambda data, x, y: f"powers up to {data.nk[-1]}")
 def _orbit_norms(data: CriterionData, x: ProductVector, y: ProductVector) -> _OrbitNorms:
     """The three norms of one sampled pair at every probed power, with each
     power applied once."""

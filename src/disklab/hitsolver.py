@@ -30,6 +30,7 @@ from .operators import (
     components_of,
     ensure_power_fits,
     growth,
+    overflow_checked,
     power_apply,
     power_map,
     right_inverse,
@@ -696,6 +697,7 @@ _GRID_ALPHAS = tuple(
 )
 
 
+@overflow_checked()
 def _solve_component(
     op: OperatorSpec,
     n: int,

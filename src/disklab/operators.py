@@ -7,8 +7,10 @@ scans that must not lose mass call ensure_power_fits first.
 
 from __future__ import annotations
 
+import cmath
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
     "growth",
     "components_of",
     "ensure_power_fits",
+    "overflow_checked",
 ]
 
 
@@ -192,50 +195,33 @@ class GrowthBounds:
     minmod_lower: float
 
 
-# the largest n log|c| for which |c|^n is a finite float, less a margin for
-# the rounding of the logarithm
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max)) - 1e-9
+def overflow_checked(powers: Callable[..., str] = lambda op, n, *rest, **kwargs: f"power {n}"):
+    """Decorator: run the function with numpy raising on overflow and invalid
+    values, and turn that error, or Python's OverflowError from c**n, into an
+    OperatorError naming the function and powers(*args), by default argument n."""
 
+    def wrap(fn):
+        raising = np.errstate(over="raise", invalid="raise")(fn)
 
-def _check_power_range(moduli, n: int) -> None:
-    """Raise OperatorError, before the power is taken, if |c|^n overflows a
-    float for some modulus |c| in moduli."""
-    top = float(np.max(moduli, initial=0.0))
-    if top > 1.0 and n * np.log(top) > _LOG_FLOAT_MAX:
-        raise OperatorError(f"|c|^{n} overflows a float for |c| = {top:.17g}")
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            try:
+                return raising(*args, **kwargs)
+            except (FloatingPointError, OverflowError) as exc:
+                raise OperatorError(f"{fn.__name__} overflows a float at {powers(*args, **kwargs)}: {exc}") from exc
 
+        return checked
 
-def _run_products(w: np.ndarray, n: int, count: int) -> np.ndarray:
-    """Products w[j] w[j+1] ... w[j+n-1] for j in 0..count-1, multiplied left to right."""
-    prods = np.ones(count)
-    for t in range(n):
-        prods *= w[t : t + count]
-    return prods
-
-
-def _check_run_range(w: np.ndarray, n: int, count: int) -> None:
-    """Raise OperatorError if a product that _run_products(w, n, count) forms,
-    a partial one included, overflows a float; its logs are summed in the
-    same order."""
-    logs = np.log(w)
-    acc = np.zeros(count)
-    for t in range(n):
-        acc += logs[t : t + count]
-        if acc.max() > _LOG_FLOAT_MAX:
-            raise OperatorError(f"a shift run product of length {t + 1} overflows a float at power {n}")
+    return wrap
 
 
 def _shift_products(profile: WeightProfile, lo: int, hi: int, n: int) -> np.ndarray:
-    """Products w(j) w(j+1) ... w(j+n-1) for each start j in lo..hi; an
-    OperatorError, before any is formed, if one overflows a float."""
+    """Products w(j) w(j+1) ... w(j+n-1) for each start j in lo..hi, multiplied left to right."""
     w = profile.weights_on(lo, hi + n - 1)
-    count = hi - lo + 1
-    # the logs are summed only where the largest weight's n-th power could
-    # overflow: the largest weight alone would refuse finite runs
-    top = max(profile.pos, profile.neg, *profile.table.values())
-    if top > 1.0 and n * np.log(top) > _LOG_FLOAT_MAX:
-        _check_run_range(w, n, count)
-    return _run_products(w, n, count)
+    prods = np.ones(hi - lo + 1)
+    for t in range(n):
+        prods *= w[t : t + prods.size]
+    return prods
 
 
 @dataclass(frozen=True)
@@ -268,6 +254,7 @@ class PowerMap:
         return out
 
 
+@overflow_checked()
 def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:
     """T^n on the window; shift mass that leaves the window is dropped."""
     d = window.dim
@@ -283,16 +270,24 @@ def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:
         return PowerMap("ortho", window, coeffs=coeffs, tgt=tgt)
     if isinstance(op, Diagonal):
         entries = op.entries_on(window)
-        _check_power_range(np.abs(entries), n)
+        # numpy's complex power saturates at the float maximum without a flag
+        # ([2+0j]**1024 is 1.797e308); the moduli's real power flags it
+        np.abs(entries) ** n
         return PowerMap("ortho", window, coeffs=entries**n, tgt=np.arange(d))
     if isinstance(op, Scalar):
-        _check_power_range(abs(op.value), n)
-        coeffs = np.full(d, op.value**n, dtype=np.complex128)
+        value = op.value**n
+        if not cmath.isfinite(value):  # parts that cancel give NaN: (1e160+1e160j)**2
+            raise OverflowError("complex exponentiation")
+        coeffs = np.full(d, value, dtype=np.complex128)
         return PowerMap("ortho", window, coeffs=coeffs, tgt=np.arange(d))
     if isinstance(op, Dense):
         if op.matrix.shape[0] != d:
             raise OperatorError("dense matrix size does not match the window")
-        return PowerMap("dense", window, matrix=np.linalg.matrix_power(op.matrix, n))
+        matrix = np.linalg.matrix_power(op.matrix, n)
+        # a multi-threaded BLAS may overflow in a worker thread numpy does not watch
+        if not np.isfinite(matrix).all():
+            raise FloatingPointError("overflow encountered in matrix_power")
+        return PowerMap("dense", window, matrix=matrix)
     raise OperatorError(f"unsupported operator variant {type(op).__name__}")
 
 
@@ -347,7 +342,6 @@ def _profile_window_products(profile: WeightProfile, n: int, lattice: str) -> np
     if lattice == UNILATERAL:
         lo_j = max(lo_j, 0)
         hi_j = max(hi_j, 0)
-    _check_power_range([profile.pos, profile.neg] if lattice == BILATERAL else [profile.pos], n)
     cands = list(_shift_products(profile, lo_j, hi_j, n))
     cands.append(profile.pos**n)  # far right
     if lattice == BILATERAL:
@@ -355,6 +349,7 @@ def _profile_window_products(profile: WeightProfile, n: int, lattice: str) -> np
     return np.array(cands, dtype=float)
 
 
+@overflow_checked()
 def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     """(opnorm upper, minimum-modulus lower) bounds for the un-truncated n-th power.
 
@@ -380,11 +375,9 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
             moduli.append(abs(op.default))
         if not moduli:
             raise OperatorError("diagonal growth needs at least one entry")
-        _check_power_range(moduli, n)
         arr = np.array(moduli, dtype=float) ** n
         return GrowthBounds(float(arr.max()), float(arr.min()))
     if isinstance(op, Scalar):
-        _check_power_range(abs(op.value), n)
         v = abs(op.value) ** n
         return GrowthBounds(v, v)
     raise OperatorError(f"growth bounds unavailable for {type(op).__name__}")

@@ -27,9 +27,10 @@ from .hitsolver import (
 from .operators import (
     OperatorError,
     OperatorSpec,
+    apply,
     components_of,
     ensure_power_fits,
-    power_apply,
+    overflow_checked,
     right_inverse,
 )
 from .vectorspace import (
@@ -324,12 +325,11 @@ def _certified_suffix(rep: JunctionReport) -> int | None:
     return n0
 
 
+@overflow_checked(lambda op, x, horizon: f"powers up to {horizon}")
 def disk_orbit_norms(op: OperatorSpec, x: ComplexVector, horizon: int) -> np.ndarray:
     """Norms ||T^n x|| for n in [0, horizon] on the truncated window."""
-    out = np.empty(horizon + 1, dtype=float)
-    cur = x
-    out[0] = norm(cur)
-    for n in range(1, horizon + 1):
-        cur = power_apply(op, 1, cur)
-        out[n] = norm(cur)
-    return out
+    norms = [norm(x)]
+    for _ in range(horizon):
+        x = apply(op, x)
+        norms.append(norm(x))
+    return np.array(norms)

@@ -614,6 +614,42 @@ def test_criterion_on_a_lone_direct_sum_runs_on_its_components():
     assert lone.results == run(criterion(["a", "b"]))[0].results
 
 
+def sum_config(experiment, components, **parameters):
+    """A shift, a one-part direct sum of it and a two-part one."""
+    return {
+        "window": {"kind": "bilateral", "m": 16},
+        "operators": {
+            "a": {"type": "forward_shift", "pos": 2.0, "neg": 3.0},
+            "solo": {"type": "direct_sum", "parts": ["a"]},
+            "pair": {"type": "direct_sum", "parts": ["a", "a"]},
+        },
+        "experiment": experiment,
+        "parameters": {"components": components, **parameters},
+    }
+
+
+@pytest.mark.parametrize(
+    "experiment, parameters, message",
+    [
+        ("orbit", {"vector": {"basis": 0}, "horizon": 6}, "orbit takes exactly one operator"),
+        (
+            "criterion",
+            {"variant": "compound_scalar_free", "horizon": 6, "sample_count": 2, "sampler": {"band": 1}},
+            "compound variants take exactly one operator",
+        ),
+    ],
+    ids=["orbit", "compound criterion"],
+)
+def test_one_operator_runners_take_a_direct_sum_by_its_parts(experiment, parameters, message):
+    """A one-part direct sum runs as its part; a sum of two parts is two
+    operators, a config error."""
+    alone, _ = run(sum_config(experiment, ["a"], **parameters))
+    assert run(sum_config(experiment, ["solo"], **parameters))[0].results == alone.results
+    with pytest.raises(ConfigError, match=message) as err:
+        run(sum_config(experiment, ["pair"], **parameters))
+    assert err.value.field_path == "parameters.components"
+
+
 def test_criterion_scaled_without_scalars_is_a_config_error():
     cfg = {
         "window": {"kind": "bilateral", "m": 16},
@@ -828,6 +864,52 @@ def test_main_checks_output_before_the_run(tmp_path, capsys, monkeypatch, output
 def test_main_missing_file_is_an_error(tmp_path, capsys):
     assert main([str(tmp_path / "absent.json")]) == EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+def test_main_refuses_a_non_finite_report(tmp_path, capsys, monkeypatch):
+    """Reports are strict JSON: a NaN is an error, and no file is written."""
+    _, takes, choice = cli._RUNNERS["orbit"]
+
+    def runner(params, registry, window, path):
+        return cli._outcome("pass", {"norms": [float("nan")]})
+
+    monkeypatch.setitem(cli._RUNNERS, "orbit", (runner, takes, choice))
+    cfg = sum_config("orbit", ["a"], vector={"basis": 0})
+    cfg["output"] = {"json_path": str(tmp_path / "r.json"), "csv_path": str(tmp_path / "r.csv")}
+    assert main([str(write_config(tmp_path, cfg))]) == EXIT_ERROR
+    assert "JSON" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "experiment, m, pos, neg, parameters",
+    [
+        ("orbit", 800, 2.0, 3.0, {"components": ["shift"], "vector": {"basis": -790}, "horizon": 700}),
+        (
+            "criterion",
+            64,
+            1000.0,
+            2000.0,
+            {"components": ["shift"], "variant": "scalar_free", "nk": {"stop": 60}, "sample_count": 2, "sampler": {"band": 1}},
+        ),
+    ],
+    ids=["orbit", "criterion"],
+)
+def test_main_overflowing_norms_are_errors_without_a_report(tmp_path, capsys, experiment, m, pos, neg, parameters):
+    """Orbit norms whose squares pass the float range (3^n from n = 324, and
+    the (1000, 2000) shift's powers by n = 60) end the run with exit 1 and
+    no report, not with inf and NaN norms and a verdict drawn from them."""
+    cfg = {
+        "window": {"kind": "bilateral", "m": m},
+        "operators": {"shift": {"type": "forward_shift", "pos": pos, "neg": neg}},
+        "experiment": experiment,
+        "parameters": parameters,
+        "output": {"json_path": str(tmp_path / "r.json")},
+    }
+    assert main([str(write_config(tmp_path, cfg))]) == EXIT_ERROR
+    assert "OperatorError" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_main_override_changes_the_run(tmp_path):

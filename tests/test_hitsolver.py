@@ -989,6 +989,40 @@ def test_overflowing_scalar_powers_are_named_errors_in_the_oracle():
                 assert random_search(dense, 100, seed=1).best_residuals == pytest.approx((res,), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_dense_powers_are_named_errors():
+    """(2 I)^1100 passes the float range in the matrix product: the map, the
+    solve and the oracle refuse it with an OperatorError."""
+    w = IndexWindow(BILATERAL, 4)
+    op = Dense(2.0 * np.eye(w.dim))
+    balls = [ProductBall((Ball(ComplexVector.basis(w, j), 0.45),)) for j in (0, 1)]
+    p = HitProblem((op,), 1100, *balls)
+    with pytest.raises(OperatorError, match="power_map overflows a float at power 1100"):
+        power_map(op, 1100, w)
+    with pytest.raises(OperatorError, match="overflows"):
+        solve_hit(p)
+    with pytest.raises(OperatorError, match="overflows"):
+        random_search(p, 100, seed=1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_trust_region_squares_past_the_float_range_are_named_errors():
+    """The trust-region solve works in squares: e_-420 to e_(-420+n) under
+    the (2, 3) shift scales by 3^n, finite at n = 330 and 400 but with a
+    square past the float range, so those solves are OperatorErrors; at
+    n = 300 the square still fits and the solve hits."""
+    w = IndexWindow(BILATERAL, 500)
+
+    def problem(n):
+        balls = [ProductBall((Ball(ComplexVector.basis(w, j), 0.5),)) for j in (-420, -420 + n)]
+        return HitProblem((EXAMPLE_SHIFT,), n, *balls)
+
+    assert solve_hit(problem(300)).status == HIT
+    for n in (330, 400):
+        with pytest.raises(OperatorError, match=f"overflows a float at power {n}"):
+            solve_hit(problem(n))
+
+
 def test_problem_validation():
     w = IndexWindow(BILATERAL, 4)
     e0 = ComplexVector.basis(w, 0)

@@ -191,7 +191,7 @@ def test_growth_diagonal_and_scalar():
 
 
 def test_overflowing_scalar_and_diagonal_powers_are_operator_errors():
-    """|c|^n past the float range is refused before the power is taken;
+    """|c|^n past the float range is refused as it is formed;
     2^1000 (about 1.07e301) is still a finite power."""
     w = IndexWindow(BILATERAL, 2)
     twos = Diagonal({}, default=2.0)
@@ -210,13 +210,16 @@ def test_overflowing_scalar_and_diagonal_powers_are_operator_errors():
     assert gb.minmod_lower == 0.0 and np.isfinite(gb.opnorm_upper)
     with pytest.raises(OperatorError):
         growth(Diagonal({0: 0.5, 1: 2.0}), 1100)
+    # Python's (1e160+1e160j)**2 is nan+nanj, with no OverflowError
+    with pytest.raises(OperatorError, match="overflows"):
+        operators.power_map(Scalar(1e160 + 1e160j), 2, w)
 
 
 def test_overflowing_shift_powers_are_operator_errors():
     """A shift power whose run product passes the float range is refused
-    before any product is formed: 3^646 (about 1.7e308) is still finite,
-    3^647 is not.  A run through one large table weight is judged by its own
-    sum of logs, not by the largest weight's power."""
+    as it is formed: 3^646 (about 1.7e308) is still finite, 3^647 is not.
+    A run through one large table weight is judged by its own product, not
+    by the largest weight's power."""
     op = ForwardShift(WeightProfile(2.0, 3.0))
     assert growth(op, 646).opnorm_upper == pytest.approx(3.0**646, rel=1e-12)
     for n in (647, 650):
@@ -376,6 +379,71 @@ def _reference_backward_power(profile, n, x):
             prods *= w[t : t + d - n]
         out[: d - n] = x.coeffs[n:] * prods
     return ComplexVector(window, out)
+
+
+def _power_near_the_float_max(profile, window, rng):
+    """A power n < window.dim whose largest run product over the window lies
+    within a factor of 10 of the float maximum, judged by sums of logs; None
+    when no power does."""
+    logs = np.concatenate(([0.0], np.cumsum(np.log(profile.weights_on(window.lo, window.hi)))))
+    near = [
+        n
+        for n in range(1, window.dim)
+        if abs(np.max(logs[n:] - logs[:-n]) - np.log(np.finfo(float).max)) <= np.log(10.0)
+    ]
+    return int(rng.choice(near)) if near else None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lattice", [BILATERAL, UNILATERAL])
+def test_shift_powers_near_the_float_max_match_the_reference_or_raise(monkeypatch, lattice):
+    """Where the reference loops' products, partial ones included, stay
+    inside the float range, power_apply and growth equal them bit for bit;
+    where one overflows, both raise OperatorError."""
+    rng = np.random.default_rng(15 if lattice == BILATERAL else 16)
+    window = IndexWindow(lattice, 200 if lattice == BILATERAL else 400)
+    d = window.dim
+    outcomes = []
+    for _ in range(25):
+        profile = WeightProfile(
+            *np.exp(rng.uniform(np.log(8.0), np.log(1e3), 2)),
+            {int(k): float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))) for k in rng.integers(-15, 16, 4)},
+        )
+        n = _power_near_the_float_max(profile, window, rng)
+        if n is None:
+            continue
+        x = ComplexVector(window, rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d))
+        try:
+            with np.errstate(over="raise"):
+                prods = _reference_shift_products(profile, window.lo, window.hi - n, n)
+        except FloatingPointError:
+            prods = None
+        for op in (ForwardShift(profile), BackwardShift(profile)):
+            if prods is None:
+                with pytest.raises(OperatorError, match="overflows"):
+                    power_apply(op, n, x)
+            else:
+                want = np.zeros(d, dtype=np.complex128)
+                if isinstance(op, ForwardShift):
+                    want[n:] = x.coeffs[: d - n] * prods
+                else:
+                    want[: d - n] = x.coeffs[n:] * prods
+                assert np.array_equal(power_apply(op, n, x).coeffs, want)
+            # growth runs the reference under the same rule
+            with monkeypatch.context() as patched:
+                patched.setattr(operators, "_shift_products", _reference_shift_products)
+                try:
+                    want_bounds = growth(op, n, lattice)
+                except OperatorError:
+                    want_bounds = None
+            if want_bounds is None:
+                with pytest.raises(OperatorError, match="overflows"):
+                    growth(op, n, lattice)
+            else:
+                assert growth(op, n, lattice) == want_bounds
+        outcomes.append(prods is None)
+    # both sides of the boundary are reached
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 def _random_profile(rng):
