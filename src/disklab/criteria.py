@@ -19,10 +19,11 @@ from .hitsolver import ALPHA_FLOOR
 from .operators import (
     ForwardShift,
     OperatorSpec,
+    PowerStack,
     WeightProfile,
     apply,
     ensure_power_fits,
-    overflow_checked,
+    named_overflow,
     power_apply,
     right_inverse,
 )
@@ -183,10 +184,28 @@ class _OrbitNorms(NamedTuple):
     defect: list[list[float]]  # ||T^n S_n y_i - y_i||
 
 
-@overflow_checked(lambda data, x, y: f"powers up to {data.nk[-1]}")
-def _orbit_norms(data: CriterionData, x: ProductVector, y: ProductVector) -> _OrbitNorms:
+class _Stacks:
+    """The PowerStacks the orbit norms of one check read: one per operator
+    and window, to the last probed power, shared by every sampled pair."""
+
+    def __init__(self, data: CriterionData):
+        self._horizon = data.nk[-1]
+        self._stacks: dict[tuple[int, IndexWindow], PowerStack] = {}
+
+    def apply(self, op: OperatorSpec, n: int, x: ComplexVector) -> ComplexVector:
+        """power_apply(op, n, x), with T^n read from the stack."""
+        # operators are keyed by identity: the data holds them while the stacks live
+        key = (id(op), x.window)
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = self._stacks[key] = PowerStack(op, x.window, self._horizon)
+        return ComplexVector(x.window, stack.power_map(n).apply_vec(x.coeffs))
+
+
+def _orbit_norms(data: CriterionData, x: ProductVector, y: ProductVector, stacks: _Stacks) -> _OrbitNorms:
     """The three norms of one sampled pair at every probed power, with each
-    power applied once."""
+    power read once from the stacks.  Powers are probed in increasing order,
+    so an overflow is named at the first power it happens at."""
     k = len(data.components)
     if x.arity != k or y.arity != k:
         raise CriterionError(
@@ -197,16 +216,14 @@ def _orbit_norms(data: CriterionData, x: ProductVector, y: ProductVector) -> _Or
         ensure_power_fits(t, data.nk[-1], xi)
         if isinstance(s, OperatorSpec):
             ensure_power_fits(s, data.nk[-1], yi)
-    norms = _OrbitNorms([], [], [])
-    for t, s, xi, yi in parts:
-        rows = _OrbitNorms([], [], [])
-        for n in data.nk:
-            sn_y = power_apply(s, n, yi) if isinstance(s, OperatorSpec) else s(n, yi)
-            rows.forward.append(norm(power_apply(t, n, xi)))
-            rows.backward.append(norm(sn_y))
-            rows.defect.append(norm(power_apply(t, n, sn_y) - yi))
-        for table, row in zip(norms, rows):
-            table.append(row)
+    norms = _OrbitNorms([[] for _ in parts], [[] for _ in parts], [[] for _ in parts])
+    for n in data.nk:
+        with named_overflow("_orbit_norms", f"power {n}"):
+            for i, (t, s, xi, yi) in enumerate(parts):
+                sn_y = stacks.apply(s, n, yi) if isinstance(s, OperatorSpec) else s(n, yi)
+                norms.forward[i].append(norm(stacks.apply(t, n, xi)))
+                norms.backward[i].append(norm(sn_y))
+                norms.defect[i].append(norm(stacks.apply(t, n, sn_y) - yi))
     return norms
 
 
@@ -243,7 +260,8 @@ def _sample_pairs(data: CriterionData) -> list[tuple[ProductVector, ProductVecto
 
 def _evaluate(data: CriterionData) -> tuple[list, list[_OrbitNorms]]:
     pairs = _sample_pairs(data)
-    return pairs, [_orbit_norms(data, x, y) for x, y in pairs]
+    stacks = _Stacks(data)
+    return pairs, [_orbit_norms(data, x, y, stacks) for x, y in pairs]
 
 
 def _report(data: CriterionData, pairs, per_pair, labels) -> CriterionReport:
@@ -337,7 +355,8 @@ def derive_scalars(data: CriterionData, eps: float) -> DerivedScalars:
     flagged.  Raises when even the final power has backward mass above eps.
     """
     _check_eps(eps)
-    per_pair = tuple(_pair_scalars(_orbit_norms(data, x, y), eps) for x, y in _sample_pairs(data))
+    stacks = _Stacks(data)
+    per_pair = tuple(_pair_scalars(_orbit_norms(data, x, y, stacks), eps) for x, y in _sample_pairs(data))
     return DerivedScalars(eps=eps, steps=data.nk, per_pair=per_pair)
 
 

@@ -7,14 +7,20 @@ in z.  A component where alpha T^n is a multiple of the identity (a scalar,
 or any operator at n = 0) is decided in closed form instead.  Misses are
 certified, when possible, by that closed form or by growth bounds of the
 un-truncated operator.
+
+The problems of a scan over powers share a PowerScan: each component's
+stacks of powers and growth bounds, and its criterion pins, solved in one
+batch across the powers.  solve_hit still solves one power per call, and
+gives each problem of a scan the result it gives that problem alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -25,11 +31,11 @@ from .operators import (
     OperatorError,
     OperatorSpec,
     PowerMap,
+    PowerStack,
     Scalar,
     WindowGuardError,
     components_of,
     ensure_power_fits,
-    growth,
     overflow_checked,
     power_apply,
     power_map,
@@ -52,6 +58,7 @@ __all__ = [
     "MISS_CERTIFIED",
     "MISS_UNCERTAIN",
     "HitProblem",
+    "PowerScan",
     "Witness",
     "HitResult",
     "TrsResult",
@@ -76,7 +83,10 @@ MISS_UNCERTAIN = "miss_uncertain"
 
 # tolerances shared by the solve and certification paths
 RESIDUAL_SLACK = 1e-9  # hits need residual < delta - slack
-ALPHA_FLOOR = 1e-12  # smallest scalar modulus ever returned
+# the modulus put in place of a zero scalar: best_alpha's zero optimum, an
+# underflowed criterion pin, and the exact scalar route's lower clip.  It is
+# not a floor on every scalar: a criterion pin can be far smaller
+ALPHA_FLOOR = 1e-12
 STRICT_MARGIN = 1e-9  # source balls shrink by this factor for strictness
 CERT_MARGIN = 1e-12  # certificates need lower_bound >= delta + this
 
@@ -87,6 +97,10 @@ CERT_MARGIN = 1e-12  # certificates need lower_bound >= delta + this
 # dimension), so that the passes over a chunk run in cache
 SEARCH_BATCH = 20000
 SCORE_CELLS = 256 * 97
+# a component's criterion pins are solved in batches of at most this many
+# cells (powers times window dimension), which bounds a batch's memory
+# whatever the horizon
+PIN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -384,15 +398,117 @@ def _grid_lsq(
     return z, residual, kkt
 
 
-def _growth_certificate(op, n, src: Ball, tgt: Ball, mode, alpha, component: int) -> tuple[float, Certificate] | None:
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of x, bit for bit: that norm of a 1-D
+    complex array is the square root of the dot products of its real and
+    imaginary parts, and vecdot takes each row's dot product with the same
+    dot loop."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _apply_rows(coeffs: np.ndarray, tgt: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """PowerMap.apply_vec for orthogonal-column maps held one per row of
+    coeffs and tgt; x is one vector for every row, or one per row."""
+    out = np.zeros(coeffs.shape, dtype=np.complex128)
+    rows, cols = np.nonzero(coeffs)
+    out[rows, tgt[rows, cols]] = coeffs[rows, cols] * (x[cols] if x.ndim == 1 else x[rows, cols])
+    return out
+
+
+def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """_secular_solve on every row of (q, s), bit for bit: the same start
+    below the root, Newton and bracket steps and stopping test per row, with
+    each row's sums along the row (which equal the 1-D sums) and val**3 taken
+    in Python as there (numpy's power can differ in the last bit)."""
+    hi = np.sqrt(np.sum(s, axis=1)) / eps
+    lo = np.zeros_like(hi)
+    start = np.max(np.sqrt(s) / eps - q, axis=1)
+    mu = np.where(start > 0.0, start, 0.0)  # max(0.0, start)
+    val = np.sqrt(np.sum(s / (q + mu[:, None]) ** 2, axis=1))
+    rows = np.arange(len(mu))  # rows still iterating; m, v, lo, hi, q, s below are theirs
+    m, v = mu, val
+    for _ in range(200):
+        going = np.abs(v - eps) > 1e-14 * eps
+        if not going.all():
+            rows, m, v, lo, hi, q, s = (a[going] for a in (rows, m, v, lo, hi, q, s))
+            if rows.size == 0:
+                break
+        deriv = np.sum(s / (q + m[:, None]) ** 3, axis=1) / np.array([x**3 for x in v.tolist()])
+        over = v > eps
+        lo = np.where(over, m, lo)
+        hi = np.where(over, hi, m)
+        nxt = m - (1.0 / v - 1.0 / eps) / deriv
+        outside = ~((lo < nxt) & (nxt < hi))
+        if outside.any():
+            nxt[outside] = 0.5 * (lo + hi)[outside]
+        moved = nxt != m
+        if not moved.all():
+            rows, nxt, lo, hi, q, s = (a[moved] for a in (rows, nxt, lo, hi, q, s))
+            if rows.size == 0:
+                break
+        m = nxt
+        v = np.sqrt(np.sum(s / (q + m[:, None]) ** 2, axis=1))
+        mu[rows] = m
+        val[rows] = v
+    return mu, val
+
+
+def _pin_lsq(coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """constrained_lsq for orthogonal-column maps held one per row of coeffs
+    and tgt, bit for bit: row k's minimizer, residual and KKT residual are
+    those of constrained_lsq(A_k, u, eps, v).  Every elementwise step is
+    constrained_lsq's (and _trs_core's) on the row; sums along a row equal
+    the 1-D sums, _row_norms equal the 1-D norms, and the secular equation
+    is solved by _secular_solve_rows.  Each step of _trs_core runs only on
+    the rows that reach it there, and the scalar steps run in Python."""
+    count = len(coeffs)
+    r = v - _apply_rows(coeffs, tgt, u)
+    q = np.abs(coeffs) ** 2
+    g = np.zeros_like(coeffs)
+    rows, cols = np.nonzero(coeffs)
+    g[rows, cols] = np.conj(coeffs[rows, cols]) * r[rows, tgt[rows, cols]]
+    # _trs_core: no gradient, interior Newton point, or boundary
+    s = np.abs(g) ** 2
+    d = np.zeros_like(g)
+    mu = np.zeros(count)
+    gap = np.zeros(count)
+    has_grad = np.any(s > 0, axis=1)
+    live = q > 0
+    free_mass = np.any(~live & (s > 0), axis=1)
+    tried = np.flatnonzero(has_grad & ~free_mass)
+    d0 = np.zeros_like(g[tried])
+    d0[live[tried]] = g[tried][live[tried]] / q[tried][live[tried]]
+    inside = _row_norms(d0) <= eps
+    d[tried[inside]] = d0[inside]
+    boundary = has_grad.copy()
+    boundary[tried[inside]] = False
+    if boundary.any():
+        qb = np.where(s[boundary] > 0, q[boundary], 1.0)
+        mu_b, val_b = _secular_solve_rows(qb, s[boundary], eps)
+        mu[boundary] = mu_b
+        d[boundary] = g[boundary] / (qb + mu_b[:, None])
+        gap[boundary] = np.abs(val_b - eps) / eps
+    stats = _row_norms((q + mu[:, None]) * d - g).tolist()
+    g_norms = _row_norms(g).tolist()
+    d_norms = _row_norms(d).tolist()
+    z = u + d
+    residuals = _row_norms(_apply_rows(coeffs, tgt, z) - v).tolist()
+    kkts = [
+        max(stat / max(1.0, g_norm), max(0.0, d_norm - eps) / eps, row_gap)
+        for stat, g_norm, d_norm, row_gap in zip(stats, g_norms, d_norms, gap.tolist())
+    ]
+    return z, residuals, kkts
+
+
+def _growth_certificate(stack: PowerStack, n, src: Ball, tgt: Ball, mode, alpha, component: int) -> tuple[float, Certificate] | None:
     """Growth-bound certificate of one component, with its margin over the radius.
 
     The lattice for the growth bound is the kind of the window the balls live
-    on: un-truncated dynamics on that lattice is what the bound models.
+    on, which is the stack's window: un-truncated dynamics on that lattice is
+    what the bound models.
     """
-    lattice = src.center.window.kind
     try:
-        gb = growth(op, n, lattice)
+        gb = stack.growth(n)
     except (OperatorError, ValueError):
         return None
     nu = norm(src.center)
@@ -413,7 +529,7 @@ def _growth_certificate(op, n, src: Ball, tgt: Ball, mode, alpha, component: int
         return None
     # the bound holds at every larger power when one step of the un-truncated
     # operator, on the lattice the bound used, cannot weaken it
-    step = growth(op, 1, lattice)
+    step = stack.growth(1)
     extends = step.minmod_lower >= 1.0 if kind == "minmod" else step.opnorm_upper <= 1.0
     return margin, Certificate(kind=kind, component=component, lower_bound=lb, extends_past_horizon=extends)
 
@@ -427,14 +543,13 @@ def certify_miss(p: HitProblem) -> Certificate | None:
     by growth bounds; a dense component at n >= 1 is not certified.
     """
     best: tuple[float, Certificate] | None = None
-    for i, op in enumerate(p.components):
-        src, tgt = p.sources.balls[i], p.targets.balls[i]
-        alpha = p.fixed_alphas[i] if p.mode == FIXED else None
-        scalar = _scalar_power(op, p.n, src, tgt)
+    for i, comp in enumerate(_component_scans(p)):
+        src, tgt = comp.src, comp.tgt
+        scalar = _scalar_power(comp.op, p.n, src, tgt)
         if scalar is not None:
-            got = scalar.certificate(i, p.mode, alpha)
+            got = scalar.certificate(i, p.mode, comp.fixed_alpha)
         else:
-            got = _growth_certificate(op, p.n, src, tgt, p.mode, alpha, i)
+            got = _growth_certificate(comp.powers, p.n, src, tgt, p.mode, comp.fixed_alpha, i)
         if got is not None and (best is None or got[0] > best[0]):
             best = got
     return None if best is None else best[1]
@@ -661,30 +776,149 @@ def _scalar_power(op: OperatorSpec, n: int, src: Ball, tgt: Ball) -> _ScalarPowe
     )
 
 
-def _criterion_scalar(op, n, base: PowerMap, src: Ball, tgt: Ball) -> tuple[complex, ComplexVector] | None:
-    """Scalar lambda_n = sqrt(||S^n v|| / ||T^n u||) and the seed u + (1/lambda) S^n v.
+@dataclass(frozen=True)
+class _Pin:
+    """The criterion pin of one component at one power: the scalar
+    lambda_n = sqrt(||S^n v|| / ||T^n u||), the seed u + (1/lambda_n) S^n v,
+    and constrained_lsq's solve at lambda_n, as arrays on the window."""
 
-    base is power_map(op, n) on the balls' window."""
-    try:
-        s = right_inverse(op)
-    except OperatorError:
-        return None
-    u, v = src.center, tgt.center
-    try:
-        ensure_power_fits(op, n, u)
-        ensure_power_fits(s, n, v)
-    except WindowGuardError:
-        return None
-    tn_u = ComplexVector(u.window, base.apply_vec(u.coeffs))
-    sn_v = power_apply(s, n, v)
-    tu, sv = norm(tn_u), norm(sn_v)
-    lam = math.sqrt(sv / tu) if tu > 0 and sv > 0 else 1.0
-    lam = min(lam, 1.0)
-    if lam == 0.0:
-        # underflowed ratio; any nonzero scalar is legal, zero is not
-        lam = ALPHA_FLOOR
-    seed = u + sn_v * (1.0 / lam)
-    return complex(lam), seed
+    alpha: complex
+    seed: np.ndarray
+    z: np.ndarray
+    residual: float
+    kkt: float
+
+
+class _ComponentScan:
+    """What the solves of one component share across the powers of a scan:
+    its stack of T on the source window and of the right inverse S on the
+    target window, and its criterion pins, solved in batches.
+
+    The first power that asks for a pin solves the pins of every power from
+    it to the horizon, in batches of at most PIN_CELLS cells.  A batch runs
+    with numpy raising on overflow, invalid values and division by zero; if
+    any of that happens, or a power cannot be formed, at a power the scan
+    may never reach, the batch is dropped and each power's pin is solved
+    when asked, as a batch of one row, where its errors are raised (or
+    warned) as they always were.
+    """
+
+    def __init__(self, op: OperatorSpec, src: Ball, tgt: Ball, mode: str, fixed_alpha, horizon: int):
+        self.op, self.src, self.tgt = op, src, tgt
+        self.mode, self.fixed_alpha = mode, fixed_alpha
+        self.horizon = horizon
+        self.powers = PowerStack(op, src.center.window, horizon)
+        self._inverse: PowerStack | None = None
+        self._pins: dict[int, _Pin | None] = {}
+        self._batch = True
+
+    def pin(self, n: int) -> _Pin | None:
+        """The pin at power n; None where the criterion has no scalar: no
+        right inverse, or a ball centre whose power the window guard refuses."""
+        if n not in self._pins and self._batch:
+            last = min(self.horizon, n + max(1, PIN_CELLS // self.src.center.window.dim) - 1)
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    self._pins.update(self._solve_pins(range(n, last + 1)))
+            except (ArithmeticError, OperatorError):
+                self._batch = False
+        if n not in self._pins:
+            self._pins.update(self._solve_pins([n]))
+        return self._pins[n]
+
+    def _fits(self, s: OperatorSpec, n: int) -> bool:
+        try:
+            ensure_power_fits(self.op, n, self.src.center)
+            ensure_power_fits(s, n, self.tgt.center)
+        except WindowGuardError:
+            return False
+        return True
+
+    def _solve_pins(self, powers) -> dict[int, _Pin | None]:
+        try:
+            s = right_inverse(self.op)
+        except OperatorError:
+            return dict.fromkeys(powers)
+        powers = list(powers)
+        # the guard only tightens as n grows
+        fit = powers if self._fits(s, powers[-1]) else list(itertools.takewhile(lambda n: self._fits(s, n), powers))
+        pins: dict[int, _Pin | None] = dict.fromkeys(powers)
+        if not fit:
+            return pins
+        u, v = self.src.center.coeffs, self.tgt.center.coeffs
+        maps = [self.powers.power_map(n) for n in fit]
+        coeffs = np.array([m.coeffs for m in maps])
+        tgt = np.array([m.tgt for m in maps])
+        tn_u = _apply_rows(coeffs, tgt, u)
+        if self._inverse is None:
+            self._inverse = PowerStack(s, self.tgt.center.window, self.horizon)
+        inverse = [self._inverse.power_map(n) for n in fit]
+        sn_v = _apply_rows(np.array([m.coeffs for m in inverse]), np.array([m.tgt for m in inverse]), v)
+        lams = []
+        for tu, sv in zip(_row_norms(tn_u).tolist(), _row_norms(sn_v).tolist()):
+            lam = min(math.sqrt(sv / tu) if tu > 0 and sv > 0 else 1.0, 1.0)
+            # an underflowed ratio; any nonzero scalar is legal, zero is not
+            lams.append(ALPHA_FLOOR if lam == 0.0 else lam)
+        lam = np.array(lams)
+        seeds = u + sn_v * (1.0 / lam)[:, None]
+        # row k holds the coefficients of base.scaled(lambda_n) at its power
+        z, residuals, kkts = _pin_lsq(lam[:, None] * coeffs, tgt, u, self.src.radius * (1.0 - STRICT_MARGIN), v)
+        for k, n in enumerate(fit):
+            pins[n] = _Pin(complex(lams[k]), seeds[k], z[k], residuals[k], kkts[k])
+        return pins
+
+
+class PowerScan:
+    """The hit problems of one scan, at every power 0..horizon, sharing what
+    their solves can share: each component's PowerStack, and its criterion
+    pins, solved in one batch across the powers.
+
+    solve_hit takes each problem as it takes any other, and gives each the
+    result it gives that problem alone, bit for bit.
+    """
+
+    def __init__(
+        self,
+        components,
+        sources: ProductBall,
+        targets: ProductBall,
+        horizon: int,
+        mode: str = DISK,
+        fixed_alphas: tuple[complex, ...] | None = None,
+    ):
+        # the problem at the horizon checks the scan's inputs once
+        self._top = HitProblem(components, horizon, sources, targets, mode, fixed_alphas)
+        self._components = _fresh_components(self._top)
+
+    def problem(self, n: int) -> HitProblem:
+        """The hit problem at power n of the scan."""
+        p = self._top
+        if not 0 <= n <= p.n:
+            raise ValueError(f"power {n} lies outside the scan's 0..{p.n}")
+        return _ScanProblem(p.components, n, p.sources, p.targets, p.mode, p.fixed_alphas, scan=self)
+
+
+@dataclass(frozen=True)
+class _ScanProblem(HitProblem):
+    """One power of a PowerScan."""
+
+    scan: PowerScan = field(kw_only=True, repr=False, compare=False)
+
+
+def _fresh_components(p: HitProblem) -> tuple[_ComponentScan, ...]:
+    """One _ComponentScan per component of p, with stacks up to p.n."""
+    return tuple(
+        _ComponentScan(op, src, tgt, p.mode, p.fixed_alphas[i] if p.mode == FIXED else None, p.n)
+        for i, (op, src, tgt) in enumerate(zip(p.components, p.sources.balls, p.targets.balls))
+    )
+
+
+def _component_scans(p: HitProblem) -> tuple[_ComponentScan, ...]:
+    """p's components with what their solves share: the scan's, when p is
+    one power of a PowerScan, or else new ones, for p.n alone."""
+    if isinstance(p, _ScanProblem):
+        return p.scan._components
+    return _fresh_components(p)
 
 
 _GRID_MODULI = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
@@ -698,24 +932,18 @@ _GRID_ALPHAS = tuple(
 
 
 @overflow_checked()
-def _solve_component(
-    op: OperatorSpec,
-    n: int,
-    src: Ball,
-    tgt: Ball,
-    mode: str,
-    fixed_alpha: complex | None,
-) -> _ComponentSolve:
-    scalar = _scalar_power(op, n, src, tgt)
+def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
+    src, tgt, mode = comp.src, comp.tgt, comp.mode
+    scalar = _scalar_power(comp.op, n, src, tgt)
     if scalar is not None:
-        return scalar.solve(mode, fixed_alpha)
+        return scalar.solve(mode, comp.fixed_alpha)
     window = src.center.window
     u, v = src.center, tgt.center
     eps_eff = src.radius * (1.0 - STRICT_MARGIN)
     delta = tgt.radius
     hit_level = delta - RESIDUAL_SLACK
-    # T^n is built once; every scalar tried below uses base.scaled(alpha)
-    base = power_map(op, n, window)
+    # T^n comes from the component's stack; every scalar tried below uses base.scaled(alpha)
+    base = comp.powers.power_map(n)
 
     best = _ComponentSolve(hit=False, alpha=1.0 + 0j, z=None, residual=math.inf, max_kkt=0.0)
 
@@ -735,7 +963,7 @@ def _solve_component(
         return track(alpha, sol.z, sol.residual, sol.kkt_residual)
 
     if mode == FIXED:
-        pinned(fixed_alpha)
+        pinned(comp.fixed_alpha)
         return best
 
     def alternate(z: ComplexVector) -> bool:
@@ -747,14 +975,14 @@ def _solve_component(
             return True
         return pinned(alpha)
 
-    crit = _criterion_scalar(op, n, base, src, tgt)
+    pin = comp.pin(n)
     # criterion-pinned scalar first: where it hits, the recorded alpha is the
     # construction's lambda_n, not a refit
-    if crit is not None and pinned(crit[0]):
+    if pin is not None and track(pin.alpha, ComplexVector(window, pin.z), pin.residual, pin.kkt):
         return best
     if alternate(u):
         return best
-    if crit is not None and alternate(crit[1]):
+    if pin is not None and alternate(ComplexVector(window, pin.seed)):
         return best
     # the z-subproblem at fixed alpha is convex and solved exactly, so the
     # joint landscape is nonconvex only through alpha; a coarse disk grid
@@ -779,17 +1007,7 @@ def solve_hit(p: HitProblem) -> HitResult:
     cert = certify_miss(p)
     if cert is not None:
         return HitResult(status=MISS_CERTIFIED, certificate=cert)
-    solves = [
-        _solve_component(
-            op,
-            p.n,
-            p.sources.balls[i],
-            p.targets.balls[i],
-            p.mode,
-            p.fixed_alphas[i] if p.mode == FIXED else None,
-        )
-        for i, op in enumerate(p.components)
-    ]
+    solves = [_solve_component(comp, p.n) for comp in _component_scans(p)]
     max_kkt = max(s.max_kkt for s in solves)
     if all(s.hit for s in solves):
         witness = Witness(

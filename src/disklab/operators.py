@@ -34,6 +34,7 @@ __all__ = [
     "EigenPair",
     "GrowthBounds",
     "PowerMap",
+    "PowerStack",
     "OperatorError",
     "WindowGuardError",
     "apply",
@@ -44,6 +45,7 @@ __all__ = [
     "components_of",
     "ensure_power_fits",
     "overflow_checked",
+    "named_overflow",
 ]
 
 
@@ -195,33 +197,85 @@ class GrowthBounds:
     minmod_lower: float
 
 
+class named_overflow:
+    """Context manager: run the block with numpy raising on overflow and
+    invalid values, and turn that error, or Python's OverflowError from c**n,
+    into an OperatorError naming `name` and `where`."""
+
+    __slots__ = ("name", "where", "_state")
+
+    def __init__(self, name: str, where: str):
+        self.name, self.where = name, where
+
+    def __enter__(self):
+        self._state = np.errstate(over="raise", invalid="raise")
+        self._state.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self._state.__exit__(kind, exc, tb)
+        if isinstance(exc, (FloatingPointError, OverflowError)):
+            raise OperatorError(f"{self.name} overflows a float at {self.where}: {exc}") from exc
+        return False
+
+
 def overflow_checked(powers: Callable[..., str] = lambda op, n, *rest, **kwargs: f"power {n}"):
-    """Decorator: run the function with numpy raising on overflow and invalid
-    values, and turn that error, or Python's OverflowError from c**n, into an
-    OperatorError naming the function and powers(*args), by default argument n."""
+    """Decorator: run the function under named_overflow, naming the function
+    and powers(*args), by default argument n."""
 
     def wrap(fn):
-        raising = np.errstate(over="raise", invalid="raise")(fn)
-
         @functools.wraps(fn)
         def checked(*args, **kwargs):
-            try:
-                return raising(*args, **kwargs)
-            except (FloatingPointError, OverflowError) as exc:
-                raise OperatorError(f"{fn.__name__} overflows a float at {powers(*args, **kwargs)}: {exc}") from exc
+            with named_overflow(fn.__name__, powers(*args, **kwargs)):
+                return fn(*args, **kwargs)
 
         return checked
 
     return wrap
 
 
-def _shift_products(profile: WeightProfile, lo: int, hi: int, n: int) -> np.ndarray:
-    """Products w(j) w(j+1) ... w(j+n-1) for each start j in lo..hi, multiplied left to right."""
-    w = profile.weights_on(lo, hi + n - 1)
-    prods = np.ones(hi - lo + 1)
-    for t in range(n):
-        prods *= w[t : t + prods.size]
-    return prods
+class _RunProducts:
+    """Products w(j) w(j+1) ... w(j+n-1) of a weight profile, by power n, for
+    every start j whose run stays inside the weights at lo..hi.
+
+    Each power's products are the previous power's times one more weight
+    each: the same operands, multiplied in the same left-to-right order, as
+    forming that power's runs alone.  A product past the float range reads
+    inf, so a power is refused for the runs it reads, not for the others."""
+
+    def __init__(self, profile: WeightProfile, lo: int, hi: int):
+        self.lo = lo
+        self.weights = profile.weights_on(lo, hi)
+        self.by_power = [np.ones(self.weights.size + 1)]
+
+    def __call__(self, n: int, first: int, last: int) -> np.ndarray:
+        """Products of length n for the starts first..last."""
+        if len(self.by_power) <= n:
+            with np.errstate(over="ignore"):
+                while len(self.by_power) <= n:
+                    k = len(self.by_power)
+                    self.by_power.append(self.by_power[-1][:-1] * self.weights[k - 1 :])
+        prods = self.by_power[n][first - self.lo : last - self.lo + 1]
+        if np.isinf(prods).any():
+            raise FloatingPointError("overflow encountered in multiply")
+        return prods
+
+
+def _growth_starts(profile: WeightProfile, n: int, lattice: str) -> tuple[int, int]:
+    """First and last start of the runs growth bounds read at power n: from
+    lo_t - n - 1 to hi_t + 1, where lo_t, hi_t bound the table, and from 0 up
+    on a unilateral lattice.  With the constant runs far right and (bilateral)
+    far left, these are every distinct length-n run of the weight sequence."""
+    first = min(profile.table, default=0) - n - 1
+    last = max(profile.table, default=0) + 1
+    if lattice == UNILATERAL:
+        first, last = max(first, 0), max(last, 0)
+    return first, last
+
+
+def _growth_runs(profile: WeightProfile, horizon: int, lattice: str) -> _RunProducts:
+    """Run products for growth bounds at every power up to horizon."""
+    first, last = _growth_starts(profile, horizon, lattice)
+    return _RunProducts(profile, first, last + horizon - 1)
 
 
 @dataclass(frozen=True)
@@ -254,41 +308,86 @@ class PowerMap:
         return out
 
 
-@overflow_checked()
+class PowerStack:
+    """T^0 .. T^horizon of one operator on one window: each power is formed
+    when first asked for and kept, and growth bounds of the un-truncated
+    powers, on the window's lattice, come from run products kept the same way.
+
+    A shift power's run products are the previous power's times one more
+    weight each (see _RunProducts), so every power equals the one formed
+    alone bit for bit.  A diagonal, scalar or dense power is formed alone, as
+    entries**n, c**n or matrix_power.
+    """
+
+    def __init__(self, op: OperatorSpec, window: IndexWindow, horizon: int):
+        self.op, self.window, self.horizon = op, window, horizon
+        self._maps: dict[int, PowerMap] = {}
+        self._bounds: dict[int, GrowthBounds] = {}
+        self._runs: _RunProducts | None = None
+        self._growth_runs: _RunProducts | None = None
+
+    def power_map(self, n: int) -> PowerMap:
+        """T^n on the window; shift mass that leaves the window is dropped."""
+        pmap = self._maps.get(n)
+        if pmap is None:
+            with named_overflow("power_map", f"power {n}"):
+                pmap = self._maps[n] = self._form(n)
+        return pmap
+
+    def growth(self, n: int) -> GrowthBounds:
+        """growth(op, n, lattice of the window), for n up to the horizon."""
+        bounds = self._bounds.get(n)
+        if bounds is None:
+            if not 0 <= n <= self.horizon:
+                raise ValueError(f"power {n} lies outside the stack's 0..{self.horizon}")
+            with named_overflow("growth", f"power {n}"):
+                if n and self._growth_runs is None and isinstance(self.op, (ForwardShift, BackwardShift)):
+                    self._growth_runs = _growth_runs(self.op.weights, self.horizon, self.window.kind)
+                bounds = self._bounds[n] = _growth_bounds(self.op, n, self.window.kind, self._growth_runs)
+        return bounds
+
+    def _form(self, n: int) -> PowerMap:
+        op, window = self.op, self.window
+        d = window.dim
+        if isinstance(op, (ForwardShift, BackwardShift)):
+            # source j moves to j+n (forward) or j-n (backward), carrying the product
+            # over the run [j, j+n) or [j-n, j); either way the runs start at lo..hi-n
+            forward = isinstance(op, ForwardShift)
+            coeffs = np.zeros(d, dtype=np.complex128)
+            if n < d:
+                if self._runs is None:
+                    self._runs = _RunProducts(op.weights, window.lo, window.hi - 1)
+                survivors = slice(0, d - n) if forward else slice(n, d)
+                coeffs[survivors] = self._runs(n, window.lo, window.hi - n)
+            # a column that dies at the edge points at the edge
+            tgt = np.minimum(np.arange(n, n + d), d - 1) if forward else np.maximum(np.arange(-n, d - n), 0)
+            return PowerMap("ortho", window, coeffs=coeffs, tgt=tgt)
+        if isinstance(op, Diagonal):
+            entries = op.entries_on(window)
+            # numpy's complex power saturates at the float maximum without a flag
+            # ([2+0j]**1024 is 1.797e308); the moduli's real power flags it
+            np.abs(entries) ** n
+            return PowerMap("ortho", window, coeffs=entries**n, tgt=np.arange(d))
+        if isinstance(op, Scalar):
+            value = op.value**n
+            if not cmath.isfinite(value):  # parts that cancel give NaN: (1e160+1e160j)**2
+                raise OverflowError("complex exponentiation")
+            coeffs = np.full(d, value, dtype=np.complex128)
+            return PowerMap("ortho", window, coeffs=coeffs, tgt=np.arange(d))
+        if isinstance(op, Dense):
+            if op.matrix.shape[0] != d:
+                raise OperatorError("dense matrix size does not match the window")
+            matrix = np.linalg.matrix_power(op.matrix, n)
+            # a multi-threaded BLAS may overflow in a worker thread numpy does not watch
+            if not np.isfinite(matrix).all():
+                raise FloatingPointError("overflow encountered in matrix_power")
+            return PowerMap("dense", window, matrix=matrix)
+        raise OperatorError(f"unsupported operator variant {type(op).__name__}")
+
+
 def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:
     """T^n on the window; shift mass that leaves the window is dropped."""
-    d = window.dim
-    if isinstance(op, (ForwardShift, BackwardShift)):
-        # source j moves to j+n (forward) or j-n (backward), carrying the product
-        # over the run [j, j+n) or [j-n, j); either way the runs start at lo..hi-n
-        forward = isinstance(op, ForwardShift)
-        coeffs = np.zeros(d, dtype=np.complex128)
-        if n < d:
-            survivors = slice(0, d - n) if forward else slice(n, d)
-            coeffs[survivors] = _shift_products(op.weights, window.lo, window.hi - n, n)
-        tgt = np.clip(np.arange(d) + (n if forward else -n), 0, d - 1)
-        return PowerMap("ortho", window, coeffs=coeffs, tgt=tgt)
-    if isinstance(op, Diagonal):
-        entries = op.entries_on(window)
-        # numpy's complex power saturates at the float maximum without a flag
-        # ([2+0j]**1024 is 1.797e308); the moduli's real power flags it
-        np.abs(entries) ** n
-        return PowerMap("ortho", window, coeffs=entries**n, tgt=np.arange(d))
-    if isinstance(op, Scalar):
-        value = op.value**n
-        if not cmath.isfinite(value):  # parts that cancel give NaN: (1e160+1e160j)**2
-            raise OverflowError("complex exponentiation")
-        coeffs = np.full(d, value, dtype=np.complex128)
-        return PowerMap("ortho", window, coeffs=coeffs, tgt=np.arange(d))
-    if isinstance(op, Dense):
-        if op.matrix.shape[0] != d:
-            raise OperatorError("dense matrix size does not match the window")
-        matrix = np.linalg.matrix_power(op.matrix, n)
-        # a multi-threaded BLAS may overflow in a worker thread numpy does not watch
-        if not np.isfinite(matrix).all():
-            raise FloatingPointError("overflow encountered in matrix_power")
-        return PowerMap("dense", window, matrix=matrix)
-    raise OperatorError(f"unsupported operator variant {type(op).__name__}")
+    return PowerStack(op, window, n).power_map(n)
 
 
 def power_apply(op: OperatorSpec, n: int, x):
@@ -332,23 +431,6 @@ def right_inverse(op: OperatorSpec) -> OperatorSpec:
     raise OperatorError(f"right inverse undefined for {type(op).__name__}")
 
 
-def _profile_window_products(profile: WeightProfile, n: int, lattice: str) -> np.ndarray:
-    """All distinct length-n running products of the weight sequence."""
-    keys = list(profile.table.keys())
-    lo_t = min(keys, default=0)
-    hi_t = max(keys, default=0)
-    lo_j = lo_t - n - 1
-    hi_j = hi_t + 1
-    if lattice == UNILATERAL:
-        lo_j = max(lo_j, 0)
-        hi_j = max(hi_j, 0)
-    cands = list(_shift_products(profile, lo_j, hi_j, n))
-    cands.append(profile.pos**n)  # far right
-    if lattice == BILATERAL:
-        cands.append(profile.neg**n)  # far left
-    return np.array(cands, dtype=float)
-
-
 @overflow_checked()
 def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     """(opnorm upper, minimum-modulus lower) bounds for the un-truncated n-th power.
@@ -361,14 +443,24 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     n = int(n)
     if lattice not in (BILATERAL, UNILATERAL):
         raise ValueError(f"unknown lattice {lattice!r}")
+    shift = isinstance(op, (ForwardShift, BackwardShift))
+    return _growth_bounds(op, n, lattice, _growth_runs(op.weights, n, lattice) if shift and n else None)
+
+
+def _growth_bounds(op: OperatorSpec, n: int, lattice: str, runs: _RunProducts | None) -> GrowthBounds:
+    """growth's bounds at a valid power; a shift reads its runs from runs,
+    which _growth_runs built for a horizon of at least n."""
     if n == 0:
         return GrowthBounds(1.0, 1.0)
     if isinstance(op, (ForwardShift, BackwardShift)):
-        prods = _profile_window_products(op.weights, n, lattice)
+        profile = op.weights
+        prods = runs(n, *_growth_starts(profile, n, lattice))
+        ends = (profile.pos**n, profile.neg**n) if lattice == BILATERAL else (profile.pos**n,)
+        top = max(float(prods.max()), *ends)
         if isinstance(op, BackwardShift) and lattice == UNILATERAL:
             # e_0 .. e_{n-1} are annihilated
-            return GrowthBounds(float(prods.max()), 0.0)
-        return GrowthBounds(float(prods.max()), float(prods.min()))
+            return GrowthBounds(top, 0.0)
+        return GrowthBounds(top, min(float(prods.min()), *ends))
     if isinstance(op, Diagonal):
         moduli = [abs(v) for v in op.entries.values()]
         if op.default is not None:

@@ -21,7 +21,7 @@ from .hitsolver import (
     HIT,
     MISS_CERTIFIED,
     Certificate,
-    HitProblem,
+    PowerScan,
     solve_hit,
 )
 from .operators import (
@@ -30,7 +30,7 @@ from .operators import (
     apply,
     components_of,
     ensure_power_fits,
-    overflow_checked,
+    named_overflow,
     right_inverse,
 )
 from .vectorspace import (
@@ -135,18 +135,12 @@ def junction_scan(
         raise ValueError("horizon must be at least 1")
     comps = components_of(components)
     guard_scan_window(comps, horizon, sources, targets)
+    # solve_hit is called at every power, as for any problem; the problems
+    # share the scan's stacks of powers and its batch of criterion pins
+    scan = PowerScan(comps, sources, targets, horizon, mode, fixed_alphas)
     entries = []
     for n in range(horizon + 1):
-        res = solve_hit(
-            HitProblem(
-                components=comps,
-                n=n,
-                sources=sources,
-                targets=targets,
-                mode=mode,
-                fixed_alphas=fixed_alphas,
-            )
-        )
+        res = solve_hit(scan.problem(n))
         witness = res.witness
         entries.append(
             JunctionEntry(
@@ -325,11 +319,13 @@ def _certified_suffix(rep: JunctionReport) -> int | None:
     return n0
 
 
-@overflow_checked(lambda op, x, horizon: f"powers up to {horizon}")
 def disk_orbit_norms(op: OperatorSpec, x: ComplexVector, horizon: int) -> np.ndarray:
-    """Norms ||T^n x|| for n in [0, horizon] on the truncated window."""
-    norms = [norm(x)]
-    for _ in range(horizon):
-        x = apply(op, x)
-        norms.append(norm(x))
+    """Norms ||T^n x|| for n in [0, horizon] on the truncated window, by
+    applying T once per step; an overflow is named at its step's power."""
+    norms = []
+    for n in range(horizon + 1):
+        with named_overflow("disk_orbit_norms", f"power {n}"):
+            if n:
+                x = apply(op, x)
+            norms.append(norm(x))
     return np.array(norms)

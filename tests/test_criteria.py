@@ -24,6 +24,7 @@ from disklab.operators import (
     Diagonal,
     EigenPair,
     ForwardShift,
+    OperatorError,
     Scalar,
     WeightProfile,
     power_apply,
@@ -34,6 +35,7 @@ from disklab.vectorspace import (
     UNILATERAL,
     ComplexVector,
     IndexWindow,
+    ProductVector,
     norm,
 )
 
@@ -199,6 +201,22 @@ def test_roundtrip_derivation_passes():
     assert all(rt.scaled_passes)
     assert rt.passed
     assert rt.tol == pytest.approx(0.101)
+
+
+def test_orbit_norm_errors_name_the_power_that_overflows():
+    """||T^n x|| for x = e_-390 is 3^n, whose square passes the float range
+    from n = 324 on, while every power of T stays finite."""
+    w = IndexWindow(BILATERAL, 400)
+    data = CriterionData(
+        components=(SHIFT,),
+        smaps=(right_inverse(SHIFT),),
+        nk=tuple(range(1, 331)),
+        xsampler=lambda rng: ProductVector((ComplexVector.basis(w, -390),)),
+        ysampler=lambda rng: ProductVector((ComplexVector.basis(w, 0),)),
+        sample_count=1,
+    )
+    with pytest.raises(OperatorError, match="_orbit_norms overflows a float at power 324: "):
+        check_scalar_free_criterion(data)
 
 
 def whole_sequence_data(op, smap, horizon, lambdas=None, **counts):

@@ -267,25 +267,85 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
 
 
 def test_disk_solve_takes_one_step_from_each_start(monkeypatch):
-    """A disk-route miss makes four single-scalar solves and one grid batch:
-    the criterion pin, one refit step from u, one from the criterion seed,
-    and one polishing step after the grid.  A hit at the criterion pin ends
-    the solve after one solve, with the construction's scalar."""
-    calls, batches = [], []
-    lsq, grid = hitsolver.constrained_lsq, hitsolver._grid_lsq
+    """A disk-route miss makes one criterion pin row, three single-scalar
+    solves and one grid batch: one refit step from u, one from the criterion
+    seed, and one polishing step after the grid.  A hit at the criterion pin
+    ends the solve with no single-scalar solve, with the construction's
+    scalar."""
+    calls, batches, pin_rows = [], [], []
+    lsq, grid, pins = hitsolver.constrained_lsq, hitsolver._grid_lsq, hitsolver._pin_lsq
     monkeypatch.setattr(hitsolver, "constrained_lsq", lambda *a: calls.append(a) or lsq(*a))
     monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or grid(*a))
+    monkeypatch.setattr(hitsolver, "_pin_lsq", lambda *a: pin_rows.extend(a[0]) or pins(*a))
     sample = make_ball_sampler(IndexWindow(BILATERAL, 32), 1, band=1)
     sources, targets = sample(np.random.default_rng(0)), sample(np.random.default_rng(1000))
     assert solve_hit(HitProblem((EXAMPLE_SHIFT,), 1, sources, targets)).status == MISS_UNCERTAIN
-    assert (len(calls), len(batches)) == (4, 1)
+    assert (len(pin_rows), len(calls), len(batches)) == (1, 3, 1)
 
     calls.clear()
     batches.clear()
+    pin_rows.clear()
     ball = ProductBall((Ball(ComplexVector.basis(IndexWindow(BILATERAL, 64), 0), 0.5),))
     got = solve_hit(HitProblem((EXAMPLE_SHIFT,), 5, ball, ball))
-    assert got.status == HIT and (len(calls), len(batches)) == (1, 0)
+    assert got.status == HIT and (len(pin_rows), len(calls), len(batches)) == (1, 0, 0)
     assert got.witness.alphas[0] == pytest.approx(6.0**-2.5, rel=1e-12)
+
+
+def test_pin_rows_equal_constrained_lsq_bit_for_bit():
+    """Each row of the criterion-pin kernel against constrained_lsq on that
+    row's map: the same minimizer bytes, residual and KKT residual.  The rows
+    mix shift and diagonal powers (dead columns, zero entries) with real and
+    complex scalars and radii on both sides of the Newton point, so the batch
+    holds interior rows, boundary rows and rows with no gradient at all.  A
+    coefficient of 1e-163 has a square that underflows to 0 while its
+    gradient entry against a far target does not: free mass, which
+    orthogonal columns have only that way."""
+    rng = np.random.default_rng(16)
+    kinds = set()
+    for lattice in (BILATERAL, UNILATERAL):
+        w = IndexWindow(lattice, 6)
+        d = w.dim
+        u = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        v = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        profile = WeightProfile(*rng.uniform(0.3, 3.0, 2), {0: 0.5, 2: 4.0})
+        diag = Diagonal({j: (0.0 if j == 1 else rng.uniform(0.5, 2.0) * np.exp(2j * rng.uniform(0, np.pi))) for j in w.indices().tolist()})
+        maps = [power_map(op, n, w) for op in (ForwardShift(profile), BackwardShift(profile)) for n in (1, 3, d - 1, d + 2)]
+        maps += [power_map(diag, n, w) for n in (1, 4)]
+        maps.append(power_map(Diagonal({j: 1e-163 if j == 0 else 1.0 for j in w.indices().tolist()}), 1, w))
+        for eps in (0.01, 0.7, 50.0):
+            scalars = [rng.uniform(0.05, 1.0) * (1.0 if k % 2 else np.exp(2j * rng.uniform(0, np.pi))) for k in range(len(maps))]
+            scaled = [pmap.scaled(alpha) for pmap, alpha in zip(maps, scalars)]
+            # zero gradient: the target is the image of the centre
+            image = ComplexVector(w, scaled[0].apply_vec(u.coeffs))
+            for target in (v, image, v * 1e10):
+                coeffs = np.array([m.coeffs for m in scaled])
+                tgt = np.array([m.tgt for m in scaled])
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    zs, residuals, kkts = hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs)
+                for k, pmap in enumerate(scaled):
+                    ref = constrained_lsq(pmap, u, eps, target)
+                    assert zs[k].tobytes() == ref.z.coeffs.tobytes()
+                    assert (residuals[k], kkts[k]) == (ref.residual, ref.kkt_residual)
+                    q, g = np.abs(pmap.coeffs) ** 2, np.conj(pmap.coeffs) * (target.coeffs - pmap.apply_vec(u.coeffs))[pmap.tgt]
+                    if not np.any(g != 0):
+                        kinds.add("no gradient")
+                    elif np.any((q == 0) & (g != 0)):
+                        kinds.add("free mass")
+                    else:
+                        kinds.add("interior" if norm(ref.z - u) < eps * (1 - 1e-12) else "boundary")
+    assert kinds == {"no gradient", "free mass", "interior", "boundary"}
+
+
+def test_criterion_pin_may_hit_below_alpha_floor():
+    """ALPHA_FLOOR is the modulus put in place of a zero scalar, not a floor
+    on every scalar: the (2, 3) shift from e_-420 to e_-120 hits at n = 300
+    with lambda_300 = sqrt(2^-150 3^-150 / 3^300), far below it, and the
+    witness re-verifies."""
+    w = IndexWindow(BILATERAL, 500)
+    p = HitProblem((EXAMPLE_SHIFT,), 300, *(ProductBall((Ball(ComplexVector.basis(w, j), 0.5),)) for j in (-420, -120)))
+    got = solve_hit(p)
+    assert got.status == HIT and abs(got.witness.alphas[0]) < hitsolver.ALPHA_FLOOR
+    assert reverify_witness(p, got.witness) <= 1e-10
 
 
 def test_trs_boundary_case_is_tight():
@@ -313,11 +373,17 @@ def bisect_secular(q, s, eps):
 
 
 def check_secular_root(mu, q, s, eps):
-    """mu against bisection and against the batched rows."""
+    """mu against bisection and against the batched rows: the grid's rows
+    to 1e-12, and the pin rows, which take _secular_solve's steps, bit for
+    bit."""
     assert mu == pytest.approx(bisect_secular(q, s, eps), rel=1e-12)
     mu_rows, val_rows = hitsolver._secular_rows(q[None, :], s[None, :], eps)
     assert mu == pytest.approx(mu_rows[0], rel=1e-12)
     assert abs(val_rows[0] - eps) <= 1e-14 * eps
+    q = np.where(s > 0, q, 1.0)  # as _trs_core hands q to _secular_solve
+    mu_pins, val_pins = hitsolver._secular_solve_rows(q[None, :], s[None, :], eps)
+    assert (mu_pins[0], val_pins[0]) == hitsolver._secular_solve(q, s, eps)
+    assert mu_pins[0] == mu
 
 
 def test_secular_newton_climbs_from_below(monkeypatch):

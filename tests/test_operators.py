@@ -10,7 +10,9 @@ from disklab.operators import (
     Diagonal,
     DirectSum,
     ForwardShift,
+    GrowthBounds,
     OperatorError,
+    PowerStack,
     Scalar,
     WeightProfile,
     WindowGuardError,
@@ -336,9 +338,10 @@ def test_diagonal_power_semigroup(n):
     assert norm(lhs - rhs) <= 1e-9 * (1 + norm(lhs))
 
 
-# Reference implementations: the per-index loops that power_map's shared
-# run-product helper replaced.  They multiply the same operands in the same
-# order, so shift powers and growth bounds must agree bit for bit.
+# Reference implementations: the per-index loops that power_map's and
+# growth's run products replaced.  They multiply the same operands in the
+# same order, so shift powers and growth bounds must agree bit for bit,
+# whether a power is formed alone or read from a PowerStack.
 
 
 def _reference_shift_products(profile, lo, hi, n):
@@ -347,6 +350,31 @@ def _reference_shift_products(profile, lo, hi, n):
     for t in range(n):
         out *= np.array([profile.weight(j + t) for j in range(lo, hi + 1)], dtype=float)
     return out
+
+
+def _reference_growth(op, n, lattice):
+    """growth from the reference products: every length-n run through the
+    table, plus the constant runs far right and (bilateral) far left; None
+    where a product, a partial one included, passes the float range."""
+    if n == 0:
+        return GrowthBounds(1.0, 1.0)
+    profile = op.weights
+    lo = min(profile.table, default=0) - n - 1
+    hi = max(profile.table, default=0) + 1
+    if lattice == UNILATERAL:
+        lo, hi = max(lo, 0), max(hi, 0)
+    try:
+        with np.errstate(over="raise"):
+            prods = list(_reference_shift_products(profile, lo, hi, n))
+        prods.append(profile.pos**n)
+        if lattice == BILATERAL:
+            prods.append(profile.neg**n)
+    except (FloatingPointError, OverflowError):
+        return None
+    prods = np.array(prods)
+    if isinstance(op, BackwardShift) and lattice == UNILATERAL:
+        return GrowthBounds(float(prods.max()), 0.0)
+    return GrowthBounds(float(prods.max()), float(prods.min()))
 
 
 def _reference_forward_power(profile, n, x):
@@ -396,10 +424,12 @@ def _power_near_the_float_max(profile, window, rng):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("lattice", [BILATERAL, UNILATERAL])
-def test_shift_powers_near_the_float_max_match_the_reference_or_raise(monkeypatch, lattice):
+def test_shift_powers_near_the_float_max_match_the_reference_or_raise(lattice):
     """Where the reference loops' products, partial ones included, stay
-    inside the float range, power_apply and growth equal them bit for bit;
-    where one overflows, both raise OperatorError."""
+    inside the float range, power_apply, growth and a PowerStack read at that
+    power equal them bit for bit; where one overflows, all raise
+    OperatorError.  The stack forms every lower power first, over more runs
+    than survive at n, and must not refuse n for those."""
     rng = np.random.default_rng(15 if lattice == BILATERAL else 16)
     window = IndexWindow(lattice, 200 if lattice == BILATERAL else 400)
     d = window.dim
@@ -419,9 +449,12 @@ def test_shift_powers_near_the_float_max_match_the_reference_or_raise(monkeypatc
         except FloatingPointError:
             prods = None
         for op in (ForwardShift(profile), BackwardShift(profile)):
+            stack = PowerStack(op, window, n)
             if prods is None:
                 with pytest.raises(OperatorError, match="overflows"):
                     power_apply(op, n, x)
+                with pytest.raises(OperatorError, match="power_map overflows a float at power"):
+                    stack.power_map(n)
             else:
                 want = np.zeros(d, dtype=np.complex128)
                 if isinstance(op, ForwardShift):
@@ -429,21 +462,34 @@ def test_shift_powers_near_the_float_max_match_the_reference_or_raise(monkeypatc
                 else:
                     want[: d - n] = x.coeffs[n:] * prods
                 assert np.array_equal(power_apply(op, n, x).coeffs, want)
-            # growth runs the reference under the same rule
-            with monkeypatch.context() as patched:
-                patched.setattr(operators, "_shift_products", _reference_shift_products)
-                try:
-                    want_bounds = growth(op, n, lattice)
-                except OperatorError:
-                    want_bounds = None
+                assert np.array_equal(stack.power_map(n).apply_vec(x.coeffs), want)
+            want_bounds = _reference_growth(op, n, lattice)
             if want_bounds is None:
-                with pytest.raises(OperatorError, match="overflows"):
-                    growth(op, n, lattice)
+                for bounds in (lambda: growth(op, n, lattice), lambda: stack.growth(n)):
+                    with pytest.raises(OperatorError, match="overflows"):
+                        bounds()
             else:
-                assert growth(op, n, lattice) == want_bounds
+                assert growth(op, n, lattice) == stack.growth(n) == want_bounds
         outcomes.append(prods is None)
     # both sides of the boundary are reached
     assert 0 < sum(outcomes) < len(outcomes)
+    # on its way to power 5 a stack forms power 4, whose run from lo + 4
+    # passes the float range; no run from there survives at power 5
+    w = IndexWindow(lattice, 4 if lattice == BILATERAL else 8)
+    profile = WeightProfile(1.0, 1.0, {w.lo + 3: 1e-100, **{w.lo + j: 1e100 for j in range(4, 8)}})
+    x = ComplexVector(w, rng.uniform(-1, 1, w.dim) + 0j)
+    with pytest.raises(OperatorError, match="power_map overflows a float at power 4"):
+        power_apply(ForwardShift(profile), 4, x)
+    want = _reference_forward_power(profile, 5, x).coeffs
+    assert np.all(np.isfinite(want)) and np.array_equal(PowerStack(ForwardShift(profile), w, 5).power_map(5).apply_vec(x.coeffs), want)
+    # runs are still multiplied left to right: 1e200 * 1e200 passes the float
+    # range before 1e-200 brings the full product back to 1e200 (log-domain
+    # products would answer this)
+    op = ForwardShift(WeightProfile(0.5, 0.5, {0: 1e200, 1: 1e200, 2: 1e-200}))
+    assert _reference_growth(op, 3, lattice) is None
+    for bounds in (lambda: growth(op, 3, lattice), lambda: PowerStack(op, window, 3).growth(3)):
+        with pytest.raises(OperatorError, match="overflows a float at power 3"):
+            bounds()
 
 
 def _random_profile(rng):
@@ -458,7 +504,7 @@ def _random_complex(rng, size=None):
 
 
 @pytest.mark.parametrize("lattice", [BILATERAL, UNILATERAL])
-def test_powers_match_the_per_index_reference_loops(monkeypatch, lattice):
+def test_powers_match_the_per_index_reference_loops(lattice):
     rng = np.random.default_rng(11 if lattice == BILATERAL else 12)
     eps = np.finfo(float).eps
     for m in range(1, 13):
@@ -470,10 +516,7 @@ def test_powers_match_the_per_index_reference_loops(monkeypatch, lattice):
             fwd, bwd = ForwardShift(profile), BackwardShift(profile)
             assert np.array_equal(power_apply(fwd, n, x).coeffs, _reference_forward_power(profile, n, x).coeffs)
             assert np.array_equal(power_apply(bwd, n, x).coeffs, _reference_backward_power(profile, n, x).coeffs)
-            bounds = [growth(op, n, lattice) for op in (fwd, bwd)]
-            with monkeypatch.context() as patched:
-                patched.setattr(operators, "_shift_products", _reference_shift_products)
-                assert bounds == [growth(op, n, lattice) for op in (fwd, bwd)]
+            assert [growth(op, n, lattice) for op in (fwd, bwd)] == [_reference_growth(op, n, lattice) for op in (fwd, bwd)]
             # numpy multiplies array by scalar through another loop than array
             # by array, so these may differ in the last bit
             diag = Diagonal(dict(zip(w.indices().tolist(), _random_complex(rng, d))))
@@ -481,4 +524,12 @@ def test_powers_match_the_per_index_reference_loops(monkeypatch, lattice):
             for op, factor in ((diag, diag.entries_on(w) ** n), (scalar, scalar.value**n)):
                 want = x.coeffs * factor
                 assert np.all(np.abs(power_apply(op, n, x).coeffs - want) <= 4 * eps * np.abs(want))
-
+        # one stack per operator, read at every power 0..d + 1 in turn
+        profile = _random_profile(rng)
+        x = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        references = ((ForwardShift(profile), _reference_forward_power), (BackwardShift(profile), _reference_backward_power))
+        for op, reference in references:
+            stack = PowerStack(op, w, d + 1)
+            for n in range(d + 2):
+                assert np.array_equal(stack.power_map(n).apply_vec(x.coeffs), reference(profile, n, x).coeffs)
+                assert stack.growth(n) == _reference_growth(op, n, lattice)

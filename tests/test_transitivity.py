@@ -1,11 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from disklab.hitsolver import FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN
+from disklab import transitivity
+from disklab.hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN, HitProblem, solve_hit
 from disklab.operators import (
     BackwardShift,
+    Dense,
+    Diagonal,
     DirectSum,
     ForwardShift,
+    OperatorError,
     Scalar,
     WeightProfile,
     WindowGuardError,
@@ -199,3 +205,86 @@ def test_disk_orbit_norms_frozen():
     x = ComplexVector.basis(w, 0)
     norms = disk_orbit_norms(SHIFT_23, x, 6)
     assert list(norms) == [1, 2, 4, 8, 16, 32, 64]
+
+
+def test_disk_orbit_norms_name_the_power_that_overflows():
+    # 3^n passes the float range squared from n = 324
+    x = ComplexVector.basis(IndexWindow(BILATERAL, 400), -390)
+    with pytest.raises(OperatorError, match="disk_orbit_norms overflows a float at power 324: "):
+        disk_orbit_norms(SHIFT_23, x, 330)
+
+
+def _random_component(rng, window):
+    kind = rng.integers(0, 5)
+    if kind < 2:
+        table = {int(j): float(rng.uniform(0.3, 3.0)) for j in rng.integers(-4, 5, 3)}
+        profile = WeightProfile(*rng.uniform(0.3, 3.0, 2), table)
+        return (ForwardShift if kind == 0 else BackwardShift)(profile)
+    if kind == 2:
+        return Diagonal({j: complex(rng.uniform(0.3, 1.8) * np.exp(2j * np.pi * rng.uniform())) for j in window.indices().tolist()})
+    if kind == 3:
+        d = window.dim
+        return Dense((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(d))
+    return Scalar(complex(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())))
+
+
+def _result_bytes(res):
+    """A HitResult's status, scalars, residuals, certificate and witness
+    point, bit for bit (repr is exact for floats, and tells -0.0 from 0.0)."""
+    w = res.witness
+    point = None if w is None else (w.n, w.alphas, w.residuals, [p.coeffs.tobytes() for p in w.point.parts])
+    return repr((res.status, res.certificate, res.best_residuals, res.best_alphas, res.max_kkt_residual, point))
+
+
+def test_scan_results_equal_single_power_solves(monkeypatch):
+    """A scan shares its stacks and one batch of criterion pins across its
+    powers; every power's result must still be the one solve_hit gives that
+    problem alone, bit for bit, and the scan must still call solve_hit once
+    per power.  Random direct sums of shifts, diagonals, dense maps and
+    scalars, the same shift object twice among them, on both lattices, in
+    disk and fixed mode."""
+    rng = np.random.default_rng(20)
+    results = []
+    monkeypatch.setattr(transitivity, "solve_hit", lambda p: results.append((p, solve_hit(p))) or results[-1][1])
+    statuses = set()
+    horizon = 6
+    for trial in range(24):
+        window = IndexWindow((BILATERAL, UNILATERAL)[trial % 2], 12)
+        comps = [_random_component(rng, window) for _ in range(rng.integers(1, 4))]
+        if trial % 6 == 0:
+            shift = ForwardShift(WeightProfile(2.0, 3.0))
+            comps = [shift, shift, *comps[:1]]
+        mode = (DISK, FIXED)[trial // 2 % 2]
+        alphas = tuple(complex(rng.uniform(0.2, 1.0) * np.exp(2j * np.pi * rng.uniform())) for _ in comps) if mode == FIXED else None
+        sampler = make_ball_sampler(window, len(comps), radius=float(rng.uniform(0.3, 0.6)), band=2)
+        sources, targets = sampler(rng), sampler(rng)
+        results.clear()
+        report = junction_scan((DirectSum(tuple(comps)),), sources, targets, horizon, mode, alphas)
+        assert [p.n for p, _ in results] == list(range(horizon + 1))
+        for (p, got), entry in zip(results, report.entries):
+            alone = solve_hit(HitProblem(tuple(comps), p.n, sources, targets, mode, alphas))
+            assert _result_bytes(got) == _result_bytes(alone)
+            assert entry.status == alone.status
+            statuses.add(alone.status)
+    assert statuses == {HIT, MISS_CERTIFIED, MISS_UNCERTAIN}
+
+
+@pytest.mark.parametrize(
+    "op, m, source, target, horizon, power, where",
+    [
+        # the first overflow of the per-power solves is the disk grid's
+        (SHIFT_23, 500, -420, -120, 330, 162, "square"),
+        # the pin batch over powers 1..130 overflows from 110 on, in a square
+        # of the pin at 110; powers 1..109 must still be solved
+        (ForwardShift(WeightProfile(20.0, 30.0)), 150, 0, 0, 130, 110, "square"),
+    ],
+    ids=["grid", "pin batch"],
+)
+def test_scan_overflow_is_raised_at_the_power_it_happens(op, m, source, target, horizon, power, where):
+    """The pin batch covers powers the scan has not reached; an overflow
+    there must not end the scan before the power it happens at."""
+    w = IndexWindow(BILATERAL, m)
+    sources, targets = (ProductBall((Ball(ComplexVector.basis(w, j), 0.5),)) for j in (source, target))
+    message = f"_solve_component overflows a float at power {power}: overflow encountered in {where}"
+    with pytest.raises(OperatorError, match=re.escape(message)):
+        junction_scan((op,), sources, targets, horizon)
