@@ -17,6 +17,7 @@ gives each problem of a scan the result it gives that problem alone.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -118,8 +119,10 @@ class HitProblem:
         k = len(comps)
         if self.sources.arity != k or self.targets.arity != k:
             raise ValueError("ball arity does not match the number of components")
-        if self.n < 0 or int(self.n) != self.n:
+        if not (0 <= self.n < math.inf and int(self.n) == self.n):
             raise ValueError("power must be a nonnegative integer")
+        # numpy takes only an int as a matrix power or a shift's index offset
+        object.__setattr__(self, "n", int(self.n))
         if self.mode not in (DISK, FIXED):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == FIXED:
@@ -200,22 +203,26 @@ def _secular_solve(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[float, flo
     Every term needs q_i > 0 or s_i > 0.  Below sqrt(s_i)/eps - q_i one term
     alone keeps the norm above eps, so the largest of these bounds (or 0)
     lies left of the root; 1/norm is concave and increasing in mu, so Newton
-    from there climbs to the root inside the bracket [0, ||g||/eps].
+    from there climbs to the root inside the bracket [0, ||g||/eps].  The
+    Newton derivative divides the norm's terms s_i/(q_i+mu)^2 once more by
+    q_i+mu: a cube of q_i+mu would overflow far sooner than its square.
     """
 
-    def nrm(mu: float) -> float:
-        return math.sqrt(float(np.sum(s / (q + mu) ** 2)))
+    def terms(mu: float) -> tuple[np.ndarray, np.ndarray, float]:
+        x = q + mu
+        w = s / x**2
+        return x, w, math.sqrt(float(np.sum(w)))
 
     g_norm = math.sqrt(float(np.sum(s)))
     mu_hi = g_norm / eps
     mu_lo = 0.0
     mu = max(0.0, float(np.max(np.sqrt(s) / eps - q)))
-    val = nrm(mu)
+    x, w, val = terms(mu)
     for _ in range(200):
         if abs(val - eps) <= 1e-14 * eps:
             break
         # Newton on f(mu) = 1/nrm - 1/eps, monotone increasing
-        deriv = float(np.sum(s / (q + mu) ** 3)) / val**3
+        deriv = float(np.sum(w / x)) / val**3
         if val > eps:
             mu_lo = mu
         else:
@@ -227,7 +234,7 @@ def _secular_solve(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[float, flo
         if nxt == mu:
             break
         mu = nxt
-        val = nrm(mu)
+        x, w, val = terms(mu)
     return mu, val
 
 
@@ -297,107 +304,6 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
     return TrsResult(z=z, residual=residual, kkt_residual=kkt)
 
 
-def _secular_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """_secular_solve on every row of (q, s) at once: bracketed Newton on
-    1/||d(mu)|| - 1/eps with its own bracket and stopping test per row, but
-    started at the bracket's midpoint, not at the single-term lower bound.
-
-    The loop runs until its slowest row stops, and on the disk-grid rows the
-    lower-bound start took more passes than the midpoint.  The midpoint also
-    keeps mu > 0, so terms with q = s = 0 need no masking here.
-    """
-    hi = np.sqrt(np.sum(s, axis=1)) / eps
-    lo = np.zeros_like(hi)
-    mu = 0.5 * hi
-    val = np.empty_like(mu)
-    rows = np.arange(len(mu))  # rows still iterating; m, lo, hi, q, s below are theirs
-    m = mu.copy()
-    for it in range(201):
-        x = q + m[:, None]
-        w = s / x**2
-        v = np.sqrt(np.sum(w, axis=1))
-        val[rows] = v
-        going = np.abs(v - eps) > 1e-14 * eps
-        if not going.all():
-            rows, m, v, lo, hi, q, s, x, w = (a[going] for a in (rows, m, v, lo, hi, q, s, x, w))
-        if rows.size == 0 or it == 200:
-            break
-        deriv = np.sum(w / x, axis=1) / v**3
-        over = v > eps
-        lo = np.where(over, m, lo)
-        hi = np.where(over, hi, m)
-        nxt = m - (1.0 / v - 1.0 / eps) / deriv
-        outside = ~((lo < nxt) & (nxt < hi))
-        nxt[outside] = 0.5 * (lo + hi)[outside]
-        moved = nxt != m
-        rows, m, lo, hi, q, s = (a[moved] for a in (rows, nxt, lo, hi, q, s))
-        mu[rows] = m
-    return mu, val
-
-
-def _grid_lsq(
-    A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """constrained_lsq for alphas[k] * A, every k at once; A is T^n at alpha 1.
-
-    Returns the minimizers, residuals and KKT residuals by row.  Row k repeats
-    constrained_lsq(A.scaled(alphas[k]), u, eps, target) step
-    for step, up to rounding: sums, norms and the Newton derivative are formed
-    in another order, and a dense map is diagonalized once, since
-    (alpha A)^H (alpha A) = |alpha|^2 A^H A keeps the eigenvectors of A^H A.
-    """
-    if A.kind == "dense":
-        m = A.matrix
-        evals, evecs = _gram_eigh(m)
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            return alphas[:, None] * (x @ m.T)
-
-        r = target.coeffs - apply(u.coeffs)
-        q = np.abs(alphas[:, None]) ** 2 * evals
-        g_full = np.conj(alphas)[:, None] * (r @ m.conj())  # (alpha A)^H r by row
-        g = g_full @ evecs.conj()  # in the eigenbasis
-    else:
-        live = A.coeffs != 0
-        dst = A.tgt[live]
-        c = alphas[:, None] * A.coeffs  # the coeffs A.scaled(alpha) holds at each alpha
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            out = np.zeros(c.shape, dtype=np.complex128)
-            out[:, dst] = c[:, live] * x[..., live]
-            return out
-
-        r = target.coeffs - apply(u.coeffs)
-        q = np.abs(c) ** 2
-        g = np.zeros_like(c)
-        g[:, live] = np.conj(c[:, live]) * r[:, dst]
-        g_full = g
-    s = np.abs(g) ** 2
-    # _trs_core row by row: no gradient, interior Newton point, or boundary
-    mu = np.zeros(len(alphas))
-    gap = np.zeros(len(alphas))
-    d = np.zeros_like(g)
-    has_grad = np.any(s > 0, axis=1)
-    free_mass = np.any((q == 0) & (s > 0), axis=1)
-    d0 = np.divide(g, q, out=np.zeros_like(g), where=q > 0)
-    interior = has_grad & ~free_mass & (np.linalg.norm(d0, axis=1) <= eps)
-    d[interior] = d0[interior]
-    boundary = has_grad & ~interior
-    if boundary.any():
-        mu_b, val_b = _secular_rows(q[boundary], s[boundary], eps)
-        mu[boundary] = mu_b
-        d[boundary] = g[boundary] / (q[boundary] + mu_b[:, None])
-        gap[boundary] = np.abs(val_b - eps) / eps
-    stat = np.linalg.norm((q + mu[:, None]) * d - g, axis=1)
-    if A.kind == "dense":
-        d = d @ evecs.T  # back from the eigenbasis
-    feas = np.maximum(0.0, np.linalg.norm(d, axis=1) - eps) / eps
-    kkt = np.maximum(np.maximum(stat / np.maximum(1.0, np.linalg.norm(g_full, axis=1)), feas), gap)
-    z = u.coeffs + d
-    residual = np.linalg.norm(apply(z) - target.coeffs, axis=1)
-    return z, residual, kkt
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of x, bit for bit: that norm of a 1-D
     complex array is the square root of the dot products of its real and
@@ -408,32 +314,46 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def _apply_rows(coeffs: np.ndarray, tgt: np.ndarray, x: np.ndarray) -> np.ndarray:
     """PowerMap.apply_vec for orthogonal-column maps held one per row of
-    coeffs and tgt; x is one vector for every row, or one per row."""
-    out = np.zeros(coeffs.shape, dtype=np.complex128)
-    rows, cols = np.nonzero(coeffs)
-    out[rows, tgt[rows, cols]] = coeffs[rows, cols] * (x[cols] if x.ndim == 1 else x[rows, cols])
-    return out
+    coeffs and tgt; x is one vector for every row, or one per row.  A dead
+    column (coefficient 0) may share its target with a live one, so it
+    writes to a spare last column, which is dropped."""
+    count, dim = coeffs.shape
+    out = np.zeros((count, dim + 1), dtype=np.complex128)
+    np.put_along_axis(out, np.where(coeffs != 0, tgt, dim), coeffs * x, axis=1)
+    return out[:, :dim]
 
 
-def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """_secular_solve on every row of (q, s), bit for bit: the same start
-    below the root, Newton and bracket steps and stopping test per row, with
-    each row's sums along the row (which equal the 1-D sums) and val**3 taken
-    in Python as there (numpy's power can differ in the last bit)."""
+def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float, midpoint: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_secular_solve on every row of (q, s), with its own bracket, Newton
+    and bracket steps and stopping test per row.
+
+    Started as there, at the single-term lower bound, each row repeats
+    _secular_solve bit for bit: sums along a row equal the 1-D sums, and
+    val**3 is taken in Python as there (numpy's power can differ in the last
+    bit).  With midpoint, each row starts at its bracket's midpoint
+    ||g||/(2 eps) instead.  The loop runs until its slowest row stops, so the
+    start that pays depends on the rows: the lower bound on the criterion
+    pins, the midpoint on the disk grid.
+    """
     hi = np.sqrt(np.sum(s, axis=1)) / eps
     lo = np.zeros_like(hi)
-    start = np.max(np.sqrt(s) / eps - q, axis=1)
-    mu = np.where(start > 0.0, start, 0.0)  # max(0.0, start)
-    val = np.sqrt(np.sum(s / (q + mu[:, None]) ** 2, axis=1))
-    rows = np.arange(len(mu))  # rows still iterating; m, v, lo, hi, q, s below are theirs
+    if midpoint:
+        mu = 0.5 * hi
+    else:
+        start = np.max(np.sqrt(s) / eps - q, axis=1)
+        mu = np.where(start > 0.0, start, 0.0)  # max(0.0, start)
+    x = q + mu[:, None]
+    w = s / x**2
+    val = np.sqrt(np.sum(w, axis=1))
+    rows = np.arange(len(mu))  # rows still iterating; m, v, lo, hi, q, s, x, w below are theirs
     m, v = mu, val
     for _ in range(200):
         going = np.abs(v - eps) > 1e-14 * eps
         if not going.all():
-            rows, m, v, lo, hi, q, s = (a[going] for a in (rows, m, v, lo, hi, q, s))
+            rows, m, v, lo, hi, q, s, x, w = (a[going] for a in (rows, m, v, lo, hi, q, s, x, w))
             if rows.size == 0:
                 break
-        deriv = np.sum(s / (q + m[:, None]) ** 3, axis=1) / np.array([x**3 for x in v.tolist()])
+        deriv = np.sum(w / x, axis=1) / np.array([y**3 for y in v.tolist()])
         over = v > eps
         lo = np.where(over, m, lo)
         hi = np.where(over, hi, m)
@@ -447,75 +367,112 @@ def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.nd
             if rows.size == 0:
                 break
         m = nxt
-        v = np.sqrt(np.sum(s / (q + m[:, None]) ** 2, axis=1))
+        x = q + m[:, None]
+        w = s / x**2
+        v = np.sqrt(np.sum(w, axis=1))
         mu[rows] = m
         val[rows] = v
     return mu, val
 
 
-def _pin_lsq(coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """constrained_lsq for orthogonal-column maps held one per row of coeffs
-    and tgt, bit for bit: row k's minimizer, residual and KKT residual are
-    those of constrained_lsq(A_k, u, eps, v).  Every elementwise step is
-    constrained_lsq's (and _trs_core's) on the row; sums along a row equal
-    the 1-D sums, _row_norms equal the 1-D norms, and the secular equation
-    is solved by _secular_solve_rows.  Each step of _trs_core runs only on
-    the rows that reach it there, and the scalar steps run in Python."""
-    count = len(coeffs)
-    r = v - _apply_rows(coeffs, tgt, u)
-    q = np.abs(coeffs) ** 2
-    g = np.zeros_like(coeffs)
-    rows, cols = np.nonzero(coeffs)
-    g[rows, cols] = np.conj(coeffs[rows, cols]) * r[rows, tgt[rows, cols]]
-    # _trs_core: no gradient, interior Newton point, or boundary
+def _trs_rows(q: np.ndarray, g: np.ndarray, eps: float, midpoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_trs_core on every row of (q, g): returns d, mu and the norm gap by
+    row.  Each row is _trs_core's, bit for bit, unless the secular equation
+    starts from the midpoint (see _secular_solve_rows)."""
     s = np.abs(g) ** 2
-    d = np.zeros_like(g)
-    mu = np.zeros(count)
-    gap = np.zeros(count)
     has_grad = np.any(s > 0, axis=1)
     live = q > 0
-    free_mass = np.any(~live & (s > 0), axis=1)
-    tried = np.flatnonzero(has_grad & ~free_mass)
-    d0 = np.zeros_like(g[tried])
-    d0[live[tried]] = g[tried][live[tried]] / q[tried][live[tried]]
-    inside = _row_norms(d0) <= eps
-    d[tried[inside]] = d0[inside]
-    boundary = has_grad.copy()
-    boundary[tried[inside]] = False
+    # the interior Newton point is tried on rows with a gradient and no free mass
+    tried = has_grad & ~np.any(~live & (s > 0), axis=1)
+    d = np.divide(g, q, out=np.zeros_like(g), where=live & tried[:, None])
+    inside = tried & (_row_norms(d) <= eps)
+    # every other row with a gradient is overwritten below; the rest keep d = 0
+    boundary = has_grad & ~inside
+    mu = np.zeros(len(g))
+    gap = np.zeros(len(g))
     if boundary.any():
+        # q = 1 where s = 0, as in _trs_core
         qb = np.where(s[boundary] > 0, q[boundary], 1.0)
-        mu_b, val_b = _secular_solve_rows(qb, s[boundary], eps)
+        mu_b, val_b = _secular_solve_rows(qb, s[boundary], eps, midpoint)
         mu[boundary] = mu_b
         d[boundary] = g[boundary] / (qb + mu_b[:, None])
         gap[boundary] = np.abs(val_b - eps) / eps
-    stats = _row_norms((q + mu[:, None]) * d - g).tolist()
-    g_norms = _row_norms(g).tolist()
-    d_norms = _row_norms(d).tolist()
+    return d, mu, gap
+
+
+def _kkt_rows(stat: np.ndarray, g: np.ndarray, d: np.ndarray, eps: float, gap: np.ndarray) -> np.ndarray:
+    """constrained_lsq's KKT residual by row, from the stationarity norms,
+    the gradients A^H r, the steps and the norm gaps."""
+    feas = np.maximum(0.0, _row_norms(d) - eps) / eps
+    return np.maximum(np.maximum(stat / np.maximum(1.0, _row_norms(g)), feas), gap)
+
+
+def _pin_lsq(
+    coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray, midpoint: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """constrained_lsq for orthogonal-column maps held one per row of coeffs
+    and tgt: row k's minimizer, residual and KKT residual are those of
+    constrained_lsq(A_k, u, eps, v), bit for bit unless the secular equation
+    starts from the midpoint.  Every elementwise step is constrained_lsq's on
+    the row, sums along a row equal the 1-D sums, and _row_norms equal the
+    1-D norms."""
+    live = coeffs != 0
+    r = v - _apply_rows(coeffs, tgt, u)
+    q = np.abs(coeffs) ** 2
+    g = np.multiply(np.conj(coeffs), np.take_along_axis(r, tgt, axis=1), out=np.zeros_like(coeffs), where=live)
+    d, mu, gap = _trs_rows(q, g, eps, midpoint)
+    stat = _row_norms((q + mu[:, None]) * d - g)
     z = u + d
-    residuals = _row_norms(_apply_rows(coeffs, tgt, z) - v).tolist()
-    kkts = [
-        max(stat / max(1.0, g_norm), max(0.0, d_norm - eps) / eps, row_gap)
-        for stat, g_norm, d_norm, row_gap in zip(stats, g_norms, d_norms, gap.tolist())
-    ]
-    return z, residuals, kkts
+    residuals = _row_norms(_apply_rows(coeffs, tgt, z) - v)
+    return z, residuals, _kkt_rows(stat, g, d, eps, gap)
 
 
-def _growth_certificate(stack: PowerStack, n, src: Ball, tgt: Ball, mode, alpha, component: int) -> tuple[float, Certificate] | None:
+def _grid_lsq(
+    A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """constrained_lsq for alphas[k] * A, every k at once, through the rows
+    loop started at the midpoint; A is T^n at alpha 1.
+
+    Returns the minimizers, residuals and KKT residuals by row.  An
+    orthogonal-column map goes through _pin_lsq with the rows
+    alphas[k] * coeffs.  A dense map is diagonalized once, since
+    (alpha A)^H (alpha A) = |alpha|^2 A^H A keeps the eigenvectors of A^H A,
+    and solved in that eigenbasis.  Row k equals
+    constrained_lsq(A.scaled(alphas[k]), u, eps, target) up to rounding.
+    """
+    if A.kind == "ortho":
+        c = alphas[:, None] * A.coeffs  # the coeffs A.scaled(alpha) holds at each alpha
+        return _pin_lsq(c, np.broadcast_to(A.tgt, c.shape), u.coeffs, eps, target.coeffs, midpoint=True)
+    m = A.matrix
+    evals, evecs = _gram_eigh(m)
+    r = target.coeffs - alphas[:, None] * (u.coeffs @ m.T)
+    q = np.abs(alphas[:, None]) ** 2 * evals
+    g_full = np.conj(alphas)[:, None] * (r @ m.conj())  # (alpha A)^H r by row
+    g = g_full @ evecs.conj()  # in the eigenbasis
+    d, mu, gap = _trs_rows(q, g, eps, midpoint=True)
+    stat = _row_norms((q + mu[:, None]) * d - g)
+    d = d @ evecs.T  # back from the eigenbasis
+    z = u.coeffs + d
+    residuals = _row_norms(alphas[:, None] * (z @ m.T) - target.coeffs)
+    return z, residuals, _kkt_rows(stat, g_full, d, eps, gap)
+
+
+def _growth_certificate(comp: "_ComponentScan", n: int, component: int) -> tuple[float, Certificate] | None:
     """Growth-bound certificate of one component, with its margin over the radius.
 
     The lattice for the growth bound is the kind of the window the balls live
     on, which is the stack's window: un-truncated dynamics on that lattice is
     what the bound models.
     """
+    stack, src, tgt = comp.powers, comp.src, comp.tgt
     try:
         gb = stack.growth(n)
     except (OperatorError, ValueError):
         return None
-    nu = norm(src.center)
-    nv = norm(tgt.center)
+    nu, nv = comp.nu, comp.nv
     cands: list[tuple[float, str]] = []
-    if mode == FIXED:
-        a = abs(alpha)
+    if comp.mode == FIXED:
+        a = abs(comp.fixed_alpha)
         if nu > src.radius:
             cands.append((a * gb.minmod_lower * (nu - src.radius) - nv, "minmod"))
         cands.append((nv - a * gb.opnorm_upper * (nu + src.radius), "opnorm"))
@@ -544,12 +501,11 @@ def certify_miss(p: HitProblem) -> Certificate | None:
     """
     best: tuple[float, Certificate] | None = None
     for i, comp in enumerate(_component_scans(p)):
-        src, tgt = comp.src, comp.tgt
-        scalar = _scalar_power(comp.op, p.n, src, tgt)
+        scalar = comp.scalar_power(p.n)
         if scalar is not None:
             got = scalar.certificate(i, p.mode, comp.fixed_alpha)
         else:
-            got = _growth_certificate(comp.powers, p.n, src, tgt, p.mode, comp.fixed_alpha, i)
+            got = _growth_certificate(comp, p.n, i)
         if got is not None and (best is None or got[0] > best[0]):
             best = got
     return None if best is None else best[1]
@@ -745,9 +701,10 @@ class _ScalarPower:
         return _ComponentSolve(hit=hit, alpha=alpha, z=ComplexVector(self.window, z), residual=residual, max_kkt=0.0)
 
 
-def _scalar_power(op: OperatorSpec, n: int, src: Ball, tgt: Ball) -> _ScalarPower | None:
+def _scalar_power(comp: "_ComponentScan", n: int) -> _ScalarPower | None:
     """The exact route's view of a component, when alpha T^n is a multiple of
     the identity; None otherwise."""
+    op = comp.op
     if isinstance(op, Scalar):
         log_c = _log(abs(op.value))
         log_r, arg_r = (n * log_c, n * cmath.phase(op.value)) if n else (0.0, 0.0)
@@ -755,23 +712,22 @@ def _scalar_power(op: OperatorSpec, n: int, src: Ball, tgt: Ball) -> _ScalarPowe
         log_c, log_r, arg_r = None, 0.0, 0.0
     else:
         return None
-    u, v = src.center.coeffs, tgt.center.coeffs
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    b0 = complex(np.vdot(u, v)) / nu**2 if nu > 0 else 0j
+    u, v = comp.src.center.coeffs, comp.tgt.center.coeffs
+    b0, p = comp.projection
     log_err = abs(log_r) if math.isfinite(log_r) else 0.0
     return _ScalarPower(
         log_r=log_r,
         arg_r=arg_r,
         log_c=log_c,
-        window=src.center.window,
+        window=comp.src.center.window,
         u=u,
         v=v,
-        nu=nu,
-        nv=nv,
+        nu=comp.nu,
+        nv=comp.nv,
         b0=b0,
-        p=float(np.linalg.norm(v - b0 * u)),
-        eps=src.radius,
-        delta=tgt.radius,
+        p=p,
+        eps=comp.src.radius,
+        delta=comp.tgt.radius,
         rel=(4 * u.size + 4 * log_err + 16 * n + 32) * _UNIT_ROUNDOFF,
     )
 
@@ -792,7 +748,9 @@ class _Pin:
 class _ComponentScan:
     """What the solves of one component share across the powers of a scan:
     its stack of T on the source window and of the right inverse S on the
-    target window, and its criterion pins, solved in batches.
+    target window, its criterion pins, solved in batches, and the norms of
+    its ball centres, taken once for every power's certificates and exact
+    route.
 
     The first power that asks for a pin solves the pins of every power from
     it to the horizon, in batches of at most PIN_CELLS cells.  A batch runs
@@ -811,6 +769,23 @@ class _ComponentScan:
         self._inverse: PowerStack | None = None
         self._pins: dict[int, _Pin | None] = {}
         self._batch = True
+        self.nu, self.nv = norm(src.center), norm(tgt.center)
+        self._scalars: dict[int, _ScalarPower | None] = {}
+
+    @functools.cached_property
+    def projection(self) -> tuple[complex, float]:
+        """b0 = <v, u>/||u||^2 and p = ||v - b0 u|| of the ball centres u, v
+        (see _ScalarPower)."""
+        u, v = self.src.center.coeffs, self.tgt.center.coeffs
+        b0 = complex(np.vdot(u, v)) / self.nu**2 if self.nu > 0 else 0j
+        return b0, float(np.linalg.norm(v - b0 * u))
+
+    def scalar_power(self, n: int) -> _ScalarPower | None:
+        """_scalar_power at power n, built once for the certificate and the
+        solve."""
+        if n not in self._scalars:
+            self._scalars[n] = _scalar_power(self, n)
+        return self._scalars[n]
 
     def pin(self, n: int) -> _Pin | None:
         """The pin at power n; None where the criterion has no scalar: no
@@ -862,9 +837,10 @@ class _ComponentScan:
         lam = np.array(lams)
         seeds = u + sn_v * (1.0 / lam)[:, None]
         # row k holds the coefficients of base.scaled(lambda_n) at its power
-        z, residuals, kkts = _pin_lsq(lam[:, None] * coeffs, tgt, u, self.src.radius * (1.0 - STRICT_MARGIN), v)
-        for k, n in enumerate(fit):
-            pins[n] = _Pin(complex(lams[k]), seeds[k], z[k], residuals[k], kkts[k])
+        eps = self.src.radius * (1.0 - STRICT_MARGIN)
+        z, residuals, kkts = _pin_lsq(lam[:, None] * coeffs, tgt, u, eps, v, midpoint=False)
+        for k, (n, residual, kkt) in enumerate(zip(fit, residuals.tolist(), kkts.tolist())):
+            pins[n] = _Pin(complex(lams[k]), seeds[k], z[k], residual, kkt)
         return pins
 
 
@@ -934,7 +910,7 @@ _GRID_ALPHAS = tuple(
 @overflow_checked()
 def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
     src, tgt, mode = comp.src, comp.tgt, comp.mode
-    scalar = _scalar_power(comp.op, n, src, tgt)
+    scalar = comp.scalar_power(n)
     if scalar is not None:
         return scalar.solve(mode, comp.fixed_alpha)
     window = src.center.window

@@ -271,23 +271,31 @@ def test_disk_solve_takes_one_step_from_each_start(monkeypatch):
     solves and one grid batch: one refit step from u, one from the criterion
     seed, and one polishing step after the grid.  A hit at the criterion pin
     ends the solve with no single-scalar solve, with the construction's
-    scalar."""
-    calls, batches, pin_rows = [], [], []
+    scalar.  The grid's rows pass through _pin_lsq too, started at the
+    midpoint, so rows are counted by caller."""
+    calls, batches, pin_rows, grid_rows = [], [], [], []
     lsq, grid, pins = hitsolver.constrained_lsq, hitsolver._grid_lsq, hitsolver._pin_lsq
+
+    def counted_rows(*a, midpoint):
+        (grid_rows if midpoint else pin_rows).extend(a[0])
+        return pins(*a, midpoint=midpoint)
+
     monkeypatch.setattr(hitsolver, "constrained_lsq", lambda *a: calls.append(a) or lsq(*a))
     monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or grid(*a))
-    monkeypatch.setattr(hitsolver, "_pin_lsq", lambda *a: pin_rows.extend(a[0]) or pins(*a))
+    monkeypatch.setattr(hitsolver, "_pin_lsq", counted_rows)
     sample = make_ball_sampler(IndexWindow(BILATERAL, 32), 1, band=1)
     sources, targets = sample(np.random.default_rng(0)), sample(np.random.default_rng(1000))
     assert solve_hit(HitProblem((EXAMPLE_SHIFT,), 1, sources, targets)).status == MISS_UNCERTAIN
     assert (len(pin_rows), len(calls), len(batches)) == (1, 3, 1)
+    assert len(grid_rows) == len(hitsolver._GRID_ALPHAS)
 
     calls.clear()
     batches.clear()
     pin_rows.clear()
+    grid_rows.clear()
     ball = ProductBall((Ball(ComplexVector.basis(IndexWindow(BILATERAL, 64), 0), 0.5),))
     got = solve_hit(HitProblem((EXAMPLE_SHIFT,), 5, ball, ball))
-    assert got.status == HIT and (len(pin_rows), len(calls), len(batches)) == (1, 0, 0)
+    assert got.status == HIT and (len(pin_rows), len(calls), len(batches), len(grid_rows)) == (1, 0, 0, 0)
     assert got.witness.alphas[0] == pytest.approx(6.0**-2.5, rel=1e-12)
 
 
@@ -321,7 +329,7 @@ def test_pin_rows_equal_constrained_lsq_bit_for_bit():
                 coeffs = np.array([m.coeffs for m in scaled])
                 tgt = np.array([m.tgt for m in scaled])
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    zs, residuals, kkts = hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs)
+                    zs, residuals, kkts = hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs, midpoint=False)
                 for k, pmap in enumerate(scaled):
                     ref = constrained_lsq(pmap, u, eps, target)
                     assert zs[k].tobytes() == ref.z.coeffs.tobytes()
@@ -346,6 +354,32 @@ def test_criterion_pin_may_hit_below_alpha_floor():
     got = solve_hit(p)
     assert got.status == HIT and abs(got.witness.alphas[0]) < hitsolver.ALPHA_FLOOR
     assert reverify_witness(p, got.witness) <= 1e-10
+
+
+def test_trs_overflows_only_in_a_square():
+    """The secular Newton forms its derivative from the squares of q + mu,
+    not their cubes: on the (2, 3) shift from u = e_-200 + 0.5 e_-199 to 0,
+    the cube overflowed from power 108 on, while the square holds until the
+    map's entries reach about 1.3e77, at power 162.  The 1-D solve and a pin
+    row overflow first there, in that square, as the disk grid does."""
+    w = IndexWindow(BILATERAL, 500)
+    u = ComplexVector.from_coeffs(w, {-200: 1.0, -199: 0.5})
+    v = ComplexVector.zero(w)
+    solves = {
+        "constrained_lsq": lambda pmap: constrained_lsq(pmap, u, 0.5, v),
+        "pin row": lambda pmap: hitsolver._pin_lsq(pmap.coeffs[None], pmap.tgt[None], u.coeffs, 0.5, v.coeffs, midpoint=False),
+    }
+    for name, solve in solves.items():
+        for n in range(1, 163):
+            pmap = power_map(EXAMPLE_SHIFT, n, w)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    solve(pmap)
+            except FloatingPointError as exc:
+                assert (name, n, str(exc)) == (name, 162, "overflow encountered in square")
+                break
+        else:
+            pytest.fail(f"{name} did not overflow by power 162")
 
 
 def test_trs_boundary_case_is_tight():
@@ -373,15 +407,15 @@ def bisect_secular(q, s, eps):
 
 
 def check_secular_root(mu, q, s, eps):
-    """mu against bisection and against the batched rows: the grid's rows
-    to 1e-12, and the pin rows, which take _secular_solve's steps, bit for
-    bit."""
+    """mu against bisection and against the rows loop: started at the
+    midpoint, as on the disk grid, to 1e-12; started at the lower bound, as
+    on the criterion pins, which take _secular_solve's steps, bit for bit."""
     assert mu == pytest.approx(bisect_secular(q, s, eps), rel=1e-12)
-    mu_rows, val_rows = hitsolver._secular_rows(q[None, :], s[None, :], eps)
-    assert mu == pytest.approx(mu_rows[0], rel=1e-12)
-    assert abs(val_rows[0] - eps) <= 1e-14 * eps
-    q = np.where(s > 0, q, 1.0)  # as _trs_core hands q to _secular_solve
-    mu_pins, val_pins = hitsolver._secular_solve_rows(q[None, :], s[None, :], eps)
+    q = np.where(s > 0, q, 1.0)  # as _trs_core and _trs_rows hand q to the secular solve
+    mu_mid, val_mid = hitsolver._secular_solve_rows(q[None, :], s[None, :], eps, midpoint=True)
+    assert mu == pytest.approx(mu_mid[0], rel=1e-12)
+    assert abs(val_mid[0] - eps) <= 1e-14 * eps
+    mu_pins, val_pins = hitsolver._secular_solve_rows(q[None, :], s[None, :], eps, midpoint=False)
     assert (mu_pins[0], val_pins[0]) == hitsolver._secular_solve(q, s, eps)
     assert mu_pins[0] == mu
 
@@ -1095,8 +1129,9 @@ def test_problem_validation():
     balls = ProductBall((Ball(e0, 0.5),))
     with pytest.raises(ValueError):
         HitProblem(components=(EXAMPLE_SHIFT, Scalar(1.0)), n=1, sources=balls, targets=balls)
-    with pytest.raises(ValueError):
-        HitProblem(components=(EXAMPLE_SHIFT,), n=-1, sources=balls, targets=balls)
+    for n in (-1, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            HitProblem(components=(EXAMPLE_SHIFT,), n=n, sources=balls, targets=balls)
     with pytest.raises(ValueError):
         HitProblem(components=(EXAMPLE_SHIFT,), n=1, sources=balls, targets=balls, mode=FIXED)
     with pytest.raises(ValueError):
@@ -1108,6 +1143,26 @@ def test_problem_validation():
             mode=FIXED,
             fixed_alphas=(0.0,),
         )
+
+
+def test_float_power_solves_as_its_integer():
+    """A whole float power passes validation and is kept as an int, so a
+    shift, a dense map and a direct sum with a scalar solve at n = 2.0
+    exactly as at n = 2."""
+    w = IndexWindow(BILATERAL, 4)
+    rng = np.random.default_rng(3)
+    dense = Dense(0.5 * (rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim))))
+    for comps in ((EXAMPLE_SHIFT,), (dense,), (EXAMPLE_SHIFT, Scalar(0.9j))):
+        sample = make_ball_sampler(w, len(comps), band=1)
+        sources, targets = sample(rng), sample(rng)
+        results = []
+        for n in (2, 2.0):
+            p = HitProblem(comps, n, sources, targets)
+            assert type(p.n) is int
+            got = solve_hit(p)
+            point = None if got.witness is None else [part.coeffs.tobytes() for part in got.witness.point.parts]
+            results.append(repr((got, point)))
+        assert results[0] == results[1]
 
 
 def test_witness_points_are_strictly_feasible():
