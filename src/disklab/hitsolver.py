@@ -211,18 +211,18 @@ def _secular_solve(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[float, flo
     def terms(mu: float) -> tuple[np.ndarray, np.ndarray, float]:
         x = q + mu
         w = s / x**2
-        return x, w, math.sqrt(float(np.sum(w)))
+        return x, w, math.sqrt(float(w.sum()))
 
-    g_norm = math.sqrt(float(np.sum(s)))
+    g_norm = math.sqrt(float(s.sum()))
     mu_hi = g_norm / eps
     mu_lo = 0.0
-    mu = max(0.0, float(np.max(np.sqrt(s) / eps - q)))
+    mu = max(0.0, float((np.sqrt(s) / eps - q).max()))
     x, w, val = terms(mu)
     for _ in range(200):
         if abs(val - eps) <= 1e-14 * eps:
             break
         # Newton on f(mu) = 1/nrm - 1/eps, monotone increasing
-        deriv = float(np.sum(w / x)) / val**3
+        deriv = float((w / x).sum()) / val**3
         if val > eps:
             mu_lo = mu
         else:
@@ -245,13 +245,11 @@ def _trs_core(q: np.ndarray, g: np.ndarray, eps: float) -> tuple[np.ndarray, flo
     solution sits on the boundary, else 0.
     """
     s = np.abs(g) ** 2
-    if not np.any(s > 0):
+    if not (s > 0).any():
         return np.zeros_like(g), 0.0, 0.0
     live = q > 0
-    free_mass = bool(np.any(~live & (s > 0)))
-    if not free_mass:
-        d0 = np.zeros_like(g)
-        d0[live] = g[live] / q[live]
+    if not (~live & (s > 0)).any():  # no free mass
+        d0 = np.divide(g, q, out=np.zeros_like(g), where=live)
         if float(np.linalg.norm(d0)) <= eps:
             return d0, 0.0, 0.0
     # a term with s = 0 adds nothing to the norm and gets d = 0 at any mu;
@@ -274,28 +272,27 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
 
     The reported kkt_residual is scale-invariant: stationarity is scaled by
     max(1, ||A^H r||), the ball violation and complementarity gap by eps.
+    An orthogonal-column map is solved on its active columns (_active).
     """
     if not (eps > 0):
         raise ValueError("ball radius must be positive")
     window = u.window
-    r = target.coeffs - A.apply_vec(u.coeffs)
     if A.kind == "ortho":
-        q = np.abs(A.coeffs) ** 2
-        g = np.zeros(window.dim, dtype=np.complex128)
-        live = A.coeffs != 0
-        g[live] = np.conj(A.coeffs[live]) * r[A.tgt[live]]
-        d, mu, gap = _trs_core(q, g, eps)
-        stat = float(np.linalg.norm((q + mu) * d - g))
-    else:
-        m = A.matrix
-        evals, evecs = _gram_eigh(m)
-        g_full = m.conj().T @ r
-        g = evecs.conj().T @ g_full
-        d_eig, mu, gap = _trs_core(evals, g, eps)
-        d = evecs @ d_eig
-        stat = float(np.linalg.norm((evals + mu) * d_eig - g))
-        g = g_full
-    g_scale = max(1.0, float(np.linalg.norm(g)))
+        v = target.coeffs
+        cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
+        t = A.tgt[cols]
+        zp, residual, kkt = _active_lsq(A.coeffs[cols], u.coeffs[cols], v[t], _unreached(t, v), eps, _trs_core)
+        z = u.coeffs.copy()
+        z[cols] = zp
+        return TrsResult(z=ComplexVector(window, z), residual=float(residual), kkt_residual=float(kkt))
+    m = A.matrix
+    evals, evecs = _gram_eigh(m)
+    g_full = m.conj().T @ (target.coeffs - A.apply_vec(u.coeffs))
+    g = evecs.conj().T @ g_full
+    d_eig, mu, gap = _trs_core(evals, g, eps)
+    d = evecs @ d_eig
+    stat = float(np.linalg.norm((evals + mu) * d_eig - g))
+    g_scale = max(1.0, float(np.linalg.norm(g_full)))
     dn = float(np.linalg.norm(d))
     feas = max(0.0, dn - eps) / eps
     kkt = max(stat / g_scale, feas, gap)
@@ -304,23 +301,63 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
     return TrsResult(z=z, residual=residual, kkt_residual=kkt)
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis of x: the dot products of its real
+    and imaginary parts.  vecdot takes each row's dot product with the dot
+    loop of a 1-D array, so a row's value is that of the row alone."""
+    return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of x, bit for bit: that norm of a 1-D
-    complex array is the square root of the dot products of its real and
-    imaginary parts, and vecdot takes each row's dot product with the same
-    dot loop."""
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+    """np.linalg.norm of each row of x (or of x itself, when 1-D), bit for
+    bit: that norm of a 1-D complex array is the square root of _sq_norms."""
+    return np.sqrt(_sq_norms(x))
 
 
-def _apply_rows(coeffs: np.ndarray, tgt: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """PowerMap.apply_vec for orthogonal-column maps held one per row of
-    coeffs and tgt; x is one vector for every row, or one per row.  A dead
-    column (coefficient 0) may share its target with a live one, so it
-    writes to a spare last column, which is dropped."""
-    count, dim = coeffs.shape
-    out = np.zeros((count, dim + 1), dtype=np.complex128)
-    np.put_along_axis(out, np.where(coeffs != 0, tgt, dim), coeffs * x, axis=1)
-    return out[:, :dim]
+def _active(coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the active columns of orthogonal-column maps (one map, or one
+    per row of coeffs and tgt) against the ball centres u and v: the live
+    columns (c_j != 0) with u_j != 0 or v[tgt_j] != 0.
+
+    Live columns have distinct targets, so on any other column the gradient
+    conj(c_j) (v[tgt_j] - c_j u_j) is 0.  The trust-region subproblem is
+    convex, and such a column gets a zero step at every multiplier (Moré and
+    Sorensen 1983), so z_j stays u_j and the row it reaches keeps residual
+    0.  The active columns carry the whole solve.
+    """
+    return (coeffs != 0) & ((u != 0) | (v != 0)[tgt])
+
+
+def _unreached(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||v||^2 over the rows that none of the active columns with targets t
+    (along the last axis) reaches: the part of the residual no step can
+    change.  It is summed over v's support, the same operands for every map."""
+    support = np.flatnonzero(v)
+    reached = (t[..., None, :] == support[:, None]).any(axis=-1)
+    return _sq_norms(np.where(reached, 0.0, v[support]))
+
+
+def _active_lsq(
+    c: np.ndarray, up: np.ndarray, vt: np.ndarray, rest: np.ndarray, eps: float, trs: Callable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """constrained_lsq on the active columns of orthogonal-column maps.
+
+    Along the last axis, c, up and vt hold a map's coefficients, the source
+    centre and the target entries v[tgt_j] on its active columns, and rest
+    is _unreached of those columns.  trs is _trs_core for one map (1-D
+    arrays), or the rows loop for maps of one width, one per row.  Returns
+    the minimizers on the active columns, the residuals and the KKT
+    residuals.  Every step is elementwise or a sum along the last axis, so a
+    row of the rows loop sees the operands of its map solved alone, given
+    operands at full shape (see _grid_lsq).
+    """
+    q = np.abs(c) ** 2
+    g = np.conj(c) * (vt - c * up)
+    d, mu, gap = trs(q, g, eps)
+    stat = _row_norms((q + np.asarray(mu)[..., None]) * d - g)
+    zp = up + d
+    residuals = np.sqrt(_sq_norms(c * zp - vt) + rest)
+    return zp, residuals, _kkt_rows(stat, g, d, eps, gap)
 
 
 def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float, midpoint: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -335,16 +372,16 @@ def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float, midpoint: bool
     start that pays depends on the rows: the lower bound on the criterion
     pins, the midpoint on the disk grid.
     """
-    hi = np.sqrt(np.sum(s, axis=1)) / eps
+    hi = np.sqrt(s.sum(axis=1)) / eps
     lo = np.zeros_like(hi)
     if midpoint:
         mu = 0.5 * hi
     else:
-        start = np.max(np.sqrt(s) / eps - q, axis=1)
+        start = (np.sqrt(s) / eps - q).max(axis=1)
         mu = np.where(start > 0.0, start, 0.0)  # max(0.0, start)
     x = q + mu[:, None]
     w = s / x**2
-    val = np.sqrt(np.sum(w, axis=1))
+    val = np.sqrt(w.sum(axis=1))
     rows = np.arange(len(mu))  # rows still iterating; m, v, lo, hi, q, s, x, w below are theirs
     m, v = mu, val
     for _ in range(200):
@@ -353,7 +390,7 @@ def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float, midpoint: bool
             rows, m, v, lo, hi, q, s, x, w = (a[going] for a in (rows, m, v, lo, hi, q, s, x, w))
             if rows.size == 0:
                 break
-        deriv = np.sum(w / x, axis=1) / np.array([y**3 for y in v.tolist()])
+        deriv = (w / x).sum(axis=1) / np.array([y**3 for y in v.tolist()])
         over = v > eps
         lo = np.where(over, m, lo)
         hi = np.where(over, hi, m)
@@ -369,7 +406,7 @@ def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float, midpoint: bool
         m = nxt
         x = q + m[:, None]
         w = s / x**2
-        v = np.sqrt(np.sum(w, axis=1))
+        v = np.sqrt(w.sum(axis=1))
         mu[rows] = m
         val[rows] = v
     return mu, val
@@ -380,10 +417,10 @@ def _trs_rows(q: np.ndarray, g: np.ndarray, eps: float, midpoint: bool) -> tuple
     row.  Each row is _trs_core's, bit for bit, unless the secular equation
     starts from the midpoint (see _secular_solve_rows)."""
     s = np.abs(g) ** 2
-    has_grad = np.any(s > 0, axis=1)
+    has_grad = (s > 0).any(axis=1)
     live = q > 0
     # the interior Newton point is tried on rows with a gradient and no free mass
-    tried = has_grad & ~np.any(~live & (s > 0), axis=1)
+    tried = has_grad & ~(~live & (s > 0)).any(axis=1)
     d = np.divide(g, q, out=np.zeros_like(g), where=live & tried[:, None])
     inside = tried & (_row_norms(d) <= eps)
     # every other row with a gradient is overwritten below; the rest keep d = 0
@@ -401,55 +438,92 @@ def _trs_rows(q: np.ndarray, g: np.ndarray, eps: float, midpoint: bool) -> tuple
 
 
 def _kkt_rows(stat: np.ndarray, g: np.ndarray, d: np.ndarray, eps: float, gap: np.ndarray) -> np.ndarray:
-    """constrained_lsq's KKT residual by row, from the stationarity norms,
-    the gradients A^H r, the steps and the norm gaps."""
+    """constrained_lsq's KKT residual by row (or of one map, on 1-D arrays),
+    from the stationarity norms, the gradients A^H r, the steps and the norm
+    gaps."""
     feas = np.maximum(0.0, _row_norms(d) - eps) / eps
     return np.maximum(np.maximum(stat / np.maximum(1.0, _row_norms(g)), feas), gap)
 
 
 def _pin_lsq(
-    coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray, midpoint: bool
+    coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """constrained_lsq for orthogonal-column maps held one per row of coeffs
     and tgt: row k's minimizer, residual and KKT residual are those of
-    constrained_lsq(A_k, u, eps, v), bit for bit unless the secular equation
-    starts from the midpoint.  Every elementwise step is constrained_lsq's on
-    the row, sums along a row equal the 1-D sums, and _row_norms equal the
-    1-D norms."""
-    live = coeffs != 0
-    r = v - _apply_rows(coeffs, tgt, u)
-    q = np.abs(coeffs) ** 2
-    g = np.multiply(np.conj(coeffs), np.take_along_axis(r, tgt, axis=1), out=np.zeros_like(coeffs), where=live)
-    d, mu, gap = _trs_rows(q, g, eps, midpoint)
-    stat = _row_norms((q + mu[:, None]) * d - g)
-    z = u + d
-    residuals = _row_norms(_apply_rows(coeffs, tgt, z) - v)
-    return z, residuals, _kkt_rows(stat, g, d, eps, gap)
+    constrained_lsq(A_k, u, eps, v), bit for bit.
+
+    Each row is solved on its own active columns.  The rows of one width go
+    through the rows loop together, started as _secular_solve starts, so
+    that every sum along a row sees exactly the operands of its map solved
+    alone (a row padded with zeros could round differently); a row alone in
+    its width goes through _trs_core, which is faster on one row.
+    """
+    active = _active(coeffs, tgt, u, v)
+    widths = np.count_nonzero(active, axis=1)
+    z = np.repeat(u[None], len(coeffs), axis=0)
+    residuals, kkts = np.empty(len(coeffs)), np.empty(len(coeffs))
+    for width in sorted(set(widths.tolist())):
+        rows = np.flatnonzero(widths == width)
+        at = rows[:, None], np.nonzero(active[rows])[1].reshape(len(rows), width)
+        t = tgt[at]
+        args = (coeffs[at], u[at[1]], v[t], _unreached(t, v))
+        if len(rows) == 1:
+            got = _active_lsq(*(a[0] for a in args), eps, _trs_core)
+        else:
+            got = _active_lsq(*args, eps, functools.partial(_trs_rows, midpoint=False))
+        z[at], residuals[rows], kkts[rows] = got
+    return z, residuals, kkts
+
+
+@dataclass(frozen=True)
+class _GridPoints:
+    """The disk grid's minimizers on the window, held as u and the rows of
+    the active columns: row k is formed only when asked for."""
+
+    u: np.ndarray
+    cols: np.ndarray
+    rows: np.ndarray
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        z = self.u.copy()
+        z[self.cols] = self.rows[k]
+        return z
 
 
 def _grid_lsq(
     A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | _GridPoints, np.ndarray, np.ndarray]:
     """constrained_lsq for alphas[k] * A, every k at once, through the rows
     loop started at the midpoint; A is T^n at alpha 1.
 
-    Returns the minimizers, residuals and KKT residuals by row.  An
-    orthogonal-column map goes through _pin_lsq with the rows
-    alphas[k] * coeffs.  A dense map is diagonalized once, since
-    (alpha A)^H (alpha A) = |alpha|^2 A^H A keeps the eigenvectors of A^H A,
-    and solved in that eigenbasis.  Row k equals
+    Returns the minimizers (indexed by row), residuals and KKT residuals by
+    row.  On an orthogonal-column map the rows alphas[k] * coeffs share one
+    set of active columns, found once on A, and a row's minimizer on the
+    window is formed only when asked for.  A dense map is diagonalized once,
+    since (alpha A)^H (alpha A) = |alpha|^2 A^H A keeps the eigenvectors of
+    A^H A, and solved in that eigenbasis.  Row k equals
     constrained_lsq(A.scaled(alphas[k]), u, eps, target) up to rounding.
     """
+    trs = functools.partial(_trs_rows, midpoint=True)
     if A.kind == "ortho":
-        c = alphas[:, None] * A.coeffs  # the coeffs A.scaled(alpha) holds at each alpha
-        return _pin_lsq(c, np.broadcast_to(A.tgt, c.shape), u.coeffs, eps, target.coeffs, midpoint=True)
+        v = target.coeffs
+        cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
+        # every operand at full shape: numpy's complex multiply can round a
+        # product differently where one operand is broadcast along the loop,
+        # which would make a row's bits depend on the rows solved with it
+        at = np.broadcast_to(cols, (len(alphas), cols.size))
+        # the coeffs A.scaled(alpha) holds at each alpha, on the active columns
+        c = np.repeat(alphas, cols.size).reshape(at.shape) * A.coeffs[at]
+        t = A.tgt[cols]
+        zp, residuals, kkts = _active_lsq(c, u.coeffs[at], v[A.tgt[at]], _unreached(t, v), eps, trs)
+        return _GridPoints(u.coeffs, cols, zp), residuals, kkts
     m = A.matrix
     evals, evecs = _gram_eigh(m)
     r = target.coeffs - alphas[:, None] * (u.coeffs @ m.T)
     q = np.abs(alphas[:, None]) ** 2 * evals
     g_full = np.conj(alphas)[:, None] * (r @ m.conj())  # (alpha A)^H r by row
     g = g_full @ evecs.conj()  # in the eigenbasis
-    d, mu, gap = _trs_rows(q, g, eps, midpoint=True)
+    d, mu, gap = trs(q, g, eps)
     stat = _row_norms((q + mu[:, None]) * d - g)
     d = d @ evecs.T  # back from the eigenbasis
     z = u.coeffs + d
@@ -752,13 +826,14 @@ class _ComponentScan:
     its ball centres, taken once for every power's certificates and exact
     route.
 
-    The first power that asks for a pin solves the pins of every power from
+    A power whose pin is not yet solved solves the pins of every power from
     it to the horizon, in batches of at most PIN_CELLS cells.  A batch runs
     with numpy raising on overflow, invalid values and division by zero; if
     any of that happens, or a power cannot be formed, at a power the scan
-    may never reach, the batch is dropped and each power's pin is solved
+    may never reach, the batch is split in halves, each solved the same
+    way, up to the first power that fails alone.  That power's pin is solved
     when asked, as a batch of one row, where its errors are raised (or
-    warned) as they always were.
+    warned) as they always were, and the powers after it start a new batch.
     """
 
     def __init__(self, op: OperatorSpec, src: Ball, tgt: Ball, mode: str, fixed_alpha, horizon: int):
@@ -768,7 +843,6 @@ class _ComponentScan:
         self.powers = PowerStack(op, src.center.window, horizon)
         self._inverse: PowerStack | None = None
         self._pins: dict[int, _Pin | None] = {}
-        self._batch = True
         self.nu, self.nv = norm(src.center), norm(tgt.center)
         self._scalars: dict[int, _ScalarPower | None] = {}
 
@@ -790,16 +864,23 @@ class _ComponentScan:
     def pin(self, n: int) -> _Pin | None:
         """The pin at power n; None where the criterion has no scalar: no
         right inverse, or a ball centre whose power the window guard refuses."""
-        if n not in self._pins and self._batch:
-            last = min(self.horizon, n + max(1, PIN_CELLS // self.src.center.window.dim) - 1)
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    self._pins.update(self._solve_pins(range(n, last + 1)))
-            except (ArithmeticError, OperatorError):
-                self._batch = False
+        if n not in self._pins:
+            self._solve_batch(n, min(self.horizon, n + max(1, PIN_CELLS // self.src.center.window.dim) - 1))
         if n not in self._pins:
             self._pins.update(self._solve_pins([n]))
         return self._pins[n]
+
+    def _solve_batch(self, first: int, last: int) -> bool:
+        """Solve the pins of powers first..last as one batch or, where it
+        fails, as two halves solved the same way, stopping at the first
+        power that fails alone; returns whether every power was solved."""
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                self._pins.update(self._solve_pins(range(first, last + 1)))
+            return True
+        except (ArithmeticError, OperatorError):
+            mid = (first + last) // 2
+            return first < last and self._solve_batch(first, mid) and self._solve_batch(mid + 1, last)
 
     def _fits(self, s: OperatorSpec, n: int) -> bool:
         try:
@@ -821,24 +902,33 @@ class _ComponentScan:
         if not fit:
             return pins
         u, v = self.src.center.coeffs, self.tgt.center.coeffs
+        su, sv = np.flatnonzero(u), np.flatnonzero(v)
         maps = [self.powers.power_map(n) for n in fit]
         coeffs = np.array([m.coeffs for m in maps])
-        tgt = np.array([m.tgt for m in maps])
-        tn_u = _apply_rows(coeffs, tgt, u)
         if self._inverse is None:
             self._inverse = PowerStack(s, self.tgt.center.window, self.horizon)
         inverse = [self._inverse.power_map(n) for n in fit]
-        sn_v = _apply_rows(np.array([m.coeffs for m in inverse]), np.array([m.tgt for m in inverse]), v)
+        # the entries of T^n u and S^n v from the supports of u and v: a
+        # column meets one row, so these are all their nonzero entries.  The
+        # centres are spread to full shape, as _grid_lsq's operands are, so
+        # a power's products do not depend on the powers batched with it
+        tn_u = coeffs[:, su] * u[np.broadcast_to(su, (len(fit), su.size))]
+        sn_v = np.array([m.coeffs[sv] for m in inverse]) * v[np.broadcast_to(sv, (len(fit), sv.size))]
         lams = []
-        for tu, sv in zip(_row_norms(tn_u).tolist(), _row_norms(sn_v).tolist()):
-            lam = min(math.sqrt(sv / tu) if tu > 0 and sv > 0 else 1.0, 1.0)
+        for tu, sv_norm in zip(_row_norms(tn_u).tolist(), _row_norms(sn_v).tolist()):
+            lam = min(math.sqrt(sv_norm / tu) if tu > 0 and sv_norm > 0 else 1.0, 1.0)
             # an underflowed ratio; any nonzero scalar is legal, zero is not
             lams.append(ALPHA_FLOOR if lam == 0.0 else lam)
         lam = np.array(lams)
-        seeds = u + sn_v * (1.0 / lam)[:, None]
+        # seed = u + (1/lambda_n) S^n v, one column of v's support at a time:
+        # a dead column adds 0 at the edge row it points to
+        seeds = np.repeat(u[None], len(fit), axis=0)
+        rows = np.arange(len(fit))
+        for k, j in enumerate(sv.tolist()):
+            seeds[rows, [m.tgt[j] for m in inverse]] += sn_v[:, k] * (1.0 / lam)
         # row k holds the coefficients of base.scaled(lambda_n) at its power
         eps = self.src.radius * (1.0 - STRICT_MARGIN)
-        z, residuals, kkts = _pin_lsq(lam[:, None] * coeffs, tgt, u, eps, v, midpoint=False)
+        z, residuals, kkts = _pin_lsq(lam[:, None] * coeffs, np.array([m.tgt for m in maps]), u, eps, v)
         for k, (n, residual, kkt) in enumerate(zip(fit, residuals.tolist(), kkts.tolist())):
             pins[n] = _Pin(complex(lams[k]), seeds[k], z[k], residual, kkt)
         return pins
@@ -968,9 +1058,9 @@ def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
     # hit, the best point and max_kkt are those of pinning each grid alpha
     # in turn
     zs, residuals, kkts = _grid_lsq(base, np.array(_GRID_ALPHAS), u, eps_eff, v)
-    for alpha, z, residual, kkt in zip(_GRID_ALPHAS, zs, residuals.tolist(), kkts.tolist()):
+    for k, (alpha, residual, kkt) in enumerate(zip(_GRID_ALPHAS, residuals.tolist(), kkts.tolist())):
         # track() keeps z only from a row that improves on the best or hits
-        kept = ComplexVector(window, z) if residual < max(best.residual, hit_level) else None
+        kept = ComplexVector(window, zs[k]) if residual < max(best.residual, hit_level) else None
         if track(alpha, kept, residual, kkt):
             return best
     if best.z is not None:
@@ -1008,7 +1098,7 @@ class SearchReport:
     hits: tuple[bool, ...]  # found residual < target radius, per component
 
 
-def _squared_residuals(pmap: PowerMap, v: np.ndarray) -> Callable[..., np.ndarray]:
+def _squared_residuals(pmap: PowerMap, v: np.ndarray, alpha: complex | None = None) -> Callable[..., np.ndarray]:
     """Kernel for random_search: given the real and imaginary parts x, y of
     points z (one per row) and a column of one alpha per row, return the
     squared residuals |alpha T^n z - v|^2.  x and y are overwritten.
@@ -1016,7 +1106,9 @@ def _squared_residuals(pmap: PowerMap, v: np.ndarray) -> Callable[..., np.ndarra
     An orthogonal-column map works on x and y in real arithmetic: column j
     meets only row tgt[j], so the residual is a sum over columns of
     |k_j z_j - v[tgt[j]]|^2 with k = alpha coeffs, plus |v|^2 over the rows no
-    live column reaches.  A dense map forms the complex block.
+    live column reaches.  Given the one alpha of a fixed-mode search, it
+    forms k once, not for every row; the column then holds that alpha.  A
+    dense map forms the complex block.
     """
     if pmap.kind == "dense":
         matrix_t = pmap.matrix.T
@@ -1033,10 +1125,14 @@ def _squared_residuals(pmap: PowerMap, v: np.ndarray) -> Callable[..., np.ndarra
     rest[pmap.tgt[live]] = False
     rest_sq = float(np.sum((v[rest].conj() * v[rest]).real))
 
-    def ortho(x: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        k = alphas * pmap.coeffs
+    def parts(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # contiguous parts broadcast over the rows at full speed
-        kr, ki = np.ascontiguousarray(k.real), np.ascontiguousarray(k.imag)
+        return np.ascontiguousarray(k.real), np.ascontiguousarray(k.imag)
+
+    fixed = None if alpha is None else parts(np.complex128(alpha) * pmap.coeffs)
+
+    def ortho(x: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+        kr, ki = fixed or parts(alphas * pmap.coeffs)
         # re(k z - v) into a, im(k z - v) into y
         a = x * kr
         tmp = y * ki
@@ -1090,11 +1186,12 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     # every component's map first, so a map that cannot be built fails
     # before anything is drawn
     scorers = []
-    for op, src, tgt in zip(p.components, p.sources.balls, p.targets.balls):
+    for i, (op, src, tgt) in enumerate(zip(p.components, p.sources.balls, p.targets.balls)):
         pmap, v = power_map(op, p.n, src.center.window), tgt.center.coeffs
         # residuals are scored in units of 2^e, so that their squares cannot overflow
         e = _scale_exponent(pmap, norm(src.center) + src.radius, v)
-        residuals = _squared_residuals(pmap.scaled(2.0**-e), v * 2.0**-e)
+        alpha = p.fixed_alphas[i] if p.mode == FIXED else None
+        residuals = _squared_residuals(pmap.scaled(2.0**-e), v * 2.0**-e, alpha)
         centre = (np.ascontiguousarray(src.center.coeffs.real), np.ascontiguousarray(src.center.coeffs.imag))
         scorers.append((residuals, centre, 2.0**e))
     blocks = [(i, min(SEARCH_BATCH, samples - lo)) for i in range(k) for lo in range(0, samples, SEARCH_BATCH)]

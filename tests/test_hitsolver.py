@@ -37,7 +37,7 @@ from disklab.operators import (
     WeightProfile,
     apply,
 )
-from disklab.transitivity import make_ball_sampler
+from disklab.transitivity import junction_scan, make_ball_sampler
 from disklab.vectorspace import (
     BILATERAL,
     UNILATERAL,
@@ -271,31 +271,25 @@ def test_disk_solve_takes_one_step_from_each_start(monkeypatch):
     solves and one grid batch: one refit step from u, one from the criterion
     seed, and one polishing step after the grid.  A hit at the criterion pin
     ends the solve with no single-scalar solve, with the construction's
-    scalar.  The grid's rows pass through _pin_lsq too, started at the
-    midpoint, so rows are counted by caller."""
-    calls, batches, pin_rows, grid_rows = [], [], [], []
+    scalar.  Pin rows are counted at _pin_lsq, grid rows as the scalars of
+    each _grid_lsq batch."""
+    calls, batches, pin_rows = [], [], []
     lsq, grid, pins = hitsolver.constrained_lsq, hitsolver._grid_lsq, hitsolver._pin_lsq
-
-    def counted_rows(*a, midpoint):
-        (grid_rows if midpoint else pin_rows).extend(a[0])
-        return pins(*a, midpoint=midpoint)
-
     monkeypatch.setattr(hitsolver, "constrained_lsq", lambda *a: calls.append(a) or lsq(*a))
     monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or grid(*a))
-    monkeypatch.setattr(hitsolver, "_pin_lsq", counted_rows)
+    monkeypatch.setattr(hitsolver, "_pin_lsq", lambda *a: pin_rows.extend(a[0]) or pins(*a))
     sample = make_ball_sampler(IndexWindow(BILATERAL, 32), 1, band=1)
     sources, targets = sample(np.random.default_rng(0)), sample(np.random.default_rng(1000))
     assert solve_hit(HitProblem((EXAMPLE_SHIFT,), 1, sources, targets)).status == MISS_UNCERTAIN
     assert (len(pin_rows), len(calls), len(batches)) == (1, 3, 1)
-    assert len(grid_rows) == len(hitsolver._GRID_ALPHAS)
+    assert sum(len(alphas) for _, alphas, *_ in batches) == len(hitsolver._GRID_ALPHAS)
 
     calls.clear()
     batches.clear()
     pin_rows.clear()
-    grid_rows.clear()
     ball = ProductBall((Ball(ComplexVector.basis(IndexWindow(BILATERAL, 64), 0), 0.5),))
     got = solve_hit(HitProblem((EXAMPLE_SHIFT,), 5, ball, ball))
-    assert got.status == HIT and (len(pin_rows), len(calls), len(batches), len(grid_rows)) == (1, 0, 0, 0)
+    assert got.status == HIT and (len(pin_rows), len(calls), len(batches)) == (1, 0, 0)
     assert got.witness.alphas[0] == pytest.approx(6.0**-2.5, rel=1e-12)
 
 
@@ -329,7 +323,7 @@ def test_pin_rows_equal_constrained_lsq_bit_for_bit():
                 coeffs = np.array([m.coeffs for m in scaled])
                 tgt = np.array([m.tgt for m in scaled])
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    zs, residuals, kkts = hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs, midpoint=False)
+                    zs, residuals, kkts = hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs)
                 for k, pmap in enumerate(scaled):
                     ref = constrained_lsq(pmap, u, eps, target)
                     assert zs[k].tobytes() == ref.z.coeffs.tobytes()
@@ -367,7 +361,7 @@ def test_trs_overflows_only_in_a_square():
     v = ComplexVector.zero(w)
     solves = {
         "constrained_lsq": lambda pmap: constrained_lsq(pmap, u, 0.5, v),
-        "pin row": lambda pmap: hitsolver._pin_lsq(pmap.coeffs[None], pmap.tgt[None], u.coeffs, 0.5, v.coeffs, midpoint=False),
+        "pin row": lambda pmap: hitsolver._pin_lsq(pmap.coeffs[None], pmap.tgt[None], u.coeffs, 0.5, v.coeffs),
     }
     for name, solve in solves.items():
         for n in range(1, 163):
@@ -380,6 +374,208 @@ def test_trs_overflows_only_in_a_square():
                 break
         else:
             pytest.fail(f"{name} did not overflow by power 162")
+
+
+def reference_apply_rows(coeffs, tgt, x):
+    """PowerMap.apply_vec on each row of coeffs and tgt, at full width: a dead
+    column may share its target with a live one, so it writes to a spare
+    last column, which is dropped."""
+    count, dim = coeffs.shape
+    out = np.zeros((count, dim + 1), dtype=np.complex128)
+    np.put_along_axis(out, np.where(coeffs != 0, tgt, dim), coeffs * x, axis=1)
+    return out[:, :dim]
+
+
+def full_width_rows(coeffs, tgt, u, eps, v, midpoint):
+    """The full-width solve of orthogonal-column rows that the active-column
+    form replaced: every column of the window, dead or without gradient,
+    goes through the rows loop, and each residual is taken over the window."""
+    live = coeffs != 0
+    r = v - reference_apply_rows(coeffs, tgt, u)
+    q = np.abs(coeffs) ** 2
+    g = np.multiply(np.conj(coeffs), np.take_along_axis(r, tgt, axis=1), out=np.zeros_like(coeffs), where=live)
+    d, mu, gap = hitsolver._trs_rows(q, g, eps, midpoint)
+    stat = hitsolver._row_norms((q + mu[:, None]) * d - g)
+    z = u + d
+    residuals = hitsolver._row_norms(reference_apply_rows(coeffs, tgt, z) - v)
+    return z, residuals, hitsolver._kkt_rows(stat, g, d, eps, gap)
+
+
+def full_width_lsq(pmap, u, eps, v):
+    """The full-width 1-D solve of an orthogonal-column map, through
+    _trs_core on every column of the window: (z, residual, kkt)."""
+    r = v - pmap.apply_vec(u)
+    live = pmap.coeffs != 0
+    q = np.abs(pmap.coeffs) ** 2
+    g = np.zeros_like(u)
+    g[live] = np.conj(pmap.coeffs[live]) * r[pmap.tgt[live]]
+    d, mu, gap = hitsolver._trs_core(q, g, eps)
+    stat = float(np.linalg.norm((q + mu) * d - g))
+    kkt = max(stat / max(1.0, float(np.linalg.norm(g))), max(0.0, float(np.linalg.norm(d)) - eps) / eps, gap)
+    return u + d, float(np.linalg.norm(pmap.apply_vec(u + d) - v)), kkt
+
+
+def random_ortho_map(rng, w):
+    """A random orthogonal-column map on w: a shift power whose columns die
+    at the edge, a diagonal with zero entries, a scalar power, or live
+    columns with distinct random targets and dead columns pointing at the
+    targets of live ones."""
+    d = w.dim
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        profile = WeightProfile(*rng.uniform(0.5, 2.0, 2), {0: 0.5})
+        op = (ForwardShift, BackwardShift)[int(rng.integers(0, 2))](profile)
+        return power_map(op, int(rng.choice([1, 2, d - 3, d - 1, d + 1])), w)
+    if kind == 1:
+        entries = rng.uniform(0.5, 2.0, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+        entries[rng.choice(d, size=int(rng.integers(1, 4)), replace=False)] = 0.0
+        return power_map(Diagonal(dict(zip(w.indices().tolist(), entries.tolist()))), int(rng.integers(1, 4)), w)
+    if kind == 2:
+        return power_map(Scalar(complex(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform()))), int(rng.integers(1, 4)), w)
+    tgt = rng.permutation(d)
+    coeffs = rng.uniform(0.3, 3.0, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+    dead = rng.choice(d, size=int(rng.integers(1, d // 2)), replace=False)
+    coeffs[dead] = 0.0
+    tgt[dead] = rng.choice(np.delete(tgt, dead), size=dead.size)
+    return hitsolver.PowerMap("ortho", w, coeffs=coeffs, tgt=tgt)
+
+
+def random_centre(rng, w, size):
+    """A vector on w supported on `size` random coordinates."""
+    x = np.zeros(w.dim, dtype=np.complex128)
+    at = rng.choice(w.dim, size=size, replace=False)
+    x[at] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return ComplexVector(w, x)
+
+
+def assert_close_to_full_width(zs, residuals, kkts, ref, target):
+    """Minimizers and residuals within 1e-14 relative, KKT residuals (already
+    scale-free) within 1e-14.  A residual is relative to the target norm as
+    well, since an interior solution leaves a residual of pure rounding."""
+    ref_z, ref_res, ref_kkt = ref
+    for z, res, kkt, rz, rres, rkkt in zip(zs, residuals, kkts, ref_z, ref_res, ref_kkt):
+        assert np.linalg.norm(z - rz) <= 1e-14 * np.linalg.norm(rz)
+        assert abs(res - rres) <= 1e-14 * max(rres, norm(target))
+        assert abs(kkt - rkkt) <= 1e-14
+
+
+def test_active_columns_match_the_full_width_solve():
+    """constrained_lsq, the criterion pins and the disk grid, solved on the
+    active columns, against the full-width solves they replaced: random
+    orthogonal-column maps (shifts whose columns die at the edge, diagonals
+    with zero entries, scalars, random targets with dead columns sharing a
+    live column's target), centres of support 1 up to the dimension, and
+    radii and targets that give rows with no gradient, interior steps and
+    boundary steps.  Sums over the active columns group their terms unlike
+    sums over the window, so agreement is to rounding."""
+    rng = np.random.default_rng(18)
+    kinds, widths = set(), set()
+    alphas = np.array(hitsolver._GRID_ALPHAS)
+    for trial in range(60):
+        w = IndexWindow((BILATERAL, UNILATERAL)[trial % 2], 6)
+        d = w.dim
+        maps = [random_ortho_map(rng, w) for _ in range(6)]
+        u = random_centre(rng, w, int(rng.integers(1, d + 1)))
+        v = random_centre(rng, w, int(rng.integers(1, d + 1)))
+        for eps in (0.01, 1.0, 100.0):
+            for target in (v, ComplexVector(w, maps[0].apply_vec(u.coeffs))):
+                coeffs, tgt = np.array([m.coeffs for m in maps]), np.array([m.tgt for m in maps])
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    ref = full_width_rows(coeffs, tgt, u.coeffs, eps, target.coeffs, midpoint=False)
+                    assert_close_to_full_width(*hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs), ref, target)
+                    for k, pmap in enumerate(maps):
+                        sol = constrained_lsq(pmap, u, eps, target)
+                        one = full_width_lsq(pmap, u.coeffs, eps, target.coeffs)
+                        assert_close_to_full_width([sol.z.coeffs], [sol.residual], [sol.kkt_residual], [[x] for x in one], target)
+                        widths.add(int(np.count_nonzero(hitsolver._active(pmap.coeffs, pmap.tgt, u.coeffs, target.coeffs))))
+                        if not np.any(ref[0][k] != u.coeffs):
+                            kinds.add("no gradient")
+                        else:
+                            kinds.add("interior" if np.linalg.norm(ref[0][k] - u.coeffs) < eps * (1 - 1e-12) else "boundary")
+                    grid_rows = alphas[:, None] * maps[1].coeffs
+                    ref = full_width_rows(grid_rows, np.broadcast_to(maps[1].tgt, grid_rows.shape), u.coeffs, eps, target.coeffs, midpoint=True)
+                    zs, residuals, kkts = hitsolver._grid_lsq(maps[1], alphas, u, eps, target)
+                    assert_close_to_full_width([zs[k] for k in range(len(alphas))], residuals, kkts, ref, target)
+    assert kinds == {"no gradient", "interior", "boundary"}
+    assert max(widths) >= 8 and min(widths) <= 1
+
+
+def test_a_row_solves_alike_in_any_batch():
+    """A criterion pin row, or a disk-grid row, gets the same bits whether
+    it is solved alone or with other rows, of its width or of others: the
+    rows of one width run through the rows loop together, a row alone in
+    its width through _trs_core, and every step sees only its own row.  A
+    component's pins (scalar, seed, point, residual, KKT residual) are the
+    same solved in one batch of powers or one power at a time."""
+    rng = np.random.default_rng(1818)
+    alphas = np.array(hitsolver._GRID_ALPHAS)
+    for trial in range(12):
+        w = IndexWindow((BILATERAL, UNILATERAL)[trial % 2], 6)
+        u = random_centre(rng, w, int(rng.integers(1, 5)))
+        v = random_centre(rng, w, int(rng.integers(1, 5)))
+        for support in (1, 2):
+            entries = rng.uniform(0.5, 2.0, w.dim) * np.exp(2j * np.pi * rng.uniform(size=w.dim))
+            op = ForwardShift(WeightProfile(*rng.uniform(0.5, 2.0, 2))) if trial % 3 == 0 else Diagonal(dict(zip(w.indices().tolist(), entries.tolist())))
+            balls = tuple(ProductBall((Ball(random_centre(rng, w, support), 0.5),)) for _ in range(2))
+            scan, alone = (hitsolver._fresh_components(HitProblem((op,), 8, *balls))[0] for _ in range(2))
+            batch = scan._solve_pins(range(1, 9))
+            for n in range(1, 9):
+                one = alone._solve_pins([n])[n]
+                assert repr(batch[n]) == repr(one)
+                if one is not None:
+                    assert [x.tobytes() for x in (batch[n].seed, batch[n].z)] == [x.tobytes() for x in (one.seed, one.z)]
+        maps = [random_ortho_map(rng, w) for _ in range(10)]
+        coeffs = np.array([m.coeffs for m in maps]) * rng.uniform(0.05, 1.0, (len(maps), 1))
+        tgt = np.array([m.tgt for m in maps])
+        for eps in (0.05, 2.0):
+            batch = hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, v.coeffs)
+            subsets = [[k] for k in range(len(maps))] + [np.flatnonzero(rng.uniform(size=len(maps)) < 0.5) for _ in range(4)]
+            for rows in subsets:
+                if len(rows):
+                    part = hitsolver._pin_lsq(coeffs[rows], tgt[rows], u.coeffs, eps, v.coeffs)
+                    for got, whole in zip(part, batch):
+                        assert got.tobytes() == whole[rows].tobytes()
+            zs, residuals, kkts = hitsolver._grid_lsq(maps[0], alphas, u, eps, v)
+            for rows in ([k] for k in range(0, len(alphas), 7)):
+                z1, r1, k1 = hitsolver._grid_lsq(maps[0], alphas[rows], u, eps, v)
+                assert (z1[0].tobytes(), r1.tobytes(), k1.tobytes()) == (zs[rows[0]].tobytes(), residuals[rows].tobytes(), kkts[rows].tobytes())
+
+
+def test_trust_region_rows_are_no_wider_than_the_ball_supports(monkeypatch):
+    """Criterion 4's first 10 trials at horizon 10 (seed 404): every row the
+    secular solvers are handed has at most |supp u| + |supp v| terms for the
+    component being solved, since a live column carries a gradient only
+    from u's support or onto v's.  Rows as wide as the window fail here,
+    with no timing involved."""
+    window = IndexWindow(BILATERAL, 32)
+    pool = (EXAMPLE_SHIFT, ForwardShift(WeightProfile(2.0, 4.0)), Scalar(0.5), Scalar(2.0), Scalar(complex(0.0, 1.5)))
+    rng = np.random.default_rng(404)
+    children = np.random.SeedSequence(404).spawn(100)
+    supports, rows = [], []
+    solve = hitsolver._solve_component
+
+    def bounded(comp, n):
+        supports.append(np.count_nonzero(comp.src.center.coeffs) + np.count_nonzero(comp.tgt.center.coeffs))
+        try:
+            return solve(comp, n)
+        finally:
+            supports.pop()
+
+    def watched(kernel):
+        return lambda q, *a, **k: rows.append((q.shape[-1], supports[-1])) or kernel(q, *a, **k)
+
+    monkeypatch.setattr(hitsolver, "_solve_component", bounded)
+    monkeypatch.setattr(hitsolver, "_secular_solve", watched(hitsolver._secular_solve))
+    monkeypatch.setattr(hitsolver, "_secular_solve_rows", watched(hitsolver._secular_solve_rows))
+    for trial in range(10):
+        k = trial % 3 + 1
+        comps = tuple(pool[i] for i in rng.integers(0, len(pool), size=k))
+        sampler = make_ball_sampler(window, k, band=1)
+        sources = sampler(np.random.default_rng(children[2 * trial]))
+        targets = sampler(np.random.default_rng(children[2 * trial + 1]))
+        junction_scan(comps, sources, targets, 10)
+    assert len(rows) >= 10
+    assert all(width <= support for width, support in rows)
 
 
 def test_trs_boundary_case_is_tight():
@@ -1017,8 +1213,8 @@ def test_failures_reach_the_caller_and_no_thread_outlives_the_search(monkeypatch
     kernel = hitsolver._squared_residuals
     calls = []
 
-    def failing_kernel(pmap, v):
-        inner = kernel(pmap, v)
+    def failing_kernel(pmap, v, alpha=None):
+        inner = kernel(pmap, v, alpha)
 
         def score(x, y, alphas):
             calls.append(len(x))

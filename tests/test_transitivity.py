@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from disklab import transitivity
-from disklab.hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN, HitProblem, solve_hit
+from disklab import hitsolver, transitivity
+from disklab.hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN, HitProblem, PowerScan, solve_hit
 from disklab.operators import (
     BackwardShift,
     Dense,
@@ -288,3 +288,28 @@ def test_scan_overflow_is_raised_at_the_power_it_happens(op, m, source, target, 
     message = f"_solve_component overflows a float at power {power}: overflow encountered in {where}"
     with pytest.raises(OperatorError, match=re.escape(message)):
         junction_scan((op,), sources, targets, horizon)
+
+
+def test_a_failed_pin_batch_is_split_before_the_failing_power(monkeypatch):
+    """The (20, 30) shift scan from e_0 to e_0 on m = 150 to horizon 130,
+    whose pin batch overflows from power 110: the batch is halved until it
+    fits, so powers 1..109 take five batches, not one row each, and every
+    result is the one that power gets alone.  Power 110 still raises."""
+    w = IndexWindow(BILATERAL, 150)
+    ball = ProductBall((Ball(ComplexVector.basis(w, 0), 0.5),))
+    op = ForwardShift(WeightProfile(20.0, 30.0))
+    batches = []
+    solve_pins = hitsolver._ComponentScan._solve_pins
+    monkeypatch.setattr(hitsolver._ComponentScan, "_solve_pins", lambda self, powers: batches.append(list(powers)) or solve_pins(self, powers))
+    scan = PowerScan((op,), ball, ball, 130)
+    results = []
+    with pytest.raises(OperatorError, match="_solve_component overflows a float at power 110: "):
+        for n in range(131):
+            results.append(solve_hit(scan.problem(n)))
+    assert len(results) == 110
+    solved = {n for b in batches for n in b if n < 110}
+    assert solved == set(range(1, 110))
+    fitted = [(b[0], b[-1]) for b in batches if b[-1] < 110]
+    assert fitted == [(1, 65), (66, 98), (99, 106), (107, 108), (109, 109)]
+    for n, got in enumerate(results):
+        assert _result_bytes(got) == _result_bytes(solve_hit(HitProblem((op,), n, ball, ball)))
