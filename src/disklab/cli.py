@@ -169,6 +169,8 @@ def _at_least(low: int, what: str) -> Reader:
 _as_size = _at_least(1, "window size")
 _as_trials = _at_least(1, "trials")
 _as_horizon = _at_least(1, "horizon")
+_as_orbit_horizon = _at_least(0, "horizon")
+_as_power = _at_least(0, "n")
 _as_stop = _at_least(1, "stop")
 _as_sample_count = _at_least(1, "sample_count")
 _as_seed = _at_least(0, "seed")
@@ -527,7 +529,7 @@ def _run_orbit(params: dict, registry: dict, window: IndexWindow, path: str) -> 
     if len(comps) != 1:
         raise ConfigError(_sub(path, "components"), "orbit takes exactly one operator")
     x, horizon = _fields(
-        params, path, vector=(lambda v, p: build_vector(v, window, p), _REQUIRED), horizon=(_as_int, 40)
+        params, path, vector=(lambda v, p: build_vector(v, window, p), _REQUIRED), horizon=(_as_orbit_horizon, 40)
     ).values()
     norms = disk_orbit_norms(comps[0], x, horizon)
     table: Table = (("n", "norm"), [(n, float(v)) for n, v in enumerate(norms)])
@@ -537,7 +539,7 @@ def _run_orbit(params: dict, registry: dict, window: IndexWindow, path: str) -> 
 
 def _run_hit(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
     comps, arity, sources, targets, mode, alphas = _scan_inputs(params, registry, window, path)
-    n = _field(params, path, "n", _as_int)
+    n = _field(params, path, "n", _as_power)
     result = solve_hit(HitProblem(comps, n, sources, targets, mode, alphas))
     results: dict = {"status": result.status, "n": n, "max_kkt_residual": result.max_kkt_residual}
     if result.witness is not None:

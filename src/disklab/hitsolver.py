@@ -281,7 +281,7 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
         v = target.coeffs
         cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
         t = A.tgt[cols]
-        zp, residual, kkt = _active_lsq(A.coeffs[cols], u.coeffs[cols], v[t], _unreached(t, v), eps, _trs_core)
+        zp, residual, kkt = _active_lsq(A.coeffs[cols], u.coeffs[cols], v[t], _unreached(t, v), eps)
         z = u.coeffs.copy()
         z[cols] = zp
         return TrsResult(z=ComplexVector(window, z), residual=float(residual), kkt_residual=float(kkt))
@@ -338,47 +338,41 @@ def _unreached(t: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _active_lsq(
-    c: np.ndarray, up: np.ndarray, vt: np.ndarray, rest: np.ndarray, eps: float, trs: Callable
+    c: np.ndarray, up: np.ndarray, vt: np.ndarray, rest: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """constrained_lsq on the active columns of orthogonal-column maps.
 
     Along the last axis, c, up and vt hold a map's coefficients, the source
     centre and the target entries v[tgt_j] on its active columns, and rest
-    is _unreached of those columns.  trs is _trs_core for one map (1-D
-    arrays), or the rows loop for maps of one width, one per row.  Returns
-    the minimizers on the active columns, the residuals and the KKT
+    is _unreached of those columns.  One map (1-D arrays) goes through
+    _trs_core, maps of one width (one per row) through the rows loop.
+    Returns the minimizers on the active columns, the residuals and the KKT
     residuals.  Every step is elementwise or a sum along the last axis, so a
     row of the rows loop sees the operands of its map solved alone, given
     operands at full shape (see _grid_lsq).
     """
     q = np.abs(c) ** 2
     g = np.conj(c) * (vt - c * up)
-    d, mu, gap = trs(q, g, eps)
+    d, mu, gap = (_trs_core if c.ndim == 1 else _trs_rows)(q, g, eps)
     stat = _row_norms((q + np.asarray(mu)[..., None]) * d - g)
     zp = up + d
     residuals = np.sqrt(_sq_norms(c * zp - vt) + rest)
     return zp, residuals, _kkt_rows(stat, g, d, eps, gap)
 
 
-def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float, midpoint: bool) -> tuple[np.ndarray, np.ndarray]:
+def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """_secular_solve on every row of (q, s), with its own bracket, Newton
     and bracket steps and stopping test per row.
 
-    Started as there, at the single-term lower bound, each row repeats
-    _secular_solve bit for bit: sums along a row equal the 1-D sums, and
-    val**3 is taken in Python as there (numpy's power can differ in the last
-    bit).  With midpoint, each row starts at its bracket's midpoint
-    ||g||/(2 eps) instead.  The loop runs until its slowest row stops, so the
-    start that pays depends on the rows: the lower bound on the criterion
-    pins, the midpoint on the disk grid.
+    Each row starts where _secular_solve starts, at the largest single-term
+    lower bound, and repeats its steps bit for bit: sums along a row equal
+    the 1-D sums, and val**3 is taken in Python as there (numpy's power can
+    differ in the last bit).
     """
     hi = np.sqrt(s.sum(axis=1)) / eps
     lo = np.zeros_like(hi)
-    if midpoint:
-        mu = 0.5 * hi
-    else:
-        start = (np.sqrt(s) / eps - q).max(axis=1)
-        mu = np.where(start > 0.0, start, 0.0)  # max(0.0, start)
+    start = (np.sqrt(s) / eps - q).max(axis=1)
+    mu = np.where(start > 0.0, start, 0.0)  # max(0.0, start)
     x = q + mu[:, None]
     w = s / x**2
     val = np.sqrt(w.sum(axis=1))
@@ -412,10 +406,9 @@ def _secular_solve_rows(q: np.ndarray, s: np.ndarray, eps: float, midpoint: bool
     return mu, val
 
 
-def _trs_rows(q: np.ndarray, g: np.ndarray, eps: float, midpoint: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_trs_core on every row of (q, g): returns d, mu and the norm gap by
-    row.  Each row is _trs_core's, bit for bit, unless the secular equation
-    starts from the midpoint (see _secular_solve_rows)."""
+def _trs_rows(q: np.ndarray, g: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_trs_core on every row of (q, g), bit for bit: returns d, mu and the
+    norm gap by row."""
     s = np.abs(g) ** 2
     has_grad = (s > 0).any(axis=1)
     live = q > 0
@@ -430,7 +423,7 @@ def _trs_rows(q: np.ndarray, g: np.ndarray, eps: float, midpoint: bool) -> tuple
     if boundary.any():
         # q = 1 where s = 0, as in _trs_core
         qb = np.where(s[boundary] > 0, q[boundary], 1.0)
-        mu_b, val_b = _secular_solve_rows(qb, s[boundary], eps, midpoint)
+        mu_b, val_b = _secular_solve_rows(qb, s[boundary], eps)
         mu[boundary] = mu_b
         d[boundary] = g[boundary] / (qb + mu_b[:, None])
         gap[boundary] = np.abs(val_b - eps) / eps
@@ -453,10 +446,10 @@ def _pin_lsq(
     constrained_lsq(A_k, u, eps, v), bit for bit.
 
     Each row is solved on its own active columns.  The rows of one width go
-    through the rows loop together, started as _secular_solve starts, so
-    that every sum along a row sees exactly the operands of its map solved
-    alone (a row padded with zeros could round differently); a row alone in
-    its width goes through _trs_core, which is faster on one row.
+    through the rows loop together, so that every sum along a row sees
+    exactly the operands of its map solved alone (a row padded with zeros
+    could round differently); a row alone in its width goes through
+    _trs_core, which is faster on one row.
     """
     active = _active(coeffs, tgt, u, v)
     widths = np.count_nonzero(active, axis=1)
@@ -468,10 +461,8 @@ def _pin_lsq(
         t = tgt[at]
         args = (coeffs[at], u[at[1]], v[t], _unreached(t, v))
         if len(rows) == 1:
-            got = _active_lsq(*(a[0] for a in args), eps, _trs_core)
-        else:
-            got = _active_lsq(*args, eps, functools.partial(_trs_rows, midpoint=False))
-        z[at], residuals[rows], kkts[rows] = got
+            args = tuple(a[0] for a in args)
+        z[at], residuals[rows], kkts[rows] = _active_lsq(*args, eps)
     return z, residuals, kkts
 
 
@@ -494,17 +485,17 @@ def _grid_lsq(
     A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
 ) -> tuple[np.ndarray | _GridPoints, np.ndarray, np.ndarray]:
     """constrained_lsq for alphas[k] * A, every k at once, through the rows
-    loop started at the midpoint; A is T^n at alpha 1.
+    loop; A is T^n at alpha 1.
 
     Returns the minimizers (indexed by row), residuals and KKT residuals by
     row.  On an orthogonal-column map the rows alphas[k] * coeffs share one
     set of active columns, found once on A, and a row's minimizer on the
-    window is formed only when asked for.  A dense map is diagonalized once,
-    since (alpha A)^H (alpha A) = |alpha|^2 A^H A keeps the eigenvectors of
-    A^H A, and solved in that eigenbasis.  Row k equals
-    constrained_lsq(A.scaled(alphas[k]), u, eps, target) up to rounding.
+    window is formed only when asked for; row k is then
+    constrained_lsq(A.scaled(alphas[k]), u, eps, target), bit for bit.  A
+    dense map is diagonalized once, since (alpha A)^H (alpha A) =
+    |alpha|^2 A^H A keeps the eigenvectors of A^H A, and solved in that
+    eigenbasis, which equals constrained_lsq up to rounding.
     """
-    trs = functools.partial(_trs_rows, midpoint=True)
     if A.kind == "ortho":
         v = target.coeffs
         cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
@@ -515,7 +506,7 @@ def _grid_lsq(
         # the coeffs A.scaled(alpha) holds at each alpha, on the active columns
         c = np.repeat(alphas, cols.size).reshape(at.shape) * A.coeffs[at]
         t = A.tgt[cols]
-        zp, residuals, kkts = _active_lsq(c, u.coeffs[at], v[A.tgt[at]], _unreached(t, v), eps, trs)
+        zp, residuals, kkts = _active_lsq(c, u.coeffs[at], v[A.tgt[at]], _unreached(t, v), eps)
         return _GridPoints(u.coeffs, cols, zp), residuals, kkts
     m = A.matrix
     evals, evecs = _gram_eigh(m)
@@ -523,7 +514,7 @@ def _grid_lsq(
     q = np.abs(alphas[:, None]) ** 2 * evals
     g_full = np.conj(alphas)[:, None] * (r @ m.conj())  # (alpha A)^H r by row
     g = g_full @ evecs.conj()  # in the eigenbasis
-    d, mu, gap = trs(q, g, eps)
+    d, mu, gap = _trs_rows(q, g, eps)
     stat = _row_norms((q + mu[:, None]) * d - g)
     d = d @ evecs.T  # back from the eigenbasis
     z = u.coeffs + d
@@ -1056,7 +1047,7 @@ def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
     # covers the scalars the steps above did not reach.  The grid is one
     # batched solve, replayed through track() in grid order, so the first
     # hit, the best point and max_kkt are those of pinning each grid alpha
-    # in turn
+    # in turn, bit for bit on an orthogonal-column map
     zs, residuals, kkts = _grid_lsq(base, np.array(_GRID_ALPHAS), u, eps_eff, v)
     for k, (alpha, residual, kkt) in enumerate(zip(_GRID_ALPHAS, residuals.tolist(), kkts.tolist())):
         # track() keeps z only from a row that improves on the best or hits

@@ -234,27 +234,29 @@ def overflow_checked(powers: Callable[..., str] = lambda op, n, *rest, **kwargs:
 
 
 class _RunProducts:
-    """Products w(j) w(j+1) ... w(j+n-1) of a weight profile, by power n, for
+    """Products w(j) w(j+1) ... w(j+n-1) of a weight profile, of length n, for
     every start j whose run stays inside the weights at lo..hi.
 
     Each power's products are the previous power's times one more weight
     each: the same operands, multiplied in the same left-to-right order, as
-    forming that power's runs alone.  A product past the float range reads
+    forming that power's runs alone.  Only the latest power's row is kept; a
+    lower power starts again from ones.  A product past the float range reads
     inf, so a power is refused for the runs it reads, not for the others."""
 
     def __init__(self, profile: WeightProfile, lo: int, hi: int):
         self.lo = lo
         self.weights = profile.weights_on(lo, hi)
-        self.by_power = [np.ones(self.weights.size + 1)]
+        self.n, self.row = 0, np.ones(self.weights.size + 1)
 
     def __call__(self, n: int, first: int, last: int) -> np.ndarray:
         """Products of length n for the starts first..last."""
-        if len(self.by_power) <= n:
-            with np.errstate(over="ignore"):
-                while len(self.by_power) <= n:
-                    k = len(self.by_power)
-                    self.by_power.append(self.by_power[-1][:-1] * self.weights[k - 1 :])
-        prods = self.by_power[n][first - self.lo : last - self.lo + 1]
+        if n < self.n:
+            self.n, self.row = 0, np.ones(self.weights.size + 1)
+        with np.errstate(over="ignore"):
+            while self.n < n:
+                self.row = self.row[:-1] * self.weights[self.n :]
+                self.n += 1
+        prods = self.row[first - self.lo : last - self.lo + 1]
         if np.isinf(prods).any():
             raise FloatingPointError("overflow encountered in multiply")
         return prods

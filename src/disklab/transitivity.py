@@ -322,6 +322,8 @@ def _certified_suffix(rep: JunctionReport) -> int | None:
 def disk_orbit_norms(op: OperatorSpec, x: ComplexVector, horizon: int) -> np.ndarray:
     """Norms ||T^n x|| for n in [0, horizon] on the truncated window, by
     applying T once per step; an overflow is named at its step's power."""
+    if horizon < 0:
+        raise ValueError("horizon must be at least 0")
     norms = []
     for n in range(horizon + 1):
         with named_overflow("disk_orbit_norms", f"power {n}"):

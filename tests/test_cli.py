@@ -279,6 +279,12 @@ FIELD_PATH_CASES = [
         _experiment("criterion", variant="compound_scalar_free", horizon=0),
         "parameters.horizon",
     ),
+    ("orbit horizon negative", _experiment("orbit", vector={"basis": 0}, horizon=-3), "parameters.horizon"),
+    (
+        "hit power negative",
+        _experiment("hit", n=-1, **dict.fromkeys(("sources", "targets"), [{"center": {"basis": 0}, "radius": 0.5}])),
+        "parameters.n",
+    ),
 ]
 
 

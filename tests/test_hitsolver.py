@@ -159,11 +159,17 @@ def test_ortho_and_dense_routes_agree():
 def test_grid_lsq_matches_per_alpha_constrained_lsq():
     """The batched disk-grid kernel against constrained_lsq at each grid alpha.
 
-    Both run the same float64 steps, but sums and norms may be taken in
-    another order, so agreement is required to 1e-12: relative for points,
-    absolute for the (already scale-free) KKT residuals, and for residuals
-    relative to the target norm as well, since an interior solution leaves a
-    residual of pure rounding error.
+    On an orthogonal-column map every row runs constrained_lsq's steps on
+    the same operands, so it must equal it bit for bit: the minimizer's
+    bytes, the residual and the KKT residual.  Besides fixed shifts,
+    diagonals and scalars, random maps (shifts on both lattices whose
+    columns die at the edge, diagonals with zero entries, scalars, random
+    targets) meet centres of support 1 up to the dimension and radii from
+    1e-2 to 10.  A dense map is solved in the eigenbasis of A^H A, which
+    takes sums in another order, so there agreement is required to 1e-12:
+    relative for points, absolute for the (already scale-free) KKT
+    residuals, and for residuals relative to the target norm as well, since
+    an interior solution leaves a residual of pure rounding error.
     """
     alphas = np.array(hitsolver._GRID_ALPHAS)
     w = IndexWindow(BILATERAL, 4)
@@ -172,25 +178,34 @@ def test_grid_lsq_matches_per_alpha_constrained_lsq():
     u = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
     v = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
     shifts = (ForwardShift(WeightProfile(2.0, 3.0, {0: 0.5})), BackwardShift(WeightProfile(0.5, 3.0)))
-    cases = [(op, n, eps, v) for op in shifts for n in (0, 3, d, d + 2) for eps in (0.05, 50.0)]
+    cases = [(power_map(op, n, w), u, eps, v) for op in shifts for n in (0, 3, d, d + 2) for eps in (0.05, 50.0)]
     diag = Diagonal({j: (0.0 if j == 1 else 1.5 - 0.25j * j) for j in range(-4, 5)})
-    cases += [(op, 2, eps, v) for op in (diag, Scalar(0.8 + 0.6j)) for eps in (0.05, 50.0)]
+    cases += [(power_map(op, 2, w), u, eps, v) for op in (diag, Scalar(0.8 + 0.6j)) for eps in (0.05, 50.0)]
     # zero gradient at alpha = 1: the target is the image of the centre
-    cases.append((Scalar(1.3), 2, 0.3, ComplexVector(w, power_map(Scalar(1.3), 2, w).apply_vec(u.coeffs))))
+    cases.append((power_map(Scalar(1.3), 2, w), u, 0.3, ComplexVector(w, power_map(Scalar(1.3), 2, w).apply_vec(u.coeffs))))
+    for trial in range(100):
+        rw = IndexWindow((BILATERAL, UNILATERAL)[trial % 2], 5)
+        pmap = random_ortho_map(rng, rw)
+        centre, target = (random_centre(rng, rw, int(rng.integers(1, rw.dim + 1))) for _ in range(2))
+        cases.append((pmap, centre, float(10.0 ** rng.uniform(-2, 1)), target))
     # dense: unitary times singular values in [1, 2], so A^H A is well conditioned
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     dense = Dense(q * np.linspace(1.0, 2.0, d))
-    cases += [(dense, n, eps, v) for n in (1, 2) for eps in (0.05, 50.0)]
+    cases += [(power_map(dense, n, w), u, eps, v) for n in (1, 2) for eps in (0.05, 50.0)]
     kinds = set()
-    for op, n, eps, target in cases:
-        zs, residuals, kkts = hitsolver._grid_lsq(power_map(op, n, w), alphas, u, eps, target)
+    for pmap, centre, eps, target in cases:
+        zs, residuals, kkts = hitsolver._grid_lsq(pmap, alphas, centre, eps, target)
         for k, alpha in enumerate(hitsolver._GRID_ALPHAS):
-            ref = constrained_lsq(power_map(op, n, w).scaled(alpha), u, eps, target)
-            kinds.add("boundary" if abs(norm(ref.z - u) - eps) <= 1e-12 * eps else "interior")
-            assert abs(residuals[k] - ref.residual) <= 1e-12 * max(ref.residual, norm(target))
-            assert np.linalg.norm(zs[k] - ref.z.coeffs) <= 1e-12 * norm(ref.z)
-            assert abs(kkts[k] - ref.kkt_residual) <= 1e-12
-    assert kinds == {"boundary", "interior"}
+            ref = constrained_lsq(pmap.scaled(alpha), centre, eps, target)
+            kinds.add((pmap.kind, "boundary" if abs(norm(ref.z - centre) - eps) <= 1e-12 * eps else "interior"))
+            if pmap.kind == "ortho":
+                assert zs[k].tobytes() == ref.z.coeffs.tobytes()
+                assert (residuals[k], kkts[k]) == (ref.residual, ref.kkt_residual)
+            else:
+                assert abs(residuals[k] - ref.residual) <= 1e-12 * max(ref.residual, norm(target))
+                assert np.linalg.norm(zs[k] - ref.z.coeffs) <= 1e-12 * norm(ref.z)
+                assert abs(kkts[k] - ref.kkt_residual) <= 1e-12
+    assert kinds == {(kind, where) for kind in ("ortho", "dense") for where in ("boundary", "interior")}
 
 
 _GRID_REPLAY_CASES = [
@@ -219,13 +234,14 @@ _GRID_REPLAY_CASES = [
 _CLOSED_FORM = {1: (HIT, None), 5: (MISS_CERTIFIED, math.sqrt(1.0 - 0.45**2))}
 
 
-# each case as a scalar and as the same scalar held as a dense matrix; only
-# the dense twin reaches the grid, a scalar is decided in closed form
+# each case as a scalar, as the same scalar held as a dense matrix and as a
+# constant diagonal; only the twins reach the grid, a scalar is decided in
+# closed form
 @pytest.mark.parametrize(
     "op, n, src, tgt, status",
     [
         (make(value, src.center.window.dim), n, src, tgt, status)
-        for make in (lambda c, d: Scalar(c), lambda c, d: Dense(c * np.eye(d)))
+        for make in (lambda c, d: Scalar(c), lambda c, d: Dense(c * np.eye(d)), lambda c, d: Diagonal({}, default=c))
         for value, n, src, tgt, status in _GRID_REPLAY_CASES
     ],
 )
@@ -262,8 +278,14 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
     else:
         assert got.best_alphas == want.best_alphas
         got_res, want_res = got.best_residuals, want.best_residuals
-    assert got_res == pytest.approx(want_res, rel=1e-12)
-    assert got.max_kkt_residual == pytest.approx(want.max_kkt_residual, abs=1e-12)
+    if isinstance(op, Diagonal):
+        # an orthogonal-column grid row is constrained_lsq's, bit for bit
+        assert (got_res, got.max_kkt_residual) == (want_res, want.max_kkt_residual)
+        if status == HIT:
+            assert got.witness.point.parts[0].coeffs.tobytes() == want.witness.point.parts[0].coeffs.tobytes()
+    else:
+        assert got_res == pytest.approx(want_res, rel=1e-12)
+        assert got.max_kkt_residual == pytest.approx(want.max_kkt_residual, abs=1e-12)
 
 
 def test_disk_solve_takes_one_step_from_each_start(monkeypatch):
@@ -386,7 +408,7 @@ def reference_apply_rows(coeffs, tgt, x):
     return out[:, :dim]
 
 
-def full_width_rows(coeffs, tgt, u, eps, v, midpoint):
+def full_width_rows(coeffs, tgt, u, eps, v):
     """The full-width solve of orthogonal-column rows that the active-column
     form replaced: every column of the window, dead or without gradient,
     goes through the rows loop, and each residual is taken over the window."""
@@ -394,7 +416,7 @@ def full_width_rows(coeffs, tgt, u, eps, v, midpoint):
     r = v - reference_apply_rows(coeffs, tgt, u)
     q = np.abs(coeffs) ** 2
     g = np.multiply(np.conj(coeffs), np.take_along_axis(r, tgt, axis=1), out=np.zeros_like(coeffs), where=live)
-    d, mu, gap = hitsolver._trs_rows(q, g, eps, midpoint)
+    d, mu, gap = hitsolver._trs_rows(q, g, eps)
     stat = hitsolver._row_norms((q + mu[:, None]) * d - g)
     z = u + d
     residuals = hitsolver._row_norms(reference_apply_rows(coeffs, tgt, z) - v)
@@ -481,7 +503,7 @@ def test_active_columns_match_the_full_width_solve():
             for target in (v, ComplexVector(w, maps[0].apply_vec(u.coeffs))):
                 coeffs, tgt = np.array([m.coeffs for m in maps]), np.array([m.tgt for m in maps])
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    ref = full_width_rows(coeffs, tgt, u.coeffs, eps, target.coeffs, midpoint=False)
+                    ref = full_width_rows(coeffs, tgt, u.coeffs, eps, target.coeffs)
                     assert_close_to_full_width(*hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs), ref, target)
                     for k, pmap in enumerate(maps):
                         sol = constrained_lsq(pmap, u, eps, target)
@@ -493,7 +515,7 @@ def test_active_columns_match_the_full_width_solve():
                         else:
                             kinds.add("interior" if np.linalg.norm(ref[0][k] - u.coeffs) < eps * (1 - 1e-12) else "boundary")
                     grid_rows = alphas[:, None] * maps[1].coeffs
-                    ref = full_width_rows(grid_rows, np.broadcast_to(maps[1].tgt, grid_rows.shape), u.coeffs, eps, target.coeffs, midpoint=True)
+                    ref = full_width_rows(grid_rows, np.broadcast_to(maps[1].tgt, grid_rows.shape), u.coeffs, eps, target.coeffs)
                     zs, residuals, kkts = hitsolver._grid_lsq(maps[1], alphas, u, eps, target)
                     assert_close_to_full_width([zs[k] for k in range(len(alphas))], residuals, kkts, ref, target)
     assert kinds == {"no gradient", "interior", "boundary"}
@@ -541,16 +563,26 @@ def test_a_row_solves_alike_in_any_batch():
                 assert (z1[0].tobytes(), r1.tobytes(), k1.tobytes()) == (zs[rows[0]].tobytes(), residuals[rows].tobytes(), kkts[rows].tobytes())
 
 
+def criterion_4_trials(trials=10):
+    """Criterion 4's first trials (seed 404): each trial's components, source
+    balls and target balls, drawn as bench/workloads.build_mixed draws them."""
+    window = IndexWindow(BILATERAL, 32)
+    pool = (EXAMPLE_SHIFT, ForwardShift(WeightProfile(2.0, 4.0)), Scalar(0.5), Scalar(2.0), Scalar(complex(0.0, 1.5)))
+    rng = np.random.default_rng(404)
+    children = np.random.SeedSequence(404).spawn(2 * trials)
+    for trial in range(trials):
+        k = trial % 3 + 1
+        comps = tuple(pool[i] for i in rng.integers(0, len(pool), size=k))
+        sampler = make_ball_sampler(window, k, band=1)
+        yield comps, sampler(np.random.default_rng(children[2 * trial])), sampler(np.random.default_rng(children[2 * trial + 1]))
+
+
 def test_trust_region_rows_are_no_wider_than_the_ball_supports(monkeypatch):
     """Criterion 4's first 10 trials at horizon 10 (seed 404): every row the
     secular solvers are handed has at most |supp u| + |supp v| terms for the
     component being solved, since a live column carries a gradient only
     from u's support or onto v's.  Rows as wide as the window fail here,
     with no timing involved."""
-    window = IndexWindow(BILATERAL, 32)
-    pool = (EXAMPLE_SHIFT, ForwardShift(WeightProfile(2.0, 4.0)), Scalar(0.5), Scalar(2.0), Scalar(complex(0.0, 1.5)))
-    rng = np.random.default_rng(404)
-    children = np.random.SeedSequence(404).spawn(100)
     supports, rows = [], []
     solve = hitsolver._solve_component
 
@@ -567,15 +599,47 @@ def test_trust_region_rows_are_no_wider_than_the_ball_supports(monkeypatch):
     monkeypatch.setattr(hitsolver, "_solve_component", bounded)
     monkeypatch.setattr(hitsolver, "_secular_solve", watched(hitsolver._secular_solve))
     monkeypatch.setattr(hitsolver, "_secular_solve_rows", watched(hitsolver._secular_solve_rows))
-    for trial in range(10):
-        k = trial % 3 + 1
-        comps = tuple(pool[i] for i in rng.integers(0, len(pool), size=k))
-        sampler = make_ball_sampler(window, k, band=1)
-        sources = sampler(np.random.default_rng(children[2 * trial]))
-        targets = sampler(np.random.default_rng(children[2 * trial + 1]))
+    for comps, sources, targets in criterion_4_trials():
         junction_scan(comps, sources, targets, 10)
     assert len(rows) >= 10
     assert all(width <= support for width, support in rows)
+
+
+class BisectionProbe(np.ndarray):
+    """An array that counts the entries its boolean-masked writes replace.
+    Handed to the rows loop as q and s, it passes to the arrays derived from
+    them, and the only such write is the bisection step's."""
+
+    bisected = 0
+
+    def __setitem__(self, key, value):
+        if isinstance(key, np.ndarray) and key.dtype == bool:
+            BisectionProbe.bisected += int(np.count_nonzero(key))
+        super().__setitem__(key, value)
+
+
+def test_secular_rows_never_bisect(monkeypatch):
+    """Every row of the rows loop starts at the largest single-term lower
+    bound, where Newton climbs to the root inside its bracket, so no row
+    takes the bisection step.  The draw is criterion 4's at 10 trials and
+    horizon 10 (seed 404), each trial scanned jointly and by component; a
+    start at the bracket's midpoint bisects 8 rows here."""
+    rows = []
+    kernel = hitsolver._secular_solve_rows
+
+    def watched(q, s, eps):
+        rows.append(len(q))
+        mu, val = kernel(q.view(BisectionProbe), s.view(BisectionProbe), eps)
+        return np.asarray(mu), np.asarray(val)
+
+    monkeypatch.setattr(BisectionProbe, "bisected", 0)
+    monkeypatch.setattr(hitsolver, "_secular_solve_rows", watched)
+    for comps, sources, targets in criterion_4_trials():
+        junction_scan(comps, sources, targets, 10)
+        for i, op in enumerate(comps):
+            junction_scan([op], ProductBall((sources.balls[i],)), ProductBall((targets.balls[i],)), 10)
+    assert sum(rows) >= 1000
+    assert BisectionProbe.bisected == 0
 
 
 def test_trs_boundary_case_is_tight():
@@ -603,23 +667,21 @@ def bisect_secular(q, s, eps):
 
 
 def check_secular_root(mu, q, s, eps):
-    """mu against bisection and against the rows loop: started at the
-    midpoint, as on the disk grid, to 1e-12; started at the lower bound, as
-    on the criterion pins, which take _secular_solve's steps, bit for bit."""
+    """mu against bisection to 1e-12, and against the rows loop, which
+    takes _secular_solve's steps, bit for bit."""
     assert mu == pytest.approx(bisect_secular(q, s, eps), rel=1e-12)
     q = np.where(s > 0, q, 1.0)  # as _trs_core and _trs_rows hand q to the secular solve
-    mu_mid, val_mid = hitsolver._secular_solve_rows(q[None, :], s[None, :], eps, midpoint=True)
-    assert mu == pytest.approx(mu_mid[0], rel=1e-12)
-    assert abs(val_mid[0] - eps) <= 1e-14 * eps
-    mu_pins, val_pins = hitsolver._secular_solve_rows(q[None, :], s[None, :], eps, midpoint=False)
-    assert (mu_pins[0], val_pins[0]) == hitsolver._secular_solve(q, s, eps)
-    assert mu_pins[0] == mu
+    mu_rows, val_rows = hitsolver._secular_solve_rows(q[None, :], s[None, :], eps)
+    assert (mu_rows[0], val_rows[0]) == hitsolver._secular_solve(q, s, eps)
+    assert mu_rows[0] == mu
 
 
 def test_secular_newton_climbs_from_below(monkeypatch):
-    """A cli-scenarios solve (compound-plus-transitive) where the old midpoint
-    start fell right of the root: 34 steps, 31 of them bisections.  From the
-    largest single-term lower bound Newton needs two."""
+    """Why every secular solve starts at the largest single-term lower
+    bound: on this cli-scenarios solve (compound-plus-transitive) a start at
+    the bracket midpoint ||g||/(2 eps) falls right of the root and takes 34
+    steps, 31 of them bisections, while from the lower bound, left of the
+    root, where 1/||d(mu)|| is concave and increasing, Newton needs two."""
     q = np.array([1.8086045703329551e08, 4.5215114258323878e07, 1.0039772182129675e-08, 1.0039772182129675e-08])
     s = np.array([6.8656334601717412e07, 2.4015192093115658e07, 7.3069170996626985e-17, 6.5938370770724885e-17])
     eps = 0.44999999955000003

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -533,3 +535,31 @@ def test_powers_match_the_per_index_reference_loops(lattice):
             for n in range(d + 2):
                 assert np.array_equal(stack.power_map(n).apply_vec(x.coeffs), reference(profile, n, x).coeffs)
                 assert stack.growth(n) == _reference_growth(op, n, lattice)
+
+
+def test_run_products_keep_one_row():
+    """Growth runs of a slowly growing shift at power 4000 hold one row of
+    products, not one per power: keeping every power's row peaked at 193 MB
+    here, and the bounds are the same."""
+    op = ForwardShift(WeightProfile(1.001, 1.002, {0: 0.5}))
+    tracemalloc.start()
+    try:
+        bounds = growth(op, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert 2957 < bounds.opnorm_upper < 2958 and 27.2 < bounds.minmod_lower < 27.3
+
+
+@pytest.mark.parametrize("lattice", [BILATERAL, UNILATERAL])
+def test_a_lower_power_after_a_higher_one_reads_as_fresh(lattice):
+    """A stack asked for power 1 after power 40 forms its run products again
+    from ones, and returns the bits of a fresh stack."""
+    window = IndexWindow(lattice, 48)
+    for op in (ForwardShift(WeightProfile(1.3, 0.7, {0: 0.5, 3: 2.1})), BackwardShift(WeightProfile(0.9, 1.1, {-2: 3.0}))):
+        used = PowerStack(op, window, 40)
+        used.power_map(40), used.growth(40)
+        fresh = PowerStack(op, window, 40)
+        assert used.power_map(1).coeffs.tobytes() == fresh.power_map(1).coeffs.tobytes()
+        assert used.growth(1) == fresh.growth(1)

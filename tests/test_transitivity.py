@@ -207,6 +207,13 @@ def test_disk_orbit_norms_frozen():
     assert list(norms) == [1, 2, 4, 8, 16, 32, 64]
 
 
+def test_disk_orbit_norms_refuse_a_negative_horizon():
+    x = ComplexVector.basis(IndexWindow(BILATERAL, 12), 0)
+    assert list(disk_orbit_norms(SHIFT_23, x, 0)) == [1]
+    with pytest.raises(ValueError, match="horizon must be at least 0"):
+        disk_orbit_norms(SHIFT_23, x, -3)
+
+
 def test_disk_orbit_norms_name_the_power_that_overflows():
     # 3^n passes the float range squared from n = 324
     x = ComplexVector.basis(IndexWindow(BILATERAL, 400), -390)
