@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import inspect
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -162,6 +163,18 @@ def _at_least(low: int, what: str) -> Reader:
         if n < low:
             raise ConfigError(path, f"{what} must be at least {low}")
         return n
+
+    return read
+
+
+def _positive(what: str) -> Reader:
+    """Reader of a number above 0, such as a radius or a bound."""
+
+    def read(value: Any, path: str) -> float:
+        x = _as_float(value, path)
+        if x <= 0:
+            raise ConfigError(path, f"{what} must be positive")
+        return x
 
     return read
 
@@ -359,10 +372,11 @@ def build_vector(spec: Any, window: IndexWindow, path: str) -> ComplexVector:
 
 def build_ball(spec: Any, window: IndexWindow, path: str) -> Ball:
     center, radius = _fields(
-        spec, path, center=(lambda v, p: build_vector(v, window, p), _REQUIRED), radius=(_as_float, _REQUIRED)
+        spec,
+        path,
+        center=(lambda v, p: build_vector(v, window, p), _REQUIRED),
+        radius=(_positive("radius"), _REQUIRED),
     ).values()
-    if radius <= 0:
-        raise ConfigError(_sub(path, "radius"), "radius must be positive")
     return Ball(center, radius)
 
 
@@ -403,19 +417,32 @@ def _scan_inputs(
 
 
 _SAMPLER_FIELDS = {
-    "radius": _as_float, "support": _as_int, "bound": _as_float, "band": _as_int, "modulus_lo": _as_float
+    "radius": _positive("radius"),
+    "support": _at_least(1, "support"),
+    "bound": _positive("bound"),
+    "band": _at_least(0, "band"),
+    "modulus_lo": _as_float,
 }
 
 
-def _sampler_kwargs(params: dict, path: str, with_radius: bool) -> dict:
+def _sampler_kwargs(params: dict, path: str, factory: Callable) -> dict:
+    """The sampler fields of params, for factory (make_ball_sampler or
+    make_vector_sampler); modulus_lo is checked against the bound the
+    sampler will use, either of them possibly factory's default."""
     sampler_path = _sub(path, "sampler")
     spec = _field(params, path, "sampler", _as_dict, {})
+    defaults = {key: p.default for key, p in inspect.signature(factory).parameters.items()}
     for key in spec:
         if key not in _SAMPLER_FIELDS:
             raise ConfigError(_sub(sampler_path, key), f"unknown sampler field {key!r}")
-    if not with_radius and "radius" in spec:
+    if "radius" in spec and "radius" not in defaults:
         raise ConfigError(_sub(sampler_path, "radius"), "radius applies only to ball samplers")
-    return {key: _SAMPLER_FIELDS[key](value, _sub(sampler_path, key)) for key, value in spec.items()}
+    kwargs = {key: _SAMPLER_FIELDS[key](value, _sub(sampler_path, key)) for key, value in spec.items()}
+    lo, bound = ({**defaults, **kwargs}[key] for key in ("modulus_lo", "bound"))
+    if lo is not None and not 0 <= lo <= bound:
+        key = "modulus_lo" if "modulus_lo" in kwargs else "bound"
+        raise ConfigError(_sub(sampler_path, key), f"modulus_lo {lo} must lie in [0, bound {bound}]")
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -597,18 +624,24 @@ def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str) ->
     comps = _resolve_components(params, registry, path)
     kind = _field(params, path, "kind", _choice(_DETECT_KINDS, "kind"))
     options = _fields(params, path, trials=(_as_trials, 20), horizon=(_as_horizon, 40), seed=(_as_seed, 0))
-    kwargs = _sampler_kwargs(params, path, with_radius=True)
+    kwargs = _sampler_kwargs(params, path, make_ball_sampler)
     sampler = make_ball_sampler(window, len(components_of(comps)), **kwargs)
     verdict = detect(kind, comps, sampler, **options)
     return _outcome(verdict.verdict, {"detect": asdict(verdict)}, {"trials": _trials_table(verdict)})
 
 
 def _criterion_nk(params: dict, path: str) -> tuple[int, ...]:
+    """The powers a criterion probes: a list, or the range start..stop."""
+    nk_path = _sub(path, "nk")
     raw = params.get("nk", {"start": 1, "stop": 40})
     if isinstance(raw, dict):
-        start, stop = _fields(raw, _sub(path, "nk"), start=(_as_int, 1), stop=(_as_int, _REQUIRED)).values()
-        return tuple(range(start, stop + 1))
-    return tuple(_items(_as_int)(raw, _sub(path, "nk")))
+        start, stop = _fields(raw, nk_path, start=(_as_int, 1), stop=(_as_int, _REQUIRED)).values()
+        nk = tuple(range(start, stop + 1))
+    else:
+        nk = tuple(_items(_as_int)(raw, nk_path))
+    if not nk or nk[0] < 1 or any(b <= a for a, b in zip(nk, nk[1:])):
+        raise ConfigError(nk_path, "powers must be strictly increasing and positive")
+    return nk
 
 
 def _criterion_lambdas(params: dict, arity: int, steps: int, path: str) -> tuple | None:
@@ -642,7 +675,7 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
     arity = len(comps)
     # the counts and pair samplers every variant's data takes
     shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_sample_count, 25), seed=(_as_seed, 0))
-    kwargs = _sampler_kwargs(params, path, with_radius=False)
+    kwargs = _sampler_kwargs(params, path, make_vector_sampler)
     shared.update((key, make_vector_sampler(window, arity, **kwargs)) for key in ("xsampler", "ysampler"))
 
     if compound:

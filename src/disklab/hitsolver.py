@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import (
+    PIN_CELLS,
     BackwardShift,
     ForwardShift,
     OperatorError,
@@ -98,10 +99,6 @@ CERT_MARGIN = 1e-12  # certificates need lower_bound >= delta + this
 # dimension), so that the passes over a chunk run in cache
 SEARCH_BATCH = 20000
 SCORE_CELLS = 256 * 97
-# a component's criterion pins are solved in batches of at most this many
-# cells (powers times window dimension), which bounds a batch's memory
-# whatever the horizon
-PIN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -894,17 +891,17 @@ class _ComponentScan:
             return pins
         u, v = self.src.center.coeffs, self.tgt.center.coeffs
         su, sv = np.flatnonzero(u), np.flatnonzero(v)
-        maps = [self.powers.power_map(n) for n in fit]
-        coeffs = np.array([m.coeffs for m in maps])
+        coeffs, tgt = self.powers.rows(fit[0], fit[-1])
         if self._inverse is None:
             self._inverse = PowerStack(s, self.tgt.center.window, self.horizon)
-        inverse = [self._inverse.power_map(n) for n in fit]
+        # S^n is read only on v's support, the columns S^n v takes
+        s_coeffs, s_tgt = (a[:, sv] for a in self._inverse.rows(fit[0], fit[-1]))
         # the entries of T^n u and S^n v from the supports of u and v: a
         # column meets one row, so these are all their nonzero entries.  The
         # centres are spread to full shape, as _grid_lsq's operands are, so
         # a power's products do not depend on the powers batched with it
         tn_u = coeffs[:, su] * u[np.broadcast_to(su, (len(fit), su.size))]
-        sn_v = np.array([m.coeffs[sv] for m in inverse]) * v[np.broadcast_to(sv, (len(fit), sv.size))]
+        sn_v = s_coeffs * v[np.broadcast_to(sv, (len(fit), sv.size))]
         lams = []
         for tu, sv_norm in zip(_row_norms(tn_u).tolist(), _row_norms(sn_v).tolist()):
             lam = min(math.sqrt(sv_norm / tu) if tu > 0 and sv_norm > 0 else 1.0, 1.0)
@@ -915,11 +912,11 @@ class _ComponentScan:
         # a dead column adds 0 at the edge row it points to
         seeds = np.repeat(u[None], len(fit), axis=0)
         rows = np.arange(len(fit))
-        for k, j in enumerate(sv.tolist()):
-            seeds[rows, [m.tgt[j] for m in inverse]] += sn_v[:, k] * (1.0 / lam)
+        for k in range(sv.size):
+            seeds[rows, s_tgt[:, k]] += sn_v[:, k] * (1.0 / lam)
         # row k holds the coefficients of base.scaled(lambda_n) at its power
         eps = self.src.radius * (1.0 - STRICT_MARGIN)
-        z, residuals, kkts = _pin_lsq(lam[:, None] * coeffs, np.array([m.tgt for m in maps]), u, eps, v)
+        z, residuals, kkts = _pin_lsq(lam[:, None] * coeffs, tgt, u, eps, v)
         for k, (n, residual, kkt) in enumerate(zip(fit, residuals.tolist(), kkts.tolist())):
             pins[n] = _Pin(complex(lams[k]), seeds[k], z[k], residual, kkt)
         return pins

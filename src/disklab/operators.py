@@ -49,6 +49,12 @@ __all__ = [
 ]
 
 
+# a batch of powers holds at most this many cells (powers times window
+# dimension): a shift stack's chunk of powers, and a scan's batch of
+# criterion pins, whose memory it bounds whatever the horizon
+PIN_CELLS = 1 << 16
+
+
 class OperatorError(ValueError):
     """Unsupported operator variant or invalid operator data."""
 
@@ -246,17 +252,26 @@ class _RunProducts:
     def __init__(self, profile: WeightProfile, lo: int, hi: int):
         self.lo = lo
         self.weights = profile.weights_on(lo, hi)
-        self.n, self.row = 0, np.ones(self.weights.size + 1)
+        self.n, self._row = 0, np.ones(self.weights.size + 1)
+
+    def rows(self, first: int, stop: int) -> list[np.ndarray]:
+        """The products of length n for every start from lo, at each power n
+        from first to stop - 1 (stop > first); inf past the float range."""
+        if first < self.n:
+            self.n, self._row = 0, np.ones(self.weights.size + 1)
+        rows = []
+        with np.errstate(over="ignore"):
+            while self.n < stop - 1:
+                if self.n >= first:
+                    rows.append(self._row)
+                self._row = self._row[:-1] * self.weights[self.n :]
+                self.n += 1
+        rows.append(self._row)
+        return rows
 
     def __call__(self, n: int, first: int, last: int) -> np.ndarray:
         """Products of length n for the starts first..last."""
-        if n < self.n:
-            self.n, self.row = 0, np.ones(self.weights.size + 1)
-        with np.errstate(over="ignore"):
-            while self.n < n:
-                self.row = self.row[:-1] * self.weights[self.n :]
-                self.n += 1
-        prods = self.row[first - self.lo : last - self.lo + 1]
+        prods = self.rows(n, n + 1)[0][first - self.lo : last - self.lo + 1]
         if np.isinf(prods).any():
             raise FloatingPointError("overflow encountered in multiply")
         return prods
@@ -315,16 +330,27 @@ class PowerStack:
     when first asked for and kept, and growth bounds of the un-truncated
     powers, on the window's lattice, come from run products kept the same way.
 
-    A shift power's run products are the previous power's times one more
-    weight each (see _RunProducts), so every power equals the one formed
-    alone bit for bit.  A diagonal, scalar or dense power is formed alone, as
-    entries**n, c**n or matrix_power.
+    A shift stack forms a chunk of powers at a time: the power asked for and
+    the ones after it, up to the horizon, the next power already formed or
+    PIN_CELLS cells, as rows of one coefficient table and one target table,
+    each power's PowerMap a row of both.  Its growth bounds are filled a
+    chunk at a time too, from one pass over the growth runs.  Each power's
+    run products are the previous power's times one more weight each (see
+    _RunProducts), so every power equals the one formed alone bit for bit.
+    A power whose runs pass the float range is left out of its chunk; asking
+    for it forms it alone, which raises the error it always raised.  A
+    diagonal, scalar or dense power is formed alone, as entries**n, c**n or
+    matrix_power.
     """
 
     def __init__(self, op: OperatorSpec, window: IndexWindow, horizon: int):
         self.op, self.window, self.horizon = op, window, horizon
-        self._maps: dict[int, PowerMap] = {}
-        self._bounds: dict[int, GrowthBounds] = {}
+        self._shift = isinstance(op, (ForwardShift, BackwardShift))
+        # a power a chunk left out is kept as None
+        self._maps: dict[int, PowerMap | None] = {}
+        self._bounds: dict[int, GrowthBounds | None] = {}
+        # (first power, coefficient rows, target rows) of each chunk
+        self._tables: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._runs: _RunProducts | None = None
         self._growth_runs: _RunProducts | None = None
 
@@ -332,9 +358,23 @@ class PowerStack:
         """T^n on the window; shift mass that leaves the window is dropped."""
         pmap = self._maps.get(n)
         if pmap is None:
-            with named_overflow("power_map", f"power {n}"):
-                pmap = self._maps[n] = self._form(n)
+            if self._shift and n not in self._maps and 0 <= n <= self.horizon:
+                self._fill_maps(n)
+                pmap = self._maps[n]
+            if pmap is None:
+                with named_overflow("power_map", f"power {n}"):
+                    pmap = self._maps[n] = self._form(n)
         return pmap
+
+    def rows(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients and targets of T^first .. T^last of an orthogonal-column
+        operator, one power a row: slices of a chunk's tables where one chunk
+        formed them all, else stacked from their maps."""
+        maps = [self.power_map(n) for n in range(first, last + 1)]
+        for start, coeffs, tgt in self._tables:
+            if start <= first and last < start + len(coeffs):
+                return coeffs[first - start : last + 1 - start], tgt[first - start : last + 1 - start]
+        return np.array([m.coeffs for m in maps]), np.array([m.tgt for m in maps])
 
     def growth(self, n: int) -> GrowthBounds:
         """growth(op, n, lattice of the window), for n up to the horizon."""
@@ -342,28 +382,81 @@ class PowerStack:
         if bounds is None:
             if not 0 <= n <= self.horizon:
                 raise ValueError(f"power {n} lies outside the stack's 0..{self.horizon}")
-            with named_overflow("growth", f"power {n}"):
-                if n and self._growth_runs is None and isinstance(self.op, (ForwardShift, BackwardShift)):
-                    self._growth_runs = _growth_runs(self.op.weights, self.horizon, self.window.kind)
-                bounds = self._bounds[n] = _growth_bounds(self.op, n, self.window.kind, self._growth_runs)
+            if self._shift and n and n not in self._bounds:
+                self._fill_bounds(n)
+                bounds = self._bounds[n]
+            if bounds is None:
+                # a shift's growth runs are built by now: _fill_bounds left n out
+                with named_overflow("growth", f"power {n}"):
+                    bounds = self._bounds[n] = _growth_bounds(self.op, n, self.window.kind, self._growth_runs)
         return bounds
+
+    def _fill_maps(self, first: int) -> None:
+        """Form the shift powers from first on as one chunk (see the class)."""
+        later = (k for k in self._maps if k > first)
+        stop = min(self.horizon + 1, first + max(1, PIN_CELLS // self.window.dim), *later)
+        coeffs, tgt = self._shift_table(first, stop)
+        refused = np.isinf(coeffs.real).any(axis=1).tolist()
+        for k, n in enumerate(range(first, stop)):
+            self._maps[n] = None if refused[k] else PowerMap("ortho", self.window, coeffs=coeffs[k], tgt=tgt[k])
+        self._tables.append((first, coeffs, tgt))
+
+    def _shift_table(self, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients and targets of the shift powers first..stop-1, one
+        power a row; a power whose runs pass the float range reads inf."""
+        op, window, d = self.op, self.window, self.window.dim
+        coeffs = np.zeros((stop - first, d), dtype=np.complex128)
+        # source j moves to j+n (forward) or j-n (backward), carrying the product
+        # over the run [j, j+n) or [j-n, j); either way the runs start at lo..hi-n
+        forward = isinstance(op, ForwardShift)
+        live = range(first, min(stop, d))  # the powers with columns inside the window
+        if live:
+            if self._runs is None:
+                self._runs = _RunProducts(op.weights, window.lo, window.hi - 1)
+            for row, n, prods in zip(coeffs, live, self._runs.rows(live.start, live.stop)):
+                row[slice(0, d - n) if forward else slice(n, d)] = prods
+        # a column that dies at the edge points at the edge
+        powers = np.arange(first, stop)[:, None]
+        tgt = np.minimum(powers + np.arange(d), d - 1) if forward else np.maximum(np.arange(d) - powers, 0)
+        return coeffs, tgt
+
+    def _fill_bounds(self, first: int) -> None:
+        """growth's bounds of the shift at the powers from first >= 1 on, up to
+        the horizon or PIN_CELLS cells of growth runs, from one pass over the
+        runs; a power whose runs or end weights pass the float range is left
+        out."""
+        op, lattice = self.op, self.window.kind
+        if self._growth_runs is None:
+            self._growth_runs = _growth_runs(op.weights, self.horizon, lattice)
+        runs = self._growth_runs
+        powers = range(first, min(self.horizon + 1, first + max(1, PIN_CELLS // runs.weights.size)))
+        reads = []
+        for n, row in zip(powers, runs.rows(powers.start, powers.stop)):
+            lo, hi = _growth_starts(op.weights, n, lattice)
+            reads.append(row[lo - runs.lo : hi - runs.lo + 1])
+        # each power's runs are one segment of flat; a max or min is exact in
+        # any order, so a segment's equals that of the power's runs alone
+        flat = np.concatenate(reads)
+        starts = np.cumsum([0, *map(len, reads[:-1])])
+        over = np.logical_or.reduceat(np.isinf(flat), starts).tolist()
+        tops = np.maximum.reduceat(flat, starts).tolist()
+        bottoms = np.minimum.reduceat(flat, starts).tolist()
+        # pos**n or neg**n may overflow, as a Python float or a numpy one
+        with np.errstate(over="raise", invalid="raise"):
+            for n, inf, top, bottom in zip(powers, over, tops, bottoms):
+                try:
+                    self._bounds[n] = None if inf else _shift_bounds(op, n, lattice, top, bottom)
+                except (FloatingPointError, OverflowError):
+                    self._bounds[n] = None
 
     def _form(self, n: int) -> PowerMap:
         op, window = self.op, self.window
         d = window.dim
-        if isinstance(op, (ForwardShift, BackwardShift)):
-            # source j moves to j+n (forward) or j-n (backward), carrying the product
-            # over the run [j, j+n) or [j-n, j); either way the runs start at lo..hi-n
-            forward = isinstance(op, ForwardShift)
-            coeffs = np.zeros(d, dtype=np.complex128)
-            if n < d:
-                if self._runs is None:
-                    self._runs = _RunProducts(op.weights, window.lo, window.hi - 1)
-                survivors = slice(0, d - n) if forward else slice(n, d)
-                coeffs[survivors] = self._runs(n, window.lo, window.hi - n)
-            # a column that dies at the edge points at the edge
-            tgt = np.minimum(np.arange(n, n + d), d - 1) if forward else np.maximum(np.arange(-n, d - n), 0)
-            return PowerMap("ortho", window, coeffs=coeffs, tgt=tgt)
+        if self._shift:
+            coeffs, tgt = self._shift_table(n, n + 1)
+            if np.isinf(coeffs.real).any():
+                raise FloatingPointError("overflow encountered in multiply")
+            return PowerMap("ortho", window, coeffs=coeffs[0], tgt=tgt[0])
         if isinstance(op, Diagonal):
             entries = op.entries_on(window)
             # numpy's complex power saturates at the float maximum without a flag
@@ -455,14 +548,8 @@ def _growth_bounds(op: OperatorSpec, n: int, lattice: str, runs: _RunProducts | 
     if n == 0:
         return GrowthBounds(1.0, 1.0)
     if isinstance(op, (ForwardShift, BackwardShift)):
-        profile = op.weights
-        prods = runs(n, *_growth_starts(profile, n, lattice))
-        ends = (profile.pos**n, profile.neg**n) if lattice == BILATERAL else (profile.pos**n,)
-        top = max(float(prods.max()), *ends)
-        if isinstance(op, BackwardShift) and lattice == UNILATERAL:
-            # e_0 .. e_{n-1} are annihilated
-            return GrowthBounds(top, 0.0)
-        return GrowthBounds(top, min(float(prods.min()), *ends))
+        prods = runs(n, *_growth_starts(op.weights, n, lattice))
+        return _shift_bounds(op, n, lattice, float(prods.max()), float(prods.min()))
     if isinstance(op, Diagonal):
         moduli = [abs(v) for v in op.entries.values()]
         if op.default is not None:
@@ -475,6 +562,18 @@ def _growth_bounds(op: OperatorSpec, n: int, lattice: str, runs: _RunProducts | 
         v = abs(op.value) ** n
         return GrowthBounds(v, v)
     raise OperatorError(f"growth bounds unavailable for {type(op).__name__}")
+
+
+def _shift_bounds(op: OperatorSpec, n: int, lattice: str, top: float, bottom: float) -> GrowthBounds:
+    """growth's bounds of a shift at power n >= 1, from the largest and the
+    smallest run product the power reads."""
+    profile = op.weights
+    ends = (profile.pos**n, profile.neg**n) if lattice == BILATERAL else (profile.pos**n,)
+    top = max(top, *ends)
+    if isinstance(op, BackwardShift) and lattice == UNILATERAL:
+        # e_0 .. e_{n-1} are annihilated
+        return GrowthBounds(top, 0.0)
+    return GrowthBounds(top, min(bottom, *ends))
 
 
 def ensure_power_fits(op: OperatorSpec, n: int, x):

@@ -235,6 +235,42 @@ FIELD_PATH_CASES = [
         "parameters.sampler.radius",
     ),
     ("nk stop", _experiment("criterion", nk={"start": 1, "stop": "forty"}), "parameters.nk.stop"),
+    # sampler and nk values out of range, which the library would refuse with no field path
+    (
+        "sampler support zero",
+        _experiment("detect", kind="compound", sampler={"support": 0}),
+        "parameters.sampler.support",
+    ),
+    (
+        "sampler radius negative",
+        _experiment("detect", kind="compound", sampler={"radius": -0.5}),
+        "parameters.sampler.radius",
+    ),
+    (
+        "sampler band negative",
+        _experiment("detect", kind="compound", sampler={"band": -2}),
+        "parameters.sampler.band",
+    ),
+    (
+        "sampler bound negative",
+        _experiment("detect", kind="compound", sampler={"bound": -1}),
+        "parameters.sampler.bound",
+    ),
+    (
+        "sampler modulus_lo above the bound",
+        _experiment("detect", kind="compound", sampler={"modulus_lo": 2}),
+        "parameters.sampler.modulus_lo",
+    ),
+    (
+        "sampler bound below the default modulus_lo",
+        _experiment("detect", kind="compound", sampler={"bound": 0.3}),
+        "parameters.sampler.bound",
+    ),
+    ("criterion sampler support zero", _experiment("criterion", sampler={"support": 0}), "parameters.sampler.support"),
+    ("nk list not positive", _experiment("criterion", nk=[-2, -1, 0, 1]), "parameters.nk"),
+    ("nk list not increasing", _experiment("criterion", nk=[1, 3, 3]), "parameters.nk"),
+    ("nk start not positive", _experiment("criterion", nk={"start": -2, "stop": 1}), "parameters.nk"),
+    ("nk range empty", _experiment("criterion", nk={"start": 3, "stop": 1}), "parameters.nk"),
     (
         "lambda entry",
         _experiment("criterion", variant="scaled", nk=[1, 2, 3], lambdas=[[1.0, "half", 1.0]]),

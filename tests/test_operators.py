@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from disklab import operators
 from disklab.operators import (
+    PIN_CELLS,
     BackwardShift,
     Dense,
     Diagonal,
@@ -451,12 +452,21 @@ def test_shift_powers_near_the_float_max_match_the_reference_or_raise(lattice):
         except FloatingPointError:
             prods = None
         for op in (ForwardShift(profile), BackwardShift(profile)):
-            stack = PowerStack(op, window, n)
+            # a stack to power n alone, and one whose chunks form n with the
+            # powers a few below it, some of which may overflow
+            stack, chunked = PowerStack(op, window, n), PowerStack(op, window, d - 1)
+            for below in range(max(1, n - 4), n):
+                for read in (chunked.power_map, chunked.growth):
+                    try:
+                        read(below)
+                    except OperatorError:
+                        pass
             if prods is None:
                 with pytest.raises(OperatorError, match="overflows"):
                     power_apply(op, n, x)
-                with pytest.raises(OperatorError, match="power_map overflows a float at power"):
-                    stack.power_map(n)
+                for s in (stack, chunked):
+                    with pytest.raises(OperatorError, match=f"power_map overflows a float at power {n}:"):
+                        s.power_map(n)
             else:
                 want = np.zeros(d, dtype=np.complex128)
                 if isinstance(op, ForwardShift):
@@ -464,14 +474,15 @@ def test_shift_powers_near_the_float_max_match_the_reference_or_raise(lattice):
                 else:
                     want[: d - n] = x.coeffs[n:] * prods
                 assert np.array_equal(power_apply(op, n, x).coeffs, want)
-                assert np.array_equal(stack.power_map(n).apply_vec(x.coeffs), want)
+                for s in (stack, chunked):
+                    assert np.array_equal(s.power_map(n).apply_vec(x.coeffs), want)
             want_bounds = _reference_growth(op, n, lattice)
             if want_bounds is None:
-                for bounds in (lambda: growth(op, n, lattice), lambda: stack.growth(n)):
-                    with pytest.raises(OperatorError, match="overflows"):
+                for bounds in (lambda: growth(op, n, lattice), lambda: stack.growth(n), lambda: chunked.growth(n)):
+                    with pytest.raises(OperatorError, match=f"growth overflows a float at power {n}:"):
                         bounds()
             else:
-                assert growth(op, n, lattice) == stack.growth(n) == want_bounds
+                assert growth(op, n, lattice) == stack.growth(n) == chunked.growth(n) == want_bounds
         outcomes.append(prods is None)
     # both sides of the boundary are reached
     assert 0 < sum(outcomes) < len(outcomes)
@@ -484,6 +495,15 @@ def test_shift_powers_near_the_float_max_match_the_reference_or_raise(lattice):
         power_apply(ForwardShift(profile), 4, x)
     want = _reference_forward_power(profile, 5, x).coeffs
     assert np.all(np.isfinite(want)) and np.array_equal(PowerStack(ForwardShift(profile), w, 5).power_map(5).apply_vec(x.coeffs), want)
+    # one chunk forms powers 1..6: power 4 is left out and raises when asked,
+    # and power 5 past it is kept
+    stack = PowerStack(ForwardShift(profile), w, 6)
+    stack.power_map(1)
+    assert np.array_equal(stack.power_map(5).apply_vec(x.coeffs), want)
+    for _ in range(2):
+        with pytest.raises(OperatorError, match="power_map overflows a float at power 4:"):
+            stack.power_map(4)
+    assert np.array_equal(stack.power_map(5).apply_vec(x.coeffs), want)
     # runs are still multiplied left to right: 1e200 * 1e200 passes the float
     # range before 1e-200 brings the full product back to 1e200 (log-domain
     # products would answer this)
@@ -535,6 +555,28 @@ def test_powers_match_the_per_index_reference_loops(lattice):
             for n in range(d + 2):
                 assert np.array_equal(stack.power_map(n).apply_vec(x.coeffs), reference(profile, n, x).coeffs)
                 assert stack.growth(n) == _reference_growth(op, n, lattice)
+    # a window too wide for one chunk to reach horizon 40, read across the
+    # chunk boundaries in order, and out of order
+    w = IndexWindow(lattice, 2000)
+    d = w.dim
+    assert PIN_CELLS // d < 40
+    profile = _random_profile(rng)
+    x = ComplexVector(w, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    for op, reference in ((ForwardShift(profile), _reference_forward_power), (BackwardShift(profile), _reference_backward_power)):
+        want = {n: reference(profile, n, x).coeffs for n in range(41)}
+        for order in (range(41), (40, 1, 17)):
+            stack = PowerStack(op, w, 40)
+            for n in order:
+                assert np.array_equal(stack.power_map(n).apply_vec(x.coeffs), want[n])
+                assert stack.growth(n) == growth(op, n, lattice) == _reference_growth(op, n, lattice)
+            # a table's rows are the maps' arrays, within a chunk and across chunks
+            for first, last in ((1, 3), (17, 17), (1, 40)):
+                coeffs, tgt = stack.rows(first, last)
+                maps = [stack.power_map(n) for n in range(first, last + 1)]
+                assert np.array_equal(coeffs, [m.coeffs for m in maps]) and np.array_equal(tgt, [m.tgt for m in maps])
+        # growth runs widen with the horizon: to 400, a growth chunk holds under 100 powers
+        stack = PowerStack(op, w, 400)
+        assert [stack.growth(n) for n in range(401)] == [growth(op, n, lattice) for n in range(401)]
 
 
 def test_run_products_keep_one_row():

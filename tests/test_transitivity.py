@@ -12,6 +12,7 @@ from disklab.operators import (
     DirectSum,
     ForwardShift,
     OperatorError,
+    PowerStack,
     Scalar,
     WeightProfile,
     WindowGuardError,
@@ -78,6 +79,26 @@ def test_junction_scan_fixed_unit_certifies_cofinite_misses():
     assert rep.tail_start is None
     for e in rep.entries:
         assert (e.certificate is not None) == (e.status == MISS_CERTIFIED)
+
+
+def test_a_shift_scan_forms_each_stack_in_one_chunk(monkeypatch):
+    """A scan of the (2, 3) shift on m = 64 to horizon 40 reads every power of
+    T and of its right inverse S from one chunk per stack, and forms no shift
+    power alone (formed one at a time, it took 80)."""
+    alone, chunks = [], []
+    form, fill = PowerStack._form, PowerStack._fill_maps
+
+    def counted_form(stack, n):
+        if isinstance(stack.op, (ForwardShift, BackwardShift)):
+            alone.append(n)
+        return form(stack, n)
+
+    monkeypatch.setattr(PowerStack, "_form", counted_form)
+    monkeypatch.setattr(PowerStack, "_fill_maps", lambda stack, n: chunks.append(type(stack.op)) or fill(stack, n))
+    balls = unit_balls(64)
+    junction_scan((SHIFT_23,), balls, balls, horizon=40)
+    assert alone == []
+    assert sorted(t.__name__ for t in chunks) == ["BackwardShift", "ForwardShift"]
 
 
 def test_junction_scan_guard_fires_on_small_windows():
