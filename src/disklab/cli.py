@@ -674,7 +674,7 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
         raise ConfigError(_sub(path, "components"), "compound variants take exactly one operator")
     arity = len(comps)
     # the counts and pair samplers every variant's data takes
-    shared = _fields(params, path, tol=(_as_float, 1e-6), sample_count=(_as_sample_count, 25), seed=(_as_seed, 0))
+    shared = _fields(params, path, tol=(_positive("tol"), 1e-6), sample_count=(_as_sample_count, 25), seed=(_as_seed, 0))
     kwargs = _sampler_kwargs(params, path, make_vector_sampler)
     shared.update((key, make_vector_sampler(window, arity, **kwargs)) for key in ("xsampler", "ysampler"))
 
@@ -690,7 +690,7 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
         lambdas = _criterion_lambdas(params, arity, len(nk), path)
     data = CriterionData(components=comps, smaps=smaps, nk=nk, lambdas=lambdas, **shared)
     if variant == "roundtrip":
-        eps = _field(params, path, "eps", _as_float, 0.1)
+        eps = _field(params, path, "eps", _positive("eps"), 0.1)
         rt = roundtrip_scalar_derivation(data, eps)
         results = {
             "roundtrip": {
@@ -785,7 +785,7 @@ _SCENARIO_FIELDS = {
     "stop": _as_stop,
     "sample_count": _as_sample_count,
     "seed": _as_seed,
-    **dict.fromkeys(("radius", "eps", "tol", "p", "delta"), _as_float),
+    **{key: _positive(key) for key in ("radius", "eps", "tol", "p", "delta")},
     **dict.fromkeys(("small_entry", "large_entry", "c"), _as_complex),
 }
 

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -94,9 +94,11 @@ CERT_MARGIN = 1e-12  # certificates need lower_bound >= delta + this
 
 # random_search draws its samples in blocks of this many; a helper thread
 # draws the next block while this one is scored, which bounds the oracle's
-# memory at two blocks: four real normal arrays of block by window dimension.
-# It scores a block in chunks of about this many cells (rows times
-# dimension), so that the passes over a chunk run in cache
+# memory at two blocks: four real normal arrays of block by the active
+# columns (the window dimension only for a dense map, or for balls of full
+# support) and two arrays of block by the passive groups.  It scores a
+# block in chunks of about this many cells (rows times active columns and
+# groups), so that the passes over a chunk run in cache
 SEARCH_BATCH = 20000
 SCORE_CELLS = 256 * 97
 
@@ -1094,9 +1096,10 @@ def _squared_residuals(pmap: PowerMap, v: np.ndarray, alpha: complex | None = No
     An orthogonal-column map works on x and y in real arithmetic: column j
     meets only row tgt[j], so the residual is a sum over columns of
     |k_j z_j - v[tgt[j]]|^2 with k = alpha coeffs, plus |v|^2 over the rows no
-    live column reaches.  Given the one alpha of a fixed-mode search, it
-    forms k once, not for every row; the column then holds that alpha.  A
-    dense map forms the complex block.
+    live column reaches; random_search passes a map's active columns only,
+    and the rows its other columns reach have v = 0.  Given the one alpha of
+    a fixed-mode search, it forms k once, not for every row; the column then
+    holds that alpha.  A dense map forms the complex block.
     """
     if pmap.kind == "dense":
         matrix_t = pmap.matrix.T
@@ -1153,18 +1156,52 @@ def _scale_exponent(pmap: PowerMap, reach: float, v: np.ndarray) -> int:
     return max(0, math.ceil(math.log2(bound)) + top - 500) if bound > 0 else 0
 
 
+def _search_columns(pmap: PowerMap, u: np.ndarray, v: np.ndarray) -> tuple[PowerMap, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns random_search draws for, given the source centre u and
+    the target centre v: the map on its active columns, their mask, and the
+    moduli and sizes of the passive groups.
+
+    A column of an orthogonal-column map is active where u is nonzero, or
+    where it is live and v is nonzero at its target.  On any other column j,
+    z_j = s g_j, and the residual reads it only through |alpha c_j s g_j|^2
+    (0 on a dead column), so such columns are grouped by the exact value of
+    |c_j|, the dead ones in the group of modulus 0.  A dense map keeps every
+    column and has no groups.
+    """
+    if pmap.kind == "dense":
+        return pmap, np.ones(u.size, dtype=bool), np.empty(0), np.empty(0, dtype=np.int64)
+    active = (u != 0) | ((pmap.coeffs != 0) & (v != 0)[pmap.tgt])
+    moduli, sizes = np.unique(np.abs(pmap.coeffs[~active]), return_counts=True)
+    # rows that only passive columns reach have v = 0, so the residual over
+    # the rows no active column reaches is unchanged
+    return replace(pmap, coeffs=pmap.coeffs[active], tgt=pmap.tgt[active]), active, moduli, sizes
+
+
 def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     """Brute-force feasible sampling oracle for the hit problem.
 
     Draws (alpha, z) with z strictly inside each source ball and alpha uniform
     on the disk (or pinned in fixed mode); reports the best residual seen per
     component.  Sound but not sharp: it never proves a miss, only fails to
-    find a hit.  The draws are the same for every kind of map: component by
-    component, per block the real and then the imaginary normals, the radius
-    uniforms, and in disk mode the magnitude and phase uniforms.  One helper
-    thread makes the next block's draws while this block is scored; each draw
-    starts after the one before has finished, so the generator is used by one
-    thread at a time, in that order.
+    find a hit.
+
+    A point is u + s g with g a standard complex normal vector of the window's
+    dimension d, s = rho / |g| and rho = R U^(1/(2d)) (Muller 1959), but g is
+    drawn only where the residual reads it.  An orthogonal-column map reads
+    g_j itself on its active columns (see _search_columns); a passive group G
+    enters only through S_G = sum over G of |g_j|^2, which is chi-square with
+    2|G| degrees of freedom, drawn as 2 gamma(|G|).  The coordinates of g are
+    independent, so (g_A, S_G) has the joint law it has when all of g is
+    drawn, |g|^2 = |g_A|^2 + sum_G S_G, and every sample has the law of a
+    full draw.  Component by component, per block, it draws the real and
+    then the imaginary normals of the active columns, one gamma per row of
+    each group in order of modulus, the radius uniforms, and in disk mode the
+    magnitude and phase uniforms.  A dense map, or an orthogonal-column map
+    with no passive column, draws every normal, as a full draw does.
+
+    One helper thread makes the next block's draws while this block is
+    scored; each draw starts after the one before has finished, so the
+    generator is used by one thread at a time, in that order.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -1173,33 +1210,43 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     dims = [ball.center.window.dim for ball in p.sources.balls]
     # every component's map first, so a map that cannot be built fails
     # before anything is drawn
-    scorers = []
+    scorers, widths, group_sizes = [], [], []
     for i, (op, src, tgt) in enumerate(zip(p.components, p.sources.balls, p.targets.balls)):
         pmap, v = power_map(op, p.n, src.center.window), tgt.center.coeffs
         # residuals are scored in units of 2^e, so that their squares cannot overflow
         e = _scale_exponent(pmap, norm(src.center) + src.radius, v)
         alpha = p.fixed_alphas[i] if p.mode == FIXED else None
-        residuals = _squared_residuals(pmap.scaled(2.0**-e), v * 2.0**-e, alpha)
-        centre = (np.ascontiguousarray(src.center.coeffs.real), np.ascontiguousarray(src.center.coeffs.imag))
-        scorers.append((residuals, centre, 2.0**e))
+        pmap, v = pmap.scaled(2.0**-e), v * 2.0**-e
+        drawn, active, moduli, sizes = _search_columns(pmap, src.center.coeffs, v)
+        u = src.center.coeffs[active]
+        centre = (np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag))
+        scorers.append((_squared_residuals(drawn, v, alpha), centre, moduli[:, None], 2.0**e))
+        widths.append(u.size)
+        group_sizes.append(sizes)
+    groups = [sizes.size for sizes in group_sizes]
     blocks = [(i, min(SEARCH_BATCH, samples - lo)) for i in range(k) for lo in range(0, samples, SEARCH_BATCH)]
-    # two pairs of flat buffers, filled in turn, each block viewing its first b*d cells
-    cells = min(SEARCH_BATCH, samples) * max(dims)
-    buffers = [(np.empty(cells), np.empty(cells)) for _ in range(2)]
+    # two triples of flat buffers, filled in turn, each block viewing its
+    # first b*width normals and b*groups gammas
+    block_rows = min(SEARCH_BATCH, samples)
+    buffers = [tuple(np.empty(block_rows * max(n)) for n in (widths, widths, groups)) for _ in range(2)]
 
     def draw(step: int):
         i, b = blocks[step]
-        d = dims[i]
-        x, y = (buf[: b * d].reshape(b, d) for buf in buffers[step % 2])
+        xbuf, ybuf, sbuf = buffers[step % 2]
+        x, y = (buf[: b * widths[i]].reshape(b, widths[i]) for buf in (xbuf, ybuf))
         rng.standard_normal(out=x)
         rng.standard_normal(out=y)
-        radii = p.sources.balls[i].radius * rng.uniform(size=b) ** (1.0 / (2 * d)) * (1.0 - 1e-12)
+        group_sq = sbuf[: b * groups[i]].reshape(groups[i], b)
+        for row, size in zip(group_sq, group_sizes[i]):
+            rng.standard_gamma(size, out=row)
+        group_sq *= 2.0
+        radii = p.sources.balls[i].radius * rng.uniform(size=b) ** (1.0 / (2 * dims[i])) * (1.0 - 1e-12)
         if p.mode == FIXED:
             alphas = np.full(b, p.fixed_alphas[i], dtype=np.complex128)
         else:
             mags = np.sqrt(rng.uniform(size=b))
             alphas = mags * np.exp(2j * np.pi * rng.uniform(size=b))
-        return x, y, radii, alphas
+        return x, y, group_sq, radii, alphas
 
     best_res = [math.inf] * k
     best_alpha_found = [1.0 + 0j] * k
@@ -1213,23 +1260,35 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(draw, 0)
         for step, (i, b) in enumerate(blocks):
-            x, y, radii, alphas = pending.result()
+            x, y, group_sq, radii, alphas = pending.result()
             if step + 1 < len(blocks):
                 pending = helper.submit(draw, step + 1)
-            residuals, (cr, ci), unit = scorers[i]
-            chunk = max(1, SCORE_CELLS // dims[i])
+            residuals, (cr, ci), moduli, unit = scorers[i]
+            chunk = max(1, SCORE_CELLS // (widths[i] + groups[i]))
             sq = np.empty(b)
             for lo in range(0, b, chunk):
                 rows = slice(lo, lo + chunk)
                 xr, yr = x[rows], y[rows]
-                norms = np.sqrt(np.einsum("ij,ij->i", xr, xr) + np.einsum("ij,ij->i", yr, yr))
+                norms_sq = np.einsum("ij,ij->i", xr, xr) + np.einsum("ij,ij->i", yr, yr)
+                if groups[i]:
+                    sr = group_sq[:, rows]
+                    norms_sq += np.add.reduce(sr, axis=0)
+                norms = np.sqrt(norms_sq)
                 norms[norms == 0] = 1.0
-                scale = (radii[rows] / norms)[:, None]
-                xr *= scale
+                scale = radii[rows] / norms
+                xr *= scale[:, None]
                 xr += cr
-                yr *= scale
+                yr *= scale[:, None]
                 yr += ci
                 sq[rows] = residuals(xr, yr, alphas[rows, None])
+                if groups[i]:
+                    # |alpha c_G s|^2 S_G, formed as the square of
+                    # |c_G| |alpha| s sqrt(S_G), which is at most the
+                    # scaled bound on any residual, so it cannot overflow
+                    terms = np.sqrt(sr)
+                    terms *= scale * np.abs(alphas[rows])
+                    terms *= moduli
+                    sq[rows] += np.einsum("ij,ij->j", terms, terms)
             j = int(np.argmin(sq))
             res = math.sqrt(sq[j]) * unit
             if res < best_res[i]:

@@ -316,6 +316,27 @@ FIELD_PATH_CASES = [
         "parameters.horizon",
     ),
     ("orbit horizon negative", _experiment("orbit", vector={"basis": 0}, horizon=-3), "parameters.horizon"),
+    # numbers that mean nothing at 0 or below, which the library would refuse with no field path
+    *(
+        (
+            f"scenario {key} {value}",
+            {"experiment": "scenario", "parameters": {"id": scenario, key: value}},
+            f"parameters.{key}",
+        )
+        for scenario, key in (
+            ("shift-compound-not-mixing", "radius"),
+            ("scalar-derivation-roundtrip", "eps"),
+            ("scalar-derivation-roundtrip", "tol"),
+            ("diagonal-spectral-split", "p"),
+            ("diagonal-spectral-split", "delta"),
+        )
+        for value in (0, -0.5)
+    ),
+    *((f"criterion tol {value}", _experiment("criterion", tol=value), "parameters.tol") for value in (0, -1)),
+    *(
+        (f"roundtrip eps {value}", _experiment("criterion", variant="roundtrip", eps=value), "parameters.eps")
+        for value in (0, -1)
+    ),
     (
         "hit power negative",
         _experiment("hit", n=-1, **dict.fromkeys(("sources", "targets"), [{"center": {"basis": 0}, "radius": 0.5}])),

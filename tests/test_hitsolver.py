@@ -1254,6 +1254,202 @@ def test_drawing_ahead_keeps_the_stream(samples, mode):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def reference_columns(pmap, u, v):
+    """The active mask and the passive groups' moduli and sizes that
+    random_search draws for: a column is active where u is nonzero, or where
+    it is live and v is nonzero at its target; the others are grouped by
+    |c_j|.  A dense map has every column active."""
+    if pmap.kind == "dense":
+        return np.ones(u.size, dtype=bool), np.empty(0), np.empty(0, dtype=int)
+    active = (u != 0) | ((pmap.coeffs != 0) & (v[pmap.tgt] != 0))
+    moduli, sizes = np.unique(np.abs(pmap.coeffs[~active]), return_counts=True)
+    return active, moduli, sizes
+
+
+def grouped_reference_search(p, samples, seed):
+    """reference_search drawing only what the residual reads: per block the
+    real and imaginary normals of the active columns, 2 gamma(|G|) for each
+    passive group G (the squared norm of its normals), the radius uniforms
+    and the alphas.  Points are formed on the active columns and go through
+    apply_batch; a group adds |alpha c_G|^2 s^2 S_G.  Residuals are taken in
+    units of a power of two past the largest entry, so that powers such as
+    2^1000 keep finite squares."""
+    rng = np.random.default_rng(seed)
+    k = len(p.components)
+    best_res = [math.inf] * k
+    best_alpha_found = [1.0 + 0j] * k
+    for i, op in enumerate(p.components):
+        src, tgt = p.sources.balls[i], p.targets.balls[i]
+        d = src.center.window.dim
+        pmap = power_map(op, p.n, src.center.window)
+        unit = 2.0 ** math.frexp(float(np.max(np.abs(pmap.matrix if pmap.kind == "dense" else pmap.coeffs))))[1]
+        pmap, v = pmap.scaled(1 / unit), tgt.center.coeffs / unit
+        active, moduli, sizes = reference_columns(pmap, src.center.coeffs, v)
+        left = samples
+        while left > 0:
+            b = min(hitsolver.SEARCH_BATCH, left)
+            left -= b
+            dirs = rng.standard_normal((b, active.sum())) + 1j * rng.standard_normal((b, active.sum()))
+            group_sq = 2 * np.array([rng.standard_gamma(size, size=b) for size in sizes]).reshape(sizes.size, b)
+            norms = np.sqrt(np.linalg.norm(dirs, axis=1) ** 2 + group_sq.sum(axis=0))
+            radii = src.radius * rng.uniform(size=b) ** (1.0 / (2 * d)) * (1.0 - 1e-12)
+            if p.mode == FIXED:
+                alphas = np.full(b, p.fixed_alphas[i], dtype=np.complex128)
+            else:
+                mags = np.sqrt(rng.uniform(size=b))
+                alphas = mags * np.exp(2j * np.pi * rng.uniform(size=b))
+            s = radii / norms
+            z_block = np.tile(src.center.coeffs, (b, 1))
+            z_block[:, active] += dirs * s[:, None]
+            w_block = apply_batch(pmap, z_block)
+            sq = np.linalg.norm(alphas[:, None] * w_block - v, axis=1) ** 2
+            sq += np.abs(alphas) ** 2 * s**2 * (moduli**2 @ group_sq)
+            res = np.sqrt(sq) * unit
+            j = int(np.argmin(res))
+            if res[j] < best_res[i]:
+                best_res[i] = float(res[j])
+                best_alpha_found[i] = complex(alphas[j])
+    return best_res, best_alpha_found, [best_res[i] < p.targets.balls[i].radius for i in range(k)]
+
+
+def _sparse_operator(kind, window, rng):
+    if kind == "diagonal":
+        # two moduli under random phases, and a dead column
+        moduli = rng.choice([0.7, 1.3], size=window.dim)
+        entries = moduli * np.exp(2j * np.pi * rng.uniform(size=window.dim))
+        entries[rng.integers(window.dim)] = 0.0
+        return Diagonal(dict(zip(window.indices(), entries)))
+    return _random_operator(kind, window, rng)
+
+
+def _basis_ball(window, rng, radius_range):
+    j = int(rng.integers(window.lo, window.hi + 1))
+    phase = complex(np.exp(2j * np.pi * rng.uniform()))
+    return Ball(ComplexVector.basis(window, j, phase), float(rng.uniform(*radius_range)))
+
+
+def _sparse_problem(kinds, windows, n, mode, rng):
+    """Basis-vector balls: most columns are passive, shift and diagonal
+    weights repeat, so groups hold several columns, and n >= dim leaves a
+    shift's columns dead."""
+    return HitProblem(
+        components=tuple(_sparse_operator(kind, w, rng) for kind, w in zip(kinds, windows)),
+        n=n,
+        sources=ProductBall(tuple(_basis_ball(w, rng, (0.2, 1.0)) for w in windows)),
+        targets=ProductBall(tuple(_basis_ball(w, rng, (0.5, 2.5)) for w in windows)),
+        mode=mode,
+        fixed_alphas=tuple(rng.uniform(0.2, 1.0) * np.exp(2j * np.pi * rng.uniform()) for _ in kinds)
+        if mode == FIXED
+        else None,
+    )
+
+
+_SEVEN, _FOUR, _THIRTEEN = IndexWindow(BILATERAL, 3), IndexWindow(UNILATERAL, 3), IndexWindow(BILATERAL, 6)
+# (kinds, windows, n): forward and backward shifts at several n, a diagonal,
+# a scalar, and two components on windows of dimension 4 and 13
+SPARSE_GUARD_CASES = [
+    (("forward",), (_SEVEN,), 1),
+    (("forward",), (_SEVEN,), 3),
+    (("forward",), (_SEVEN,), 8),
+    (("backward",), (_SEVEN,), 2),
+    (("backward",), (_SEVEN,), 5),
+    (("diagonal",), (_SEVEN,), 2),
+    (("scalar",), (_SEVEN,), 3),
+    (("forward", "backward"), (_FOUR, _THIRTEEN), 2),
+    (("diagonal", "scalar"), (_THIRTEEN, _FOUR), 1),
+]
+
+
+@pytest.mark.parametrize("mode", [FIXED, DISK])
+@pytest.mark.parametrize(
+    "case",
+    range(len(SPARSE_GUARD_CASES)),
+    ids=["-".join(k) + f"-dims{'-'.join(str(w.dim) for w in ws)}-n{n}" for k, ws, n in SPARSE_GUARD_CASES],
+)
+def test_random_search_draws_grouped_marginals(case, mode):
+    """On balls centred at basis vectors most columns are passive: the search
+    draws the grouped stream of grouped_reference_search, over two blocks,
+    the second one short, and leaves a caller's generator in the same state."""
+    kinds, windows, n = SPARSE_GUARD_CASES[case]
+    p = _sparse_problem(kinds, windows, n, mode, np.random.default_rng([case, mode == FIXED, 21]))
+    groups = [
+        reference_columns(power_map(op, n, src.center.window), src.center.coeffs, tgt.center.coeffs)[2].size
+        for op, src, tgt in zip(p.components, p.sources.balls, p.targets.balls)
+    ]
+    assert min(groups) >= 1
+    samples = hitsolver.SEARCH_BATCH + 5000
+    _assert_matches_reference(random_search(p, samples, 300 + case), grouped_reference_search(p, samples, 300 + case))
+    ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+    _assert_matches_reference(random_search(p, samples, ours), grouped_reference_search(p, samples, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _ks_statistic(a, b):
+    """The two-sample Kolmogorov-Smirnov statistic: the largest gap between
+    the empirical distribution functions of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, at, side="right") / a.size - np.searchsorted(b, at, side="right") / b.size)))
+
+
+@pytest.mark.parametrize("mode", [FIXED, DISK])
+def test_grouped_draws_keep_the_law_of_full_draws(mode):
+    """The best residual of 40 samples on the (2, 3) shift from e0 to e2 at
+    n = 2, where five of seven columns fall in passive groups: 2,000 runs of
+    random_search and 2,000 full-draw reference runs on other seeds are one
+    law by the two-sample KS test at level 0.01.  The seeds are fixed, so
+    the test is deterministic."""
+    w = IndexWindow(BILATERAL, 3)
+    alphas = (0.8j,) if mode == FIXED else None
+    balls = [ProductBall((Ball(ComplexVector.basis(w, j), 0.6),)) for j in (0, 2)]
+    p = HitProblem((EXAMPLE_SHIFT,), 2, *balls, mode, alphas)
+    runs, samples = 2000, 40
+    ours = [random_search(p, samples, seed).best_residuals[0] for seed in range(runs)]
+    theirs = [reference_search(p, samples, runs + seed)[0][0] for seed in range(runs)]
+    critical = math.sqrt(-math.log(0.01 / 2) / 2) * math.sqrt(2 / runs)
+    assert _ks_statistic(ours, theirs) < critical
+
+
+class CountingDraws:
+    """A generator that counts what is drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.normals, self.gammas = rng, 0, []
+
+    def standard_normal(self, out):
+        self.normals += out.size
+        return self.rng.standard_normal(out=out)
+
+    def standard_gamma(self, shape, out):
+        self.gammas.append((shape, out.size))
+        return self.rng.standard_gamma(shape, out=out)
+
+    def uniform(self, size):
+        return self.rng.uniform(size=size)
+
+
+@pytest.mark.parametrize("mode", [FIXED, DISK])
+def test_passive_columns_cost_one_gamma_per_group(monkeypatch, mode):
+    """e0 to e0 under the (2, 3) shift at n = 2 on m = 48 (dimension 97):
+    the residual reads columns 0 and -2, so a sample takes four normals and
+    one gamma for each passive modulus, never 2 * 97 normals."""
+    w = IndexWindow(BILATERAL, 48)
+    ball = ProductBall((Ball(ComplexVector.basis(w, 0), 0.5),))
+    p = HitProblem((EXAMPLE_SHIFT,), 2, ball, ball, mode, (1.0,) if mode == FIXED else None)
+    coeffs = power_map(EXAMPLE_SHIFT, 2, w).coeffs
+    passive = np.delete(np.abs(coeffs), [48, 48 - 2])
+    moduli = np.unique(passive)
+    samples = hitsolver.SEARCH_BATCH + 5000
+    counter = CountingDraws(np.random.default_rng(4))
+    monkeypatch.setattr(hitsolver, "as_rng", lambda seed: counter)
+    random_search(p, samples, seed=None)
+    assert counter.normals == 2 * 2 * samples < 2 * w.dim * samples
+    assert len(counter.gammas) == 2 * moduli.size
+    assert [size for _, size in counter.gammas] == [hitsolver.SEARCH_BATCH] * moduli.size + [5000] * moduli.size
+    assert [shape for shape, _ in counter.gammas] == 2 * [int(np.sum(passive == m)) for m in moduli]
+    assert sum(shape for shape, _ in counter.gammas[: moduli.size]) == w.dim - 2
+
+
 def test_random_search_needs_a_sample():
     p = unit_ball_problem()
     for samples in (0, -5):
@@ -1266,9 +1462,9 @@ class _Boom(Exception):
 
 
 def test_failures_reach_the_caller_and_no_thread_outlives_the_search(monkeypatch):
-    """A kernel that raises in the middle of the second block, and a draw that
-    raises on the helper thread, both surface in the caller, and every helper
-    thread has been joined by then."""
+    """A kernel that raises in the middle of the second block, and a normal
+    or a gamma draw that raises on the helper thread, all surface in the
+    caller, and every helper thread has been joined by then."""
     p = _mixed_dimension_problem(DISK)
     samples = 2 * hitsolver.SEARCH_BATCH
     threads = threading.active_count()
@@ -1294,14 +1490,19 @@ def test_failures_reach_the_caller_and_no_thread_outlives_the_search(monkeypatch
     monkeypatch.undo()
 
     class FailingDraws:
-        def __init__(self, rng):
-            self.rng, self.calls = rng, 0
+        def __init__(self, rng, failing="draw"):
+            self.rng, self.calls, self.failing = rng, 0, failing
 
         def standard_normal(self, out):
             self.calls += 1
-            if self.calls == 3:  # the second block's real normals
+            if self.calls == 3 and self.failing == "draw":  # the second block's real normals
                 raise _Boom("draw")
             return self.rng.standard_normal(out=out)
+
+        def standard_gamma(self, shape, out):
+            if self.calls > 2 and self.failing == "gamma":  # a gamma of the second block
+                raise _Boom("gamma")
+            return self.rng.standard_gamma(shape, out=out)
 
         def uniform(self, size):
             return self.rng.uniform(size=size)
@@ -1310,15 +1511,21 @@ def test_failures_reach_the_caller_and_no_thread_outlives_the_search(monkeypatch
     with pytest.raises(_Boom, match="draw"):
         random_search(p, samples, seed=3)
     assert threading.active_count() == threads
+    # e0 to e0 leaves passive columns, so the second block draws gammas
+    # after its normals
+    monkeypatch.setattr(hitsolver, "as_rng", lambda seed: FailingDraws(np.random.default_rng(seed), "gamma"))
+    with pytest.raises(_Boom, match="gamma"):
+        random_search(unit_ball_problem(), samples, seed=3)
+    assert threading.active_count() == threads
 
 
 def test_overflowing_scalar_powers_are_named_errors_in_the_oracle():
     """Scalar(2.0) at n = 1100 is decided by the exact route, but the oracle
     and the witness check, which form 2^1100, refuse it with an OperatorError;
     at n = 600 and 1000 the power is finite and the oracle runs, and its best
-    residual, whose square passes the float range, stays finite and no
-    smaller than the exact route's lower bound, for the scalar and for the
-    same power as a dense map."""
+    residual, whose square passes the float range, stays finite, no smaller
+    than the exact route's lower bound, and equal to that of the grouped
+    reference loop on the same draws."""
     w = IndexWindow(BILATERAL, 4)
     e0, e1 = ComplexVector.basis(w, 0), ComplexVector.basis(w, 1)
 
@@ -1342,9 +1549,8 @@ def test_overflowing_scalar_powers_are_named_errors_in_the_oracle():
                 (res,) = random_search(p, 100, seed=1).best_residuals
                 lb = solve_hit(p).lower_bound
                 assert math.isfinite(res) and res >= lb * (1 - 1e-12) - 1e-12
-                # the same draws, scored through a dense map of 2 I
-                dense = problem(n, mode, Dense(2.0 * np.eye(w.dim)))
-                assert random_search(dense, 100, seed=1).best_residuals == pytest.approx((res,), rel=1e-12)
+                # the same draws, scored through apply_batch in units of 2^(n+1)
+                assert grouped_reference_search(p, 100, 1)[0] == pytest.approx([res], rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
