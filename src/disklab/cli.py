@@ -27,6 +27,7 @@ from .criteria import (
     CriterionData,
     CriterionError,
     SpectralSplit,
+    _check_scalars,
     check_compound_scalar_free,
     check_compound_scaled,
     check_scalar_free_criterion,
@@ -108,15 +109,17 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # typed readers; every one is called as read(value, path) and names the
-# offending field on failure
+# offending field on failure.  A table reads its fields as read(value, path,
+# ctx), ctx holding what a field depends on: the window, the operators and
+# the fields read before it.  Readers that need none of it ignore ctx.
 
-Reader = Callable[[Any, str], Any]
+Reader = Callable[..., Any]
 
 
 def _reader(
     expected: str, accepts: Callable[[Any], bool], convert: Callable | None = None, show=repr
 ) -> Reader:
-    def read(value: Any, path: str) -> Any:
+    def read(value: Any, path: str, ctx: dict | None = None) -> Any:
         if not accepts(value):
             raise ConfigError(path, f"expected {expected}, got {show(value)}")
         try:
@@ -158,7 +161,7 @@ _as_complex = _reader(
 def _at_least(low: int, what: str) -> Reader:
     """Reader of an integer of at least low, such as a window size, a count or a seed."""
 
-    def read(value: Any, path: str) -> int:
+    def read(value: Any, path: str, ctx: dict | None = None) -> int:
         n = _as_int(value, path)
         if n < low:
             raise ConfigError(path, f"{what} must be at least {low}")
@@ -170,7 +173,7 @@ def _at_least(low: int, what: str) -> Reader:
 def _positive(what: str) -> Reader:
     """Reader of a number above 0, such as a radius or a bound."""
 
-    def read(value: Any, path: str) -> float:
+    def read(value: Any, path: str, ctx: dict | None = None) -> float:
         x = _as_float(value, path)
         if x <= 0:
             raise ConfigError(path, f"{what} must be positive")
@@ -182,22 +185,18 @@ def _positive(what: str) -> Reader:
 _as_size = _at_least(1, "window size")
 _as_trials = _at_least(1, "trials")
 _as_horizon = _at_least(1, "horizon")
-_as_orbit_horizon = _at_least(0, "horizon")
-_as_power = _at_least(0, "n")
-_as_stop = _at_least(1, "stop")
 _as_sample_count = _at_least(1, "sample_count")
-_as_seed = _at_least(0, "seed")
 
 
 def _items(read: Reader) -> Reader:
-    """Reader of a list whose entries `read` takes, at paths path[i]."""
-    return lambda value, path: [read(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+    """Reader of a list into the tuple of its entries, each taken by `read` at path[i]."""
+    return lambda value, path, ctx=None: tuple(read(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path)))
 
 
 def _int_keyed(read: Reader) -> Reader:
     """Reader of an object keyed by integer indices, values taken by `read`."""
 
-    def read_table(value: Any, path: str) -> dict:
+    def read_table(value: Any, path: str, ctx: dict | None = None) -> dict:
         out = {}
         for key, raw in _as_dict(value, path).items():
             try:
@@ -213,7 +212,7 @@ def _int_keyed(read: Reader) -> Reader:
 def _choice(options: Mapping, what: str) -> Reader:
     """Reader of a string naming one of the keys of `options`; returns its value."""
 
-    def read(value: Any, path: str) -> Any:
+    def read(value: Any, path: str, ctx: dict | None = None) -> Any:
         name = _as_str(value, path)
         if name not in options:
             raise ConfigError(path, f"unknown {what} {name!r}")
@@ -242,10 +241,58 @@ def _field(spec: Mapping, path: str, key: str, read: Reader, default: Any = _REQ
     return read(value, _sub(path, key))
 
 
-def _fields(spec: Any, path: str, **table: tuple[Reader, Any]) -> dict:
-    """Read the object at path, one key=(reader, default) entry per field."""
-    spec = _as_dict(spec, path)
-    return {key: _field(spec, path, key, read, default) for key, (read, default) in table.items()}
+# ---------------------------------------------------------------------------
+# tables: each experiment, scenario and sampler reads its parameters from one
+# table, and every check on which keys it takes derives from that table
+
+
+class _Field(NamedTuple):
+    """A field's reader, its default (_REQUIRED: must be given; None: may be
+    left out; or a function of ctx), and the values of the table's choice
+    (mode or variant) that read it, None for all of them."""
+
+    read: Reader
+    default: Any = _REQUIRED
+    only: tuple[str, ...] | None = None
+
+
+class _Table(NamedTuple):
+    """A runner, its fields in reading order, and the field that is its choice."""
+
+    run: Callable[..., RunOutcome]
+    fields: Mapping[str, _Field]
+    choice: str | None = None
+
+
+def _check_keys(params: Mapping, fields: Mapping[str, _Field], what: str, path="parameters", choice=None) -> None:
+    """Reject, before the run, the first key that no field holds, or that the
+    chosen mode or variant does not read, so a misspelt or stale key cannot
+    pass unnoticed.  An unknown mode or variant is left for its reader."""
+    for key in params:
+        if key not in fields:
+            listed = ", ".join(sorted(fields))
+            raise ConfigError(_sub(path, key), f"not a parameter of this {what}; it takes {listed}")
+        readers = fields[key].only
+        if readers is None:
+            continue
+        default = fields[choice].default
+        picked = params.get(choice, default)
+        known = picked == default or any(picked in f.only for f in fields.values() if f.only)
+        if known and picked not in readers:
+            message = f"not read when {choice} is {picked!r}; only {choice} {', '.join(readers)} reads it"
+            raise ConfigError(_sub(path, key), message)
+
+
+def _read_table(spec: Any, fields: Mapping[str, _Field], path: str, choice=None, **ctx: Any) -> dict:
+    """The object at path read field by field, in table order, into ctx, which
+    holds what the caller passed; each reader gets ctx with the fields read
+    before it.  A field that the chosen mode or variant does not read is None."""
+    params = _as_dict(spec, path)
+    for key, f in fields.items():
+        default = f.default(ctx) if callable(f.default) else f.default
+        read = f.only is None or ctx[choice] in f.only
+        ctx[key] = _field(params, path, key, lambda value, at: f.read(value, at, ctx), default) if read else None
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +337,15 @@ _WINDOW_KINDS = {"bilateral": BILATERAL, "unilateral": UNILATERAL}
 
 
 def build_window(spec: Any, path: str = "window") -> IndexWindow:
-    kind, m = _fields(
-        spec, path, kind=(_choice(_WINDOW_KINDS, "window kind"), "bilateral"), m=(_as_size, _REQUIRED)
-    ).values()
+    fields = {"kind": _Field(_choice(_WINDOW_KINDS, "window kind"), "bilateral"), "m": _Field(_as_size)}
+    kind, m = _read_table(spec, fields, path).values()
     return IndexWindow(kind, m)
 
 
 def _build_weights(spec: dict, path: str) -> WeightProfile:
     pos = _field(spec, path, "pos", _as_float)
-    neg, table = _fields(spec, path, neg=(_as_float, pos), table=(_int_keyed(_as_float), {})).values()
+    fields = {"neg": _Field(_as_float, pos), "table": _Field(_int_keyed(_as_float), {})}
+    neg, table = _read_table(spec, fields, path).values()
     for where, w in [("pos", pos), ("neg", neg)] + [(k, v) for k, v in table.items()]:
         if w <= 0:
             raise ConfigError(_sub(path, str(where)), "weights must be positive")
@@ -306,9 +353,8 @@ def _build_weights(spec: dict, path: str) -> WeightProfile:
 
 
 def _build_diagonal(spec: dict, path: str, window: IndexWindow) -> Diagonal:
-    entries, default = _fields(
-        spec, path, entries=(_int_keyed(_as_complex), _REQUIRED), default=(_as_complex, None)
-    ).values()
+    fields = {"entries": _Field(_int_keyed(_as_complex)), "default": _Field(_as_complex, None)}
+    entries, default = _read_table(spec, fields, path).values()
     return Diagonal(entries, default)
 
 
@@ -350,14 +396,14 @@ def build_operators(spec: Any, window: IndexWindow, path: str = "operators") -> 
     # direct sums resolve after the plain operators they reference
     for op_spec, name, op_path in deferred:
         parts = _field(op_spec, op_path, "parts", _items(_choice(registry, "operator")))
-        registry[name] = DirectSum(tuple(parts))
+        registry[name] = DirectSum(parts)
     return registry
 
 
 def build_vector(spec: Any, window: IndexWindow, path: str) -> ComplexVector:
     spec = _as_dict(spec, path)
     if "basis" in spec:
-        j, scale = _fields(spec, path, basis=(_as_int, _REQUIRED), scale=(_as_complex, 1.0)).values()
+        j, scale = _read_table(spec, {"basis": _Field(_as_int), "scale": _Field(_as_complex, 1.0)}, path).values()
         if not window.contains(j):
             raise ConfigError(_sub(path, "basis"), f"index {j} falls outside the window")
         return ComplexVector.basis(window, j, scale)
@@ -371,12 +417,8 @@ def build_vector(spec: Any, window: IndexWindow, path: str) -> ComplexVector:
 
 
 def build_ball(spec: Any, window: IndexWindow, path: str) -> Ball:
-    center, radius = _fields(
-        spec,
-        path,
-        center=(lambda v, p: build_vector(v, window, p), _REQUIRED),
-        radius=(_positive("radius"), _REQUIRED),
-    ).values()
+    fields = {"center": _Field(lambda v, p, ctx: build_vector(v, window, p)), "radius": _Field(_positive("radius"))}
+    center, radius = _read_table(spec, fields, path).values()
     return Ball(center, radius)
 
 
@@ -387,62 +429,47 @@ def build_product_ball(spec: Any, window: IndexWindow, path: str, arity: int) ->
     return ProductBall(tuple(build_ball(b, window, f"{path}[{i}]") for i, b in enumerate(items)))
 
 
-def _resolve_components(params: dict, registry: dict, path: str) -> tuple:
-    names = _field(params, path, "components", lambda v, p: [v] if isinstance(v, str) else v)
-    comps = tuple(_items(_choice(registry, "operator"))(names, _sub(path, "components")))
+def _arity(ctx: Mapping) -> int:
+    """The number of components of the operators a table has read."""
+    return len(components_of(ctx["components"]))
+
+
+def _read_components(value: Any, path: str, ctx: Mapping) -> tuple:
+    """One operator name or a list of them, looked up among the run's operators."""
+    comps = _items(_choice(ctx["registry"], "operator"))([value] if isinstance(value, str) else value, path)
     if not comps:
-        raise ConfigError(_sub(path, "components"), "needs at least one operator")
+        raise ConfigError(path, "needs at least one operator")
     return comps
 
 
-def _mode_and_alphas(params: dict, arity: int, path: str) -> tuple[str, tuple | None]:
-    mode = _field(params, path, "mode", _as_str, DISK)
-    if mode not in (DISK, FIXED):
-        raise ConfigError(_sub(path, "mode"), f"mode must be 'disk' or 'fixed', got {mode!r}")
-    if mode == DISK:
-        return mode, None
-    return mode, tuple(_field(params, path, "alphas", _items(_as_complex), [1.0] * arity))
+class _Sampler(NamedTuple):
+    """Reader of a sampler object into factory(window, arity, ...).  Its table
+    holds the keyword parameters of factory, each with factory's default."""
 
+    factory: Callable
+    fields: Mapping[str, _Field]
 
-def _scan_inputs(
-    params: dict, registry: dict, window: IndexWindow, path: str, balls=("sources", "targets")
-) -> tuple:
-    """Components, their arity, the two ball tuples named by `balls`, mode and alphas."""
-    comps = _resolve_components(params, registry, path)
-    arity = len(components_of(comps))
-    first, second = (
-        _field(params, path, key, lambda v, p: build_product_ball(v, window, p, arity)) for key in balls
-    )
-    return (comps, arity, first, second) + _mode_and_alphas(params, arity, path)
+    @classmethod
+    def of(cls, factory: Callable, **readers: Reader) -> _Sampler:
+        defaults = inspect.signature(factory).parameters
+        return cls(factory, {key: _Field(read, defaults[key].default) for key, read in readers.items()})
 
-
-_SAMPLER_FIELDS = {
-    "radius": _positive("radius"),
-    "support": _at_least(1, "support"),
-    "bound": _positive("bound"),
-    "band": _at_least(0, "band"),
-    "modulus_lo": _as_float,
-}
-
-
-def _sampler_kwargs(params: dict, path: str, factory: Callable) -> dict:
-    """The sampler fields of params, for factory (make_ball_sampler or
-    make_vector_sampler); modulus_lo is checked against the bound the
-    sampler will use, either of them possibly factory's default."""
-    sampler_path = _sub(path, "sampler")
-    spec = _field(params, path, "sampler", _as_dict, {})
-    defaults = {key: p.default for key, p in inspect.signature(factory).parameters.items()}
-    for key in spec:
-        if key not in _SAMPLER_FIELDS:
-            raise ConfigError(_sub(sampler_path, key), f"unknown sampler field {key!r}")
-    if "radius" in spec and "radius" not in defaults:
-        raise ConfigError(_sub(sampler_path, "radius"), "radius applies only to ball samplers")
-    kwargs = {key: _SAMPLER_FIELDS[key](value, _sub(sampler_path, key)) for key, value in spec.items()}
-    lo, bound = ({**defaults, **kwargs}[key] for key in ("modulus_lo", "bound"))
-    if lo is not None and not 0 <= lo <= bound:
-        key = "modulus_lo" if "modulus_lo" in kwargs else "bound"
-        raise ConfigError(_sub(sampler_path, key), f"modulus_lo {lo} must lie in [0, bound {bound}]")
-    return kwargs
+    def __call__(self, value: Any, path: str, ctx: Mapping) -> Callable:
+        spec = _as_dict(value, path)
+        _check_keys(spec, self.fields, "sampler", path)
+        kwargs = _read_table(spec, self.fields, path)
+        lo, bound, band, support = (kwargs[key] for key in ("modulus_lo", "bound", "band", "support"))
+        if lo is not None and not 0 <= lo <= bound:
+            key = "modulus_lo" if "modulus_lo" in spec else "bound"
+            raise ConfigError(_sub(path, key), f"modulus_lo {lo} must lie in [0, bound {bound}]")
+        window = ctx["window"]
+        # the support is drawn from the window's indices within [-band, band]
+        available = window.dim if band is None else min(window.hi, band) - max(window.lo, -band) + 1
+        if support > available:
+            key = "band" if "band" in spec and "support" not in spec else "support"
+            message = f"support {support} exceeds the {available} indices the window and band leave"
+            raise ConfigError(_sub(path, key), message)
+        return self.factory(window, _arity(ctx), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -551,24 +578,19 @@ def _trials_table(v) -> Table:
 # experiment runners
 
 
-def _run_orbit(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps = components_of(_resolve_components(params, registry, path))
+def _run_orbit(v: dict) -> RunOutcome:
+    comps = components_of(v["components"])
     if len(comps) != 1:
-        raise ConfigError(_sub(path, "components"), "orbit takes exactly one operator")
-    x, horizon = _fields(
-        params, path, vector=(lambda v, p: build_vector(v, window, p), _REQUIRED), horizon=(_as_orbit_horizon, 40)
-    ).values()
-    norms = disk_orbit_norms(comps[0], x, horizon)
-    table: Table = (("n", "norm"), [(n, float(v)) for n, v in enumerate(norms)])
-    results = {"norms": [float(v) for v in norms], "horizon": horizon}
+        raise ConfigError("parameters.components", "orbit takes exactly one operator")
+    norms = disk_orbit_norms(comps[0], v["vector"], v["horizon"])
+    table: Table = (("n", "norm"), [(n, float(x)) for n, x in enumerate(norms)])
+    results = {"norms": [float(x) for x in norms], "horizon": v["horizon"]}
     return _outcome("pass", results, {"orbit": table})
 
 
-def _run_hit(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps, arity, sources, targets, mode, alphas = _scan_inputs(params, registry, window, path)
-    n = _field(params, path, "n", _as_power)
-    result = solve_hit(HitProblem(comps, n, sources, targets, mode, alphas))
-    results: dict = {"status": result.status, "n": n, "max_kkt_residual": result.max_kkt_residual}
+def _run_hit(v: dict) -> RunOutcome:
+    result = solve_hit(HitProblem(v["components"], v["n"], v["sources"], v["targets"], v["mode"], v["alphas"]))
+    results: dict = {"status": result.status, "n": v["n"], "max_kkt_residual": result.max_kkt_residual}
     if result.witness is not None:
         results["witness"] = {
             "alphas": result.witness.alphas,
@@ -590,21 +612,18 @@ def _scan_verdict(rep) -> str:
     return INCONCLUSIVE
 
 
-def _run_junction(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps, arity, sources, targets, mode, alphas = _scan_inputs(params, registry, window, path)
-    horizon = _field(params, path, "horizon", _as_horizon, 40)
-    rep = junction_scan(comps, sources, targets, horizon, mode, alphas)
-    return _outcome(_scan_verdict(rep), {"scan": _scan_payload(rep)}, {"scan": _scan_table(rep, arity)})
+def _run_junction(v: dict) -> RunOutcome:
+    rep = junction_scan(v["components"], v["sources"], v["targets"], v["horizon"], v["mode"], v["alphas"])
+    return _outcome(_scan_verdict(rep), {"scan": _scan_payload(rep)}, {"scan": _scan_table(rep, _arity(v))})
 
 
-def _run_cross(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps, arity, a, b, mode, alphas = _scan_inputs(params, registry, window, path, ("a", "b"))
-    horizon = _field(params, path, "horizon", _as_horizon, 40)
-    rep = cross_scan(comps, a, b, horizon, mode, alphas)
+def _run_cross(v: dict) -> RunOutcome:
+    horizon = v["horizon"]
+    rep = cross_scan(v["components"], v["a"], v["b"], horizon, v["mode"], v["alphas"])
     scans = {"forward_scan": rep.forward_report, "backward_scan": rep.backward_report}
     results = {name: sorted(getattr(rep, name)) for name in ("forward", "backward", "junction")}
     results.update((name, _scan_payload(scan)) for name, scan in scans.items())
-    tables = {name: _scan_table(scan, arity) for name, scan in scans.items()}
+    tables = {name: _scan_table(scan, _arity(v)) for name, scan in scans.items()}
     certified = {
         e.n for scan in scans.values() for e in scan.entries if e.n >= 1 and e.status == MISS_CERTIFIED
     }
@@ -617,86 +636,62 @@ def _run_cross(params: dict, registry: dict, window: IndexWindow, path: str) -> 
     return _outcome(verdict, results, tables)
 
 
-_DETECT_KINDS = {kind: kind for kind in (DISK_TRANSITIVE, K_BITRANSITIVE, COMPOUND, MIXING)}
-
-
-def _run_detect(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps = _resolve_components(params, registry, path)
-    kind = _field(params, path, "kind", _choice(_DETECT_KINDS, "kind"))
-    options = _fields(params, path, trials=(_as_trials, 20), horizon=(_as_horizon, 40), seed=(_as_seed, 0))
-    kwargs = _sampler_kwargs(params, path, make_ball_sampler)
-    sampler = make_ball_sampler(window, len(components_of(comps)), **kwargs)
-    verdict = detect(kind, comps, sampler, **options)
+def _run_detect(v: dict) -> RunOutcome:
+    verdict = detect(v["kind"], v["components"], v["sampler"], trials=v["trials"], horizon=v["horizon"], seed=v["seed"])
     return _outcome(verdict.verdict, {"detect": asdict(verdict)}, {"trials": _trials_table(verdict)})
 
 
-def _criterion_nk(params: dict, path: str) -> tuple[int, ...]:
+def _read_nk(value: Any, path: str, ctx: Mapping | None = None) -> tuple[int, ...]:
     """The powers a criterion probes: a list, or the range start..stop."""
-    nk_path = _sub(path, "nk")
-    raw = params.get("nk", {"start": 1, "stop": 40})
-    if isinstance(raw, dict):
-        start, stop = _fields(raw, nk_path, start=(_as_int, 1), stop=(_as_int, _REQUIRED)).values()
+    if isinstance(value, dict):
+        start, stop = _read_table(value, {"start": _Field(_as_int, 1), "stop": _Field(_as_int)}, path).values()
         nk = tuple(range(start, stop + 1))
     else:
-        nk = tuple(_items(_as_int)(raw, nk_path))
+        nk = _items(_as_int)(value, path)
     if not nk or nk[0] < 1 or any(b <= a for a, b in zip(nk, nk[1:])):
-        raise ConfigError(nk_path, "powers must be strictly increasing and positive")
+        raise ConfigError(path, "powers must be strictly increasing and positive")
     return nk
 
 
-def _criterion_lambdas(params: dict, arity: int, steps: int, path: str) -> tuple | None:
-    rows = _field(params, path, "lambdas", _items(_items(_as_complex)), None)
-    if rows is None:
-        return None
+def _read_lambdas(value: Any, path: str, ctx: Mapping) -> tuple:
+    """One row of scalars per component, one scalar per probed power, each
+    refused where the criteria refuse it."""
+    rows = _items(_items(_as_complex))(value, path)
+    arity, steps = _arity(ctx), ctx["horizon"] if ctx["nk"] is None else len(ctx["nk"])
     if len(rows) != arity:
-        raise ConfigError(_sub(path, "lambdas"), f"expected one row per component ({arity}), got {len(rows)}")
+        raise ConfigError(path, f"expected one row per component ({arity}), got {len(rows)}")
     for i, row in enumerate(rows):
         if len(row) != steps:
-            raise ConfigError(f"{path}.lambdas[{i}]", f"expected {steps} scalars, got {len(row)}")
-    return tuple(tuple(row) for row in rows)
+            raise ConfigError(f"{path}[{i}]", f"expected {steps} scalars, got {len(row)}")
+        for j, lam in enumerate(row):
+            try:
+                _check_scalars((lam,))
+            except CriterionError as e:
+                raise ConfigError(f"{path}[{i}][{j}]", str(e)) from None
+    return rows
 
 
-_CRITERION_VARIANTS = ("scaled", "scalar_free", "roundtrip", "compound_scaled", "compound_scalar_free")
+_COMPOUND_VARIANTS = ("compound_scaled", "compound_scalar_free")
 
 
-def _criterion_outcome(report) -> RunOutcome:
-    results = {"criterion": _criterion_payload(report)}
-    return _outcome("pass" if report.passed else "fail", results, {"criterion": _criterion_table(report)})
-
-
-def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str) -> RunOutcome:
-    comps = components_of(_resolve_components(params, registry, path))
-    variant = _field(params, path, "variant", _as_str, "scalar_free")
-    if variant not in _CRITERION_VARIANTS:
-        raise ConfigError(_sub(path, "variant"), f"unknown variant {variant!r}")
-    compound = variant.startswith("compound_")
+def _run_criterion(v: dict) -> RunOutcome:
+    comps, variant = components_of(v["components"]), v["variant"]
+    compound = variant in _COMPOUND_VARIANTS
     if compound and len(comps) != 1:
-        raise ConfigError(_sub(path, "components"), "compound variants take exactly one operator")
-    arity = len(comps)
-    # the counts and pair samplers every variant's data takes
-    shared = _fields(params, path, tol=(_positive("tol"), 1e-6), sample_count=(_as_sample_count, 25), seed=(_as_seed, 0))
-    kwargs = _sampler_kwargs(params, path, make_vector_sampler)
-    shared.update((key, make_vector_sampler(window, arity, **kwargs)) for key in ("xsampler", "ysampler"))
-
-    if compound:
-        horizon = _field(params, path, "horizon", _as_horizon, 40)
-        lambdas = _criterion_lambdas(params, 1, horizon, path)
-        nk, smaps = tuple(range(1, horizon + 1)), (right_inverse(comps[0]),)
-    else:
-        if variant == "scaled" and "lambdas" not in params:
-            raise ConfigError(_sub(path, "lambdas"), "the scaled variant needs explicit scalars")
-        nk = _criterion_nk(params, path)
-        smaps = tuple(right_inverse(c) for c in comps)
-        lambdas = _criterion_lambdas(params, arity, len(nk), path)
-    data = CriterionData(components=comps, smaps=smaps, nk=nk, lambdas=lambdas, **shared)
+        raise ConfigError("parameters.components", "compound variants take exactly one operator")
+    if variant == "scaled" and v["lambdas"] is None:
+        raise ConfigError("parameters.lambdas", "the scaled variant needs explicit scalars")
+    nk = tuple(range(1, v["horizon"] + 1)) if compound else v["nk"]
+    shared = {key: v[key] for key in ("lambdas", "tol", "sample_count", "seed")}
+    smaps = tuple(right_inverse(c) for c in comps)
+    data = CriterionData(components=comps, smaps=smaps, nk=nk, xsampler=v["sampler"], ysampler=v["sampler"], **shared)
     if variant == "roundtrip":
-        eps = _field(params, path, "eps", _positive("eps"), 0.1)
-        rt = roundtrip_scalar_derivation(data, eps)
+        rt = roundtrip_scalar_derivation(data, v["eps"])
         results = {
             "roundtrip": {
                 "passed": rt.passed,
                 "tol": rt.tol,
-                "eps": eps,
+                "eps": v["eps"],
                 "scaled_passes": list(rt.scaled_passes),
                 "scalar_free": _criterion_payload(rt.scalar_free),
                 "tail_indices": [p.tail_index for p in rt.derived.per_pair],
@@ -708,69 +703,61 @@ def _run_criterion(params: dict, registry: dict, window: IndexWindow, path: str)
         check = check_compound_scaled if variant == "compound_scaled" else check_compound_scalar_free
     else:
         check = check_scaled_criterion if variant == "scaled" else check_scalar_free_criterion
-    return _criterion_outcome(check(data))
+    report = check(data)
+    results = {"criterion": _criterion_payload(report)}
+    return _outcome("pass" if report.passed else "fail", results, {"criterion": _criterion_table(report)})
 
 
-class _Choice(NamedTuple):
-    """The parameter that picks a runner's mode or variant, and the keys that
-    only some of its choices read; every choice is the default or reads one."""
-
-    key: str
-    default: str
-    readers: Mapping[str, tuple[str, ...]]  # key -> the choices that read it
-
-
-_MODE_KEYS = _Choice("mode", DISK, {"alphas": (FIXED,)})
-_VARIANT_KEYS = _Choice(
-    "variant",
-    "scalar_free",
-    {
-        "nk": ("scaled", "scalar_free", "roundtrip"),
-        "lambdas": ("scaled", "compound_scaled"),
-        "eps": ("roundtrip",),
-        "horizon": ("compound_scaled", "compound_scalar_free"),
-    },
-)
-
-# each runner with the parameters it reads over all its modes or variants,
-# `seed` among them (run() reads it for every report), and the choice that
-# narrows them
-_RUNNERS = {
-    "orbit": (_run_orbit, ("components", "vector", "horizon", "seed"), None),
-    "hit": (_run_hit, ("components", "sources", "targets", "mode", "alphas", "n", "seed"), _MODE_KEYS),
-    "junction": (
-        _run_junction,
-        ("components", "sources", "targets", "mode", "alphas", "horizon", "seed"),
-        _MODE_KEYS,
-    ),
-    "cross": (_run_cross, ("components", "a", "b", "mode", "alphas", "horizon", "seed"), _MODE_KEYS),
-    "detect": (_run_detect, ("components", "kind", "trials", "horizon", "seed", "sampler"), None),
-    "criterion": (
-        _run_criterion,
-        ("components", "variant", "tol", "sample_count", "seed", "sampler", "nk", "lambdas", "horizon", "eps"),
-        _VARIANT_KEYS,
-    ),
+# fields that several tables hold
+_COMPONENTS = _Field(_read_components)
+_BALLS = _Field(lambda value, path, ctx: build_product_ball(value, ctx["window"], path, _arity(ctx)))
+_SCAN_MODE = {
+    "mode": _Field(_choice({DISK: DISK, FIXED: FIXED}, "mode"), DISK),
+    "alphas": _Field(_items(_as_complex), lambda ctx: [1.0] * _arity(ctx), (FIXED,)),
 }
+_HORIZON = _Field(_as_horizon, 40)
+_SEED = _Field(_at_least(0, "seed"), 0)  # run() reports it for every experiment
+_TOL = _Field(_positive("tol"), 1e-6)
+_EPS = _Field(_positive("eps"), 0.1)
 
+_DETECT_KINDS = {kind: kind for kind in (DISK_TRANSITIVE, K_BITRANSITIVE, COMPOUND, MIXING)}
+_CRITERION_VARIANTS = {variant: variant for variant in ("scaled", "scalar_free", "roundtrip", *_COMPOUND_VARIANTS)}
 
-def _check_keys(params: Mapping[str, Any], takes: Sequence[str], what: str, choice: _Choice | None = None) -> None:
-    """Reject, before the run, the first parameter key the experiment or
-    scenario does not read, or that its chosen mode or variant does not read,
-    so a misspelt or stale key cannot pass unnoticed.  An unknown mode or
-    variant is left for the runner to report."""
-    for key in params:
-        if key not in takes:
-            listed = ", ".join(sorted(takes))
-            raise ConfigError(_sub("parameters", key), f"not a parameter of this {what}; it takes {listed}")
-        if choice is None or key not in choice.readers:
-            continue
-        picked = params.get(choice.key, choice.default)
-        known = picked == choice.default or any(picked in names for names in choice.readers.values())
-        if known and picked not in choice.readers[key]:
-            readers = ", ".join(choice.readers[key])
-            raise ConfigError(
-                _sub("parameters", key), f"not read when {choice.key} is {picked!r}; only {choice.key} {readers} reads it"
-            )
+# a ball sampler draws its centres as a vector sampler does, and reads the same fields for them
+_CENTRES = dict(
+    support=_at_least(1, "support"), bound=_positive("bound"), band=_at_least(0, "band"), modulus_lo=_as_float
+)
+_RUNNERS = {
+    "orbit": _Table(_run_orbit, {
+        "components": _COMPONENTS, "vector": _Field(lambda value, path, ctx: build_vector(value, ctx["window"], path)),
+        "horizon": _Field(_at_least(0, "horizon"), 40), "seed": _SEED,
+    }),
+    "hit": _Table(_run_hit, {
+        "components": _COMPONENTS, "sources": _BALLS, "targets": _BALLS, **_SCAN_MODE,
+        "n": _Field(_at_least(0, "n")), "seed": _SEED,
+    }, "mode"),
+    "junction": _Table(_run_junction, {
+        "components": _COMPONENTS, "sources": _BALLS, "targets": _BALLS, **_SCAN_MODE, "horizon": _HORIZON,
+        "seed": _SEED,
+    }, "mode"),
+    "cross": _Table(_run_cross, {
+        "components": _COMPONENTS, "a": _BALLS, "b": _BALLS, **_SCAN_MODE, "horizon": _HORIZON, "seed": _SEED,
+    }, "mode"),
+    "detect": _Table(_run_detect, {
+        "components": _COMPONENTS, "kind": _Field(_choice(_DETECT_KINDS, "kind")), "trials": _Field(_as_trials, 20),
+        "horizon": _HORIZON, "seed": _SEED,
+        "sampler": _Field(_Sampler.of(make_ball_sampler, radius=_positive("radius"), **_CENTRES), {}),
+    }),
+    "criterion": _Table(_run_criterion, {
+        "components": _COMPONENTS, "variant": _Field(_choice(_CRITERION_VARIANTS, "variant"), "scalar_free"),
+        "tol": _TOL, "sample_count": _Field(_as_sample_count, 25), "seed": _SEED,
+        "sampler": _Field(_Sampler.of(make_vector_sampler, **_CENTRES), {}),
+        "nk": _Field(_read_nk, {"start": 1, "stop": 40}, ("scaled", "scalar_free", "roundtrip")),
+        "horizon": _Field(_as_horizon, 40, _COMPOUND_VARIANTS),
+        "lambdas": _Field(_read_lambdas, None, ("scaled", "compound_scaled")),
+        "eps": _EPS._replace(only=("roundtrip",)),
+    }, "variant"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -778,40 +765,25 @@ def _check_keys(params: Mapping[str, Any], takes: Sequence[str], what: str, choi
 # experiment runners above on two fixed shifts
 
 
-_SCENARIO_FIELDS = {
-    "m": _as_size,
-    "trials": _as_trials,
-    "horizon": _as_horizon,
-    "stop": _as_stop,
-    "sample_count": _as_sample_count,
-    "seed": _as_seed,
-    **{key: _positive(key) for key in ("radius", "eps", "tol", "p", "delta")},
-    **dict.fromkeys(("small_entry", "large_entry", "c"), _as_complex),
-}
+class _Scenario(dict):
+    """A scenario's fields, read from its table, and what it runs on: the
+    weighted shifts t1 = (2, 3) and t2 = (2, 4) on the bilateral window of
+    size m."""
 
-
-class _Scenario:
-    """A scenario's parameters, read up front with the scenario's defaults,
-    and what it runs on: the weighted shifts t1 = (2, 3) and t2 = (2, 4) on
-    the bilateral window of size m."""
-
-    def __init__(self, params: dict, **defaults: Any):
-        _check_keys({key: v for key, v in params.items() if key != "id"}, list(defaults), "scenario")
-        table = {key: (_SCENARIO_FIELDS[key], default) for key, default in defaults.items()}
-        self.params = _fields(params, "parameters", **table)
-        self.window = IndexWindow(BILATERAL, self.params["m"])
+    def __init__(self, values: dict):
+        super().__init__(values)
+        self.window = IndexWindow(BILATERAL, values["m"])
         self.registry = {"t1": ForwardShift(WeightProfile(2.0, 3.0)), "t2": ForwardShift(WeightProfile(2.0, 4.0))}
 
-    def __getitem__(self, key: str) -> Any:
-        return self.params[key]
-
-    def run(self, runner: Callable[..., RunOutcome], **params: Any) -> RunOutcome:
-        return runner(params, self.registry, self.window, "parameters")
+    def run(self, experiment: str, **params: Any) -> RunOutcome:
+        table = _RUNNERS[experiment]
+        ctx = {"window": self.window, "registry": self.registry}
+        return table.run(_read_table(params, table.fields, "parameters", table.choice, **ctx))
 
     def criterion(self, components: list[str], variant: str = "scalar_free", **extra: Any) -> RunOutcome:
         counts = {key: self[key] for key in ("tol", "sample_count", "seed")}
         return self.run(
-            _run_criterion, components=components, variant=variant, nk={"stop": self["stop"]}, sampler={"band": 1},
+            "criterion", components=components, variant=variant, nk={"stop": self["stop"]}, sampler={"band": 1},
             **counts, **extra,
         )
 
@@ -822,16 +794,15 @@ def _single(mapping: dict) -> Any:
     return value
 
 
-def _scenario_shift_compound_not_mixing(params: dict) -> RunOutcome:
-    s = _Scenario(params, m=64, horizon=40, trials=5, seed=0, radius=0.45)
+def _scenario_shift_compound_not_mixing(s: _Scenario) -> RunOutcome:
     ball = [{"center": {"basis": 0}, "radius": 0.5}]
     scan = {"components": ["t1"], "horizon": s["horizon"], "sources": ball, "targets": ball}
-    disk = s.run(_run_junction, **scan)
-    fixed = s.run(_run_junction, **scan, mode=FIXED, alphas=[1.0])
+    disk = s.run("junction", **scan)
+    fixed = s.run("junction", **scan, mode=FIXED, alphas=[1.0])
     trials = {"components": ["t1"], "trials": s["trials"], "horizon": s["horizon"], "seed": s["seed"]}
     sampler = {"radius": s["radius"], "band": 1}
-    compound = s.run(_run_detect, kind=COMPOUND, sampler=sampler, **trials)
-    mixing = s.run(_run_detect, kind=MIXING, sampler=sampler, **trials)
+    compound = s.run("detect", kind=COMPOUND, sampler=sampler, **trials)
+    mixing = s.run("detect", kind=MIXING, sampler=sampler, **trials)
     runs = {"disk_scan": disk, "fixed_scan": fixed, "compound_trials": compound, "mixing_trials": mixing}
     results = {name: _single(run.results) for name, run in runs.items()}
     tables = {name: _single(run.tables) for name, run in runs.items()}
@@ -844,8 +815,18 @@ def _scenario_shift_compound_not_mixing(params: dict) -> RunOutcome:
     return _outcome(INCONCLUSIVE if INCONCLUSIVE in verdicts else "fail", results, tables)
 
 
-def _scenario_diagonal_spectral_split(params: dict) -> RunOutcome:
-    s = _Scenario(params, m=4, small_entry=0.5, large_entry=2.0, p=1.0, c=1.5, eps=0.1, delta=0.1, horizon=60)
+def _spectral_order(values: Mapping) -> None:
+    """|small_entry| < p <= |c| < |large_entry|, the order SpectralSplit
+    needs; the error names the field that breaks it."""
+    small, p, c, large = (abs(values[key]) for key in ("small_entry", "p", "c", "large_entry"))
+    for key, holds in (("small_entry", small < p), ("c", p <= c), ("large_entry", c < large)):
+        if not holds:
+            message = f"need |small_entry| < p <= |c| < |large_entry|, got {small:g}, {p:g}, {c:g}, {large:g}"
+            raise ConfigError(_sub("parameters", key), message)
+
+
+def _scenario_diagonal_spectral_split(s: _Scenario) -> RunOutcome:
+    _spectral_order(s)
     small, large = s["small_entry"], s["large_entry"]
     split = SpectralSplit(
         op=Diagonal({0: small, 1: large}, default=0.0),
@@ -870,8 +851,7 @@ def _scenario_diagonal_spectral_split(params: dict) -> RunOutcome:
     return _outcome("pass", results, {"witness": table})
 
 
-def _scenario_cross_junction_equivalence(params: dict) -> RunOutcome:
-    s = _Scenario(params, m=32, horizon=15, trials=5, seed=0, radius=0.45)
+def _scenario_cross_junction_equivalence(s: _Scenario) -> RunOutcome:
     comps = (s.registry["t1"], s.registry["t2"])
     sampler = make_ball_sampler(s.window, 2, radius=s["radius"], band=1)
     per_trial = []
@@ -892,16 +872,14 @@ def _scenario_cross_junction_equivalence(params: dict) -> RunOutcome:
     return _outcome("pass" if not mismatches else "fail", results, {"trials": table})
 
 
-def _scenario_scalar_derivation_roundtrip(params: dict) -> RunOutcome:
-    s = _Scenario(params, m=64, stop=40, eps=0.1, seed=0, sample_count=10, tol=1e-6)
+def _scenario_scalar_derivation_roundtrip(s: _Scenario) -> RunOutcome:
     outcome = s.criterion(["t1"], "roundtrip", eps=s["eps"])
     rt = outcome.results["roundtrip"]
     results = {key: rt[key] for key in ("passed", "tol", "scaled_passes", "tail_indices")}
     return replace(outcome, results=dict(results, scalar_free_passed=rt["scalar_free"]["passed"]))
 
 
-def _scenario_compound_plus_transitive(params: dict) -> RunOutcome:
-    s = _Scenario(params, m=64, horizon=40, trials=20, seed=0, radius=0.45)
+def _scenario_compound_plus_transitive(s: _Scenario) -> RunOutcome:
     sampler = make_ball_sampler(s.window, 1, radius=s["radius"], band=1)
     per_trial = []
     for t, balls in enumerate(trial_draws(s["seed"], s["trials"], (sampler,) * 4)):
@@ -917,12 +895,11 @@ def _scenario_compound_plus_transitive(params: dict) -> RunOutcome:
     return _outcome(CONFIRMED if not empty else INCONCLUSIVE, results, {"trials": table})
 
 
-def _scenario_direct_sum_diskcyclic_criterion(params: dict) -> RunOutcome:
-    s = _Scenario(params, m=64, stop=40, trials=10, horizon=40, seed=0, tol=1e-6, sample_count=10)
+def _scenario_direct_sum_diskcyclic_criterion(s: _Scenario) -> RunOutcome:
     component_criteria = [s.criterion([name]).results["criterion"]["passed"] for name in ("t1", "t2")]
     direct_sum = s.criterion(["t1", "t2"])
     paired = s.run(
-        _run_detect, components=["t1", "t2"], kind=K_BITRANSITIVE, trials=s["trials"], horizon=s["horizon"],
+        "detect", components=["t1", "t2"], kind=K_BITRANSITIVE, trials=s["trials"], horizon=s["horizon"],
         seed=s["seed"], sampler={"band": 1},
     )
     results = {
@@ -936,40 +913,61 @@ def _scenario_direct_sum_diskcyclic_criterion(params: dict) -> RunOutcome:
     return _outcome(INCONCLUSIVE if paired.verdict == INCONCLUSIVE else "fail", results, tables)
 
 
-SCENARIOS: dict[str, Callable[[dict], RunOutcome]] = {
-    "shift-compound-not-mixing": _scenario_shift_compound_not_mixing,
-    "diagonal-spectral-split": _scenario_diagonal_spectral_split,
-    "cross-junction-equivalence": _scenario_cross_junction_equivalence,
-    "scalar-derivation-roundtrip": _scenario_scalar_derivation_roundtrip,
-    "compound-plus-transitive": _scenario_compound_plus_transitive,
-    "direct-sum-diskcyclic-criterion": _scenario_direct_sum_diskcyclic_criterion,
+_RADIUS = _Field(_positive("radius"), 0.45)
+_STOP = _Field(_at_least(1, "stop"), 40)
+SCENARIOS: dict[str, _Table] = {
+    "shift-compound-not-mixing": _Table(_scenario_shift_compound_not_mixing, dict(
+        m=_Field(_as_size, 64), horizon=_HORIZON, trials=_Field(_as_trials, 5), seed=_SEED, radius=_RADIUS,
+    )),
+    "diagonal-spectral-split": _Table(_scenario_diagonal_spectral_split, dict(
+        m=_Field(_as_size, 4), small_entry=_Field(_as_complex, 0.5), large_entry=_Field(_as_complex, 2.0),
+        p=_Field(_positive("p"), 1.0), c=_Field(_as_complex, 1.5), eps=_EPS, delta=_Field(_positive("delta"), 0.1),
+        horizon=_Field(_as_horizon, 60),
+    )),
+    "cross-junction-equivalence": _Table(_scenario_cross_junction_equivalence, dict(
+        m=_Field(_as_size, 32), horizon=_Field(_as_horizon, 15), trials=_Field(_as_trials, 5), seed=_SEED,
+        radius=_RADIUS,
+    )),
+    "scalar-derivation-roundtrip": _Table(_scenario_scalar_derivation_roundtrip, dict(
+        m=_Field(_as_size, 64), stop=_STOP, eps=_EPS, seed=_SEED, sample_count=_Field(_as_sample_count, 10), tol=_TOL,
+    )),
+    "compound-plus-transitive": _Table(_scenario_compound_plus_transitive, dict(
+        m=_Field(_as_size, 64), horizon=_HORIZON, trials=_Field(_as_trials, 20), seed=_SEED, radius=_RADIUS,
+    )),
+    "direct-sum-diskcyclic-criterion": _Table(_scenario_direct_sum_diskcyclic_criterion, dict(
+        m=_Field(_as_size, 64), stop=_STOP, trials=_Field(_as_trials, 10), horizon=_HORIZON, seed=_SEED, tol=_TOL,
+        sample_count=_Field(_as_sample_count, 10),
+    )),
 }
 
 
-def _run_scenario(cfg: dict, params: dict) -> RunOutcome:
-    scenario_id = _field(params, "parameters", "id", _as_str)
-    if scenario_id not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ConfigError("parameters.id", f"unknown scenario {scenario_id!r} (known: {known})")
-    if "window" in cfg and "m" not in params:
-        params = dict(params, m=_field(_as_dict(cfg["window"], "window"), "window", "m", _as_size))
-    return SCENARIOS[scenario_id](params)
-
-
 def run(cfg: dict) -> tuple[RunOutcome, dict]:
-    """Run the configured experiment; returns the outcome and the full report."""
+    """Run the configured experiment; returns the outcome and the full report.
+
+    Every parameter is read and checked before anything is computed."""
     experiment = _field(cfg, "", "experiment", _as_str)
     if experiment not in _RUNNERS and experiment != "scenario":
         raise ConfigError("experiment", f"unknown experiment {experiment!r}")
     params = _field(cfg, "", "parameters", _as_dict, {})
     if experiment == "scenario":
-        outcome = _run_scenario(cfg, params)
+        scenario_id = _field(params, "parameters", "id", _as_str)
+        if scenario_id not in SCENARIOS:
+            known = ", ".join(sorted(SCENARIOS))
+            raise ConfigError("parameters.id", f"unknown scenario {scenario_id!r} (known: {known})")
+        params = {key: value for key, value in params.items() if key != "id"}
+        if "window" in cfg and "m" not in params:
+            params["m"] = _field(_as_dict(cfg["window"], "window"), "window", "m", _as_size)
+        table = SCENARIOS[scenario_id]
+        _check_keys(params, table.fields, "scenario")
+        values = _read_table(params, table.fields, "parameters")
+        outcome = table.run(_Scenario(values))
     else:
-        runner, takes, choice = _RUNNERS[experiment]
-        _check_keys(params, takes, "experiment", choice)
+        table = _RUNNERS[experiment]
+        _check_keys(params, table.fields, "experiment", choice=table.choice)
         window = _field(cfg, "", "window", build_window)
         registry = build_operators(cfg.get("operators", {}), window)
-        outcome = runner(params, registry, window, "parameters")
+        values = _read_table(params, table.fields, "parameters", table.choice, window=window, registry=registry)
+        outcome = table.run(values)
 
     report = {
         "tool": {"name": "disklab", "version": __version__},
@@ -977,7 +975,7 @@ def run(cfg: dict) -> tuple[RunOutcome, dict]:
         "experiment": experiment,
         "verdict": outcome.verdict,
         "exit_code": outcome.exit_code,
-        "seed": _field(params, "parameters", "seed", _as_seed, 0),
+        "seed": values.get("seed", 0),
         "config": _jsonable(cfg),
         "results": _jsonable(outcome.results),
         "curves": {
@@ -1028,8 +1026,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.override)
         # checked before the run, so a bad output section costs no computation
-        paths = dict.fromkeys(("json_path", "csv_path", "plot_dir"), (_as_str, None))
-        output = _fields(cfg.get("output", {}), "output", **paths)
+        paths = dict.fromkeys(("json_path", "csv_path", "plot_dir"), _Field(_as_str, None))
+        output = _read_table(cfg.get("output", {}), paths, "output")
         outcome, report = run(cfg)
         # strict JSON: a non-finite value is an error before any file is written
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"

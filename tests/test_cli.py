@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +344,36 @@ FIELD_PATH_CASES = [
         _experiment("hit", n=-1, **dict.fromkeys(("sources", "targets"), [{"center": {"basis": 0}, "radius": 0.5}])),
         "parameters.n",
     ),
+    # values a field's own reader takes, which the fields around it rule out
+    ("sampler band too narrow", _experiment("detect", kind="compound", sampler={"band": 0}), "parameters.sampler.band"),
+    (
+        "sampler support past the window",
+        _experiment("detect", kind="compound", sampler={"support": 40}),
+        "parameters.sampler.support",
+    ),
+    (
+        "criterion sampler support past the window",
+        _experiment("criterion", sampler={"support": 40}),
+        "parameters.sampler.support",
+    ),
+    *(
+        (
+            f"spectral split {key} {value}",
+            {"experiment": "scenario", "parameters": {"id": "diagonal-spectral-split", key: value}},
+            f"parameters.{key}",
+        )
+        for key, value in (
+            ("small_entry", -1), ("large_entry", 0), ("large_entry", -1), ("large_entry", -0.5), ("c", 0), ("c", -0.5)
+        )
+    ),
+    *(
+        (
+            f"lambda {lams}",
+            _experiment("criterion", variant="scaled", nk=[1, 2], lambdas=[lams]),
+            "parameters.lambdas[0][0]",
+        )
+        for lams in ([2.0, 0.5], [0, 0.5])
+    ),
 ]
 
 
@@ -429,7 +461,78 @@ def test_each_experiment_takes_the_keys_it_reads(experiment):
         params = _RecordingParams(cfg["parameters"] | params)
         run(cfg | {"parameters": params})
         read |= params.read
-    assert read == set(cli._RUNNERS[experiment][1])
+    assert read == set(cli._RUNNERS[experiment].fields)
+
+
+class _Computed(Exception):
+    """Raised by every library call that computes, in place of the call."""
+
+
+# the library calls the runners and scenarios compute with
+_COMPUTING = (
+    "solve_hit", "junction_scan", "cross_scan", "detect", "disk_orbit_norms", "spectral_witness",
+    "roundtrip_scalar_derivation", "check_scaled_criterion", "check_scalar_free_criterion",
+    "check_compound_scaled", "check_compound_scalar_free",
+)
+# a wrong type (no field takes a boolean), zero, negatives and NaN
+_MUTATIONS = (True, 0, -1, -0.5, math.nan)
+
+
+def _table_walks(name):
+    """(base config, table, ctx) for each base run of an experiment or
+    scenario, ctx holding what the run reads from its table."""
+    if name in SCENARIOS:
+        table = SCENARIOS[name]
+        yield {"experiment": "scenario", "parameters": {"id": name}}, table, cli._read_table({}, table.fields, "")
+        return
+    table = cli._RUNNERS[name]
+    for params in _READING_RUNS[name]:
+        cfg = _experiment(name, **params)
+        window = build_window(cfg["window"])
+        ctx = dict(window=window, registry=build_operators(cfg["operators"], window))
+        yield cfg, table, cli._read_table(cfg["parameters"], table.fields, "parameters", table.choice, **ctx)
+
+
+def _field_mutations(cfg, table, ctx):
+    """(path, config, whether the field's own reader refuses the value) for
+    every field the base config reads, the sampler's fields included."""
+    for key, field in table.fields.items():
+        if ctx[key] is None and field.only is not None:
+            continue  # the base run's mode or variant does not read it
+        nested = [(f"{key}.{sub}", sub_field) for sub, sub_field in getattr(field.read, "fields", {}).items()]
+        for path, f in [(key, field), *nested]:
+            for value in _MUTATIONS:
+                try:
+                    f.read(value, path, ctx)
+                    refused = False
+                except ConfigError:
+                    refused = True
+                yield f"parameters.{path}", _with(cfg, f"parameters.{path}", value), refused
+
+
+@pytest.mark.parametrize("name", sorted({*_READING_RUNS, *SCENARIOS}))
+def test_every_field_is_checked_before_anything_is_computed(name, monkeypatch):
+    """Walk the tables: each field set to a wrong type, 0, -1, -0.5 or NaN is
+    a ConfigError at that field's path whenever its reader refuses the value,
+    raised before any solve, scan or criterion check; a value the run takes
+    reaches the computation and ends in no other error."""
+
+    def computing(*args, **kwargs):
+        raise _Computed
+
+    for call in _COMPUTING:
+        monkeypatch.setattr(cli, call, computing)
+    walked = set()
+    for cfg, table, ctx in _table_walks(name):
+        for path, mutated, refused in _field_mutations(cfg, table, ctx):
+            walked.add(path.split(".")[1])
+            try:
+                run(mutated)
+            except ConfigError as err:
+                assert err.field_path == path, (path, err)
+            except _Computed:
+                assert not refused, f"{path} computed with a value its reader refuses"
+    assert walked == set(table.fields)
 
 
 _HUGE = 10**400  # an integer literal json.loads reads and float() cannot hold
@@ -931,12 +1034,11 @@ def test_main_missing_file_is_an_error(tmp_path, capsys):
 
 def test_main_refuses_a_non_finite_report(tmp_path, capsys, monkeypatch):
     """Reports are strict JSON: a NaN is an error, and no file is written."""
-    _, takes, choice = cli._RUNNERS["orbit"]
 
-    def runner(params, registry, window, path):
+    def runner(values):
         return cli._outcome("pass", {"norms": [float("nan")]})
 
-    monkeypatch.setitem(cli._RUNNERS, "orbit", (runner, takes, choice))
+    monkeypatch.setitem(cli._RUNNERS, "orbit", cli._RUNNERS["orbit"]._replace(run=runner))
     cfg = sum_config("orbit", ["a"], vector={"basis": 0})
     cfg["output"] = {"json_path": str(tmp_path / "r.json"), "csv_path": str(tmp_path / "r.csv")}
     assert main([str(write_config(tmp_path, cfg))]) == EXIT_ERROR
@@ -1025,6 +1127,38 @@ def test_emit_plotdata_is_reproducible(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes()
+
+
+def _readme_cli_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_lists_the_fields_of_every_table():
+    """Each experiment's and scenario's row in the README names exactly the
+    fields of its table, and the section names every sampler field."""
+    section = _readme_cli_section()
+    rows = dict(re.findall(r"^\| `([a-z_-]+)` \| (.*) \|$", section, re.M))
+    for name, table in {**cli._RUNNERS, **SCENARIOS}.items():
+        assert set(re.findall(r"`([a-z_]+)`", rows[name])) == set(table.fields), name
+        for field in table.fields.values():
+            for sub in getattr(field.read, "fields", ()):
+                assert f"`{sub}`" in section, sub
+
+
+def test_readme_example_exits_as_the_readme_says(tmp_path, monkeypatch):
+    """The README's config runs through main and exits with the code its
+    exit-code list gives for the verdict the run reaches."""
+    section = _readme_cli_section()
+    cfg = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    monkeypatch.chdir(tmp_path)
+    code = main([str(write_config(tmp_path, cfg, name="readme.json"))])
+    verdict = json.loads(Path(cfg["output"]["json_path"]).read_text())["verdict"]
+    listed = " ".join(re.search(r"Exit codes: (.*?)\.\n", section, re.S).group(1).split())
+    stem = verdict.split("_")[0]
+    documented = [int(c) for c, words in re.findall(r"(\d) ([a-z]+(?: or [a-z]+)?)", listed)
+                  if any(w.startswith(stem) for w in words.split())]
+    assert documented == [code]
 
 
 def test_console_entry_point_runs(tmp_path):
