@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .criteria import (
     roundtrip_scalar_derivation,
     spectral_witness,
 )
-from .hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, Certificate, HitProblem, solve_hit
+from .hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, Certificate, HitProblem, _check_alphas, solve_hit
 from .operators import (
     BackwardShift,
     Dense,
@@ -671,6 +671,21 @@ def _read_lambdas(value: Any, path: str, ctx: Mapping) -> tuple:
     return rows
 
 
+def _read_alphas(value: Any, path: str, ctx: Mapping) -> tuple:
+    """Fixed mode's alphas, one per component, each refused where HitProblem
+    refuses it."""
+    alphas = _items(_as_complex)(value, path)
+    for i, alpha in enumerate(alphas):
+        try:
+            _check_alphas((alpha,), 1)
+        except ValueError as e:
+            raise ConfigError(f"{path}[{i}]", str(e)) from None
+    try:
+        return _check_alphas(alphas, _arity(ctx))
+    except ValueError as e:
+        raise ConfigError(path, f"{e} ({_arity(ctx)}), got {len(alphas)}") from None
+
+
 _COMPOUND_VARIANTS = ("compound_scaled", "compound_scalar_free")
 
 
@@ -713,7 +728,7 @@ _COMPONENTS = _Field(_read_components)
 _BALLS = _Field(lambda value, path, ctx: build_product_ball(value, ctx["window"], path, _arity(ctx)))
 _SCAN_MODE = {
     "mode": _Field(_choice({DISK: DISK, FIXED: FIXED}, "mode"), DISK),
-    "alphas": _Field(_items(_as_complex), lambda ctx: [1.0] * _arity(ctx), (FIXED,)),
+    "alphas": _Field(_read_alphas, lambda ctx: [1.0] * _arity(ctx), (FIXED,)),
 }
 _HORIZON = _Field(_as_horizon, 40)
 _SEED = _Field(_at_least(0, "seed"), 0)  # run() reports it for every experiment
@@ -766,12 +781,13 @@ _RUNNERS = {
 
 
 class _Scenario(dict):
-    """A scenario's fields, read from its table, and what it runs on: the
-    weighted shifts t1 = (2, 3) and t2 = (2, 4) on the bilateral window of
-    size m."""
+    """A scenario's fields, read from its table, the fields the config set,
+    and what it runs on: the weighted shifts t1 = (2, 3) and t2 = (2, 4) on
+    the bilateral window of size m."""
 
-    def __init__(self, values: dict):
+    def __init__(self, values: dict, given: Iterable[str] = ()):
         super().__init__(values)
+        self.given = frozenset(given)
         self.window = IndexWindow(BILATERAL, values["m"])
         self.registry = {"t1": ForwardShift(WeightProfile(2.0, 3.0)), "t2": ForwardShift(WeightProfile(2.0, 4.0))}
 
@@ -815,12 +831,16 @@ def _scenario_shift_compound_not_mixing(s: _Scenario) -> RunOutcome:
     return _outcome(INCONCLUSIVE if INCONCLUSIVE in verdicts else "fail", results, tables)
 
 
-def _spectral_order(values: Mapping) -> None:
+def _spectral_order(s: _Scenario) -> None:
     """|small_entry| < p <= |c| < |large_entry|, the order SpectralSplit
-    needs; the error names the field that breaks it."""
-    small, p, c, large = (abs(values[key]) for key in ("small_entry", "p", "c", "large_entry"))
-    for key, holds in (("small_entry", small < p), ("c", p <= c), ("large_entry", c < large)):
+    needs; the error names a field of the first comparison that fails: the
+    one the config set, where it set only one of the two, else small_entry,
+    c or large_entry."""
+    small, p, c, large = (abs(s[key]) for key in ("small_entry", "p", "c", "large_entry"))
+    for key, other, holds in (("small_entry", "p", small < p), ("c", "p", p <= c), ("large_entry", "c", c < large)):
         if not holds:
+            if other in s.given and key not in s.given:
+                key = other
             message = f"need |small_entry| < p <= |c| < |large_entry|, got {small:g}, {p:g}, {c:g}, {large:g}"
             raise ConfigError(_sub("parameters", key), message)
 
@@ -960,7 +980,7 @@ def run(cfg: dict) -> tuple[RunOutcome, dict]:
         table = SCENARIOS[scenario_id]
         _check_keys(params, table.fields, "scenario")
         values = _read_table(params, table.fields, "parameters")
-        outcome = table.run(_Scenario(values))
+        outcome = table.run(_Scenario(values, params))
     else:
         table = _RUNNERS[experiment]
         _check_keys(params, table.fields, "experiment", choice=table.choice)

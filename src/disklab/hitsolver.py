@@ -22,7 +22,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,6 +103,17 @@ SEARCH_BATCH = 20000
 SCORE_CELLS = 256 * 97
 
 
+def _check_alphas(alphas: Sequence[complex] | None, k: int) -> tuple[complex, ...]:
+    """Fixed mode's alphas as complex numbers: one per component of k, each
+    nonzero with modulus <= 1."""
+    if alphas is None or len(alphas) != k:
+        raise ValueError("fixed mode needs one alpha per component")
+    alphas = tuple(complex(a) for a in alphas)
+    if any(a == 0 or abs(a) > 1 + 1e-15 for a in alphas):
+        raise ValueError("fixed alphas must be nonzero with modulus <= 1")
+    return alphas
+
+
 @dataclass(frozen=True)
 class HitProblem:
     components: tuple[OperatorSpec, ...]
@@ -125,12 +136,7 @@ class HitProblem:
         if self.mode not in (DISK, FIXED):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == FIXED:
-            if self.fixed_alphas is None or len(self.fixed_alphas) != k:
-                raise ValueError("fixed mode needs one alpha per component")
-            alphas = tuple(complex(a) for a in self.fixed_alphas)
-            if any(a == 0 or abs(a) > 1 + 1e-15 for a in alphas):
-                raise ValueError("fixed alphas must be nonzero with modulus <= 1")
-            object.__setattr__(self, "fixed_alphas", alphas)
+            object.__setattr__(self, "fixed_alphas", _check_alphas(self.fixed_alphas, k))
         elif self.fixed_alphas is not None:
             raise ValueError("fixed_alphas only apply in fixed mode")
 

@@ -269,13 +269,6 @@ class _RunProducts:
         rows.append(self._row)
         return rows
 
-    def __call__(self, n: int, first: int, last: int) -> np.ndarray:
-        """Products of length n for the starts first..last."""
-        prods = self.rows(n, n + 1)[0][first - self.lo : last - self.lo + 1]
-        if np.isinf(prods).any():
-            raise FloatingPointError("overflow encountered in multiply")
-        return prods
-
 
 def _growth_starts(profile: WeightProfile, n: int, lattice: str) -> tuple[int, int]:
     """First and last start of the runs growth bounds read at power n: from
@@ -287,12 +280,6 @@ def _growth_starts(profile: WeightProfile, n: int, lattice: str) -> tuple[int, i
     if lattice == UNILATERAL:
         first, last = max(first, 0), max(last, 0)
     return first, last
-
-
-def _growth_runs(profile: WeightProfile, horizon: int, lattice: str) -> _RunProducts:
-    """Run products for growth bounds at every power up to horizon."""
-    first, last = _growth_starts(profile, horizon, lattice)
-    return _RunProducts(profile, first, last + horizon - 1)
 
 
 @dataclass(frozen=True)
@@ -337,18 +324,20 @@ class PowerStack:
     chunk at a time too, from one pass over the growth runs.  Each power's
     run products are the previous power's times one more weight each (see
     _RunProducts), so every power equals the one formed alone bit for bit.
-    A power whose runs pass the float range is left out of its chunk; asking
-    for it forms it alone, which raises the error it always raised.  A
-    diagonal, scalar or dense power is formed alone, as entries**n, c**n or
-    matrix_power.
+    A chunk keeps, in place of a power whose runs pass the float range, the
+    error that refuses it; asking for that power raises the error again,
+    named as power_map or growth names it, and forms nothing.  A diagonal,
+    scalar or dense power is formed alone, as entries**n, c**n or
+    matrix_power.  A power outside 0..horizon is a ValueError.
     """
 
     def __init__(self, op: OperatorSpec, window: IndexWindow, horizon: int):
         self.op, self.window, self.horizon = op, window, horizon
         self._shift = isinstance(op, (ForwardShift, BackwardShift))
-        # a power a chunk left out is kept as None
-        self._maps: dict[int, PowerMap | None] = {}
-        self._bounds: dict[int, GrowthBounds | None] = {}
+        # a power a chunk refused is kept as the error that refused it; T^0 is
+        # the identity, whatever the operator
+        self._maps: dict[int, PowerMap | ArithmeticError] = {}
+        self._bounds: dict[int, GrowthBounds | ArithmeticError] = {0: GrowthBounds(1.0, 1.0)}
         # (first power, coefficient rows, target rows) of each chunk
         self._tables: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._runs: _RunProducts | None = None
@@ -356,15 +345,7 @@ class PowerStack:
 
     def power_map(self, n: int) -> PowerMap:
         """T^n on the window; shift mass that leaves the window is dropped."""
-        pmap = self._maps.get(n)
-        if pmap is None:
-            if self._shift and n not in self._maps and 0 <= n <= self.horizon:
-                self._fill_maps(n)
-                pmap = self._maps[n]
-            if pmap is None:
-                with named_overflow("power_map", f"power {n}"):
-                    pmap = self._maps[n] = self._form(n)
-        return pmap
+        return self._read(self._maps, "power_map", n, self._fill_maps, self._form)
 
     def rows(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients and targets of T^first .. T^last of an orthogonal-column
@@ -378,33 +359,31 @@ class PowerStack:
 
     def growth(self, n: int) -> GrowthBounds:
         """growth(op, n, lattice of the window), for n up to the horizon."""
-        bounds = self._bounds.get(n)
-        if bounds is None:
+        return self._read(self._bounds, "growth", n, self._fill_bounds, lambda n: _growth_bounds(self.op, n))
+
+    def _read(self, kept: dict, name: str, n: int, fill: Callable[[int], None], form: Callable[[int], object]):
+        """kept[n], formed first if need be: a shift's by fill, with the
+        chunk after it, any other's by form alone; where a chunk kept the
+        error that refused n, that error, named as named_overflow names it."""
+        if n not in kept:
             if not 0 <= n <= self.horizon:
                 raise ValueError(f"power {n} lies outside the stack's 0..{self.horizon}")
-            if self._shift and n and n not in self._bounds:
-                self._fill_bounds(n)
-                bounds = self._bounds[n]
-            if bounds is None:
-                # a shift's growth runs are built by now: _fill_bounds left n out
-                with named_overflow("growth", f"power {n}"):
-                    bounds = self._bounds[n] = _growth_bounds(self.op, n, self.window.kind, self._growth_runs)
-        return bounds
+            if self._shift:
+                fill(n)
+            else:
+                with named_overflow(name, f"power {n}"):
+                    kept[n] = form(n)
+        value = kept[n]
+        if isinstance(value, ArithmeticError):
+            with named_overflow(name, f"power {n}"):
+                raise type(value)(*value.args)
+        return value
 
     def _fill_maps(self, first: int) -> None:
         """Form the shift powers from first on as one chunk (see the class)."""
-        later = (k for k in self._maps if k > first)
-        stop = min(self.horizon + 1, first + max(1, PIN_CELLS // self.window.dim), *later)
-        coeffs, tgt = self._shift_table(first, stop)
-        refused = np.isinf(coeffs.real).any(axis=1).tolist()
-        for k, n in enumerate(range(first, stop)):
-            self._maps[n] = None if refused[k] else PowerMap("ortho", self.window, coeffs=coeffs[k], tgt=tgt[k])
-        self._tables.append((first, coeffs, tgt))
-
-    def _shift_table(self, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients and targets of the shift powers first..stop-1, one
-        power a row; a power whose runs pass the float range reads inf."""
         op, window, d = self.op, self.window, self.window.dim
+        later = (k for k in self._maps if k > first)
+        stop = min(self.horizon + 1, first + max(1, PIN_CELLS // d), *later)
         coeffs = np.zeros((stop - first, d), dtype=np.complex128)
         # source j moves to j+n (forward) or j-n (backward), carrying the product
         # over the run [j, j+n) or [j-n, j); either way the runs start at lo..hi-n
@@ -418,16 +397,23 @@ class PowerStack:
         # a column that dies at the edge points at the edge
         powers = np.arange(first, stop)[:, None]
         tgt = np.minimum(powers + np.arange(d), d - 1) if forward else np.maximum(np.arange(d) - powers, 0)
-        return coeffs, tgt
+        # a product past the float range reads inf
+        refused = np.isinf(coeffs.real).any(axis=1).tolist()
+        for k, n in enumerate(range(first, stop)):
+            pmap = PowerMap("ortho", window, coeffs=coeffs[k], tgt=tgt[k])
+            self._maps[n] = FloatingPointError("overflow encountered in multiply") if refused[k] else pmap
+        self._tables.append((first, coeffs, tgt))
 
     def _fill_bounds(self, first: int) -> None:
         """growth's bounds of the shift at the powers from first >= 1 on, up to
         the horizon or PIN_CELLS cells of growth runs, from one pass over the
-        runs; a power whose runs or end weights pass the float range is left
-        out."""
+        runs; a power whose runs or end weights pass the float range keeps
+        the error that refuses it."""
         op, lattice = self.op, self.window.kind
         if self._growth_runs is None:
-            self._growth_runs = _growth_runs(op.weights, self.horizon, lattice)
+            # the runs every power up to the horizon reads
+            lo, hi = _growth_starts(op.weights, self.horizon, lattice)
+            self._growth_runs = _RunProducts(op.weights, lo, hi + self.horizon - 1)
         runs = self._growth_runs
         powers = range(first, min(self.horizon + 1, first + max(1, PIN_CELLS // runs.weights.size)))
         reads = []
@@ -445,18 +431,15 @@ class PowerStack:
         with np.errstate(over="raise", invalid="raise"):
             for n, inf, top, bottom in zip(powers, over, tops, bottoms):
                 try:
-                    self._bounds[n] = None if inf else _shift_bounds(op, n, lattice, top, bottom)
-                except (FloatingPointError, OverflowError):
-                    self._bounds[n] = None
+                    if inf:
+                        raise FloatingPointError("overflow encountered in multiply")
+                    self._bounds[n] = _shift_bounds(op, n, lattice, top, bottom)
+                except (FloatingPointError, OverflowError) as exc:
+                    self._bounds[n] = exc.with_traceback(None)
 
     def _form(self, n: int) -> PowerMap:
         op, window = self.op, self.window
         d = window.dim
-        if self._shift:
-            coeffs, tgt = self._shift_table(n, n + 1)
-            if np.isinf(coeffs.real).any():
-                raise FloatingPointError("overflow encountered in multiply")
-            return PowerMap("ortho", window, coeffs=coeffs[0], tgt=tgt[0])
         if isinstance(op, Diagonal):
             entries = op.entries_on(window)
             # numpy's complex power saturates at the float maximum without a flag
@@ -538,18 +521,13 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     n = int(n)
     if lattice not in (BILATERAL, UNILATERAL):
         raise ValueError(f"unknown lattice {lattice!r}")
-    shift = isinstance(op, (ForwardShift, BackwardShift))
-    return _growth_bounds(op, n, lattice, _growth_runs(op.weights, n, lattice) if shift and n else None)
+    # the bounds read only the lattice, so a window of one index serves
+    return PowerStack(op, IndexWindow(lattice, 0), n).growth(n)
 
 
-def _growth_bounds(op: OperatorSpec, n: int, lattice: str, runs: _RunProducts | None) -> GrowthBounds:
-    """growth's bounds at a valid power; a shift reads its runs from runs,
-    which _growth_runs built for a horizon of at least n."""
-    if n == 0:
-        return GrowthBounds(1.0, 1.0)
-    if isinstance(op, (ForwardShift, BackwardShift)):
-        prods = runs(n, *_growth_starts(op.weights, n, lattice))
-        return _shift_bounds(op, n, lattice, float(prods.max()), float(prods.min()))
+def _growth_bounds(op: OperatorSpec, n: int) -> GrowthBounds:
+    """growth's bounds at a power from 1 up of any operator but a shift, whose
+    stack forms its bounds a chunk at a time."""
     if isinstance(op, Diagonal):
         moduli = [abs(v) for v in op.entries.values()]
         if op.default is not None:

@@ -174,6 +174,7 @@ def _with(cfg, path, value):
 
 
 _DENSE_3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+_BALL = [{"center": {"basis": 0}, "radius": 0.5}]
 _CROSS_SCENARIO = {"experiment": "scenario", "parameters": {"id": "cross-junction-equivalence"}}
 
 FIELD_PATH_CASES = [
@@ -374,6 +375,33 @@ FIELD_PATH_CASES = [
         )
         for lams in ([2.0, 0.5], [0, 0.5])
     ),
+    # fixed alphas that HitProblem would refuse with no field path: a zero, a
+    # modulus past 1 (the pair [0.6, 0.9] is one complex alpha), a count that
+    # is not the number of components
+    *(
+        (
+            f"{experiment} fixed alphas {alphas}",
+            _experiment(experiment, mode="fixed", alphas=alphas, **balls),
+            "parameters.alphas" if len(alphas) > 1 else "parameters.alphas[0]",
+        )
+        for experiment, balls in (
+            ("hit", {"n": 2, "sources": _BALL, "targets": _BALL}),
+            ("junction", {"sources": _BALL, "targets": _BALL}),
+            ("cross", {"a": _BALL, "b": _BALL}),
+        )
+        for alphas in ([0], [2.0], [[0.6, 0.9]], [1.0, 1.0])
+    ),
+    # the field the config set, where the other field of the comparison is a default
+    (
+        "spectral split p past the default c",
+        {"experiment": "scenario", "parameters": {"id": "diagonal-spectral-split", "p": 1.6}},
+        "parameters.p",
+    ),
+    (
+        "spectral split p past c, both set",
+        {"experiment": "scenario", "parameters": {"id": "diagonal-spectral-split", "p": 1.6, "c": 1.5}},
+        "parameters.c",
+    ),
 ]
 
 
@@ -434,7 +462,6 @@ class _RecordingParams(dict):
         return super().__getitem__(key)
 
 
-_BALL = [{"center": {"basis": 0}, "radius": 0.5}]
 _FIXED = {"mode": "fixed", "alphas": [1.0]}
 # per experiment, parameters that between them take every branch reading a key
 _READING_RUNS = {

@@ -4,8 +4,10 @@ private name it never uses; importing the package stays light.
 No linter ships with the project, so these are `ast` scans: every name an
 import statement binds must appear as a name somewhere else in the module,
 or be listed in the module's `__all__`; every module-level `_name` function,
-class or assignment in `src/disklab` must be read somewhere in its module, and
-every module-level public UPPERCASE constant somewhere in the library.
+class or assignment in `src/disklab` must be read somewhere in its module,
+every `_name` method of a module-level class read as an attribute somewhere in
+the library, and every module-level public UPPERCASE constant read somewhere
+in the library.
 """
 
 import ast
@@ -107,6 +109,50 @@ def test_no_orphaned_private_names():
         if (names := orphaned_private_names(path.read_text()))
     }
     assert found == {}
+
+
+def orphaned_private_methods(sources: list[str]) -> list[str]:
+    """Class.method for each `_name` method of a module-level class in sources
+    whose name no module in sources reads as an attribute: what a deletion
+    leaves behind when it removes a method's last caller."""
+    trees = [ast.parse(source) for source in sources]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+    }
+    return [
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
+def test_orphan_scan_flags_only_unread_private_methods():
+    defining = (
+        "class Box:\n"
+        "    def __init__(self): self._size = self._measure()\n"
+        "    def _measure(self): return 1\n"
+        "    def _dead(self): return self._size\n"
+        "    def _elsewhere(self): return 2\n"
+        "    def public(self): return 3\n"
+        "class _Inner:\n"
+        "    def _stored(self): pass\n"
+        "def f(box): box._stored = 4\n"
+    )
+    reading = "def g(box): return box._elsewhere()\n"
+    assert orphaned_private_methods([defining, reading]) == ["Box._dead", "_Inner._stored"]
+
+
+def test_no_orphaned_private_methods():
+    assert orphaned_private_methods([path.read_text() for path in LIBRARY]) == []
 
 
 def _public_constants(tree: ast.Module) -> list[str]:

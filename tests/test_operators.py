@@ -605,3 +605,59 @@ def test_a_lower_power_after_a_higher_one_reads_as_fresh(lattice):
         fresh = PowerStack(op, window, 40)
         assert used.power_map(1).coeffs.tobytes() == fresh.power_map(1).coeffs.tobytes()
         assert used.growth(1) == fresh.growth(1)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [ForwardShift(WeightProfile(2.0, 3.0)), Diagonal({}, default=0.5), Dense(np.eye(17))],
+    ids=["shift", "diagonal", "dense"],
+)
+def test_a_stack_refuses_powers_outside_its_horizon(op):
+    stack = PowerStack(op, W8, 5)
+    for n in (6, -1):
+        for read in (stack.power_map, stack.growth):
+            with pytest.raises(ValueError, match=rf"power {n} lies outside the stack's 0\.\.5"):
+                read(n)
+
+
+@pytest.mark.parametrize("lattice", [BILATERAL, UNILATERAL])
+def test_a_refused_power_raises_again_without_forming_run_products(lattice, monkeypatch):
+    """A chunk keeps the error of a power it refused: asking for that power
+    again, or for a power past it in the chunk, forms no run products."""
+    w = IndexWindow(lattice, 4 if lattice == BILATERAL else 8)
+    profile = WeightProfile(1.0, 1.0, {w.lo + 3: 1e-100, **{w.lo + j: 1e100 for j in range(4, 8)}})
+    maps = PowerStack(ForwardShift(profile), w, 6)
+    maps.power_map(1)
+    # the (2, 3) shift's growth chunk from 647 refuses 647 on the bilateral
+    # lattice, where 3**647 passes the float range
+    bounds = PowerStack(ForwardShift(WeightProfile(2.0, 3.0)), IndexWindow(BILATERAL, 64), 700)
+    with pytest.raises(OperatorError):
+        bounds.growth(647)
+    calls = []
+    rows = operators._RunProducts.rows
+    monkeypatch.setattr(operators._RunProducts, "rows", lambda runs, *span: calls.append(span) or rows(runs, *span))
+    for _ in range(2):
+        with pytest.raises(OperatorError, match="power_map overflows a float at power 4:"):
+            maps.power_map(4)
+        with pytest.raises(OperatorError, match="growth overflows a float at power 647:"):
+            bounds.growth(647)
+    maps.power_map(5)
+    assert calls == []
+    # a power of a stack that no chunk has formed yet still forms its runs
+    bounds.growth(1)
+    assert calls != []
+
+
+def test_growth_and_a_stack_raise_alike_at_the_shift_edge():
+    """growth of the (2, 3) shift on the bilateral lattice is finite at 646
+    and refused at 647, with the same message from the module function and
+    from a stack's chunk."""
+    op = ForwardShift(WeightProfile(2.0, 3.0))
+    stack = PowerStack(op, IndexWindow(BILATERAL, 64), 700)
+    assert growth(op, 646) == stack.growth(646)
+    errors = []
+    for bounds in (lambda: growth(op, 647), lambda: stack.growth(647)):
+        with pytest.raises(OperatorError, match="growth overflows a float at power 647:") as err:
+            bounds()
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
