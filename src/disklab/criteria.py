@@ -15,10 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .hitsolver import ALPHA_FLOOR
+import numpy as np
+
+from .hitsolver import ALPHA_FLOOR, _row_norms
 from .operators import (
     ForwardShift,
     OperatorSpec,
+    PowerMap,
     PowerStack,
     WeightProfile,
     apply,
@@ -98,6 +101,11 @@ def _check_scalars(lams: Sequence[complex]) -> None:
         raise CriterionError("scalar sequences must stay in the closed unit disk")
 
 
+def _is_integer(v) -> bool:
+    """Whether v is a finite number equal to an integer, as HitProblem takes n."""
+    return -math.inf < v < math.inf and int(v) == v
+
+
 BackwardMap = Callable[[int, ComplexVector], ComplexVector]
 
 
@@ -125,6 +133,8 @@ class CriterionData:
     def __post_init__(self):
         comps = tuple(self.components)
         smaps = tuple(self.smaps)
+        if not all(_is_integer(n) for n in self.nk):
+            raise CriterionError("powers must be integers")
         nk = tuple(int(n) for n in self.nk)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "smaps", smaps)
@@ -140,8 +150,13 @@ class CriterionData:
             for row in lams:
                 _check_scalars(row)
             object.__setattr__(self, "lambdas", lams)
+        if not _is_integer(self.sample_count):
+            raise CriterionError("sample_count must be an integer")
         if self.sample_count < 1:
             raise CriterionError("sample_count must be at least 1")
+        object.__setattr__(self, "sample_count", int(self.sample_count))
+        if not self.tol > 0:
+            raise CriterionError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,47 +199,65 @@ class _OrbitNorms(NamedTuple):
     defect: list[list[float]]  # ||T^n S_n y_i - y_i||
 
 
-class _Stacks:
-    """The PowerStacks the orbit norms of one check read: one per operator
-    and window, to the last probed power, shared by every sampled pair."""
+def _by_window(parts: list[ComplexVector]) -> list[tuple[IndexWindow, list[int], np.ndarray]]:
+    """The parts grouped by window: each window with the indices of its
+    parts and their coefficients as rows."""
+    groups: dict[IndexWindow, list[int]] = {}
+    for p, v in enumerate(parts):
+        groups.setdefault(v.window, []).append(p)
+    return [(w, idx, np.array([parts[p].coeffs for p in idx])) for w, idx in groups.items()]
 
-    def __init__(self, data: CriterionData):
-        self._horizon = data.nk[-1]
-        self._stacks: dict[tuple[int, IndexWindow], PowerStack] = {}
 
-    def apply(self, op: OperatorSpec, n: int, x: ComplexVector) -> ComplexVector:
-        """power_apply(op, n, x), with T^n read from the stack."""
+def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
+    """The three norms of every sampled pair at every probed power.
+
+    Each component's parts are stacked once into rows, grouped by window,
+    and each power is read once from a PowerStack per operator and window
+    and applied to all rows of a group at once; a callable backward map is
+    applied pair by pair.  Every pair passes the window guard before any
+    power is formed, and powers are probed in increasing order, so an
+    overflow is named at the lowest power at which any pair overflows.
+    """
+    k, horizon = len(data.components), data.nk[-1]
+    for x, y in pairs:
+        if x.arity != k or y.arity != k:
+            raise CriterionError(
+                f"samplers must draw one part per component ({k}), got {x.arity} and {y.arity}"
+            )
+        for t, s, xi, yi in zip(data.components, data.smaps, x.parts, y.parts):
+            ensure_power_fits(t, horizon, xi)
+            if isinstance(s, OperatorSpec):
+                ensure_power_fits(s, horizon, yi)
+    stacks: dict[tuple[int, IndexWindow], PowerStack] = {}
+
+    def power(op: OperatorSpec, window: IndexWindow, n: int) -> PowerMap:
         # operators are keyed by identity: the data holds them while the stacks live
-        key = (id(op), x.window)
-        stack = self._stacks.get(key)
-        if stack is None:
-            stack = self._stacks[key] = PowerStack(op, x.window, self._horizon)
-        return ComplexVector(x.window, stack.power_map(n).apply_vec(x.coeffs))
+        key = (id(op), window)
+        if key not in stacks:
+            stacks[key] = PowerStack(op, window, horizon)
+        return stacks[key].power_map(n)
 
-
-def _orbit_norms(data: CriterionData, x: ProductVector, y: ProductVector, stacks: _Stacks) -> _OrbitNorms:
-    """The three norms of one sampled pair at every probed power, with each
-    power read once from the stacks.  Powers are probed in increasing order,
-    so an overflow is named at the first power it happens at."""
-    k = len(data.components)
-    if x.arity != k or y.arity != k:
-        raise CriterionError(
-            f"samplers must draw one part per component ({k}), got {x.arity} and {y.arity}"
-        )
-    parts = tuple(zip(data.components, data.smaps, x.parts, y.parts))
-    for t, s, xi, yi in parts:
-        ensure_power_fits(t, data.nk[-1], xi)
-        if isinstance(s, OperatorSpec):
-            ensure_power_fits(s, data.nk[-1], yi)
-    norms = _OrbitNorms([[] for _ in parts], [[] for _ in parts], [[] for _ in parts])
-    for n in data.nk:
+    parts = [
+        (_by_window([x.parts[i] for x, _ in pairs]), _by_window([y.parts[i] for _, y in pairs])) for i in range(k)
+    ]
+    norms = np.empty((3, k, len(data.nk), len(pairs)))  # [kind][component][step][pair]
+    for j, n in enumerate(data.nk):
         with named_overflow("_orbit_norms", f"power {n}"):
-            for i, (t, s, xi, yi) in enumerate(parts):
-                sn_y = stacks.apply(s, n, yi) if isinstance(s, OperatorSpec) else s(n, yi)
-                norms.forward[i].append(norm(stacks.apply(t, n, xi)))
-                norms.backward[i].append(norm(sn_y))
-                norms.defect[i].append(norm(stacks.apply(t, n, sn_y) - yi))
-    return norms
+            for i, (t, s) in enumerate(zip(data.components, data.smaps)):
+                xs, ys = parts[i]
+                for w, idx, rows in xs:
+                    norms[0, i, j, idx] = _row_norms(power(t, w, n).apply_rows(rows))
+                for w, idx, rows in ys:
+                    if isinstance(s, OperatorSpec):
+                        sn_y = power(s, w, n).apply_rows(rows)
+                    else:
+                        images = [s(n, ComplexVector(w, row)) for row in rows]
+                        if any(v.window != w for v in images):
+                            raise ValueError("vectors live on different windows")
+                        sn_y = np.array([v.coeffs for v in images])
+                    norms[1, i, j, idx] = _row_norms(sn_y)
+                    norms[2, i, j, idx] = _row_norms(power(t, w, n).apply_rows(sn_y) - rows)
+    return [_OrbitNorms(*norms[..., p].tolist()) for p in range(len(pairs))]
 
 
 def _curves(norms: _OrbitNorms, lambdas=None) -> tuple[tuple[float, ...], ...]:
@@ -260,8 +293,7 @@ def _sample_pairs(data: CriterionData) -> list[tuple[ProductVector, ProductVecto
 
 def _evaluate(data: CriterionData) -> tuple[list, list[_OrbitNorms]]:
     pairs = _sample_pairs(data)
-    stacks = _Stacks(data)
-    return pairs, [_orbit_norms(data, x, y, stacks) for x, y in pairs]
+    return pairs, _orbit_norms(data, pairs)
 
 
 def _report(data: CriterionData, pairs, per_pair, labels) -> CriterionReport:
@@ -355,8 +387,7 @@ def derive_scalars(data: CriterionData, eps: float) -> DerivedScalars:
     flagged.  Raises when even the final power has backward mass above eps.
     """
     _check_eps(eps)
-    stacks = _Stacks(data)
-    per_pair = tuple(_pair_scalars(_orbit_norms(data, x, y, stacks), eps) for x, y in _sample_pairs(data))
+    per_pair = tuple(_pair_scalars(nm, eps) for nm in _orbit_norms(data, _sample_pairs(data)))
     return DerivedScalars(eps=eps, steps=data.nk, per_pair=per_pair)
 
 

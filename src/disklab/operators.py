@@ -311,6 +311,20 @@ class PowerMap:
         out[self.tgt[live]] = self.coeffs[live] * arr[live]
         return out
 
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """apply_vec on each row of rows, bit for bit.  An orthogonal-column
+        map scatters its live columns onto their targets for all rows at
+        once, with its coefficients spread to full shape: numpy's complex
+        multiply can round a product differently where one operand is
+        broadcast.  A dense map is applied row by row, since a matrix
+        product can round differently from a matrix-vector one."""
+        if self.kind == "dense":
+            return np.array([self.matrix @ row for row in rows]).reshape(rows.shape)
+        cols = self.coeffs.nonzero()[0]
+        out = np.zeros_like(rows)
+        out[:, self.tgt[cols]] = np.repeat(self.coeffs[None, cols], len(rows), axis=0) * rows.take(cols, axis=1)
+        return out
+
 
 class PowerStack:
     """T^0 .. T^horizon of one operator on one window: each power is formed

@@ -21,12 +21,17 @@ from disklab.criteria import (
     spectral_witness,
 )
 from disklab.operators import (
+    BackwardShift,
+    Dense,
     Diagonal,
     EigenPair,
     ForwardShift,
     OperatorError,
+    PowerMap,
+    PowerStack,
     Scalar,
     WeightProfile,
+    WindowGuardError,
     power_apply,
     right_inverse,
 )
@@ -37,6 +42,7 @@ from disklab.vectorspace import (
     IndexWindow,
     ProductVector,
     norm,
+    sample_finite_support,
 )
 
 SHIFT = ForwardShift(WeightProfile(2.0, 3.0))
@@ -632,3 +638,190 @@ def test_extra_sampler_parts_are_an_error_not_ignored():
     for fn in (derive_scalars, roundtrip_scalar_derivation):
         with pytest.raises(CriterionError, match="one part per component"):
             fn(data, 0.1)
+
+
+
+# -- every sampled pair of a check in one batch, power by power ---------------
+
+# two windows of one dimension, so that one dense matrix acts on both
+TWO_WINDOWS = (IndexWindow(BILATERAL, 20), IndexWindow(UNILATERAL, 40))
+
+
+def two_window_sampler(arity):
+    """Each part on either window, with 1 to 4 support indices in [-4, 4]."""
+
+    def sample(rng):
+        return ProductVector(
+            tuple(
+                sample_finite_support(TWO_WINDOWS[int(rng.integers(2))], int(rng.integers(1, 5)), 1.0, rng, band=4)
+                for _ in range(arity)
+            )
+        )
+
+    return sample
+
+
+def random_dense(rng):
+    """A dense operator near 0.9 times the identity on the windows' dimension,
+    and its inverse as the backward map."""
+    d = TWO_WINDOWS[0].dim
+    matrix = 0.9 * np.eye(d) + (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / (4 * d)
+    return Dense(matrix), Dense(np.linalg.inv(matrix))
+
+
+def random_backward_shift(rng):
+    """A tabled backward shift, with the forward shift of reciprocal weights
+    as its backward map."""
+    table = {int(k): float(rng.uniform(0.3, 3.0)) for k in rng.integers(-4, 5, size=3)}
+    weights = WeightProfile(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0)), table)
+    return BackwardShift(weights), ForwardShift(weights.reciprocal())
+
+
+def test_batched_orbit_norms_equal_the_per_pair_references_bitwise():
+    """Dense, backward-shift and other components, operator and callable
+    backward maps, 8 to 12 pairs with their own supports, parts on two
+    windows: every pair's curves equal the per-pair reference loops."""
+    rng = np.random.default_rng(23)
+    for case in range(12):
+        other = random_component(rng)
+        comps, smaps = zip(random_dense(rng), random_backward_shift(rng), (other, right_inverse(other)))
+        picks = rng.choice(np.arange(1, 17), size=int(rng.integers(2, 8)), replace=False)
+        nk = tuple(sorted(int(n) for n in picks))
+        data = CriterionData(
+            components=comps,
+            smaps=smaps,
+            nk=nk,
+            xsampler=two_window_sampler(len(comps)),
+            ysampler=two_window_sampler(len(comps)),
+            lambdas=random_lambdas(rng, len(comps), len(nk)),
+            sample_count=int(rng.integers(8, 13)),
+            seed=case,
+        )
+        for check, scaled in ((check_scalar_free_criterion, False), (check_scaled_criterion, True)):
+            rep = check(data)
+            assert len({p.window for x, y in rep.pairs for p in (*x.parts, *y.parts)}) == 2
+            for (x, y), curves in zip(rep.pairs, rep.per_pair):
+                assert curves == reference_subsequence_pair(comps, smaps, nk, data.lambdas, x, y, scaled)
+        # callable backward maps S_n = S^n on every component give the same bits
+        shifts_and_scalars = tuple(random_component(rng) for _ in range(int(rng.integers(2, 4))))
+        inverses = tuple(right_inverse(c) for c in shifts_and_scalars)
+        called = replace(
+            data,
+            components=shifts_and_scalars,
+            smaps=tuple(powers_of_right_inverse(c) for c in shifts_and_scalars),
+            xsampler=two_window_sampler(len(shifts_and_scalars)),
+            ysampler=two_window_sampler(len(shifts_and_scalars)),
+            lambdas=None,
+        )
+        rep = check_scalar_free_criterion(called)
+        for (x, y), curves in zip(rep.pairs, rep.per_pair):
+            assert curves == reference_subsequence_pair(shifts_and_scalars, inverses, nk, None, x, y, False)
+
+
+@pytest.mark.parametrize("kind", ["dense", "backward shift"])
+def test_batched_compound_norms_equal_the_per_pair_reference_bitwise(kind):
+    rng = np.random.default_rng(29 if kind == "dense" else 31)
+    for case in range(6):
+        op, smap = (random_dense if kind == "dense" else random_backward_shift)(rng)
+        horizon = int(rng.integers(2, 17))
+        lambdas = random_lambdas(rng, 1, horizon)[0]
+
+        def call(n, v, s=smap):
+            return power_apply(s, n, v)
+
+        backward = call if case % 2 else smap
+        data = replace(
+            whole_sequence_data(op, backward, horizon, lambdas=lambdas, sample_count=8, seed=case),
+            xsampler=two_window_sampler(1),
+            ysampler=two_window_sampler(1),
+        )
+        for check, scaled in ((check_compound_scalar_free, False), (check_compound_scaled, True)):
+            rep = check(data)
+            for (x, y), curves in zip(rep.pairs, rep.per_pair):
+                assert curves == reference_compound_pair(op, call, horizon, lambdas, x.parts[0], y.parts[0], scaled)
+
+
+def sequence_sampler(parts):
+    """A sampler that returns the given one-part vectors in turn, whatever
+    the generator."""
+    draws = iter(parts)
+    return lambda rng: ProductVector((next(draws),))
+
+
+def test_orbit_norm_errors_name_the_lowest_power_any_pair_overflows():
+    """||T^n x|| is 3^n for x = e_-390, whose square passes the float range
+    from n = 324 on, and 1e100 3^n for the second pair's x, from n = 114 on.
+    Pair by pair, the first pair's power 324 was named."""
+    w = IndexWindow(BILATERAL, 400)
+    data = CriterionData(
+        components=(SHIFT,),
+        smaps=(right_inverse(SHIFT),),
+        nk=tuple(range(1, 331)),
+        xsampler=sequence_sampler([ComplexVector.basis(w, -390), ComplexVector.basis(w, -390, 1e100)]),
+        ysampler=sequence_sampler([ComplexVector.basis(w, 0)] * 2),
+        sample_count=2,
+    )
+    with pytest.raises(OperatorError, match="_orbit_norms overflows a float at power 114: "):
+        check_scalar_free_criterion(data)
+
+
+def test_the_window_guard_runs_for_every_pair_before_any_power_is_formed(monkeypatch):
+    """The first pair would overflow at power 114; the second pair's x sits
+    at 395, which power 330 pushes past the window top 400."""
+    formed = []
+    power_map = PowerStack.power_map
+    monkeypatch.setattr(PowerStack, "power_map", lambda self, n: formed.append(n) or power_map(self, n))
+    w = IndexWindow(BILATERAL, 400)
+    data = CriterionData(
+        components=(SHIFT,),
+        smaps=(right_inverse(SHIFT),),
+        nk=tuple(range(1, 331)),
+        xsampler=sequence_sampler([ComplexVector.basis(w, -390, 1e100), ComplexVector.basis(w, 395)]),
+        ysampler=sequence_sampler([ComplexVector.basis(w, 0)] * 2),
+        sample_count=2,
+    )
+    with pytest.raises(WindowGuardError, match="forward power 330 pushes support 395"):
+        check_scalar_free_criterion(data)
+    assert formed == []
+
+
+def test_a_check_on_a_shift_applies_no_power_to_a_single_vector(monkeypatch):
+    """The orbit norms apply each power to all pairs' rows at once
+    (PowerMap.apply_rows); a return to per-pair application fails here."""
+    single = []
+    apply_vec = PowerMap.apply_vec
+    monkeypatch.setattr(PowerMap, "apply_vec", lambda self, arr: single.append(arr.shape) or apply_vec(self, arr))
+    nk = tuple(range(1, 41))
+    data = shift_data(nk, geometric_lambdas(nk), sample_count=8)
+    compound = whole_sequence_data(SHIFT, right_inverse(SHIFT), 40, sample_count=8)
+    for report in (check_scaled_criterion(data), check_scalar_free_criterion(data), check_compound_scalar_free(compound)):
+        assert len(report.per_pair) == 8
+    assert len(derive_scalars(data, 0.1).per_pair) == 8
+    assert roundtrip_scalar_derivation(data, 0.1).passed
+    assert single == []
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("nk", (1.5, 2.7), "powers must be integers"),
+        ("nk", (1, 2, math.nan), "powers must be integers"),
+        ("nk", (1, math.inf), "powers must be integers"),
+        ("tol", 0.0, "tol must be positive"),
+        ("tol", -1e-6, "tol must be positive"),
+        ("tol", math.nan, "tol must be positive"),
+        ("sample_count", 2.5, "sample_count must be an integer"),
+        ("sample_count", math.inf, "sample_count must be an integer"),
+        ("sample_count", math.nan, "sample_count must be an integer"),
+    ],
+)
+def test_data_rejects_fractional_powers_and_counts_and_a_tolerance_not_above_zero(field, value, message):
+    with pytest.raises(CriterionError, match=message):
+        replace(shift_data((1, 2, 3)), **{field: value})
+
+
+def test_data_takes_integral_floats_as_powers_and_counts():
+    data = replace(shift_data((1, 2, 3)), nk=(1.0, np.int64(2), 3), sample_count=np.float64(4.0))
+    assert data.nk == (1, 2, 3) and type(data.nk[1]) is int
+    assert data.sample_count == 4 and type(data.sample_count) is int
+    assert len(check_scalar_free_criterion(data).pairs) == 4
