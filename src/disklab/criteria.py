@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hitsolver import ALPHA_FLOOR, _row_norms
+from .hitsolver import ALPHA_FLOOR, _is_integer, _row_norms
 from .operators import (
     ForwardShift,
     OperatorSpec,
@@ -101,11 +101,6 @@ def _check_scalars(lams: Sequence[complex]) -> None:
         raise CriterionError("scalar sequences must stay in the closed unit disk")
 
 
-def _is_integer(v) -> bool:
-    """Whether v is a finite number equal to an integer, as HitProblem takes n."""
-    return -math.inf < v < math.inf and int(v) == v
-
-
 BackwardMap = Callable[[int, ComplexVector], ComplexVector]
 
 
@@ -116,7 +111,9 @@ class CriterionData:
 
     A backward map is an operator S, meaning S_n = S^n and window-guarded
     like the components, or a callable (n, v) -> S_n v for an arbitrary
-    sequence of maps, which is not guarded.  The compound criteria take one
+    sequence of maps, which is not guarded.  A callable must be a pure
+    function of (n, v): it is called power by power, each power on every
+    sampled part in turn.  The compound criteria take one
     component probed at every power nk = (1, ..., N).
     """
 
@@ -208,13 +205,22 @@ def _by_window(parts: list[ComplexVector]) -> list[tuple[IndexWindow, list[int],
     return [(w, idx, np.array([parts[p].coeffs for p in idx])) for w, idx in groups.items()]
 
 
+def _call_rows(s: BackwardMap, n: int, parts: list[ComplexVector]) -> np.ndarray:
+    """The callable s at power n on each part, as rows; each image must live
+    on its part's window."""
+    images = [s(n, v) for v in parts]
+    for v, image in zip(parts, images):
+        v._check_window(image)
+    return np.array([image.coeffs for image in images])
+
+
 def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
     """The three norms of every sampled pair at every probed power.
 
     Each component's parts are stacked once into rows, grouped by window,
     and each power is read once from a PowerStack per operator and window
     and applied to all rows of a group at once; a callable backward map is
-    applied pair by pair.  Every pair passes the window guard before any
+    called on each sampled part.  Every pair passes the window guard before any
     power is formed, and powers are probed in increasing order, so an
     overflow is named at the lowest power at which any pair overflows.
     """
@@ -237,24 +243,20 @@ def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
             stacks[key] = PowerStack(op, window, horizon)
         return stacks[key].power_map(n)
 
-    parts = [
-        (_by_window([x.parts[i] for x, _ in pairs]), _by_window([y.parts[i] for _, y in pairs])) for i in range(k)
-    ]
+    ys = [[y.parts[i] for _, y in pairs] for i in range(k)]
+    parts = [(_by_window([x.parts[i] for x, _ in pairs]), _by_window(ys[i])) for i in range(k)]
     norms = np.empty((3, k, len(data.nk), len(pairs)))  # [kind][component][step][pair]
     for j, n in enumerate(data.nk):
         with named_overflow("_orbit_norms", f"power {n}"):
             for i, (t, s) in enumerate(zip(data.components, data.smaps)):
-                xs, ys = parts[i]
-                for w, idx, rows in xs:
+                xgroups, ygroups = parts[i]
+                for w, idx, rows in xgroups:
                     norms[0, i, j, idx] = _row_norms(power(t, w, n).apply_rows(rows))
-                for w, idx, rows in ys:
+                for w, idx, rows in ygroups:
                     if isinstance(s, OperatorSpec):
                         sn_y = power(s, w, n).apply_rows(rows)
                     else:
-                        images = [s(n, ComplexVector(w, row)) for row in rows]
-                        if any(v.window != w for v in images):
-                            raise ValueError("vectors live on different windows")
-                        sn_y = np.array([v.coeffs for v in images])
+                        sn_y = _call_rows(s, n, [ys[i][p] for p in idx])
                     norms[1, i, j, idx] = _row_norms(sn_y)
                     norms[2, i, j, idx] = _row_norms(power(t, w, n).apply_rows(sn_y) - rows)
     return [_OrbitNorms(*norms[..., p].tolist()) for p in range(len(pairs))]

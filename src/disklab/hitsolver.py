@@ -129,7 +129,7 @@ class HitProblem:
         k = len(comps)
         if self.sources.arity != k or self.targets.arity != k:
             raise ValueError("ball arity does not match the number of components")
-        if not (0 <= self.n < math.inf and int(self.n) == self.n):
+        if not (self.n >= 0 and _is_integer(self.n)):
             raise ValueError("power must be a nonnegative integer")
         # numpy takes only an int as a matrix power or a shift's index offset
         object.__setattr__(self, "n", int(self.n))
@@ -311,6 +311,11 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     and imaginary parts.  vecdot takes each row's dot product with the dot
     loop of a 1-D array, so a row's value is that of the row alone."""
     return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+
+
+def _is_integer(v) -> bool:
+    """Whether v is a finite number equal to an integer."""
+    return -math.inf < v < math.inf and int(v) == v
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

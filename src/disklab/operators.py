@@ -304,25 +304,24 @@ class PowerMap:
         return replace(self, coeffs=alpha * self.coeffs)
 
     def apply_vec(self, arr: np.ndarray) -> np.ndarray:
-        if self.kind == "dense":
-            return self.matrix @ arr
-        out = np.zeros_like(arr)
-        live = self.coeffs != 0
-        out[self.tgt[live]] = self.coeffs[live] * arr[live]
-        return out
+        return self.apply_rows(arr[None])[0]
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """apply_vec on each row of rows, bit for bit.  An orthogonal-column
-        map scatters its live columns onto their targets for all rows at
-        once, with its coefficients spread to full shape: numpy's complex
-        multiply can round a product differently where one operand is
-        broadcast.  A dense map is applied row by row, since a matrix
-        product can round differently from a matrix-vector one."""
+        """This map applied to each row of rows.  An orthogonal-column map
+        scatters its live columns onto their targets for all rows at once,
+        with its coefficients spread to full shape: numpy's complex multiply
+        can round a product differently where one operand is broadcast.  A
+        dense map is applied row by row, since a matrix product can round
+        differently from a matrix-vector one.  So each row's image does not
+        depend on the other rows, bit for bit."""
         if self.kind == "dense":
-            return np.array([self.matrix @ row for row in rows]).reshape(rows.shape)
+            return np.array([self.matrix @ row for row in rows])
         cols = self.coeffs.nonzero()[0]
+        src = rows.take(cols, axis=1)
+        coeffs = np.empty(src.shape, self.coeffs.dtype)
+        coeffs[:] = self.coeffs[cols]
         out = np.zeros_like(rows)
-        out[:, self.tgt[cols]] = np.repeat(self.coeffs[None, cols], len(rows), axis=0) * rows.take(cols, axis=1)
+        out[:, self.tgt[cols]] = coeffs * src
         return out
 
 

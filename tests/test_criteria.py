@@ -801,6 +801,27 @@ def test_a_check_on_a_shift_applies_no_power_to_a_single_vector(monkeypatch):
     assert single == []
 
 
+def test_a_callable_backward_map_gets_each_sampled_part_itself():
+    """The batch calls a callable S_n on the sampled part, not on a copy
+    built from the stacked rows, once per power and part; an image on
+    another window is refused as a difference of such vectors is."""
+    seen = []
+    inverse = right_inverse(SHIFT)
+
+    def backward(n, v):
+        seen.append((n, v))
+        return power_apply(inverse, n, v)
+
+    data = replace(shift_data((2, 5, 9), sample_count=8), smaps=(backward,))
+    rep = check_scalar_free_criterion(data)
+    ys = [y.parts[0] for _, y in rep.pairs]
+    assert [n for n, _ in seen] == [n for n in (2, 5, 9) for _ in ys]
+    assert all(v is ys[p % 8] for p, (_, v) in enumerate(seen))
+    other = IndexWindow(UNILATERAL, 3)
+    with pytest.raises(ValueError, match="vectors live on different windows"):
+        check_scalar_free_criterion(replace(data, smaps=(lambda n, v: ComplexVector.zero(other),)))
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
