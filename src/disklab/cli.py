@@ -108,10 +108,10 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# typed readers; every one is called as read(value, path) and names the
-# offending field on failure.  A table reads its fields as read(value, path,
-# ctx), ctx holding what a field depends on: the window, the operators and
-# the fields read before it.  Readers that need none of it ignore ctx.
+# typed readers; every one is called as read(value, path, ctx) and names the
+# offending field on failure.  ctx holds what a field depends on: the window,
+# the operators and the fields of its table read before it.  Readers that need
+# none of it ignore ctx.
 
 Reader = Callable[..., Any]
 
@@ -171,7 +171,7 @@ def _at_least(low: int, what: str) -> Reader:
 
 
 def _positive(what: str) -> Reader:
-    """Reader of a number above 0, such as a radius or a bound."""
+    """Reader of a number above 0, such as a radius, a bound or a weight."""
 
     def read(value: Any, path: str, ctx: dict | None = None) -> float:
         x = _as_float(value, path)
@@ -190,7 +190,9 @@ _as_sample_count = _at_least(1, "sample_count")
 
 def _items(read: Reader) -> Reader:
     """Reader of a list into the tuple of its entries, each taken by `read` at path[i]."""
-    return lambda value, path, ctx=None: tuple(read(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path)))
+    return lambda value, path, ctx=None: tuple(
+        read(v, f"{path}[{i}]", ctx) for i, v in enumerate(_as_list(value, path))
+    )
 
 
 def _int_keyed(read: Reader) -> Reader:
@@ -203,22 +205,22 @@ def _int_keyed(read: Reader) -> Reader:
                 idx = int(key)
             except ValueError:
                 raise ConfigError(_sub(path, key), "keys must be integer indices") from None
-            out[idx] = read(raw, _sub(path, key))
+            out[idx] = read(raw, _sub(path, key), ctx)
         return out
 
     return read_table
 
 
-def _choice(options: Mapping, what: str) -> Reader:
+class _Choice(NamedTuple):
     """Reader of a string naming one of the keys of `options`; returns its value."""
 
-    def read(value: Any, path: str, ctx: dict | None = None) -> Any:
-        name = _as_str(value, path)
-        if name not in options:
-            raise ConfigError(path, f"unknown {what} {name!r}")
-        return options[name]
+    options: Mapping
+    what: str
 
-    return read
+    def __call__(self, value: Any, path: str, ctx: dict | None = None) -> Any:
+        if _as_str(value, path) not in self.options:
+            raise ConfigError(path, f"unknown {self.what} {value!r}")
+        return self.options[value]
 
 
 _REQUIRED = object()  # the default of a field that must be given
@@ -228,28 +230,15 @@ def _sub(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _field(spec: Mapping, path: str, key: str, read: Reader, default: Any = _REQUIRED) -> Any:
-    """spec[key] taken by `read` at path.key; a missing key takes the default.
-
-    A field whose default is None is optional: missing or null, it reads as None.
-    """
-    value = spec.get(key, default)
-    if value is _REQUIRED:
-        raise ConfigError(_sub(path, key), "missing required field")
-    if value is None and default is None:
-        return None
-    return read(value, _sub(path, key))
-
-
 # ---------------------------------------------------------------------------
-# tables: each experiment, scenario and sampler reads its parameters from one
-# table, and every check on which keys it takes derives from that table
+# tables: every JSON object of a config is read from one table, which says
+# which keys it takes
 
 
 class _Field(NamedTuple):
     """A field's reader, its default (_REQUIRED: must be given; None: may be
     left out; or a function of ctx), and the values of the table's choice
-    (mode or variant) that read it, None for all of them."""
+    (experiment, type, mode or variant) that read it, None for all of them."""
 
     read: Reader
     default: Any = _REQUIRED
@@ -264,34 +253,34 @@ class _Table(NamedTuple):
     choice: str | None = None
 
 
-def _check_keys(params: Mapping, fields: Mapping[str, _Field], what: str, path="parameters", choice=None) -> None:
-    """Reject, before the run, the first key that no field holds, or that the
-    chosen mode or variant does not read, so a misspelt or stale key cannot
-    pass unnoticed.  An unknown mode or variant is left for its reader."""
-    for key in params:
-        if key not in fields:
-            listed = ", ".join(sorted(fields))
-            raise ConfigError(_sub(path, key), f"not a parameter of this {what}; it takes {listed}")
-        readers = fields[key].only
-        if readers is None:
-            continue
-        default = fields[choice].default
-        picked = params.get(choice, default)
-        known = picked == default or any(picked in f.only for f in fields.values() if f.only)
-        if known and picked not in readers:
-            message = f"not read when {choice} is {picked!r}; only {choice} {', '.join(readers)} reads it"
-            raise ConfigError(_sub(path, key), message)
-
-
-def _read_table(spec: Any, fields: Mapping[str, _Field], path: str, choice=None, **ctx: Any) -> dict:
+def _read_table(
+    spec: Any, fields: Mapping[str, _Field], path: str, choice=None, what="field of this object", **ctx: Any
+) -> dict:
     """The object at path read field by field, in table order, into ctx, which
     holds what the caller passed; each reader gets ctx with the fields read
-    before it.  A field that the chosen mode or variant does not read is None."""
+    before it.  A field that the chosen value of the choice does not read is
+    None.  The keys are checked first, so that a misspelt or stale key cannot
+    pass unnoticed: a key no field holds is an error naming the table (`what`),
+    and so is a key the chosen value does not read, unless that value is
+    unknown, which the choice's own reader then refuses."""
     params = _as_dict(spec, path)
+    picked = params.get(choice, fields[choice].default) if choice else None
+    known = isinstance(picked, str) and picked in fields[choice].read.options
+    for key in params:
+        f = fields.get(key)
+        if f is None:
+            raise ConfigError(_sub(path, key), f"not a {what}; it takes {', '.join(sorted(fields))}")
+        if known and f.only is not None and picked not in f.only:
+            message = f"not read when {choice} is {picked!r}; only {choice} {', '.join(f.only)} reads it"
+            raise ConfigError(_sub(path, key), message)
     for key, f in fields.items():
-        default = f.default(ctx) if callable(f.default) else f.default
-        read = f.only is None or ctx[choice] in f.only
-        ctx[key] = _field(params, path, key, lambda value, at: f.read(value, at, ctx), default) if read else None
+        read = f.only is None or picked in f.only
+        default = None if not read else f.default(ctx) if callable(f.default) else f.default
+        value = params.get(key, default) if read else None
+        if value is _REQUIRED:
+            raise ConfigError(_sub(path, key), "missing required field")
+        # a field whose default is None may be left out or null, and reads as None
+        ctx[key] = None if value is None and default is None else f.read(value, _sub(path, key), ctx)
     return ctx
 
 
@@ -333,100 +322,84 @@ def apply_overrides(cfg: dict, overrides: Sequence[str]) -> dict:
 # builders
 
 
-_WINDOW_KINDS = {"bilateral": BILATERAL, "unilateral": UNILATERAL}
+_WINDOW = {
+    "kind": _Field(_Choice({"bilateral": BILATERAL, "unilateral": UNILATERAL}, "window kind"), "bilateral"),
+    "m": _Field(_as_size),
+}
 
 
-def build_window(spec: Any, path: str = "window") -> IndexWindow:
-    fields = {"kind": _Field(_choice(_WINDOW_KINDS, "window kind"), "bilateral"), "m": _Field(_as_size)}
-    kind, m = _read_table(spec, fields, path).values()
+def build_window(spec: Any, path: str = "window", ctx: Mapping | None = None) -> IndexWindow:
+    kind, m = _read_table(spec, _WINDOW, path, None, "field of this window").values()
     return IndexWindow(kind, m)
 
 
-def _build_weights(spec: dict, path: str) -> WeightProfile:
-    pos = _field(spec, path, "pos", _as_float)
-    fields = {"neg": _Field(_as_float, pos), "table": _Field(_int_keyed(_as_float), {})}
-    neg, table = _read_table(spec, fields, path).values()
-    for where, w in [("pos", pos), ("neg", neg)] + [(k, v) for k, v in table.items()]:
-        if w <= 0:
-            raise ConfigError(_sub(path, str(where)), "weights must be positive")
-    return WeightProfile(pos, neg, table)
+def _read_names(value: Any, path: str, ctx: Mapping) -> tuple:
+    """A list of operator names, looked up among the operators read before."""
+    return _items(_Choice(ctx["registry"], "operator"))(value, path)
 
 
-def _build_diagonal(spec: dict, path: str, window: IndexWindow) -> Diagonal:
-    fields = {"entries": _Field(_int_keyed(_as_complex)), "default": _Field(_as_complex, None)}
-    entries, default = _read_table(spec, fields, path).values()
-    return Diagonal(entries, default)
+def _read_matrix(value: Any, path: str, ctx: Mapping) -> np.ndarray:
+    rows = _items(_items(_as_complex))(value, path)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ConfigError(path, "matrix must be square")
+    dim = ctx["window"].dim
+    if len(rows) != dim:
+        raise ConfigError(path, f"matrix is {len(rows)}x{len(rows)} but the window holds {dim} coordinates")
+    return np.array(rows, dtype=np.complex128)
 
 
-def _build_dense(spec: dict, path: str, window: IndexWindow) -> Dense:
-    mat = np.array(_field(spec, path, "matrix", _items(_items(_as_complex))), dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigError(_sub(path, "matrix"), "matrix must be square")
-    if mat.shape[0] != window.dim:
-        raise ConfigError(
-            _sub(path, "matrix"),
-            f"matrix is {mat.shape[0]}x{mat.shape[1]} but the window holds {window.dim} coordinates",
-        )
-    return Dense(mat)
-
-
-# builders of the plain operator types, called as build(spec, path, window)
-_OPERATOR_BUILDERS = {
-    "forward_shift": lambda spec, path, window: ForwardShift(_build_weights(spec, path)),
-    "backward_shift": lambda spec, path, window: BackwardShift(_build_weights(spec, path)),
-    "diagonal": _build_diagonal,
-    "scalar": lambda spec, path, window: Scalar(_field(spec, path, "value", _as_complex)),
-    "dense": _build_dense,
+# the type field reads into the function that makes the operator from the
+# values its table read
+_SHIFTS = ("forward_shift", "backward_shift")
+_OPERATOR_TYPES = {
+    "forward_shift": lambda v: ForwardShift(WeightProfile(v["pos"], v["neg"], v["table"])),
+    "backward_shift": lambda v: BackwardShift(WeightProfile(v["pos"], v["neg"], v["table"])),
+    "diagonal": lambda v: Diagonal(v["entries"], v["default"]),
+    "scalar": lambda v: Scalar(v["value"]),
+    "dense": lambda v: Dense(v["matrix"]),
+    "direct_sum": lambda v: DirectSum(v["parts"]),
+}
+_WEIGHT = _positive("weights")
+_OPERATOR = {
+    "type": _Field(_Choice(_OPERATOR_TYPES, "operator type")),
+    "pos": _Field(_WEIGHT, only=_SHIFTS),
+    "neg": _Field(_WEIGHT, lambda ctx: ctx["pos"], _SHIFTS),
+    "table": _Field(_int_keyed(_WEIGHT), {}, _SHIFTS),
+    "entries": _Field(_int_keyed(_as_complex), only=("diagonal",)),
+    "default": _Field(_as_complex, None, ("diagonal",)),
+    "value": _Field(_as_complex, only=("scalar",)),
+    "matrix": _Field(_read_matrix, only=("dense",)),
+    "parts": _Field(_read_names, only=("direct_sum",)),
 }
 
 
 def build_operators(spec: Any, window: IndexWindow, path: str = "operators") -> dict:
     registry: dict = {}
-    deferred = []
-    for name, op_spec in _as_dict(spec, path).items():
-        op_path = _sub(path, name)
-        op_spec = _as_dict(op_spec, op_path)
-        kind = _field(op_spec, op_path, "type", _as_str)
-        if kind == "direct_sum":
-            deferred.append((op_spec, name, op_path))
-        elif kind in _OPERATOR_BUILDERS:
-            registry[name] = _OPERATOR_BUILDERS[kind](op_spec, op_path, window)
-        else:
-            raise ConfigError(_sub(op_path, "type"), f"unknown operator type {kind!r}")
+    specs = _as_dict(spec, path)
     # direct sums resolve after the plain operators they reference
-    for op_spec, name, op_path in deferred:
-        parts = _field(op_spec, op_path, "parts", _items(_choice(registry, "operator")))
-        registry[name] = DirectSum(parts)
+    for name in sorted(specs, key=lambda n: isinstance(specs[n], dict) and specs[n].get("type") == "direct_sum"):
+        what = "field of this operator"
+        values = _read_table(specs[name], _OPERATOR, _sub(path, name), "type", what, window=window, registry=registry)
+        registry[name] = values["type"](values)
     return registry
 
 
-def build_vector(spec: Any, window: IndexWindow, path: str) -> ComplexVector:
-    spec = _as_dict(spec, path)
+def _read_vector(value: Any, path: str, ctx: Mapping) -> ComplexVector:
+    """A basis vector or a coefficient table; the fields of each refuse the other's key."""
+    spec, window = _as_dict(value, path), ctx["window"]
     if "basis" in spec:
-        j, scale = _read_table(spec, {"basis": _Field(_as_int), "scale": _Field(_as_complex, 1.0)}, path).values()
-        if not window.contains(j):
-            raise ConfigError(_sub(path, "basis"), f"index {j} falls outside the window")
-        return ComplexVector.basis(window, j, scale)
-    if "coeffs" in spec:
-        table = _field(spec, path, "coeffs", _int_keyed(_as_complex))
-        for idx in table:
-            if not window.contains(idx):
-                raise ConfigError(_sub(path, "coeffs"), f"index {idx} falls outside the window")
-        return ComplexVector.from_coeffs(window, table)
-    raise ConfigError(path, "vector needs either a 'basis' index or a 'coeffs' table")
-
-
-def build_ball(spec: Any, window: IndexWindow, path: str) -> Ball:
-    fields = {"center": _Field(lambda v, p, ctx: build_vector(v, window, p)), "radius": _Field(_positive("radius"))}
-    center, radius = _read_table(spec, fields, path).values()
-    return Ball(center, radius)
-
-
-def build_product_ball(spec: Any, window: IndexWindow, path: str, arity: int) -> ProductBall:
-    items = _as_list(spec, path)
-    if len(items) != arity:
-        raise ConfigError(path, f"expected {arity} balls (one per component), got {len(items)}")
-    return ProductBall(tuple(build_ball(b, window, f"{path}[{i}]") for i, b in enumerate(items)))
+        fields = {"basis": _Field(_as_int), "scale": _Field(_as_complex, 1.0)}
+        j, scale = _read_table(spec, fields, path, None, "field of this basis vector").values()
+        key, indices = "basis", [j]
+    elif "coeffs" in spec:
+        fields = {"coeffs": _Field(_int_keyed(_as_complex))}
+        key, indices = "coeffs", _read_table(spec, fields, path, None, "field of this coefficient vector")["coeffs"]
+    else:
+        raise ConfigError(path, "vector needs either a 'basis' index or a 'coeffs' table")
+    for idx in indices:
+        if not window.contains(idx):
+            raise ConfigError(_sub(path, key), f"index {idx} falls outside the window")
+    return ComplexVector.basis(window, j, scale) if key == "basis" else ComplexVector.from_coeffs(window, indices)
 
 
 def _arity(ctx: Mapping) -> int:
@@ -434,9 +407,19 @@ def _arity(ctx: Mapping) -> int:
     return len(components_of(ctx["components"]))
 
 
+def _read_balls(value: Any, path: str, ctx: Mapping) -> ProductBall:
+    """One ball per component, each a centre vector and a radius."""
+    items = _as_list(value, path)
+    if len(items) != _arity(ctx):
+        raise ConfigError(path, f"expected {_arity(ctx)} balls (one per component), got {len(items)}")
+    fields, what = {"center": _Field(_read_vector), "radius": _Field(_positive("radius"))}, "field of this ball"
+    balls = [_read_table(b, fields, f"{path}[{i}]", None, what, window=ctx["window"]) for i, b in enumerate(items)]
+    return ProductBall(tuple(Ball(b["center"], b["radius"]) for b in balls))
+
+
 def _read_components(value: Any, path: str, ctx: Mapping) -> tuple:
     """One operator name or a list of them, looked up among the run's operators."""
-    comps = _items(_choice(ctx["registry"], "operator"))([value] if isinstance(value, str) else value, path)
+    comps = _read_names([value] if isinstance(value, str) else value, path, ctx)
     if not comps:
         raise ConfigError(path, "needs at least one operator")
     return comps
@@ -456,8 +439,7 @@ class _Sampler(NamedTuple):
 
     def __call__(self, value: Any, path: str, ctx: Mapping) -> Callable:
         spec = _as_dict(value, path)
-        _check_keys(spec, self.fields, "sampler", path)
-        kwargs = _read_table(spec, self.fields, path)
+        kwargs = _read_table(spec, self.fields, path, None, "parameter of this sampler")
         lo, bound, band, support = (kwargs[key] for key in ("modulus_lo", "bound", "band", "support"))
         if lo is not None and not 0 <= lo <= bound:
             key = "modulus_lo" if "modulus_lo" in spec else "bound"
@@ -644,7 +626,8 @@ def _run_detect(v: dict) -> RunOutcome:
 def _read_nk(value: Any, path: str, ctx: Mapping | None = None) -> tuple[int, ...]:
     """The powers a criterion probes: a list, or the range start..stop."""
     if isinstance(value, dict):
-        start, stop = _read_table(value, {"start": _Field(_as_int, 1), "stop": _Field(_as_int)}, path).values()
+        fields = {"start": _Field(_as_int, 1), "stop": _Field(_as_int)}
+        start, stop = _read_table(value, fields, path, None, "field of this power range").values()
         nk = tuple(range(start, stop + 1))
     else:
         nk = _items(_as_int)(value, path)
@@ -725,9 +708,9 @@ def _run_criterion(v: dict) -> RunOutcome:
 
 # fields that several tables hold
 _COMPONENTS = _Field(_read_components)
-_BALLS = _Field(lambda value, path, ctx: build_product_ball(value, ctx["window"], path, _arity(ctx)))
+_BALLS = _Field(_read_balls)
 _SCAN_MODE = {
-    "mode": _Field(_choice({DISK: DISK, FIXED: FIXED}, "mode"), DISK),
+    "mode": _Field(_Choice({DISK: DISK, FIXED: FIXED}, "mode"), DISK),
     "alphas": _Field(_read_alphas, lambda ctx: [1.0] * _arity(ctx), (FIXED,)),
 }
 _HORIZON = _Field(_as_horizon, 40)
@@ -744,7 +727,7 @@ _CENTRES = dict(
 )
 _RUNNERS = {
     "orbit": _Table(_run_orbit, {
-        "components": _COMPONENTS, "vector": _Field(lambda value, path, ctx: build_vector(value, ctx["window"], path)),
+        "components": _COMPONENTS, "vector": _Field(_read_vector),
         "horizon": _Field(_at_least(0, "horizon"), 40), "seed": _SEED,
     }),
     "hit": _Table(_run_hit, {
@@ -759,12 +742,12 @@ _RUNNERS = {
         "components": _COMPONENTS, "a": _BALLS, "b": _BALLS, **_SCAN_MODE, "horizon": _HORIZON, "seed": _SEED,
     }, "mode"),
     "detect": _Table(_run_detect, {
-        "components": _COMPONENTS, "kind": _Field(_choice(_DETECT_KINDS, "kind")), "trials": _Field(_as_trials, 20),
+        "components": _COMPONENTS, "kind": _Field(_Choice(_DETECT_KINDS, "kind")), "trials": _Field(_as_trials, 20),
         "horizon": _HORIZON, "seed": _SEED,
         "sampler": _Field(_Sampler.of(make_ball_sampler, radius=_positive("radius"), **_CENTRES), {}),
     }),
     "criterion": _Table(_run_criterion, {
-        "components": _COMPONENTS, "variant": _Field(_choice(_CRITERION_VARIANTS, "variant"), "scalar_free"),
+        "components": _COMPONENTS, "variant": _Field(_Choice(_CRITERION_VARIANTS, "variant"), "scalar_free"),
         "tol": _TOL, "sample_count": _Field(_as_sample_count, 25), "seed": _SEED,
         "sampler": _Field(_Sampler.of(make_vector_sampler, **_CENTRES), {}),
         "nk": _Field(_read_nk, {"start": 1, "stop": 40}, ("scaled", "scalar_free", "roundtrip")),
@@ -792,9 +775,9 @@ class _Scenario(dict):
         self.registry = {"t1": ForwardShift(WeightProfile(2.0, 3.0)), "t2": ForwardShift(WeightProfile(2.0, 4.0))}
 
     def run(self, experiment: str, **params: Any) -> RunOutcome:
-        table = _RUNNERS[experiment]
-        ctx = {"window": self.window, "registry": self.registry}
-        return table.run(_read_table(params, table.fields, "parameters", table.choice, **ctx))
+        ctx = {"experiment": experiment, "window": self.window, "operators": self.registry}
+        runner, values = _read_parameters(params, "parameters", ctx)
+        return runner(values)
 
     def criterion(self, components: list[str], variant: str = "scalar_free", **extra: Any) -> RunOutcome:
         counts = {key: self[key] for key in ("tol", "sample_count", "seed")}
@@ -961,38 +944,55 @@ SCENARIOS: dict[str, _Table] = {
 }
 
 
+def _read_parameters(value: Any, path: str, ctx: Mapping) -> tuple[Callable[..., RunOutcome], dict]:
+    """The runner of the experiment or scenario and what it runs on; a scenario
+    takes its m from the config's window where its parameters leave m out."""
+    params, window = _as_dict(value, path), ctx["window"]
+    if ctx["experiment"] != "scenario":
+        table, what, registry = _RUNNERS[ctx["experiment"]], "parameter of this experiment", ctx["operators"]
+        return table.run, _read_table(params, table.fields, path, table.choice, what, window=window, registry=registry)
+    if window is not None and window.kind != BILATERAL:
+        raise ConfigError("window.kind", "a scenario runs on a bilateral window")
+    if "id" not in params:
+        raise ConfigError(_sub(path, "id"), "missing required field")
+    scenario_id = _as_str(params["id"], _sub(path, "id"))
+    if scenario_id not in SCENARIOS:
+        known = ", ".join(sorted(SCENARIOS))
+        raise ConfigError(_sub(path, "id"), f"unknown scenario {scenario_id!r} (known: {known})")
+    params = {key: value for key, value in params.items() if key != "id"}
+    if window is not None and "m" not in params:
+        params["m"] = window.m
+    table = SCENARIOS[scenario_id]
+    return table.run, _Scenario(_read_table(params, table.fields, path, None, "parameter of this scenario"), params)
+
+
+def _read_output(value: Any, path: str, ctx: Mapping | None = None) -> dict:
+    fields = dict.fromkeys(("json_path", "csv_path", "plot_dir"), _Field(_as_str, None))
+    return _read_table(value, fields, path, None, "field of this output section")
+
+
+# a config is itself a table; main reads its output section before the run too
+_CONFIG = {
+    "experiment": _Field(_Choice({name: name for name in (*_RUNNERS, "scenario")}, "experiment")),
+    "window": _Field(build_window, lambda ctx: None if ctx["experiment"] == "scenario" else _REQUIRED),
+    "operators": _Field(lambda value, path, ctx: build_operators(value, ctx["window"], path), {}, tuple(_RUNNERS)),
+    "parameters": _Field(_read_parameters, {}),
+    "output": _Field(_read_output, {}),
+}
+
+
 def run(cfg: dict) -> tuple[RunOutcome, dict]:
     """Run the configured experiment; returns the outcome and the full report.
 
-    Every parameter is read and checked before anything is computed."""
-    experiment = _field(cfg, "", "experiment", _as_str)
-    if experiment not in _RUNNERS and experiment != "scenario":
-        raise ConfigError("experiment", f"unknown experiment {experiment!r}")
-    params = _field(cfg, "", "parameters", _as_dict, {})
-    if experiment == "scenario":
-        scenario_id = _field(params, "parameters", "id", _as_str)
-        if scenario_id not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ConfigError("parameters.id", f"unknown scenario {scenario_id!r} (known: {known})")
-        params = {key: value for key, value in params.items() if key != "id"}
-        if "window" in cfg and "m" not in params:
-            params["m"] = _field(_as_dict(cfg["window"], "window"), "window", "m", _as_size)
-        table = SCENARIOS[scenario_id]
-        _check_keys(params, table.fields, "scenario")
-        values = _read_table(params, table.fields, "parameters")
-        outcome = table.run(_Scenario(values, params))
-    else:
-        table = _RUNNERS[experiment]
-        _check_keys(params, table.fields, "experiment", choice=table.choice)
-        window = _field(cfg, "", "window", build_window)
-        registry = build_operators(cfg.get("operators", {}), window)
-        values = _read_table(params, table.fields, "parameters", table.choice, window=window, registry=registry)
-        outcome = table.run(values)
+    The whole config is read and checked before anything is computed."""
+    config = _read_table(cfg, _CONFIG, "", "experiment", "field of this config")
+    runner, values = config["parameters"]
+    outcome = runner(values)
 
     report = {
         "tool": {"name": "disklab", "version": __version__},
         "created": datetime.now(timezone.utc).isoformat(),
-        "experiment": experiment,
+        "experiment": config["experiment"],
         "verdict": outcome.verdict,
         "exit_code": outcome.exit_code,
         "seed": values.get("seed", 0),
@@ -1046,8 +1046,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.override)
         # checked before the run, so a bad output section costs no computation
-        paths = dict.fromkeys(("json_path", "csv_path", "plot_dir"), _Field(_as_str, None))
-        output = _read_table(cfg.get("output", {}), paths, "output")
+        output = _read_output(cfg.get("output", {}), "output")
         outcome, report = run(cfg)
         # strict JSON: a non-finite value is an error before any file is written
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"

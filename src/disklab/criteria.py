@@ -17,13 +17,14 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hitsolver import ALPHA_FLOOR, _is_integer, _row_norms
+from .hitsolver import ALPHA_FLOOR, _row_norms
 from .operators import (
     ForwardShift,
     OperatorSpec,
     PowerMap,
     PowerStack,
     WeightProfile,
+    _is_integer,
     apply,
     ensure_power_fits,
     named_overflow,
@@ -97,7 +98,7 @@ def make_vector_sampler(
 def _check_scalars(lams: Sequence[complex]) -> None:
     if any(v == 0 for v in lams):
         raise CriterionError("scalar sequences must be nonzero")
-    if any(abs(v) > 1 + 1e-12 for v in lams):
+    if any(not abs(v) <= 1 + 1e-12 for v in lams):
         raise CriterionError("scalar sequences must stay in the closed unit disk")
 
 

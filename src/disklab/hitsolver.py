@@ -36,6 +36,8 @@ from .operators import (
     PowerStack,
     Scalar,
     WindowGuardError,
+    _is_integer,
+    _power,
     components_of,
     ensure_power_fits,
     overflow_checked,
@@ -109,7 +111,7 @@ def _check_alphas(alphas: Sequence[complex] | None, k: int) -> tuple[complex, ..
     if alphas is None or len(alphas) != k:
         raise ValueError("fixed mode needs one alpha per component")
     alphas = tuple(complex(a) for a in alphas)
-    if any(a == 0 or abs(a) > 1 + 1e-15 for a in alphas):
+    if any(a == 0 or not abs(a) <= 1 + 1e-15 for a in alphas):
         raise ValueError("fixed alphas must be nonzero with modulus <= 1")
     return alphas
 
@@ -129,10 +131,8 @@ class HitProblem:
         k = len(comps)
         if self.sources.arity != k or self.targets.arity != k:
             raise ValueError("ball arity does not match the number of components")
-        if not (self.n >= 0 and _is_integer(self.n)):
-            raise ValueError("power must be a nonnegative integer")
         # numpy takes only an int as a matrix power or a shift's index offset
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _power(self.n))
         if self.mode not in (DISK, FIXED):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == FIXED:
@@ -311,11 +311,6 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     and imaginary parts.  vecdot takes each row's dot product with the dot
     loop of a 1-D array, so a row's value is that of the row alone."""
     return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
-
-
-def _is_integer(v) -> bool:
-    """Whether v is a finite number equal to an integer."""
-    return -math.inf < v < math.inf and int(v) == v
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -1214,8 +1209,9 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     scored; each draw starts after the one before has finished, so the
     generator is used by one thread at a time, in that order.
     """
-    if samples < 1:
+    if not (samples >= 1 and _is_integer(samples)):
         raise ValueError("samples must be at least 1")
+    samples = int(samples)
     rng = as_rng(seed)
     k = len(p.components)
     dims = [ball.center.window.dim for ball in p.sources.balls]

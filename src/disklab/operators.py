@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -53,6 +54,18 @@ __all__ = [
 # dimension): a shift stack's chunk of powers, and a scan's batch of
 # criterion pins, whose memory it bounds whatever the horizon
 PIN_CELLS = 1 << 16
+
+
+def _is_integer(v) -> bool:
+    """Whether v is a finite number equal to an integer."""
+    return -math.inf < v < math.inf and int(v) == v
+
+
+def _power(n) -> int:
+    """n as an int: a power must be a nonnegative integer."""
+    if not (n >= 0 and _is_integer(n)):
+        raise ValueError("power must be a nonnegative integer")
+    return int(n)
 
 
 class OperatorError(ValueError):
@@ -478,14 +491,13 @@ class PowerStack:
 
 def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:
     """T^n on the window; shift mass that leaves the window is dropped."""
+    n = _power(n)
     return PowerStack(op, window, n).power_map(n)
 
 
 def power_apply(op: OperatorSpec, n: int, x):
     """Apply the n-th power of op.  n must be a nonnegative integer."""
-    if n < 0 or int(n) != n:
-        raise ValueError("power must be a nonnegative integer")
-    n = int(n)
+    n = _power(n)
     if isinstance(op, DirectSum):
         if not isinstance(x, ProductVector) or x.arity != len(op.components):
             raise ValueError("direct sum expects a matching product vector")
@@ -529,9 +541,7 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     Exact for weighted shifts, diagonal, and scalar operators; dense and
     direct-sum variants are out of scope.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError("power must be a nonnegative integer")
-    n = int(n)
+    n = _power(n)
     if lattice not in (BILATERAL, UNILATERAL):
         raise ValueError(f"unknown lattice {lattice!r}")
     # the bounds read only the lattice, so a window of one index serves

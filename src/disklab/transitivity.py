@@ -27,6 +27,7 @@ from .hitsolver import (
 from .operators import (
     OperatorError,
     OperatorSpec,
+    _is_integer,
     apply,
     components_of,
     ensure_power_fits,
@@ -88,6 +89,8 @@ def guard_scan_window(
     """Raise WindowGuardError if scanning to the horizon would shed mass of
     the ball centers (operator powers forward, right-inverse powers backward)."""
     comps = components_of(components)
+    if sources.arity != len(comps) or targets.arity != len(comps):
+        raise ValueError("ball arity does not match the number of components")
     for i, op in enumerate(comps):
         ensure_power_fits(op, horizon, sources.balls[i].center)
         try:
@@ -131,9 +134,9 @@ def junction_scan(
     tail_start: the identity carries no dynamical information.  The window
     guard runs first, so no power sheds ball-center mass past the window edge.
     """
-    if horizon < 1:
+    if not (horizon >= 1 and _is_integer(horizon)):
         raise ValueError("horizon must be at least 1")
-    comps = components_of(components)
+    horizon, comps = int(horizon), components_of(components)
     guard_scan_window(comps, horizon, sources, targets)
     # solve_hit is called at every power, as for any problem; the problems
     # share the scan's stacks of powers and its batch of criterion pins
@@ -265,8 +268,9 @@ def detect(
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     # all() over no trials is true: an empty sample must not confirm
-    if trials < 1 or horizon < 1:
+    if not (trials >= 1 and horizon >= 1 and _is_integer(trials) and _is_integer(horizon)):
         raise ValueError("trials and horizon must be at least 1")
+    trials, horizon = int(trials), int(horizon)
     comps = components_of(components)
     mode, fixed_alphas = _kind_mode(kind, len(comps))
 
@@ -322,10 +326,10 @@ def _certified_suffix(rep: JunctionReport) -> int | None:
 def disk_orbit_norms(op: OperatorSpec, x: ComplexVector, horizon: int) -> np.ndarray:
     """Norms ||T^n x|| for n in [0, horizon] on the truncated window, by
     applying T once per step; an overflow is named at its step's power."""
-    if horizon < 0:
+    if not (horizon >= 0 and _is_integer(horizon)):
         raise ValueError("horizon must be at least 0")
     norms = []
-    for n in range(horizon + 1):
+    for n in range(int(horizon) + 1):
         with named_overflow("disk_orbit_norms", f"power {n}"):
             if n:
                 x = apply(op, x)

@@ -402,6 +402,42 @@ FIELD_PATH_CASES = [
         {"experiment": "scenario", "parameters": {"id": "diagonal-spectral-split", "p": 1.6, "c": 1.5}},
         "parameters.c",
     ),
+    # keys outside the parameters that their object does not read
+    (
+        "operator ng",
+        _with(shift_config(), "operators.shift", {"type": "forward_shift", "pos": 2, "ng": 3}),
+        "operators.shift.ng",
+    ),
+    ("output jsonpath", _with(shift_config(), "output", {"jsonpath": "report.json"}), "output.jsonpath"),
+    ("window knd", _with(shift_config(), "window", {"m": 4, "knd": "unilateral"}), "window.knd"),
+    ("top-level key", _with(shift_config(), "operator", {}), "operator"),
+    ("scalar value on a shift", _with(shift_config(), "operators.shift.value", 2.0), "operators.shift.value"),
+    (
+        "vector with basis and coeffs",
+        _with(shift_config(), "parameters.sources.0.center", {"basis": 0, "coeffs": {"0": 1.0}}),
+        "parameters.sources[0].center.coeffs",
+    ),
+    (
+        "coefficient vector scale",
+        _with(shift_config(), "parameters.sources.0.center", {"coeffs": {"0": 1.0}, "scale": 2.0}),
+        "parameters.sources[0].center.scale",
+    ),
+    (
+        "ball centre misspelt",
+        _with(shift_config(), "parameters.sources.0.centre", {"basis": 0}),
+        "parameters.sources[0].centre",
+    ),
+    ("nk range step", _experiment("criterion", nk={"stop": 3, "step": 2}), "parameters.nk.step"),
+    ("scenario window kind", _with(_CROSS_SCENARIO, "window", {"kind": "sideways"}), "window.kind"),
+    ("scenario unilateral window", _with(_CROSS_SCENARIO, "window", {"kind": "unilateral", "m": 8}), "window.kind"),
+    ("scenario operators", _with(_CROSS_SCENARIO, "operators", {"x": {"type": "nope"}}), "operators"),
+    # values of operator fields
+    ("table weight negative", _with(shift_config(), "operators.shift.table", {"3": -1.0}), "operators.shift.table.3"),
+    (
+        "ragged matrix",
+        _with(_with(shift_config(), "window.m", 1), "operators.d", {"type": "dense", "matrix": [_DENSE_3[0], [1.0]]}),
+        "operators.d.matrix",
+    ),
 ]
 
 
@@ -1162,8 +1198,9 @@ def _readme_cli_section():
 
 
 def test_readme_lists_the_fields_of_every_table():
-    """Each experiment's and scenario's row in the README names exactly the
-    fields of its table, and the section names every sampler field."""
+    """Each experiment's, scenario's and operator type's row in the README
+    names exactly the fields its table reads, and the section names every
+    sampler field."""
     section = _readme_cli_section()
     rows = dict(re.findall(r"^\| `([a-z_-]+)` \| (.*) \|$", section, re.M))
     for name, table in {**cli._RUNNERS, **SCENARIOS}.items():
@@ -1171,6 +1208,58 @@ def test_readme_lists_the_fields_of_every_table():
         for field in table.fields.values():
             for sub in getattr(field.read, "fields", ()):
                 assert f"`{sub}`" in section, sub
+    for name in cli._OPERATOR_TYPES:
+        fields = {key for key, field in cli._OPERATOR.items() if field.only and name in field.only}
+        assert set(re.findall(r"`([a-z_]+)`", rows[name])) == fields, name
+
+
+def _objects(node, path=""):
+    """(path, object) for every JSON object in node, node itself first."""
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from _objects(value, cli._sub(path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _objects(value, f"{path}[{i}]")
+
+
+def _base_configs():
+    """Every _READING_RUNS config, every scenario on a window of its default
+    size, and the README's example."""
+    for name, runs in _READING_RUNS.items():
+        yield from (_experiment(name, **params) for params in runs)
+    for name, table in SCENARIOS.items():
+        yield {"experiment": "scenario", "window": {"m": table.fields["m"].default}, "parameters": {"id": name}}
+    yield json.loads(re.search(r"```json\n(.*?)```", _readme_cli_section(), re.S).group(1))
+
+
+def test_every_object_refuses_a_key_it_does_not_read(monkeypatch):
+    """A key no table holds, put into any object of a base config (the top
+    level, the window, each operator, ball and vector, the nk range, the
+    sampler, output and parameters), is a ConfigError at that key's path,
+    raised before any solve, scan or check."""
+
+    def computing(*args, **kwargs):
+        raise _Computed
+
+    for call in _COMPUTING:
+        monkeypatch.setattr(cli, call, computing)
+    walked = set()
+    for cfg in _base_configs():
+        with pytest.raises(_Computed):
+            run(cfg)
+        for i, (path, _) in enumerate(_objects(cfg)):
+            walked.add(re.sub(r"\[\d+\]", "[]", path))
+            mutated = json.loads(json.dumps(cfg))
+            list(_objects(mutated))[i][1]["unread"] = 1
+            with pytest.raises(ConfigError) as err:
+                run(mutated)
+            assert err.value.field_path == cli._sub(path, "unread")
+    assert {
+        "", "window", "operators.shift", "parameters", "parameters.sources[]", "parameters.sources[].center",
+        "parameters.nk", "parameters.sampler", "parameters.vector", "output",
+    } <= walked
 
 
 def test_readme_example_exits_as_the_readme_says(tmp_path, monkeypatch):

@@ -126,6 +126,11 @@ def test_data_validation():
         shift_data(nk, lambdas=(tuple([0.0, 0.5, 0.5]),))
     with pytest.raises(CriterionError):
         shift_data(nk, lambdas=((1.5, 0.5, 0.5),))
+    # NaN fails every comparison, so the disk bound must be written as one it passes
+    with pytest.raises(CriterionError, match="closed unit disk"):
+        shift_data(nk, lambdas=((math.nan, 0.5, 0.5),))
+    with pytest.raises(CriterionError, match="closed unit disk"):
+        shift_data(nk, lambdas=((complex(0.5, math.nan), 0.5, 0.5),))
     with pytest.raises(CriterionError):
         CriterionData(
             components=(SHIFT, SHIFT),
@@ -716,6 +721,19 @@ def test_batched_orbit_norms_equal_the_per_pair_references_bitwise():
         rep = check_scalar_free_criterion(called)
         for (x, y), curves in zip(rep.pairs, rep.per_pair):
             assert curves == reference_subsequence_pair(shifts_and_scalars, inverses, nk, None, x, y, False)
+    # a map with one live column on complex pairs: numpy's complex product of
+    # a one-row, one-column array by a broadcast operand rounds differently
+    # from the same product spread to full shape, so a batch of pairs must
+    # spread its coefficients as the apply of one part does
+    for case in range(4):
+        entry = complex(*rng.uniform(0.5, 1.5, size=2))
+        lone, inverse = Diagonal({0: entry}, default=0.0), Diagonal({0: 1 / entry}, default=0.0)
+        sampler = make_vector_sampler(TWO_WINDOWS[0], 1, support=1, band=0)
+        data = CriterionData((lone,), (inverse,), (1, 2, 3), sampler, sampler, sample_count=6, seed=case)
+        rep = check_scalar_free_criterion(data)
+        assert all(x.parts[0].coeffs.imag.any() for x, _ in rep.pairs)
+        for (x, y), curves in zip(rep.pairs, rep.per_pair):
+            assert curves == reference_subsequence_pair((lone,), (inverse,), (1, 2, 3), None, x, y, False)
 
 
 @pytest.mark.parametrize("kind", ["dense", "backward shift"])

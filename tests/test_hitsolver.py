@@ -1452,9 +1452,10 @@ def test_passive_columns_cost_one_gamma_per_group(monkeypatch, mode):
 
 def test_random_search_needs_a_sample():
     p = unit_ball_problem()
-    for samples in (0, -5):
-        with pytest.raises(ValueError, match="samples"):
+    for samples in (0, -5, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
             random_search(p, samples, seed=1)
+    assert random_search(p, 4.0, seed=1) == random_search(p, 4, seed=1)
 
 
 class _Boom(Exception):
@@ -1607,6 +1608,10 @@ def test_problem_validation():
             mode=FIXED,
             fixed_alphas=(0.0,),
         )
+    # NaN fails every comparison, so the modulus bound must be written as one it passes
+    for alpha in (math.nan, complex(math.nan, 0.5), 1.5):
+        with pytest.raises(ValueError, match="nonzero with modulus <= 1"):
+            HitProblem((EXAMPLE_SHIFT,), 1, balls, balls, FIXED, (alpha,))
 
 
 def test_float_power_solves_as_its_integer():

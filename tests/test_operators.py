@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from disklab.operators import (
     ensure_power_fits,
     growth,
     power_apply,
+    power_map,
     right_inverse,
 )
 from disklab.hitsolver import HitProblem, solve_hit
@@ -38,6 +40,7 @@ from disklab.vectorspace import (
 )
 
 W8 = IndexWindow(BILATERAL, 8)
+SHIFT_23 = ForwardShift(WeightProfile(2.0, 3.0))
 
 
 def basis(j, window=W8):
@@ -313,6 +316,23 @@ def test_window_guard_takes_what_power_apply_takes():
 def test_power_rejects_negative():
     with pytest.raises(ValueError):
         power_apply(Scalar(1.0), -1, basis(0))
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, math.inf, -math.inf, math.nan])
+def test_every_power_taker_refuses_a_power_that_is_not_a_nonnegative_integer(n):
+    """power_apply, power_map and growth refuse it with one ValueError, never
+    an OverflowError, a TypeError or an overflow named at that power."""
+    calls = (lambda: power_apply(SHIFT_23, n, basis(0)), lambda: power_map(SHIFT_23, n, W8), lambda: growth(SHIFT_23, n))
+    for call in calls:
+        with pytest.raises(ValueError, match="power must be a nonnegative integer"):
+            call()
+
+
+def test_integral_float_powers_are_taken_as_ints():
+    x = basis(0)
+    assert power_apply(SHIFT_23, 3.0, x) == power_apply(SHIFT_23, 3, x)
+    assert growth(SHIFT_23, 3.0) == growth(SHIFT_23, 3)
+    assert power_map(SHIFT_23, np.float64(3.0), W8).coeffs.tobytes() == power_map(SHIFT_23, 3, W8).coeffs.tobytes()
 
 
 @given(

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -189,12 +190,37 @@ def test_detect_rejects_unknown_kind():
         detect("chaotic", (SHIFT_23,), sampler, trials=1, horizon=4)
 
 
-@pytest.mark.parametrize("trials, horizon", [(0, 10), (-1, 10), (2, 0)])
+@pytest.mark.parametrize(
+    "trials, horizon", [(0, 10), (-1, 10), (2, 0), (2.5, 10), (2, 2.5), (2, math.inf), (math.nan, 10)]
+)
 def test_detect_needs_a_trial_and_a_power(trials, horizon):
     # all() over no trials is true, so an empty sample confirmed this contraction
     sampler = make_ball_sampler(IndexWindow(BILATERAL, 8), arity=1, band=2)
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="trials and horizon must be at least 1"):
         detect(DISK_TRANSITIVE, (Scalar(0.5),), sampler, trials=trials, horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon", [0, -1, 2.5, math.inf, math.nan])
+def test_junction_scan_needs_a_whole_horizon(horizon):
+    balls = unit_balls()
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        junction_scan((SHIFT_23,), balls, balls, horizon)
+
+
+def test_integral_float_counts_scan_as_ints():
+    balls = unit_balls()
+    assert junction_scan((SHIFT_23,), balls, balls, 6.0) == junction_scan((SHIFT_23,), balls, balls, 6)
+    sampler = make_ball_sampler(IndexWindow(BILATERAL, 16), arity=1, band=1)
+    assert detect(COMPOUND, (SHIFT_23,), sampler, 2.0, 8.0) == detect(COMPOUND, (SHIFT_23,), sampler, 2, 8)
+
+
+def test_junction_scan_checks_ball_arity_before_the_window_guard():
+    """Two components and one source ball is the ValueError HitProblem gives,
+    not an IndexError from the guard reading the missing ball."""
+    one, two = unit_balls(), unit_balls(arity=2)
+    for sources, targets in ((one, two), (two, one)):
+        with pytest.raises(ValueError, match="ball arity does not match the number of components"):
+            junction_scan((SHIFT_23, SHIFT_24), sources, targets, 3)
 
 
 def test_make_ball_sampler_draws_as_the_per_ball_loop_did():
@@ -231,8 +257,10 @@ def test_disk_orbit_norms_frozen():
 def test_disk_orbit_norms_refuse_a_negative_horizon():
     x = ComplexVector.basis(IndexWindow(BILATERAL, 12), 0)
     assert list(disk_orbit_norms(SHIFT_23, x, 0)) == [1]
-    with pytest.raises(ValueError, match="horizon must be at least 0"):
-        disk_orbit_norms(SHIFT_23, x, -3)
+    for horizon in (-3, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be at least 0"):
+            disk_orbit_norms(SHIFT_23, x, horizon)
+    assert list(disk_orbit_norms(SHIFT_23, x, 3.0)) == [1, 2, 4, 8]
 
 
 def test_disk_orbit_norms_name_the_power_that_overflows():
@@ -295,6 +323,21 @@ def test_scan_results_equal_single_power_solves(monkeypatch):
             assert entry.status == alone.status
             statuses.add(alone.status)
     assert statuses == {HIT, MISS_CERTIFIED, MISS_UNCERTAIN}
+    # a pin of one power on a centre of one index: numpy's complex product of
+    # a one-row, one-column array by a broadcast centre rounds differently
+    # from the same product spread to full shape, so a lone problem's pin
+    # must spread its centre as the scan's batch of powers does
+    window = IndexWindow(BILATERAL, 12)
+    for trial in range(8):
+        phase = np.exp(2j * np.pi * rng.uniform())
+        op = Scalar(complex(rng.uniform(0.5, 1.5) * phase)) if trial % 2 else Diagonal({}, complex(1.2 * phase))
+        sampler = make_ball_sampler(window, 1, support=1, radius=float(rng.uniform(0.3, 0.6)), band=2)
+        sources, targets = sampler(rng), sampler(rng)
+        assert all(np.count_nonzero(b.center.coeffs) == 1 and b.center.coeffs.imag.any() for b in sources.balls)
+        results.clear()
+        junction_scan((op,), sources, targets, horizon)
+        for p, got in results:
+            assert _result_bytes(got) == _result_bytes(solve_hit(HitProblem((op,), p.n, sources, targets)))
 
 
 @pytest.mark.parametrize(
