@@ -490,7 +490,9 @@ def _grid_lsq(
     A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
 ) -> tuple[np.ndarray | _GridPoints, np.ndarray, np.ndarray]:
     """constrained_lsq for alphas[k] * A, every k at once, through the rows
-    loop; A is T^n at alpha 1.
+    loop; A is T^n at alpha 1, and the alphas are any nonzero scalars: the
+    disk grid's, led on an orthogonal-column map by the disk route's refit
+    scalars (_disk_rows).
 
     Returns the minimizers (indexed by row), residuals and KKT residuals by
     row.  On an orthogonal-column map the rows alphas[k] * coeffs share one
@@ -993,6 +995,28 @@ _GRID_ALPHAS = tuple(
 )
 
 
+def _disk_rows(
+    A: PowerMap, refits: tuple[complex, ...], u: ComplexVector, eps: float, target: ComplexVector
+) -> tuple[np.ndarray | _GridPoints, np.ndarray, np.ndarray]:
+    """The disk route's solves: constrained_lsq for alpha * A at each refit
+    scalar and then at each _GRID_ALPHAS, as rows (see _grid_lsq).
+
+    An orthogonal-column map solves every row in one _grid_lsq batch, whose
+    rows are constrained_lsq's bit for bit.  A dense map's batch rows equal
+    constrained_lsq only up to rounding, so there the refit rows stay on
+    constrained_lsq and only the grid is batched.
+    """
+    if A.kind == "ortho":
+        return _grid_lsq(A, np.array(refits + _GRID_ALPHAS), u, eps, target)
+    sols = [constrained_lsq(A.scaled(alpha), u, eps, target) for alpha in refits]
+    zs, residuals, kkts = _grid_lsq(A, np.array(_GRID_ALPHAS), u, eps, target)
+    return (
+        np.concatenate([[sol.z.coeffs for sol in sols], zs]),
+        np.concatenate([[sol.residual for sol in sols], residuals]),
+        np.concatenate([[sol.kkt_residual for sol in sols], kkts]),
+    )
+
+
 @overflow_checked()
 def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
     src, tgt, mode = comp.src, comp.tgt, comp.mode
@@ -1028,39 +1052,61 @@ def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
         pinned(comp.fixed_alpha)
         return best
 
-    def alternate(z: ComplexVector) -> bool:
-        """One alternation step from z: refit alpha at z, keep z itself when
-        it lies inside the source ball, then pin that alpha."""
+    def refit(z: ComplexVector) -> tuple[complex, ComplexVector, float]:
+        """The disk-projected scalar fit at z, with z and its residual there."""
         w = ComplexVector(window, base.apply_vec(z.coeffs))
         alpha = best_alpha(w, v)
-        if norm(z - u) < src.radius and track(alpha, z, norm(w * alpha - v)):
-            return True
-        return pinned(alpha)
+        return alpha, z, norm(w * alpha - v)
+
+    def inside(z: ComplexVector) -> bool:
+        return norm(z - u) < src.radius
 
     pin = comp.pin(n)
     # criterion-pinned scalar first: where it hits, the recorded alpha is the
     # construction's lambda_n, not a refit
     if pin is not None and track(pin.alpha, ComplexVector(window, pin.z), pin.residual, pin.kkt):
         return best
-    if alternate(u):
+    # one refit step from u and one from the criterion seed: each keeps its
+    # start when that lies inside the source ball, then pins the refit
+    # scalar.  u lies inside its own ball, and its check costs no solve
+    fits = [refit(u)]
+    if track(*fits[0]):
         return best
-    if pin is not None and alternate(ComplexVector(window, pin.seed)):
-        return best
+    if pin is not None:
+        fits.append(refit(ComplexVector(window, pin.seed)))
     # the z-subproblem at fixed alpha is convex and solved exactly, so the
     # joint landscape is nonconvex only through alpha; a coarse disk grid
     # (alpha = 1 is its modulus-1, phase-0 row) plus one polishing step
-    # covers the scalars the steps above did not reach.  The grid is one
-    # batched solve, replayed through track() in grid order, so the first
-    # hit, the best point and max_kkt are those of pinning each grid alpha
-    # in turn, bit for bit on an orthogonal-column map
-    zs, residuals, kkts = _grid_lsq(base, np.array(_GRID_ALPHAS), u, eps_eff, v)
-    for k, (alpha, residual, kkt) in enumerate(zip(_GRID_ALPHAS, residuals.tolist(), kkts.tolist())):
-        # track() keeps z only from a row that improves on the best or hits
-        kept = ComplexVector(window, zs[k]) if residual < max(best.residual, hit_level) else None
-        if track(alpha, kept, residual, kkt):
+    # covers the scalars the refits do not reach.  The refit scalars and the
+    # grid are solved as one set of rows, replayed through track() in the
+    # order of solving them one at a time (each start's check before its
+    # refit row, then the grid in grid order), so the first hit, the best
+    # point and max_kkt are those of solving the rows one at a time
+    refits = tuple(alpha for alpha, _, _ in fits)
+    try:
+        zs, residuals, kkts = _disk_rows(base, refits, u, eps_eff, v)
+        residuals, kkts = residuals.tolist(), kkts.tolist()
+    except ArithmeticError:
+        # a row left the float range (a large scalar on a huge power): each
+        # row is then solved alone when the replay reaches it, so that a row
+        # the route never reaches refuses no solve
+        zs = None
+    for k, alpha in enumerate(refits + _GRID_ALPHAS):
+        # the seed itself goes before its refit row, where it lies in the ball
+        if 0 < k < len(fits) and inside(fits[k][1]) and track(*fits[k]):
+            return best
+        if zs is None:
+            hit = pinned(alpha)
+        else:
+            # track() keeps z only from a row that improves on the best or hits
+            kept = ComplexVector(window, zs[k]) if residuals[k] < max(best.residual, hit_level) else None
+            hit = track(alpha, kept, residuals[k], kkts[k])
+        if hit:
             return best
     if best.z is not None:
-        alternate(best.z)
+        alpha, z, residual = refit(best.z)
+        if not (inside(z) and track(alpha, z, residual)):
+            pinned(alpha)
     return best
 
 

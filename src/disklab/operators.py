@@ -354,11 +354,13 @@ class PowerStack:
     error that refuses it; asking for that power raises the error again,
     named as power_map or growth names it, and forms nothing.  A diagonal,
     scalar or dense power is formed alone, as entries**n, c**n or
-    matrix_power.  A power outside 0..horizon is a ValueError.
+    matrix_power.  A horizon, or a power inside 0..horizon, that is not a
+    nonnegative integer is power_map's ValueError; a power outside 0..horizon
+    is a ValueError that names the horizon.
     """
 
     def __init__(self, op: OperatorSpec, window: IndexWindow, horizon: int):
-        self.op, self.window, self.horizon = op, window, horizon
+        self.op, self.window, self.horizon = op, window, _power(horizon)
         self._shift = isinstance(op, (ForwardShift, BackwardShift))
         # a power a chunk refused is kept as the error that refused it; T^0 is
         # the identity, whatever the operator
@@ -394,6 +396,7 @@ class PowerStack:
         if n not in kept:
             if not 0 <= n <= self.horizon:
                 raise ValueError(f"power {n} lies outside the stack's 0..{self.horizon}")
+            n = _power(n)
             if self._shift:
                 fill(n)
             else:
@@ -586,8 +589,10 @@ def ensure_power_fits(op: OperatorSpec, n: int, x):
     annihilates, so no guard fires there.  For a DirectSum the check runs
     componentwise against the matching part of a product vector.  x must be
     what power_apply takes: a product vector of matching arity for a
-    DirectSum, a ComplexVector for any other operator.
+    DirectSum, a ComplexVector for any other operator, and n a nonnegative
+    integer, as power_apply takes it.
     """
+    n = _power(n)
     if isinstance(op, DirectSum):
         if not isinstance(x, ProductVector) or x.arity != len(op.components):
             raise ValueError("direct sum expects a matching product vector")

@@ -36,6 +36,7 @@ from disklab.operators import (
     Scalar,
     WeightProfile,
     apply,
+    overflow_checked,
 )
 from disklab.transitivity import junction_scan, make_ball_sampler
 from disklab.vectorspace import (
@@ -288,12 +289,186 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
         assert got.max_kkt_residual == pytest.approx(want.max_kkt_residual, abs=1e-12)
 
 
+@overflow_checked()
+def sequential_disk_route(comp, n, exits):
+    """_solve_component's disk route solved one scalar at a time, as it was
+    before the refits joined the grid batch: an alternation step from u
+    (check u, then pin its refit scalar), one from the criterion seed, the
+    grid, then a polishing step from the best point, with numpy raising on
+    overflow as _solve_component runs.  Orthogonal-column grid
+    rows go through constrained_lsq one alpha at a time; a dense grid is
+    the one _grid_lsq batch it always was.  Appends to exits where the solve
+    ended: the step that hit, or "uncertain"."""
+    base = comp.powers.power_map(n)
+    window = comp.src.center.window
+    u, v = comp.src.center, comp.tgt.center
+    eps = comp.src.radius * (1.0 - hitsolver.STRICT_MARGIN)
+    hit_level = comp.tgt.radius - hitsolver.RESIDUAL_SLACK
+    best = hitsolver._ComponentSolve(hit=False, alpha=1.0 + 0j, z=None, residual=math.inf, max_kkt=0.0)
+
+    def track(exit, alpha, z, residual, kkt=0.0):
+        best.max_kkt = max(best.max_kkt, kkt)
+        if residual < best.residual:
+            best.residual, best.alpha, best.z = residual, alpha, z
+        best.hit = residual < hit_level
+        if best.hit:
+            exits.append(exit)
+        return best.hit
+
+    def alternate(z, start):
+        w = ComplexVector(window, base.apply_vec(z.coeffs))
+        alpha = best_alpha(w, v)
+        if norm(z - u) < comp.src.radius and track(f"{start} check", alpha, z, norm(w * alpha - v)):
+            return True
+        sol = constrained_lsq(base.scaled(alpha), u, eps, v)
+        return track(f"{start} refit", alpha, sol.z, sol.residual, sol.kkt_residual)
+
+    pin = comp.pin(n)
+    if pin is not None and track("pin", pin.alpha, ComplexVector(window, pin.z), pin.residual, pin.kkt):
+        return best
+    if alternate(u, "u") or (pin is not None and alternate(ComplexVector(window, pin.seed), "seed")):
+        return best
+    if base.kind == "ortho":
+        sols = [constrained_lsq(base.scaled(alpha), u, eps, v) for alpha in hitsolver._GRID_ALPHAS]
+        rows = [(sol.z, sol.residual, sol.kkt_residual) for sol in sols]
+    else:
+        zs, residuals, kkts = hitsolver._grid_lsq(base, np.array(hitsolver._GRID_ALPHAS), u, eps, v)
+        rows = [(ComplexVector(window, z), r, k) for z, r, k in zip(zs, residuals.tolist(), kkts.tolist())]
+    for alpha, (z, residual, kkt) in zip(hitsolver._GRID_ALPHAS, rows):
+        if track("grid", alpha, z, residual, kkt):
+            return best
+    if best.z is None or not alternate(best.z, "polish"):
+        exits.append("uncertain")
+    return best
+
+
+def _route_problem(rng, trial):
+    """A one-component disk problem on a random window of either lattice.
+
+    Even trials draw a forward or backward shift, a diagonal with a zero
+    entry or a 4x4 dense map, with random centres and radii.  Odd trials
+    draw a forward shift or a diagonal with nonzero entries, which have a
+    criterion seed, and centres on two basis vectors that the power keeps
+    apart; the source radius lies near the seed's distance from u and the
+    target radius below ||v||, which is where the seed's steps hit."""
+    lattice = (BILATERAL, UNILATERAL)[trial // 2 % 2]
+    kind = ("forward", "backward", "diagonal", "dense")[trial // 4 % 4]
+    w = IndexWindow(UNILATERAL, 3) if kind == "dense" and trial % 2 == 0 else IndexWindow(lattice, int(rng.integers(3, 7)))
+    idx = w.indices().tolist()
+    if trial % 2:
+        n = int(rng.integers(1, 3))
+        moduli = rng.uniform(0.5, 2.0, w.dim)
+        if kind in ("forward", "backward"):
+            op = ForwardShift(WeightProfile(*rng.uniform(0.5, 2.0, 2), dict(zip(idx, moduli.tolist()))))
+            j = int(rng.integers(w.lo, w.hi - n + 1))
+            k = int(rng.choice([i for i in idx if i != j + n and i - n >= w.lo]))
+        else:
+            op = Diagonal(dict(zip(idx, (moduli * np.exp(2j * np.pi * rng.uniform(size=w.dim))).tolist())))
+            j, k = (int(i) for i in rng.choice(idx, size=2, replace=False))
+        a, b = (complex(x) for x in rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        u, v = ComplexVector.basis(w, j) * a, ComplexVector.basis(w, k) * b
+        unit = ProductBall((Ball(u, 1.0),)), ProductBall((Ball(v, 1.0),))
+        seed = hitsolver._fresh_components(HitProblem((op,), n, *unit))[0].pin(n).seed
+        reach = norm(ComplexVector(w, seed) - u)
+        src, tgt = Ball(u, reach * float(rng.uniform(0.9, 1.1))), Ball(v, norm(v) * float(rng.uniform(0.7, 1.0)))
+        return HitProblem((op,), n, ProductBall((src,)), ProductBall((tgt,)))
+    if kind in ("forward", "backward"):
+        table = {int(j): float(rng.uniform(0.3, 3.0)) for j in rng.integers(w.lo, w.hi + 1, size=3)}
+        op = (ForwardShift if kind == "forward" else BackwardShift)(WeightProfile(*rng.uniform(0.5, 2.0, 2), table))
+    elif kind == "diagonal":
+        entries = rng.uniform(0.5, 1.5, w.dim) * np.exp(2j * np.pi * rng.uniform(size=w.dim))
+        entries[rng.integers(w.dim)] = 0.0
+        op = Diagonal(dict(zip(idx, entries.tolist())))
+    else:
+        op = Dense(0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))))
+    u, v = (random_centre(rng, w, int(rng.integers(1, w.dim + 1))) for _ in range(2))
+    src = Ball(u, norm(u) * float(10.0 ** rng.uniform(-1.5, 0.3)))
+    tgt = Ball(v, norm(v) * float(10.0 ** rng.uniform(-1.0, 0.2)))
+    return HitProblem((op,), int(rng.integers(1, 4)), ProductBall((src,)), ProductBall((tgt,)))
+
+
+def test_batched_disk_route_equals_the_sequential_route(monkeypatch):
+    """solve_hit with the refit scalars and the grid solved as one set of
+    rows against the route that solves them one at a time
+    (sequential_disk_route), bit for bit: status, scalars, residuals,
+    max_kkt_residual and the witness's bytes.  The corpus ends the
+    sequential route at every step it can end at after the pin."""
+    rng = np.random.default_rng(26)
+    exits = []
+    for trial in range(240):
+        p = _route_problem(rng, trial)
+        got = solve_hit(p)
+        with monkeypatch.context() as m:
+            m.setattr(hitsolver, "_solve_component", lambda comp, n: sequential_disk_route(comp, n, exits))
+            want = solve_hit(p)
+        assert (got.status, got.max_kkt_residual) == (want.status, want.max_kkt_residual)
+        if got.status == HIT:
+            assert (got.witness.alphas, got.witness.residuals) == (want.witness.alphas, want.witness.residuals)
+            assert got.witness.point.parts[0].coeffs.tobytes() == want.witness.point.parts[0].coeffs.tobytes()
+        else:
+            assert (got.best_alphas, got.best_residuals) == (want.best_alphas, want.best_residuals)
+            assert got.certificate == want.certificate
+    assert {"u check", "u refit", "seed check", "seed refit", "grid", "uncertain"} <= set(exits)
+
+
+def test_a_row_past_the_float_range_refuses_only_a_solve_that_reaches_it(monkeypatch):
+    """Shift weights of 1e15 to 1e25 at n = 3 and 4 take the grid rows at
+    |alpha| near 1 past the float range, while a refit scalar can stay small
+    enough to hit.  The batch of rows then raises, and each row is solved
+    alone when the replay reaches it: a solve that ends before the first
+    such row gets the sequential route's result, bit for bit, and one that
+    reaches it is an OperatorError there as in the sequential route."""
+    rng = np.random.default_rng(7)
+    w = IndexWindow(BILATERAL, 4)
+    outcomes, failed_batches = set(), []
+    rows = hitsolver._disk_rows
+
+    def recorded(*args):
+        try:
+            return rows(*args)
+        except ArithmeticError:
+            failed_batches.append(args)
+            raise
+
+    monkeypatch.setattr(hitsolver, "_disk_rows", recorded)
+    for _ in range(40):
+        op = ForwardShift(WeightProfile(1.0, 1.0, {j: float(10.0 ** rng.uniform(15, 25)) for j in w.indices().tolist()}))
+        n = int(rng.integers(3, 5))
+        u = ComplexVector.from_coeffs(w, {j: complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-6, 0) for j in (-4, -3, -2)})
+        v = ComplexVector.from_coeffs(w, {j: complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 0) for j in range(n - 5, 5)})
+        src, tgt = Ball(u, norm(u) * float(rng.uniform(0.05, 0.8))), Ball(v, norm(v) * float(rng.uniform(0.1, 1.0)))
+        p = HitProblem((op,), n, ProductBall((src,)), ProductBall((tgt,)))
+        del failed_batches[:]
+        results = []
+        for route in (None, lambda comp, n: sequential_disk_route(comp, n, [])):
+            with monkeypatch.context() as m:
+                if route is not None:
+                    m.setattr(hitsolver, "_solve_component", route)
+                try:
+                    results.append(solve_hit(p))
+                except OperatorError:
+                    results.append(None)
+        got, want = results
+        if got is None or want is None:
+            assert got is want is None
+            outcomes.add("refused")
+            continue
+        assert (got.status, got.max_kkt_residual) == (want.status, want.max_kkt_residual)
+        if got.status == HIT:
+            assert (got.witness.alphas, got.witness.residuals) == (want.witness.alphas, want.witness.residuals)
+            assert got.witness.point.parts[0].coeffs.tobytes() == want.witness.point.parts[0].coeffs.tobytes()
+            if failed_batches:
+                outcomes.add("hit after a failed batch")
+    assert outcomes == {"refused", "hit after a failed batch"}
+
+
 def test_disk_solve_takes_one_step_from_each_start(monkeypatch):
-    """A disk-route miss makes one criterion pin row, three single-scalar
-    solves and one grid batch: one refit step from u, one from the criterion
-    seed, and one polishing step after the grid.  A hit at the criterion pin
-    ends the solve with no single-scalar solve, with the construction's
-    scalar.  Pin rows are counted at _pin_lsq, grid rows as the scalars of
+    """A disk-route miss makes one criterion pin row, one single-scalar
+    solve and one batch of rows: the batch holds the refit scalar from u,
+    the one from the criterion seed and the disk grid, and the single solve
+    is the polishing step after it.  A hit at the criterion pin ends the
+    solve with no single-scalar solve and no batch, with the construction's
+    scalar.  Pin rows are counted at _pin_lsq, batch rows as the scalars of
     each _grid_lsq batch."""
     calls, batches, pin_rows = [], [], []
     lsq, grid, pins = hitsolver.constrained_lsq, hitsolver._grid_lsq, hitsolver._pin_lsq
@@ -303,8 +478,8 @@ def test_disk_solve_takes_one_step_from_each_start(monkeypatch):
     sample = make_ball_sampler(IndexWindow(BILATERAL, 32), 1, band=1)
     sources, targets = sample(np.random.default_rng(0)), sample(np.random.default_rng(1000))
     assert solve_hit(HitProblem((EXAMPLE_SHIFT,), 1, sources, targets)).status == MISS_UNCERTAIN
-    assert (len(pin_rows), len(calls), len(batches)) == (1, 3, 1)
-    assert sum(len(alphas) for _, alphas, *_ in batches) == len(hitsolver._GRID_ALPHAS)
+    assert (len(pin_rows), len(calls), len(batches)) == (1, 1, 1)
+    assert sum(len(alphas) for _, alphas, *_ in batches) == len(hitsolver._GRID_ALPHAS) + 2
 
     calls.clear()
     batches.clear()

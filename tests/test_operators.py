@@ -320,9 +320,17 @@ def test_power_rejects_negative():
 
 @pytest.mark.parametrize("n", [-1, 2.5, math.inf, -math.inf, math.nan])
 def test_every_power_taker_refuses_a_power_that_is_not_a_nonnegative_integer(n):
-    """power_apply, power_map and growth refuse it with one ValueError, never
-    an OverflowError, a TypeError or an overflow named at that power."""
-    calls = (lambda: power_apply(SHIFT_23, n, basis(0)), lambda: power_map(SHIFT_23, n, W8), lambda: growth(SHIFT_23, n))
+    """power_apply, power_map, growth, the window guard and a stack's
+    horizon refuse it with one ValueError, never an OverflowError, a
+    TypeError, a guard error or an overflow named at that power."""
+    calls = (
+        lambda: power_apply(SHIFT_23, n, basis(0)),
+        lambda: power_map(SHIFT_23, n, W8),
+        lambda: growth(SHIFT_23, n),
+        lambda: ensure_power_fits(SHIFT_23, n, basis(0)),
+        lambda: ensure_power_fits(Scalar(2.0), n, basis(0)),
+        lambda: PowerStack(SHIFT_23, W8, n).power_map(1),
+    )
     for call in calls:
         with pytest.raises(ValueError, match="power must be a nonnegative integer"):
             call()
@@ -612,6 +620,14 @@ def test_run_products_keep_one_row():
         tracemalloc.stop()
     assert peak < 5e6
     assert 2957 < bounds.opnorm_upper < 2958 and 27.2 < bounds.minmod_lower < 27.3
+
+
+def test_a_stack_refuses_a_fractional_power_inside_its_horizon():
+    for op in (SHIFT_23, Diagonal({}, default=0.5)):
+        stack = PowerStack(op, W8, 5)
+        for read in (stack.power_map, stack.growth):
+            with pytest.raises(ValueError, match="power must be a nonnegative integer"):
+                read(2.5)
 
 
 @pytest.mark.parametrize("lattice", [BILATERAL, UNILATERAL])
