@@ -48,6 +48,7 @@ from .operators import (
     WeightProfile,
     components_of,
     right_inverse,
+    shared_stacks,
 )
 from .transitivity import (
     COMPOUND,
@@ -987,7 +988,9 @@ def run(cfg: dict) -> tuple[RunOutcome, dict]:
     The whole config is read and checked before anything is computed."""
     config = _read_table(cfg, _CONFIG, "", "experiment", "field of this config")
     runner, values = config["parameters"]
-    outcome = runner(values)
+    # the run's scans and checks share each operator's stacks of powers
+    with shared_stacks():
+        outcome = runner(values)
 
     report = {
         "tool": {"name": "disklab", "version": __version__},

@@ -22,7 +22,6 @@ from .operators import (
     ForwardShift,
     OperatorSpec,
     PowerMap,
-    PowerStack,
     WeightProfile,
     _is_integer,
     apply,
@@ -30,6 +29,8 @@ from .operators import (
     named_overflow,
     power_apply,
     right_inverse,
+    shared_stacks,
+    stack_of,
 )
 from .vectorspace import (
     ComplexVector,
@@ -215,12 +216,14 @@ def _call_rows(s: BackwardMap, n: int, parts: list[ComplexVector]) -> np.ndarray
     return np.array([image.coeffs for image in images])
 
 
+@shared_stacks()
 def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
     """The three norms of every sampled pair at every probed power.
 
     Each component's parts are stacked once into rows, grouped by window,
-    and each power is read once from a PowerStack per operator and window
-    and applied to all rows of a group at once; a callable backward map is
+    and each power is read once from the sharing scope's PowerStack of its
+    operator and window, shared with any scan or check of the same run, and
+    applied to all rows of a group at once; a callable backward map is
     called on each sampled part.  Every pair passes the window guard before any
     power is formed, and powers are probed in increasing order, so an
     overflow is named at the lowest power at which any pair overflows.
@@ -235,14 +238,11 @@ def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
             ensure_power_fits(t, horizon, xi)
             if isinstance(s, OperatorSpec):
                 ensure_power_fits(s, horizon, yi)
-    stacks: dict[tuple[int, IndexWindow], PowerStack] = {}
 
     def power(op: OperatorSpec, window: IndexWindow, n: int) -> PowerMap:
-        # operators are keyed by identity: the data holds them while the stacks live
-        key = (id(op), window)
-        if key not in stacks:
-            stacks[key] = PowerStack(op, window, horizon)
-        return stacks[key].power_map(n)
+        # the scope keys each stack by the operator's identity, and holds the
+        # operator while it keeps the stack
+        return stack_of(op, window, horizon).power_map(n)
 
     ys = [[y.parts[i] for _, y in pairs] for i in range(k)]
     parts = [(_by_window([x.parts[i] for x, _ in pairs]), _by_window(ys[i])) for i in range(k)]

@@ -10,8 +10,10 @@ un-truncated operator.
 
 The problems of a scan over powers share a PowerScan: each component's
 stacks of powers and growth bounds, and its criterion pins, solved in one
-batch across the powers.  solve_hit still solves one power per call, and
-gives each problem of a scan the result it gives that problem alone.
+batch across the powers.  Within a sharing scope (operators.shared_stacks)
+the scans share their stacks too.  solve_hit still solves one power per
+call, and gives each problem of a scan the result it gives that problem
+alone.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .operators import (
     overflow_checked,
     power_apply,
     power_map,
-    right_inverse,
+    stack_of,
 )
 from .vectorspace import (
     Ball,
@@ -820,9 +822,10 @@ class _Pin:
 class _ComponentScan:
     """What the solves of one component share across the powers of a scan:
     its stack of T on the source window and of the right inverse S on the
-    target window, its criterion pins, solved in batches, and the norms of
-    its ball centres, taken once for every power's certificates and exact
-    route.
+    target window, from stack_of, so that the scans of one sharing scope
+    read the same stacks, its criterion pins, solved in batches, and the
+    norms of its ball centres, taken once for every power's certificates
+    and exact route.
 
     A power whose pin is not yet solved solves the pins of every power from
     it to the horizon, in batches of at most PIN_CELLS cells.  A batch runs
@@ -838,8 +841,7 @@ class _ComponentScan:
         self.op, self.src, self.tgt = op, src, tgt
         self.mode, self.fixed_alpha = mode, fixed_alpha
         self.horizon = horizon
-        self.powers = PowerStack(op, src.center.window, horizon)
-        self._inverse: PowerStack | None = None
+        self.powers = stack_of(op, src.center.window, horizon)
         self._pins: dict[int, _Pin | None] = {}
         self.nu, self.nv = norm(src.center), norm(tgt.center)
         self._scalars: dict[int, _ScalarPower | None] = {}
@@ -858,6 +860,15 @@ class _ComponentScan:
         if n not in self._scalars:
             self._scalars[n] = _scalar_power(self, n)
         return self._scalars[n]
+
+    @functools.cached_property
+    def inverse(self) -> PowerStack | None:
+        """The stack of the right inverse S on the target window; None where
+        T has no right inverse."""
+        try:
+            return stack_of(self.op, self.tgt.center.window, self.horizon, inverse=True)
+        except OperatorError:
+            return None
 
     def pin(self, n: int) -> _Pin | None:
         """The pin at power n; None where the criterion has no scalar: no
@@ -889,11 +900,9 @@ class _ComponentScan:
         return True
 
     def _solve_pins(self, powers) -> dict[int, _Pin | None]:
-        try:
-            s = right_inverse(self.op)
-        except OperatorError:
+        if self.inverse is None:
             return dict.fromkeys(powers)
-        powers = list(powers)
+        s, powers = self.inverse.op, list(powers)
         # the guard only tightens as n grows
         fit = powers if self._fits(s, powers[-1]) else list(itertools.takewhile(lambda n: self._fits(s, n), powers))
         pins: dict[int, _Pin | None] = dict.fromkeys(powers)
@@ -902,10 +911,8 @@ class _ComponentScan:
         u, v = self.src.center.coeffs, self.tgt.center.coeffs
         su, sv = np.flatnonzero(u), np.flatnonzero(v)
         coeffs, tgt = self.powers.rows(fit[0], fit[-1])
-        if self._inverse is None:
-            self._inverse = PowerStack(s, self.tgt.center.window, self.horizon)
         # S^n is read only on v's support, the columns S^n v takes
-        s_coeffs, s_tgt = (a[:, sv] for a in self._inverse.rows(fit[0], fit[-1]))
+        s_coeffs, s_tgt = (a[:, sv] for a in self.inverse.rows(fit[0], fit[-1]))
         # the entries of T^n u and S^n v from the supports of u and v: a
         # column meets one row, so these are all their nonzero entries.  The
         # centres are spread to full shape, as _grid_lsq's operands are, so

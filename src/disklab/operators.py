@@ -8,6 +8,8 @@ scans that must not lose mass call ensure_power_fits first.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -36,6 +38,8 @@ __all__ = [
     "GrowthBounds",
     "PowerMap",
     "PowerStack",
+    "shared_stacks",
+    "stack_of",
     "OperatorError",
     "WindowGuardError",
     "apply",
@@ -490,6 +494,41 @@ class PowerStack:
                 raise FloatingPointError("overflow encountered in matrix_power")
             return PowerMap("dense", window, matrix=matrix)
         raise OperatorError(f"unsupported operator variant {type(op).__name__}")
+
+
+# the open sharing scope's stacks: (id(op), inverse, window, horizon) ->
+# (op, stack).  Each entry holds op, so its id is not reused while the scope
+# keeps the stack
+_SHARED = contextvars.ContextVar("shared_stacks", default=None)
+
+
+@contextlib.contextmanager
+def shared_stacks():
+    """A scope, usable as a decorator, in which stack_of returns one stack
+    per operator, direction, window and horizon; a nested scope shares the
+    outer one's stacks.  A power and its growth bounds do not depend on
+    which caller formed them first or on how its chunks fell (see
+    PowerStack), so every caller reads the bits it would form alone."""
+    token = _SHARED.set({}) if _SHARED.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _SHARED.reset(token)
+
+
+def stack_of(op: OperatorSpec, window: IndexWindow, horizon: int, inverse: bool = False) -> PowerStack:
+    """The PowerStack of op, or of its right inverse, on the window up to the
+    horizon: the open scope's one, formed on first use, or a new one outside
+    any scope."""
+    shared = _SHARED.get()
+    key = (id(op), inverse, window, horizon)
+    if shared is not None and key in shared:
+        return shared[key][1]
+    stack = PowerStack(right_inverse(op) if inverse else op, window, horizon)
+    if shared is not None:
+        shared[key] = (op, stack)
+    return stack
 
 
 def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:

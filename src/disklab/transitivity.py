@@ -33,6 +33,7 @@ from .operators import (
     ensure_power_fits,
     named_overflow,
     right_inverse,
+    shared_stacks,
 )
 from .vectorspace import (
     Ball,
@@ -178,6 +179,7 @@ class CrossReport:
     backward_report: JunctionReport
 
 
+@shared_stacks()
 def cross_scan(
     components: Sequence[OperatorSpec],
     a: ProductBall,
@@ -187,7 +189,7 @@ def cross_scan(
     fixed_alphas: tuple[complex, ...] | None = None,
 ) -> CrossReport:
     """Hit powers in both directions between two ball tuples, plus the
-    two-sided junction set."""
+    two-sided junction set; the two scans share their stacks."""
     fwd = junction_scan(components, a, b, horizon, mode, fixed_alphas)
     bwd = junction_scan(components, b, a, horizon, mode, fixed_alphas)
     return CrossReport(
@@ -248,6 +250,7 @@ def _kind_mode(kind: str, arity: int) -> tuple[str, tuple[complex, ...] | None]:
     return DISK, None
 
 
+@shared_stacks()
 def detect(
     kind: str,
     components: Sequence[OperatorSpec],
@@ -264,6 +267,7 @@ def detect(
     (compound, mixing) confirm when every trial hits at all powers from some
     tail_start <= TAIL_FRACTION * horizon on; they refute when a trial
     certifies a full suffix of misses that extends beyond the horizon.
+    The trials' scans share their stacks of each operator's powers.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")

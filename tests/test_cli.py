@@ -25,7 +25,16 @@ from disklab.cli import (
     main,
     run,
 )
-from disklab.operators import BackwardShift, Dense, Diagonal, DirectSum, ForwardShift, Scalar, WindowGuardError
+from disklab.operators import (
+    BackwardShift,
+    Dense,
+    Diagonal,
+    DirectSum,
+    ForwardShift,
+    PowerStack,
+    Scalar,
+    WindowGuardError,
+)
 from disklab.vectorspace import BILATERAL, UNILATERAL, IndexWindow
 
 
@@ -995,6 +1004,25 @@ def test_scenario_compound_plus_transitive_confirms():
     assert outcome.exit_code == EXIT_PASS
     assert outcome.results["all_nonempty"] is True
     assert all(d["common"] for d in outcome.results["per_trial"])
+
+
+def test_a_run_builds_each_stack_once(monkeypatch):
+    """A run shares each operator's stacks across its scans:
+    compound-plus-transitive scans each shift twice per trial, and builds
+    one stack of each shift and of its right inverse, where a stack per
+    scan builds 4 per trial."""
+    built = []
+    init = PowerStack.__init__
+
+    def counted(stack, op, window, horizon):
+        built.append((repr(op), window, horizon))
+        init(stack, op, window, horizon)
+
+    monkeypatch.setattr(PowerStack, "__init__", counted)
+    cfg = {"experiment": "scenario", "parameters": {"id": "compound-plus-transitive", "trials": 4, "horizon": 30}}
+    run(cfg)
+    assert len(built) == len(set(built)) == 4
+    assert {op.split("(")[0] for op, _, _ in built} == {"ForwardShift", "BackwardShift"}
 
 
 def test_scenario_direct_sum_criterion_confirms():

@@ -387,16 +387,29 @@ def _route_problem(rng, trial):
     return HitProblem((op,), int(rng.integers(1, 4)), ProductBall((src,)), ProductBall((tgt,)))
 
 
+def _u_refit_before_seed_check():
+    """The unweighted unilateral shift at n = 1 from 0.6 e_1 (radius 0.85) to
+    0.8i e_2 (radius 0.1), where the u-refit row and the seed check both
+    hit: the pin (lambda = 1) leaves 0.15 and u itself 0.2, the refit
+    scalar i reaches v exactly from 0.8 e_1, and the seed (0.6 + 0.8i) e_1
+    lies inside the source ball and reaches v at its own scalar.  So the
+    route ends at the u refit only if it replays that row first."""
+    w = IndexWindow(UNILATERAL, 4)
+    src, tgt = Ball(ComplexVector.basis(w, 1) * 0.6, 0.85), Ball(ComplexVector.basis(w, 2) * 0.8j, 0.1)
+    return HitProblem((ForwardShift(WeightProfile(1.0, 1.0)),), 1, ProductBall((src,)), ProductBall((tgt,)))
+
+
 def test_batched_disk_route_equals_the_sequential_route(monkeypatch):
     """solve_hit with the refit scalars and the grid solved as one set of
     rows against the route that solves them one at a time
     (sequential_disk_route), bit for bit: status, scalars, residuals,
     max_kkt_residual and the witness's bytes.  The corpus ends the
-    sequential route at every step it can end at after the pin."""
+    sequential route at every step it can end at after the pin, and holds
+    a solve where the u refit and the seed check both hit, which pins
+    their order."""
     rng = np.random.default_rng(26)
     exits = []
-    for trial in range(240):
-        p = _route_problem(rng, trial)
+    for p in [*(_route_problem(rng, trial) for trial in range(240)), _u_refit_before_seed_check()]:
         got = solve_hit(p)
         with monkeypatch.context() as m:
             m.setattr(hitsolver, "_solve_component", lambda comp, n: sequential_disk_route(comp, n, exits))
@@ -409,6 +422,7 @@ def test_batched_disk_route_equals_the_sequential_route(monkeypatch):
             assert (got.best_alphas, got.best_residuals) == (want.best_alphas, want.best_residuals)
             assert got.certificate == want.certificate
     assert {"u check", "u refit", "seed check", "seed refit", "grid", "uncertain"} <= set(exits)
+    assert exits[-1] == "u refit"
 
 
 def test_a_row_past_the_float_range_refuses_only_a_solve_that_reaches_it(monkeypatch):
@@ -1047,8 +1061,9 @@ def _exact_sq_distance(x, y):
 
 def _exact_witness_holds(p, witness):
     """Whether a one-component witness of a problem whose T^n is c^n I (a Scalar,
-    or any operator at n = 0) lies strictly inside both balls, checked in exact
-    rational arithmetic: ||z - u||^2 < eps^2 and ||alpha c^n z - v||^2 < delta^2."""
+    the identity, or any operator at n = 0) lies strictly inside both balls,
+    checked in exact rational arithmetic: ||z - u||^2 < eps^2 and
+    ||alpha c^n z - v||^2 < delta^2."""
     (op,), (src,), (tgt,) = p.components, p.sources.balls, p.targets.balls
     c = op.value if isinstance(op, Scalar) else 1.0
     re, im = Fraction(1), Fraction(0)
@@ -1065,9 +1080,9 @@ def _exact_witness_holds(p, witness):
     return inside and image < Fraction(tgt.radius) ** 2
 
 
-def _identity_problem(rng, offset):
-    """The fixed-mode unit scaling of Scalar(1) at n = 1 on a 2-point window,
-    with ||u|| = 10^U(6, 9), v = s u for s ~ U(1.5, 3), source radius 0.5 and
+def _identity_problem(rng, offset, op=Scalar(1.0)):
+    """The fixed-mode unit scaling of the identity op at n = 1 on a 2-point
+    window, with ||u|| = 10^U(6, 9), v = s u for s ~ U(1.5, 3), source radius 0.5 and
     the target radius the least float at least `offset` above the exact
     infimum ||u - v|| - 0.5 (taken to 60 digits)."""
     w = IndexWindow(UNILATERAL, 1)
@@ -1082,7 +1097,7 @@ def _identity_problem(rng, offset):
         while Decimal(delta) < target:
             delta = math.nextafter(delta, math.inf)
     src, tgt = Ball(ComplexVector(w, u), 0.5), Ball(ComplexVector(w, v), delta)
-    return HitProblem((Scalar(1.0),), 1, ProductBall((src,)), ProductBall((tgt,)), FIXED, (1.0,))
+    return HitProblem((op,), 1, ProductBall((src,)), ProductBall((tgt,)), FIXED, (1.0,))
 
 
 def test_scalar_route_is_sound_in_floating_point():
@@ -1112,6 +1127,26 @@ def test_scalar_route_is_sound_in_floating_point():
             assert res.status == want
             if want == HIT:
                 assert _exact_witness_holds(p, res.witness)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: CERT_MARGIN and RESIDUAL_SLACK are absolute off the scalar route")
+def test_growth_bound_and_trust_region_routes_are_sound_in_floating_point():
+    """ROADMAP item 3's reproduction: the draws of the test above, on the
+    identity as Diagonal({}, default=1.0), which takes the growth bounds and
+    the TRS rather than the scalar route.  The target radius is the least
+    float at least 3e-9 above the exact infimum, so a hit exists in every
+    draw: no draw may end certified, and every witness must pass the exact
+    check.  Terms near 3e9 round by far more than the absolute margins:
+    the 400 draws give 9 false opnorm certificates and 69 witnesses that
+    fail the exact check."""
+    rng = np.random.default_rng(0)
+    false = []
+    for draw in range(400):
+        p = _identity_problem(rng, "3e-9", Diagonal({}, default=1.0))
+        res = solve_hit(p)
+        if res.status == MISS_CERTIFIED or (res.status == HIT and not _exact_witness_holds(p, res.witness)):
+            false.append((draw, res.status, res.certificate))
+    assert false == []
 
 
 def test_large_scalar_powers_end_in_a_status():

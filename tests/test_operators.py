@@ -26,6 +26,8 @@ from disklab.operators import (
     power_apply,
     power_map,
     right_inverse,
+    shared_stacks,
+    stack_of,
 )
 from disklab.hitsolver import HitProblem, solve_hit
 from disklab.vectorspace import (
@@ -697,3 +699,26 @@ def test_growth_and_a_stack_raise_alike_at_the_shift_edge():
             bounds()
         errors.append(str(err.value))
     assert errors[0] == errors[1]
+
+
+def test_a_scope_keeps_one_stack_per_operator_and_never_aliases_a_dropped_one():
+    """Inside a scope stack_of returns one stack per operator, direction,
+    window and horizon, and a nested scope shares it; outside any scope each
+    call builds a new stack.  The scope holds each operator it keys, so an
+    operator dropped inside it cannot lend its id, and its stacks, to a
+    later one: each right-inverse stack is that of the operator asked for."""
+    w = IndexWindow(BILATERAL, 4)
+    op = ForwardShift(WeightProfile(2.0, 3.0))
+    assert stack_of(op, w, 3) is not stack_of(op, w, 3)
+    with shared_stacks():
+        stack = stack_of(op, w, 3)
+        with shared_stacks():
+            assert stack_of(op, w, 3) is stack
+        assert stack_of(op, w, 3) is stack
+        assert len({id(stack_of(op, *key)) for key in [(w, 3), (w, 4), (IndexWindow(BILATERAL, 5), 3), (w, 3, True)]}) == 4
+        for k in range(50):
+            weights = WeightProfile(2.0 + k, 3.0)
+            # the shift is dropped as soon as its stack is built
+            inverse = stack_of(ForwardShift(weights), w, 2, inverse=True)
+            assert inverse.op == BackwardShift(weights.reciprocal())
+    assert stack_of(op, w, 3) is not stack

@@ -17,6 +17,9 @@ from disklab.operators import (
     Scalar,
     WeightProfile,
     WindowGuardError,
+    right_inverse,
+    shared_stacks,
+    stack_of,
 )
 from disklab.transitivity import (
     COMPOUND,
@@ -100,6 +103,53 @@ def test_a_shift_scan_forms_each_stack_in_one_chunk(monkeypatch):
     junction_scan((SHIFT_23,), balls, balls, horizon=40)
     assert alone == []
     assert sorted(t.__name__ for t in chunks) == ["BackwardShift", "ForwardShift"]
+
+
+def unshared(op, window, horizon, inverse=False):
+    """stack_of as it acts outside any scope: a new stack on every call."""
+    return PowerStack(right_inverse(op) if inverse else op, window, horizon)
+
+
+def test_a_detect_run_forms_each_stack_in_one_chunk(monkeypatch):
+    """A 5-trial detect on the (2, 3) shift at m = 64 shares its stacks of T
+    and S across the trials' scans: one chunk each, 2 _fill_maps calls,
+    where a stack per scan takes 10."""
+    chunks = []
+    fill = PowerStack._fill_maps
+    monkeypatch.setattr(PowerStack, "_fill_maps", lambda stack, n: chunks.append(type(stack.op)) or fill(stack, n))
+    sampler = make_ball_sampler(IndexWindow(BILATERAL, 64), arity=1, band=1)
+    detect(COMPOUND, (SHIFT_23,), sampler, trials=5, horizon=40)
+    assert sorted(t.__name__ for t in chunks) == ["BackwardShift", "ForwardShift"]
+    chunks.clear()
+    monkeypatch.setattr(hitsolver, "stack_of", unshared)
+    detect(COMPOUND, (SHIFT_23,), sampler, trials=5, horizon=40)
+    assert len(chunks) == 10
+
+
+def test_shared_stacks_leave_every_result_as_it_is(monkeypatch):
+    """detect and junction_scan give the same results, bit for bit, with
+    their stacks shared in one scope and with a stack per scan.  In the
+    scope the stacks of T and S are first formed from powers 5 and 7, so
+    the scans read their powers from two chunks."""
+    w = IndexWindow(BILATERAL, 64)
+    sampler = make_ball_sampler(w, arity=1, band=1)
+
+    def runs():
+        scans = [
+            junction_scan((SHIFT_23,), sampler(seed), sampler(seed + 10), 40, *mode)
+            for seed in range(3)
+            for mode in ((), (FIXED, (1.0,)))
+        ]
+        verdicts = [detect(kind, (SHIFT_23,), sampler, trials=3, horizon=40, seed=1) for kind in (COMPOUND, MIXING)]
+        return repr(scans), repr(verdicts)
+
+    with monkeypatch.context() as m:
+        m.setattr(hitsolver, "stack_of", unshared)
+        alone = runs()
+    with shared_stacks():
+        stack_of(SHIFT_23, w, 40).power_map(5)
+        stack_of(SHIFT_23, w, 40, inverse=True).power_map(7)
+        assert runs() == alone
 
 
 def test_junction_scan_guard_fires_on_small_windows():
@@ -353,12 +403,16 @@ def test_scan_results_equal_single_power_solves(monkeypatch):
 )
 def test_scan_overflow_is_raised_at_the_power_it_happens(op, m, source, target, horizon, power, where):
     """The pin batch covers powers the scan has not reached; an overflow
-    there must not end the scan before the power it happens at."""
+    there must not end the scan before the power it happens at.  Scanned
+    twice in one scope, the second scan reads the stacks the first left,
+    refused powers included, and raises at the same power."""
     w = IndexWindow(BILATERAL, m)
     sources, targets = (ProductBall((Ball(ComplexVector.basis(w, j), 0.5),)) for j in (source, target))
     message = f"_solve_component overflows a float at power {power}: overflow encountered in {where}"
-    with pytest.raises(OperatorError, match=re.escape(message)):
-        junction_scan((op,), sources, targets, horizon)
+    with shared_stacks():
+        for _ in range(2):
+            with pytest.raises(OperatorError, match=re.escape(message)):
+                junction_scan((op,), sources, targets, horizon)
 
 
 def test_a_failed_pin_batch_is_split_before_the_failing_power(monkeypatch):
