@@ -21,7 +21,6 @@ from .hitsolver import ALPHA_FLOOR, _row_norms
 from .operators import (
     ForwardShift,
     OperatorSpec,
-    PowerMap,
     WeightProfile,
     _is_integer,
     apply,
@@ -81,8 +80,9 @@ def make_vector_sampler(
     modulus_lo: float | None = None,
 ) -> Callable[[object], ProductVector]:
     """Finitely supported random vectors standing in for a dense set."""
-    if arity < 1:
+    if not (arity >= 1 and _is_integer(arity)):
         raise ValueError("arity must be at least 1")
+    arity = int(arity)
 
     def sample(seed) -> ProductVector:
         rng = as_rng(seed)
@@ -222,11 +222,11 @@ def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
 
     Each component's parts are stacked once into rows, grouped by window,
     and each power is read once from the sharing scope's PowerStack of its
-    operator and window, shared with any scan or check of the same run, and
-    applied to all rows of a group at once; a callable backward map is
-    called on each sampled part.  Every pair passes the window guard before any
-    power is formed, and powers are probed in increasing order, so an
-    overflow is named at the lowest power at which any pair overflows.
+    operator's value and window, shared with any scan or check of the same
+    run, and applied to all rows of a group at once; a callable backward map
+    is called on each sampled part.  Every pair passes the window guard
+    before any power is formed, and powers are probed in increasing order,
+    so an overflow is named at the lowest power at which any pair overflows.
     """
     k, horizon = len(data.components), data.nk[-1]
     for x, y in pairs:
@@ -239,11 +239,6 @@ def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
             if isinstance(s, OperatorSpec):
                 ensure_power_fits(s, horizon, yi)
 
-    def power(op: OperatorSpec, window: IndexWindow, n: int) -> PowerMap:
-        # the scope keys each stack by the operator's identity, and holds the
-        # operator while it keeps the stack
-        return stack_of(op, window, horizon).power_map(n)
-
     ys = [[y.parts[i] for _, y in pairs] for i in range(k)]
     parts = [(_by_window([x.parts[i] for x, _ in pairs]), _by_window(ys[i])) for i in range(k)]
     norms = np.empty((3, k, len(data.nk), len(pairs)))  # [kind][component][step][pair]
@@ -252,14 +247,14 @@ def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
             for i, (t, s) in enumerate(zip(data.components, data.smaps)):
                 xgroups, ygroups = parts[i]
                 for w, idx, rows in xgroups:
-                    norms[0, i, j, idx] = _row_norms(power(t, w, n).apply_rows(rows))
+                    norms[0, i, j, idx] = _row_norms(stack_of(t, w, horizon).power_map(n).apply_rows(rows))
                 for w, idx, rows in ygroups:
                     if isinstance(s, OperatorSpec):
-                        sn_y = power(s, w, n).apply_rows(rows)
+                        sn_y = stack_of(s, w, horizon).power_map(n).apply_rows(rows)
                     else:
                         sn_y = _call_rows(s, n, [ys[i][p] for p in idx])
                     norms[1, i, j, idx] = _row_norms(sn_y)
-                    norms[2, i, j, idx] = _row_norms(power(t, w, n).apply_rows(sn_y) - rows)
+                    norms[2, i, j, idx] = _row_norms(stack_of(t, w, horizon).power_map(n).apply_rows(sn_y) - rows)
     return [_OrbitNorms(*norms[..., p].tolist()) for p in range(len(pairs))]
 
 
@@ -519,8 +514,9 @@ def spectral_witness(
     """
     if len(x_coeffs) != len(split.small) or len(y_coeffs) != len(split.large):
         raise CriterionError("coefficient counts must match the eigenpair lists")
-    if horizon < 1:
+    if not (horizon >= 1 and _is_integer(horizon)):
         raise CriterionError("horizon must be at least 1")
+    horizon = int(horizon)
     window = split.large[0].vector.window
     x = ComplexVector.zero(window)
     for a, e in zip(x_coeffs, split.small):
@@ -529,13 +525,14 @@ def spectral_witness(
     for b, e in zip(y_coeffs, split.large):
         y = y + e.vector * b
     steps = tuple(range(1, horizon + 1))
+    powers = stack_of(split.op, window, horizon)
     z_norms, residuals = [], []
     for n in steps:
         z = ComplexVector.zero(window)
         for b, e in zip(y_coeffs, split.large):
             z = z + e.vector * (b * (split.c / e.value) ** n)
         z_norms.append(norm(z))
-        image = power_apply(split.op, n, x + z) * (1.0 / split.c**n)
+        image = ComplexVector(window, powers.power_map(n).apply_vec((x + z).coeffs)) * (1.0 / split.c**n)
         residuals.append(norm(image - y))
     r = None
     for idx in range(len(steps)):

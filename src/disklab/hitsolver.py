@@ -11,9 +11,9 @@ un-truncated operator.
 The problems of a scan over powers share a PowerScan: each component's
 stacks of powers and growth bounds, and its criterion pins, solved in one
 batch across the powers.  Within a sharing scope (operators.shared_stacks)
-the scans share their stacks too.  solve_hit still solves one power per
-call, and gives each problem of a scan the result it gives that problem
-alone.
+the scans share one stack per operator value too.  solve_hit still solves
+one power per call, and gives each problem of a scan the result it gives
+that problem alone.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .operators import (
     overflow_checked,
     power_apply,
     power_map,
+    right_inverse,
     stack_of,
 )
 from .vectorspace import (
@@ -299,13 +300,9 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
     d_eig, mu, gap = _trs_core(evals, g, eps)
     d = evecs @ d_eig
     stat = float(np.linalg.norm((evals + mu) * d_eig - g))
-    g_scale = max(1.0, float(np.linalg.norm(g_full)))
-    dn = float(np.linalg.norm(d))
-    feas = max(0.0, dn - eps) / eps
-    kkt = max(stat / g_scale, feas, gap)
     z = ComplexVector(window, u.coeffs + d)
     residual = float(np.linalg.norm(A.apply_vec(z.coeffs) - target.coeffs))
-    return TrsResult(z=z, residual=residual, kkt_residual=kkt)
+    return TrsResult(z=z, residual=residual, kkt_residual=float(_kkt_rows(stat, g_full, d, eps, gap)))
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -822,10 +819,10 @@ class _Pin:
 class _ComponentScan:
     """What the solves of one component share across the powers of a scan:
     its stack of T on the source window and of the right inverse S on the
-    target window, from stack_of, so that the scans of one sharing scope
-    read the same stacks, its criterion pins, solved in batches, and the
-    norms of its ball centres, taken once for every power's certificates
-    and exact route.
+    target window, from stack_of, so that the scans and checks of one
+    sharing scope read one stack per operator value, its criterion pins,
+    solved in batches, and the norms of its ball centres, taken once for
+    every power's certificates and exact route.
 
     A power whose pin is not yet solved solves the pins of every power from
     it to the horizon, in batches of at most PIN_CELLS cells.  A batch runs
@@ -866,7 +863,7 @@ class _ComponentScan:
         """The stack of the right inverse S on the target window; None where
         T has no right inverse."""
         try:
-            return stack_of(self.op, self.tgt.center.window, self.horizon, inverse=True)
+            return stack_of(right_inverse(self.op), self.tgt.center.window, self.horizon)
         except OperatorError:
             return None
 

@@ -92,7 +92,14 @@ class WeightProfile:
         vals = [self.pos, self.neg, *self.table.values()]
         if any(not (v > 0) or not np.isfinite(v) for v in vals):
             raise OperatorError("shift weights must be positive and finite")
-        object.__setattr__(self, "table", dict(self.table))
+        # as floats, equal profiles form the same powers and growth bounds
+        # bit for bit
+        object.__setattr__(self, "pos", float(self.pos))
+        object.__setattr__(self, "neg", float(self.neg))
+        object.__setattr__(self, "table", {m: float(w) for m, w in self.table.items()})
+
+    def __hash__(self):
+        return hash((self.pos, self.neg, frozenset(self.table.items())))
 
     def weight(self, m: int) -> float:
         w = self.table.get(m)
@@ -150,6 +157,9 @@ class Diagonal(OperatorSpec):
         if self.default is not None:
             object.__setattr__(self, "default", complex(self.default))
 
+    def __hash__(self):
+        return hash((frozenset(self.entries.items()), self.default))
+
     def entry(self, j: int) -> complex:
         if j in self.entries:
             return self.entries[j]
@@ -171,7 +181,9 @@ class Scalar(OperatorSpec):
 
 @dataclass(frozen=True)
 class Dense(OperatorSpec):
-    """Explicit matrix on the window, indexed like the coefficient array."""
+    """Explicit matrix on the window, indexed like the coefficient array.
+    Two are equal when their matrices' bytes are: the matrix is a square
+    complex array, so its bytes fix its shape and every entry."""
 
     matrix: np.ndarray
 
@@ -181,6 +193,14 @@ class Dense(OperatorSpec):
             raise OperatorError("dense operator needs a square matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dense):
+            return NotImplemented
+        return self.matrix.tobytes() == other.matrix.tobytes()
+
+    def __hash__(self):
+        return hash(self.matrix.tobytes())
 
 
 @dataclass(frozen=True)
@@ -496,19 +516,20 @@ class PowerStack:
         raise OperatorError(f"unsupported operator variant {type(op).__name__}")
 
 
-# the open sharing scope's stacks: (id(op), inverse, window, horizon) ->
-# (op, stack).  Each entry holds op, so its id is not reused while the scope
-# keeps the stack
+# the open sharing scope's stacks, keyed by (op, window, horizon)
 _SHARED = contextvars.ContextVar("shared_stacks", default=None)
 
 
 @contextlib.contextmanager
 def shared_stacks():
     """A scope, usable as a decorator, in which stack_of returns one stack
-    per operator, direction, window and horizon; a nested scope shares the
-    outer one's stacks.  A power and its growth bounds do not depend on
-    which caller formed them first or on how its chunks fell (see
-    PowerStack), so every caller reads the bits it would form alone."""
+    per operator value, window and horizon: operators that compare equal
+    share it.  A nested scope shares the outer one's stacks.  A power and
+    its growth bounds depend only on the operator's value, not on which
+    caller formed them first or on how its chunks fell (see PowerStack), so
+    every caller reads the bits it would form alone.  The one exception is
+    the sign of a zero: Scalar(-0.0) equals Scalar(0.0), and the scope
+    hands it the stack of whichever came first."""
     token = _SHARED.set({}) if _SHARED.get() is None else None
     try:
         yield
@@ -517,18 +538,16 @@ def shared_stacks():
             _SHARED.reset(token)
 
 
-def stack_of(op: OperatorSpec, window: IndexWindow, horizon: int, inverse: bool = False) -> PowerStack:
-    """The PowerStack of op, or of its right inverse, on the window up to the
-    horizon: the open scope's one, formed on first use, or a new one outside
-    any scope."""
+def stack_of(op: OperatorSpec, window: IndexWindow, horizon: int) -> PowerStack:
+    """The PowerStack of op on the window up to the horizon: the open
+    scope's one for an equal operator, formed on first use, or a new one
+    outside any scope."""
     shared = _SHARED.get()
-    key = (id(op), inverse, window, horizon)
-    if shared is not None and key in shared:
-        return shared[key][1]
-    stack = PowerStack(right_inverse(op) if inverse else op, window, horizon)
-    if shared is not None:
-        shared[key] = (op, stack)
-    return stack
+    if shared is None:
+        return PowerStack(op, window, horizon)
+    if (op, window, horizon) not in shared:
+        shared[op, window, horizon] = PowerStack(op, window, horizon)
+    return shared[op, window, horizon]
 
 
 def power_map(op: OperatorSpec, n: int, window: IndexWindow) -> PowerMap:

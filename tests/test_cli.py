@@ -1006,11 +1006,9 @@ def test_scenario_compound_plus_transitive_confirms():
     assert all(d["common"] for d in outcome.results["per_trial"])
 
 
-def test_a_run_builds_each_stack_once(monkeypatch):
-    """A run shares each operator's stacks across its scans:
-    compound-plus-transitive scans each shift twice per trial, and builds
-    one stack of each shift and of its right inverse, where a stack per
-    scan builds 4 per trial."""
+def built_stacks(monkeypatch, cfg) -> list:
+    """(repr of the operator, window, horizon) of every PowerStack the run
+    of cfg builds."""
     built = []
     init = PowerStack.__init__
 
@@ -1019,10 +1017,36 @@ def test_a_run_builds_each_stack_once(monkeypatch):
         init(stack, op, window, horizon)
 
     monkeypatch.setattr(PowerStack, "__init__", counted)
-    cfg = {"experiment": "scenario", "parameters": {"id": "compound-plus-transitive", "trials": 4, "horizon": 30}}
     run(cfg)
+    return built
+
+
+def test_a_run_builds_each_stack_once(monkeypatch):
+    """A run shares each operator's stacks across its scans:
+    compound-plus-transitive scans each shift twice per trial, and builds
+    one stack of each shift and of its right inverse, where a stack per
+    scan builds 4 per trial."""
+    cfg = {"experiment": "scenario", "parameters": {"id": "compound-plus-transitive", "trials": 4, "horizon": 30}}
+    built = built_stacks(monkeypatch, cfg)
     assert len(built) == len(set(built)) == 4
     assert {op.split("(")[0] for op, _, _ in built} == {"ForwardShift", "BackwardShift"}
+
+
+@pytest.mark.parametrize(
+    "parameters, count",
+    [
+        # T1, T2 and their right inverses: the criterion's backward maps,
+        # built apart from the scans', are equal to them and share their stacks
+        ({"id": "direct-sum-diskcyclic-criterion", "trials": 3, "horizon": 30, "stop": 30, "sample_count": 4}, 4),
+        # one stack for every power of the witness, and the one-power stacks
+        # the split builds to check its two eigenpairs
+        ({"id": "diagonal-spectral-split"}, 3),
+    ],
+    ids=["direct-sum", "spectral-split"],
+)
+def test_a_run_builds_one_stack_per_operator_value(monkeypatch, parameters, count):
+    built = built_stacks(monkeypatch, {"experiment": "scenario", "parameters": parameters})
+    assert len(built) == count
 
 
 def test_scenario_direct_sum_criterion_confirms():

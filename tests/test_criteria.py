@@ -35,6 +35,7 @@ from disklab.operators import (
     power_apply,
     right_inverse,
 )
+from disklab.transitivity import make_ball_sampler
 from disklab.vectorspace import (
     BILATERAL,
     UNILATERAL,
@@ -864,3 +865,31 @@ def test_data_takes_integral_floats_as_powers_and_counts():
     assert data.nk == (1, 2, 3) and type(data.nk[1]) is int
     assert data.sample_count == 4 and type(data.sample_count) is int
     assert len(check_scalar_free_criterion(data).pairs) == 4
+    split = canonical_split()
+    whole = spectral_witness(split, (1.0,), (1.0,), eps=0.1, delta=0.1, horizon=20)
+    assert spectral_witness(split, (1.0,), (1.0,), eps=0.1, delta=0.1, horizon=np.float64(20.0)) == whole
+    assert type(whole.steps[-1]) is int
+    for make in (make_vector_sampler, make_ball_sampler):
+        assert make(W, 2.0, band=1)(3) == make(W, 2, band=1)(3)
+
+
+def canonical_split():
+    w = IndexWindow(UNILATERAL, 1)
+    return SpectralSplit(
+        op=Diagonal({0: 0.5, 1: 2.0}),
+        p=1.0,
+        small=(EigenPair(0.5, ComplexVector.basis(w, 0)),),
+        large=(EigenPair(2.0, ComplexVector.basis(w, 1)),),
+        c=1.5,
+    )
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, math.inf, math.nan])
+def test_witness_and_samplers_reject_a_count_that_is_not_whole(count):
+    """A fractional or non-finite horizon or arity is refused where it is
+    given, not as a TypeError from range where it is used."""
+    with pytest.raises(CriterionError, match="horizon must be at least 1"):
+        spectral_witness(canonical_split(), (1.0,), (1.0,), eps=0.1, delta=0.1, horizon=count)
+    for make in (make_vector_sampler, make_ball_sampler):
+        with pytest.raises(ValueError, match="arity must be at least 1"):
+            make(W, count)

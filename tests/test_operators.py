@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -702,11 +703,11 @@ def test_growth_and_a_stack_raise_alike_at_the_shift_edge():
 
 
 def test_a_scope_keeps_one_stack_per_operator_and_never_aliases_a_dropped_one():
-    """Inside a scope stack_of returns one stack per operator, direction,
-    window and horizon, and a nested scope shares it; outside any scope each
-    call builds a new stack.  The scope holds each operator it keys, so an
-    operator dropped inside it cannot lend its id, and its stacks, to a
-    later one: each right-inverse stack is that of the operator asked for."""
+    """Inside a scope stack_of returns one stack per operator value, window
+    and horizon, and a nested scope shares it; outside any scope each call
+    builds a new stack.  An equal operator built apart reads the same stack,
+    and an operator dropped inside the scope lends its stacks to no other:
+    each right-inverse stack is that of the operator asked for."""
     w = IndexWindow(BILATERAL, 4)
     op = ForwardShift(WeightProfile(2.0, 3.0))
     assert stack_of(op, w, 3) is not stack_of(op, w, 3)
@@ -715,10 +716,53 @@ def test_a_scope_keeps_one_stack_per_operator_and_never_aliases_a_dropped_one():
         with shared_stacks():
             assert stack_of(op, w, 3) is stack
         assert stack_of(op, w, 3) is stack
-        assert len({id(stack_of(op, *key)) for key in [(w, 3), (w, 4), (IndexWindow(BILATERAL, 5), 3), (w, 3, True)]}) == 4
+        assert stack_of(ForwardShift(WeightProfile(2, 3)), w, 3) is stack
+        keys = [(op, w, 3), (op, w, 4), (op, IndexWindow(BILATERAL, 5), 3), (right_inverse(op), w, 3)]
+        assert len({id(stack_of(*key)) for key in keys}) == 4
+        assert stack_of(right_inverse(op), w, 3) is stack_of(BackwardShift(WeightProfile(0.5, 1 / 3)), w, 3)
         for k in range(50):
             weights = WeightProfile(2.0 + k, 3.0)
-            # the shift is dropped as soon as its stack is built
-            inverse = stack_of(ForwardShift(weights), w, 2, inverse=True)
+            # the shift is dropped as soon as its inverse's stack is built
+            inverse = stack_of(right_inverse(ForwardShift(weights)), w, 2)
             assert inverse.op == BackwardShift(weights.reciprocal())
     assert stack_of(op, w, 3) is not stack
+
+
+def test_equal_operators_compare_and_hash_alike():
+    """Operator specs are values: a dense operator compares by its matrix,
+    so a problem that holds one compares without numpy's ambiguous truth
+    value, and a diagonal and a shift's weights hash by their tables."""
+    m = np.arange(9.0).reshape(3, 3) * (1 - 2j)
+    assert Dense(m) == Dense(m.copy()) and hash(Dense(m)) == hash(Dense(m.copy()))
+    assert Dense(m) != Dense(m.T) and Dense(m) != Diagonal({0: 1.0})
+    ball = ProductBall((Ball(basis(0, IndexWindow(BILATERAL, 1)), 0.5),))
+    assert HitProblem((Dense(m),), 2, ball, ball) == HitProblem((Dense(m.copy()),), 2, ball, ball)
+    assert HitProblem((Dense(m),), 2, ball, ball) != HitProblem((Dense(2 * m),), 2, ball, ball)
+    assert hash(Diagonal({0: 1, 1: 2j}, 0.5)) == hash(Diagonal({1: 2j, 0: 1.0}, 0.5 + 0j))
+    assert Diagonal({0: 1}) != Diagonal({0: 1}, default=1.0)
+    profile = WeightProfile(2, 3, {0: 5})
+    assert profile == WeightProfile(2.0, 3.0, {0: 5.0}) and hash(profile) == hash(WeightProfile(2.0, 3.0, {0: 5.0}))
+    assert type(profile.pos) is type(profile.neg) is type(profile.table[0]) is float
+    assert hash(DirectSum((ForwardShift(profile), Scalar(2)))) == hash(DirectSum((ForwardShift(profile), Scalar(2.0))))
+
+
+@pytest.mark.parametrize("lattice", [BILATERAL, UNILATERAL])
+def test_integer_and_float_weights_form_the_same_stack(lattice):
+    """WeightProfile(2, 3) and WeightProfile(2.0, 3.0) are one operator:
+    every power and growth bound of their stacks is the same, bit for bit,
+    up to and past the power at which the bounds overflow a float."""
+    w = IndexWindow(lattice, 6)
+    for make in (ForwardShift, BackwardShift):
+        whole = PowerStack(make(WeightProfile(2, 3, {1: 4})), w, 700)
+        fractional = PowerStack(make(WeightProfile(2.0, 3.0, {1: 4.0})), w, 700)
+        for n in range(701):
+            a, b = whole.power_map(n), fractional.power_map(n)
+            assert (a.coeffs.tobytes(), a.tgt.tobytes()) == (b.coeffs.tobytes(), b.tgt.tobytes())
+            try:
+                bounds = whole.growth(n)
+            except OperatorError as err:
+                with pytest.raises(OperatorError, match=re.escape(str(err))):
+                    fractional.growth(n)
+            else:
+                assert repr(bounds) == repr(fractional.growth(n))
+                assert [type(v) for v in vars(bounds).values()] == [float, float]

@@ -105,9 +105,9 @@ def test_a_shift_scan_forms_each_stack_in_one_chunk(monkeypatch):
     assert sorted(t.__name__ for t in chunks) == ["BackwardShift", "ForwardShift"]
 
 
-def unshared(op, window, horizon, inverse=False):
+def unshared(op, window, horizon):
     """stack_of as it acts outside any scope: a new stack on every call."""
-    return PowerStack(right_inverse(op) if inverse else op, window, horizon)
+    return PowerStack(op, window, horizon)
 
 
 def test_a_detect_run_forms_each_stack_in_one_chunk(monkeypatch):
@@ -148,7 +148,7 @@ def test_shared_stacks_leave_every_result_as_it_is(monkeypatch):
         alone = runs()
     with shared_stacks():
         stack_of(SHIFT_23, w, 40).power_map(5)
-        stack_of(SHIFT_23, w, 40, inverse=True).power_map(7)
+        stack_of(right_inverse(SHIFT_23), w, 40).power_map(7)
         assert runs() == alone
 
 
