@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -190,14 +190,6 @@ def _passes(values: Sequence[float], tol: float) -> bool:
     return len(values) > 0 and values[-1] < tol and _trend_ok(values)
 
 
-class _OrbitNorms(NamedTuple):
-    """One sampled pair's norms, each [component][step]."""
-
-    forward: list[list[float]]  # ||T^n x_i||
-    backward: list[list[float]]  # ||S_n y_i||
-    defect: list[list[float]]  # ||T^n S_n y_i - y_i||
-
-
 def _by_window(parts: list[ComplexVector]) -> list[tuple[IndexWindow, list[int], np.ndarray]]:
     """The parts grouped by window: each window with the indices of its
     parts and their coefficients as rows."""
@@ -209,16 +201,21 @@ def _by_window(parts: list[ComplexVector]) -> list[tuple[IndexWindow, list[int],
 
 def _call_rows(s: BackwardMap, n: int, parts: list[ComplexVector]) -> np.ndarray:
     """The callable s at power n on each part, as rows; each image must live
-    on its part's window."""
+    on its part's window and hold finite coefficients."""
     images = [s(n, v) for v in parts]
     for v, image in zip(parts, images):
         v._check_window(image)
-    return np.array([image.coeffs for image in images])
+    rows = np.array([image.coeffs for image in images])
+    if not np.isfinite(rows).all():
+        raise CriterionError(f"the backward map's image at power {n} holds a non-finite coefficient")
+    return rows
 
 
 @shared_stacks()
-def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
-    """The three norms of every sampled pair at every probed power.
+def _orbit_norms(data: CriterionData, pairs) -> np.ndarray:
+    """The three norms of every sampled pair at every probed power, as one
+    array [kind][component][step][pair]; the kinds are ||T^n x||, ||S_n y||
+    and ||T^n S_n y - y||.
 
     Each component's parts are stacked once into rows, grouped by window,
     and each power is read once from the sharing scope's PowerStack of its
@@ -227,6 +224,8 @@ def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
     is called on each sampled part.  Every pair passes the window guard
     before any power is formed, and powers are probed in increasing order,
     so an overflow is named at the lowest power at which any pair overflows.
+    A sampled part, or a callable's image, with a NaN or inf coefficient is
+    a CriterionError.
     """
     k, horizon = len(data.components), data.nk[-1]
     for x, y in pairs:
@@ -234,6 +233,9 @@ def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
             raise CriterionError(
                 f"samplers must draw one part per component ({k}), got {x.arity} and {y.arity}"
             )
+        for sampler, v in (("xsampler", x), ("ysampler", y)):
+            if not all(np.isfinite(p.coeffs).all() for p in v.parts):
+                raise CriterionError(f"{sampler} drew a non-finite coefficient")
         for t, s, xi, yi in zip(data.components, data.smaps, x.parts, y.parts):
             ensure_power_fits(t, horizon, xi)
             if isinstance(s, OperatorSpec):
@@ -255,67 +257,61 @@ def _orbit_norms(data: CriterionData, pairs) -> list[_OrbitNorms]:
                         sn_y = _call_rows(s, n, [ys[i][p] for p in idx])
                     norms[1, i, j, idx] = _row_norms(sn_y)
                     norms[2, i, j, idx] = _row_norms(stack_of(t, w, horizon).power_map(n).apply_rows(sn_y) - rows)
-    return [_OrbitNorms(*norms[..., p].tolist()) for p in range(len(pairs))]
+    return norms
 
 
-def _curves(norms: _OrbitNorms, lambdas=None) -> tuple[tuple[float, ...], ...]:
-    """One pair's three condition curves, components summed in order.
+def _curves(norms: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+    """Every pair's three condition curves, [condition][step][pair], from
+    _orbit_norms' array.
 
-    With scalars lambdas[component][step]: |lam| ||T^n x|| and
-    ||S_n y|| / |lam|.  Scalar-free: ||T^n x|| ||S_n y|| and plain ||S_n y||.
-    The round-trip defect is common to both forms.
+    With scalar moduli lam [component][step] (or [component][step][pair]):
+    |lam| ||T^n x|| and ||S_n y|| / |lam|.  Scalar-free: ||T^n x|| ||S_n y||
+    and plain ||S_n y||.  The round-trip defect is common to both forms.
+    Python's sum adds the components one after another, from 0, as a loop
+    over them would; a product or quotient past the float range reads inf,
+    as a Python float's does.
     """
     forward, backward, defect = norms
-    c1, c2, c3 = [], [], []
-    for j in range(len(forward[0])):
-        v1 = v2 = v3 = 0.0
-        for i in range(len(forward)):
-            tn_x, sn = forward[i][j], backward[i][j]
-            if lambdas is None:
-                v1 += tn_x * sn
-                v2 += sn
-            else:
-                lam = abs(lambdas[i][j])
-                v1 += lam * tn_x
-                v2 += sn / lam
-            v3 += defect[i][j]
-        c1.append(v1)
-        c2.append(v2)
-        c3.append(v3)
-    return tuple(c1), tuple(c2), tuple(c3)
+    with np.errstate(over="ignore"):
+        if lam is None:
+            return np.array([sum(forward * backward), sum(backward), sum(defect)])
+        return np.array([sum(lam * forward), sum(backward / lam), sum(defect)])
+
+
+def _tuples(arr: np.ndarray) -> tuple:
+    """arr as nested tuples of Python floats."""
+    return tuple(map(_tuples, arr)) if arr.ndim > 1 else tuple(arr.tolist())
 
 
 def _sample_pairs(data: CriterionData) -> list[tuple[ProductVector, ProductVector]]:
     return trial_draws(data.seed, data.sample_count, (data.xsampler, data.ysampler))
 
 
-def _evaluate(data: CriterionData) -> tuple[list, list[_OrbitNorms]]:
+def _evaluate(data: CriterionData) -> tuple[list, np.ndarray]:
     pairs = _sample_pairs(data)
     return pairs, _orbit_norms(data, pairs)
 
 
-def _report(data: CriterionData, pairs, per_pair, labels) -> CriterionReport:
-    """Three conditions, each the envelope over the sampled pairs of their
-    curves, one value per power."""
-    envelopes = tuple(
-        tuple(max(pp[c][j] for pp in per_pair) for j in range(len(data.nk))) for c in range(3)
-    )
+def _report(data: CriterionData, pairs, curves: np.ndarray, labels) -> CriterionReport:
+    """Three conditions, each the envelope (a max, exact in any order) over
+    the sampled pairs of their curves, one value per power."""
     conditions = tuple(
-        ConditionCurve(label=labels[c], values=envelopes[c], passed=_passes(envelopes[c], data.tol))
-        for c in range(3)
+        ConditionCurve(label=label, values=values, passed=_passes(values, data.tol))
+        for label, values in zip(labels, _tuples(curves.max(axis=2)))
     )
     return CriterionReport(
         steps=data.nk,
         conditions=conditions,
         passed=all(c.passed for c in conditions),
         pairs=tuple(pairs),
-        per_pair=tuple(per_pair),
+        per_pair=_tuples(curves.transpose(2, 0, 1)),
     )
 
 
 def _check(data: CriterionData, lambdas, labels) -> CriterionReport:
     pairs, norms = _evaluate(data)
-    return _report(data, pairs, [_curves(nm, lambdas) for nm in norms], labels)
+    lam = None if lambdas is None else np.array([[abs(v) for v in row] for row in lambdas])[..., None]
+    return _report(data, pairs, _curves(norms, lam), labels)
 
 
 SCALED_LABELS = ("forward_decay", "backward_decay", "identity_defect")
@@ -358,22 +354,21 @@ def _check_eps(eps: float) -> None:
         raise CriterionError("eps must be positive")
 
 
-def _pair_scalars(norms: _OrbitNorms, eps: float) -> PairScalars:
-    backward = norms.backward
-    raw = tuple(tuple(sv / eps for sv in row) for row in backward)
-    steps = len(raw[0])
+def _pair_scalars(backward: np.ndarray, eps: float) -> tuple[np.ndarray, tuple[PairScalars, ...]]:
+    """Every pair's scalars from the backward norms [component][step][pair]:
+    the clamped scalars as one array of that shape, and each pair's
+    PairScalars."""
+    with np.errstate(over="ignore"):  # past the float range reads inf, as a Python float's does
+        raw = backward / eps
+    lambdas = np.where(backward == 0.0, ALPHA_FLOOR, np.minimum(raw, 1.0))
     # one past the last step at which some component still needs clamping
-    tail_index = max((j + 1 for j in range(steps) if not all(row[j] <= 1.0 for row in raw)), default=0)
-    if tail_index == steps:
+    clamped = (~(raw <= 1.0)).any(axis=0).T.tolist()  # [pair][step]
+    tails = [max((j + 1 for j, c in enumerate(row) if c), default=0) for row in clamped]
+    if backward.shape[1] in tails:
         raise CriterionError("eps too large: backward mass stays above it through the horizon")
-    return PairScalars(
-        lambdas=tuple(
-            tuple(ALPHA_FLOOR if sv == 0.0 else min(sv / eps, 1.0) for sv in row) for row in backward
-        ),
-        raw=raw,
-        tail_index=tail_index,
-        degenerate=any(sv == 0.0 for row in backward for sv in row),
-    )
+    degenerate = (backward == 0.0).any(axis=(0, 1)).tolist()
+    per_pair = zip(_tuples(lambdas.transpose(2, 0, 1)), _tuples(raw.transpose(2, 0, 1)), tails, degenerate)
+    return lambdas, tuple(PairScalars(*scalars) for scalars in per_pair)
 
 
 def derive_scalars(data: CriterionData, eps: float) -> DerivedScalars:
@@ -385,7 +380,7 @@ def derive_scalars(data: CriterionData, eps: float) -> DerivedScalars:
     flagged.  Raises when even the final power has backward mass above eps.
     """
     _check_eps(eps)
-    per_pair = tuple(_pair_scalars(nm, eps) for nm in _orbit_norms(data, _sample_pairs(data)))
+    _, per_pair = _pair_scalars(_orbit_norms(data, _sample_pairs(data))[1], eps)
     return DerivedScalars(eps=eps, steps=data.nk, per_pair=per_pair)
 
 
@@ -407,11 +402,12 @@ def roundtrip_scalar_derivation(data: CriterionData, eps: float) -> RoundTripRep
     scaled re-check runs at tolerance 1.01 * eps (or data.tol if larger).
     """
     pairs, norms = _evaluate(data)
-    free = _report(data, pairs, [_curves(nm) for nm in norms], SCALAR_FREE_LABELS)
+    free = _report(data, pairs, _curves(norms), SCALAR_FREE_LABELS)
     _check_eps(eps)
-    derived = DerivedScalars(eps, data.nk, tuple(_pair_scalars(nm, eps) for nm in norms))
+    lambdas, per_pair = _pair_scalars(norms[1], eps)
+    derived = DerivedScalars(eps, data.nk, per_pair)
     tol = max(data.tol, 1.01 * eps)
-    scaled_values = tuple(_curves(nm, scal.lambdas) for nm, scal in zip(norms, derived.per_pair))
+    scaled_values = _tuples(_curves(norms, lambdas).transpose(2, 0, 1))
     passes = tuple(all(_passes(v, tol) for v in values) for values in scaled_values)
     return RoundTripReport(
         scalar_free=free,

@@ -1021,7 +1021,7 @@ def _disk_rows(
     )
 
 
-@overflow_checked()
+@overflow_checked
 def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
     src, tgt, mode = comp.src, comp.tgt, comp.mode
     scalar = comp.scalar_power(n)

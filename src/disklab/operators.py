@@ -12,6 +12,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -76,6 +77,22 @@ class OperatorError(ValueError):
     """Unsupported operator variant or invalid operator data."""
 
 
+def _index(key) -> int:
+    """A table key as an int: an integer, an integral float or a numpy
+    integer; a bool, a string or a fraction is an OperatorError."""
+    if isinstance(key, bool) or not isinstance(key, numbers.Real) or not _is_integer(key):
+        raise OperatorError(f"table key {key!r} is not an integer index")
+    return int(key)
+
+
+def _finite(value, what: str) -> complex:
+    """value as a complex number; NaN or inf is an OperatorError naming what."""
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise OperatorError(f"{what} must be finite, got {value!r}")
+    return z
+
+
 class WindowGuardError(RuntimeError):
     """A shift power would push recorded support outside the window."""
 
@@ -89,14 +106,14 @@ class WeightProfile:
     table: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = [self.pos, self.neg, *self.table.values()]
-        if any(not (v > 0) or not np.isfinite(v) for v in vals):
+        table = {_index(m): w for m, w in self.table.items()}
+        if any(not (v > 0) or not np.isfinite(v) for v in (self.pos, self.neg, *table.values())):
             raise OperatorError("shift weights must be positive and finite")
         # as floats, equal profiles form the same powers and growth bounds
         # bit for bit
         object.__setattr__(self, "pos", float(self.pos))
         object.__setattr__(self, "neg", float(self.neg))
-        object.__setattr__(self, "table", {m: float(w) for m, w in self.table.items()})
+        object.__setattr__(self, "table", {m: float(w) for m, w in table.items()})
 
     def __hash__(self):
         return hash((self.pos, self.neg, frozenset(self.table.items())))
@@ -147,15 +164,17 @@ class BackwardShift(OperatorSpec):
 @dataclass(frozen=True)
 class Diagonal(OperatorSpec):
     """e_n -> entries[n] e_n.  With default=None the table must cover every
-    index actually touched; a numeric default fills the rest of the lattice."""
+    index actually touched; a numeric default fills the rest of the lattice.
+    Keys must be integer indices, and entries and default finite."""
 
     entries: Mapping[int, complex]
     default: complex | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", {int(k): complex(v) for k, v in self.entries.items()})
+        entries = {_index(k): v for k, v in self.entries.items()}
+        object.__setattr__(self, "entries", {k: _finite(v, f"diagonal entry {k}") for k, v in entries.items()})
         if self.default is not None:
-            object.__setattr__(self, "default", complex(self.default))
+            object.__setattr__(self, "default", _finite(self.default, "diagonal default"))
 
     def __hash__(self):
         return hash((frozenset(self.entries.items()), self.default))
@@ -173,17 +192,20 @@ class Diagonal(OperatorSpec):
 
 @dataclass(frozen=True)
 class Scalar(OperatorSpec):
+    """c e_n for every n; c must be finite."""
+
     value: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+        object.__setattr__(self, "value", _finite(self.value, "scalar value"))
 
 
 @dataclass(frozen=True)
 class Dense(OperatorSpec):
-    """Explicit matrix on the window, indexed like the coefficient array.
-    Two are equal when their matrices' bytes are: the matrix is a square
-    complex array, so its bytes fix its shape and every entry."""
+    """Explicit matrix on the window, indexed like the coefficient array, with
+    finite entries.  Two are equal when their matrices' bytes are: the
+    matrix is a square complex array, so its bytes fix its shape and every
+    entry."""
 
     matrix: np.ndarray
 
@@ -191,6 +213,10 @@ class Dense(OperatorSpec):
         arr = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise OperatorError("dense operator needs a square matrix")
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise OperatorError(f"dense matrix entry ({i}, {j}) must be finite, got {arr[i, j]}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -261,19 +287,16 @@ class named_overflow:
         return False
 
 
-def overflow_checked(powers: Callable[..., str] = lambda op, n, *rest, **kwargs: f"power {n}"):
-    """Decorator: run the function under named_overflow, naming the function
-    and powers(*args), by default argument n."""
+def overflow_checked(fn):
+    """Decorator of fn(op, n, ...): run it under named_overflow, naming the
+    function and power n."""
 
-    def wrap(fn):
-        @functools.wraps(fn)
-        def checked(*args, **kwargs):
-            with named_overflow(fn.__name__, powers(*args, **kwargs)):
-                return fn(*args, **kwargs)
+    @functools.wraps(fn)
+    def checked(op, n, *args, **kwargs):
+        with named_overflow(fn.__name__, f"power {n}"):
+            return fn(op, n, *args, **kwargs)
 
-        return checked
-
-    return wrap
+    return checked
 
 
 class _RunProducts:
@@ -367,13 +390,16 @@ class PowerStack:
     when first asked for and kept, and growth bounds of the un-truncated
     powers, on the window's lattice, come from run products kept the same way.
 
-    A shift stack forms a chunk of powers at a time: the power asked for and
-    the ones after it, up to the horizon, the next power already formed or
-    PIN_CELLS cells, as rows of one coefficient table and one target table,
-    each power's PowerMap a row of both.  Its growth bounds are filled a
-    chunk at a time too, from one pass over the growth runs.  Each power's
+    A shift stack keeps one _RunProducts, spanning the runs of the window's
+    powers and those of every growth bound up to the horizon, and _fill
+    forms a chunk of powers at a time: the power asked for and the ones
+    after it, up to the horizon, the next power already formed or PIN_CELLS
+    cells of that span.  One pass over the run products gives the chunk's
+    powers, as rows of one coefficient table and one target table, each
+    power's PowerMap a row of both, and their growth bounds.  Each power's
     run products are the previous power's times one more weight each (see
-    _RunProducts), so every power equals the one formed alone bit for bit.
+    _RunProducts), so every power and bound equals the one formed alone bit
+    for bit.
     A chunk keeps, in place of a power whose runs pass the float range, the
     error that refuses it; asking for that power raises the error again,
     named as power_map or growth names it, and forms nothing.  A diagonal,
@@ -393,11 +419,10 @@ class PowerStack:
         # (first power, coefficient rows, target rows) of each chunk
         self._tables: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._runs: _RunProducts | None = None
-        self._growth_runs: _RunProducts | None = None
 
     def power_map(self, n: int) -> PowerMap:
         """T^n on the window; shift mass that leaves the window is dropped."""
-        return self._read(self._maps, "power_map", n, self._fill_maps, self._form)
+        return self._read(self._maps, "power_map", n, self._form)
 
     def rows(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients and targets of T^first .. T^last of an orthogonal-column
@@ -411,10 +436,10 @@ class PowerStack:
 
     def growth(self, n: int) -> GrowthBounds:
         """growth(op, n, lattice of the window), for n up to the horizon."""
-        return self._read(self._bounds, "growth", n, self._fill_bounds, lambda n: _growth_bounds(self.op, n))
+        return self._read(self._bounds, "growth", n, lambda n: _growth_bounds(self.op, n))
 
-    def _read(self, kept: dict, name: str, n: int, fill: Callable[[int], None], form: Callable[[int], object]):
-        """kept[n], formed first if need be: a shift's by fill, with the
+    def _read(self, kept: dict, name: str, n: int, form: Callable[[int], object]):
+        """kept[n], formed first if need be: a shift's by _fill, with the
         chunk after it, any other's by form alone; where a chunk kept the
         error that refused n, that error, named as named_overflow names it."""
         if n not in kept:
@@ -422,7 +447,7 @@ class PowerStack:
                 raise ValueError(f"power {n} lies outside the stack's 0..{self.horizon}")
             n = _power(n)
             if self._shift:
-                fill(n)
+                self._fill(n)
             else:
                 with named_overflow(name, f"power {n}"):
                     kept[n] = form(n)
@@ -432,21 +457,28 @@ class PowerStack:
                 raise type(value)(*value.args)
         return value
 
-    def _fill_maps(self, first: int) -> None:
-        """Form the shift powers from first on as one chunk (see the class)."""
-        op, window, d = self.op, self.window, self.window.dim
+    def _fill(self, first: int) -> None:
+        """Form the shift's powers and growth bounds from first on as one
+        chunk (see the class), from one pass over its run products."""
+        op, window, lattice, d = self.op, self.window, self.window.kind, self.window.dim
+        if self._runs is None:
+            # the window's runs start at lo..hi-1 (see below); growth bounds
+            # read the runs every power up to the horizon reads
+            lo, hi = _growth_starts(op.weights, self.horizon, lattice)
+            self._runs = _RunProducts(op.weights, min(window.lo, lo), max(window.hi - 1, hi + self.horizon - 1))
+        runs = self._runs
         later = (k for k in self._maps if k > first)
-        stop = min(self.horizon + 1, first + max(1, PIN_CELLS // d), *later)
+        stop = min(self.horizon + 1, first + max(1, PIN_CELLS // runs.weights.size), *later)
+        rows = runs.rows(first, stop)
+
         coeffs = np.zeros((stop - first, d), dtype=np.complex128)
         # source j moves to j+n (forward) or j-n (backward), carrying the product
         # over the run [j, j+n) or [j-n, j); either way the runs start at lo..hi-n
         forward = isinstance(op, ForwardShift)
-        live = range(first, min(stop, d))  # the powers with columns inside the window
-        if live:
-            if self._runs is None:
-                self._runs = _RunProducts(op.weights, window.lo, window.hi - 1)
-            for row, n, prods in zip(coeffs, live, self._runs.rows(live.start, live.stop)):
-                row[slice(0, d - n) if forward else slice(n, d)] = prods
+        offset = window.lo - runs.lo
+        # the powers below d have columns inside the window
+        for row, n, prods in zip(coeffs, range(first, min(stop, d)), rows):
+            row[slice(0, d - n) if forward else slice(n, d)] = prods[offset : offset + d - n]
         # a column that dies at the edge points at the edge
         powers = np.arange(first, stop)[:, None]
         tgt = np.minimum(powers + np.arange(d), d - 1) if forward else np.maximum(np.arange(d) - powers, 0)
@@ -457,20 +489,8 @@ class PowerStack:
             self._maps[n] = FloatingPointError("overflow encountered in multiply") if refused[k] else pmap
         self._tables.append((first, coeffs, tgt))
 
-    def _fill_bounds(self, first: int) -> None:
-        """growth's bounds of the shift at the powers from first >= 1 on, up to
-        the horizon or PIN_CELLS cells of growth runs, from one pass over the
-        runs; a power whose runs or end weights pass the float range keeps
-        the error that refuses it."""
-        op, lattice = self.op, self.window.kind
-        if self._growth_runs is None:
-            # the runs every power up to the horizon reads
-            lo, hi = _growth_starts(op.weights, self.horizon, lattice)
-            self._growth_runs = _RunProducts(op.weights, lo, hi + self.horizon - 1)
-        runs = self._growth_runs
-        powers = range(first, min(self.horizon + 1, first + max(1, PIN_CELLS // runs.weights.size)))
         reads = []
-        for n, row in zip(powers, runs.rows(powers.start, powers.stop)):
+        for n, row in zip(range(first, stop), rows):
             lo, hi = _growth_starts(op.weights, n, lattice)
             reads.append(row[lo - runs.lo : hi - runs.lo + 1])
         # each power's runs are one segment of flat; a max or min is exact in
@@ -482,7 +502,9 @@ class PowerStack:
         bottoms = np.minimum.reduceat(flat, starts).tolist()
         # pos**n or neg**n may overflow, as a Python float or a numpy one
         with np.errstate(over="raise", invalid="raise"):
-            for n, inf, top, bottom in zip(powers, over, tops, bottoms):
+            for n, inf, top, bottom in zip(range(first, stop), over, tops, bottoms):
+                if n == 0:
+                    continue  # T^0's bounds are kept from the start
                 try:
                     if inf:
                         raise FloatingPointError("overflow encountered in multiply")
@@ -595,7 +617,7 @@ def right_inverse(op: OperatorSpec) -> OperatorSpec:
     raise OperatorError(f"right inverse undefined for {type(op).__name__}")
 
 
-@overflow_checked()
+@overflow_checked
 def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     """(opnorm upper, minimum-modulus lower) bounds for the un-truncated n-th power.
 

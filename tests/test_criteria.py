@@ -202,8 +202,10 @@ def test_derive_scalars_hits_eps_exactly():
 
 def test_derive_scalars_rejects_oversized_eps():
     data = shift_data((1, 2, 3))
-    with pytest.raises(CriterionError):
-        derive_scalars(data, eps=1e-9)
+    # at 1e-320 the scalars ||S^n y|| / eps pass the float range and read inf
+    for eps in (1e-9, 1e-320):
+        with pytest.raises(CriterionError, match="eps too large"):
+            derive_scalars(data, eps=eps)
 
 
 def test_roundtrip_derivation_passes():
@@ -893,3 +895,46 @@ def test_witness_and_samplers_reject_a_count_that_is_not_whole(count):
     for make in (make_vector_sampler, make_ball_sampler):
         with pytest.raises(ValueError, match="arity must be at least 1"):
             make(W, count)
+
+
+@pytest.mark.parametrize("poisoned", ["every pair", "one pair"])
+def test_a_non_finite_backward_image_is_a_criterion_error_naming_its_power(poisoned):
+    """On the (2, 3) shift at m = 8 with 4 pairs, a callable that returned
+    NaN at n = 3 put NaN into all three condition curves at step 3; where
+    only some pairs held NaN, the envelope kept or dropped it by the order of
+    the pairs."""
+    w = IndexWindow(BILATERAL, 8)
+    inverse = right_inverse(SHIFT)
+    calls = []
+
+    def backward(n, v):
+        calls.append(n)
+        image = power_apply(inverse, n, v)
+        if n == 3 and (poisoned == "every pair" or len(calls) % 4 == 2):
+            return ComplexVector(w, np.full(w.dim, math.nan))
+        return image
+
+    data = replace(
+        shift_data((1, 2, 3, 4), sample_count=4),
+        smaps=(backward,),
+        xsampler=make_vector_sampler(w, band=1),
+        ysampler=make_vector_sampler(w, band=1),
+    )
+    for check in (check_scalar_free_criterion, lambda d: derive_scalars(d, 0.5), lambda d: roundtrip_scalar_derivation(d, 0.5)):
+        with pytest.raises(CriterionError, match="the backward map's image at power 3 holds a non-finite coefficient"):
+            check(data)
+
+
+@pytest.mark.parametrize("sampler", ["xsampler", "ysampler"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "imaginary-inf"])
+def test_a_non_finite_sampled_part_is_a_criterion_error_naming_its_sampler(sampler, value):
+    finite = make_vector_sampler(W, band=1)
+
+    def draw(rng):
+        part = finite(rng).parts[0]
+        return ProductVector((part + ComplexVector.basis(W, 1, value),))
+
+    data = replace(shift_data((1, 2, 3), sample_count=3), **{sampler: draw})
+    for check in (check_scalar_free_criterion, lambda d: derive_scalars(d, 0.5)):
+        with pytest.raises(CriterionError, match=f"{sampler} drew a non-finite coefficient"):
+            check(data)

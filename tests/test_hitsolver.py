@@ -289,7 +289,7 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
         assert got.max_kkt_residual == pytest.approx(want.max_kkt_residual, abs=1e-12)
 
 
-@overflow_checked()
+@overflow_checked
 def sequential_disk_route(comp, n, exits):
     """_solve_component's disk route solved one scalar at a time, as it was
     before the refits joined the grid batch: an alternation step from u

@@ -7,10 +7,12 @@ or be listed in the module's `__all__`; every module-level `_name` function,
 class or assignment in `src/disklab` must be read somewhere in its module,
 every `_name` method of a module-level class read as an attribute somewhere in
 the library, and every module-level public UPPERCASE constant read somewhere
-in the library.
+in the library.  Every `.py` file under `src/` and `tests/` must also parse
+with the grammar of the oldest Python that `requires-python` admits.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,3 +205,38 @@ def test_importing_the_package_leaves_concurrent_futures_unloaded():
     )
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert loaded.split() == ["True", "False"]
+
+
+def oldest_python() -> tuple[int, int]:
+    """The oldest Python that pyproject.toml's requires-python admits."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M).groups()
+    return int(major), int(minor)
+
+
+def newer_syntax(source: str, version: tuple[int, int]) -> str | None:
+    """The SyntaxError ast.parse raises for source under version's grammar,
+    or None when it parses."""
+    try:
+        ast.parse(source, feature_version=version)
+    except SyntaxError as exc:
+        return str(exc)
+    return None
+
+
+def test_syntax_scan_flags_only_syntax_newer_than_the_version():
+    assert oldest_python() == (3, 10)
+    assert newer_syntax("match x:\n    case 1:\n        pass\n", (3, 10)) is None
+    exception_group = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert newer_syntax(exception_group, (3, 11)) is None
+    for source in (exception_group, "type X = int\n", "def f[T](x: T): pass\n"):
+        assert newer_syntax(source, (3, 10)) is not None
+
+
+def test_every_source_file_parses_on_the_oldest_python_the_package_admits():
+    """No file under src/ or tests/ uses syntax newer than requires-python."""
+    version = oldest_python()
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    found = {str(path.relative_to(ROOT)): error for path in paths if (error := newer_syntax(path.read_text(), version))}
+    assert len(paths) > 10
+    assert found == {}

@@ -766,3 +766,47 @@ def test_integer_and_float_weights_form_the_same_stack(lattice):
             else:
                 assert repr(bounds) == repr(fractional.growth(n))
                 assert [type(v) for v in vars(bounds).values()] == [float, float]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Scalar(math.nan), "scalar value must be finite, got nan"),
+        (lambda: Scalar(complex(3.0, math.nan)), r"scalar value must be finite, got \(3\+nanj\)"),
+        (lambda: Scalar(math.inf), "scalar value must be finite, got inf"),
+        (lambda: Diagonal({0: math.nan}, default=1.0), "diagonal entry 0 must be finite, got nan"),
+        (lambda: Diagonal({0: 1.0}, default=-math.inf), "diagonal default must be finite, got -inf"),
+        (lambda: Dense(np.array([[1.0, 0.0], [math.nan, 1.0]])), r"dense matrix entry \(1, 0\) must be finite, got \(nan\+0j\)"),
+        (lambda: Dense(np.diag([1.0, math.inf])), r"dense matrix entry \(1, 1\) must be finite, got \(inf\+0j\)"),
+        (lambda: right_inverse(Scalar(1e-320)), r"scalar value must be finite, got \(inf\+0j\)"),
+    ],
+    ids=["scalar-nan", "scalar-nan-imag", "scalar-inf", "diagonal-entry", "diagonal-default", "dense-nan", "dense-inf", "inverse-of-subnormal"],
+)
+def test_operators_refuse_non_finite_values_when_built(make, message):
+    """Built, Scalar(nan) was read by the solver's scalar route as a zero
+    scalar, so a hit problem on it ended in a false certificate, and a NaN
+    in a dense matrix was refused only at a power from 1 on, as an overflow;
+    the right inverse of a subnormal scalar was Scalar(inf)."""
+    with pytest.raises(OperatorError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make", [lambda k: WeightProfile(1.0, 1.0, {k: 2.0}), lambda k: Diagonal({k: 2.0}, default=1.0)], ids=["profile", "diagonal"]
+)
+@pytest.mark.parametrize("key", [0.5, "1", True, math.nan, None], ids=["fraction", "string", "bool", "nan", "none"])
+def test_tables_refuse_a_key_that_is_not_an_integer_index(make, key):
+    """WeightProfile(1, 1, {0.5: 2.0}) was built and then broke a stack with
+    a bare IndexError; Diagonal truncated 0.5 to 0 and took "1" as 1."""
+    with pytest.raises(OperatorError, match=rf"table key {re.escape(repr(key))} is not an integer index"):
+        make(key)
+
+
+def test_tables_take_integral_floats_and_numpy_integers_as_ints():
+    profile = WeightProfile(2.0, 3.0, {np.int64(-2): 4.0, 1.0: 5.0})
+    assert profile == WeightProfile(2.0, 3.0, {-2: 4.0, 1: 5.0})
+    assert [type(m) for m in profile.table] == [int, int]
+    diagonal = Diagonal({np.int32(3): 1.0, -4.0: 2.0}, default=np.float64(0.5))
+    assert diagonal == Diagonal({3: 1.0, -4: 2.0}, default=0.5)
+    assert [type(k) for k in diagonal.entries] == [int, int]
+    assert diagonal.entry(-4) == 2.0

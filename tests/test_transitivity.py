@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from disklab import hitsolver, transitivity
+from disklab import hitsolver, operators, transitivity
 from disklab.hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN, HitProblem, PowerScan, solve_hit
 from disklab.operators import (
     BackwardShift,
@@ -88,9 +88,13 @@ def test_junction_scan_fixed_unit_certifies_cofinite_misses():
 def test_a_shift_scan_forms_each_stack_in_one_chunk(monkeypatch):
     """A scan of the (2, 3) shift on m = 64 to horizon 40 reads every power of
     T and of its right inverse S from one chunk per stack, and forms no shift
-    power alone (formed one at a time, it took 80)."""
-    alone, chunks = [], []
-    form, fill = PowerStack._form, PowerStack._fill_maps
+    power alone (formed one at a time, it took 80).  The growth bounds of T
+    it reads come from the run products that form T's powers: one
+    _RunProducts and one rows pass per stack, 2 in all, where a separate
+    growth sequence for T made 3."""
+    alone, chunks, built, passes = [], [], [], []
+    form, fill = PowerStack._form, PowerStack._fill
+    init, rows = operators._RunProducts.__init__, operators._RunProducts.rows
 
     def counted_form(stack, n):
         if isinstance(stack.op, (ForwardShift, BackwardShift)):
@@ -98,11 +102,14 @@ def test_a_shift_scan_forms_each_stack_in_one_chunk(monkeypatch):
         return form(stack, n)
 
     monkeypatch.setattr(PowerStack, "_form", counted_form)
-    monkeypatch.setattr(PowerStack, "_fill_maps", lambda stack, n: chunks.append(type(stack.op)) or fill(stack, n))
+    monkeypatch.setattr(PowerStack, "_fill", lambda stack, n: chunks.append(type(stack.op)) or fill(stack, n))
+    monkeypatch.setattr(operators._RunProducts, "__init__", lambda runs, *args: built.append(args) or init(runs, *args))
+    monkeypatch.setattr(operators._RunProducts, "rows", lambda runs, *span: passes.append(span) or rows(runs, *span))
     balls = unit_balls(64)
     junction_scan((SHIFT_23,), balls, balls, horizon=40)
     assert alone == []
     assert sorted(t.__name__ for t in chunks) == ["BackwardShift", "ForwardShift"]
+    assert len(built) == len(passes) == 2
 
 
 def unshared(op, window, horizon):
@@ -112,11 +119,11 @@ def unshared(op, window, horizon):
 
 def test_a_detect_run_forms_each_stack_in_one_chunk(monkeypatch):
     """A 5-trial detect on the (2, 3) shift at m = 64 shares its stacks of T
-    and S across the trials' scans: one chunk each, 2 _fill_maps calls,
-    where a stack per scan takes 10."""
+    and S across the trials' scans: one chunk each, 2 _fill calls, where a
+    stack per scan takes 10."""
     chunks = []
-    fill = PowerStack._fill_maps
-    monkeypatch.setattr(PowerStack, "_fill_maps", lambda stack, n: chunks.append(type(stack.op)) or fill(stack, n))
+    fill = PowerStack._fill
+    monkeypatch.setattr(PowerStack, "_fill", lambda stack, n: chunks.append(type(stack.op)) or fill(stack, n))
     sampler = make_ball_sampler(IndexWindow(BILATERAL, 64), arity=1, band=1)
     detect(COMPOUND, (SHIFT_23,), sampler, trials=5, horizon=40)
     assert sorted(t.__name__ for t in chunks) == ["BackwardShift", "ForwardShift"]
