@@ -62,6 +62,7 @@ from .transitivity import (
     detect,
     disk_orbit_norms,
     junction_scan,
+    junction_scans,
     make_ball_sampler,
 )
 from .vectorspace import (
@@ -858,14 +859,18 @@ def _scenario_diagonal_spectral_split(s: _Scenario) -> RunOutcome:
 def _scenario_cross_junction_equivalence(s: _Scenario) -> RunOutcome:
     comps = (s.registry["t1"], s.registry["t2"])
     sampler = make_ball_sampler(s.window, 2, radius=s["radius"], band=1)
+    draws = trial_draws(s["seed"], s["trials"], (sampler, sampler))
+    # each trial's joint scan, then one scan per component
+    scans = []
+    for sources, targets in draws:
+        scans.append((comps, sources, targets))
+        parts = zip(comps, sources.balls, targets.balls)
+        scans += [([op], ProductBall((src,)), ProductBall((tgt,))) for op, src, tgt in parts]
+    reports = junction_scans(scans, s["horizon"])
     per_trial = []
-    for t, (sources, targets) in enumerate(trial_draws(s["seed"], s["trials"], (sampler, sampler))):
-        joint = junction_scan(comps, sources, targets, s["horizon"])
-        parts = [
-            junction_scan([op], ProductBall((source,)), ProductBall((target,)), s["horizon"])
-            for op, source, target in zip(comps, sources.balls, targets.balls)
-        ]
-        meet = parts[0].hit_set & parts[1].hit_set
+    for t in range(len(draws)):
+        joint, first, second = reports[3 * t : 3 * t + 3]
+        meet = first.hit_set & second.hit_set
         per_trial.append({"trial": t, "joint": sorted(joint.hit_set), "intersection": sorted(meet)})
     mismatches = [d["trial"] for d in per_trial if d["joint"] != d["intersection"]]
     results = {"equivalent": not mismatches, "mismatching_trials": mismatches, "per_trial": per_trial}
@@ -885,11 +890,12 @@ def _scenario_scalar_derivation_roundtrip(s: _Scenario) -> RunOutcome:
 
 def _scenario_compound_plus_transitive(s: _Scenario) -> RunOutcome:
     sampler = make_ball_sampler(s.window, 1, radius=s["radius"], band=1)
-    per_trial = []
-    for t, balls in enumerate(trial_draws(s["seed"], s["trials"], (sampler,) * 4)):
-        hits1 = junction_scan([s.registry["t1"]], balls[0], balls[1], s["horizon"]).hit_set
-        hits2 = junction_scan([s.registry["t2"]], balls[2], balls[3], s["horizon"]).hit_set
-        per_trial.append({"trial": t, "common": sorted(hits1 & hits2)})
+    t1, t2 = [s.registry["t1"]], [s.registry["t2"]]
+    draws = trial_draws(s["seed"], s["trials"], (sampler,) * 4)
+    reports = junction_scans([scan for b in draws for scan in ((t1, b[0], b[1]), (t2, b[2], b[3]))], s["horizon"])
+    per_trial = [
+        {"trial": t, "common": sorted(reports[2 * t].hit_set & reports[2 * t + 1].hit_set)} for t in range(len(draws))
+    ]
     empty = [d["trial"] for d in per_trial if not d["common"]]
     results = {"all_nonempty": not empty, "empty_trials": empty, "per_trial": per_trial}
     table: Table = (

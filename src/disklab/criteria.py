@@ -365,7 +365,7 @@ def _pair_scalars(backward: np.ndarray, eps: float) -> tuple[np.ndarray, tuple[P
     clamped = (~(raw <= 1.0)).any(axis=0).T.tolist()  # [pair][step]
     tails = [max((j + 1 for j, c in enumerate(row) if c), default=0) for row in clamped]
     if backward.shape[1] in tails:
-        raise CriterionError("eps too large: backward mass stays above it through the horizon")
+        raise CriterionError("eps too small: backward mass stays above it through the horizon")
     degenerate = (backward == 0.0).any(axis=(0, 1)).tolist()
     per_pair = zip(_tuples(lambdas.transpose(2, 0, 1)), _tuples(raw.transpose(2, 0, 1)), tails, degenerate)
     return lambdas, tuple(PairScalars(*scalars) for scalars in per_pair)

@@ -9,11 +9,18 @@ certified, when possible, by that closed form or by growth bounds of the
 un-truncated operator.
 
 The problems of a scan over powers share a PowerScan: each component's
-stacks of powers and growth bounds, and its criterion pins, solved in one
-batch across the powers.  Within a sharing scope (operators.shared_stacks)
-the scans share one stack per operator value too.  solve_hit still solves
-one power per call, and gives each problem of a scan the result it gives
-that problem alone.
+stacks of powers and growth bounds, and its criterion pins, solved in
+batches across the powers.  Within a sharing scope (operators.shared_stacks)
+the scans share one stack per operator value too.
+
+Each component's solve is a route (_component_route): a generator that
+asks for the trust-region solves it needs, one round at a time.
+stage_problems runs the routes of many problems together, and solves each
+round's rows in one _active_lsq call per (source radius, active width);
+every row sees only its own operands, so each problem gets the result it
+gets alone, bit for bit.  solve_hit still solves one power per call: it
+returns a staged result, or runs the problem's routes alone, each asked
+solve a batch of one.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -286,13 +293,7 @@ def constrained_lsq(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVe
         raise ValueError("ball radius must be positive")
     window = u.window
     if A.kind == "ortho":
-        v = target.coeffs
-        cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
-        t = A.tgt[cols]
-        zp, residual, kkt = _active_lsq(A.coeffs[cols], u.coeffs[cols], v[t], _unreached(t, v), eps)
-        z = u.coeffs.copy()
-        z[cols] = zp
-        return TrsResult(z=ComplexVector(window, z), residual=float(residual), kkt_residual=float(kkt))
+        return _solo(_lsq_rows(A, u, eps, target))
     m = A.matrix
     evals, evecs = _gram_eigh(m)
     g_full = m.conj().T @ (target.coeffs - A.apply_vec(u.coeffs))
@@ -442,6 +443,99 @@ def _kkt_rows(stat: np.ndarray, g: np.ndarray, d: np.ndarray, eps: float, gap: n
     return np.maximum(np.maximum(stat / np.maximum(1.0, _row_norms(g)), feas), gap)
 
 
+class _Rows(NamedTuple):
+    """Rows of one width for _active_lsq, every operand at full shape: the
+    maps' coefficients, the source centre and the target entries on the
+    active columns, one map a row, and each row's _unreached."""
+
+    eps: float
+    c: np.ndarray
+    up: np.ndarray
+    vt: np.ndarray
+    rest: np.ndarray
+
+
+class _Staged(NamedTuple):
+    """A solve as sets of rows, and the function that makes its result from
+    their (minimizers, residuals, KKT residuals), in the order of the sets."""
+
+    sets: list[_Rows]
+    finish: Callable[[list[tuple[np.ndarray, np.ndarray, np.ndarray]]], object]
+
+
+def _groups(sets: Sequence[_Rows]) -> list[list[int]]:
+    """The indices of sets, grouped by (eps, width): the sets _solve_group
+    can take in one call."""
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, rows in enumerate(sets):
+        groups.setdefault((rows.eps, rows.c.shape[1]), []).append(i)
+    return list(groups.values())
+
+
+def _solve_group(sets: Sequence[_Rows]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_active_lsq on sets of one eps and one width, in one call: their rows
+    go through the rows loop together, or through _trs_core where there is
+    one row in all, which is faster on one row.  Every step of either sees
+    only its own row, so each row gets the bits it gets alone."""
+    operands = [np.concatenate(parts) for parts in zip(*(rows[1:] for rows in sets))]
+    if len(operands[0]) == 1:
+        zp, residuals, kkts = _active_lsq(*(a[0] for a in operands), sets[0].eps)
+        zp, residuals, kkts = zp[None], np.atleast_1d(residuals), np.atleast_1d(kkts)
+    else:
+        zp, residuals, kkts = _active_lsq(*operands, sets[0].eps)
+    stops = np.cumsum([len(rows.c) for rows in sets]).tolist()
+    return [(zp[a:b], residuals[a:b], kkts[a:b]) for a, b in zip([0, *stops], stops)]
+
+
+def _solo(staged: _Staged):
+    """A staged solve solved by itself: _solve_group on each group of its
+    sets."""
+    results: list = [None] * len(staged.sets)
+    for group in _groups(staged.sets):
+        for i, result in zip(group, _solve_group([staged.sets[i] for i in group])):
+            results[i] = result
+    return staged.finish(results)
+
+
+def _lsq_rows(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVector) -> _Staged:
+    """constrained_lsq of an orthogonal-column map as one row on its active
+    columns (_active); finishes as constrained_lsq's TrsResult."""
+    v = target.coeffs
+    cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
+    t = A.tgt[cols]
+    rows = _Rows(eps, A.coeffs[cols][None], u.coeffs[cols][None], v[t][None], _unreached(t, v)[None])
+
+    def finish(results):
+        ((zp, residual, kkt),) = results
+        z = u.coeffs.copy()
+        z[cols] = zp[0]
+        return TrsResult(z=ComplexVector(u.window, z), residual=float(residual[0]), kkt_residual=float(kkt[0]))
+
+    return _Staged([rows], finish)
+
+
+def _pin_rows(coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray) -> _Staged:
+    """_pin_lsq as sets of rows, one set per width."""
+    active = _active(coeffs, tgt, u, v)
+    widths = np.count_nonzero(active, axis=1)
+    sets, places = [], []
+    for width in sorted(set(widths.tolist())):
+        rows = np.flatnonzero(widths == width)
+        at = rows[:, None], np.nonzero(active[rows])[1].reshape(len(rows), width)
+        t = tgt[at]
+        sets.append(_Rows(eps, coeffs[at], u[at[1]], v[t], _unreached(t, v)))
+        places.append((rows, at))
+
+    def finish(results):
+        z = np.repeat(u[None], len(coeffs), axis=0)
+        residuals, kkts = np.empty(len(coeffs)), np.empty(len(coeffs))
+        for (rows, at), (zp, res, kkt) in zip(places, results):
+            z[at], residuals[rows], kkts[rows] = zp, res, kkt
+        return z, residuals, kkts
+
+    return _Staged(sets, finish)
+
+
 def _pin_lsq(
     coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -450,24 +544,11 @@ def _pin_lsq(
     constrained_lsq(A_k, u, eps, v), bit for bit.
 
     Each row is solved on its own active columns.  The rows of one width go
-    through the rows loop together, so that every sum along a row sees
-    exactly the operands of its map solved alone (a row padded with zeros
-    could round differently); a row alone in its width goes through
-    _trs_core, which is faster on one row.
+    through the rows loop together (_solve_group), so that every sum along a
+    row sees exactly the operands of its map solved alone (a row padded
+    with zeros could round differently).
     """
-    active = _active(coeffs, tgt, u, v)
-    widths = np.count_nonzero(active, axis=1)
-    z = np.repeat(u[None], len(coeffs), axis=0)
-    residuals, kkts = np.empty(len(coeffs)), np.empty(len(coeffs))
-    for width in sorted(set(widths.tolist())):
-        rows = np.flatnonzero(widths == width)
-        at = rows[:, None], np.nonzero(active[rows])[1].reshape(len(rows), width)
-        t = tgt[at]
-        args = (coeffs[at], u[at[1]], v[t], _unreached(t, v))
-        if len(rows) == 1:
-            args = tuple(a[0] for a in args)
-        z[at], residuals[rows], kkts[rows] = _active_lsq(*args, eps)
-    return z, residuals, kkts
+    return _solo(_pin_rows(coeffs, tgt, u, eps, v))
 
 
 @dataclass(frozen=True)
@@ -503,17 +584,7 @@ def _grid_lsq(
     eigenbasis, which equals constrained_lsq up to rounding.
     """
     if A.kind == "ortho":
-        v = target.coeffs
-        cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
-        # every operand at full shape: numpy's complex multiply can round a
-        # product differently where one operand is broadcast along the loop,
-        # which would make a row's bits depend on the rows solved with it
-        at = np.broadcast_to(cols, (len(alphas), cols.size))
-        # the coeffs A.scaled(alpha) holds at each alpha, on the active columns
-        c = np.repeat(alphas, cols.size).reshape(at.shape) * A.coeffs[at]
-        t = A.tgt[cols]
-        zp, residuals, kkts = _active_lsq(c, u.coeffs[at], v[A.tgt[at]], _unreached(t, v), eps)
-        return _GridPoints(u.coeffs, cols, zp), residuals, kkts
+        return _solo(_grid_rows(A, alphas, u, eps, target))
     m = A.matrix
     evals, evecs = _gram_eigh(m)
     r = target.coeffs - alphas[:, None] * (u.coeffs @ m.T)
@@ -526,6 +597,21 @@ def _grid_lsq(
     z = u.coeffs + d
     residuals = _row_norms(alphas[:, None] * (z @ m.T) - target.coeffs)
     return z, residuals, _kkt_rows(stat, g_full, d, eps, gap)
+
+
+def _grid_rows(A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector) -> _Staged:
+    """_grid_lsq of an orthogonal-column map as one set of rows."""
+    v = target.coeffs
+    cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
+    # every operand at full shape: numpy's complex multiply can round a
+    # product differently where one operand is broadcast along the loop,
+    # which would make a row's bits depend on the rows solved with it
+    at = np.broadcast_to(cols, (len(alphas), cols.size))
+    # the coeffs A.scaled(alpha) holds at each alpha, on the active columns
+    c = np.repeat(alphas, cols.size).reshape(at.shape) * A.coeffs[at]
+    rest = np.full(len(alphas), _unreached(A.tgt[cols], v))
+    rows = _Rows(eps, c, u.coeffs[at], v[A.tgt[at]], rest)
+    return _Staged([rows], lambda results: (_GridPoints(u.coeffs, cols, results[0][0]), *results[0][1:]))
 
 
 def _growth_certificate(comp: "_ComponentScan", n: int, component: int) -> tuple[float, Certificate] | None:
@@ -871,10 +957,14 @@ class _ComponentScan:
         """The pin at power n; None where the criterion has no scalar: no
         right inverse, or a ball centre whose power the window guard refuses."""
         if n not in self._pins:
-            self._solve_batch(n, min(self.horizon, n + max(1, PIN_CELLS // self.src.center.window.dim) - 1))
+            self._solve_batch(n, self.batch_end(n))
         if n not in self._pins:
             self._pins.update(self._solve_pins([n]))
         return self._pins[n]
+
+    def batch_end(self, n: int) -> int:
+        """The last power of a batch of pins from n: at most PIN_CELLS cells."""
+        return min(self.horizon, n + max(1, PIN_CELLS // self.src.center.window.dim) - 1)
 
     def _solve_batch(self, first: int, last: int) -> bool:
         """Solve the pins of powers first..last as one batch or, where it
@@ -897,6 +987,11 @@ class _ComponentScan:
         return True
 
     def _solve_pins(self, powers) -> dict[int, _Pin | None]:
+        return _run(self.pin_route(powers))
+
+    def pin_route(self, powers):
+        """The route that solves the pins of powers (a generator, see _run),
+        returning them by power."""
         if self.inverse is None:
             return dict.fromkeys(powers)
         s, powers = self.inverse.op, list(powers)
@@ -930,7 +1025,7 @@ class _ComponentScan:
             seeds[rows, s_tgt[:, k]] += sn_v[:, k] * (1.0 / lam)
         # row k holds the coefficients of base.scaled(lambda_n) at its power
         eps = self.src.radius * (1.0 - STRICT_MARGIN)
-        z, residuals, kkts = _pin_lsq(lam[:, None] * coeffs, tgt, u, eps, v)
+        z, residuals, kkts = yield _Ask(_pin_lsq, _pin_rows, (lam[:, None] * coeffs, tgt, u, eps, v))
         for k, (n, residual, kkt) in enumerate(zip(fit, residuals.tolist(), kkts.tolist())):
             pins[n] = _Pin(complex(lams[k]), seeds[k], z[k], residual, kkt)
         return pins
@@ -939,10 +1034,11 @@ class _ComponentScan:
 class PowerScan:
     """The hit problems of one scan, at every power 0..horizon, sharing what
     their solves can share: each component's PowerStack, and its criterion
-    pins, solved in one batch across the powers.
+    pins, solved in batches across the powers.
 
     solve_hit takes each problem as it takes any other, and gives each the
-    result it gives that problem alone, bit for bit.
+    result it gives that problem alone, bit for bit; a problem that
+    stage_problems solved with others gets the result staged for it.
     """
 
     def __init__(
@@ -957,6 +1053,8 @@ class PowerScan:
         # the problem at the horizon checks the scan's inputs once
         self._top = HitProblem(components, horizon, sources, targets, mode, fixed_alphas)
         self._components = _fresh_components(self._top)
+        # results stage_problems solved, by power, until solve_hit reads them
+        self._staged: dict[int, HitResult] = {}
 
     def problem(self, n: int) -> HitProblem:
         """The hit problem at power n of the scan."""
@@ -1021,8 +1119,93 @@ def _disk_rows(
     )
 
 
-@overflow_checked
-def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
+def _disk_sets(
+    A: PowerMap, refits: tuple[complex, ...], u: ComplexVector, eps: float, target: ComplexVector
+) -> _Staged:
+    """_disk_rows of an orthogonal-column map as one set of rows."""
+    return _grid_rows(A, np.array(refits + _GRID_ALPHAS), u, eps, target)
+
+
+class _Ask(NamedTuple):
+    """A solve a route asks for: alone(*args) solves it by itself, and
+    rows(*args), where rows is not None, forms it as a _Staged solve, whose
+    rows are solved with those of other routes' asks."""
+
+    alone: Callable
+    rows: Callable[..., _Staged] | None
+    args: tuple
+
+
+def _run(route):
+    """Run a route alone, to what it returns: each solve it asks for is
+    solved by itself, when asked, and an ArithmeticError that solve raises
+    is raised in the route, at its ask."""
+    got, error = None, None
+    while True:
+        try:
+            ask = route.send(got) if error is None else route.throw(error)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            got, error = ask.alone(*ask.args), None
+        except ArithmeticError as exc:
+            got, error = None, exc
+
+
+def _drive(routes: dict) -> dict:
+    """Run routes together, to what each returns, by key.
+
+    Each round takes the solve each unfinished route asks for, and solves
+    the rows of all of them with one _solve_group call per (eps, width); an
+    ask without rows (a dense map's) is solved alone.  A route that raises,
+    or whose rows fail to form or leave the float range, is dropped: its
+    key is missing from the result.
+    """
+    done, asks = {}, {}
+
+    def advance(key, result: Callable[[], object] = lambda: None) -> None:
+        try:
+            asks[key] = routes[key].send(result())
+        except StopIteration as stop:
+            done[key] = stop.value
+        except Exception:
+            pass  # dropped
+
+    for key in routes:
+        advance(key)
+    while asks:
+        current, asks = asks, {}
+        staged = {}
+        for key, ask in current.items():
+            if ask.rows is None:
+                advance(key, lambda: ask.alone(*ask.args))
+                continue
+            try:
+                staged[key] = ask.rows(*ask.args)
+            except Exception:
+                pass  # dropped
+        owners = [key for key, solve in staged.items() for _ in solve.sets]
+        sets = [rows for solve in staged.values() for rows in solve.sets]
+        results: list = [None] * len(sets)
+        for group in _groups(sets):
+            try:
+                for i, result in zip(group, _solve_group([sets[i] for i in group])):
+                    results[i] = result
+            except ArithmeticError:
+                pass  # the group's routes are dropped below
+        by_key: dict = {}
+        for key, result in zip(owners, results):
+            by_key.setdefault(key, []).append(result)
+        for key, solve in staged.items():
+            if all(result is not None for result in by_key[key]):
+                advance(key, lambda: solve.finish(by_key[key]))
+    return done
+
+
+def _component_route(comp: _ComponentScan, n: int):
+    """One component's solve at power n, as a route: a generator that asks
+    for each trust-region solve it needs (an _Ask), and returns the
+    _ComponentSolve."""
     src, tgt, mode = comp.src, comp.tgt, comp.mode
     scalar = comp.scalar_power(n)
     if scalar is not None:
@@ -1034,6 +1217,7 @@ def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
     hit_level = delta - RESIDUAL_SLACK
     # T^n comes from the component's stack; every scalar tried below uses base.scaled(alpha)
     base = comp.powers.power_map(n)
+    ortho = base.kind == "ortho"
 
     best = _ComponentSolve(hit=False, alpha=1.0 + 0j, z=None, residual=math.inf, max_kkt=0.0)
 
@@ -1048,12 +1232,12 @@ def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
         best.hit = residual < hit_level
         return best.hit
 
-    def pinned(alpha: complex) -> bool:
-        sol = constrained_lsq(base.scaled(alpha), u, eps_eff, v)
+    def pinned(alpha: complex):
+        sol = yield _Ask(constrained_lsq, _lsq_rows if ortho else None, (base.scaled(alpha), u, eps_eff, v))
         return track(alpha, sol.z, sol.residual, sol.kkt_residual)
 
     if mode == FIXED:
-        pinned(comp.fixed_alpha)
+        yield from pinned(comp.fixed_alpha)
         return best
 
     def refit(z: ComplexVector) -> tuple[complex, ComplexVector, float]:
@@ -1088,7 +1272,7 @@ def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
     # point and max_kkt are those of solving the rows one at a time
     refits = tuple(alpha for alpha, _, _ in fits)
     try:
-        zs, residuals, kkts = _disk_rows(base, refits, u, eps_eff, v)
+        zs, residuals, kkts = yield _Ask(_disk_rows, _disk_sets if ortho else None, (base, refits, u, eps_eff, v))
         residuals, kkts = residuals.tolist(), kkts.tolist()
     except ArithmeticError:
         # a row left the float range (a large scalar on a huge power): each
@@ -1100,7 +1284,7 @@ def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
         if 0 < k < len(fits) and inside(fits[k][1]) and track(*fits[k]):
             return best
         if zs is None:
-            hit = pinned(alpha)
+            hit = yield from pinned(alpha)
         else:
             # track() keeps z only from a row that improves on the best or hits
             kept = ComplexVector(window, zs[k]) if residuals[k] < max(best.residual, hit_level) else None
@@ -1110,20 +1294,77 @@ def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
     if best.z is not None:
         alpha, z, residual = refit(best.z)
         if not (inside(z) and track(alpha, z, residual)):
-            pinned(alpha)
+            yield from pinned(alpha)
     return best
 
 
-def solve_hit(p: HitProblem) -> HitResult:
-    """Solve the joint hit problem; the product structure separates by component."""
-    cert = certify_miss(p)
-    if cert is not None:
-        return HitResult(status=MISS_CERTIFIED, certificate=cert)
-    solves = [_solve_component(comp, p.n) for comp in _component_scans(p)]
+@overflow_checked
+def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
+    """One component's solve at power n: its route, run alone."""
+    return _run(_component_route(comp, n))
+
+
+def _stage_pins(problems: Sequence[HitProblem]) -> None:
+    """Solve, together, the criterion pins that the disk routes of problems
+    read: each component's in the batches its pin() forms, from the first
+    power not yet solved on.  A batch that fails is left to pin()."""
+    needs: dict[_ComponentScan, list[int]] = {}
+    for p in problems:
+        if p.mode == DISK:
+            for comp in p.scan._components:
+                if comp.scalar_power(p.n) is None and p.n not in comp._pins:
+                    needs.setdefault(comp, []).append(p.n)
+    batches = {}
+    for comp, powers in needs.items():
+        last = -1
+        for n in sorted(powers):
+            if n > last:
+                last = comp.batch_end(n)
+                batches[comp, n] = comp.pin_route(range(n, last + 1))
+    for (comp, _), pins in _drive(batches).items():
+        comp._pins.update(pins)
+
+
+def stage_problems(problems: Sequence[HitProblem]) -> None:
+    """Solve problems of PowerScans together; solve_hit then returns each
+    one's result as it was staged.
+
+    Each round of trust-region solves, across all the problems, is one
+    _active_lsq call per (source radius, active width): the criterion pins,
+    the disk-route rows, the polishes and the fixed-mode solves.  Each row
+    sees only its own operands, so each problem gets the result it gets
+    alone, bit for bit.  Numpy raises here on overflow, invalid values and
+    division by zero; a problem whose solve raises, or whose rows leave the
+    float range, is not staged, and solve_hit solves it alone, where any
+    error is raised as in a sequential run.
+    """
+    live = []
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for p in problems:
+            try:
+                cert = certify_miss(p)
+            except Exception:
+                continue
+            if cert is not None:
+                p.scan._staged[p.n] = HitResult(status=MISS_CERTIFIED, certificate=cert)
+            else:
+                live.append(p)
+        _stage_pins(live)
+        comps = [(j, i, comp) for j, p in enumerate(live) for i, comp in enumerate(p.scan._components)]
+        solved = _drive({(j, i): _component_route(comp, live[j].n) for j, i, comp in comps})
+    for j, p in enumerate(live):
+        solves = [solved.get((j, i)) for i in range(len(p.components))]
+        if all(s is not None for s in solves):
+            p.scan._staged[p.n] = _joint_result(p.n, solves)
+
+
+def _joint_result(n: int, solves: Sequence[_ComponentSolve]) -> HitResult:
+    """The hit result at power n of the uncertified problem whose components
+    solved as solves."""
     max_kkt = max(s.max_kkt for s in solves)
     if all(s.hit for s in solves):
         witness = Witness(
-            n=p.n,
+            n=n,
             alphas=tuple(s.alpha for s in solves),
             point=ProductVector(tuple(s.z for s in solves)),
             residuals=tuple(s.residual for s in solves),
@@ -1135,6 +1376,17 @@ def solve_hit(p: HitProblem) -> HitResult:
         best_alphas=tuple(s.alpha for s in solves),
         max_kkt_residual=max_kkt,
     )
+
+
+def solve_hit(p: HitProblem) -> HitResult:
+    """Solve the joint hit problem; the product structure separates by
+    component.  A problem stage_problems solved returns its staged result."""
+    if isinstance(p, _ScanProblem) and p.n in p.scan._staged:
+        return p.scan._staged.pop(p.n)
+    cert = certify_miss(p)
+    if cert is not None:
+        return HitResult(status=MISS_CERTIFIED, certificate=cert)
+    return _joint_result(p.n, [_solve_component(comp, p.n) for comp in _component_scans(p)])
 
 
 @dataclass(frozen=True)

@@ -391,15 +391,15 @@ class PowerStack:
     powers, on the window's lattice, come from run products kept the same way.
 
     A shift stack keeps one _RunProducts, spanning the runs of the window's
-    powers and those of every growth bound up to the horizon, and _fill
-    forms a chunk of powers at a time: the power asked for and the ones
-    after it, up to the horizon, the next power already formed or PIN_CELLS
-    cells of that span.  One pass over the run products gives the chunk's
-    powers, as rows of one coefficient table and one target table, each
-    power's PowerMap a row of both, and their growth bounds.  Each power's
-    run products are the previous power's times one more weight each (see
-    _RunProducts), so every power and bound equals the one formed alone bit
-    for bit.
+    powers, and, once a growth bound has been read, those of every growth
+    bound up to the horizon too; _fill forms a chunk of powers at a time:
+    the power asked for and the ones after it, up to the horizon, the next
+    power already formed or PIN_CELLS cells of that span.  One pass over the
+    run products gives the chunk's powers, as rows of one coefficient table
+    and one target table, each power's PowerMap a row of both, and, once a
+    bound has been read, their growth bounds.  Each power's run products
+    are the previous power's times one more weight each (see _RunProducts),
+    so every power and bound equals the one formed alone bit for bit.
     A chunk keeps, in place of a power whose runs pass the float range, the
     error that refuses it; asking for that power raises the error again,
     named as power_map or growth names it, and forms nothing.  A diagonal,
@@ -419,6 +419,7 @@ class PowerStack:
         # (first power, coefficient rows, target rows) of each chunk
         self._tables: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._runs: _RunProducts | None = None
+        self._bounded = False  # whether a growth bound has been read
 
     def power_map(self, n: int) -> PowerMap:
         """T^n on the window; shift mass that leaves the window is dropped."""
@@ -447,6 +448,7 @@ class PowerStack:
                 raise ValueError(f"power {n} lies outside the stack's 0..{self.horizon}")
             n = _power(n)
             if self._shift:
+                self._bounded = self._bounded or kept is self._bounds
                 self._fill(n)
             else:
                 with named_overflow(name, f"power {n}"):
@@ -457,17 +459,28 @@ class PowerStack:
                 raise type(value)(*value.args)
         return value
 
+    def _run_products(self) -> _RunProducts:
+        """The stack's run products: the runs of the window's powers, which
+        start at lo..hi-1 (see _fill), and, once a bound has been read, the
+        runs every growth bound up to the horizon reads; a stack whose first
+        bound is read after its maps spans them anew."""
+        op, window = self.op, self.window
+        lo, hi = window.lo, window.hi - 1
+        if self._bounded:
+            first, last = _growth_starts(op.weights, self.horizon, window.kind)
+            lo, hi = min(lo, first), max(hi, last + self.horizon - 1)
+        if self._runs is None or (self._runs.lo, self._runs.weights.size) != (lo, hi - lo + 1):
+            self._runs = _RunProducts(op.weights, lo, hi)
+        return self._runs
+
     def _fill(self, first: int) -> None:
-        """Form the shift's powers and growth bounds from first on as one
-        chunk (see the class), from one pass over its run products."""
+        """Form the shift's powers, and its growth bounds once one has been
+        read, from first on as one chunk (see the class), from one pass over
+        its run products."""
         op, window, lattice, d = self.op, self.window, self.window.kind, self.window.dim
-        if self._runs is None:
-            # the window's runs start at lo..hi-1 (see below); growth bounds
-            # read the runs every power up to the horizon reads
-            lo, hi = _growth_starts(op.weights, self.horizon, lattice)
-            self._runs = _RunProducts(op.weights, min(window.lo, lo), max(window.hi - 1, hi + self.horizon - 1))
-        runs = self._runs
-        later = (k for k in self._maps if k > first)
+        runs = self._run_products()
+        # a chunk forms every power's map, so a power with a bound has a map
+        later = (k for k in (self._bounds if self._bounded else self._maps) if k > first)
         stop = min(self.horizon + 1, first + max(1, PIN_CELLS // runs.weights.size), *later)
         rows = runs.rows(first, stop)
 
@@ -488,6 +501,8 @@ class PowerStack:
             pmap = PowerMap("ortho", window, coeffs=coeffs[k], tgt=tgt[k])
             self._maps[n] = FloatingPointError("overflow encountered in multiply") if refused[k] else pmap
         self._tables.append((first, coeffs, tgt))
+        if not self._bounded:
+            return
 
         reads = []
         for n, row in zip(range(first, stop), rows):

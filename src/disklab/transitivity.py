@@ -21,10 +21,13 @@ from .hitsolver import (
     HIT,
     MISS_CERTIFIED,
     Certificate,
+    HitProblem,
     PowerScan,
     solve_hit,
+    stage_problems,
 )
 from .operators import (
+    PIN_CELLS,
     OperatorError,
     OperatorSpec,
     _is_integer,
@@ -55,6 +58,7 @@ __all__ = [
     "JunctionEntry",
     "JunctionReport",
     "junction_scan",
+    "junction_scans",
     "CrossReport",
     "cross_scan",
     "TrialRecord",
@@ -135,26 +139,75 @@ def junction_scan(
     tail_start: the identity carries no dynamical information.  The window
     guard runs first, so no power sheds ball-center mass past the window edge.
     """
+    (report,) = junction_scans([(components, sources, targets)], horizon, mode, fixed_alphas)
+    return report
+
+
+@shared_stacks()
+def junction_scans(
+    scans: Sequence[tuple[Sequence[OperatorSpec], ProductBall, ProductBall]],
+    horizon: int,
+    mode: str = DISK,
+    fixed_alphas: tuple[complex, ...] | None = None,
+) -> list[JunctionReport]:
+    """junction_scan of each (components, sources, targets) in scans, to one
+    horizon in one mode, with their trust-region solves staged together
+    (hitsolver.stage_problems) and their stacks shared.
+
+    Every report is the one junction_scan gives alone, bit for bit, and
+    solve_hit is still called once per power, scan by scan.  An error is
+    raised where a run of the scans one by one would raise it first: a scan
+    whose inputs or window guard fail ends the run after the scans before
+    it.
+    """
     if not (horizon >= 1 and _is_integer(horizon)):
         raise ValueError("horizon must be at least 1")
-    horizon, comps = int(horizon), components_of(components)
-    guard_scan_window(comps, horizon, sources, targets)
-    # solve_hit is called at every power, as for any problem; the problems
-    # share the scan's stacks of powers and its batch of criterion pins
-    scan = PowerScan(comps, sources, targets, horizon, mode, fixed_alphas)
+    horizon = int(horizon)
+    reports, wave, held, refused = [], [], 0, None
+
+    def flush() -> None:
+        stage_problems([p for problems in wave for p in problems])
+        reports.extend(_junction_report(problems) for problems in wave)
+        wave.clear()
+
+    for components, sources, targets in scans:
+        try:
+            comps = components_of(components)
+            guard_scan_window(comps, horizon, sources, targets)
+            scan = PowerScan(comps, sources, targets, horizon, mode, fixed_alphas)
+        except Exception as exc:
+            refused = exc
+            break
+        # the scans staged at once hold at most PIN_CELLS cells of criterion
+        # pins, a seed and a point on the window per power and component
+        cells = 2 * (horizon + 1) * sum(ball.center.window.dim for ball in sources.balls)
+        if wave and held + cells > PIN_CELLS:
+            flush()
+            held = 0
+        held += cells
+        wave.append([scan.problem(n) for n in range(horizon + 1)])
+    flush()
+    if refused is not None:
+        raise refused
+    return reports
+
+
+def _junction_report(problems: Sequence[HitProblem]) -> JunctionReport:
+    """The report of one scan's problems, at powers 0..horizon in order."""
     entries = []
-    for n in range(horizon + 1):
-        res = solve_hit(scan.problem(n))
+    for p in problems:
+        res = solve_hit(p)
         witness = res.witness
         entries.append(
             JunctionEntry(
-                n=n,
+                n=p.n,
                 status=res.status,
                 alphas=witness.alphas if witness else None,
                 residuals=witness.residuals if witness else res.best_residuals,
                 certificate=res.certificate,
             )
         )
+    horizon = len(entries) - 1
     hit_set = frozenset(e.n for e in entries if e.status == HIT and e.n >= 1)
     tail_start = None
     for start in range(1, horizon + 1):
@@ -179,7 +232,6 @@ class CrossReport:
     backward_report: JunctionReport
 
 
-@shared_stacks()
 def cross_scan(
     components: Sequence[OperatorSpec],
     a: ProductBall,
@@ -189,9 +241,9 @@ def cross_scan(
     fixed_alphas: tuple[complex, ...] | None = None,
 ) -> CrossReport:
     """Hit powers in both directions between two ball tuples, plus the
-    two-sided junction set; the two scans share their stacks."""
-    fwd = junction_scan(components, a, b, horizon, mode, fixed_alphas)
-    bwd = junction_scan(components, b, a, horizon, mode, fixed_alphas)
+    two-sided junction set; the two scans share their stacks and stage
+    their solves together (junction_scans)."""
+    fwd, bwd = junction_scans([(components, a, b), (components, b, a)], horizon, mode, fixed_alphas)
     return CrossReport(
         horizon=horizon,
         forward=fwd.hit_set,
@@ -250,7 +302,6 @@ def _kind_mode(kind: str, arity: int) -> tuple[str, tuple[complex, ...] | None]:
     return DISK, None
 
 
-@shared_stacks()
 def detect(
     kind: str,
     components: Sequence[OperatorSpec],
@@ -267,7 +318,8 @@ def detect(
     (compound, mixing) confirm when every trial hits at all powers from some
     tail_start <= TAIL_FRACTION * horizon on; they refute when a trial
     certifies a full suffix of misses that extends beyond the horizon.
-    The trials' scans share their stacks of each operator's powers.
+    The trials' scans share their stacks of each operator's powers and
+    stage their solves together (junction_scans).
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -278,8 +330,7 @@ def detect(
     comps = components_of(components)
     mode, fixed_alphas = _kind_mode(kind, len(comps))
 
-    def run_trial(t: int, sources: ProductBall, targets: ProductBall) -> TrialRecord:
-        rep = junction_scan(comps, sources, targets, horizon, mode, fixed_alphas)
+    def record(t: int, rep: JunctionReport) -> TrialRecord:
         cert_tail = _certified_suffix(rep)
         return TrialRecord(
             index=t,
@@ -291,7 +342,8 @@ def detect(
         )
 
     draws = trial_draws(seed, trials, (ball_sampler, ball_sampler))
-    records = [run_trial(t, sources, targets) for t, (sources, targets) in enumerate(draws)]
+    reports = junction_scans([(comps, sources, targets) for sources, targets in draws], horizon, mode, fixed_alphas)
+    records = [record(t, rep) for t, rep in enumerate(reports)]
     if kind in (DISK_TRANSITIVE, K_BITRANSITIVE):
         refutes = lambda r: r.certified_all
         confirms = lambda r: r.first_hit is not None

@@ -542,7 +542,7 @@ class _Computed(Exception):
 
 # the library calls the runners and scenarios compute with
 _COMPUTING = (
-    "solve_hit", "junction_scan", "cross_scan", "detect", "disk_orbit_norms", "spectral_witness",
+    "solve_hit", "junction_scan", "junction_scans", "cross_scan", "detect", "disk_orbit_norms", "spectral_witness",
     "roundtrip_scalar_derivation", "check_scaled_criterion", "check_scalar_free_criterion",
     "check_compound_scaled", "check_compound_scalar_free",
 )

@@ -200,11 +200,11 @@ def test_derive_scalars_hits_eps_exactly():
                 assert sv / lam == pytest.approx(0.1, abs=1e-10)
 
 
-def test_derive_scalars_rejects_oversized_eps():
+def test_derive_scalars_rejects_undersized_eps():
     data = shift_data((1, 2, 3))
     # at 1e-320 the scalars ||S^n y|| / eps pass the float range and read inf
     for eps in (1e-9, 1e-320):
-        with pytest.raises(CriterionError, match="eps too large"):
+        with pytest.raises(CriterionError, match="eps too small"):
             derive_scalars(data, eps=eps)
 
 

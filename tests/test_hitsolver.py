@@ -771,21 +771,37 @@ def test_trust_region_rows_are_no_wider_than_the_ball_supports(monkeypatch):
     secular solvers are handed has at most |supp u| + |supp v| terms for the
     component being solved, since a live column carries a gradient only
     from u's support or onto v's.  Rows as wide as the window fail here,
-    with no timing involved."""
-    supports, rows = [], []
-    solve = hitsolver._solve_component
+    with no timing involved.  The rows of several components are solved
+    together, so a row is checked against the least support of the sets
+    its call solves (a call's sets share one width)."""
+    bound, supports, rows = {}, [], []
 
-    def bounded(comp, n):
-        supports.append(np.count_nonzero(comp.src.center.coeffs) + np.count_nonzero(comp.tgt.center.coeffs))
+    def forming(make, centres):
+        def formed(*args):
+            staged = make(*args)
+            u, v = (np.asarray(getattr(x, "coeffs", x)) for x in centres(*args))
+            for s in staged.sets:
+                bound[id(s.c)] = np.count_nonzero(u) + np.count_nonzero(v)
+            return staged
+
+        return formed
+
+    solve_group = hitsolver._solve_group
+
+    def bounded(sets):
+        supports.append(min(bound[id(s.c)] for s in sets))
         try:
-            return solve(comp, n)
+            return solve_group(sets)
         finally:
             supports.pop()
 
     def watched(kernel):
         return lambda q, *a, **k: rows.append((q.shape[-1], supports[-1])) or kernel(q, *a, **k)
 
-    monkeypatch.setattr(hitsolver, "_solve_component", bounded)
+    monkeypatch.setattr(hitsolver, "_lsq_rows", forming(hitsolver._lsq_rows, lambda A, u, eps, v: (u, v)))
+    monkeypatch.setattr(hitsolver, "_grid_rows", forming(hitsolver._grid_rows, lambda A, a, u, eps, v: (u, v)))
+    monkeypatch.setattr(hitsolver, "_pin_rows", forming(hitsolver._pin_rows, lambda c, t, u, eps, v: (u, v)))
+    monkeypatch.setattr(hitsolver, "_solve_group", bounded)
     monkeypatch.setattr(hitsolver, "_secular_solve", watched(hitsolver._secular_solve))
     monkeypatch.setattr(hitsolver, "_secular_solve_rows", watched(hitsolver._secular_solve_rows))
     for comps, sources, targets in criterion_4_trials():

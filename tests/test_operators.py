@@ -625,6 +625,26 @@ def test_run_products_keep_one_row():
     assert 2957 < bounds.opnorm_upper < 2958 and 27.2 < bounds.minmod_lower < 27.3
 
 
+def test_a_map_only_stack_spans_only_its_window_runs(monkeypatch):
+    """A stack that reads only maps spans the runs of its window: on m = 32
+    to horizon 40, a table key at 1,000,000 does not widen its run products
+    (spanning every growth run, they held 1,000,073 weights).  Bounds read
+    after the maps widen the span then, and equal those of a fresh stack."""
+    spans = []
+    init = operators._RunProducts.__init__
+    monkeypatch.setattr(
+        operators._RunProducts, "__init__", lambda runs, *args: init(runs, *args) or spans.append(runs.weights.size)
+    )
+    window = IndexWindow(BILATERAL, 32)
+    op = ForwardShift(WeightProfile(1.5, 0.5, {0: 2.0, 1_000_000: 3.0}))
+    stack = PowerStack(op, window, 40)
+    maps = [(stack.power_map(n).coeffs.tobytes(), stack.power_map(n).tgt.tobytes()) for n in range(41)]
+    assert spans and max(spans) <= window.dim
+    assert [stack.growth(n) for n in range(41)] == [PowerStack(op, window, 40).growth(n) for n in range(41)]
+    assert max(spans) > 1_000_000
+    assert [(stack.power_map(n).coeffs.tobytes(), stack.power_map(n).tgt.tobytes()) for n in range(41)] == maps
+
+
 def test_a_stack_refuses_a_fractional_power_inside_its_horizon():
     for op in (SHIFT_23, Diagonal({}, default=0.5)):
         stack = PowerStack(op, W8, 5)

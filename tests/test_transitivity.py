@@ -32,6 +32,7 @@ from disklab.transitivity import (
     detect,
     disk_orbit_norms,
     junction_scan,
+    junction_scans,
     make_ball_sampler,
 )
 from disklab.vectorspace import (
@@ -42,6 +43,7 @@ from disklab.vectorspace import (
     IndexWindow,
     ProductBall,
     as_rng,
+    norm,
     sample_finite_support,
 )
 
@@ -395,6 +397,142 @@ def test_scan_results_equal_single_power_solves(monkeypatch):
         junction_scan((op,), sources, targets, horizon)
         for p, got in results:
             assert _result_bytes(got) == _result_bytes(solve_hit(HitProblem((op,), p.n, sources, targets)))
+
+
+def _recorded_solves(monkeypatch):
+    """The (problem, outcome) of every solve_hit call the scans make, in
+    order: the result's bytes (_result_bytes) or a refusal's message."""
+    solves = []
+
+    def recorded(p):
+        try:
+            res = solve_hit(p)
+        except OperatorError as err:
+            solves.append((p, str(err)))
+            raise
+        solves.append((p, _result_bytes(res)))
+        return res
+
+    monkeypatch.setattr(transitivity, "solve_hit", recorded)
+    return solves
+
+
+def _alone(p):
+    """The outcome of p's problem solved alone, outside any scan."""
+    try:
+        return _result_bytes(solve_hit(HitProblem(p.components, p.n, p.sources, p.targets, p.mode, p.fixed_alphas)))
+    except OperatorError as err:
+        return str(err)
+
+
+def test_staged_scans_equal_problems_solved_alone(monkeypatch):
+    """junction_scans, detect, cross_scan and junction_scan stage the
+    trust-region solves of all their scans together; every problem still
+    gets the result solve_hit gives it alone, bit for bit, through one
+    solve_hit call per power, scan by scan.  The corpus mixes disk and
+    fixed mode, 1-3 components of shifts, diagonals, scalars and dense
+    maps, and balls of two radii, so the rows of one width split by radius."""
+    rng = np.random.default_rng(30)
+    solves = _recorded_solves(monkeypatch)
+    statuses, horizon = set(), 6
+
+    def scan(k, radius, lattice):
+        window = IndexWindow(lattice, 12)
+        comps = [_random_component(rng, window) for _ in range(k)]
+        sampler = make_ball_sampler(window, k, radius=radius, band=2)
+        return comps, sampler(rng), sampler(rng)
+
+    def check(scans):
+        assert [(p.sources, p.n) for p, _ in solves] == [(s[1], n) for s in scans for n in range(horizon + 1)]
+        for p, got in solves:
+            assert got == _alone(p)
+            statuses.add(got.split("'")[1])
+        solves.clear()
+
+    lattices = (BILATERAL, UNILATERAL)
+    disk = [scan(s % 3 + 1, (0.35, 0.55)[s // 3 % 2], lattices[s % 2]) for s in range(12)]
+    disk[0] = ([Dense(np.diag(rng.uniform(0.5, 1.5, 25)) + 0.1 * rng.standard_normal((25, 25)))], *disk[0][1:])
+    assert any(isinstance(op, Dense) for comps, _, _ in disk for op in comps)
+    reports = junction_scans(disk, horizon)
+    check(disk)
+    for report, (comps, sources, targets) in zip(reports, disk):
+        assert repr(report) == repr(junction_scan(comps, sources, targets, horizon))
+    solves.clear()
+    fixed = [scan(2, (0.35, 0.55)[s % 2], lattices[s // 2 % 2]) for s in range(6)]
+    alphas = tuple(complex(rng.uniform(0.2, 1.0) * np.exp(2j * np.pi * rng.uniform())) for _ in range(2))
+    junction_scans(fixed, horizon, FIXED, alphas)
+    check(fixed)
+
+    window = IndexWindow(BILATERAL, 12)
+    comps = [_random_component(rng, window) for _ in range(2)]
+    sampler = make_ball_sampler(window, 2, radius=0.45, band=2)
+    a, b = sampler(rng), sampler(rng)
+    rep = cross_scan(comps, a, b, horizon)
+    check([(comps, a, b), (comps, b, a)])
+    assert rep.junction == rep.forward & rep.backward
+    for kind in (DISK_TRANSITIVE, K_BITRANSITIVE, COMPOUND, MIXING):
+        detect(kind, comps, sampler, trials=4, horizon=horizon, seed=3)
+        draws = transitivity.trial_draws(3, 4, (sampler, sampler))
+        check([(comps, sources, targets) for sources, targets in draws])
+    assert statuses >= {HIT, MISS_CERTIFIED, MISS_UNCERTAIN}
+
+
+def test_a_staged_batch_past_the_float_range_leaves_each_solve_as_alone(monkeypatch):
+    """Shift weights of 1e15 to 1e25 take rows of a staged batch past the
+    float range at powers 3 and 4, in batches that also hold rows of solves
+    that end before any such row.  A scan then gets what solving its powers
+    one by one gets: each power before the first refused one has the
+    result it has alone, bit for bit, and the scan is refused at the power
+    a lone solve refuses, with the same message."""
+    rng = np.random.default_rng(7)
+    w = IndexWindow(BILATERAL, 4)
+    solves = _recorded_solves(monkeypatch)
+    failed, solve_group = [], hitsolver._solve_group
+
+    def recorded(sets):
+        try:
+            return solve_group(sets)
+        except ArithmeticError:
+            failed.append(sum(len(rows.c) for rows in sets))
+            raise
+
+    monkeypatch.setattr(hitsolver, "_solve_group", recorded)
+    outcomes = set()
+    for _ in range(40):
+        op = ForwardShift(WeightProfile(1.0, 1.0, {j: float(10.0 ** rng.uniform(15, 25)) for j in w.indices().tolist()}))
+        u = ComplexVector.from_coeffs(w, {j: complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-6, 0) for j in (-4, -3, -2)})
+        v = ComplexVector.from_coeffs(w, {j: complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 0) for j in range(0, 5)})
+        src, tgt = Ball(u, norm(u) * float(rng.uniform(0.05, 0.8))), Ball(v, norm(v) * float(rng.uniform(0.1, 1.0)))
+        del failed[:], solves[:]
+        try:
+            junction_scans([((op,), ProductBall((src,)), ProductBall((tgt,)))], 4)
+            refused = False
+        except OperatorError:
+            refused = True
+        assert [p.n for p, _ in solves] == list(range(len(solves)))
+        for p, got in solves:
+            assert got == _alone(p)
+        assert refused == ("overflows" in solves[-1][1])
+        if failed:
+            outcomes.add("refused" if refused else "solved past a failed batch")
+    assert outcomes == {"refused", "solved past a failed batch"}
+
+
+def test_a_detect_run_makes_a_few_kernel_calls_per_round(monkeypatch):
+    """A 20-trial detect(COMPOUND) of the (2, 3) shift at m = 64 stages the
+    solves of all its scans: each round of trust-region solves is one
+    _active_lsq call per (radius, width), a few calls a round and 27 in
+    all, where solving each problem alone made 191."""
+    calls, rounds = [], []
+    kernel, groups = hitsolver._active_lsq, hitsolver._groups
+    monkeypatch.setattr(hitsolver, "_active_lsq", lambda c, *a: calls.append(len(np.atleast_2d(c))) or kernel(c, *a))
+    monkeypatch.setattr(hitsolver, "_groups", lambda sets: rounds.append(len(groups(sets))) or groups(sets))
+    sampler = make_ball_sampler(IndexWindow(BILATERAL, 64), arity=1, band=1)
+    verdict = detect(COMPOUND, (SHIFT_23,), sampler, trials=20, horizon=40)
+    assert verdict.verdict == CONFIRMED
+    assert len(calls) == sum(rounds) <= 30
+    assert max(rounds) <= 4
+    assert sum(calls) == 6087
 
 
 @pytest.mark.parametrize(
