@@ -14,13 +14,16 @@ batches across the powers.  Within a sharing scope (operators.shared_stacks)
 the scans share one stack per operator value too.
 
 Each component's solve is a route (_component_route): a generator that
-asks for the trust-region solves it needs, one round at a time.
-stage_problems runs the routes of many problems together, and solves each
-round's rows in one _active_lsq call per (source radius, active width);
-every row sees only its own operands, so each problem gets the result it
-gets alone, bit for bit.  solve_hit still solves one power per call: it
-returns a staged result, or runs the problem's routes alone, each asked
-solve a batch of one.
+yields the trust-region solves it needs, one round at a time, each as sets
+of rows (_Staged).  One driver (_drive) runs routes: stage_problems runs
+those of many problems together, under one numpy error state, and solves
+each round's rows in one _active_lsq call per (source radius, active
+width); every row sees only its own operands, so each problem gets the
+result it gets alone, bit for bit.  One failure rule holds: a call that
+raises is solved again one set at a time, each solve gets its own rows'
+results or error, and a route that raises keeps its error for solve_hit
+to raise at that power.  solve_hit solves one power per call: it returns
+a staged result, or stages the problem alone, a batch of one.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .operators import (
     _power,
     components_of,
     ensure_power_fits,
-    overflow_checked,
+    named_overflow,
     power_apply,
     power_map,
     right_inverse,
@@ -354,7 +357,7 @@ def _active_lsq(
     Returns the minimizers on the active columns, the residuals and the KKT
     residuals.  Every step is elementwise or a sum along the last axis, so a
     row of the rows loop sees the operands of its map solved alone, given
-    operands at full shape (see _grid_lsq).
+    operands at full shape (see _grid_rows).
     """
     q = np.abs(c) ** 2
     g = np.conj(c) * (vt - c * up)
@@ -457,7 +460,8 @@ class _Rows(NamedTuple):
 
 class _Staged(NamedTuple):
     """A solve as sets of rows, and the function that makes its result from
-    their (minimizers, residuals, KKT residuals), in the order of the sets."""
+    their (minimizers, residuals, KKT residuals), in the order of the sets.
+    A dense map's solve has no rows: its finish solves it."""
 
     sets: list[_Rows]
     finish: Callable[[list[tuple[np.ndarray, np.ndarray, np.ndarray]]], object]
@@ -488,8 +492,8 @@ def _solve_group(sets: Sequence[_Rows]) -> list[tuple[np.ndarray, np.ndarray, np
 
 
 def _solo(staged: _Staged):
-    """A staged solve solved by itself: _solve_group on each group of its
-    sets."""
+    """A staged solve solved by itself, outside any route: _solve_group on
+    each group of its sets.  constrained_lsq solves one row this way."""
     results: list = [None] * len(staged.sets)
     for group in _groups(staged.sets):
         for i, result in zip(group, _solve_group([staged.sets[i] for i in group])):
@@ -498,8 +502,11 @@ def _solo(staged: _Staged):
 
 
 def _lsq_rows(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVector) -> _Staged:
-    """constrained_lsq of an orthogonal-column map as one row on its active
-    columns (_active); finishes as constrained_lsq's TrsResult."""
+    """constrained_lsq as a staged solve: of an orthogonal-column map, one
+    row on its active columns (_active); of a dense map, no rows.  Finishes
+    as constrained_lsq's TrsResult."""
+    if A.kind != "ortho":
+        return _Staged([], lambda results: constrained_lsq(A, u, eps, target))
     v = target.coeffs
     cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
     t = A.tgt[cols]
@@ -515,7 +522,15 @@ def _lsq_rows(A: PowerMap, u: ComplexVector, eps: float, target: ComplexVector) 
 
 
 def _pin_rows(coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray) -> _Staged:
-    """_pin_lsq as sets of rows, one set per width."""
+    """constrained_lsq for orthogonal-column maps held one per row of coeffs
+    and tgt, as one set of rows per width: row k's minimizer, residual and
+    KKT residual are those of constrained_lsq(A_k, u, eps, v), bit for bit.
+
+    Each row is solved on its own active columns.  The rows of one width go
+    through the rows loop together (_solve_group), so that every sum along a
+    row sees exactly the operands of its map solved alone (a row padded
+    with zeros could round differently).
+    """
     active = _active(coeffs, tgt, u, v)
     widths = np.count_nonzero(active, axis=1)
     sets, places = [], []
@@ -536,21 +551,6 @@ def _pin_rows(coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v:
     return _Staged(sets, finish)
 
 
-def _pin_lsq(
-    coeffs: np.ndarray, tgt: np.ndarray, u: np.ndarray, eps: float, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """constrained_lsq for orthogonal-column maps held one per row of coeffs
-    and tgt: row k's minimizer, residual and KKT residual are those of
-    constrained_lsq(A_k, u, eps, v), bit for bit.
-
-    Each row is solved on its own active columns.  The rows of one width go
-    through the rows loop together (_solve_group), so that every sum along a
-    row sees exactly the operands of its map solved alone (a row padded
-    with zeros could round differently).
-    """
-    return _solo(_pin_rows(coeffs, tgt, u, eps, v))
-
-
 @dataclass(frozen=True)
 class _GridPoints:
     """The disk grid's minimizers on the window, held as u and the rows of
@@ -566,25 +566,41 @@ class _GridPoints:
         return z
 
 
-def _grid_lsq(
-    A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
-) -> tuple[np.ndarray | _GridPoints, np.ndarray, np.ndarray]:
-    """constrained_lsq for alphas[k] * A, every k at once, through the rows
-    loop; A is T^n at alpha 1, and the alphas are any nonzero scalars: the
+def _grid_rows(A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector) -> _Staged:
+    """constrained_lsq for alphas[k] * A, every k at once, as a staged
+    solve; A is T^n at alpha 1, and the alphas are any nonzero scalars: the
     disk grid's, led on an orthogonal-column map by the disk route's refit
-    scalars (_disk_rows).
+    scalars (_disk_sets).
 
-    Returns the minimizers (indexed by row), residuals and KKT residuals by
-    row.  On an orthogonal-column map the rows alphas[k] * coeffs share one
-    set of active columns, found once on A, and a row's minimizer on the
-    window is formed only when asked for; row k is then
-    constrained_lsq(A.scaled(alphas[k]), u, eps, target), bit for bit.  A
-    dense map is diagonalized once, since (alpha A)^H (alpha A) =
-    |alpha|^2 A^H A keeps the eigenvectors of A^H A, and solved in that
-    eigenbasis, which equals constrained_lsq up to rounding.
+    Finishes as the minimizers (indexed by row), residuals and KKT
+    residuals by row.  On an orthogonal-column map the rows alphas[k] *
+    coeffs are one set, sharing one set of active columns, found once on A,
+    and a row's minimizer on the window is formed only when asked for; row
+    k is then constrained_lsq(A.scaled(alphas[k]), u, eps, target), bit for
+    bit.  A dense map has no rows (_dense_grid).
     """
-    if A.kind == "ortho":
-        return _solo(_grid_rows(A, alphas, u, eps, target))
+    if A.kind != "ortho":
+        return _Staged([], lambda results: _dense_grid(A, alphas, u, eps, target))
+    v = target.coeffs
+    cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
+    # every operand at full shape: numpy's complex multiply can round a
+    # product differently where one operand is broadcast along the loop,
+    # which would make a row's bits depend on the rows solved with it
+    at = np.broadcast_to(cols, (len(alphas), cols.size))
+    # the coeffs A.scaled(alpha) holds at each alpha, on the active columns
+    c = np.repeat(alphas, cols.size).reshape(at.shape) * A.coeffs[at]
+    rest = np.full(len(alphas), _unreached(A.tgt[cols], v))
+    rows = _Rows(eps, c, u.coeffs[at], v[A.tgt[at]], rest)
+    return _Staged([rows], lambda results: (_GridPoints(u.coeffs, cols, results[0][0]), *results[0][1:]))
+
+
+def _dense_grid(
+    A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_grid_rows of a dense map, solved through the rows loop.  It is
+    diagonalized once, since (alpha A)^H (alpha A) = |alpha|^2 A^H A keeps
+    the eigenvectors of A^H A, and solved in that eigenbasis, which equals
+    constrained_lsq up to rounding."""
     m = A.matrix
     evals, evecs = _gram_eigh(m)
     r = target.coeffs - alphas[:, None] * (u.coeffs @ m.T)
@@ -597,21 +613,6 @@ def _grid_lsq(
     z = u.coeffs + d
     residuals = _row_norms(alphas[:, None] * (z @ m.T) - target.coeffs)
     return z, residuals, _kkt_rows(stat, g_full, d, eps, gap)
-
-
-def _grid_rows(A: PowerMap, alphas: np.ndarray, u: ComplexVector, eps: float, target: ComplexVector) -> _Staged:
-    """_grid_lsq of an orthogonal-column map as one set of rows."""
-    v = target.coeffs
-    cols = np.flatnonzero(_active(A.coeffs, A.tgt, u.coeffs, v))
-    # every operand at full shape: numpy's complex multiply can round a
-    # product differently where one operand is broadcast along the loop,
-    # which would make a row's bits depend on the rows solved with it
-    at = np.broadcast_to(cols, (len(alphas), cols.size))
-    # the coeffs A.scaled(alpha) holds at each alpha, on the active columns
-    c = np.repeat(alphas, cols.size).reshape(at.shape) * A.coeffs[at]
-    rest = np.full(len(alphas), _unreached(A.tgt[cols], v))
-    rows = _Rows(eps, c, u.coeffs[at], v[A.tgt[at]], rest)
-    return _Staged([rows], lambda results: (_GridPoints(u.coeffs, cols, results[0][0]), *results[0][1:]))
 
 
 def _growth_certificate(comp: "_ComponentScan", n: int, component: int) -> tuple[float, Certificate] | None:
@@ -657,7 +658,9 @@ def certify_miss(p: HitProblem) -> Certificate | None:
     by growth bounds; a dense component at n >= 1 is not certified.
     """
     best: tuple[float, Certificate] | None = None
-    for i, comp in enumerate(_component_scans(p)):
+    # a power of a PowerScan reads the scan's components
+    comps = p.scan._components if isinstance(p, _ScanProblem) else _fresh_components(p)
+    for i, comp in enumerate(comps):
         scalar = comp.scalar_power(p.n)
         if scalar is not None:
             got = scalar.certificate(i, p.mode, comp.fixed_alpha)
@@ -910,14 +913,13 @@ class _ComponentScan:
     solved in batches, and the norms of its ball centres, taken once for
     every power's certificates and exact route.
 
-    A power whose pin is not yet solved solves the pins of every power from
-    it to the horizon, in batches of at most PIN_CELLS cells.  A batch runs
-    with numpy raising on overflow, invalid values and division by zero; if
-    any of that happens, or a power cannot be formed, at a power the scan
-    may never reach, the batch is split in halves, each solved the same
-    way, up to the first power that fails alone.  That power's pin is solved
-    when asked, as a batch of one row, where its errors are raised (or
-    warned) as they always were, and the powers after it start a new batch.
+    _stage_pins solves the pins of every power from the first one asked for
+    to the horizon, in batches of at most PIN_CELLS cells (pin_route).  If a
+    batch leaves the float range, or a power cannot be formed, at a power
+    the scan may never reach, the batch is split in halves, each solved the
+    same way, down to the first power that fails alone.  That power keeps
+    its error, which pin() raises in the solve of that power, and the
+    powers after it start a new batch.
     """
 
     def __init__(self, op: OperatorSpec, src: Ball, tgt: Ball, mode: str, fixed_alpha, horizon: int):
@@ -925,7 +927,7 @@ class _ComponentScan:
         self.mode, self.fixed_alpha = mode, fixed_alpha
         self.horizon = horizon
         self.powers = stack_of(op, src.center.window, horizon)
-        self._pins: dict[int, _Pin | None] = {}
+        self._pins: dict[int, _Pin | None | Exception] = {}
         self.nu, self.nv = norm(src.center), norm(tgt.center)
         self._scalars: dict[int, _ScalarPower | None] = {}
 
@@ -954,29 +956,18 @@ class _ComponentScan:
             return None
 
     def pin(self, n: int) -> _Pin | None:
-        """The pin at power n; None where the criterion has no scalar: no
-        right inverse, or a ball centre whose power the window guard refuses."""
-        if n not in self._pins:
-            self._solve_batch(n, self.batch_end(n))
-        if n not in self._pins:
-            self._pins.update(self._solve_pins([n]))
-        return self._pins[n]
+        """The pin at power n, as _stage_pins solved it; None where the
+        criterion has no scalar: no right inverse, or a ball centre whose
+        power the window guard refuses.  A power whose pin fails alone
+        raises its error here."""
+        pin = self._pins[n]
+        if isinstance(pin, Exception):
+            raise pin
+        return pin
 
     def batch_end(self, n: int) -> int:
         """The last power of a batch of pins from n: at most PIN_CELLS cells."""
         return min(self.horizon, n + max(1, PIN_CELLS // self.src.center.window.dim) - 1)
-
-    def _solve_batch(self, first: int, last: int) -> bool:
-        """Solve the pins of powers first..last as one batch or, where it
-        fails, as two halves solved the same way, stopping at the first
-        power that fails alone; returns whether every power was solved."""
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                self._pins.update(self._solve_pins(range(first, last + 1)))
-            return True
-        except (ArithmeticError, OperatorError):
-            mid = (first + last) // 2
-            return first < last and self._solve_batch(first, mid) and self._solve_batch(mid + 1, last)
 
     def _fits(self, s: OperatorSpec, n: int) -> bool:
         try:
@@ -986,12 +977,25 @@ class _ComponentScan:
             return False
         return True
 
-    def _solve_pins(self, powers) -> dict[int, _Pin | None]:
-        return _run(self.pin_route(powers))
+    def pin_route(self, powers: range):
+        """The route (see _drive) that solves the pins of powers as one batch
+        and keeps them; returns whether every power was solved.  Where the
+        batch fails, it solves the two halves the same way, and stops at the
+        first power that fails alone, which keeps its error."""
+        try:
+            pins = yield from self._pin_batch(powers)
+        except (ArithmeticError, OperatorError) as exc:
+            if len(powers) == 1:
+                self._pins[powers[0]] = exc
+                return False
+            half = (len(powers) + 1) // 2
+            return (yield from self.pin_route(powers[:half])) and (yield from self.pin_route(powers[half:]))
+        self._pins.update(pins)
+        return True
 
-    def pin_route(self, powers):
-        """The route that solves the pins of powers (a generator, see _run),
-        returning them by power."""
+    def _pin_batch(self, powers: range):
+        """The route that solves the pins of powers in one batch, returning
+        them by power."""
         if self.inverse is None:
             return dict.fromkeys(powers)
         s, powers = self.inverse.op, list(powers)
@@ -1007,7 +1011,7 @@ class _ComponentScan:
         s_coeffs, s_tgt = (a[:, sv] for a in self.inverse.rows(fit[0], fit[-1]))
         # the entries of T^n u and S^n v from the supports of u and v: a
         # column meets one row, so these are all their nonzero entries.  The
-        # centres are spread to full shape, as _grid_lsq's operands are, so
+        # centres are spread to full shape, as _grid_rows' operands are, so
         # a power's products do not depend on the powers batched with it
         tn_u = coeffs[:, su] * u[np.broadcast_to(su, (len(fit), su.size))]
         sn_v = s_coeffs * v[np.broadcast_to(sv, (len(fit), sv.size))]
@@ -1025,7 +1029,7 @@ class _ComponentScan:
             seeds[rows, s_tgt[:, k]] += sn_v[:, k] * (1.0 / lam)
         # row k holds the coefficients of base.scaled(lambda_n) at its power
         eps = self.src.radius * (1.0 - STRICT_MARGIN)
-        z, residuals, kkts = yield _Ask(_pin_lsq, _pin_rows, (lam[:, None] * coeffs, tgt, u, eps, v))
+        z, residuals, kkts = yield _pin_rows(lam[:, None] * coeffs, tgt, u, eps, v)
         for k, (n, residual, kkt) in enumerate(zip(fit, residuals.tolist(), kkts.tolist())):
             pins[n] = _Pin(complex(lams[k]), seeds[k], z[k], residual, kkt)
         return pins
@@ -1036,9 +1040,10 @@ class PowerScan:
     their solves can share: each component's PowerStack, and its criterion
     pins, solved in batches across the powers.
 
-    solve_hit takes each problem as it takes any other, and gives each the
-    result it gives that problem alone, bit for bit; a problem that
-    stage_problems solved with others gets the result staged for it.
+    solve_hit gives each problem the result it gives that problem alone,
+    bit for bit: a problem that stage_problems solved with others gets the
+    result staged for it, and any other is staged by itself.  A problem of
+    no scan is solved as the one power of a PowerScan of its own.
     """
 
     def __init__(
@@ -1079,14 +1084,6 @@ def _fresh_components(p: HitProblem) -> tuple[_ComponentScan, ...]:
     )
 
 
-def _component_scans(p: HitProblem) -> tuple[_ComponentScan, ...]:
-    """p's components with what their solves share: the scan's, when p is
-    one power of a PowerScan, or else new ones, for p.n alone."""
-    if isinstance(p, _ScanProblem):
-        return p.scan._components
-    return _fresh_components(p)
-
-
 _GRID_MODULI = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 _GRID_PHASES = 8
 # disk-grid scalars in the order they are tried: modulus-major, phase-minor
@@ -1097,115 +1094,102 @@ _GRID_ALPHAS = tuple(
 )
 
 
-def _disk_rows(
+def _disk_sets(
     A: PowerMap, refits: tuple[complex, ...], u: ComplexVector, eps: float, target: ComplexVector
-) -> tuple[np.ndarray | _GridPoints, np.ndarray, np.ndarray]:
-    """The disk route's solves: constrained_lsq for alpha * A at each refit
-    scalar and then at each _GRID_ALPHAS, as rows (see _grid_lsq).
+) -> _Staged:
+    """The disk route's solves as a staged solve: constrained_lsq for
+    alpha * A at each refit scalar and then at each _GRID_ALPHAS, as rows
+    (see _grid_rows).
 
-    An orthogonal-column map solves every row in one _grid_lsq batch, whose
-    rows are constrained_lsq's bit for bit.  A dense map's batch rows equal
+    An orthogonal-column map solves every row in one set, whose rows are
+    constrained_lsq's bit for bit.  A dense map's grid rows equal
     constrained_lsq only up to rounding, so there the refit rows stay on
     constrained_lsq and only the grid is batched.
     """
     if A.kind == "ortho":
-        return _grid_lsq(A, np.array(refits + _GRID_ALPHAS), u, eps, target)
-    sols = [constrained_lsq(A.scaled(alpha), u, eps, target) for alpha in refits]
-    zs, residuals, kkts = _grid_lsq(A, np.array(_GRID_ALPHAS), u, eps, target)
-    return (
-        np.concatenate([[sol.z.coeffs for sol in sols], zs]),
-        np.concatenate([[sol.residual for sol in sols], residuals]),
-        np.concatenate([[sol.kkt_residual for sol in sols], kkts]),
-    )
+        return _grid_rows(A, np.array(refits + _GRID_ALPHAS), u, eps, target)
+    grid = _grid_rows(A, np.array(_GRID_ALPHAS), u, eps, target)
 
+    def finish(results):
+        sols = [constrained_lsq(A.scaled(alpha), u, eps, target) for alpha in refits]
+        zs, residuals, kkts = grid.finish(results)
+        return (
+            np.concatenate([[sol.z.coeffs for sol in sols], zs]),
+            np.concatenate([[sol.residual for sol in sols], residuals]),
+            np.concatenate([[sol.kkt_residual for sol in sols], kkts]),
+        )
 
-def _disk_sets(
-    A: PowerMap, refits: tuple[complex, ...], u: ComplexVector, eps: float, target: ComplexVector
-) -> _Staged:
-    """_disk_rows of an orthogonal-column map as one set of rows."""
-    return _grid_rows(A, np.array(refits + _GRID_ALPHAS), u, eps, target)
-
-
-class _Ask(NamedTuple):
-    """A solve a route asks for: alone(*args) solves it by itself, and
-    rows(*args), where rows is not None, forms it as a _Staged solve, whose
-    rows are solved with those of other routes' asks."""
-
-    alone: Callable
-    rows: Callable[..., _Staged] | None
-    args: tuple
-
-
-def _run(route):
-    """Run a route alone, to what it returns: each solve it asks for is
-    solved by itself, when asked, and an ArithmeticError that solve raises
-    is raised in the route, at its ask."""
-    got, error = None, None
-    while True:
-        try:
-            ask = route.send(got) if error is None else route.throw(error)
-        except StopIteration as stop:
-            return stop.value
-        try:
-            got, error = ask.alone(*ask.args), None
-        except ArithmeticError as exc:
-            got, error = None, exc
+    return _Staged([], finish)
 
 
 def _drive(routes: dict) -> dict:
-    """Run routes together, to what each returns, by key.
+    """Run routes together, to what each returns or raises, by key.
 
-    Each round takes the solve each unfinished route asks for, and solves
-    the rows of all of them with one _solve_group call per (eps, width); an
-    ask without rows (a dense map's) is solved alone.  A route that raises,
-    or whose rows fail to form or leave the float range, is dropped: its
-    key is missing from the result.
+    A route is a generator that yields each trust-region solve it needs as
+    a _Staged solve and is sent its result.  Each round solves the rows of
+    the solves every unfinished route yields with one _solve_group call per
+    (eps, width), and finishes each solve; a dense map's solve, without
+    rows, is solved by its finish.  A group that raises ArithmeticError is
+    solved again one set at a time, and a solve whose own set raises it, or
+    whose finish does, has that error thrown at its yield, as it has when
+    solved alone.  A route that raises ends with its exception, which the
+    caller raises where the route's result is read.
     """
     done, asks = {}, {}
 
     def advance(key, result: Callable[[], object] = lambda: None) -> None:
+        route = routes[key]
         try:
-            asks[key] = routes[key].send(result())
+            try:
+                got = result()
+            except ArithmeticError as exc:
+                asks[key] = route.throw(exc)
+            else:
+                asks[key] = route.send(got)
         except StopIteration as stop:
             done[key] = stop.value
-        except Exception:
-            pass  # dropped
+        except Exception as exc:  # kept as the route's outcome, not dropped
+            done[key] = exc
 
     for key in routes:
         advance(key)
     while asks:
         current, asks = asks, {}
-        staged = {}
-        for key, ask in current.items():
-            if ask.rows is None:
-                advance(key, lambda: ask.alone(*ask.args))
-                continue
-            try:
-                staged[key] = ask.rows(*ask.args)
-            except Exception:
-                pass  # dropped
-        owners = [key for key, solve in staged.items() for _ in solve.sets]
-        sets = [rows for solve in staged.values() for rows in solve.sets]
+        sets = [rows for solve in current.values() for rows in solve.sets]
         results: list = [None] * len(sets)
         for group in _groups(sets):
             try:
-                for i, result in zip(group, _solve_group([sets[i] for i in group])):
-                    results[i] = result
+                solved = _solve_group([sets[i] for i in group])
             except ArithmeticError:
-                pass  # the group's routes are dropped below
-        by_key: dict = {}
-        for key, result in zip(owners, results):
-            by_key.setdefault(key, []).append(result)
-        for key, solve in staged.items():
-            if all(result is not None for result in by_key[key]):
-                advance(key, lambda: solve.finish(by_key[key]))
+                # each set alone: its own rows' results, or the error they raise
+                solved = []
+                for i in group:
+                    try:
+                        solved += _solve_group([sets[i]])
+                    except ArithmeticError as exc:
+                        solved.append(exc)
+            for i, result in zip(group, solved):
+                results[i] = result
+        # each solve's sets are consecutive in sets, in the order of current
+        parts = iter(results)
+        for key, solve in current.items():
+            advance(key, functools.partial(_finished, solve, list(itertools.islice(parts, len(solve.sets)))))
     return done
 
 
+def _finished(solve: _Staged, results: list):
+    """solve's result from those of its sets; the error of a set that
+    failed is raised instead."""
+    for result in results:
+        if isinstance(result, ArithmeticError):
+            raise result
+    return solve.finish(results)
+
+
 def _component_route(comp: _ComponentScan, n: int):
-    """One component's solve at power n, as a route: a generator that asks
-    for each trust-region solve it needs (an _Ask), and returns the
-    _ComponentSolve."""
+    """One component's solve at power n, as a route (see _drive): a
+    generator that yields each trust-region solve it needs (a _Staged), and
+    returns the _ComponentSolve."""
     src, tgt, mode = comp.src, comp.tgt, comp.mode
     scalar = comp.scalar_power(n)
     if scalar is not None:
@@ -1217,7 +1201,6 @@ def _component_route(comp: _ComponentScan, n: int):
     hit_level = delta - RESIDUAL_SLACK
     # T^n comes from the component's stack; every scalar tried below uses base.scaled(alpha)
     base = comp.powers.power_map(n)
-    ortho = base.kind == "ortho"
 
     best = _ComponentSolve(hit=False, alpha=1.0 + 0j, z=None, residual=math.inf, max_kkt=0.0)
 
@@ -1233,7 +1216,7 @@ def _component_route(comp: _ComponentScan, n: int):
         return best.hit
 
     def pinned(alpha: complex):
-        sol = yield _Ask(constrained_lsq, _lsq_rows if ortho else None, (base.scaled(alpha), u, eps_eff, v))
+        sol = yield _lsq_rows(base.scaled(alpha), u, eps_eff, v)
         return track(alpha, sol.z, sol.residual, sol.kkt_residual)
 
     if mode == FIXED:
@@ -1272,7 +1255,7 @@ def _component_route(comp: _ComponentScan, n: int):
     # point and max_kkt are those of solving the rows one at a time
     refits = tuple(alpha for alpha, _, _ in fits)
     try:
-        zs, residuals, kkts = yield _Ask(_disk_rows, _disk_sets if ortho else None, (base, refits, u, eps_eff, v))
+        zs, residuals, kkts = yield _disk_sets(base, refits, u, eps_eff, v)
         residuals, kkts = residuals.tolist(), kkts.tolist()
     except ArithmeticError:
         # a row left the float range (a large scalar on a huge power): each
@@ -1298,64 +1281,65 @@ def _component_route(comp: _ComponentScan, n: int):
     return best
 
 
-@overflow_checked
-def _solve_component(comp: _ComponentScan, n: int) -> _ComponentSolve:
-    """One component's solve at power n: its route, run alone."""
-    return _run(_component_route(comp, n))
-
-
 def _stage_pins(problems: Sequence[HitProblem]) -> None:
     """Solve, together, the criterion pins that the disk routes of problems
-    read: each component's in the batches its pin() forms, from the first
-    power not yet solved on.  A batch that fails is left to pin()."""
-    needs: dict[_ComponentScan, list[int]] = {}
+    read: each component's in the batches pin_route forms, from the first
+    power not yet solved on, until every power asked for has its pin or the
+    error it fails with alone.  A pin route that raises any other error
+    raises it here."""
+    needs: dict[_ComponentScan, set[int]] = {}
     for p in problems:
         if p.mode == DISK:
             for comp in p.scan._components:
-                if comp.scalar_power(p.n) is None and p.n not in comp._pins:
-                    needs.setdefault(comp, []).append(p.n)
-    batches = {}
-    for comp, powers in needs.items():
-        last = -1
-        for n in sorted(powers):
-            if n > last:
-                last = comp.batch_end(n)
-                batches[comp, n] = comp.pin_route(range(n, last + 1))
-    for (comp, _), pins in _drive(batches).items():
-        comp._pins.update(pins)
+                if comp.scalar_power(p.n) is None:
+                    needs.setdefault(comp, set()).add(p.n)
+    while True:
+        batches = {}
+        for comp, powers in needs.items():
+            last = -1
+            for n in sorted(powers):
+                if n > last and n not in comp._pins:
+                    last = comp.batch_end(n)
+                    batches[comp, n] = comp.pin_route(range(n, last + 1))
+        outcomes = list(_drive(batches).values())
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        # a batch that stopped at a power failing alone leaves the powers after it
+        if all(outcomes):
+            return
 
 
 def stage_problems(problems: Sequence[HitProblem]) -> None:
     """Solve problems of PowerScans together; solve_hit then returns each
-    one's result as it was staged.
+    one's result as it was staged, or raises its error.
 
-    Each round of trust-region solves, across all the problems, is one
+    Each problem's miss certificate is sought first, as for a problem
+    solved alone.  The others run through one driver (_drive), with numpy
+    raising on overflow and invalid values: first the criterion pins their
+    disk routes read (_stage_pins), then every component's route.  Each
+    round of trust-region solves, across all the problems, is one
     _active_lsq call per (source radius, active width): the criterion pins,
     the disk-route rows, the polishes and the fixed-mode solves.  Each row
     sees only its own operands, so each problem gets the result it gets
-    alone, bit for bit.  Numpy raises here on overflow, invalid values and
-    division by zero; a problem whose solve raises, or whose rows leave the
-    float range, is not staged, and solve_hit solves it alone, where any
-    error is raised as in a sequential run.
+    alone, bit for bit.  A problem whose component route raises keeps the
+    error of the first such component, for solve_hit to raise.
     """
     live = []
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for p in problems:
-            try:
-                cert = certify_miss(p)
-            except Exception:
-                continue
-            if cert is not None:
-                p.scan._staged[p.n] = HitResult(status=MISS_CERTIFIED, certificate=cert)
-            else:
-                live.append(p)
+    for p in problems:
+        cert = certify_miss(p)
+        if cert is not None:
+            p.scan._staged[p.n] = HitResult(status=MISS_CERTIFIED, certificate=cert)
+        else:
+            live.append(p)
+    with np.errstate(over="raise", invalid="raise"):
         _stage_pins(live)
         comps = [(j, i, comp) for j, p in enumerate(live) for i, comp in enumerate(p.scan._components)]
         solved = _drive({(j, i): _component_route(comp, live[j].n) for j, i, comp in comps})
     for j, p in enumerate(live):
-        solves = [solved.get((j, i)) for i in range(len(p.components))]
-        if all(s is not None for s in solves):
-            p.scan._staged[p.n] = _joint_result(p.n, solves)
+        solves = [solved[j, i] for i in range(len(p.components))]
+        errors = [s for s in solves if isinstance(s, Exception)]
+        p.scan._staged[p.n] = errors[0] if errors else _joint_result(p.n, solves)
 
 
 def _joint_result(n: int, solves: Sequence[_ComponentSolve]) -> HitResult:
@@ -1380,13 +1364,19 @@ def _joint_result(n: int, solves: Sequence[_ComponentSolve]) -> HitResult:
 
 def solve_hit(p: HitProblem) -> HitResult:
     """Solve the joint hit problem; the product structure separates by
-    component.  A problem stage_problems solved returns its staged result."""
-    if isinstance(p, _ScanProblem) and p.n in p.scan._staged:
-        return p.scan._staged.pop(p.n)
-    cert = certify_miss(p)
-    if cert is not None:
-        return HitResult(status=MISS_CERTIFIED, certificate=cert)
-    return _joint_result(p.n, [_solve_component(comp, p.n) for comp in _component_scans(p)])
+    component.  A problem that stage_problems has not solved is staged by
+    itself, as the one power of a PowerScan of its own when it belongs to
+    no scan.  The error a route of p raised is raised here, and an
+    overflow is named at p's power."""
+    if not isinstance(p, _ScanProblem):
+        p = PowerScan(p.components, p.sources, p.targets, p.n, p.mode, p.fixed_alphas).problem(p.n)
+    if p.n not in p.scan._staged:
+        stage_problems([p])
+    result = p.scan._staged.pop(p.n)
+    if isinstance(result, Exception):
+        with named_overflow("solve_hit", f"power {p.n}"):
+            raise result
+    return result
 
 
 @dataclass(frozen=True)

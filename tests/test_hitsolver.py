@@ -36,7 +36,6 @@ from disklab.operators import (
     Scalar,
     WeightProfile,
     apply,
-    overflow_checked,
 )
 from disklab.transitivity import junction_scan, make_ball_sampler
 from disklab.vectorspace import (
@@ -195,7 +194,7 @@ def test_grid_lsq_matches_per_alpha_constrained_lsq():
     cases += [(power_map(dense, n, w), u, eps, v) for n in (1, 2) for eps in (0.05, 50.0)]
     kinds = set()
     for pmap, centre, eps, target in cases:
-        zs, residuals, kkts = hitsolver._grid_lsq(pmap, alphas, centre, eps, target)
+        zs, residuals, kkts = hitsolver._solo(hitsolver._grid_rows(pmap, alphas, centre, eps, target))
         for k, alpha in enumerate(hitsolver._GRID_ALPHAS):
             ref = constrained_lsq(pmap.scaled(alpha), centre, eps, target)
             kinds.add((pmap.kind, "boundary" if abs(norm(ref.z - centre) - eps) <= 1e-12 * eps else "interior"))
@@ -249,8 +248,8 @@ _CLOSED_FORM = {1: (HIT, None), 5: (MISS_CERTIFIED, math.sqrt(1.0 - 0.45**2))}
 def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, status):
     p = HitProblem(components=(op,), n=n, sources=ProductBall((src,)), targets=ProductBall((tgt,)))
     batches = []
-    kernel = hitsolver._grid_lsq
-    monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or kernel(*a))
+    former = hitsolver._grid_rows
+    monkeypatch.setattr(hitsolver, "_grid_rows", lambda *a: batches.append(a) or former(*a))
     got = solve_hit(p)
     if isinstance(op, Scalar):
         want, bound = _CLOSED_FORM[n]
@@ -265,11 +264,14 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
 
     # reference: the grid alphas pinned one at a time through constrained_lsq
     def per_alpha(base, alphas, u, eps, target):
-        sols = [constrained_lsq(base.scaled(alpha), u, eps, target) for alpha in alphas]
-        zs = np.array([sol.z.coeffs for sol in sols])
-        return zs, np.array([sol.residual for sol in sols]), np.array([sol.kkt_residual for sol in sols])
+        def finish(results):
+            sols = [constrained_lsq(base.scaled(alpha), u, eps, target) for alpha in alphas]
+            zs = np.array([sol.z.coeffs for sol in sols])
+            return zs, np.array([sol.residual for sol in sols]), np.array([sol.kkt_residual for sol in sols])
 
-    monkeypatch.setattr(hitsolver, "_grid_lsq", per_alpha)
+        return hitsolver._Staged([], finish)
+
+    monkeypatch.setattr(hitsolver, "_grid_rows", per_alpha)
     want = solve_hit(p)
     assert want.status == status
     if status == HIT:
@@ -289,16 +291,16 @@ def test_batched_grid_replays_the_sequential_grid(monkeypatch, op, n, src, tgt, 
         assert got.max_kkt_residual == pytest.approx(want.max_kkt_residual, abs=1e-12)
 
 
-@overflow_checked
 def sequential_disk_route(comp, n, exits):
-    """_solve_component's disk route solved one scalar at a time, as it was
-    before the refits joined the grid batch: an alternation step from u
-    (check u, then pin its refit scalar), one from the criterion seed, the
-    grid, then a polishing step from the best point, with numpy raising on
-    overflow as _solve_component runs.  Orthogonal-column grid
-    rows go through constrained_lsq one alpha at a time; a dense grid is
-    the one _grid_lsq batch it always was.  Appends to exits where the solve
-    ended: the step that hit, or "uncertain"."""
+    """The disk route solved one scalar at a time, as it was before the
+    refits joined the grid batch: an alternation step from u (check u, then
+    pin its refit scalar), one from the criterion seed, the grid, then a
+    polishing step from the best point.  Orthogonal-column grid rows go
+    through constrained_lsq one alpha at a time; a dense grid is the one
+    batch it always was.  Appends to exits where the solve ended: the step
+    that hit, or "uncertain".  Past the criterion pin, which it reads as
+    staged, it solves nothing through the driver, so it is the routes'
+    independent reference (sequential_route hooks it in)."""
     base = comp.powers.power_map(n)
     window = comp.src.center.window
     u, v = comp.src.center, comp.tgt.center
@@ -332,7 +334,7 @@ def sequential_disk_route(comp, n, exits):
         sols = [constrained_lsq(base.scaled(alpha), u, eps, v) for alpha in hitsolver._GRID_ALPHAS]
         rows = [(sol.z, sol.residual, sol.kkt_residual) for sol in sols]
     else:
-        zs, residuals, kkts = hitsolver._grid_lsq(base, np.array(hitsolver._GRID_ALPHAS), u, eps, v)
+        zs, residuals, kkts = hitsolver._solo(hitsolver._grid_rows(base, np.array(hitsolver._GRID_ALPHAS), u, eps, v))
         rows = [(ComplexVector(window, z), r, k) for z, r, k in zip(zs, residuals.tolist(), kkts.tolist())]
     for alpha, (z, residual, kkt) in zip(hitsolver._GRID_ALPHAS, rows):
         if track("grid", alpha, z, residual, kkt):
@@ -340,6 +342,26 @@ def sequential_disk_route(comp, n, exits):
     if best.z is None or not alternate(best.z, "polish"):
         exits.append("uncertain")
     return best
+
+
+def sequential_route(exits):
+    """sequential_disk_route, hooked in place of _component_route: a route
+    that asks the driver for nothing and returns the sequential solve, run
+    in the driver's numpy error state."""
+
+    def route(comp, n):
+        return sequential_disk_route(comp, n, exits)
+        yield  # a generator, as a route is
+
+    return route
+
+
+def staged_pin(p):
+    """The criterion pin of p's one component at p.n, as _stage_pins solves
+    it for a lone solve_hit."""
+    q = hitsolver.PowerScan(p.components, p.sources, p.targets, p.n).problem(p.n)
+    hitsolver._stage_pins([q])
+    return q.scan._components[0].pin(p.n)
 
 
 def _route_problem(rng, trial):
@@ -368,7 +390,7 @@ def _route_problem(rng, trial):
         a, b = (complex(x) for x in rng.standard_normal(2) + 1j * rng.standard_normal(2))
         u, v = ComplexVector.basis(w, j) * a, ComplexVector.basis(w, k) * b
         unit = ProductBall((Ball(u, 1.0),)), ProductBall((Ball(v, 1.0),))
-        seed = hitsolver._fresh_components(HitProblem((op,), n, *unit))[0].pin(n).seed
+        seed = staged_pin(HitProblem((op,), n, *unit)).seed
         reach = norm(ComplexVector(w, seed) - u)
         src, tgt = Ball(u, reach * float(rng.uniform(0.9, 1.1))), Ball(v, norm(v) * float(rng.uniform(0.7, 1.0)))
         return HitProblem((op,), n, ProductBall((src,)), ProductBall((tgt,)))
@@ -412,7 +434,7 @@ def test_batched_disk_route_equals_the_sequential_route(monkeypatch):
     for p in [*(_route_problem(rng, trial) for trial in range(240)), _u_refit_before_seed_check()]:
         got = solve_hit(p)
         with monkeypatch.context() as m:
-            m.setattr(hitsolver, "_solve_component", lambda comp, n: sequential_disk_route(comp, n, exits))
+            m.setattr(hitsolver, "_component_route", sequential_route(exits))
             want = solve_hit(p)
         assert (got.status, got.max_kkt_residual) == (want.status, want.max_kkt_residual)
         if got.status == HIT:
@@ -431,20 +453,21 @@ def test_a_row_past_the_float_range_refuses_only_a_solve_that_reaches_it(monkeyp
     enough to hit.  The batch of rows then raises, and each row is solved
     alone when the replay reaches it: a solve that ends before the first
     such row gets the sequential route's result, bit for bit, and one that
-    reaches it is an OperatorError there as in the sequential route."""
+    reaches it is refused there as in the sequential route, with the same
+    message."""
     rng = np.random.default_rng(7)
     w = IndexWindow(BILATERAL, 4)
     outcomes, failed_batches = set(), []
-    rows = hitsolver._disk_rows
+    solve_group = hitsolver._solve_group
 
-    def recorded(*args):
+    def recorded(sets):
         try:
-            return rows(*args)
+            return solve_group(sets)
         except ArithmeticError:
-            failed_batches.append(args)
+            failed_batches.append(sum(len(rows.c) for rows in sets))
             raise
 
-    monkeypatch.setattr(hitsolver, "_disk_rows", recorded)
+    monkeypatch.setattr(hitsolver, "_solve_group", recorded)
     for _ in range(40):
         op = ForwardShift(WeightProfile(1.0, 1.0, {j: float(10.0 ** rng.uniform(15, 25)) for j in w.indices().tolist()}))
         n = int(rng.integers(3, 5))
@@ -454,24 +477,24 @@ def test_a_row_past_the_float_range_refuses_only_a_solve_that_reaches_it(monkeyp
         p = HitProblem((op,), n, ProductBall((src,)), ProductBall((tgt,)))
         del failed_batches[:]
         results = []
-        for route in (None, lambda comp, n: sequential_disk_route(comp, n, [])):
+        for route in (None, sequential_route([])):
             with monkeypatch.context() as m:
                 if route is not None:
-                    m.setattr(hitsolver, "_solve_component", route)
+                    m.setattr(hitsolver, "_component_route", route)
                 try:
                     results.append(solve_hit(p))
-                except OperatorError:
-                    results.append(None)
+                except OperatorError as err:
+                    results.append(str(err))
         got, want = results
-        if got is None or want is None:
-            assert got is want is None
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want and "solve_hit overflows a float at power" in got
             outcomes.add("refused")
             continue
         assert (got.status, got.max_kkt_residual) == (want.status, want.max_kkt_residual)
         if got.status == HIT:
             assert (got.witness.alphas, got.witness.residuals) == (want.witness.alphas, want.witness.residuals)
             assert got.witness.point.parts[0].coeffs.tobytes() == want.witness.point.parts[0].coeffs.tobytes()
-            if failed_batches:
+            if any(rows > 1 for rows in failed_batches):
                 outcomes.add("hit after a failed batch")
     assert outcomes == {"refused", "hit after a failed batch"}
 
@@ -482,13 +505,13 @@ def test_disk_solve_takes_one_step_from_each_start(monkeypatch):
     the one from the criterion seed and the disk grid, and the single solve
     is the polishing step after it.  A hit at the criterion pin ends the
     solve with no single-scalar solve and no batch, with the construction's
-    scalar.  Pin rows are counted at _pin_lsq, batch rows as the scalars of
-    each _grid_lsq batch."""
+    scalar.  Pin rows are counted at _pin_rows, single-scalar solves at
+    _lsq_rows, batch rows as the scalars of each _grid_rows batch."""
     calls, batches, pin_rows = [], [], []
-    lsq, grid, pins = hitsolver.constrained_lsq, hitsolver._grid_lsq, hitsolver._pin_lsq
-    monkeypatch.setattr(hitsolver, "constrained_lsq", lambda *a: calls.append(a) or lsq(*a))
-    monkeypatch.setattr(hitsolver, "_grid_lsq", lambda *a: batches.append(a) or grid(*a))
-    monkeypatch.setattr(hitsolver, "_pin_lsq", lambda *a: pin_rows.extend(a[0]) or pins(*a))
+    lsq, grid, pins = hitsolver._lsq_rows, hitsolver._grid_rows, hitsolver._pin_rows
+    monkeypatch.setattr(hitsolver, "_lsq_rows", lambda *a: calls.append(a) or lsq(*a))
+    monkeypatch.setattr(hitsolver, "_grid_rows", lambda *a: batches.append(a) or grid(*a))
+    monkeypatch.setattr(hitsolver, "_pin_rows", lambda *a: pin_rows.extend(a[0]) or pins(*a))
     sample = make_ball_sampler(IndexWindow(BILATERAL, 32), 1, band=1)
     sources, targets = sample(np.random.default_rng(0)), sample(np.random.default_rng(1000))
     assert solve_hit(HitProblem((EXAMPLE_SHIFT,), 1, sources, targets)).status == MISS_UNCERTAIN
@@ -534,7 +557,7 @@ def test_pin_rows_equal_constrained_lsq_bit_for_bit():
                 coeffs = np.array([m.coeffs for m in scaled])
                 tgt = np.array([m.tgt for m in scaled])
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    zs, residuals, kkts = hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs)
+                    zs, residuals, kkts = hitsolver._solo(hitsolver._pin_rows(coeffs, tgt, u.coeffs, eps, target.coeffs))
                 for k, pmap in enumerate(scaled):
                     ref = constrained_lsq(pmap, u, eps, target)
                     assert zs[k].tobytes() == ref.z.coeffs.tobytes()
@@ -572,7 +595,7 @@ def test_trs_overflows_only_in_a_square():
     v = ComplexVector.zero(w)
     solves = {
         "constrained_lsq": lambda pmap: constrained_lsq(pmap, u, 0.5, v),
-        "pin row": lambda pmap: hitsolver._pin_lsq(pmap.coeffs[None], pmap.tgt[None], u.coeffs, 0.5, v.coeffs),
+        "pin row": lambda pmap: hitsolver._solo(hitsolver._pin_rows(pmap.coeffs[None], pmap.tgt[None], u.coeffs, 0.5, v.coeffs)),
     }
     for name, solve in solves.items():
         for n in range(1, 163):
@@ -693,7 +716,7 @@ def test_active_columns_match_the_full_width_solve():
                 coeffs, tgt = np.array([m.coeffs for m in maps]), np.array([m.tgt for m in maps])
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     ref = full_width_rows(coeffs, tgt, u.coeffs, eps, target.coeffs)
-                    assert_close_to_full_width(*hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, target.coeffs), ref, target)
+                    assert_close_to_full_width(*hitsolver._solo(hitsolver._pin_rows(coeffs, tgt, u.coeffs, eps, target.coeffs)), ref, target)
                     for k, pmap in enumerate(maps):
                         sol = constrained_lsq(pmap, u, eps, target)
                         one = full_width_lsq(pmap, u.coeffs, eps, target.coeffs)
@@ -705,10 +728,16 @@ def test_active_columns_match_the_full_width_solve():
                             kinds.add("interior" if np.linalg.norm(ref[0][k] - u.coeffs) < eps * (1 - 1e-12) else "boundary")
                     grid_rows = alphas[:, None] * maps[1].coeffs
                     ref = full_width_rows(grid_rows, np.broadcast_to(maps[1].tgt, grid_rows.shape), u.coeffs, eps, target.coeffs)
-                    zs, residuals, kkts = hitsolver._grid_lsq(maps[1], alphas, u, eps, target)
+                    zs, residuals, kkts = hitsolver._solo(hitsolver._grid_rows(maps[1], alphas, u, eps, target))
                     assert_close_to_full_width([zs[k] for k in range(len(alphas))], residuals, kkts, ref, target)
     assert kinds == {"no gradient", "interior", "boundary"}
     assert max(widths) >= 8 and min(widths) <= 1
+
+
+def solved_pins(comp, powers):
+    """comp's pins at powers, solved as one pin_route batch."""
+    assert hitsolver._drive({None: comp.pin_route(powers)}) == {None: True}
+    return {n: comp.pin(n) for n in powers}
 
 
 def test_a_row_solves_alike_in_any_batch():
@@ -729,9 +758,9 @@ def test_a_row_solves_alike_in_any_batch():
             op = ForwardShift(WeightProfile(*rng.uniform(0.5, 2.0, 2))) if trial % 3 == 0 else Diagonal(dict(zip(w.indices().tolist(), entries.tolist())))
             balls = tuple(ProductBall((Ball(random_centre(rng, w, support), 0.5),)) for _ in range(2))
             scan, alone = (hitsolver._fresh_components(HitProblem((op,), 8, *balls))[0] for _ in range(2))
-            batch = scan._solve_pins(range(1, 9))
+            batch = solved_pins(scan, range(1, 9))
             for n in range(1, 9):
-                one = alone._solve_pins([n])[n]
+                one = solved_pins(alone, range(n, n + 1))[n]
                 assert repr(batch[n]) == repr(one)
                 if one is not None:
                     assert [x.tobytes() for x in (batch[n].seed, batch[n].z)] == [x.tobytes() for x in (one.seed, one.z)]
@@ -739,16 +768,16 @@ def test_a_row_solves_alike_in_any_batch():
         coeffs = np.array([m.coeffs for m in maps]) * rng.uniform(0.05, 1.0, (len(maps), 1))
         tgt = np.array([m.tgt for m in maps])
         for eps in (0.05, 2.0):
-            batch = hitsolver._pin_lsq(coeffs, tgt, u.coeffs, eps, v.coeffs)
+            batch = hitsolver._solo(hitsolver._pin_rows(coeffs, tgt, u.coeffs, eps, v.coeffs))
             subsets = [[k] for k in range(len(maps))] + [np.flatnonzero(rng.uniform(size=len(maps)) < 0.5) for _ in range(4)]
             for rows in subsets:
                 if len(rows):
-                    part = hitsolver._pin_lsq(coeffs[rows], tgt[rows], u.coeffs, eps, v.coeffs)
+                    part = hitsolver._solo(hitsolver._pin_rows(coeffs[rows], tgt[rows], u.coeffs, eps, v.coeffs))
                     for got, whole in zip(part, batch):
                         assert got.tobytes() == whole[rows].tobytes()
-            zs, residuals, kkts = hitsolver._grid_lsq(maps[0], alphas, u, eps, v)
+            zs, residuals, kkts = hitsolver._solo(hitsolver._grid_rows(maps[0], alphas, u, eps, v))
             for rows in ([k] for k in range(0, len(alphas), 7)):
-                z1, r1, k1 = hitsolver._grid_lsq(maps[0], alphas[rows], u, eps, v)
+                z1, r1, k1 = hitsolver._solo(hitsolver._grid_rows(maps[0], alphas[rows], u, eps, v))
                 assert (z1[0].tobytes(), r1.tobytes(), k1.tobytes()) == (zs[rows[0]].tobytes(), residuals[rows].tobytes(), kkts[rows].tobytes())
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 
@@ -518,6 +519,80 @@ def test_a_staged_batch_past_the_float_range_leaves_each_solve_as_alone(monkeypa
     assert outcomes == {"refused", "solved past a failed batch"}
 
 
+def _counted_routes(monkeypatch):
+    """How many times a component route starts, by (component, power)."""
+    starts = collections.Counter()
+    route = hitsolver._component_route
+    monkeypatch.setattr(hitsolver, "_component_route", lambda comp, n: starts.update([(comp, n)]) or route(comp, n))
+    return starts
+
+
+def test_each_route_starts_once_beside_a_group_past_the_float_range(monkeypatch):
+    """Three shifts scanned between one pair of balls, so that their
+    disk-grid rows at a power share one (radius, width) group: at power 4
+    the rows of the shift with weights 1e20 leave the float range in a
+    group that holds another shift's rows.  That group is solved again one
+    set at a time, so every component route starts once; the other scans
+    get the results they get alone, and the last scan is refused at power
+    4, as alone."""
+    starts = _counted_routes(monkeypatch)
+    solves = _recorded_solves(monkeypatch)
+    failed, solve_group = [], hitsolver._solve_group
+
+    def recorded(sets):
+        try:
+            return solve_group(sets)
+        except ArithmeticError:
+            failed.append(len(sets))
+            raise
+
+    monkeypatch.setattr(hitsolver, "_solve_group", recorded)
+    w = IndexWindow(BILATERAL, 4)
+    u = ComplexVector.from_coeffs(w, {-4: 1e-3, -3: 0.5j, -2: 1.0})
+    v = ComplexVector.from_coeffs(w, {0: 0.3, 1: 0.2j, 2: 1.0, 3: 0.4, 4: 0.1j})
+    balls = ProductBall((Ball(u, 0.3 * norm(u)),)), ProductBall((Ball(v, 0.2 * norm(v)),))
+    profiles = (WeightProfile(1.0, 1.0), WeightProfile(2.0, 1.5), WeightProfile(1.0, 1.0, dict.fromkeys(w.indices().tolist(), 1e20)))
+    with pytest.raises(OperatorError) as refused:
+        junction_scans([((ForwardShift(profile),), *balls) for profile in profiles], 4)
+    assert max(failed) > 1
+    assert set(starts.values()) == {1}
+    assert str(refused.value) == "solve_hit overflows a float at power 4: overflow encountered in square"
+    assert [p.n for p, _ in solves] == [0, 1, 2, 3, 4] * 3
+    assert solves[-1][1] == str(refused.value)
+    for p, got in solves:
+        assert got == _alone(p)
+
+
+def test_a_route_error_reaches_the_caller_at_its_power(monkeypatch):
+    """A route that raises any error keeps it for its power: a TypeError
+    from best_alpha, raised on the second of three scans' target, reaches
+    the caller from solve_hit at the first power of that scan whose route
+    refits a scalar, after every power of the first scan, and that route
+    started once."""
+    sampler = make_ball_sampler(IndexWindow(BILATERAL, 12), arity=1, band=2)
+    rng = np.random.default_rng(31)
+    scans = [((SHIFT_23,), sampler(rng), sampler(rng)) for _ in range(3)]
+    bad = scans[1][2].balls[0].center
+    fit = hitsolver.best_alpha
+
+    def best_alpha(w, v):
+        if v is bad:
+            raise TypeError("refit on the bad target")
+        return fit(w, v)
+
+    monkeypatch.setattr(hitsolver, "best_alpha", best_alpha)
+    starts = _counted_routes(monkeypatch)
+    calls = []
+    monkeypatch.setattr(transitivity, "solve_hit", lambda p: calls.append((p.targets, p.n)) or solve_hit(p))
+    with pytest.raises(TypeError, match="refit on the bad target"):
+        junction_scans(scans, 6)
+    power = calls[-1][1]
+    assert power >= 1
+    assert calls == [(scans[0][2], n) for n in range(7)] + [(scans[1][2], n) for n in range(power + 1)]
+    assert (bad, power) in [(comp.tgt.center, n) for comp, n in starts]
+    assert set(starts.values()) == {1}
+
+
 def test_a_detect_run_makes_a_few_kernel_calls_per_round(monkeypatch):
     """A 20-trial detect(COMPOUND) of the (2, 3) shift at m = 64 stages the
     solves of all its scans: each round of trust-region solves is one
@@ -553,7 +628,7 @@ def test_scan_overflow_is_raised_at_the_power_it_happens(op, m, source, target, 
     refused powers included, and raises at the same power."""
     w = IndexWindow(BILATERAL, m)
     sources, targets = (ProductBall((Ball(ComplexVector.basis(w, j), 0.5),)) for j in (source, target))
-    message = f"_solve_component overflows a float at power {power}: overflow encountered in {where}"
+    message = f"solve_hit overflows a float at power {power}: overflow encountered in {where}"
     with shared_stacks():
         for _ in range(2):
             with pytest.raises(OperatorError, match=re.escape(message)):
@@ -569,11 +644,11 @@ def test_a_failed_pin_batch_is_split_before_the_failing_power(monkeypatch):
     ball = ProductBall((Ball(ComplexVector.basis(w, 0), 0.5),))
     op = ForwardShift(WeightProfile(20.0, 30.0))
     batches = []
-    solve_pins = hitsolver._ComponentScan._solve_pins
-    monkeypatch.setattr(hitsolver._ComponentScan, "_solve_pins", lambda self, powers: batches.append(list(powers)) or solve_pins(self, powers))
+    pin_route = hitsolver._ComponentScan.pin_route
+    monkeypatch.setattr(hitsolver._ComponentScan, "pin_route", lambda self, powers: batches.append(list(powers)) or pin_route(self, powers))
     scan = PowerScan((op,), ball, ball, 130)
     results = []
-    with pytest.raises(OperatorError, match="_solve_component overflows a float at power 110: "):
+    with pytest.raises(OperatorError, match="solve_hit overflows a float at power 110: "):
         for n in range(131):
             results.append(solve_hit(scan.problem(n)))
     assert len(results) == 110
