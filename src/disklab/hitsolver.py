@@ -10,15 +10,17 @@ un-truncated operator.
 
 The problems of a scan over powers share a PowerScan: each component's
 stacks of powers and growth bounds, and its criterion pins, solved in
-batches across the powers.  Within a sharing scope (operators.shared_stacks)
-the scans share one stack per operator value too.
+batches across the powers a call stages, from the first to the last.
+Within a sharing scope (operators.shared_stacks) the scans share one stack
+per operator value too.
 
 Each component's solve is a route (_component_route): a generator that
 yields the trust-region solves it needs, one round at a time, each as sets
 of rows (_Staged).  One driver (_drive) runs routes: stage_problems runs
 those of many problems together, under one numpy error state, and solves
 each round's rows in one _active_lsq call per (source radius, active
-width); every row sees only its own operands, so each problem gets the
+width), the criterion pins in one pass and then the component routes in
+another; every row sees only its own operands, so each problem gets the
 result it gets alone, bit for bit.  One failure rule holds: a call that
 raises is solved again one set at a time, each solve gets its own rows'
 results or error, and a route that raises keeps its error for solve_hit
@@ -658,9 +660,7 @@ def certify_miss(p: HitProblem) -> Certificate | None:
     by growth bounds; a dense component at n >= 1 is not certified.
     """
     best: tuple[float, Certificate] | None = None
-    # a power of a PowerScan reads the scan's components
-    comps = p.scan._components if isinstance(p, _ScanProblem) else _fresh_components(p)
-    for i, comp in enumerate(comps):
+    for i, comp in enumerate(_in_scan(p).scan._components):
         scalar = comp.scalar_power(p.n)
         if scalar is not None:
             got = scalar.certificate(i, p.mode, comp.fixed_alpha)
@@ -914,12 +914,11 @@ class _ComponentScan:
     every power's certificates and exact route.
 
     _stage_pins solves the pins of every power from the first one asked for
-    to the horizon, in batches of at most PIN_CELLS cells (pin_route).  If a
+    to the last, in batches of at most PIN_CELLS cells (pin_route).  If a
     batch leaves the float range, or a power cannot be formed, at a power
     the scan may never reach, the batch is split in halves, each solved the
-    same way, down to the first power that fails alone.  That power keeps
-    its error, which pin() raises in the solve of that power, and the
-    powers after it start a new batch.
+    same way, down to each power that fails alone.  Such a power keeps its
+    error, which pin() raises in the solve of that power.
     """
 
     def __init__(self, op: OperatorSpec, src: Ball, tgt: Ball, mode: str, fixed_alpha, horizon: int):
@@ -965,9 +964,9 @@ class _ComponentScan:
             raise pin
         return pin
 
-    def batch_end(self, n: int) -> int:
-        """The last power of a batch of pins from n: at most PIN_CELLS cells."""
-        return min(self.horizon, n + max(1, PIN_CELLS // self.src.center.window.dim) - 1)
+    def batch_end(self, n: int, last: int) -> int:
+        """The last power of a batch of pins from n: at most PIN_CELLS cells, and at most last."""
+        return min(last, n + max(1, PIN_CELLS // self.src.center.window.dim) - 1)
 
     def _fits(self, s: OperatorSpec, n: int) -> bool:
         try:
@@ -979,19 +978,18 @@ class _ComponentScan:
 
     def pin_route(self, powers: range):
         """The route (see _drive) that solves the pins of powers as one batch
-        and keeps them; returns whether every power was solved.  Where the
-        batch fails, it solves the two halves the same way, and stops at the
-        first power that fails alone, which keeps its error."""
+        and keeps them.  Where the batch fails, it solves the two halves the
+        same way, down to each power that fails alone, which keeps its
+        error."""
         try:
-            pins = yield from self._pin_batch(powers)
+            self._pins.update((yield from self._pin_batch(powers)))
         except (ArithmeticError, OperatorError) as exc:
             if len(powers) == 1:
                 self._pins[powers[0]] = exc
-                return False
-            half = (len(powers) + 1) // 2
-            return (yield from self.pin_route(powers[:half])) and (yield from self.pin_route(powers[half:]))
-        self._pins.update(pins)
-        return True
+            else:
+                half = (len(powers) + 1) // 2
+                yield from self.pin_route(powers[:half])
+                yield from self.pin_route(powers[half:])
 
     def _pin_batch(self, powers: range):
         """The route that solves the pins of powers in one batch, returning
@@ -1056,8 +1054,11 @@ class PowerScan:
         fixed_alphas: tuple[complex, ...] | None = None,
     ):
         # the problem at the horizon checks the scan's inputs once
-        self._top = HitProblem(components, horizon, sources, targets, mode, fixed_alphas)
-        self._components = _fresh_components(self._top)
+        p = self._top = HitProblem(components, horizon, sources, targets, mode, fixed_alphas)
+        self._components = tuple(
+            _ComponentScan(op, src, tgt, p.mode, p.fixed_alphas[i] if p.mode == FIXED else None, p.n)
+            for i, (op, src, tgt) in enumerate(zip(p.components, p.sources.balls, p.targets.balls))
+        )
         # results stage_problems solved, by power, until solve_hit reads them
         self._staged: dict[int, HitResult] = {}
 
@@ -1076,12 +1077,12 @@ class _ScanProblem(HitProblem):
     scan: PowerScan = field(kw_only=True, repr=False, compare=False)
 
 
-def _fresh_components(p: HitProblem) -> tuple[_ComponentScan, ...]:
-    """One _ComponentScan per component of p, with stacks up to p.n."""
-    return tuple(
-        _ComponentScan(op, src, tgt, p.mode, p.fixed_alphas[i] if p.mode == FIXED else None, p.n)
-        for i, (op, src, tgt) in enumerate(zip(p.components, p.sources.balls, p.targets.balls))
-    )
+def _in_scan(p: HitProblem) -> _ScanProblem:
+    """p as a power of a PowerScan: a problem of no scan as the one power of
+    a PowerScan of its own."""
+    if isinstance(p, _ScanProblem):
+        return p
+    return PowerScan(p.components, p.sources, p.targets, p.n, p.mode, p.fixed_alphas).problem(p.n)
 
 
 _GRID_MODULI = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
@@ -1282,32 +1283,27 @@ def _component_route(comp: _ComponentScan, n: int):
 
 
 def _stage_pins(problems: Sequence[HitProblem]) -> None:
-    """Solve, together, the criterion pins that the disk routes of problems
-    read: each component's in the batches pin_route forms, from the first
-    power not yet solved on, until every power asked for has its pin or the
-    error it fails with alone.  A pin route that raises any other error
-    raises it here."""
+    """Solve, in one driver pass, the criterion pins that the disk routes of
+    problems read: each component's in the batches pin_route forms, from
+    the first power not yet solved to the last asked for, so that every
+    power asked for has its pin or the error it fails with alone.  A pin
+    route that raises any other error raises it here."""
     needs: dict[_ComponentScan, set[int]] = {}
     for p in problems:
         if p.mode == DISK:
             for comp in p.scan._components:
                 if comp.scalar_power(p.n) is None:
                     needs.setdefault(comp, set()).add(p.n)
-    while True:
-        batches = {}
-        for comp, powers in needs.items():
-            last = -1
-            for n in sorted(powers):
-                if n > last and n not in comp._pins:
-                    last = comp.batch_end(n)
-                    batches[comp, n] = comp.pin_route(range(n, last + 1))
-        outcomes = list(_drive(batches).values())
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        # a batch that stopped at a power failing alone leaves the powers after it
-        if all(outcomes):
-            return
+    batches = {}
+    for comp, powers in needs.items():
+        powers, last = sorted(powers), -1
+        for n in powers:
+            if n > last and n not in comp._pins:
+                last = comp.batch_end(n, powers[-1])
+                batches[comp, n] = comp.pin_route(range(n, last + 1))
+    for outcome in _drive(batches).values():
+        if isinstance(outcome, Exception):
+            raise outcome
 
 
 def stage_problems(problems: Sequence[HitProblem]) -> None:
@@ -1316,14 +1312,15 @@ def stage_problems(problems: Sequence[HitProblem]) -> None:
 
     Each problem's miss certificate is sought first, as for a problem
     solved alone.  The others run through one driver (_drive), with numpy
-    raising on overflow and invalid values: first the criterion pins their
-    disk routes read (_stage_pins), then every component's route.  Each
-    round of trust-region solves, across all the problems, is one
-    _active_lsq call per (source radius, active width): the criterion pins,
-    the disk-route rows, the polishes and the fixed-mode solves.  Each row
-    sees only its own operands, so each problem gets the result it gets
-    alone, bit for bit.  A problem whose component route raises keeps the
-    error of the first such component, for solve_hit to raise.
+    raising on overflow and invalid values: first, in one pass, the
+    criterion pins their disk routes read (_stage_pins), then every
+    component's route.  Each round of trust-region solves, across all the
+    problems, is one _active_lsq call per (source radius, active width):
+    the criterion pins, the disk-route rows, the polishes and the
+    fixed-mode solves.  Each row sees only its own operands, so each
+    problem gets the result it gets alone, bit for bit.  A problem whose
+    component route raises keeps the error of the first such component,
+    for solve_hit to raise.
     """
     live = []
     for p in problems:
@@ -1368,8 +1365,7 @@ def solve_hit(p: HitProblem) -> HitResult:
     itself, as the one power of a PowerScan of its own when it belongs to
     no scan.  The error a route of p raised is raised here, and an
     overflow is named at p's power."""
-    if not isinstance(p, _ScanProblem):
-        p = PowerScan(p.components, p.sources, p.targets, p.n, p.mode, p.fixed_alphas).problem(p.n)
+    p = _in_scan(p)
     if p.n not in p.scan._staged:
         stage_problems([p])
     result = p.scan._staged.pop(p.n)

@@ -359,7 +359,7 @@ def sequential_route(exits):
 def staged_pin(p):
     """The criterion pin of p's one component at p.n, as _stage_pins solves
     it for a lone solve_hit."""
-    q = hitsolver.PowerScan(p.components, p.sources, p.targets, p.n).problem(p.n)
+    q = hitsolver._in_scan(p)
     hitsolver._stage_pins([q])
     return q.scan._components[0].pin(p.n)
 
@@ -736,7 +736,7 @@ def test_active_columns_match_the_full_width_solve():
 
 def solved_pins(comp, powers):
     """comp's pins at powers, solved as one pin_route batch."""
-    assert hitsolver._drive({None: comp.pin_route(powers)}) == {None: True}
+    assert hitsolver._drive({None: comp.pin_route(powers)}) == {None: None}
     return {n: comp.pin(n) for n in powers}
 
 
@@ -757,7 +757,7 @@ def test_a_row_solves_alike_in_any_batch():
             entries = rng.uniform(0.5, 2.0, w.dim) * np.exp(2j * np.pi * rng.uniform(size=w.dim))
             op = ForwardShift(WeightProfile(*rng.uniform(0.5, 2.0, 2))) if trial % 3 == 0 else Diagonal(dict(zip(w.indices().tolist(), entries.tolist())))
             balls = tuple(ProductBall((Ball(random_centre(rng, w, support), 0.5),)) for _ in range(2))
-            scan, alone = (hitsolver._fresh_components(HitProblem((op,), 8, *balls))[0] for _ in range(2))
+            scan, alone = (hitsolver.PowerScan((op,), *balls, 8)._components[0] for _ in range(2))
             batch = solved_pins(scan, range(1, 9))
             for n in range(1, 9):
                 one = solved_pins(alone, range(n, n + 1))[n]
@@ -779,6 +779,16 @@ def test_a_row_solves_alike_in_any_batch():
             for rows in ([k] for k in range(0, len(alphas), 7)):
                 z1, r1, k1 = hitsolver._solo(hitsolver._grid_rows(maps[0], alphas[rows], u, eps, v))
                 assert (z1[0].tobytes(), r1.tobytes(), k1.tobytes()) == (zs[rows[0]].tobytes(), residuals[rows].tobytes(), kkts[rows].tobytes())
+
+
+def test_staging_pins_only_the_powers_from_the_first_asked_for_to_the_last():
+    """stage_problems on powers 3 and 7 of a scan to horizon 40 solves the
+    criterion pins of 3..7, in one contiguous batch, and of no power past
+    the last one asked for."""
+    ball = ProductBall((Ball(ComplexVector.basis(IndexWindow(BILATERAL, 64), 0), 0.5),))
+    scan = hitsolver.PowerScan((EXAMPLE_SHIFT,), ball, ball, 40)
+    hitsolver.stage_problems([scan.problem(3), scan.problem(7)])
+    assert sorted(scan._components[0]._pins) == list(range(3, 8))
 
 
 def criterion_4_trials(trials=10):

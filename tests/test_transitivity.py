@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from disklab import hitsolver, operators, transitivity
-from disklab.hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN, HitProblem, PowerScan, solve_hit
+from disklab.hitsolver import DISK, FIXED, HIT, MISS_CERTIFIED, MISS_UNCERTAIN, HitProblem, solve_hit
 from disklab.operators import (
     BackwardShift,
     Dense,
@@ -637,20 +637,22 @@ def test_scan_overflow_is_raised_at_the_power_it_happens(op, m, source, target, 
 
 def test_a_failed_pin_batch_is_split_before_the_failing_power(monkeypatch):
     """The (20, 30) shift scan from e_0 to e_0 on m = 150 to horizon 130,
-    whose pin batch overflows from power 110: the batch is halved until it
-    fits, so powers 1..109 take five batches, not one row each, and every
-    result is the one that power gets alone.  Power 110 still raises."""
+    whose pin batch overflows from power 110, as one junction_scan call: the
+    batch is halved until it fits, so powers 1..109 take five batches, not
+    one row each, and every result is the one that power gets alone.
+    Power 110 still raises.  The pins, halving included, take one driver
+    pass and the component routes another."""
     w = IndexWindow(BILATERAL, 150)
     ball = ProductBall((Ball(ComplexVector.basis(w, 0), 0.5),))
     op = ForwardShift(WeightProfile(20.0, 30.0))
-    batches = []
-    pin_route = hitsolver._ComponentScan.pin_route
+    batches, drives, results = [], [], []
+    pin_route, drive = hitsolver._ComponentScan.pin_route, hitsolver._drive
     monkeypatch.setattr(hitsolver._ComponentScan, "pin_route", lambda self, powers: batches.append(list(powers)) or pin_route(self, powers))
-    scan = PowerScan((op,), ball, ball, 130)
-    results = []
+    monkeypatch.setattr(hitsolver, "_drive", lambda routes: drives.append(len(routes)) or drive(routes))
+    monkeypatch.setattr(transitivity, "solve_hit", lambda p: results.append(solve_hit(p)) or results[-1])
     with pytest.raises(OperatorError, match="solve_hit overflows a float at power 110: "):
-        for n in range(131):
-            results.append(solve_hit(scan.problem(n)))
+        junction_scan((op,), ball, ball, 130)
+    assert len(drives) == 2
     assert len(results) == 110
     solved = {n for b in batches for n in b if n < 110}
     assert solved == set(range(1, 110))
