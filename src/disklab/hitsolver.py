@@ -917,8 +917,10 @@ class _ComponentScan:
     to the last, in batches of at most PIN_CELLS cells (pin_route).  If a
     batch leaves the float range, or a power cannot be formed, at a power
     the scan may never reach, the batch is split in halves, each solved the
-    same way, down to each power that fails alone.  Such a power keeps its
-    error, which pin() raises in the solve of that power.
+    same way, down to the first power that fails alone.  That power keeps
+    its error, which pin() raises in the solve of that power, and the
+    powers of the batch after it keep the same error unsolved: a scan
+    raises at its first refused power and never reads past it.
     """
 
     def __init__(self, op: OperatorSpec, src: Ball, tgt: Ball, mode: str, fixed_alpha, horizon: int):
@@ -978,17 +980,26 @@ class _ComponentScan:
 
     def pin_route(self, powers: range):
         """The route (see _drive) that solves the pins of powers as one batch
-        and keeps them.  Where the batch fails, it solves the two halves the
-        same way, down to each power that fails alone, which keeps its
-        error."""
+        and keeps them.  Where the batch fails, it solves the first half the
+        same way, and then the second half, unless the first half holds a
+        refused power: then each power of the second half keeps that
+        refusal.  So the halving goes down to the first power that fails
+        alone, which keeps its error, and every power after it keeps the
+        same error unsolved."""
         try:
             self._pins.update((yield from self._pin_batch(powers)))
         except (ArithmeticError, OperatorError) as exc:
             if len(powers) == 1:
                 self._pins[powers[0]] = exc
+                return
+            half = (len(powers) + 1) // 2
+            yield from self.pin_route(powers[:half])
+            # the powers after a refused one keep its error, so the first
+            # half holds a refusal exactly when its last power does
+            refused = self._pins[powers[half - 1]]
+            if isinstance(refused, Exception):
+                self._pins.update(dict.fromkeys(powers[half:], refused))
             else:
-                half = (len(powers) + 1) // 2
-                yield from self.pin_route(powers[:half])
                 yield from self.pin_route(powers[half:])
 
     def _pin_batch(self, powers: range):
@@ -1004,9 +1015,11 @@ class _ComponentScan:
             return pins
         u, v = self.src.center.coeffs, self.tgt.center.coeffs
         su, sv = np.flatnonzero(u), np.flatnonzero(v)
-        coeffs, tgt = self.powers.rows(fit[0], fit[-1])
+        maps = [self.powers.power_map(n) for n in fit]
+        coeffs, tgt = np.array([m.coeffs for m in maps]), np.array([m.tgt for m in maps])
         # S^n is read only on v's support, the columns S^n v takes
-        s_coeffs, s_tgt = (a[:, sv] for a in self.inverse.rows(fit[0], fit[-1]))
+        maps = [self.inverse.power_map(n) for n in fit]
+        s_coeffs, s_tgt = np.array([m.coeffs for m in maps])[:, sv], np.array([m.tgt for m in maps])[:, sv]
         # the entries of T^n u and S^n v from the supports of u and v: a
         # column meets one row, so these are all their nonzero entries.  The
         # centres are spread to full shape, as _grid_rows' operands are, so
@@ -1040,8 +1053,11 @@ class PowerScan:
 
     solve_hit gives each problem the result it gives that problem alone,
     bit for bit: a problem that stage_problems solved with others gets the
-    result staged for it, and any other is staged by itself.  A problem of
-    no scan is solved as the one power of a PowerScan of its own.
+    result staged for it, and any other is staged by itself.  The one
+    exception lies past a refused criterion pin: the powers after the first
+    one refused in a pin batch are not solved, and raise that refusal at
+    their own power; a scan raises at the first and never reads them.  A
+    problem of no scan is solved as the one power of a PowerScan of its own.
     """
 
     def __init__(
@@ -1286,8 +1302,10 @@ def _stage_pins(problems: Sequence[HitProblem]) -> None:
     """Solve, in one driver pass, the criterion pins that the disk routes of
     problems read: each component's in the batches pin_route forms, from
     the first power not yet solved to the last asked for, so that every
-    power asked for has its pin or the error it fails with alone.  A pin
-    route that raises any other error raises it here."""
+    power asked for up to a batch's first refused power has its pin or the
+    error it fails with alone, and every power after that one keeps the
+    same error unsolved.  A pin route that raises any other error raises it
+    here."""
     needs: dict[_ComponentScan, set[int]] = {}
     for p in problems:
         if p.mode == DISK:

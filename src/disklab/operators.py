@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import contextvars
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -50,7 +49,6 @@ __all__ = [
     "growth",
     "components_of",
     "ensure_power_fits",
-    "overflow_checked",
     "named_overflow",
 ]
 
@@ -250,8 +248,8 @@ def components_of(ops: Sequence[OperatorSpec]) -> tuple[OperatorSpec, ...]:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Eigenvalue with a unit-normalized eigenvector is not required; any
-    nonzero eigenvector is accepted."""
+    """An eigenvalue and an eigenvector of it; the vector may be any nonzero
+    eigenvector, not necessarily of unit norm."""
 
     value: complex
     vector: ComplexVector
@@ -266,37 +264,17 @@ class GrowthBounds:
     minmod_lower: float
 
 
-class named_overflow:
-    """Context manager: run the block with numpy raising on overflow and
-    invalid values, and turn that error, or Python's OverflowError from c**n,
-    into an OperatorError naming `name` and `where`."""
-
-    __slots__ = ("name", "where", "_state")
-
-    def __init__(self, name: str, where: str):
-        self.name, self.where = name, where
-
-    def __enter__(self):
-        self._state = np.errstate(over="raise", invalid="raise")
-        self._state.__enter__()
-
-    def __exit__(self, kind, exc, tb):
-        self._state.__exit__(kind, exc, tb)
-        if isinstance(exc, (FloatingPointError, OverflowError)):
-            raise OperatorError(f"{self.name} overflows a float at {self.where}: {exc}") from exc
-        return False
-
-
-def overflow_checked(fn):
-    """Decorator of fn(op, n, ...): run it under named_overflow, naming the
-    function and power n."""
-
-    @functools.wraps(fn)
-    def checked(op, n, *args, **kwargs):
-        with named_overflow(fn.__name__, f"power {n}"):
-            return fn(op, n, *args, **kwargs)
-
-    return checked
+@contextlib.contextmanager
+def named_overflow(name: str, where: str):
+    """Run the block with numpy raising on overflow and invalid values, and
+    turn that error, or Python's OverflowError from c**n, into an
+    OperatorError naming `name` and `where`, chained to it; any other error
+    passes through.  numpy's error state is restored after the block."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise OperatorError(f"{name} overflows a float at {where}: {exc}") from exc
 
 
 class _RunProducts:
@@ -395,11 +373,13 @@ class PowerStack:
     bound up to the horizon too; _fill forms a chunk of powers at a time:
     the power asked for and the ones after it, up to the horizon, the next
     power already formed or PIN_CELLS cells of that span.  One pass over the
-    run products gives the chunk's powers, as rows of one coefficient table
-    and one target table, each power's PowerMap a row of both, and, once a
-    bound has been read, their growth bounds.  Each power's run products
-    are the previous power's times one more weight each (see _RunProducts),
-    so every power and bound equals the one formed alone bit for bit.
+    run products gives the chunk's powers, each power's PowerMap a row of
+    one coefficient array and one target array, and, once a bound has been
+    read, their growth bounds.  Each power's run products are the previous
+    power's times one more weight each (see _RunProducts), so every power
+    and bound equals the one formed alone bit for bit.  A stack hands out a
+    power one way only, as power_map's PowerMap; a reader that wants a run
+    of powers stacks their maps.
     A chunk keeps, in place of a power whose runs pass the float range, the
     error that refuses it; asking for that power raises the error again,
     named as power_map or growth names it, and forms nothing.  A diagonal,
@@ -416,24 +396,12 @@ class PowerStack:
         # the identity, whatever the operator
         self._maps: dict[int, PowerMap | ArithmeticError] = {}
         self._bounds: dict[int, GrowthBounds | ArithmeticError] = {0: GrowthBounds(1.0, 1.0)}
-        # (first power, coefficient rows, target rows) of each chunk
-        self._tables: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._runs: _RunProducts | None = None
         self._bounded = False  # whether a growth bound has been read
 
     def power_map(self, n: int) -> PowerMap:
         """T^n on the window; shift mass that leaves the window is dropped."""
         return self._read(self._maps, "power_map", n, self._form)
-
-    def rows(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients and targets of T^first .. T^last of an orthogonal-column
-        operator, one power a row: slices of a chunk's tables where one chunk
-        formed them all, else stacked from their maps."""
-        maps = [self.power_map(n) for n in range(first, last + 1)]
-        for start, coeffs, tgt in self._tables:
-            if start <= first and last < start + len(coeffs):
-                return coeffs[first - start : last + 1 - start], tgt[first - start : last + 1 - start]
-        return np.array([m.coeffs for m in maps]), np.array([m.tgt for m in maps])
 
     def growth(self, n: int) -> GrowthBounds:
         """growth(op, n, lattice of the window), for n up to the horizon."""
@@ -500,7 +468,6 @@ class PowerStack:
         for k, n in enumerate(range(first, stop)):
             pmap = PowerMap("ortho", window, coeffs=coeffs[k], tgt=tgt[k])
             self._maps[n] = FloatingPointError("overflow encountered in multiply") if refused[k] else pmap
-        self._tables.append((first, coeffs, tgt))
         if not self._bounded:
             return
 
@@ -632,7 +599,6 @@ def right_inverse(op: OperatorSpec) -> OperatorSpec:
     raise OperatorError(f"right inverse undefined for {type(op).__name__}")
 
 
-@overflow_checked
 def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     """(opnorm upper, minimum-modulus lower) bounds for the un-truncated n-th power.
 
@@ -643,7 +609,8 @@ def growth(op: OperatorSpec, n: int, lattice: str = BILATERAL) -> GrowthBounds:
     if lattice not in (BILATERAL, UNILATERAL):
         raise ValueError(f"unknown lattice {lattice!r}")
     # the bounds read only the lattice, so a window of one index serves
-    return PowerStack(op, IndexWindow(lattice, 0), n).growth(n)
+    with named_overflow("growth", f"power {n}"):
+        return PowerStack(op, IndexWindow(lattice, 0), n).growth(n)
 
 
 def _growth_bounds(op: OperatorSpec, n: int) -> GrowthBounds:

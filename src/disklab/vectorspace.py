@@ -193,14 +193,17 @@ def norm(x) -> float:
 
 @dataclass(frozen=True)
 class Ball:
-    """Open ball around a center vector."""
+    """Open ball around a center vector, with a finite center and a
+    positive finite radius."""
 
     center: ComplexVector
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError("ball radius must be positive")
+        if not (0 < self.radius < np.inf):
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius!r}")
+        if not np.isfinite(self.center.coeffs).all():
+            raise ValueError("ball center coefficients must be finite")
 
     def contains(self, x: ComplexVector) -> bool:
         return norm(x - self.center) < self.radius

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tracemalloc
@@ -24,6 +25,7 @@ from disklab.operators import (
     apply,
     ensure_power_fits,
     growth,
+    named_overflow,
     power_apply,
     power_map,
     right_inverse,
@@ -600,11 +602,6 @@ def test_powers_match_the_per_index_reference_loops(lattice):
             for n in order:
                 assert np.array_equal(stack.power_map(n).apply_vec(x.coeffs), want[n])
                 assert stack.growth(n) == growth(op, n, lattice) == _reference_growth(op, n, lattice)
-            # a table's rows are the maps' arrays, within a chunk and across chunks
-            for first, last in ((1, 3), (17, 17), (1, 40)):
-                coeffs, tgt = stack.rows(first, last)
-                maps = [stack.power_map(n) for n in range(first, last + 1)]
-                assert np.array_equal(coeffs, [m.coeffs for m in maps]) and np.array_equal(tgt, [m.tgt for m in maps])
         # growth runs widen with the horizon: to 400, a growth chunk holds under 100 powers
         stack = PowerStack(op, w, 400)
         assert [stack.growth(n) for n in range(401)] == [growth(op, n, lattice) for n in range(401)]
@@ -720,6 +717,43 @@ def test_growth_and_a_stack_raise_alike_at_the_shift_edge():
             bounds()
         errors.append(str(err.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize(
+    "overflow, kind",
+    [
+        (lambda: np.float64(1e300) * np.float64(1e300), FloatingPointError),
+        (lambda: np.array([np.inf]) - np.inf, FloatingPointError),
+        (lambda: 10.0**400, OverflowError),
+    ],
+    ids=["numpy-overflow", "numpy-invalid", "python-power"],
+)
+def test_named_overflow_names_a_float_error_and_chains_it(overflow, kind):
+    with pytest.raises(OperatorError, match=r"^growth overflows a float at power 7: .") as err:
+        with named_overflow("growth", "power 7"):
+            overflow()
+    assert type(err.value.__cause__) is kind
+    assert str(err.value).endswith(str(err.value.__cause__))
+
+
+@pytest.mark.parametrize("error", [ValueError("not a float"), ZeroDivisionError("division by zero"), OperatorError("named")])
+def test_named_overflow_passes_any_other_error_through(error):
+    with pytest.raises(type(error)) as err:
+        with named_overflow("growth", "power 7"):
+            raise error
+    assert err.value is error
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_named_overflow_restores_numpy_error_state(raises):
+    with np.errstate(over="ignore", invalid="warn", divide="ignore", under="ignore"):
+        outer = np.geterr()
+        with pytest.raises(OperatorError) if raises else contextlib.nullcontext():
+            with named_overflow("growth", "power 7"):
+                assert np.geterr() == {**outer, "over": "raise", "invalid": "raise"}
+                if raises:
+                    np.float64(1e300) * np.float64(1e300)
+        assert np.geterr() == outer
 
 
 def test_a_scope_keeps_one_stack_per_operator_and_never_aliases_a_dropped_one():

@@ -640,8 +640,10 @@ def test_a_failed_pin_batch_is_split_before_the_failing_power(monkeypatch):
     whose pin batch overflows from power 110, as one junction_scan call: the
     batch is halved until it fits, so powers 1..109 take five batches, not
     one row each, and every result is the one that power gets alone.
-    Power 110 still raises.  The pins, halving included, take one driver
-    pass and the component routes another."""
+    Power 110 still raises, and no batch past it is solved: the powers
+    after it take its refusal, in 13 pin_route calls, not 51.  The pins,
+    halving included, take one driver pass and the component routes
+    another."""
     w = IndexWindow(BILATERAL, 150)
     ball = ProductBall((Ball(ComplexVector.basis(w, 0), 0.5),))
     op = ForwardShift(WeightProfile(20.0, 30.0))
@@ -653,6 +655,7 @@ def test_a_failed_pin_batch_is_split_before_the_failing_power(monkeypatch):
     with pytest.raises(OperatorError, match="solve_hit overflows a float at power 110: "):
         junction_scan((op,), ball, ball, 130)
     assert len(drives) == 2
+    assert len(batches) == 13 and all(b[0] <= 110 for b in batches)
     assert len(results) == 110
     solved = {n for b in batches for n in b if n < 110}
     assert solved == set(range(1, 110))

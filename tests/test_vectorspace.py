@@ -91,6 +91,26 @@ def test_ball_membership_is_strict():
     assert ball.contains(c + ComplexVector.basis(w, 1) * 0.999)
 
 
+@pytest.mark.parametrize(
+    "coeff, radius, message",
+    [
+        (np.nan, 0.5, "center"),
+        (np.inf, 0.5, "center"),
+        (complex(0, -np.inf), 0.5, "center"),
+        (1.0, np.inf, "radius"),
+        (1.0, np.nan, "radius"),
+    ],
+    ids=["nan-center", "inf-center", "inf-imaginary-center", "inf-radius", "nan-radius"],
+)
+def test_ball_refuses_a_non_finite_center_or_radius(coeff, radius, message):
+    """Unrefused, such a ball reaches solve_hit: a NaN center gives a miss
+    with residual inf, an infinite one an overflow at power 2, and an
+    infinite radius a hit."""
+    w = IndexWindow(BILATERAL, 8)
+    with pytest.raises(ValueError, match=f"ball {message}"):
+        Ball(ComplexVector.basis(w, 0, coeff), radius)
+
+
 def test_product_ball():
     w = IndexWindow(BILATERAL, 1)
     b = Ball(ComplexVector.basis(w, 0), 0.5)
