@@ -113,8 +113,10 @@ CERT_MARGIN = 1e-12  # certificates need lower_bound >= delta + this
 # draws the next block while this one is scored, which bounds the oracle's
 # memory at two blocks: four real normal arrays of block by the active
 # columns (the window dimension only for a dense map, or for balls of full
-# support) and two arrays of block by the passive groups.  It scores a
-# block in chunks of about this many cells (rows times active columns and
+# support) and, whatever the number of passive groups, four block-length
+# sums and one gamma row: each group's row is folded into its block's two
+# sums as it is drawn.  It scores a block in chunks of about this many
+# cells (rows times the active columns, plus the two sums when there are
 # groups), so that the passes over a chunk run in cache
 SEARCH_BATCH = 20000
 SCORE_CELLS = 256 * 97
@@ -1506,10 +1508,17 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     independent, so (g_A, S_G) has the joint law it has when all of g is
     drawn, |g|^2 = |g_A|^2 + sum_G S_G, and every sample has the law of a
     full draw.  Component by component, per block, it draws the real and
-    then the imaginary normals of the active columns, one gamma per row of
-    each group in order of modulus, the radius uniforms, and in disk mode the
+    then the imaginary normals of the active columns, one gamma row for each
+    group in order of modulus, the radius uniforms, and in disk mode the
     magnitude and phase uniforms.  A dense map, or an orthogonal-column map
     with no passive column, draws every normal, as a full draw does.
+
+    A group's row is folded into two block-length sums as it is drawn,
+    sum_G S_G and sum_G (|c_G| 2^-top)^2 S_G, with 2^top the power of two
+    just above the largest passive modulus, so a block holds the same few
+    arrays whatever the number of groups.  The first sum joins |g_A|^2 in
+    |g|^2, and the groups add |alpha s 2^top|^2 times the second to the
+    squared residual.
 
     One helper thread makes the next block's draws while this block is
     scored; each draw starts after the one before has finished, so the
@@ -1523,7 +1532,7 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     dims = [ball.center.window.dim for ball in p.sources.balls]
     # every component's map first, so a map that cannot be built fails
     # before anything is drawn
-    scorers, widths, group_sizes = [], [], []
+    scorers, widths, group_sizes, group_weights = [], [], [], []
     for i, (op, src, tgt) in enumerate(zip(p.components, p.sources.balls, p.targets.balls)):
         pmap, v = power_map(op, p.n, src.center.window), tgt.center.coeffs
         # residuals are scored in units of 2^e, so that their squares cannot overflow
@@ -1533,33 +1542,48 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
         drawn, active, moduli, sizes = _search_columns(pmap, src.center.coeffs, v)
         u = src.center.coeffs[active]
         centre = (np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag))
-        scorers.append((_squared_residuals(drawn, v, alpha), centre, moduli[:, None], 2.0**e))
+        # 2^top, the power of two just above the largest passive modulus
+        top = math.frexp(float(np.max(moduli, initial=0.0)))[1]
+        scorers.append((_squared_residuals(drawn, v, alpha), centre, top, 2.0**e))
         widths.append(u.size)
         group_sizes.append(sizes)
+        # ldexp, as 2^-top itself leaves the float range for moduli near 1e-308
+        group_weights.append(2.0 * np.ldexp(moduli, -top) ** 2)
     groups = [sizes.size for sizes in group_sizes]
     blocks = [(i, min(SEARCH_BATCH, samples - lo)) for i in range(k) for lo in range(0, samples, SEARCH_BATCH)]
-    # two triples of flat buffers, filled in turn, each block viewing its
-    # first b*width normals and b*groups gammas
-    block_rows = min(SEARCH_BATCH, samples)
-    buffers = [tuple(np.empty(block_rows * max(n)) for n in (widths, widths, groups)) for _ in range(2)]
+    # two sets of flat buffers, filled in turn, each block viewing its first
+    # b*width normals and b entries of each group sum; the gamma row is
+    # shared, as one draw runs at a time
+    block_rows, grouped = min(SEARCH_BATCH, samples), max(groups) > 0
+    buffers = [tuple(np.empty(block_rows * n) for n in (max(widths), max(widths), grouped, grouped)) for _ in range(2)]
+    gamma_row = np.empty(block_rows * grouped)
 
     def draw(step: int):
         i, b = blocks[step]
-        xbuf, ybuf, sbuf = buffers[step % 2]
+        xbuf, ybuf, total, weighted = buffers[step % 2]
         x, y = (buf[: b * widths[i]].reshape(b, widths[i]) for buf in (xbuf, ybuf))
         rng.standard_normal(out=x)
         rng.standard_normal(out=y)
-        group_sq = sbuf[: b * groups[i]].reshape(groups[i], b)
-        for row, size in zip(group_sq, group_sizes[i]):
+        # each gamma(|G|) in turn into the one row, folded in draw order into
+        # sum_G S_G / 2 and sum_G (|c_G| 2^-top)^2 S_G (the weights hold the
+        # 2 of S_G = 2 gamma); doubling is exact, so the first sum is doubled
+        # once per block and has the bits of summing each S_G
+        row, total, weighted = gamma_row[:b], total[:b], weighted[:b]
+        total.fill(0.0)
+        weighted.fill(0.0)
+        for size, weight in zip(group_sizes[i], group_weights[i]):
             rng.standard_gamma(size, out=row)
-        group_sq *= 2.0
+            total += row
+            row *= weight
+            weighted += row
+        total *= 2.0
         radii = p.sources.balls[i].radius * rng.uniform(size=b) ** (1.0 / (2 * dims[i])) * (1.0 - 1e-12)
         if p.mode == FIXED:
             alphas = np.full(b, p.fixed_alphas[i], dtype=np.complex128)
         else:
             mags = np.sqrt(rng.uniform(size=b))
             alphas = mags * np.exp(2j * np.pi * rng.uniform(size=b))
-        return x, y, group_sq, radii, alphas
+        return x, y, total, weighted, radii, alphas
 
     best_res = [math.inf] * k
     best_alpha_found = [1.0 + 0j] * k
@@ -1573,19 +1597,18 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(draw, 0)
         for step, (i, b) in enumerate(blocks):
-            x, y, group_sq, radii, alphas = pending.result()
+            x, y, total, weighted, radii, alphas = pending.result()
             if step + 1 < len(blocks):
                 pending = helper.submit(draw, step + 1)
-            residuals, (cr, ci), moduli, unit = scorers[i]
-            chunk = max(1, SCORE_CELLS // (widths[i] + groups[i]))
+            residuals, (cr, ci), top, unit = scorers[i]
+            chunk = max(1, SCORE_CELLS // (widths[i] + 2 * (groups[i] > 0)))
             sq = np.empty(b)
             for lo in range(0, b, chunk):
                 rows = slice(lo, lo + chunk)
                 xr, yr = x[rows], y[rows]
                 norms_sq = np.einsum("ij,ij->i", xr, xr) + np.einsum("ij,ij->i", yr, yr)
                 if groups[i]:
-                    sr = group_sq[:, rows]
-                    norms_sq += np.add.reduce(sr, axis=0)
+                    norms_sq += total[rows]
                 norms = np.sqrt(norms_sq)
                 norms[norms == 0] = 1.0
                 scale = radii[rows] / norms
@@ -1595,13 +1618,15 @@ def random_search(p: HitProblem, samples: int, seed) -> SearchReport:
                 yr += ci
                 sq[rows] = residuals(xr, yr, alphas[rows, None])
                 if groups[i]:
-                    # |alpha c_G s|^2 S_G, formed as the square of
-                    # |c_G| |alpha| s sqrt(S_G), which is at most the
-                    # scaled bound on any residual, so it cannot overflow
-                    terms = np.sqrt(sr)
-                    terms *= scale * np.abs(alphas[rows])
-                    terms *= moduli
-                    sq[rows] += np.einsum("ij,ij->j", terms, terms)
+                    # sum_G |alpha c_G s|^2 S_G, formed as the square of
+                    # 2^top |alpha| s sqrt(weighted), which is at most
+                    # max_G |c_G| |alpha| s |g|, inside the scaled bound on
+                    # any residual, so it cannot overflow
+                    term = np.sqrt(weighted[rows])
+                    term *= scale
+                    term *= np.abs(alphas[rows])
+                    np.ldexp(term, top, out=term)
+                    sq[rows] += term * term
             j = int(np.argmin(sq))
             res = math.sqrt(sq[j]) * unit
             if res < best_res[i]:

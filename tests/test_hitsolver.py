@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import types
 import warnings
 from decimal import Decimal, localcontext
@@ -1647,6 +1648,75 @@ def test_random_search_draws_grouped_marginals(case, mode):
     ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
     _assert_matches_reference(random_search(p, samples, ours), grouped_reference_search(p, samples, theirs))
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _distinct_moduli_problem(m, mode, seed):
+    """A Diagonal on a window of dimension 2m + 1 whose entries have distinct
+    moduli, between balls centred at the basis vectors e0 and e1: every
+    column but those two forms a passive group of its own."""
+    rng = np.random.default_rng(seed)
+    w = IndexWindow(BILATERAL, m)
+    entries = rng.uniform(0.5, 1.5, w.dim) * np.exp(2j * np.pi * rng.uniform(size=w.dim))
+    op = Diagonal(dict(zip(w.indices(), entries)))
+    balls = [ProductBall((Ball(ComplexVector.basis(w, j), radius),)) for j, radius in ((0, 0.5), (1, 0.8))]
+    p = HitProblem((op,), 1, *balls, mode, (0.9j,) if mode == FIXED else None)
+    groups = reference_columns(power_map(op, 1, w), balls[0].balls[0].center.coeffs, balls[1].balls[0].center.coeffs)
+    assert groups[2].size == w.dim - 2
+    return p
+
+
+@pytest.mark.parametrize("mode", [FIXED, DISK])
+def test_many_passive_groups_draw_the_grouped_stream(mode):
+    """61 passive groups over two blocks: the search draws the stream of
+    grouped_reference_search and leaves a caller's generator in the same
+    state.  The window stays small, as the reference forms full blocks."""
+    p = _distinct_moduli_problem(31, mode, 61)
+    samples = hitsolver.SEARCH_BATCH + 5000
+    ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+    _assert_matches_reference(random_search(p, samples, ours), grouped_reference_search(p, samples, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_oracle_memory_does_not_grow_with_the_groups():
+    """301 passive groups over two blocks: a block holds a few arrays of
+    SEARCH_BATCH rows, not one gamma row per group (two blocks of those
+    took 2 x 301 x SEARCH_BATCH x 8 B, about 96 MB)."""
+    p = _distinct_moduli_problem(151, DISK, 301)
+    tracemalloc.start()
+    try:
+        report = random_search(p, hitsolver.SEARCH_BATCH + 5000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert math.isfinite(report.best_residuals[0])
+
+
+def _float_edge_problems():
+    """A Diagonal at n = 1 on the window of dimension 7, where a passive
+    group of modulus 1e-310 sits beside the active column of modulus 1, and
+    one on dimension 9 whose passive moduli run from 2^-600 to 2^600."""
+    seven, nine = IndexWindow(BILATERAL, 3), IndexWindow(BILATERAL, 4)
+    tiny = Diagonal({j: (1.0 if j == 0 else 1e-310) for j in seven.indices()})
+    wide = Diagonal({j: 2.0 ** (150 * j) * np.exp(0.7j * j) for j in nine.indices()})
+    return [(tiny, seven), (wide, nine)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", [FIXED, DISK])
+@pytest.mark.parametrize("case", [0, 1], ids=["modulus-1e-310", "moduli-2^-600-to-2^600"])
+def test_passive_moduli_at_both_ends_of_the_float_range(case, mode):
+    """The group sums are weighted by the moduli over the power of two just
+    above the largest, so neither a subnormal modulus nor a spread of 2^1200
+    leaves the float range: residuals are finite and equal those of
+    grouped_reference_search."""
+    op, w = _float_edge_problems()[case]
+    balls = [ProductBall((Ball(ComplexVector.basis(w, 0), radius),)) for radius in (0.5, 0.3)]
+    p = HitProblem((op,), 1, *balls, mode, (0.9j,) if mode == FIXED else None)
+    samples = hitsolver.SEARCH_BATCH + 5000
+    got = random_search(p, samples, 44)
+    assert all(math.isfinite(res) for res in got.best_residuals)
+    _assert_matches_reference(got, grouped_reference_search(p, samples, 44))
 
 
 def _ks_statistic(a, b):
